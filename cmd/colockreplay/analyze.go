@@ -232,7 +232,13 @@ func analyze(name string, recs []journal.Record, torn bool, cfg Config) *Report 
 // step consumes one record.
 func (a *analyzer) step(rec journal.Record) {
 	r := a.report
-	r.Kinds[rec.Kind]++
+	if rec.Kind == "fastpath" {
+		// One record stands for Hits grant-cache hits (a journal with one
+		// record per hit has Hits 0).
+		r.Kinds[rec.Kind] += int(max(rec.Hits, 1))
+	} else {
+		r.Kinds[rec.Kind]++
+	}
 	if !rec.At.IsZero() {
 		if r.From.IsZero() {
 			r.From = rec.At
@@ -597,7 +603,7 @@ func replaySLO(recs []journal.Record, cfg Config) SLOReplay {
 		rec := recs[i]
 		switch rec.Kind {
 		case "fastpath":
-			mon.RecordFastPathHit()
+			mon.AddFastPathHits(max(rec.Hits, 1))
 			continue
 		case "health", "reset":
 			continue

@@ -57,7 +57,7 @@ func replayReport(dir string, window time.Duration) (health.Report, error) {
 		rec := recs[i]
 		switch rec.Kind {
 		case "fastpath":
-			mon.RecordFastPathHit()
+			mon.AddFastPathHits(max(rec.Hits, 1))
 			continue
 		case "health", "reset":
 			continue

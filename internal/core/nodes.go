@@ -442,6 +442,37 @@ func (nm *Namer) Classify(p store.Path) (NodeInfo, error) {
 	return e.info, nil
 }
 
+// classifyResource is Classify for a data node given by its resource name
+// (database/segment/relation/key/…). A name this namer produced is answered
+// from the name cache without splitting it: pathHash is folded straight off
+// the string and the bucket searched for the entry carrying that name.
+func (nm *Namer) classifyResource(r lock.Resource) (NodeInfo, error) {
+	_, rest, _ := strings.Cut(string(r), "/")
+	_, tail, ok := strings.Cut(rest, "/")
+	if !ok {
+		return NodeInfo{}, fmt.Errorf("core: %q is not a data resource", r)
+	}
+	if !nm.nocache {
+		h := uint64(14695981039346656037)
+		for i := 0; i <= len(tail); i++ {
+			c := uint64(0xff) // segment separator, and terminator
+			if i < len(tail) && tail[i] != '/' {
+				c = uint64(tail[i])
+			}
+			h = (h ^ c) * 1099511628211
+		}
+		nm.mu.RLock()
+		for _, e := range nm.paths[h] {
+			if e.res == r {
+				nm.mu.RUnlock()
+				return e.info, e.infoErr
+			}
+		}
+		nm.mu.RUnlock()
+	}
+	return nm.Classify(store.Path(strings.Split(tail, "/")))
+}
+
 // classifyUncached is the memo-free schema walk backing Classify.
 func (nm *Namer) classifyUncached(p store.Path) (NodeInfo, error) {
 	if len(p) == 0 {

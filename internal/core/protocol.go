@@ -217,8 +217,8 @@ func (p *Protocol) lockOpts(ctx context.Context, txn lock.TxnID, n Node, mode lo
 	}
 	// Root span: one per sampled user-level lock call. The sampling decision
 	// is made before naming the resource, so sampled-out calls skip even
-	// that; children ride on the root's decision (nil handle = inert).
-	var sp *trace.SpanHandle
+	// that; children ride on the root's decision (zero handle = inert).
+	var sp trace.SpanHandle
 	if p.tr.Sample() {
 		if res, rerr := p.nm.Resource(n); rerr == nil {
 			sp = p.tr.Start(txn, "lock", res, mode)
@@ -246,7 +246,7 @@ var requestedPool = sync.Pool{
 	New: func() any { return make(map[lock.Resource]lock.Mode, 16) },
 }
 
-func (p *Protocol) lockRec(ctx context.Context, txn lock.TxnID, n Node, mode lock.Mode, durable, noFollow bool, timeout time.Duration, requested map[lock.Resource]lock.Mode, tg *txnGrants, sp *trace.SpanHandle) error {
+func (p *Protocol) lockRec(ctx context.Context, txn lock.TxnID, n Node, mode lock.Mode, durable, noFollow bool, timeout time.Duration, requested map[lock.Resource]lock.Mode, tg *txnGrants, sp trace.SpanHandle) error {
 	res, anc, err := p.nm.chain(n)
 	if err != nil {
 		return err
@@ -259,11 +259,12 @@ func (p *Protocol) lockRec(ctx context.Context, txn lock.TxnID, n Node, mode loc
 	// follow: granting S or X implies downward propagation (rules 3/4) —
 	// those requests must run the full protocol below. Everything else
 	// (IS/IX, or S/X with noFollow) is a pure chain acquisition, eligible
-	// for the all-in-one batched fast path. Sampled calls (sp != nil) take
+	// for the all-in-one batched fast path. Sampled calls (a recording sp) take
 	// the classic per-resource path so the span tree keeps its per-resource
 	// timing; a cache hit inside it emits no span (DESIGN.md §11).
 	follow := (mode == lock.S || mode == lock.X) && !noFollow
-	if tg != nil && sp == nil && !follow {
+	traced := sp.Recording()
+	if tg != nil && !traced && !follow {
 		return p.lockChainBatched(ctx, txn, res, anc, mode, intent, durable, timeout, requested, tg)
 	}
 
@@ -273,7 +274,7 @@ func (p *Protocol) lockRec(ctx context.Context, txn lock.TxnID, n Node, mode loc
 	// superunit boundaries because the ancestor chain is exactly the
 	// superunit spine.
 	if intent != lock.None {
-		if tg != nil && sp == nil {
+		if tg != nil && !traced {
 			if err := p.upwardBatched(ctx, txn, anc, intent, durable, timeout, requested, tg); err != nil {
 				return err
 			}
@@ -332,14 +333,14 @@ func (p *Protocol) lockRec(ctx context.Context, txn lock.TxnID, n Node, mode loc
 			p.counters.downward.Add(1)
 			// The downward span becomes the parent of the recursion's own
 			// spans, so the tree mirrors the propagation structure.
-			next := sp
-			if sp != nil {
+			next, opened := sp, false
+			if traced {
 				if eres, rerr := p.nm.Resource(DataNode(ep)); rerr == nil {
-					next = sp.Child(kind, eres, em)
+					next, opened = sp.Child(kind, eres, em), true
 				}
 			}
 			err := p.lockRec(ctx, txn, DataNode(ep), em, durable, noFollow, timeout, requested, tg, next)
-			if next != sp {
+			if opened {
 				next.End(err)
 			}
 			if err != nil {

@@ -7,7 +7,6 @@ import (
 	"sync/atomic"
 
 	"colock/internal/lock"
-	"colock/internal/store"
 )
 
 // ProtocolStats counts the protocol's rule applications (§4.4.2, rules 1–5
@@ -135,23 +134,21 @@ var UnitKindLabels = []string{"database", "segment", "relation", "entry-point", 
 // BLU/HoLU/HeLU by the §4.3 derivation rules. Use with obs.Options:
 //
 //	obs.Options{KindLabels: core.UnitKindLabels, KindOf: core.UnitKindOf(nm)}
+//
+// The classifier sits on every sink's per-event path, so it allocates
+// nothing: the level comes from the slash count, and a deep node's kind from
+// the namer's name cache, which memoised its classification when the
+// protocol named the resource. Only a resource the namer never produced pays
+// the schema walk.
 func UnitKindOf(nm *Namer) func(lock.Resource) int {
 	return func(r lock.Resource) int {
-		parts := strings.Split(string(r), "/")
-		switch len(parts) {
-		case 1:
-			return 0 // database
-		case 2:
-			return 1 // segment
-		case 3:
-			return 2 // relation
-		case 4:
-			return 3 // complex-object root: the entry-point granularity
+		if depth := strings.Count(string(r), "/"); depth <= 3 {
+			return depth // database, segment, relation, complex-object root
 		}
-		if parts[len(parts)-1] == bluLabel {
+		if strings.HasSuffix(string(r), "/"+bluLabel) {
 			return 4 // coalesced per-level BLU (footnote 3)
 		}
-		info, err := nm.Classify(store.Path(parts[2:]))
+		info, err := nm.classifyResource(r)
 		if err != nil {
 			return len(UnitKindLabels) - 1
 		}

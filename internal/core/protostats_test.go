@@ -115,3 +115,40 @@ func TestUnitKindOfClassifier(t *testing.T) {
 		}
 	}
 }
+
+// The classifier runs once per event in every sink, so it must not allocate
+// — neither on a resource the protocol has named (the name-cache hit), nor on
+// the shallow levels, nor after the first look at a resource nobody named.
+// It must also agree with the schema walk when BLUs are coalesced.
+func TestUnitKindOfZeroAllocs(t *testing.T) {
+	for _, coalesce := range []bool{false, true} {
+		st := store.PaperDatabase()
+		nm := NewNamer(st.Catalog(), coalesce)
+		kindOf := UnitKindOf(nm)
+		named := nm.MustResource(DataNode(store.P("cells", "c1", "robots", "r1", "trajectory")))
+		resources := []lock.Resource{
+			"db1", "db1/seg1/cells", "db1/seg1/cells/c1", named,
+			"db1/seg1/cells/c1/c_objects/o1", // never named: walks once, then cached
+		}
+		want := make([]int, len(resources))
+		for i, r := range resources {
+			want[i] = kindOf(r)
+		}
+		if got := UnitKindLabels[want[3]]; got != "BLU" {
+			t.Errorf("coalesce=%v: kind of %q = %s, want BLU", coalesce, named, got)
+		}
+		if got := UnitKindLabels[want[4]]; got != "HeLU" {
+			t.Errorf("coalesce=%v: kind of %q = %s, want HeLU", coalesce, resources[4], got)
+		}
+		allocs := testing.AllocsPerRun(200, func() {
+			for i, r := range resources {
+				if kindOf(r) != want[i] {
+					t.Fatalf("kindOf(%q) changed between calls", r)
+				}
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("coalesce=%v: UnitKindOf allocates %.1f objects per pass, want 0", coalesce, allocs)
+		}
+	}
+}

@@ -216,17 +216,33 @@ func (m *Monitor) slotAt(at time.Time) *window {
 // runs on the operation's goroutine outside all manager latches, uses the
 // event's own timestamp to pick a window, and never reads the clock.
 func (m *Monitor) Record(e lock.Event) {
-	w := m.slotAt(e.At)
-	switch e.Kind {
-	case "grant", "convert":
+	m.count(m.slotAt(e.At), &e)
+}
+
+// RecordBatch consumes one operation's events (lock.BatchSink). The window
+// is resolved once, from the first event's timestamp: one operation's events
+// are stamped within microseconds of each other.
+func (m *Monitor) RecordBatch(evs []lock.Event) {
+	if len(evs) == 0 {
+		return
+	}
+	w := m.slotAt(evs[0].At)
+	for i := range evs {
+		m.count(w, &evs[i])
+	}
+}
+
+func (m *Monitor) count(w *window, e *lock.Event) {
+	switch e.KindCode() {
+	case lock.KindGrant, lock.KindConvert:
 		w.counts[RateAcquires].Add(1)
 		if e.Waited && e.Dur > 0 {
 			w.wait.Record(e.Dur)
 		}
-	case "wait":
+	case lock.KindWait:
 		w.counts[RateBlocks].Add(1)
 		m.sketch.Touch(e.Resource, e.Mode)
-	case "victim":
+	case lock.KindVictim:
 		if e.WaitDie {
 			w.counts[RateWaitDie].Add(1)
 		} else {
@@ -236,13 +252,13 @@ func (m *Monitor) Record(e lock.Event) {
 			w.wait.Record(e.Dur)
 		}
 		m.sketch.Touch(e.Resource, e.Mode)
-	case "timeout":
+	case lock.KindTimeout:
 		w.counts[RateTimeouts].Add(1)
 		if e.Dur > 0 {
 			w.wait.Record(e.Dur)
 		}
 		m.sketch.Touch(e.Resource, e.Mode)
-	case "shed":
+	case lock.KindShed:
 		w.counts[RateSheds].Add(1)
 		m.sketch.Touch(e.Resource, e.Mode)
 	}
@@ -252,8 +268,12 @@ func (m *Monitor) Record(e lock.Event) {
 // window; wire it to core.Protocol.OnFastPathHit. Cache hits never reach
 // the lock manager, so they carry no timestamp — they land in the window
 // that is open right now.
-func (m *Monitor) RecordFastPathHit() {
-	m.slots[uint64(m.cur.Load())%liveSlots].counts[RateFastPath].Add(1)
+func (m *Monitor) RecordFastPathHit() { m.AddFastPathHits(1) }
+
+// AddFastPathHits counts n grant-cache hits at once: journal replay feeds it
+// the hit count of a coalesced "fastpath" record.
+func (m *Monitor) AddFastPathHits(n uint64) {
+	m.slots[uint64(m.cur.Load())%liveSlots].counts[RateFastPath].Add(n)
 }
 
 // Retry records one transaction restart (the resilience.Observer shape —

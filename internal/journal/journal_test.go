@@ -27,10 +27,20 @@ func sampleRecords() []Record {
 		{Kind: "victim", Txn: 3, Resource: "db1/seg1/cells/c2", Mode: lock.IX, Shard: 5, WaitDie: true, At: at(3), Dur: 7 * time.Millisecond, Blockers: []lock.TxnID{1, 2}},
 		{Kind: "release-all", Txn: 1, Shard: 0, At: at(4), Dur: time.Microsecond,
 			Resources: []lock.Resource{"db1/seg1/cells/c1", "db1", "db1/seg1"}},
-		{Kind: "fastpath", At: at(5)},
+		{Kind: "fastpath", Hits: 38, At: at(5)},
 		{Kind: "health", Resource: "ok->warn abort rate 0.4 > 0.05", At: at(6)},
 		{Kind: "reset", At: at(7)},
 	}
+}
+
+// push enqueues rec; false when the ring is full.
+func (r *eventRing) push(rec Record) bool {
+	pos, ok := r.reserve(1)
+	if ok {
+		r.slots[pos&r.mask].rec = rec
+		r.publish(pos)
+	}
+	return ok
 }
 
 func writeJournal(t *testing.T, dir string, opts Options, recs []Record) {

@@ -15,11 +15,12 @@
 // segment may be torn by a crash; the Reader detects and tolerates exactly
 // that, recovering every record before the tear.
 //
-// The Writer is a lock.EventSink: the hot path copies the event into a
-// bounded lock-free ring and returns — it NEVER blocks the lock manager.
-// A single background goroutine drains the ring, interns, encodes and
-// writes. When the ring is full the event is dropped and counted
-// (colock_journal_dropped_total); durability is best-effort by design.
+// The Writer is a lock.EventSink (and lock.BatchSink): the hot path copies
+// an operation's events into a bounded lock-free ring and returns — it NEVER
+// blocks the lock manager. A single background goroutine drains the ring in
+// batches, interns, encodes and writes. When the ring is full the event is
+// dropped and counted (colock_journal_dropped_total); durability is
+// best-effort by design.
 package journal
 
 import (
@@ -31,12 +32,17 @@ import (
 
 // Record is one journaled event: a lock.Event plus the writer-assigned
 // sequence number (its ordinal in file order, 1-based). Synthetic kinds
-// extend the lock-manager vocabulary: "fastpath" marks a protocol
-// grant-cache hit, "health" an SLO transition (detail in Resource, as the
+// extend the lock-manager vocabulary: "fastpath" stands for Hits protocol
+// grant-cache hits, "health" an SLO transition (detail in Resource, as the
 // colockshell trace ring does), "reset" a ResetStats marker separating
 // benchmark phases.
 type Record struct {
-	Seq       uint64
+	Seq uint64
+	// Hits, on a "fastpath" record, is the number of consecutive grant-cache
+	// hits the record stands for: the writer counts hits and folds the
+	// count into the stream ahead of the next record it accepts, stamped
+	// with that record's time.
+	Hits      uint64
 	Kind      string
 	Txn       lock.TxnID
 	Resource  lock.Resource
@@ -50,9 +56,9 @@ type Record struct {
 	Resources []lock.Resource
 }
 
-// RecordOf converts a lock event into its journal record (Seq unassigned).
-func RecordOf(e lock.Event) Record {
-	return Record{
+// setEvent overwrites r with the journal record of e (Seq unassigned).
+func (r *Record) setEvent(e *lock.Event) {
+	*r = Record{
 		Kind:      e.Kind,
 		Txn:       e.Txn,
 		Resource:  e.Resource,
@@ -71,6 +77,7 @@ func RecordOf(e lock.Event) Record {
 func (r Record) Event() lock.Event {
 	return lock.Event{
 		Kind:      r.Kind,
+		Code:      lock.KindOf(r.Kind),
 		Txn:       r.Txn,
 		Resource:  r.Resource,
 		Mode:      r.Mode,

@@ -33,24 +33,38 @@ func newEventRing(capacity int) *eventRing {
 	return r
 }
 
-// push enqueues rec; false when the ring is full.
-func (r *eventRing) push(rec Record) bool {
+// reserve claims n consecutive positions with one CAS on head and returns
+// the first; false when fewer than n slots are free. The consumer frees
+// slots in order, so the claim is free exactly when its last slot is. The
+// caller fills each claimed slot and publishes it, in position order.
+func (r *eventRing) reserve(n uint64) (uint64, bool) {
+	if n == 0 || n > r.mask+1 {
+		return 0, false
+	}
 	for {
 		pos := r.head.Load()
-		slot := &r.slots[pos&r.mask]
-		seq := slot.seq.Load()
+		last := pos + n - 1
+		seq := r.slots[last&r.mask].seq.Load()
 		switch {
-		case seq == pos:
-			if r.head.CompareAndSwap(pos, pos+1) {
-				slot.rec = rec
-				slot.seq.Store(pos + 1)
-				return true
+		case seq == last:
+			if r.head.CompareAndSwap(pos, pos+n) {
+				return pos, true
 			}
-		case seq < pos:
-			return false // the slot still holds an unconsumed record: full
+		case seq < last:
+			return 0, false // the slot still holds an unconsumed record: full
 		}
-		// seq > pos: another producer advanced head; retry with a fresh load.
+		// seq > last: another producer advanced head; retry with a fresh load.
 	}
+}
+
+// publish makes the filled slot at pos visible to the consumer.
+func (r *eventRing) publish(pos uint64) { r.slots[pos&r.mask].seq.Store(pos + 1) }
+
+// pending reports whether a published record is waiting. Single consumer
+// only.
+func (r *eventRing) pending() bool {
+	pos := r.tail.Load()
+	return r.slots[pos&r.mask].seq.Load() == pos+1
 }
 
 // pop dequeues the oldest record; false when the ring is empty. Single

@@ -32,7 +32,9 @@ import (
 //	           byte mode, uvarint shard, byte flags (1 waited, 2 wait-die),
 //	           varint at (unix nanos; 0 = no timestamp), uvarint dur (ns),
 //	           uvarint #blockers + uvarint*, uvarint #resources + uvarint*
-//	           (interned resource ids, release-all sweeps).
+//	           (interned resource ids, release-all sweeps), and on a
+//	           coalesced "fastpath" record uvarint hits (Record.Hits; absent
+//	           when zero, the payload length tells).
 //
 // Id 0 always decodes to the empty string. Kinds and resource names share
 // one interning namespace.
@@ -59,7 +61,8 @@ type segmentEncoder struct {
 	w     io.Writer
 	ids   map[string]uint32
 	next  uint32
-	buf   []byte // payload scratch
+	buf   []byte   // payload scratch
+	sweep []uint32 // interned release-all resource ids, scratch
 	frame [8]byte
 	n     int64 // bytes written, header included
 }
@@ -117,12 +120,15 @@ func (e *segmentEncoder) writeRecord(rec Record) error {
 	}
 	// Intern the release-all sweep list before building the event payload
 	// (interning writes frames of its own and shares the scratch buffer).
-	resIDs := make([]uint32, len(rec.Resources))
-	for i, r := range rec.Resources {
-		if resIDs[i], err = e.intern(string(r)); err != nil {
+	resIDs := e.sweep[:0]
+	for _, r := range rec.Resources {
+		id, err := e.intern(string(r))
+		if err != nil {
 			return err
 		}
+		resIDs = append(resIDs, id)
 	}
+	e.sweep = resIDs
 	var flags byte
 	if rec.Waited {
 		flags |= 1
@@ -155,6 +161,9 @@ func (e *segmentEncoder) writeRecord(rec Record) error {
 	e.buf = binary.AppendUvarint(e.buf, uint64(len(resIDs)))
 	for _, id := range resIDs {
 		e.buf = binary.AppendUvarint(e.buf, uint64(id))
+	}
+	if rec.Hits > 0 {
+		e.buf = binary.AppendUvarint(e.buf, rec.Hits)
 	}
 	return e.writeFrame(e.buf)
 }
@@ -350,6 +359,11 @@ func (d *segmentDecoder) decodeEvent(b []byte) (Record, error) {
 				return rec, err
 			}
 			rec.Resources[i] = lock.Resource(s)
+		}
+	}
+	if len(b) > 0 {
+		if rec.Hits, err = u(); err != nil || rec.Hits == 0 {
+			return rec, fmt.Errorf("journal: bad fast-path hit count")
 		}
 	}
 	return rec, nil

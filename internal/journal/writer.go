@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -31,19 +32,25 @@ type Options struct {
 }
 
 // Writer persists lock events to an append-only segment journal in dir. It
-// implements lock.EventSink: Record copies the event into a lock-free ring
-// and returns; a single background goroutine drains, interns, encodes and
-// writes. Attach it with Manager.AttachSink.
+// implements lock.EventSink and lock.BatchSink: Record and RecordBatch copy
+// the events into a lock-free ring and return; a single background goroutine
+// drains, interns, encodes and writes. Attach it with Manager.AttachSink.
 type Writer struct {
 	dir  string
 	opts Options
 	ring *eventRing
 
+	// notify wakes the writer goroutine; see wake for who sends when.
 	notify  chan struct{}
+	parked  atomic.Bool
 	flushCh chan chan error
 	done    chan struct{}
 	stopped chan struct{}
 	once    sync.Once
+
+	// hits counts fast-path hits not yet in the record stream; the next
+	// accepted record (or Flush/Close) folds them into one "fastpath" record.
+	hits atomic.Uint64
 
 	accepted atomic.Uint64 // records accepted into the ring
 	dropped  atomic.Uint64 // records dropped (ring full or sticky write error)
@@ -52,8 +59,7 @@ type Writer struct {
 	segments atomic.Uint64 // segment files created (pre-existing included)
 	curSeg   atomic.Uint64 // current segment sequence number
 
-	errMu    sync.Mutex
-	writeErr error // sticky: first write failure
+	writeErr atomic.Pointer[error] // sticky: first write failure
 
 	// Consumer-goroutine state; never touched by producers.
 	f           *os.File
@@ -127,23 +133,73 @@ func Segments(dir string) ([]string, error) {
 	return paths, nil
 }
 
+// drainPause is how long the writer goroutine sleeps between looks at the
+// ring while records keep arriving (the default ring holds 8 records per
+// microsecond of it).
+const drainPause = time.Millisecond
+
 // Record is the lock.EventSink implementation: enqueue and return. Never
 // blocks; a full ring (or a previous write failure) drops the event.
-func (w *Writer) Record(e lock.Event) { w.push(RecordOf(e)) }
+func (w *Writer) Record(e lock.Event) { w.RecordBatch([]lock.Event{e}) }
+
+// RecordBatch is the lock.BatchSink implementation: one operation's events
+// take their ring slots with one reservation and at most one wake-up.
+func (w *Writer) RecordBatch(evs []lock.Event) {
+	n := uint64(len(evs))
+	if n == 0 {
+		return
+	}
+	if w.writeErr.Load() != nil {
+		w.dropped.Add(n)
+		return
+	}
+	w.foldHits(evs[0].At)
+	pos, ok := w.ring.reserve(n)
+	if !ok {
+		if n == 1 {
+			w.dropped.Add(1)
+			return
+		}
+		for i := range evs { // no room for all of them: keep what fits
+			w.RecordBatch(evs[i : i+1])
+		}
+		return
+	}
+	for i := range evs {
+		w.ring.slots[(pos+uint64(i))&w.ring.mask].rec.setEvent(&evs[i])
+		w.ring.publish(pos + uint64(i))
+	}
+	w.accepted.Add(n)
+	w.wake(pos, n)
+}
 
 // RecordFastPathHit journals one protocol grant-cache hit; wire it to
 // core.Protocol.OnFastPathHit (composed with the health monitor's counter).
-// Unlike the manager's events it must stamp its own timestamp — cache hits
-// never reach the manager's tracer.
-func (w *Writer) RecordFastPathHit() {
-	w.push(Record{Kind: "fastpath", At: time.Now()})
+// It costs one atomic add: hits are counted, and enter the record stream as
+// one "fastpath" record carrying the count (Record.Hits), placed ahead of —
+// and stamped like — the next record the writer accepts.
+func (w *Writer) RecordFastPathHit() { w.hits.Add(1) }
+
+// foldHits moves the counted hits into the record stream, stamped at. If the
+// ring has no room the count stays pending: hits can be late, never lost.
+func (w *Writer) foldHits(at time.Time) {
+	if w.hits.Load() == 0 {
+		return
+	}
+	if n := w.hits.Swap(0); n > 0 && !w.push(Record{Kind: "fastpath", Hits: n, At: at}) {
+		w.hits.Add(n)
+	}
 }
 
 // Note journals a synthetic event, e.g. kind "health" with an SLO
 // transition summary as detail — the same convention the colockshell trace
 // ring uses for non-lock events.
 func (w *Writer) Note(kind, detail string) {
-	w.push(Record{Kind: kind, Resource: lock.Resource(detail), At: time.Now()})
+	now := time.Now()
+	w.foldHits(now)
+	if !w.push(Record{Kind: kind, Resource: lock.Resource(detail), At: now}) {
+		w.dropped.Add(1)
+	}
 }
 
 // ResetStats zeroes the drop counter and journals a "reset" marker so
@@ -154,31 +210,51 @@ func (w *Writer) ResetStats() {
 	w.Note("reset", "")
 }
 
-func (w *Writer) push(rec Record) {
-	if w.failed() != nil || !w.ring.push(rec) {
-		w.dropped.Add(1)
-		return
+// push enqueues one record, reporting whether the ring took it.
+func (w *Writer) push(rec Record) bool {
+	if w.writeErr.Load() != nil {
+		return false
 	}
-	w.accepted.Add(1)
-	select {
-	case w.notify <- struct{}{}:
-	default:
+	pos, ok := w.ring.reserve(1)
+	if ok {
+		w.ring.slots[pos&w.ring.mask].rec = rec
+		w.ring.publish(pos)
+		w.accepted.Add(1)
+		w.wake(pos, 1)
+	}
+	return ok
+}
+
+// wake rouses the writer goroutine after records [pos, pos+n) went in. While
+// it polls that is one atomic load; once it parked, the first producer sends.
+// And a starved goroutine must not cost records: on a busy host it can wait
+// a scheduler quantum for a processor, longer than the ring lasts at a few
+// hundred thousand records a second. So a producer that finds the ring half
+// full (looked at once per 64 positions, on the slot half a ring ahead)
+// sends too, which queues the goroutine on this processor, and yields to it;
+// it resumes when the drain — memory speed, no fsync — is over.
+func (w *Writer) wake(pos, n uint64) {
+	ahead := pos + (w.ring.mask+1)/2
+	crowded := (pos^(pos+n))>>6 != 0 && w.ring.slots[ahead&w.ring.mask].seq.Load() < ahead
+	if crowded || (w.parked.Load() && w.parked.CompareAndSwap(true, false)) {
+		select {
+		case w.notify <- struct{}{}:
+		default:
+		}
+	}
+	if crowded {
+		runtime.Gosched()
 	}
 }
 
 func (w *Writer) failed() error {
-	w.errMu.Lock()
-	defer w.errMu.Unlock()
-	return w.writeErr
+	if p := w.writeErr.Load(); p != nil {
+		return *p
+	}
+	return nil
 }
 
-func (w *Writer) fail(err error) {
-	w.errMu.Lock()
-	if w.writeErr == nil {
-		w.writeErr = err
-	}
-	w.errMu.Unlock()
-}
+func (w *Writer) fail(err error) { w.writeErr.CompareAndSwap(nil, &err) }
 
 // Offset is the journal position for incident correlation: the number of
 // records accepted so far. A record enqueued before Offset was read has
@@ -194,6 +270,7 @@ func (w *Writer) Records() uint64 { return w.written.Load() }
 
 // Flush forces buffered bytes to disk and returns the first write error.
 func (w *Writer) Flush() error {
+	w.foldHits(time.Now())
 	ch := make(chan error, 1)
 	select {
 	case w.flushCh <- ch:
@@ -205,26 +282,49 @@ func (w *Writer) Flush() error {
 
 // Close drains the ring, flushes, and closes the current segment.
 func (w *Writer) Close() error {
-	w.once.Do(func() { close(w.done) })
+	w.once.Do(func() {
+		w.foldHits(time.Now())
+		close(w.done)
+	})
 	<-w.stopped
 	return w.failed()
 }
 
-// run is the writer goroutine: drain on notify, flush on a timer, exit on
-// Close after a final drain.
+// run is the writer goroutine: drain, flush on a timer, exit on Close after
+// a final drain. After a drain that found records it looks again in
+// drainPause without parking — producers then skip the wake-up — and only a
+// drain that found nothing parks it until the next record's wake-up.
 func (w *Writer) run() {
 	defer close(w.stopped)
 	ticker := time.NewTicker(w.opts.FlushEvery)
 	defer ticker.Stop()
+	// poll is stopped and drained at every Reset below.
+	poll := time.NewTimer(time.Hour)
+	if !poll.Stop() {
+		<-poll.C
+	}
+	defer poll.Stop()
 	for {
-		w.drain()
+		polling := w.drain() > 0
+		if polling {
+			poll.Reset(drainPause)
+		} else {
+			w.parked.Store(true)
+			if w.ring.pending() { // published between the drain and the flag
+				w.parked.Store(false)
+				continue
+			}
+		}
+		fired := false
 		select {
 		case <-w.notify:
+		case <-poll.C:
+			fired = true
 		case ch := <-w.flushCh:
 			w.drain()
 			ch <- w.flush()
 		case <-ticker.C:
-			_ = w.flush()
+			_ = w.flush() // the failure is sticky: Flush, Close and Status report it
 		case <-w.done:
 			w.drain()
 			err := w.flush()
@@ -239,27 +339,34 @@ func (w *Writer) run() {
 			}
 			return
 		}
+		w.parked.Store(false)
+		if polling && !fired && !poll.Stop() {
+			<-poll.C
+		}
 	}
 }
 
-// drain writes every ring record, rotating segments as they fill.
-func (w *Writer) drain() {
+// drain writes every record in the ring, rotating segments as they fill, and
+// returns how many it took out.
+func (w *Writer) drain() int {
+	n := 0
+	written := w.written.Load()
 	for {
 		rec, ok := w.ring.pop()
 		if !ok {
-			return
+			break
 		}
+		n++
 		if w.enc == nil {
 			continue // sticky failure: discard
 		}
-		rec.Seq = w.written.Load() + 1
+		rec.Seq = written + 1
 		if err := w.enc.writeRecord(rec); err != nil {
 			w.fail(err)
 			w.enc = nil
 			continue
 		}
-		w.written.Store(rec.Seq)
-		w.bytes.Store(w.closedBytes + w.enc.n)
+		written++
 		if w.enc.n >= w.opts.MaxSegmentBytes {
 			if err := w.rotate(); err != nil {
 				w.fail(err)
@@ -267,6 +374,13 @@ func (w *Writer) drain() {
 			}
 		}
 	}
+	if n > 0 {
+		w.written.Store(written)
+		if w.enc != nil {
+			w.bytes.Store(w.closedBytes + w.enc.n)
+		}
+	}
+	return n
 }
 
 func (w *Writer) flush() error {

@@ -396,27 +396,27 @@ func (m *Manager) resolveDeadlock(txn TxnID, r Resource, w *waiter, target Mode)
 		m.abortWaiter(victim)
 		return nil, false
 	}
-	tr := m.newTracer()
 	s := m.shardFor(r)
 	s.mu.Lock()
-	select {
-	case err := <-w.ready:
+	if w.done {
 		// A grant (or a concurrent detector's abort) raced the detection;
 		// that outcome stands.
 		s.mu.Unlock()
+		err := <-w.ready
 		putWaiter(w)
 		return err, true
-	default:
 	}
+	tr := m.newTracer()
 	blockers := s.queuedBlockers(r, w)
 	s.removeWaiter(r, w)
 	m.wf.delete(txn)
 	s.stats.deadlocks.Add(1)
-	tr.add(Event{Kind: "victim", Txn: txn, Resource: r, Mode: target, Shard: s.idx,
-		Blockers: blockers}, w.enq)
+	if tr != nil {
+		tr.add(KindVictim, time.Now(), w.enq, txn, r, target, s.idx).Blockers = blockers
+	}
 	m.grantWaitersLocked(tr, s, r)
 	s.mu.Unlock()
-	tr.deliver()
+	tr.finish()
 	err := lockErrBlocked(txn, r, target, ErrDeadlock, blockers)
 	putWaiter(w)
 	return err, true
@@ -439,6 +439,7 @@ func (m *Manager) abortWaiter(victim TxnID) bool {
 	s.mu.Lock()
 	if cur, live := m.wf.get(victim); !live || cur.w != rec.w || cur.gen != rec.gen || cur.res != rec.res {
 		s.mu.Unlock()
+		tr.finish()
 		return false
 	}
 	// Registry currency under the latch implies queue membership (the two
@@ -446,17 +447,22 @@ func (m *Manager) abortWaiter(victim TxnID) bool {
 	blockers := s.queuedBlockers(rec.res, rec.w)
 	if !s.removeWaiter(rec.res, rec.w) {
 		s.mu.Unlock()
+		tr.finish()
 		return false
 	}
 	m.wf.delete(victim)
 	s.stats.deadlocks.Add(1)
-	tr.add(Event{Kind: "victim", Txn: victim, Resource: rec.res, Mode: rec.w.mode, Shard: s.idx,
-		Blockers: blockers}, rec.w.enq)
-	rec.w.ready <- lockErrBlocked(victim, rec.res, rec.w.mode, ErrDeadlock, blockers)
-	// The victim's departure may unblock others. (After the send the waiter
-	// belongs to the victim's goroutine; rec.w is not touched again.)
+	if tr != nil {
+		tr.add(KindVictim, time.Now(), rec.w.enq, victim, rec.res, rec.w.mode, s.idx).Blockers = blockers
+	}
+	// The victim learns its fate only after the victim event is delivered
+	// (tr.finish below). From here the waiter belongs to the victim's
+	// goroutine; rec.w is not touched again.
+	rec.w.done = true
+	tr.wakeAfter(rec.w, lockErrBlocked(victim, rec.res, rec.w.mode, ErrDeadlock, blockers))
+	// The victim's departure may unblock others.
 	m.grantWaitersLocked(tr, s, rec.res)
 	s.mu.Unlock()
-	tr.deliver()
+	tr.finish()
 	return true
 }

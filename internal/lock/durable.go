@@ -86,12 +86,14 @@ func (m *Manager) Restore(locks []DurableLock) error {
 		if !e.compatGranted(own, dl.Mode) {
 			s.maybeDropEntry(dl.Resource)
 			s.mu.Unlock()
+			tr.finish()
 			return fmt.Errorf("lock: restore conflict on %q for txn %d (%v)", dl.Resource, dl.Txn, dl.Mode)
 		}
 		if h := e.holder(dl.Txn); h != nil {
 			e.setMode(h, Sup(h.mode, dl.Mode))
 			h.durable = true
 			s.mu.Unlock()
+			tr.finish()
 			continue
 		}
 		var start time.Time
@@ -100,7 +102,7 @@ func (m *Manager) Restore(locks []DurableLock) error {
 		}
 		m.grantLocked(tr, s, e, dl.Txn, dl.Resource, dl.Mode, true, false, false, start)
 		s.mu.Unlock()
-		tr.deliver()
+		tr.finish()
 	}
 	return nil
 }

@@ -475,7 +475,7 @@ func putWaiter(w *waiter) {
 	case <-w.ready: // drop a raced, already-owned outcome
 	default:
 	}
-	w.txn, w.mode, w.convert, w.durable = 0, None, false, false
+	w.txn, w.mode, w.convert, w.durable, w.done = 0, None, false, false, false
 	w.enq = time.Time{}
 	waiterPool.Put(w)
 }

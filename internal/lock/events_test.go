@@ -2,6 +2,7 @@ package lock
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"strings"
 	"sync"
@@ -325,4 +326,128 @@ func TestPolicyNoneTimeoutBreaksDeadlock(t *testing.T) {
 		t.Fatal("no timeout observed")
 	}
 	m.ReleaseAll(1)
+}
+
+// slowSink takes its time over every event before it counts it, so a request
+// that returned ahead of its terminal event would be caught not having it.
+type slowSink struct {
+	mu   sync.Mutex
+	seen map[TxnID][]string
+}
+
+func (s *slowSink) Record(e Event) {
+	time.Sleep(2 * time.Millisecond)
+	s.mu.Lock()
+	if s.seen == nil {
+		s.seen = make(map[TxnID][]string)
+	}
+	s.seen[e.Txn] = append(s.seen[e.Txn], e.Kind)
+	s.mu.Unlock()
+}
+
+func (s *slowSink) saw(txn TxnID, kind string) bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for _, k := range s.seen[txn] {
+		if k == kind {
+			return true
+		}
+	}
+	return false
+}
+
+// The delivery contract (DESIGN.md §9): a request's terminal event — the
+// grant after a wait, victim, wait-die, timeout, cancel, shed — has reached
+// every sink before the request returns, whichever goroutine resolved it, in
+// both detector modes.
+func TestTerminalEventBeforeReturn(t *testing.T) {
+	ctx := context.Background()
+	waitQueued := func(t *testing.T, m *Manager, n int) {
+		t.Helper()
+		for deadline := time.Now().Add(5 * time.Second); m.WaitingTxns() < n; {
+			if time.Now().After(deadline) {
+				t.Fatalf("only %d of %d requests queued after 5s", m.WaitingTxns(), n)
+			}
+			time.Sleep(100 * time.Microsecond)
+		}
+	}
+	cases := []struct {
+		name string
+		opts Options
+		// run drives txn 2 into the terminal path and returns its error.
+		run      func(t *testing.T, m *Manager) error
+		wantErr  error
+		wantKind string
+	}{
+		{name: "grant-after-wait", wantKind: "grant", run: func(t *testing.T, m *Manager) error {
+			go func() {
+				waitQueued(t, m, 1)
+				m.ReleaseAll(1)
+			}()
+			return m.AcquireCtx(ctx, 2, "a", X)
+		}},
+		{name: "victim-deferred", wantErr: ErrDeadlock, wantKind: "victim", run: func(t *testing.T, m *Manager) error {
+			if err := m.AcquireCtx(ctx, 2, "b", X); err != nil {
+				t.Fatal(err)
+			}
+			go func() {
+				waitQueued(t, m, 1)
+				_ = m.AcquireCtx(ctx, 1, "b", X) // the older txn closes the cycle; granted once 2 died and released
+			}()
+			return m.AcquireCtx(ctx, 2, "a", X)
+		}},
+		{name: "victim-eager", opts: Options{EagerDetection: true}, wantErr: ErrDeadlock, wantKind: "victim", run: func(t *testing.T, m *Manager) error {
+			if err := m.AcquireCtx(ctx, 2, "b", X); err != nil {
+				t.Fatal(err)
+			}
+			go func() { _ = m.AcquireCtx(ctx, 1, "b", X) }()
+			waitQueued(t, m, 1)
+			return m.AcquireCtx(ctx, 2, "a", X) // closes the cycle itself and is the youngest
+		}},
+		{name: "wait-die", opts: Options{Policy: PolicyWaitDie}, wantErr: ErrWaitDie, wantKind: "victim", run: func(t *testing.T, m *Manager) error {
+			return m.AcquireCtx(ctx, 2, "a", X)
+		}},
+		{name: "timeout", wantErr: ErrTimeout, wantKind: "timeout", run: func(t *testing.T, m *Manager) error {
+			return m.AcquireCtx(ctx, 2, "a", X, WithTimeout(5*time.Millisecond))
+		}},
+		{name: "cancel", wantErr: context.Canceled, wantKind: "cancel", run: func(t *testing.T, m *Manager) error {
+			cctx, cancel := context.WithCancel(ctx)
+			go func() {
+				waitQueued(t, m, 1)
+				cancel()
+			}()
+			return m.AcquireCtx(cctx, 2, "a", X)
+		}},
+		{name: "shed", wantErr: ErrShed, wantKind: "shed", run: func(t *testing.T, m *Manager) error {
+			m.ConfigureAdmission(AdmissionConfig{MaxWaiters: 1, Mode: AdmitDegrade})
+			go func() { _ = m.AcquireCtx(ctx, 3, "a", X, WithTimeout(time.Second)) }()
+			waitQueued(t, m, 1)
+			defer m.ReleaseAll(3)
+			return m.AcquireCtx(ctx, 2, "a", X)
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			sink := &slowSink{}
+			tc.opts.Sinks = []EventSink{sink}
+			m := NewManager(tc.opts)
+			defer m.Close()
+			if err := m.AcquireCtx(ctx, 1, "a", X); err != nil {
+				t.Fatal(err)
+			}
+			err := tc.run(t, m)
+			// Read at once: the only events txn 2 has so far are its wait and
+			// its terminal event (a wait delivered by the requester may land
+			// after a terminal event delivered by the goroutine that decided it).
+			got := sink.saw(2, tc.wantKind)
+			if tc.wantErr == nil && err != nil || tc.wantErr != nil && !errors.Is(err, tc.wantErr) {
+				t.Fatalf("txn 2 returned %v, want %v", err, tc.wantErr)
+			}
+			if !got {
+				t.Errorf("txn 2 returned before its terminal %q event reached the sink", tc.wantKind)
+			}
+			m.ReleaseAll(1)
+			m.ReleaseAll(2)
+		})
+	}
 }

@@ -62,53 +62,6 @@ type Held struct {
 	Seq      uint64 // global grant sequence number (acquisition order)
 }
 
-// Event is a lock-manager trace event, delivered to every attached consumer
-// (the OnEvent hook and the Options.Sinks).
-type Event struct {
-	Kind     string // "grant", "wait", "convert", "release", "release-all", "victim", "downgrade", "timeout", "cancel"
-	Txn      TxnID
-	Resource Resource
-	Mode     Mode
-	// Shard is the lock-table stripe that served the operation.
-	Shard int
-	// Waited reports, on grant/convert events, that the request queued
-	// before being granted (its Dur is then a real wait, not a fast-path
-	// latency).
-	Waited bool
-	// At is the monotonic timestamp taken when the event was recorded
-	// (zero when the operation fell outside the EventSampleShift sample).
-	At time.Time
-	// Dur is a kind-dependent duration: for grant/convert it is the
-	// request-to-grant latency, for release the hold time of the dropped
-	// lock, for timeout/cancel/victim the time spent blocked before the
-	// request was withdrawn, for release-all the duration of the whole
-	// end-of-transaction sweep. Zero for wait/downgrade events, and zero
-	// whenever the needed reference timestamp was not captured (the
-	// matching earlier operation fell outside the sample).
-	Dur time.Duration
-	// Blockers names, on wait events (and wait-die victim events), the
-	// transactions the request queued behind — incompatible holders plus
-	// incompatible earlier waiters — computed under the shard latch at
-	// enqueue time. Contention profiles use it to attribute the eventual
-	// blocked time to specific holding transactions.
-	Blockers []TxnID
-	// Resources carries, on release-all events, the resources the sweep
-	// actually released, in release order — what a dying deadlock victim
-	// gave up, for incident dumps.
-	Resources []Resource
-	// WaitDie marks victim events produced by wait-die prevention (the
-	// requester died younger-waits-never) as opposed to detected-cycle
-	// victims; rate monitors separate the two abort classes.
-	WaitDie bool
-}
-
-// EventSink consumes trace events. Sinks are invoked exactly like the
-// OnEvent hook: by the goroutine performing the operation, after all manager
-// latches have been released, so a sink may call back into the manager.
-type EventSink interface {
-	Record(Event)
-}
-
 // Policy selects how deadlocks are handled.
 type Policy uint8
 
@@ -151,9 +104,11 @@ type Options struct {
 	// concurrent operations on different resources is best-effort.
 	OnEvent func(Event)
 	// Sinks are additional event consumers (e.g. an obs.Collector),
-	// composed with OnEvent: every event is delivered to the hook and to
-	// each sink, in order, under the same no-latch contract. Use
-	// AttachSink to add one after construction.
+	// composed with OnEvent: an operation's events go to the hook, then to
+	// each sink in attach order (all of them to one consumer before the
+	// next, as one RecordBatch call where the sink is a BatchSink), under
+	// the same no-latch contract. Use AttachSink to add one after
+	// construction.
 	Sinks []EventSink
 	// EventSampleShift samples event emission by operation: only one in
 	// 2^EventSampleShift operations is traced (0, the default, traces every
@@ -212,6 +167,12 @@ type waiter struct {
 	convert bool
 	durable bool
 	ready   chan error // buffered(1), reused across pool lives
+	// done is set, under the shard latch, by whoever takes the waiter off
+	// its queue with an outcome (a grant, a deadlock abort). The outcome
+	// itself arrives on ready only after the resolving operation's events
+	// are delivered, so a withdrawal that finds done set must wait for it
+	// instead of withdrawing.
+	done bool
 	// gen is a globally unique stamp assigned on every checkout from the
 	// pool. Pointer equality alone cannot prove a waits-for record current:
 	// the pool may hand the SAME waiter address back to the same transaction
@@ -241,7 +202,7 @@ type Manager struct {
 	// sinks is the composed consumer list (OnEvent hook + Options.Sinks +
 	// AttachSink additions); nil when tracing is off. Copy-on-write behind
 	// an atomic pointer so the hot path pays one load.
-	sinks      atomic.Pointer[[]func(Event)]
+	sinks      atomic.Pointer[[]consumer]
 	opSeq      atomic.Uint64 // operation counter for event sampling
 	sampleMask uint64        // 2^EventSampleShift − 1
 
@@ -335,20 +296,20 @@ func NewManager(opts Options) *Manager {
 	if opts.Admission != nil {
 		m.ConfigureAdmission(*opts.Admission)
 	}
-	var fns []func(Event)
+	var cs []consumer
 	if opts.OnEvent != nil {
-		fns = append(fns, opts.OnEvent)
+		cs = append(cs, batchOf(hookSink(opts.OnEvent)))
 	}
 	for _, s := range opts.Sinks {
 		if s != nil {
-			fns = append(fns, s.Record)
+			cs = append(cs, batchOf(s))
 			if rs, ok := s.(resettable); ok {
 				m.resetFns = append(m.resetFns, rs.ResetStats)
 			}
 		}
 	}
-	if len(fns) > 0 {
-		m.sinks.Store(&fns)
+	if len(cs) > 0 {
+		m.sinks.Store(&cs)
 	}
 	return m
 }
@@ -365,12 +326,12 @@ func (m *Manager) AttachSink(s EventSink) {
 	}
 	for {
 		old := m.sinks.Load()
-		var fns []func(Event)
+		var cs []consumer
 		if old != nil {
-			fns = append(fns, *old...)
+			cs = append(cs, *old...)
 		}
-		fns = append(fns, s.Record)
-		if m.sinks.CompareAndSwap(old, &fns) {
+		cs = append(cs, batchOf(s))
+		if m.sinks.CompareAndSwap(old, &cs) {
 			return
 		}
 	}
@@ -437,72 +398,6 @@ func (m *Manager) shardFor(r Resource) *tableShard { return m.shards[m.shardInde
 
 func (m *Manager) txnShardFor(txn TxnID) *txnShard {
 	return m.txns[uint32(txn)&m.txnMask]
-}
-
-// tracer buffers one operation's events for delivery to every consumer
-// after the shard latch is released. A nil *tracer (untraced operation —
-// no consumers attached, or sampled out) records nothing, so call sites
-// need no guards. This replaces the old single-hook ev/deliver pair: one
-// buffer now fans out to N consumers without double-buffering.
-type tracer struct {
-	fns   []func(Event)
-	start time.Time // operation start, the fast-path latency reference
-	evs   []Event
-}
-
-// newTracer makes the per-operation tracing decision: nil when no consumer
-// is attached or the operation falls outside the 1-in-2^EventSampleShift
-// sample. Untraced operations pay one atomic load (plus one counter add
-// when sampling is on) and never touch the clock.
-func (m *Manager) newTracer() *tracer {
-	p := m.sinks.Load()
-	if p == nil || (m.sampleMask != 0 && m.opSeq.Add(1)&m.sampleMask != 0) {
-		return nil
-	}
-	return &tracer{fns: *p, start: time.Now()}
-}
-
-// add buffers an event, stamping At with now and Dur with now − ref (zero
-// ref leaves Dur zero).
-func (t *tracer) add(e Event, ref time.Time) {
-	if t == nil {
-		return
-	}
-	t.addAt(e, time.Now(), ref)
-}
-
-// addFast buffers an event stamped with the operation-start time instead of
-// a fresh clock read. Only for events emitted by short non-blocking
-// operations (release, downgrade), where the sub-microsecond staleness is
-// irrelevant but the saved time.Now call is the bulk of the traced cost.
-func (t *tracer) addFast(e Event, ref time.Time) {
-	if t == nil {
-		return
-	}
-	t.addAt(e, t.start, ref)
-}
-
-func (t *tracer) addAt(e Event, now, ref time.Time) {
-	e.At = now
-	if !ref.IsZero() {
-		e.Dur = now.Sub(ref)
-	}
-	t.evs = append(t.evs, e)
-}
-
-// deliver invokes every consumer for each buffered event, in order, and
-// resets the buffer (an operation may buffer and deliver in several rounds,
-// e.g. wait then withdraw). MUST be called with no manager latch held.
-func (t *tracer) deliver() {
-	if t == nil || len(t.evs) == 0 {
-		return
-	}
-	for _, e := range t.evs {
-		for _, fn := range t.fns {
-			fn(e)
-		}
-	}
-	t.evs = t.evs[:0]
 }
 
 // appendBlockers appends to dst the distinct transactions a request for
@@ -662,6 +557,7 @@ func (m *Manager) AcquireCtx(ctx context.Context, txn TxnID, r Resource, mode Mo
 		if h.mode.Covers(mode) {
 			s.stats.regrants.Add(1)
 			s.mu.Unlock()
+			tr.finish()
 			return nil
 		}
 	}
@@ -688,7 +584,7 @@ func (m *Manager) AcquireCtx(ctx context.Context, txn TxnID, r Resource, mode Mo
 		}
 		m.grantLocked(tr, s, e, txn, r, target, cfg.durable || hadDurable, convert, false, start)
 		s.mu.Unlock()
-		tr.deliver()
+		tr.finish()
 		return nil
 	}
 
@@ -697,6 +593,7 @@ func (m *Manager) AcquireCtx(ctx context.Context, txn TxnID, r Resource, mode Mo
 		blockers := e.blockerTxns(txn, target, len(e.queue))
 		s.maybeDropEntry(r)
 		s.mu.Unlock()
+		tr.finish()
 		return lockErrBlocked(txn, r, mode, ErrWouldBlock, blockers)
 	}
 
@@ -713,11 +610,10 @@ func (m *Manager) AcquireCtx(ctx context.Context, txn TxnID, r Resource, mode Mo
 		blockers := e.blockerTxns(txn, target, len(e.queue))
 		s.maybeDropEntry(r)
 		if tr != nil {
-			tr.add(Event{Kind: "shed", Txn: txn, Resource: r, Mode: target, Shard: s.idx,
-				Blockers: blockers}, tr.start)
+			tr.add(KindShed, time.Now(), tr.start, txn, r, target, s.idx).Blockers = blockers
 		}
 		s.mu.Unlock()
-		tr.deliver()
+		tr.finish()
 		return lockErrBlocked(txn, r, mode, ErrShed, blockers)
 	}
 
@@ -731,11 +627,11 @@ func (m *Manager) AcquireCtx(ctx context.Context, txn TxnID, r Resource, mode Mo
 		blockers := e.blockerTxns(txn, target, len(e.queue))
 		s.maybeDropEntry(r)
 		if tr != nil {
-			tr.add(Event{Kind: "victim", Txn: txn, Resource: r, Mode: target, Shard: s.idx,
-				Blockers: blockers, WaitDie: true}, tr.start)
+			ev := tr.add(KindVictim, time.Now(), tr.start, txn, r, target, s.idx)
+			ev.Blockers, ev.WaitDie = blockers, true
 		}
 		s.mu.Unlock()
-		tr.deliver()
+		tr.finish()
 		return lockErrBlocked(txn, r, mode, ErrWaitDie, blockers)
 	}
 
@@ -752,8 +648,8 @@ func (m *Manager) AcquireCtx(ctx context.Context, txn TxnID, r Resource, mode Mo
 	s.stats.conflicts.Add(1)
 	s.stats.waits.Add(1)
 	if tr != nil {
-		tr.add(Event{Kind: "wait", Txn: txn, Resource: r, Mode: target, Shard: s.idx,
-			Blockers: e.blockerTxns(txn, target, pos)}, time.Time{})
+		ev := tr.add(KindWait, time.Now(), time.Time{}, txn, r, target, s.idx)
+		ev.Blockers = e.blockerTxns(txn, target, pos)
 	}
 	s.mu.Unlock()
 	tr.deliver()
@@ -769,6 +665,7 @@ func (m *Manager) AcquireCtx(ctx context.Context, txn TxnID, r Resource, mode Mo
 	if m.opts.Policy == PolicyDetect {
 		if m.opts.EagerDetection {
 			if err, victim := m.resolveDeadlock(txn, r, w, target); victim {
+				tr.finish()
 				return err
 			}
 		} else {
@@ -788,15 +685,17 @@ func (m *Manager) await(ctx context.Context, cfg acquireConfig, tr *tracer, txn 
 		defer timer.Stop()
 		timerC = timer.C
 	}
+	var err error
 	select {
-	case err := <-w.ready:
-		putWaiter(w)
-		return err
+	case err = <-w.ready:
 	case <-ctx.Done():
-		return m.withdraw(tr, txn, r, w, mode, target, ctx.Err(), "cancel")
+		err = m.withdraw(tr, txn, r, w, mode, target, ctx.Err(), KindCancel)
 	case <-timerC:
-		return m.withdraw(tr, txn, r, w, mode, target, ErrTimeout, "timeout")
+		err = m.withdraw(tr, txn, r, w, mode, target, ErrTimeout, KindTimeout)
 	}
+	putWaiter(w)
+	tr.finish()
+	return err
 }
 
 // BatchReq is one request of an AcquireBatch call.
@@ -935,7 +834,7 @@ func (m *Manager) AcquireBatch(ctx context.Context, txn TxnID, reqs []BatchReq, 
 		m.shards[idxs[i]].mu.Unlock()
 	}
 	m.batchFast.Add(uint64(fast))
-	tr.deliver()
+	tr.finish()
 	if fallbackAt < 0 {
 		return nil
 	}
@@ -948,35 +847,32 @@ func (m *Manager) AcquireBatch(ctx context.Context, txn TxnID, reqs []BatchReq, 
 	return nil
 }
 
-// withdraw removes an expired or canceled waiter from its queue. The grant
-// may have raced the wakeup: the ready channel is buffered, so a completed
-// grant (or a deadlock abort) is drained here and that outcome returned
-// instead.
-func (m *Manager) withdraw(tr *tracer, txn TxnID, r Resource, w *waiter, mode, target Mode, cause error, kind string) error {
+// withdraw removes an expired or canceled waiter from its queue. A grant (or
+// a deadlock abort) may have raced the expiry: the waiter is then already
+// resolved (done) and that outcome, which arrives once its event has been
+// delivered, is returned instead. The caller recycles the waiter.
+func (m *Manager) withdraw(tr *tracer, txn TxnID, r Resource, w *waiter, mode, target Mode, cause error, kind EventKind) error {
 	s := m.shardFor(r)
 	s.mu.Lock()
-	select {
-	case err := <-w.ready:
+	if w.done {
 		s.mu.Unlock()
-		putWaiter(w)
-		return err
-	default:
+		return <-w.ready
 	}
 	blockers := s.queuedBlockers(r, w)
 	s.removeWaiter(r, w)
 	m.wf.delete(txn)
-	if kind == "timeout" {
+	if kind == KindTimeout {
 		s.stats.timeouts.Add(1)
 	} else {
 		s.stats.cancels.Add(1)
 	}
-	tr.add(Event{Kind: kind, Txn: txn, Resource: r, Mode: target, Shard: s.idx,
-		Blockers: blockers}, w.enq)
+	if tr != nil {
+		tr.add(kind, time.Now(), w.enq, txn, r, target, s.idx).Blockers = blockers
+	}
 	// The withdrawn waiter may have been the FIFO barrier for later ones.
 	m.grantWaitersLocked(tr, s, r)
 	s.mu.Unlock()
 	tr.deliver()
-	putWaiter(w)
 	return lockErrBlocked(txn, r, mode, cause, blockers)
 }
 
@@ -1004,9 +900,9 @@ func (m *Manager) grantLocked(tr *tracer, s *tableShard, e *entry, txn TxnID, r 
 	h.durable = h.durable || durable
 	h.seq = m.seq.Add(1)
 	if tr != nil {
-		kind := "grant"
+		kind := KindGrant
 		if convert {
-			kind = "convert"
+			kind = KindConvert
 		}
 		now := time.Now()
 		if h.since.IsZero() {
@@ -1014,7 +910,7 @@ func (m *Manager) grantLocked(tr *tracer, s *tableShard, e *entry, txn TxnID, r 
 			// starts here (conversions keep the original grant time).
 			h.since = now
 		}
-		tr.addAt(Event{Kind: kind, Txn: txn, Resource: r, Mode: mode, Shard: s.idx, Waited: waited}, now, ref)
+		tr.add(kind, now, ref, txn, r, mode, s.idx).Waited = waited
 	}
 }
 
@@ -1023,7 +919,8 @@ func (m *Manager) grantLocked(tr *tracer, s *tableShard, e *entry, txn TxnID, r 
 // even when a later plain waiter cannot; the scan stops at the first
 // non-grantable plain waiter so that plain requests stay FIFO. Caller holds
 // s.mu. Grant events for woken waiters ride on the waking operation's
-// tracer (Dur measured from each waiter's own enqueue time).
+// tracer (Dur measured from each waiter's own enqueue time), and so do their
+// wake-ups: a traced operation wakes them after delivering those events.
 func (m *Manager) grantWaitersLocked(tr *tracer, s *tableShard, r Resource) {
 	e := s.res[r]
 	if e == nil {
@@ -1040,9 +937,10 @@ func (m *Manager) grantWaitersLocked(tr *tracer, s *tableShard, r Resource) {
 				e.dequeueAt(i)
 				m.wf.delete(w.txn)
 				m.grantLocked(tr, s, e, w.txn, r, w.mode, w.durable, w.convert, true, w.enq)
-				// After the send the waiter belongs to the woken goroutine
-				// (which will recycle it); it must not be touched again.
-				w.ready <- nil
+				// From here the waiter belongs to the woken goroutine (which
+				// will recycle it); it must not be touched again.
+				w.done = true
+				tr.wakeAfter(w, nil)
 				progress = true
 				break
 			}
@@ -1069,26 +967,30 @@ func (m *Manager) Downgrade(txn TxnID, r Resource, mode Mode) error {
 	}
 	if h == nil {
 		s.mu.Unlock()
+		tr.finish()
 		return fmt.Errorf("lock: downgrade of unheld %q by txn %d", r, txn)
 	}
 	if !h.mode.Covers(mode) {
 		held := h.mode
 		s.mu.Unlock()
+		tr.finish()
 		return fmt.Errorf("lock: %v on %q cannot be downgraded to %v", held, r, mode)
 	}
 	if mode == None {
 		m.releaseLocked(tr, s, txn, r)
 		s.mu.Unlock()
-		tr.deliver()
+		tr.finish()
 		m.notifyRelease(txn)
 		return nil
 	}
 	e.setMode(h, mode)
 	s.stats.downgrades.Add(1)
-	tr.addFast(Event{Kind: "downgrade", Txn: txn, Resource: r, Mode: mode, Shard: s.idx}, time.Time{})
+	if tr != nil {
+		tr.add(KindDowngrade, tr.start, time.Time{}, txn, r, mode, s.idx)
+	}
 	m.grantWaitersLocked(tr, s, r)
 	s.mu.Unlock()
-	tr.deliver()
+	tr.finish()
 	m.notifyRelease(txn)
 	return nil
 }
@@ -1101,7 +1003,7 @@ func (m *Manager) Release(txn TxnID, r Resource) {
 	s.mu.Lock()
 	dropped := m.releaseLocked(tr, s, txn, r)
 	s.mu.Unlock()
-	tr.deliver()
+	tr.finish()
 	if dropped {
 		m.notifyRelease(txn)
 	}
@@ -1123,7 +1025,13 @@ func (m *Manager) releaseLocked(tr *tracer, s *tableShard, txn TxnID, r Resource
 	m.txnShardFor(txn).remove(txn, r)
 	m.size.Add(-1)
 	s.stats.releases.Add(1)
-	tr.addFast(Event{Kind: "release", Txn: txn, Resource: r, Mode: h.mode, Shard: s.idx}, h.since)
+	if tr != nil {
+		// Stamped with the operation-start time, not a fresh clock read:
+		// releases are short and non-blocking, so the sub-microsecond
+		// staleness is irrelevant and the saved time.Now is most of the
+		// traced cost.
+		tr.add(KindRelease, tr.start, h.since, txn, r, h.mode, s.idx)
+	}
 	m.grantWaitersLocked(tr, s, r)
 	return true
 }
@@ -1140,25 +1048,24 @@ func (m *Manager) releaseLocked(tr *tracer, s *tableShard, txn TxnID, r Resource
 // the record of what a dying deadlock victim gave up.
 func (m *Manager) ReleaseAll(txn TxnID) {
 	tr := m.newTracer()
-	var released []Resource
-	any := false
-	for _, r := range m.txnShardFor(txn).snapshot(txn) {
+	held := m.txnShardFor(txn).snapshot(txn)
+	// released compacts the resources actually dropped into the snapshot's
+	// own backing array (it never overtakes the read position).
+	released := held[:0]
+	for _, r := range held {
 		s := m.shardFor(r)
 		s.mu.Lock()
 		dropped := m.releaseLocked(tr, s, txn, r)
 		s.mu.Unlock()
 		if dropped {
-			any = true
-			if tr != nil {
-				released = append(released, r)
-			}
+			released = append(released, r)
 		}
 	}
-	if len(released) > 0 {
-		tr.add(Event{Kind: "release-all", Txn: txn, Resources: released}, tr.start)
+	if tr != nil && len(released) > 0 {
+		tr.add(KindReleaseAll, time.Now(), tr.start, txn, "", None, 0).Resources = released
 	}
-	tr.deliver()
-	if any {
+	tr.finish()
+	if len(released) > 0 {
 		m.notifyRelease(txn)
 	}
 }

@@ -120,7 +120,9 @@ func TestAcquireCtxCancelWithdraws(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
 	go func() { done <- m.AcquireCtx(ctx, 2, "a", S) }()
-	time.Sleep(20 * time.Millisecond)
+	for m.WaitingTxns() == 0 { // cancel a queued request, not one yet to start
+		time.Sleep(100 * time.Microsecond)
+	}
 	cancel()
 	err := <-done
 	if !errors.Is(err, context.Canceled) {

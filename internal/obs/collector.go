@@ -5,6 +5,7 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"colock/internal/lock"
 )
@@ -41,11 +42,15 @@ func (o Op) String() string {
 // nModes is the size of the lock.Mode dimension (None..X).
 const nModes = int(lock.X) + 1
 
-// eventKinds is the fixed set of event-kind counters; unknown kinds land
-// in "other".
-var eventKinds = [nEventKinds]string{"grant", "convert", "wait", "release", "release-all", "downgrade", "victim", "timeout", "cancel", "shed", "other"}
-
-const nEventKinds = 11
+// eventKinds names the event-kind counters in exposition order: the
+// manager's kinds, then "other" for everything else. The counters themselves
+// are indexed by lock.EventKind.
+var eventKinds = func() (names []string) {
+	for k := lock.KindGrant; k < lock.NumEventKinds; k++ {
+		names = append(names, k.String())
+	}
+	return append(names, lock.KindOther.String())
+}()
 
 // DefaultKinds is the default lockable-unit-kind dimension, derived from
 // the hierarchical resource-name depth (database/segment/relation/object
@@ -94,13 +99,13 @@ type Options struct {
 // event-kind counters, acquire/wait/hold latency histograms keyed by lock
 // mode and lockable-unit kind, and per-shard ring buffers of recent events
 // drained by a reader — mirroring the manager's latch-free delivery
-// discipline: Record is called outside all manager latches and touches
-// only atomics plus one ring mutex.
+// discipline: Record and RecordBatch are called outside all manager latches
+// and touch only atomics plus the ring mutex of the event's shard.
 type Collector struct {
 	kindLabels []string
 	kindOf     func(lock.Resource) int
 
-	events [nEventKinds]atomic.Uint64
+	events [lock.NumEventKinds]atomic.Uint64
 	hists  []*Histogram // nOps × nModes × len(kindLabels), row-major
 
 	rings    []*ring
@@ -148,55 +153,78 @@ func NewCollector(opts Options) *Collector {
 	return c
 }
 
-// hist returns the histogram for (op, mode, kind-of-resource).
-func (c *Collector) hist(op Op, mode lock.Mode, r lock.Resource) *Histogram {
+// observe records d in the (op, mode, kind) histogram; kind is the
+// already-clamped lockable-unit kind index of the event's resource.
+func (c *Collector) observe(op Op, mode lock.Mode, kind int, d time.Duration) {
 	mi := int(mode)
 	if mi >= nModes {
 		mi = nModes - 1
 	}
+	c.hists[(int(op)*nModes+mi)*len(c.kindLabels)+kind].Record(d)
+}
+
+// kindIndex classifies r, clamping out-of-range answers to the last label.
+func (c *Collector) kindIndex(r lock.Resource) int {
 	ki := c.kindOf(r)
 	if ki < 0 || ki >= len(c.kindLabels) {
 		ki = len(c.kindLabels) - 1
 	}
-	return c.hists[(int(op)*nModes+mi)*len(c.kindLabels)+ki]
+	return ki
 }
 
-func kindIndex(kind string) int {
-	for i, k := range eventKinds {
-		if k == kind {
-			return i
+// count folds one event into the kind counters and latency histograms.
+func (c *Collector) count(e *lock.Event) {
+	k := e.KindCode()
+	c.events[k].Add(1)
+	switch k {
+	case lock.KindGrant, lock.KindConvert:
+		if !e.Waited {
+			c.observe(OpAcquire, e.Mode, c.kindIndex(e.Resource), e.Dur)
+		} else if e.Dur > 0 {
+			// Dur == 0 means the enqueue fell outside the event sample, so
+			// no wait reference exists — skip rather than record a zero.
+			ki := c.kindIndex(e.Resource)
+			c.observe(OpAcquire, e.Mode, ki, e.Dur)
+			c.observe(OpWait, e.Mode, ki, e.Dur)
+		}
+	case lock.KindTimeout, lock.KindCancel, lock.KindVictim:
+		if e.Dur > 0 {
+			c.observe(OpWait, e.Mode, c.kindIndex(e.Resource), e.Dur)
+		}
+	case lock.KindRelease:
+		if e.Dur > 0 {
+			c.observe(OpHold, e.Mode, c.kindIndex(e.Resource), e.Dur)
 		}
 	}
-	return len(eventKinds) - 1
 }
 
 // Record consumes one event. It is the lock.EventSink implementation and
 // runs on the operation's goroutine with no manager latch held.
-func (c *Collector) Record(e lock.Event) {
-	c.events[kindIndex(e.Kind)].Add(1)
-	switch e.Kind {
-	case "grant", "convert":
-		if e.Waited {
-			// Dur == 0 means the enqueue fell outside the event sample, so
-			// no wait reference exists — skip rather than record a zero.
-			if e.Dur > 0 {
-				c.hist(OpAcquire, e.Mode, e.Resource).Record(e.Dur)
-				c.hist(OpWait, e.Mode, e.Resource).Record(e.Dur)
+func (c *Collector) Record(e lock.Event) { c.RecordBatch([]lock.Event{e}) }
+
+// RecordBatch consumes one operation's events (lock.BatchSink). Events are
+// copied into the rings, never retained by reference; the ring mutex is
+// taken once per run of events that share a ring, i.e. once for every
+// operation on a single resource.
+func (c *Collector) RecordBatch(evs []lock.Event) {
+	var held *ring
+	for i := range evs {
+		e := &evs[i]
+		c.count(e)
+		if c.rings == nil {
+			continue
+		}
+		if g := c.rings[e.Shard&c.ringMask]; g != held {
+			if held != nil {
+				held.mu.Unlock()
 			}
-		} else {
-			c.hist(OpAcquire, e.Mode, e.Resource).Record(e.Dur)
+			g.mu.Lock()
+			held = g
 		}
-	case "timeout", "cancel", "victim":
-		if e.Dur > 0 {
-			c.hist(OpWait, e.Mode, e.Resource).Record(e.Dur)
-		}
-	case "release":
-		if e.Dur > 0 {
-			c.hist(OpHold, e.Mode, e.Resource).Record(e.Dur)
-		}
+		held.add(e)
 	}
-	if c.rings != nil {
-		c.rings[e.Shard&c.ringMask].add(e)
+	if held != nil {
+		held.mu.Unlock()
 	}
 }
 
@@ -221,14 +249,14 @@ func (c *Collector) ResetStats() {
 
 // EventCount returns the number of events of the given kind seen so far.
 func (c *Collector) EventCount(kind string) uint64 {
-	return c.events[kindIndex(kind)].Load()
+	return c.events[lock.KindOf(kind)].Load()
 }
 
 // EventCounts returns all event-kind counters (kind → count).
 func (c *Collector) EventCounts() map[string]uint64 {
 	out := make(map[string]uint64, len(eventKinds))
-	for i, k := range eventKinds {
-		out[k] = c.events[i].Load()
+	for _, k := range eventKinds {
+		out[k] = c.EventCount(k)
 	}
 	return out
 }
@@ -304,15 +332,15 @@ type ring struct {
 	cap   int
 }
 
-func (g *ring) add(e lock.Event) {
-	g.mu.Lock()
+// add copies e into the ring, overwriting the oldest event once full. Caller
+// holds g.mu.
+func (g *ring) add(e *lock.Event) {
 	if len(g.buf) < g.cap {
-		g.buf = append(g.buf, e)
+		g.buf = append(g.buf, *e)
 	} else {
-		g.buf[g.start] = e
+		g.buf[g.start] = *e
 		g.start = (g.start + 1) % g.cap
 	}
-	g.mu.Unlock()
 }
 
 // snapshot appends the ring's events (oldest first) to dst; clear empties

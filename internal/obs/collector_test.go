@@ -85,6 +85,7 @@ func TestCollectorWaitHistogram(t *testing.T) {
 		}
 		time.Sleep(time.Millisecond)
 	}
+	time.Sleep(time.Millisecond) // txn 2 may have queued before the first look
 	m.ReleaseAll(1)
 	if err := <-done; err != nil {
 		t.Fatal(err)

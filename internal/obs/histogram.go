@@ -10,6 +10,7 @@ package obs
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"sync/atomic"
 	"time"
 )
@@ -30,10 +31,7 @@ func bucketIndex(v uint64) int {
 	if v < nSub {
 		return int(v)
 	}
-	exp := 63
-	for v>>uint(exp) == 0 {
-		exp--
-	}
+	exp := bits.Len64(v) - 1
 	if exp > maxExp {
 		return nBuckets - 1
 	}

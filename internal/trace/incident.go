@@ -78,11 +78,22 @@ func NewIncidentWriter(dir string, rec *Recorder, mgr *lock.Manager, opts Incide
 
 // Record is the lock.EventSink implementation: deadlock-victim and
 // acquire-timeout events trigger an automatic dump.
-func (iw *IncidentWriter) Record(e lock.Event) {
-	if e.Kind != "victim" && e.Kind != "timeout" {
-		return
+func (iw *IncidentWriter) Record(e lock.Event) { iw.record(&e) }
+
+// RecordBatch consumes one operation's events (lock.BatchSink); nothing of
+// the batch is retained.
+func (iw *IncidentWriter) RecordBatch(evs []lock.Event) {
+	for i := range evs {
+		iw.record(&evs[i])
 	}
-	_, _ = iw.Trigger(e.Kind, e.Txn, e.Resource, e.Mode.String())
+}
+
+func (iw *IncidentWriter) record(e *lock.Event) {
+	if k := e.KindCode(); k == lock.KindVictim || k == lock.KindTimeout {
+		// A failed dump shows in Incidents/Dropped; the lock operation that
+		// triggered it must not fail with it.
+		_, _ = iw.Trigger(e.Kind, e.Txn, e.Resource, e.Mode.String())
+	}
 }
 
 // Incidents lists the written incidents, oldest first.

@@ -62,25 +62,58 @@ func NewProfile() *Profile {
 
 // Record is the lock.EventSink implementation.
 func (p *Profile) Record(e lock.Event) {
-	switch e.Kind {
-	case "wait":
+	if concerns(&e) {
 		p.mu.Lock()
+		p.recordLocked(&e)
+		p.mu.Unlock()
+	}
+}
+
+// concerns reports whether e can start or end a wait.
+func concerns(e *lock.Event) bool {
+	switch e.KindCode() {
+	case lock.KindRelease, lock.KindDowngrade, lock.KindShed, lock.KindOther:
+		return false
+	}
+	return true
+}
+
+// RecordBatch consumes one operation's events (lock.BatchSink) under at most
+// one hold of the profile's mutex. Nothing of the batch is retained except
+// the (never reused) blocker sets of wait events.
+func (p *Profile) RecordBatch(evs []lock.Event) {
+	locked := false
+	for i := range evs {
+		if !concerns(&evs[i]) {
+			continue
+		}
+		if !locked {
+			p.mu.Lock()
+			locked = true
+		}
+		p.recordLocked(&evs[i])
+	}
+	if locked {
+		p.mu.Unlock()
+	}
+}
+
+// recordLocked folds one event. Caller holds p.mu.
+func (p *Profile) recordLocked(e *lock.Event) {
+	switch e.KindCode() {
+	case lock.KindWait:
 		if len(p.pending) >= maxPending {
 			p.dropped++
 		} else {
 			p.pending[e.Txn] = pendingWait{res: e.Resource, mode: e.Mode.String(), blockers: e.Blockers}
 		}
-		p.mu.Unlock()
-	case "grant", "convert":
-		p.mu.Lock()
+	case lock.KindGrant, lock.KindConvert:
 		pw, ok := p.pending[e.Txn]
 		delete(p.pending, e.Txn)
 		if ok && e.Waited && e.Dur > 0 {
 			p.foldLocked(pw, e)
 		}
-		p.mu.Unlock()
-	case "timeout", "cancel", "victim":
-		p.mu.Lock()
+	case lock.KindTimeout, lock.KindCancel, lock.KindVictim:
 		pw, ok := p.pending[e.Txn]
 		delete(p.pending, e.Txn)
 		if !ok {
@@ -91,16 +124,13 @@ func (p *Profile) Record(e lock.Event) {
 		if e.Dur > 0 {
 			p.foldLocked(pw, e)
 		}
-		p.mu.Unlock()
-	case "release-all":
-		p.mu.Lock()
+	case lock.KindReleaseAll:
 		delete(p.pending, e.Txn)
-		p.mu.Unlock()
 	}
 }
 
 // foldLocked adds one blocked-time sample. Caller holds p.mu.
-func (p *Profile) foldLocked(pw pendingWait, e lock.Event) {
+func (p *Profile) foldLocked(pw pendingWait, e *lock.Event) {
 	holders := pw.blockers
 	if len(holders) == 0 {
 		holders = []lock.TxnID{0}

@@ -16,6 +16,13 @@
 // only against concurrent incident dumps) and flushed to attachable
 // SpanSinks at commit/abort, mirroring the lock manager's sink-after-latch
 // discipline: sinks run on the finishing goroutine with no latch held.
+//
+// Recording allocates nothing at steady state: a transaction's buffer is
+// looked up once per root span and travels in the SpanHandle, and buffers —
+// span slices included — are recycled across transactions. The price is a
+// lifetime rule: the spans handed to a SpanSink are borrowed (valid until
+// RecordSpans returns), and a SpanHandle dies with its transaction's
+// FinishTxn (a late End is ignored).
 package trace
 
 import (
@@ -54,7 +61,9 @@ type Span struct {
 
 // SpanSink consumes a finished transaction's span tree. Sinks are invoked by
 // the goroutine finishing the transaction, with no lock-manager latch held,
-// so a sink may call back into the manager or recorder.
+// so a sink may call back into the manager or recorder. The spans slice is
+// borrowed: it is reused for another transaction once RecordSpans returns,
+// so a sink copies what it keeps.
 type SpanSink interface {
 	RecordSpans(txn lock.TxnID, outcome string, spans []Span)
 }
@@ -101,12 +110,17 @@ func depthKind(r lock.Resource) string {
 
 // txnTrace is one transaction's span buffer. The owning transaction is a
 // single thread of execution, so appends never contend; the mutex exists
-// for concurrent readers (incident dumps, /trace/spans).
+// for concurrent readers (incident dumps, /trace/spans). Buffers are pooled:
+// gen counts the buffer's lives, so a handle from an earlier life is
+// recognised and ignored.
 type txnTrace struct {
+	txn   lock.TxnID
 	mu    sync.Mutex
-	next  uint64
-	spans []Span
+	gen   uint32
+	spans []Span // span IDs are index+1
 }
+
+var txnTracePool = sync.Pool{New: func() any { return new(txnTrace) }}
 
 // txnBufShard is one stripe of the per-transaction buffer registry. n
 // mirrors len(buf) so FinishTxn on an untraced transaction — the common
@@ -217,117 +231,147 @@ func (r *Recorder) Sample() bool {
 	return true
 }
 
-func (r *Recorder) bufFor(txn lock.TxnID) *txnTrace {
+// bufFor returns txn's span buffer and its current life, taking a buffer
+// from the pool on the transaction's first traced call.
+func (r *Recorder) bufFor(txn lock.TxnID) (*txnTrace, uint32) {
 	s := r.shards[uint32(txn)&r.mask]
 	s.mu.Lock()
 	tt := s.buf[txn]
 	if tt == nil {
-		tt = &txnTrace{}
+		tt = txnTracePool.Get().(*txnTrace)
+		tt.txn = txn
 		s.buf[txn] = tt
 		s.n.Add(1)
 	}
+	// Reading gen under the registry mutex is ordered before the next
+	// FinishTxn's increment, which follows its unregistration under it.
+	gen := tt.gen
 	s.mu.Unlock()
-	return tt
+	return tt, gen
 }
 
-// SpanHandle identifies an in-flight span. A nil handle is inert: Child and
-// End on it are no-ops, so call sites need no sampling guards.
+// SpanHandle identifies an in-flight span. The zero handle is inert: Child
+// and End on it are no-ops, so call sites need no sampling guards. A handle
+// is a small value (copy it freely) and is dead once its transaction's
+// FinishTxn has run: Child and End on a dead handle record nothing.
 type SpanHandle struct {
 	rec *Recorder
 	tt  *txnTrace
-	txn lock.TxnID
-	id  uint64
-	idx int
+	idx int32
+	gen uint32
 }
+
+// Recording reports whether the handle belongs to a traced call (false for
+// the zero handle).
+func (h SpanHandle) Recording() bool { return h.tt != nil }
 
 // Start opens a root span for a user-level lock call. Callers decide
 // sampling first (Sample); Start itself always records.
-func (r *Recorder) Start(txn lock.TxnID, kind string, res lock.Resource, mode lock.Mode) *SpanHandle {
+func (r *Recorder) Start(txn lock.TxnID, kind string, res lock.Resource, mode lock.Mode) SpanHandle {
 	if r == nil {
-		return nil
+		return SpanHandle{}
 	}
-	return r.start(txn, 0, kind, res, mode)
+	tt, gen := r.bufFor(txn)
+	return r.start(tt, gen, 0, kind, res, mode)
 }
 
-// Child opens a span under h. Nil-safe.
-func (h *SpanHandle) Child(kind string, res lock.Resource, mode lock.Mode) *SpanHandle {
-	if h == nil {
-		return nil
+// Child opens a span under h. Inert on the zero handle.
+func (h SpanHandle) Child(kind string, res lock.Resource, mode lock.Mode) SpanHandle {
+	if h.tt == nil {
+		return SpanHandle{}
 	}
-	return h.rec.start(h.txn, h.id, kind, res, mode)
+	return h.rec.start(h.tt, h.gen, uint64(h.idx)+1, kind, res, mode)
 }
 
-func (r *Recorder) start(txn lock.TxnID, parent uint64, kind string, res lock.Resource, mode lock.Mode) *SpanHandle {
-	tt := r.bufFor(txn)
-	sp := Span{
-		Txn:      txn,
+func (r *Recorder) start(tt *txnTrace, gen uint32, parent uint64, kind string, res lock.Resource, mode lock.Mode) SpanHandle {
+	shard, now := r.shardOf(res), time.Now()
+	tt.mu.Lock()
+	if tt.gen != gen {
+		tt.mu.Unlock()
+		return SpanHandle{}
+	}
+	idx := len(tt.spans)
+	tt.spans = append(tt.spans, Span{
+		Txn:      tt.txn,
+		ID:       uint64(idx) + 1,
 		Parent:   parent,
 		Kind:     kind,
 		Resource: res,
 		Mode:     mode.String(),
-		Unit:     r.kindOf(res),
-		Shard:    r.shardOf(res),
-		Start:    time.Now(),
+		Shard:    shard,
+		Start:    now,
 		Open:     true,
-	}
-	tt.mu.Lock()
-	tt.next++
-	sp.ID = tt.next
-	tt.spans = append(tt.spans, sp)
-	idx := len(tt.spans) - 1
+	})
 	tt.mu.Unlock()
-	return &SpanHandle{rec: r, tt: tt, txn: txn, id: sp.ID, idx: idx}
+	return SpanHandle{rec: r, tt: tt, idx: int32(idx), gen: gen}
 }
 
 // End closes the span, stamping its duration and error; the completed span
-// is also pushed into the flight recorder. Nil-safe.
-func (h *SpanHandle) End(err error) {
-	if h == nil {
+// is also pushed into the flight recorder. Inert on the zero handle.
+func (h SpanHandle) End(err error) {
+	tt := h.tt
+	if tt == nil {
 		return
 	}
-	h.tt.mu.Lock()
-	sp := &h.tt.spans[h.idx]
+	tt.mu.Lock()
+	if tt.gen != h.gen {
+		tt.mu.Unlock()
+		return
+	}
+	sp := &tt.spans[h.idx]
 	sp.Dur = time.Since(sp.Start)
 	sp.Open = false
 	if err != nil {
 		sp.Err = err.Error()
 	}
-	done := *sp
-	h.tt.mu.Unlock()
-	h.rec.spans.Add(1)
 	if h.rec.rings != nil {
-		h.rec.rings[done.Shard&h.rec.ringMask].add(done)
+		h.rec.rings[sp.Shard&h.rec.ringMask].add(sp)
 	}
+	tt.mu.Unlock()
+	h.rec.spans.Add(1)
 }
 
 // SpansOf returns a copy of txn's buffered (not yet flushed) spans, in start
 // order; spans still in flight have Open set.
 func (r *Recorder) SpansOf(txn lock.TxnID) []Span {
 	s := r.shards[uint32(txn)&r.mask]
+	// The registry mutex is held across the copy: FinishTxn must take it to
+	// unregister the buffer before recycling it, so the buffer cannot change
+	// owners under the reader.
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	tt := s.buf[txn]
-	s.mu.Unlock()
 	if tt == nil {
 		return nil
 	}
 	tt.mu.Lock()
 	out := append([]Span(nil), tt.spans...)
 	tt.mu.Unlock()
+	r.fillUnits(out)
 	return out
 }
 
-// FinishTxn flushes txn's buffered spans to every attached sink and drops
-// the buffer. outcome is "commit" or "abort". It returns the flushed spans
-// (nil when the transaction recorded none).
-func (r *Recorder) FinishTxn(txn lock.TxnID, outcome string) []Span {
+// fillUnits classifies the spans' resources. Unit is a pure function of
+// Resource, so it is worked out where spans leave the recorder (SpansOf,
+// Recent, the SpanSinks) instead of once per span on the locking path.
+func (r *Recorder) fillUnits(spans []Span) {
+	for i := range spans {
+		spans[i].Unit = r.kindOf(spans[i].Resource)
+	}
+}
+
+// FinishTxn flushes txn's buffered spans to every attached sink, recycles the
+// buffer, and returns the number of spans flushed (0 when the transaction
+// recorded none). outcome is "commit" or "abort".
+func (r *Recorder) FinishTxn(txn lock.TxnID, outcome string) int {
 	if r == nil {
-		return nil
+		return 0
 	}
 	s := r.shards[uint32(txn)&r.mask]
 	if s.n.Load() == 0 {
 		// Nothing buffered anywhere in this stripe — the common case for
 		// untraced transactions at high sample shifts.
-		return nil
+		return 0
 	}
 	s.mu.Lock()
 	tt := s.buf[txn]
@@ -337,21 +381,27 @@ func (r *Recorder) FinishTxn(txn lock.TxnID, outcome string) []Span {
 	}
 	s.mu.Unlock()
 	if tt == nil {
-		return nil
+		return 0
 	}
-	tt.mu.Lock()
-	spans := tt.spans
-	tt.spans = nil
-	tt.mu.Unlock()
-	if len(spans) == 0 {
-		return nil
-	}
-	if p := r.sinks.Load(); p != nil {
-		for _, sink := range *p {
-			sink.RecordSpans(txn, outcome, spans)
+	// Unregistered: no reader can reach the buffer any more, and the
+	// transaction (a single thread of execution) is the caller. Only a stale
+	// handle's End can still arrive, and it stops at the gen check.
+	n := len(tt.spans)
+	if n > 0 {
+		if p := r.sinks.Load(); p != nil {
+			r.fillUnits(tt.spans)
+			for _, sink := range *p {
+				sink.RecordSpans(txn, outcome, tt.spans)
+			}
 		}
 	}
-	return spans
+	tt.mu.Lock()
+	tt.gen++
+	clear(tt.spans)
+	tt.spans = tt.spans[:0]
+	tt.mu.Unlock()
+	txnTracePool.Put(tt)
+	return n
 }
 
 // Recent returns up to n of the most recently completed spans from the
@@ -365,6 +415,7 @@ func (r *Recorder) Recent(n int) []Span {
 	if n > 0 && len(out) > n {
 		out = out[len(out)-n:]
 	}
+	r.fillUnits(out)
 	return out
 }
 
@@ -382,12 +433,12 @@ type spanRing struct {
 	cap   int
 }
 
-func (g *spanRing) add(sp Span) {
+func (g *spanRing) add(sp *Span) {
 	g.mu.Lock()
 	if len(g.buf) < g.cap {
-		g.buf = append(g.buf, sp)
+		g.buf = append(g.buf, *sp)
 	} else {
-		g.buf[g.start] = sp
+		g.buf[g.start] = *sp
 		g.start = (g.start + 1) % g.cap
 	}
 	g.mu.Unlock()

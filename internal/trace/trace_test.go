@@ -19,7 +19,7 @@ func (cs *captureSink) RecordSpans(txn lock.TxnID, outcome string, spans []Span)
 	cs.mu.Lock()
 	cs.txns = append(cs.txns, txn)
 	cs.outcomes = append(cs.outcomes, outcome)
-	cs.spans = append(cs.spans, spans)
+	cs.spans = append(cs.spans, append([]Span(nil), spans...)) // borrowed: copy
 	cs.mu.Unlock()
 }
 
@@ -59,12 +59,11 @@ func TestSpanTreeLifecycle(t *testing.T) {
 		t.Errorf("upward span unit = %q, want relation (depth classifier)", spans[1].Unit)
 	}
 
-	flushed := rec.FinishTxn(7, "commit")
-	if len(flushed) != 3 {
-		t.Fatalf("FinishTxn returned %d spans, want 3", len(flushed))
+	if flushed := rec.FinishTxn(7, "commit"); flushed != 3 {
+		t.Fatalf("FinishTxn flushed %d spans, want 3", flushed)
 	}
 	sink.mu.Lock()
-	if len(sink.spans) != 1 || sink.txns[0] != 7 || sink.outcomes[0] != "commit" {
+	if len(sink.spans) != 1 || len(sink.spans[0]) != 3 || sink.txns[0] != 7 || sink.outcomes[0] != "commit" {
 		t.Fatalf("sink saw txns=%v outcomes=%v", sink.txns, sink.outcomes)
 	}
 	sink.mu.Unlock()
@@ -72,8 +71,18 @@ func TestSpanTreeLifecycle(t *testing.T) {
 		t.Errorf("buffer not dropped after flush: %v", got)
 	}
 	// A second finish flushes nothing.
-	if again := rec.FinishTxn(7, "abort"); again != nil {
-		t.Errorf("second FinishTxn returned %v, want nil", again)
+	if again := rec.FinishTxn(7, "abort"); again != 0 {
+		t.Errorf("second FinishTxn flushed %d spans, want 0", again)
+	}
+	// The handles died with the transaction: a late End or Child is ignored,
+	// even though the buffer is already back in the pool for the next one.
+	root.End(nil)
+	if c := root.Child("acquire", "db1", lock.IS); c.Recording() {
+		t.Error("Child of a finished transaction's handle still records")
+	}
+	rec.Start(8, "lock", "db1", lock.IS).End(nil)
+	if got := rec.SpansOf(8); len(got) != 1 || got[0].Txn != 8 || got[0].ID != 1 {
+		t.Errorf("recycled buffer leaked into txn 8: %+v", got)
 	}
 }
 
@@ -83,12 +92,12 @@ func TestNilHandleAndNilRecorderAreInert(t *testing.T) {
 		t.Error("nil recorder sampled in")
 	}
 	h := rec.Start(1, "lock", "a", lock.S)
-	if h != nil {
-		t.Fatalf("nil recorder Start = %v, want nil", h)
+	if h.Recording() {
+		t.Fatalf("nil recorder Start = %v, want the zero handle", h)
 	}
 	h.Child("acquire", "a", lock.S).End(nil) // must not panic
 	h.End(nil)
-	if got := rec.FinishTxn(1, "commit"); got != nil {
+	if got := rec.FinishTxn(1, "commit"); got != 0 {
 		t.Errorf("nil recorder FinishTxn = %v", got)
 	}
 }

@@ -25,7 +25,7 @@ func (sc *spanCapture) RecordSpans(txn lock.TxnID, outcome string, spans []trace
 		sc.spans = make(map[lock.TxnID][]trace.Span)
 	}
 	sc.outcomes[txn] = outcome
-	sc.spans[txn] = spans
+	sc.spans[txn] = append([]trace.Span(nil), spans...) // borrowed: copy
 	sc.mu.Unlock()
 }
 

@@ -1,0 +1,282 @@
+package colock_test
+
+import (
+	"context"
+	"fmt"
+	"strconv"
+	"sync"
+	"testing"
+	"time"
+
+	"colock/internal/core"
+	"colock/internal/health"
+	"colock/internal/journal"
+	"colock/internal/lock"
+	"colock/internal/obs"
+	"colock/internal/resilience"
+	"colock/internal/store"
+	"colock/internal/trace"
+	"colock/internal/txn"
+	"colock/internal/workload"
+)
+
+// Allocation pins for the engine's two wirings: sink-less, and wired like
+// cmd/colockd's newService with -journal (every sink, every operation
+// sampled). A cell edit is Begin + 10 × LockPath + Commit on disjoint data:
+// six c_objects (S×5, X) and four robots (S×3, X) of one cell — the
+// transaction bench/ runs, so `go test ./...` sees an event-pipeline
+// regression without the benchmark.
+
+const pinCells = 64
+
+// cellEdit is one pre-generated transaction script.
+type cellEdit struct {
+	paths [10]store.Path
+	modes [10]lock.Mode
+}
+
+func cellEdits() []cellEdit {
+	out := make([]cellEdit, pinCells)
+	for c := range out {
+		cell := "c" + strconv.Itoa(c)
+		for k := 0; k < 6; k++ {
+			out[c].paths[k] = store.P("cells", cell, "c_objects", "o"+strconv.Itoa(k))
+			out[c].modes[k] = lock.S
+		}
+		for k := 0; k < 4; k++ {
+			out[c].paths[6+k] = store.P("cells", cell, "robots", "r"+strconv.Itoa(k))
+			out[c].modes[6+k] = lock.S
+		}
+		out[c].modes[5], out[c].modes[9] = lock.X, lock.X
+	}
+	return out
+}
+
+func pinStore() *store.Store {
+	st := workload.Generate(workload.Config{Seed: 1, Cells: pinCells, CObjectsPerCell: 10,
+		RobotsPerCell: 8, EffectorsPerRobot: 2, Effectors: 16, DisjointOnly: true})
+	core.CollectStatistics(st)
+	return st
+}
+
+// observedEngine mirrors newService in cmd/colockd with -journal set: the
+// same sinks, in the same attach order, with the default sampling.
+type observedEngine struct {
+	tm  *txn.Manager
+	mgr *lock.Manager
+	col *obs.Collector
+	jw  *journal.Writer
+}
+
+func newObservedEngine(tb testing.TB) *observedEngine {
+	tb.Helper()
+	st := pinStore()
+	nm := core.NewNamer(st.Catalog(), false)
+	kindOf := core.UnitKindOf(nm)
+	col := obs.NewCollector(obs.Options{KindLabels: core.UnitKindLabels, KindOf: kindOf})
+	mgr := lock.NewManager(lock.Options{Policy: lock.PolicyDetect, Sinks: []lock.EventSink{col}})
+	rec := trace.NewRecorder(trace.Options{
+		ShardOf: mgr.ShardOf,
+		KindOf: func(r lock.Resource) string {
+			if k := kindOf(r); k >= 0 && k < len(core.UnitKindLabels) {
+				return core.UnitKindLabels[k]
+			}
+			return "other"
+		},
+	})
+	jw, err := journal.Open(tb.TempDir(), journal.Options{})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	mgr.AttachSink(jw)
+	mgr.AttachSink(trace.NewProfile())
+	mgr.AttachSink(trace.NewIncidentWriter(tb.TempDir(), rec, mgr, trace.IncidentOptions{JournalOffset: jw.Offset}))
+	mon := health.NewMonitor(health.Options{
+		Window:      time.Second,
+		Retain:      60,
+		TopK:        32,
+		SLO:         health.SLO{MaxAbortRate: 0.05, MaxWaitP99: 250 * time.Millisecond, MaxWaiterDepth: 64},
+		WaiterDepth: mgr.WaitingTxns,
+		GrantPath:   mgr.Stats,
+	})
+	mgr.AttachSink(mon)
+	mon.OnTransition(func(tr health.Transition) {
+		jw.Note("health", fmt.Sprintf("%s->%s %s", tr.From, tr.To, tr.Reason))
+	})
+	proto := core.NewProtocol(mgr, st, nm, core.Options{Tracer: rec})
+	proto.OnFastPathHit(func() {
+		mon.RecordFastPathHit()
+		jw.RecordFastPathHit()
+	})
+	tb.Cleanup(func() {
+		if err := jw.Close(); err != nil {
+			tb.Errorf("journal close: %v", err)
+		}
+		mgr.Close()
+	})
+	return &observedEngine{tm: txn.NewManager(proto, st), mgr: mgr, col: col, jw: jw}
+}
+
+func bareTxnManager(tb testing.TB) *txn.Manager {
+	st := pinStore()
+	mgr := lock.NewManager(lock.Options{})
+	tb.Cleanup(mgr.Close)
+	return txn.NewManager(core.NewProtocol(mgr, st, core.NewNamer(st.Catalog(), false), core.Options{}), st)
+}
+
+func runCellEdit(tm *txn.Manager, e *cellEdit) error {
+	ctx := context.Background()
+	t, err := tm.BeginCtx(ctx)
+	if err != nil {
+		return err
+	}
+	for k := range e.paths {
+		if err := t.LockPath(ctx, e.paths[k], e.modes[k]); err != nil {
+			t.Abort()
+			return err
+		}
+	}
+	return t.Commit()
+}
+
+// skipUnlessPoolsRecycle skips an allocation pin when sync.Pool does not hand
+// back what it was given: under the race detector it drops a quarter of all
+// Puts on purpose, which turns every pooled object into an occasional
+// allocation.
+func skipUnlessPoolsRecycle(t *testing.T) {
+	t.Helper()
+	var p sync.Pool
+	for i := 0; i < 64; i++ {
+		x := new(int)
+		p.Put(x)
+		if p.Get() != any(x) {
+			t.Skip("sync.Pool is dropping objects (race detector on): allocation counts mean nothing")
+		}
+	}
+}
+
+// allocsPerCellEdit warms every script once (name cache, pools, rings) and
+// then averages over several passes of the ring.
+func allocsPerCellEdit(t *testing.T, tm *txn.Manager) float64 {
+	t.Helper()
+	edits := cellEdits()
+	i := 0
+	run := func() {
+		if err := runCellEdit(tm, &edits[i%len(edits)]); err != nil {
+			t.Fatal(err)
+		}
+		i++
+	}
+	for range edits {
+		run()
+	}
+	return testing.AllocsPerRun(4*len(edits), run)
+}
+
+func TestCellEditAllocsObserved(t *testing.T) {
+	skipUnlessPoolsRecycle(t)
+	e := newObservedEngine(t)
+	// 213 before the event pipeline was batched and pooled; the sink-less
+	// engine below accounts for 52 of them.
+	if got := allocsPerCellEdit(t, e.tm); got > 90 {
+		t.Errorf("observed engine: %.1f allocs per cell edit, want ≤ 90", got)
+	}
+	if st := e.jw.Status(); st.Dropped != 0 || st.Error != "" {
+		t.Errorf("journal dropped %d records (error %q) with one client", st.Dropped, st.Error)
+	}
+	if got := e.col.EventCount("grant"); got == 0 {
+		t.Error("collector saw no grants: the sinks were not live")
+	}
+}
+
+func TestCellEditAllocsBare(t *testing.T) {
+	skipUnlessPoolsRecycle(t)
+	if got := allocsPerCellEdit(t, bareTxnManager(t)); got > 52 {
+		t.Errorf("sink-less engine: %.1f allocs per cell edit, want ≤ 52 (the nil-tracer path must stay free)", got)
+	}
+}
+
+// Tracing a warm acquire/release pair through every sink allocates nothing:
+// pooled tracer, events handed over as one borrowed slice. What is left is
+// what the pair costs without sinks (the per-transaction held-lock index and
+// the snapshot ReleaseAll takes of it).
+func TestTracedAcquireReleaseAllocs(t *testing.T) {
+	skipUnlessPoolsRecycle(t)
+	ctx := context.Background()
+	const res = lock.Resource("db1/seg1/cells/c1/robots/r1")
+	pairOn := func(mgr *lock.Manager) func() {
+		return func() {
+			if err := mgr.AcquireCtx(ctx, 1, res, lock.X); err != nil {
+				t.Fatal(err)
+			}
+			mgr.ReleaseAll(1)
+		}
+	}
+	bare := lock.NewManager(lock.Options{})
+	defer bare.Close()
+	untraced := testing.AllocsPerRun(500, pairOn(bare))
+
+	traced := pairOn(newObservedEngine(t).mgr)
+	for i := 0; i < 2048; i++ { // fill the collector's event ring to capacity
+		traced()
+	}
+	if got := testing.AllocsPerRun(500, traced); got > untraced {
+		t.Errorf("traced AcquireCtx + ReleaseAll: %.1f allocs, untraced %.1f: tracing must add none", got, untraced)
+	}
+}
+
+// Eight goroutines share one observed engine: under -race this proves that
+// pooled tracers, span buffers and journal slots are never touched after
+// they were handed back.
+func TestObservedEngineConcurrentStress(t *testing.T) {
+	e := newObservedEngine(t)
+	edits := cellEdits()
+	const workers, rounds = 8, 150
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < rounds; i++ {
+				// Neighbouring workers overlap on cells, so requests really
+				// block, wake and (rarely) die as deadlock victims.
+				err := runCellEdit(e.tm, &edits[(w/2*7+i)%len(edits)])
+				if _, retry := resilience.Classify(err); err != nil && !retry {
+					t.Errorf("worker %d: %v", w, err)
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	if n := e.mgr.LockCount(); n != 0 {
+		t.Errorf("%d locks left after the stress", n)
+	}
+	counts := e.col.EventCounts()
+	if counts["grant"]+counts["convert"] == 0 || counts["release-all"] == 0 {
+		t.Errorf("collector counts %v: sinks not live", counts)
+	}
+}
+
+// BenchmarkCellEditObserved is the observed_disjoint transaction of bench/
+// as a testing.B benchmark, for profiling the event pipeline.
+func BenchmarkCellEditObserved(b *testing.B) {
+	e := newObservedEngine(b)
+	benchCellEdits(b, e.tm)
+}
+
+// BenchmarkCellEditBare is the same transaction on the sink-less engine.
+func BenchmarkCellEditBare(b *testing.B) {
+	benchCellEdits(b, bareTxnManager(b))
+}
+
+func benchCellEdits(b *testing.B, tm *txn.Manager) {
+	edits := cellEdits()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := runCellEdit(tm, &edits[i%len(edits)]); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
