@@ -1,16 +1,17 @@
 GO ?= go
 
-.PHONY: ci fmt vet build test race bench shardbench obsbench tracebench hotbench hotbench-smoke stormbench stormbench-smoke healthbench healthmon-smoke journalbench journal-smoke grantbench grantbench-smoke netbench netbench-smoke bench-check benchdiff nodeprecated doc-lint drift-check obs-demo trace-demo figures clean
+.PHONY: ci fmt vet build test race race-net bench shardbench obsbench tracebench hotbench hotbench-smoke stormbench stormbench-smoke healthbench healthmon-smoke journalbench journal-smoke grantbench grantbench-smoke netbench netbench-smoke bench-check benchdiff nodeprecated doc-lint drift-check obs-demo trace-demo figures clean
 
 # ci is the gate every change must pass: formatting, vet, the
 # no-deprecated-wrappers grep, the godoc and docs-drift lints, build, the
 # full test suite under the race detector (the lock manager and protocol
-# are concurrent; -race is not optional here), the end-to-end
+# are concurrent; -race is not optional here), the network path again at
+# 1, 2 and 4 cores, the end-to-end
 # incident-dump demo, the fast-path, contention-survival, grant-path, and
 # network smoke benchmarks, the health-monitor smoke gate, the
 # journal-forensics smoke gate, and the check that the frozen benchmark
 # module still builds and runs against this tree.
-ci: fmt vet nodeprecated doc-lint drift-check build race trace-demo hotbench-smoke stormbench-smoke healthmon-smoke journal-smoke grantbench-smoke netbench-smoke bench-check
+ci: fmt vet nodeprecated doc-lint drift-check build race race-net trace-demo hotbench-smoke stormbench-smoke healthmon-smoke journal-smoke grantbench-smoke netbench-smoke bench-check
 
 # fmt fails if any file needs gofmt, listing the offenders.
 fmt:
@@ -28,6 +29,12 @@ test:
 
 race:
 	$(GO) test -race ./...
+
+# race-net repeats the network path's tests at 1, 2 and 4 cores: who holds
+# the read loop (server session) and the reader role (client) is decided by
+# scheduling, so one core count does not cover the hand-offs.
+race-net:
+	$(GO) test -race -cpu 1,2,4 -count=2 ./client ./internal/server ./internal/wire
 
 bench:
 	$(GO) test -bench=. -benchmem ./...
@@ -160,13 +167,16 @@ netbench-smoke:
 # bench-check covers what `go build ./... && go test ./...` at the root cannot
 # see: bench/ is a module of its own (BENCHMARK.json's benchmark, frozen
 # between benchmark PRs), so API drift against it shows only here. It vets and
-# tests the module, then runs the workload that wires every sink for two
-# seconds; the run's last line must report every output check as passed.
+# tests the module, then runs for two seconds each the workload that wires
+# every sink and the one that crosses client, wire and server; each run's
+# last line must report every output check as passed.
 bench-check:
 	cd bench && $(GO) vet ./... && $(GO) test ./...
-	@out=$$(bash bench/run.sh --workload observed_disjoint --seconds 2 --trace 0 | tail -1) && \
-	case "$$out" in *'"correct":true'*) echo "bench-check: observed_disjoint runs, all output checks pass";; \
-	*) echo "bench-check: last line of bench/run.sh lacks \"correct\":true: $$out"; exit 1;; esac
+	@for w in observed_disjoint net_disjoint; do \
+	out=$$(bash bench/run.sh --workload $$w --seconds 2 --trace 0 | tail -1) && \
+	case "$$out" in *'"correct":true'*) echo "bench-check: $$w runs, all output checks pass";; \
+	*) echo "bench-check: last line of bench/run.sh --workload $$w lacks \"correct\":true: $$out"; exit 1;; esac; \
+	done
 
 # doc-lint asserts godoc hygiene: every package has a package doc comment
 # and every exported symbol of the public API packages (client,

@@ -22,15 +22,30 @@
 // operation. An abandoned Begin's transaction is aborted automatically
 // when its reply arrives; after an abandoned Lock the transaction may
 // hold the lock and should be aborted to discard it.
+//
+// Who reads the connection, and when. There is no dedicated reader
+// goroutine between a call and its reply: a call that finds nobody reading
+// reads the connection itself until its own reply arrives, so a round
+// trip from one goroutine blocks only in the socket. While it reads it
+// delivers the replies of other goroutines' calls to them, and when it is
+// done — reply in hand, or its context canceled — it passes the reader
+// role to a call that is still waiting. Calls made while another call
+// reads wait on a channel, and so does a call that arrives while the
+// session's background goroutine reads: that goroutine takes the role
+// only after the session has been idle for 10 ms, to notice lease expiry,
+// drain notices and a dropped connection (Err reports them with no call
+// in flight), and gives it up at the first reply it delivers. None of this
+// is visible in the API; it is why a call's latency is a socket round
+// trip and not a round trip plus two goroutine hand-offs.
 package client
 
 import (
-	"bufio"
 	"context"
 	"errors"
 	"fmt"
 	"io"
 	"net"
+	"os"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -54,27 +69,51 @@ type Options struct {
 }
 
 // Client is one wire session. Safe for concurrent use; requests from many
-// goroutines pipeline over the single connection.
+// goroutines pipeline over the single connection. The package comment
+// says who reads it: the reader role below is held by one call at a time,
+// or by the background goroutine while the session idles.
 type Client struct {
 	conn    net.Conn
 	fw      *wire.FrameWriter
+	fr      *wire.FrameReader // the reader role's
 	session uint64
 	lease   time.Duration
 
 	nextReq atomic.Uint64
 
 	mu      sync.Mutex
-	pending map[uint64]chan wire.Frame
-	err     error // first fatal error; nil while healthy
+	pending map[uint64]chan reply
+	reader  uint64 // request id holding the reader role; 0 free, idleReader the background goroutine
+	poked   bool   // a canceled reader's read deadline is set and must be cleared
+	err     error  // first fatal error; nil while healthy
 	closed  bool
 
-	stopPing chan struct{}
+	stop     chan struct{} // closed by fail
 	pingDone chan struct{}
 	readDone chan struct{}
 }
 
+// reply is a decoded reply frame — decoded by whichever goroutine read it,
+// because the frame's payload is only borrowed from the read buffer — or,
+// with lead set, the reader role being passed to a waiting call.
+type reply struct {
+	typ  byte
+	txn  uint64 // TTxn
+	err  error  // TErr, or a reply that did not decode
+	lead bool
+}
+
+const (
+	// idleReader is the background goroutine's name in Client.reader;
+	// request ids count up from 1 and never reach it.
+	idleReader = ^uint64(0)
+	// idlePoll is how long the connection goes unread once calls stop,
+	// and so the background goroutine's whole cost while calls flow.
+	idlePoll = 10 * time.Millisecond
+)
+
 // replyChans recycles the one-shot reply channels of completed calls.
-var replyChans = sync.Pool{New: func() any { return make(chan wire.Frame, 1) }}
+var replyChans = sync.Pool{New: func() any { return make(chan reply, 1) }}
 
 // Dial connects to a colockd server and performs the handshake. The
 // returned client's lease keepalive is already running (unless disabled).
@@ -116,14 +155,15 @@ func Dial(addr string, opts Options) (*Client, error) {
 	c := &Client{
 		conn:     conn,
 		fw:       wire.NewFrameWriter(conn),
+		fr:       wire.NewFrameReader(conn),
 		session:  wl.Session,
 		lease:    time.Duration(wl.Lease),
-		pending:  make(map[uint64]chan wire.Frame),
-		stopPing: make(chan struct{}),
+		pending:  make(map[uint64]chan reply),
+		stop:     make(chan struct{}),
 		pingDone: make(chan struct{}),
 		readDone: make(chan struct{}),
 	}
-	go c.readLoop()
+	go c.idleLoop()
 	if opts.NoKeepalive || c.lease <= 0 {
 		close(c.pingDone)
 	} else {
@@ -142,6 +182,10 @@ func (c *Client) Lease() time.Duration { return c.lease }
 func (c *Client) Err() error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	return c.errLocked()
+}
+
+func (c *Client) errLocked() error {
 	if c.closed && c.err == nil {
 		return ErrClosed
 	}
@@ -171,60 +215,142 @@ func (c *Client) fail(err error) {
 		c.err = err
 	}
 	pending := c.pending
-	c.pending = make(map[uint64]chan wire.Frame)
+	c.pending = make(map[uint64]chan reply)
 	c.mu.Unlock()
-	close(c.stopPing)
+	close(c.stop)
 	_ = c.conn.Close()
 	for _, ch := range pending {
 		close(ch) // receivers observe the closed channel and report Err
 	}
 }
 
-// readLoop demultiplexes reply frames onto pending calls by request id.
-// Reqid 0 carries unsolicited server notices (lease expiry, drain): they
-// are session-fatal by spec, so the loop fails the session with the
-// decoded error.
-func (c *Client) readLoop() {
+// idleLoop is the background goroutine: whenever the session has no call
+// in flight and nobody reading, it reads — until a call turns up.
+func (c *Client) idleLoop() {
 	defer close(c.readDone)
-	br := bufio.NewReaderSize(c.conn, 32<<10)
+	poll := time.NewTimer(idlePoll)
+	defer poll.Stop()
 	for {
-		f, err := wire.ReadFrame(br)
+		c.mu.Lock()
+		idle := !c.closed && c.reader == 0 && len(c.pending) == 0
+		if idle {
+			c.reader = idleReader
+		}
+		c.mu.Unlock()
+		if idle {
+			c.read(nil, idleReader)
+		}
+		poll.Reset(idlePoll)
+		select {
+		case <-c.stop:
+			return
+		case <-poll.C:
+		}
+	}
+}
+
+// read is the reader role: it reads frames, delivering each to the call
+// that owns it, until the frame of call id arrives (returned decoded), ctx
+// is canceled (its error), or the connection fails (the session's error,
+// after failing it). The background goroutine, which owns no call, stops
+// after the first delivery instead. However it ends, the role has been
+// passed on.
+func (c *Client) read(ctx context.Context, id uint64) (reply, error) {
+	for {
+		f, err := c.fr.Next()
 		if err != nil {
+			if ctx != nil && ctx.Err() != nil && errors.Is(err, os.ErrDeadlineExceeded) {
+				// cancelRead's deadline, not the connection's failure: the
+				// buffer keeps what was read, the next reader resumes there.
+				c.release(id)
+				return reply{}, ctx.Err()
+			}
 			if errors.Is(err, io.EOF) {
 				err = fmt.Errorf("client: connection closed by server (%w)", ErrClosed)
 			}
 			c.fail(err)
-			return
+			return reply{}, c.Err()
 		}
-		if f.ReqID == 0 {
-			if f.Type == wire.TErr {
-				if p, perr := wire.DecodeErrPayload(f.Payload); perr == nil {
-					c.fail(p.Err())
-					return
-				}
+		r := decodeReply(f)
+		switch f.ReqID {
+		case id:
+			c.release(id)
+			return r, nil
+		case 0:
+			// Unsolicited server notices (lease expiry, drain) are
+			// session-fatal by spec.
+			if r.err == nil {
+				r.err = fmt.Errorf("client: unsolicited %s notice", wire.TypeName(f.Type))
 			}
-			c.fail(fmt.Errorf("client: unsolicited %s notice", wire.TypeName(f.Type)))
-			return
+			c.fail(r.err)
+			return reply{}, c.Err()
 		}
 		c.mu.Lock()
 		ch := c.pending[f.ReqID]
 		delete(c.pending, f.ReqID)
 		c.mu.Unlock()
-		if ch != nil {
-			ch <- f
-			continue
-		}
-		// No owner: the call was withdrawn by ctx cancellation. A plain
-		// outcome is dropped, but a Txn reply means an abandoned Begin
-		// created a transaction nobody will ever drive — abort it so its
-		// (future) locks cannot outlive the caller that gave up.
-		if f.Type == wire.TTxn {
-			if m, err := wire.DecodeTxnReply(f.Payload); err == nil {
-				go func() {
-					_ = c.callOutcome(context.Background(), wire.TAbort, wire.TxnReq{Txn: m.Txn}.Encode())
-				}()
+		switch {
+		case ch != nil:
+			ch <- r
+			if id == idleReader {
+				c.release(id)
+				return reply{}, nil
 			}
+		case r.typ == wire.TTxn && r.err == nil:
+			// No owner: the call was withdrawn by ctx cancellation. A plain
+			// outcome is dropped, but a Txn reply means an abandoned Begin
+			// created a transaction nobody will ever drive — abort it so
+			// its (future) locks cannot outlive the caller that gave up.
+			go func() { _ = callOutcome(c, nil, wire.TAbort, wire.TxnReq{Txn: r.txn}) }()
 		}
+	}
+}
+
+// decodeReply decodes a reply frame while its borrowed payload is valid.
+func decodeReply(f wire.Frame) reply {
+	r := reply{typ: f.Type}
+	switch f.Type {
+	case wire.TTxn:
+		var m wire.TxnReply
+		m, r.err = wire.DecodeTxnReply(f.Payload)
+		r.txn = m.Txn
+	case wire.TErr:
+		var p wire.ErrPayload
+		if p, r.err = wire.DecodeErrPayload(f.Payload); r.err == nil {
+			r.err = p.Err()
+		}
+	}
+	return r
+}
+
+// release ends call id's turn as reader: its own entry leaves pending, a
+// deadline cancelRead set is cleared, and the role passes to a call still
+// waiting for its reply, if there is one.
+func (c *Client) release(id uint64) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	delete(c.pending, id)
+	if c.poked {
+		c.poked = false
+		_ = c.conn.SetReadDeadline(time.Time{})
+	}
+	c.reader = 0
+	for next, ch := range c.pending {
+		c.reader = next
+		ch <- reply{lead: true} // ch is empty: a pending call has been sent nothing
+		return
+	}
+}
+
+// cancelRead interrupts call id's blocking read when its ctx is canceled,
+// by way of the read deadline — and only if the call still holds the
+// reader role, so a late cancellation cannot disturb a successor.
+func (c *Client) cancelRead(id uint64) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.reader == id {
+		c.poked = true
+		_ = c.conn.SetReadDeadline(time.Unix(1, 0))
 	}
 }
 
@@ -241,7 +367,7 @@ func (c *Client) keepalive() {
 	defer tick.Stop()
 	for {
 		select {
-		case <-c.stopPing:
+		case <-c.stop:
 			return
 		case <-tick.C:
 			if err := c.Ping(); err != nil {
@@ -251,98 +377,112 @@ func (c *Client) keepalive() {
 	}
 }
 
-// call sends one request frame and waits for its reply. A canceled ctx
-// withdraws the wait client-side: the pending entry is removed and
-// ctx.Err() returned. The server still executes the abandoned request —
-// the wire has no withdraw frame — so after a canceled Lock the
-// transaction's remote state is indeterminate and the caller should
-// abort it; an abandoned Begin is cleaned up by readLoop, which aborts
-// any Txn reply that no longer has an owner.
-func (c *Client) call(ctx context.Context, typ byte, payload []byte) (wire.Frame, error) {
+// call sends one request frame — encoded straight into the connection's
+// write buffer — and waits for its reply, reading the connection itself
+// when nobody else is (see Client). A canceled ctx withdraws the wait
+// client-side and ctx.Err() is returned. The server still executes the
+// abandoned request — the wire has no withdraw frame — so after a canceled
+// Lock the transaction's remote state is indeterminate and the caller
+// should abort it; an abandoned Begin is cleaned up by whoever reads its
+// Txn reply, which aborts the orphan.
+func call[P wire.Payload](c *Client, ctx context.Context, typ byte, req P) (reply, error) {
+	var done <-chan struct{}
+	if ctx != nil {
+		done = ctx.Done()
+	}
 	id := c.nextReq.Add(1)
-	ch := replyChans.Get().(chan wire.Frame)
+	var ch chan reply
 	c.mu.Lock()
 	if c.closed {
-		err := c.err
+		err := c.errLocked()
 		c.mu.Unlock()
-		if err == nil {
-			err = ErrClosed
-		}
-		return wire.Frame{}, err
+		return reply{}, err
 	}
-	c.pending[id] = ch
+	lead := c.reader == 0
+	if lead {
+		c.reader = id // and no pending entry: a reader takes its own reply off the wire
+	} else {
+		ch = replyChans.Get().(chan reply)
+		c.pending[id] = ch
+	}
 	c.mu.Unlock()
 
-	if err := c.fw.WriteFrame(typ, id, payload); err != nil {
+	if err := wire.Send(c.fw, typ, id, req, true); err != nil {
 		c.fail(fmt.Errorf("client: write: %w", err))
-		return wire.Frame{}, c.Err()
+		return reply{}, c.Err()
 	}
-	if ctx == nil || ctx.Done() == nil {
-		return c.await(ch)
-	}
-	select {
-	case f, ok := <-ch:
-		if !ok {
-			return wire.Frame{}, c.Err()
+	if !lead {
+		select {
+		case r, ok := <-ch:
+			if !ok {
+				// Closed by fail(): the session is dead and the channel spent.
+				return reply{}, c.Err()
+			}
+			if !r.lead {
+				replyChans.Put(ch)
+				return r, nil
+			}
+			// Handed the reader role: read on. (ch is not pooled from here:
+			// fail may close it while this call reads.)
+		case <-done:
+			c.mu.Lock()
+			_, mine := c.pending[id]
+			lead = c.reader == id
+			if mine && !lead {
+				delete(c.pending, id)
+			}
+			c.mu.Unlock()
+			switch {
+			case lead:
+				// Handed the role as the cancel fired: pass it straight on.
+				c.release(id)
+				return reply{}, ctx.Err()
+			case mine:
+				// Withdrawn before the reply arrived. The channel is NOT
+				// pooled: a reader may have fetched it just before the
+				// delete and still deliver into it; reusing it would
+				// cross-wire a stale reply into a future call.
+				return reply{}, ctx.Err()
+			}
+			// The reply raced the cancel and won (a reader or fail already
+			// claimed the entry): take it, the work is done anyway.
+			r, ok := <-ch
+			if !ok {
+				return reply{}, c.Err()
+			}
+			replyChans.Put(ch)
+			return r, nil
 		}
-		replyChans.Put(ch)
-		return f, nil
-	case <-ctx.Done():
-		c.mu.Lock()
-		_, mine := c.pending[id]
-		delete(c.pending, id)
-		c.mu.Unlock()
-		if mine {
-			// Withdrawn before the reply arrived. The channel is NOT
-			// pooled: readLoop may have fetched it just before the delete
-			// and still deliver into it; reusing it would cross-wire a
-			// stale reply into a future call.
-			return wire.Frame{}, ctx.Err()
-		}
-		// The reply raced the cancel and won (readLoop or fail already
-		// claimed the entry): take it, the work is done anyway.
-		return c.await(ch)
 	}
-}
-
-// await receives the reply readLoop routes (or observes fail's close).
-func (c *Client) await(ch chan wire.Frame) (wire.Frame, error) {
-	f, ok := <-ch
-	if !ok {
-		// Closed by fail(): the session is dead and the channel is spent.
-		return wire.Frame{}, c.Err()
+	if done != nil {
+		defer context.AfterFunc(ctx, func() { c.cancelRead(id) })()
 	}
-	replyChans.Put(ch)
-	return f, nil
+	return c.read(ctx, id)
 }
 
 // callOutcome is call for requests answered by TOK / TErr.
-func (c *Client) callOutcome(ctx context.Context, typ byte, payload []byte) error {
-	f, err := c.call(ctx, typ, payload)
+func callOutcome[P wire.Payload](c *Client, ctx context.Context, typ byte, req P) error {
+	r, err := call(c, ctx, typ, req)
 	if err != nil {
 		return err
 	}
-	switch f.Type {
+	switch r.typ {
 	case wire.TOK:
 		return nil
 	case wire.TErr:
-		p, err := wire.DecodeErrPayload(f.Payload)
-		if err != nil {
-			return err
-		}
-		return p.Err()
+		return r.err
 	}
-	return fmt.Errorf("client: unexpected %s reply", wire.TypeName(f.Type))
+	return fmt.Errorf("client: unexpected %s reply", wire.TypeName(r.typ))
 }
 
 // Ping refreshes the lease explicitly (the keepalive calls it for you).
 func (c *Client) Ping() error {
-	f, err := c.call(nil, wire.TPing, nil)
+	r, err := call(c, nil, wire.TPing, wire.NoPayload{})
 	if err != nil {
 		return err
 	}
-	if f.Type != wire.TPong {
-		return fmt.Errorf("client: unexpected %s reply to Ping", wire.TypeName(f.Type))
+	if r.typ != wire.TPong {
+		return fmt.Errorf("client: unexpected %s reply to Ping", wire.TypeName(r.typ))
 	}
 	return nil
 }

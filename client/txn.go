@@ -4,7 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sync"
+	"sync/atomic"
 	"time"
 
 	"colock/internal/core"
@@ -27,8 +27,7 @@ type Txn struct {
 	id   lock.TxnID
 	long bool
 
-	mu       sync.Mutex
-	finished bool
+	finished atomic.Bool
 }
 
 // Begin starts a short transaction on the server. Admission control
@@ -48,25 +47,17 @@ func (c *Client) begin(ctx context.Context, long bool) (*Txn, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	f, err := c.call(ctx, wire.TBegin, wire.BeginReq{Long: long}.Encode())
+	r, err := call(c, ctx, wire.TBegin, wire.BeginReq{Long: long})
 	if err != nil {
 		return nil, err
 	}
-	switch f.Type {
-	case wire.TTxn:
-		m, err := wire.DecodeTxnReply(f.Payload)
-		if err != nil {
-			return nil, err
-		}
-		return &Txn{c: c, id: lock.TxnID(m.Txn), long: long}, nil
-	case wire.TErr:
-		p, err := wire.DecodeErrPayload(f.Payload)
-		if err != nil {
-			return nil, err
-		}
-		return nil, p.Err()
+	switch {
+	case r.err != nil:
+		return nil, r.err
+	case r.typ == wire.TTxn:
+		return &Txn{c: c, id: lock.TxnID(r.txn), long: long}, nil
 	}
-	return nil, fmt.Errorf("client: unexpected %s reply to Begin", wire.TypeName(f.Type))
+	return nil, fmt.Errorf("client: unexpected %s reply to Begin", wire.TypeName(r.typ))
 }
 
 // ID returns the server-assigned transaction identifier. Ids are global
@@ -78,9 +69,7 @@ func (t *Txn) ID() lock.TxnID { return t.id }
 func (t *Txn) Long() bool { return t.long }
 
 func (t *Txn) checkActive() error {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if t.finished {
+	if t.finished.Load() {
 		return ErrNotActive
 	}
 	return nil
@@ -134,18 +123,21 @@ func (t *Txn) lock(ctx context.Context, typ byte, ref wire.NodeRef, mode lock.Mo
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-	cfg := buildConfig(opts)
+	var cfg config
+	if len(opts) > 0 { // the common call builds no config on the heap
+		cfg = buildConfig(opts)
+	}
 	timeout, err := effTimeout(ctx, cfg.timeout)
 	if err != nil {
 		return &lock.LockError{Txn: t.id, Mode: mode, Cause: err}
 	}
-	return t.c.callOutcome(ctx, typ, wire.LockReq{
+	return callOutcome(t.c, ctx, typ, wire.LockReq{
 		Txn:      uint64(t.id),
 		Node:     ref,
 		Mode:     mode,
 		NoFollow: cfg.noFollow,
 		Timeout:  timeout,
-	}.Encode())
+	})
 }
 
 // DeEscalate trades the transaction's coarse S/X lock on a node for locks
@@ -159,11 +151,11 @@ func (t *Txn) DeEscalate(n core.Node, keep []store.Path) error {
 	for _, p := range keep {
 		ks = append(ks, p)
 	}
-	return t.c.callOutcome(nil, wire.TDowngrade, wire.DowngradeReq{
+	return callOutcome(t.c, nil, wire.TDowngrade, wire.DowngradeReq{
 		Txn:  uint64(t.id),
 		Node: wire.RefOf(n),
 		Keep: ks,
-	}.Encode())
+	})
 }
 
 // Unlock releases a single lock early in leaf-to-root order (rule 5),
@@ -173,10 +165,10 @@ func (t *Txn) Unlock(n core.Node) error {
 	if err := t.checkActive(); err != nil {
 		return err
 	}
-	return t.c.callOutcome(nil, wire.TRelease, wire.ReleaseReq{
+	return callOutcome(t.c, nil, wire.TRelease, wire.ReleaseReq{
 		Txn:  uint64(t.id),
 		Node: wire.RefOf(n),
-	}.Encode())
+	})
 }
 
 // refusedUnexecuted reports whether a finish request was turned away by
@@ -194,18 +186,12 @@ func refusedUnexecuted(err error) bool {
 // admission error), the transaction stays active: retry Commit, or
 // Abort it — do not abandon it, its locks are still held.
 func (t *Txn) Commit() error {
-	t.mu.Lock()
-	if t.finished {
-		t.mu.Unlock()
+	if !t.finished.CompareAndSwap(false, true) {
 		return ErrNotActive
 	}
-	t.finished = true
-	t.mu.Unlock()
-	err := t.c.callOutcome(nil, wire.TCommit, wire.TxnReq{Txn: uint64(t.id)}.Encode())
+	err := callOutcome(t.c, nil, wire.TCommit, wire.TxnReq{Txn: uint64(t.id)})
 	if err != nil && refusedUnexecuted(err) {
-		t.mu.Lock()
-		t.finished = false
-		t.mu.Unlock()
+		t.finished.Store(false)
 	}
 	return err
 }
@@ -217,15 +203,11 @@ func (t *Txn) Commit() error {
 // refusal (which leaves the transaction live) is retried briefly so a
 // momentary max-inflight spike cannot leak the transaction's locks.
 func (t *Txn) Abort() {
-	t.mu.Lock()
-	if t.finished {
-		t.mu.Unlock()
+	if !t.finished.CompareAndSwap(false, true) {
 		return
 	}
-	t.finished = true
-	t.mu.Unlock()
 	for attempt := 0; ; attempt++ {
-		err := t.c.callOutcome(nil, wire.TAbort, wire.TxnReq{Txn: uint64(t.id)}.Encode())
+		err := callOutcome(t.c, nil, wire.TAbort, wire.TxnReq{Txn: uint64(t.id)})
 		if err == nil || !refusedUnexecuted(err) || attempt >= 4 {
 			return
 		}

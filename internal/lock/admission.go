@@ -106,6 +106,11 @@ func (m *Manager) Admit(ctx context.Context, txn TxnID) error {
 		return nil
 	}
 	m.admitDelays.Add(1)
+	if cfg.MaxDelay <= 0 {
+		m.sheds.Add(1)
+		return lockErr(txn, "", 0, ErrShed)
+	}
+	notifyPark(ctx) // about to stall: the admission gate's one sleeping site
 	deadline := time.Now().Add(cfg.MaxDelay)
 	ticker := time.NewTicker(cfg.Poll)
 	defer ticker.Stop()

@@ -676,9 +676,34 @@ func (m *Manager) AcquireCtx(ctx context.Context, txn TxnID, r Resource, mode Mo
 	return m.await(ctx, cfg, tr, txn, r, w, mode, target)
 }
 
+// parkNotifyKey carries a park notification in a context (WithParkNotify).
+type parkNotifyKey struct{}
+
+// WithParkNotify returns a context carrying fn, the park notification of
+// requests made under it: the manager calls fn on the requesting goroutine
+// each time such a request is about to sleep — queued behind a conflicting
+// lock (await) or stalled at the admission gate (Admit) — and never on a
+// path that returns without waiting. fn runs with no latch held, before
+// the goroutine blocks, and must not block itself. It lets a caller that
+// multiplexes other work on the requesting goroutine (a server session's
+// read loop) move that work elsewhere first; the request's outcome, stats
+// and events are unaffected.
+func WithParkNotify(ctx context.Context, fn func()) context.Context {
+	return context.WithValue(ctx, parkNotifyKey{}, fn)
+}
+
+// notifyPark runs the context's park notification, if one is installed.
+func notifyPark(ctx context.Context) {
+	if fn, _ := ctx.Value(parkNotifyKey{}).(func()); fn != nil {
+		fn()
+	}
+}
+
 // await blocks on the waiter's ready channel, the context and the optional
-// timeout, withdrawing the waiter on context/timeout expiry.
+// timeout, withdrawing the waiter on context/timeout expiry. It is the one
+// place a lock request sleeps, hence where the park notification fires.
 func (m *Manager) await(ctx context.Context, cfg acquireConfig, tr *tracer, txn TxnID, r Resource, w *waiter, mode, target Mode) error {
+	notifyPark(ctx)
 	var timerC <-chan time.Time
 	if cfg.timeout > 0 {
 		timer := time.NewTimer(cfg.timeout)

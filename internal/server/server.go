@@ -42,10 +42,10 @@ type Options struct {
 	// MaxSessions caps concurrent sessions; further handshakes are refused
 	// with WelcomeSessionLimit. Zero means unlimited.
 	MaxSessions int
-	// MaxInflight caps concurrently executing requests per session;
-	// excess requests are refused with a retryable CauseBusy error instead
-	// of queueing (queueing would stall the read loop and starve the
-	// lease). Zero defaults to 64.
+	// MaxInflight caps the requests a session may have executing or parked
+	// in a lock wait at once; excess requests are refused with a retryable
+	// CauseBusy error instead of queueing (queueing would stall the read
+	// loop and starve the lease). Zero defaults to 64.
 	MaxInflight int
 	// Admission, when MaxWaiters > 0, is installed on the lock manager via
 	// ConfigureAdmission at Serve time: the waiter-depth gate then sheds
@@ -195,26 +195,28 @@ func (s *Server) handshake(conn net.Conn) *session {
 }
 
 func (s *Server) handleConn(conn net.Conn) {
-	defer conn.Close()
 	sess := s.handshake(conn)
 	if sess == nil {
+		conn.Close()
 		return
 	}
-	sess.run()
-	s.dropSession(sess)
+	sess.serve()
 }
 
-// dropSession unregisters and finalizes a session (abort of anything still
-// active happens inside finalize, exactly once).
+// dropSession finalizes a session — the connection closed, anything still
+// active aborted, exactly once — and then unregisters it, so a session
+// gone from SessionCount holds no lock.
 func (s *Server) dropSession(sess *session) {
+	sess.finalize()
 	s.mu.Lock()
 	delete(s.sessions, sess.id)
 	s.mu.Unlock()
-	sess.finalize()
 }
 
-// leaseLoop expires sessions that missed their lease deadline. Polling at
-// a quarter lease bounds detection latency to 1.25 leases.
+// leaseLoop expires sessions that missed their lease deadline. A session's
+// frame counter moving between two ticks is its lease refresh, stamped
+// with the later tick, so polling at a quarter lease bounds detection
+// latency to 1.5 leases and never expires early.
 func (s *Server) leaseLoop() {
 	defer s.wg.Done()
 	interval := s.opts.Lease / 4
@@ -231,7 +233,9 @@ func (s *Server) leaseLoop() {
 			s.mu.Lock()
 			var expired []*session
 			for _, sess := range s.sessions {
-				if now.Sub(sess.lastSeen()) > s.opts.Lease {
+				if n := sess.frames.Load(); n != sess.polled {
+					sess.polled, sess.polledAt = n, now
+				} else if now.Sub(sess.polledAt) > s.opts.Lease && !sess.wclosed.Load() {
 					expired = append(expired, sess)
 				}
 			}

@@ -9,9 +9,11 @@ import (
 // Codec primitives. Payload fields use unsigned varints (the
 // encoding/binary Uvarint format) for integers, uvarint-length-prefixed
 // UTF-8 bytes for strings, and uvarint-counted sequences for lists — the
-// grammar DESIGN.md §16 specifies. The encoder appends to a byte slice;
-// the decoder is a cursor over one with a sticky error, so message
-// decoders read field after field and check once at the end.
+// grammar DESIGN.md §16 specifies. The encoder appends to a byte slice
+// (every message's AppendTo, so a frame can be built in place in the
+// connection's write buffer); the decoder is a cursor over one with a
+// sticky error, so message decoders read field after field and check once
+// at the end.
 
 // ErrTruncated reports a payload that ended before its grammar did.
 var ErrTruncated = errors.New("wire: truncated payload")
@@ -38,10 +40,15 @@ func (e *enc) strings(s []string) {
 	}
 }
 
-// dec is a cursor over one payload with a sticky error.
+// dec is a cursor over one payload with a sticky error. With in set,
+// strings come out of the intern table and the first string sequence is
+// appended to path — the allocation-free Lock decode (Interner.DecodeLockReq);
+// otherwise every string and slice is freshly allocated.
 type dec struct {
-	b   []byte
-	err error
+	b    []byte
+	err  error
+	in   *Interner
+	path []string
 }
 
 func (d *dec) fail() {
@@ -87,9 +94,12 @@ func (d *dec) string() string {
 		d.fail()
 		return ""
 	}
-	s := string(d.b[:n])
+	raw := d.b[:n]
 	d.b = d.b[n:]
-	return s
+	if d.in != nil {
+		return d.in.intern(raw)
+	}
+	return string(raw)
 }
 
 // maxSeq bounds decoded sequence lengths: a corrupt count must not turn
@@ -113,7 +123,10 @@ func (d *dec) strings() []string {
 	if d.err != nil || n == 0 {
 		return nil
 	}
-	out := make([]string, 0, n)
+	out := d.path
+	if d.in == nil {
+		out = make([]string, 0, n)
+	}
 	for i := 0; i < n; i++ {
 		out = append(out, d.string())
 	}
@@ -130,4 +143,39 @@ func (d *dec) finish() error {
 		return fmt.Errorf("wire: %d trailing payload bytes", len(d.b))
 	}
 	return nil
+}
+
+// Interner resolves the strings of decoded requests to real, immutable Go
+// strings without allocating for one it has seen before: the segments of
+// lock paths repeat endlessly within a session (relation and attribute
+// names, the keys of the objects being edited), and the engine retains
+// them — the name cache keeps the segments of every first-touch path — so
+// they must never alias a read buffer. The table is bounded: strings
+// longer than maxInternLen bypass it and it is emptied when it reaches
+// maxInternEntries. Not safe for concurrent use; a session's successive
+// readers hand it on with the read loop.
+type Interner struct {
+	m map[string]string
+}
+
+const (
+	maxInternEntries = 4096
+	maxInternLen     = 64
+)
+
+func (in *Interner) intern(b []byte) string {
+	if s, ok := in.m[string(b)]; ok { // the conversion in a map index does not allocate
+		return s
+	}
+	s := string(b)
+	if len(b) > maxInternLen {
+		return s
+	}
+	if in.m == nil {
+		in.m = make(map[string]string)
+	} else if len(in.m) >= maxInternEntries {
+		clear(in.m)
+	}
+	in.m[s] = s
+	return s
 }

@@ -117,9 +117,9 @@ type ErrPayload struct {
 // errFlagRetryable marks the server's retryability verdict on the wire.
 const errFlagRetryable byte = 1 << 0
 
-// Encode renders the payload.
-func (m ErrPayload) Encode() []byte {
-	var e enc
+// AppendTo appends the payload to b.
+func (m ErrPayload) AppendTo(b []byte) []byte {
+	e := enc{b}
 	e.byte(m.Cause)
 	var flags byte
 	if m.Retryable {
@@ -136,6 +136,9 @@ func (m ErrPayload) Encode() []byte {
 	}
 	return e.b
 }
+
+// Encode renders the payload into a fresh slice.
+func (m ErrPayload) Encode() []byte { return m.AppendTo(nil) }
 
 // DecodeErrPayload parses a TErr payload.
 func DecodeErrPayload(p []byte) (ErrPayload, error) {

@@ -74,12 +74,15 @@ type BeginReq struct {
 	Long bool
 }
 
-// Encode renders the payload.
-func (m BeginReq) Encode() []byte {
-	var e enc
+// AppendTo appends the payload to b.
+func (m BeginReq) AppendTo(b []byte) []byte {
+	e := enc{b}
 	e.bool(m.Long)
 	return e.b
 }
+
+// Encode renders the payload into a fresh slice.
+func (m BeginReq) Encode() []byte { return m.AppendTo(nil) }
 
 // DecodeBeginReq parses a TBegin payload.
 func DecodeBeginReq(p []byte) (BeginReq, error) {
@@ -103,10 +106,10 @@ type LockReq struct {
 // lockFlagNoFollow marks the NOFOLLOW acquire option on the wire.
 const lockFlagNoFollow byte = 1 << 0
 
-// Encode renders the payload (shared by TLock and TLockPath; LockPath
+// AppendTo appends the payload to b (shared by TLock and TLockPath; LockPath
 // simply pins Node.Level to NodePath).
-func (m LockReq) Encode() []byte {
-	var e enc
+func (m LockReq) AppendTo(b []byte) []byte {
+	e := enc{b}
 	e.uvarint(m.Txn)
 	e.node(m.Node)
 	e.byte(byte(m.Mode))
@@ -119,9 +122,22 @@ func (m LockReq) Encode() []byte {
 	return e.b
 }
 
+// Encode renders the payload into a fresh slice.
+func (m LockReq) Encode() []byte { return m.AppendTo(nil) }
+
 // DecodeLockReq parses a TLock or TLockPath payload.
-func DecodeLockReq(p []byte) (LockReq, error) {
-	d := dec{b: p}
+func DecodeLockReq(p []byte) (LockReq, error) { return decodeLockReq(dec{b: p}) }
+
+// DecodeLockReq is the free function without its allocations, for a
+// session's read loop: strings resolve through the intern table and the
+// path is appended to path[:0], scratch the calling goroutine owns. The
+// result's Node.Path aliases that scratch (keep it as the next call's
+// scratch; it is valid until then) and nothing in it aliases p.
+func (in *Interner) DecodeLockReq(p []byte, path []string) (LockReq, error) {
+	return decodeLockReq(dec{b: p, in: in, path: path[:0]})
+}
+
+func decodeLockReq(d dec) (LockReq, error) {
 	m := LockReq{Txn: d.uvarint(), Node: d.node(), Mode: lock.Mode(d.byte())}
 	flags := d.byte()
 	m.NoFollow = flags&lockFlagNoFollow != 0
@@ -138,9 +154,9 @@ type DowngradeReq struct {
 	Keep [][]string
 }
 
-// Encode renders the payload.
-func (m DowngradeReq) Encode() []byte {
-	var e enc
+// AppendTo appends the payload to b.
+func (m DowngradeReq) AppendTo(b []byte) []byte {
+	e := enc{b}
 	e.uvarint(m.Txn)
 	e.node(m.Node)
 	e.uvarint(uint64(len(m.Keep)))
@@ -149,6 +165,9 @@ func (m DowngradeReq) Encode() []byte {
 	}
 	return e.b
 }
+
+// Encode renders the payload into a fresh slice.
+func (m DowngradeReq) Encode() []byte { return m.AppendTo(nil) }
 
 // DecodeDowngradeReq parses a TDowngrade payload.
 func DecodeDowngradeReq(p []byte) (DowngradeReq, error) {
@@ -169,13 +188,16 @@ type ReleaseReq struct {
 	Node NodeRef
 }
 
-// Encode renders the payload.
-func (m ReleaseReq) Encode() []byte {
-	var e enc
+// AppendTo appends the payload to b.
+func (m ReleaseReq) AppendTo(b []byte) []byte {
+	e := enc{b}
 	e.uvarint(m.Txn)
 	e.node(m.Node)
 	return e.b
 }
+
+// Encode renders the payload into a fresh slice.
+func (m ReleaseReq) Encode() []byte { return m.AppendTo(nil) }
 
 // DecodeReleaseReq parses a TRelease payload.
 func DecodeReleaseReq(p []byte) (ReleaseReq, error) {
@@ -189,12 +211,15 @@ type TxnReq struct {
 	Txn uint64
 }
 
-// Encode renders the payload.
-func (m TxnReq) Encode() []byte {
-	var e enc
+// AppendTo appends the payload to b.
+func (m TxnReq) AppendTo(b []byte) []byte {
+	e := enc{b}
 	e.uvarint(m.Txn)
 	return e.b
 }
+
+// Encode renders the payload into a fresh slice.
+func (m TxnReq) Encode() []byte { return m.AppendTo(nil) }
 
 // DecodeTxnReq parses a TCommit/TAbort payload.
 func DecodeTxnReq(p []byte) (TxnReq, error) {
@@ -210,12 +235,15 @@ type TxnReply struct {
 	Txn uint64
 }
 
-// Encode renders the payload.
-func (m TxnReply) Encode() []byte {
-	var e enc
+// AppendTo appends the payload to b.
+func (m TxnReply) AppendTo(b []byte) []byte {
+	e := enc{b}
 	e.uvarint(m.Txn)
 	return e.b
 }
+
+// Encode renders the payload into a fresh slice.
+func (m TxnReply) Encode() []byte { return m.AppendTo(nil) }
 
 // DecodeTxnReply parses a TTxn payload.
 func DecodeTxnReply(p []byte) (TxnReply, error) {
@@ -230,12 +258,15 @@ type Pong struct {
 	Lease time.Duration
 }
 
-// Encode renders the payload.
-func (m Pong) Encode() []byte {
-	var e enc
+// AppendTo appends the payload to b.
+func (m Pong) AppendTo(b []byte) []byte {
+	e := enc{b}
 	e.uvarint(uint64(m.Lease))
 	return e.b
 }
+
+// Encode renders the payload into a fresh slice.
+func (m Pong) Encode() []byte { return m.AppendTo(nil) }
 
 // DecodePong parses a TPong payload.
 func DecodePong(p []byte) (Pong, error) {

@@ -163,12 +163,9 @@ func ReadFrame(r io.Reader) (Frame, error) {
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		return Frame{}, err
 	}
-	n := binary.BigEndian.Uint32(hdr[:])
-	if n < 9 {
-		return Frame{}, fmt.Errorf("wire: frame body %d bytes, need >= 9", n)
-	}
-	if n > MaxFrame {
-		return Frame{}, ErrFrameTooLarge
+	n, err := bodyLen(hdr[:])
+	if err != nil {
+		return Frame{}, err
 	}
 	body := make([]byte, n)
 	if _, err := io.ReadFull(r, body); err != nil {
@@ -177,12 +174,121 @@ func ReadFrame(r io.Reader) (Frame, error) {
 		}
 		return Frame{}, err
 	}
-	return Frame{
-		Type:    body[0],
-		ReqID:   binary.BigEndian.Uint64(body[1:9]),
-		Payload: body[9:],
-	}, nil
+	return frameOf(body), nil
 }
+
+// bodyLen validates a frame's length prefix.
+func bodyLen(hdr []byte) (int, error) {
+	n := binary.BigEndian.Uint32(hdr)
+	if n < 9 {
+		return 0, fmt.Errorf("wire: frame body %d bytes, need >= 9", n)
+	}
+	if n > MaxFrame {
+		return 0, ErrFrameTooLarge
+	}
+	return int(n), nil
+}
+
+// frameOf splits a frame body; the payload aliases it.
+func frameOf(body []byte) Frame {
+	return Frame{Type: body[0], ReqID: binary.BigEndian.Uint64(body[1:9]), Payload: body[9:]}
+}
+
+// frameBufSize is the read and write buffer per connection direction: one
+// read syscall drains every frame a pipelining peer has queued.
+const frameBufSize = 32 << 10
+
+// FrameReader reads frames through one reusable buffer. The payload of the
+// frame Next returns is borrowed: it aliases the buffer and is valid until
+// the next call to Next, so a caller decodes (or copies) before reading on.
+// A reader is used by one goroutine at a time; a failed Next loses no
+// buffered byte, so after a deadline error the next call resumes mid-frame.
+type FrameReader struct {
+	r      io.Reader
+	buf    []byte
+	lo, hi int // unread bytes are buf[lo:hi]
+}
+
+// NewFrameReader wraps r (normally a net.Conn).
+func NewFrameReader(r io.Reader) *FrameReader {
+	return &FrameReader{r: r, buf: make([]byte, frameBufSize)}
+}
+
+// Buffered reports whether the next frame is already in the buffer, whole:
+// Next will then return it without touching the connection.
+func (fr *FrameReader) Buffered() bool {
+	n := fr.hi - fr.lo
+	return n >= 4 && n-4 >= int(binary.BigEndian.Uint32(fr.buf[fr.lo:]))
+}
+
+// fill reads until need unread bytes are buffered, moving them to the
+// front — and growing the buffer, for a frame larger than it — as needed.
+func (fr *FrameReader) fill(need int) error {
+	if fr.hi-fr.lo >= need {
+		return nil
+	}
+	if need > len(fr.buf)-fr.lo {
+		buf := fr.buf
+		if need > len(buf) {
+			buf = make([]byte, need)
+		}
+		fr.hi = copy(buf, fr.buf[fr.lo:fr.hi])
+		fr.lo, fr.buf = 0, buf
+	}
+	for empty := 0; fr.hi-fr.lo < need; {
+		n, err := fr.r.Read(fr.buf[fr.hi:])
+		fr.hi += n
+		if err != nil && fr.hi-fr.lo < need {
+			return err
+		}
+		if n > 0 {
+			empty = 0
+		} else if empty++; empty >= 100 {
+			return io.ErrNoProgress
+		}
+	}
+	return nil
+}
+
+// Next reads one frame, with ReadFrame's errors: io.EOF untouched on a
+// clean close between frames, io.ErrUnexpectedEOF for a close mid-frame.
+func (fr *FrameReader) Next() (Frame, error) {
+	if fr.lo == fr.hi {
+		fr.lo, fr.hi = 0, 0
+		if len(fr.buf) > frameBufSize {
+			fr.buf = make([]byte, frameBufSize) // an oversized frame came and went
+		}
+	}
+	if err := fr.fill(4); err != nil {
+		if err == io.EOF && fr.hi > fr.lo {
+			err = io.ErrUnexpectedEOF
+		}
+		return Frame{}, err
+	}
+	n, err := bodyLen(fr.buf[fr.lo:])
+	if err != nil {
+		return Frame{}, err
+	}
+	if err := fr.fill(4 + n); err != nil {
+		if err == io.EOF {
+			err = io.ErrUnexpectedEOF
+		}
+		return Frame{}, err
+	}
+	body := fr.buf[fr.lo+4 : fr.lo+4+n]
+	fr.lo += 4 + n
+	return frameOf(body), nil
+}
+
+// Payload is anything that can append its wire encoding to a buffer — every
+// message of the catalog, and NoPayload.
+type Payload interface{ AppendTo(b []byte) []byte }
+
+// NoPayload is the empty payload of TOK and TPing.
+type NoPayload struct{}
+
+// AppendTo appends nothing.
+func (NoPayload) AppendTo(b []byte) []byte { return b }
 
 // FrameWriter serializes concurrent frame writes onto one connection
 // through a buffer with last-writer-out flush coalescing: a writer that
@@ -199,27 +305,44 @@ type FrameWriter struct {
 
 // NewFrameWriter wraps w (normally a net.Conn).
 func NewFrameWriter(w io.Writer) *FrameWriter {
-	return &FrameWriter{bw: bufio.NewWriterSize(w, 32<<10)}
+	return &FrameWriter{bw: bufio.NewWriterSize(w, frameBufSize)}
 }
 
-// WriteFrame writes one frame, flushing unless another writer is already
-// waiting to append to the buffer.
-func (fw *FrameWriter) WriteFrame(typ byte, reqID uint64, payload []byte) error {
+// Send encodes one frame straight into fw's buffer — no intermediate
+// payload or frame slice. With flush set the buffer is flushed unless
+// another writer is already waiting to append to it; without, the frame
+// stays buffered until a later Send or Flush pushes it out, which is how a
+// read loop answers a pipelined burst with one write.
+func Send[P Payload](fw *FrameWriter, typ byte, reqID uint64, p P, flush bool) error {
 	fw.queued.Add(1)
 	fw.mu.Lock()
 	defer fw.mu.Unlock()
-	if fw.err != nil {
-		fw.queued.Add(-1)
-		return fw.err
+	err := fw.err
+	if err == nil {
+		b := append(fw.bw.AvailableBuffer(), 0, 0, 0, 0, typ)
+		b = p.AppendTo(binary.BigEndian.AppendUint64(b, reqID))
+		if len(b)-4 > MaxFrame {
+			err = ErrFrameTooLarge
+		} else {
+			binary.BigEndian.PutUint32(b, uint32(len(b)-4))
+			_, err = fw.bw.Write(b)
+		}
 	}
-	err := WriteFrame(fw.bw, typ, reqID, payload)
-	if fw.queued.Add(-1) == 0 && err == nil {
+	if fw.queued.Add(-1) == 0 && flush && err == nil {
 		err = fw.bw.Flush()
 	}
-	if err != nil {
-		fw.err = err
-	}
+	fw.err = err
 	return err
+}
+
+// Flush pushes buffered frames out; a no-op when there are none.
+func (fw *FrameWriter) Flush() error {
+	fw.mu.Lock()
+	defer fw.mu.Unlock()
+	if fw.err == nil && fw.bw.Buffered() > 0 {
+		fw.err = fw.bw.Flush()
+	}
+	return fw.err
 }
 
 // Hello is the client's opening handshake message.

@@ -8,12 +8,14 @@ import (
 	"testing"
 	"time"
 
+	"colock/client"
 	"colock/internal/core"
 	"colock/internal/health"
 	"colock/internal/journal"
 	"colock/internal/lock"
 	"colock/internal/obs"
 	"colock/internal/resilience"
+	"colock/internal/server"
 	"colock/internal/store"
 	"colock/internal/trace"
 	"colock/internal/txn"
@@ -196,6 +198,58 @@ func TestCellEditAllocsBare(t *testing.T) {
 	}
 }
 
+// The same cell edit through client, loopback TCP and server — 12 round
+// trips — adds next to nothing to the engine's 52: requests and replies are
+// encoded into the connections' write buffers and decoded out of their read
+// buffers, path segments come from the session's intern table, and no
+// goroutine is started. What is left is the client's and the session's
+// per-transaction handles, one each. (227 when every frame was a fresh
+// slice and every Commit a fresh goroutine.)
+func TestCellEditAllocsOverWire(t *testing.T) {
+	skipUnlessPoolsRecycle(t)
+	run := wireCellEdits(t)
+	for i := 0; i < pinCells; i++ {
+		run()
+	}
+	if got := testing.AllocsPerRun(4*pinCells, run); got > 56 {
+		t.Errorf("over the wire: %.1f allocs per cell edit across client and server, want ≤ 56", got)
+	}
+}
+
+// wireCellEdits returns a function that runs the next cell edit of the ring
+// through a client dialed to a loopback server over a sink-less engine.
+func wireCellEdits(tb testing.TB) func() {
+	srv := server.New(bareTxnManager(tb), server.Options{})
+	if err := srv.Serve("127.0.0.1:0"); err != nil {
+		tb.Fatal(err)
+	}
+	tb.Cleanup(func() { srv.Close() })
+	cl, err := client.Dial(srv.Addr(), client.Options{})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	tb.Cleanup(func() { cl.Close() })
+	ctx := context.Background()
+	edits := cellEdits()
+	i := 0
+	return func() {
+		e := &edits[i%len(edits)]
+		i++
+		tx, err := cl.Begin(ctx)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		for k := range e.paths {
+			if err := tx.LockPath(ctx, e.paths[k], e.modes[k]); err != nil {
+				tb.Fatal(err)
+			}
+		}
+		if err := tx.Commit(); err != nil {
+			tb.Fatal(err)
+		}
+	}
+}
+
 // Tracing a warm acquire/release pair through every sink allocates nothing:
 // pooled tracer, events handed over as one borrowed slice. What is left is
 // what the pair costs without sinks (the per-transaction held-lock index and
@@ -268,6 +322,17 @@ func BenchmarkCellEditObserved(b *testing.B) {
 // BenchmarkCellEditBare is the same transaction on the sink-less engine.
 func BenchmarkCellEditBare(b *testing.B) {
 	benchCellEdits(b, bareTxnManager(b))
+}
+
+// BenchmarkCellEditOverWire is the same transaction on that engine through
+// client, loopback TCP and server.
+func BenchmarkCellEditOverWire(b *testing.B) {
+	run := wireCellEdits(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		run()
+	}
 }
 
 func benchCellEdits(b *testing.B, tm *txn.Manager) {
