@@ -1,17 +1,17 @@
 GO ?= go
 
-.PHONY: ci fmt vet build test race race-net bench shardbench obsbench tracebench hotbench hotbench-smoke stormbench stormbench-smoke healthbench healthmon-smoke journalbench journal-smoke grantbench grantbench-smoke netbench netbench-smoke bench-check benchdiff nodeprecated doc-lint drift-check obs-demo trace-demo figures clean
+.PHONY: ci fmt vet build test race race-matrix bench shardbench obsbench tracebench hotbench hotbench-smoke stormbench stormbench-smoke healthbench healthmon-smoke journalbench journal-smoke grantbench grantbench-smoke netbench netbench-smoke bench-check benchdiff nodeprecated doc-lint drift-check obs-demo trace-demo figures clean
 
 # ci is the gate every change must pass: formatting, vet, the
 # no-deprecated-wrappers grep, the godoc and docs-drift lints, build, the
 # full test suite under the race detector (the lock manager and protocol
-# are concurrent; -race is not optional here), the network path again at
-# 1, 2 and 4 cores, the end-to-end
+# are concurrent; -race is not optional here), the scheduling-sensitive
+# packages again at 1, 2 and 4 cores, the end-to-end
 # incident-dump demo, the fast-path, contention-survival, grant-path, and
 # network smoke benchmarks, the health-monitor smoke gate, the
 # journal-forensics smoke gate, and the check that the frozen benchmark
 # module still builds and runs against this tree.
-ci: fmt vet nodeprecated doc-lint drift-check build race race-net trace-demo hotbench-smoke stormbench-smoke healthmon-smoke journal-smoke grantbench-smoke netbench-smoke bench-check
+ci: fmt vet nodeprecated doc-lint drift-check build race race-matrix trace-demo hotbench-smoke stormbench-smoke healthmon-smoke journal-smoke grantbench-smoke netbench-smoke bench-check
 
 # fmt fails if any file needs gofmt, listing the offenders.
 fmt:
@@ -30,11 +30,13 @@ test:
 race:
 	$(GO) test -race ./...
 
-# race-net repeats the network path's tests at 1, 2 and 4 cores: who holds
-# the read loop (server session) and the reader role (client) is decided by
-# scheduling, so one core count does not cover the hand-offs.
-race-net:
-	$(GO) test -race -cpu 1,2,4 -count=2 ./client ./internal/server ./internal/wire
+# race-matrix repeats the scheduling-sensitive packages' tests at 1, 2 and 4
+# cores. On the network path, who holds the read loop (server session) and
+# the reader role (client) is decided by scheduling, so one core count does
+# not cover the hand-offs; in core and store, the downward scan runs against
+# concurrent writers and the post-grant re-check depends on who parks when.
+race-matrix:
+	$(GO) test -race -cpu 1,2,4 -count=2 ./client ./internal/server ./internal/wire ./internal/core ./internal/store
 
 bench:
 	$(GO) test -bench=. -benchmem ./...

@@ -31,11 +31,11 @@ func TestNamerResourceZeroAllocs(t *testing.T) {
 func TestNamerChainZeroAllocs(t *testing.T) {
 	nm := NewNamer(store.PaperDatabase().Catalog(), false)
 	n := DataNode(store.P("cells", "c1", "robots", "r1"))
-	if _, _, err := nm.chain(n); err != nil {
+	if _, _, _, err := nm.chain(n); err != nil {
 		t.Fatal(err)
 	}
 	allocs := testing.AllocsPerRun(200, func() {
-		if _, _, err := nm.chain(n); err != nil {
+		if _, _, _, err := nm.chain(n); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -70,8 +70,8 @@ func TestNamerCacheMatchesUncached(t *testing.T) {
 				t.Errorf("coalesce=%v %v: cached (%q, %v) != legacy (%q, %v)",
 					coalesce, p, cr, cerr, lr, lerr)
 			}
-			_, canc, cerr := cached.chain(n)
-			_, lanc, lerr := legacy.chain(n)
+			_, canc, _, cerr := cached.chain(n)
+			_, lanc, _, lerr := legacy.chain(n)
 			if (cerr == nil) != (lerr == nil) || len(canc) != len(lanc) {
 				t.Errorf("coalesce=%v %v: ancestors differ: cached %v (%v) legacy %v (%v)",
 					coalesce, p, canc, cerr, lanc, lerr)

@@ -279,41 +279,43 @@ func (nm *Namer) segRes(seg string) lock.Resource {
 }
 
 // chain returns the resource name of n together with its ancestor resources
-// in root-to-leaf order — the protocol's per-lock naming, served from the
+// in root-to-leaf order and, for a data node, its schema type (nil for a
+// path of invalid shape) — the protocol's per-lock naming, served from the
 // cache with zero allocations after the first visit. The returned slice is
 // shared and must not be modified.
-func (nm *Namer) chain(n Node) (lock.Resource, []lock.Resource, error) {
+func (nm *Namer) chain(n Node) (lock.Resource, []lock.Resource, *schema.Type, error) {
 	switch n.Level {
 	case LevelDatabase:
-		return nm.dbRes, nil, nil
+		return nm.dbRes, nil, nil, nil
 	case LevelSegment:
-		return nm.segRes(n.Segment), nm.dbAnc, nil
+		return nm.segRes(n.Segment), nm.dbAnc, nil, nil
 	}
 	if nm.nocache {
 		res, err := nm.Resource(n)
 		if err != nil {
-			return "", nil, err
+			return "", nil, nil, err
 		}
 		ancNodes, err := nm.Ancestors(n)
 		if err != nil {
-			return "", nil, err
+			return "", nil, nil, err
 		}
 		anc := make([]lock.Resource, len(ancNodes))
 		for i, a := range ancNodes {
 			if anc[i], err = nm.Resource(a); err != nil {
-				return "", nil, err
+				return "", nil, nil, err
 			}
 		}
-		return res, anc, nil
+		info, _ := nm.classifyUncached(n.Path)
+		return res, anc, info.Type, nil
 	}
 	e, err := nm.entryFor(n.Path)
 	if err != nil {
-		return "", nil, err
+		return "", nil, nil, err
 	}
 	if nm.coalesceBLUs && len(n.Path) >= 3 && e.infoErr != nil {
-		return "", nil, e.infoErr
+		return "", nil, nil, e.infoErr
 	}
-	return e.res, e.anc, nil
+	return e.res, e.anc, e.info.Type, nil
 }
 
 // Catalog returns the catalog the namer was built over.

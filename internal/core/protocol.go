@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -239,17 +240,25 @@ func (p *Protocol) lockOpts(ctx context.Context, txn lock.TxnID, n Node, mode lo
 	if p.gcache != nil {
 		tg = p.gcache.get(txn)
 	}
-	return p.lockRec(ctx, txn, n, mode, durable, noFollow, timeout, requested, tg, sp)
+	return p.lockRec(ctx, txn, n, mode, "", durable, noFollow, timeout, requested, tg, sp)
 }
 
 var requestedPool = sync.Pool{
 	New: func() any { return make(map[lock.Resource]lock.Mode, 16) },
 }
 
-func (p *Protocol) lockRec(ctx context.Context, txn lock.TxnID, n Node, mode lock.Mode, durable, noFollow bool, timeout time.Duration, requested map[lock.Resource]lock.Mode, tg *txnGrants, sp trace.SpanHandle) error {
-	res, anc, err := p.nm.chain(n)
+// lockRec locks one node under the protocol. kind is "" for the node the
+// caller named and the span kind ("downward", "downward-rule4prime") for an
+// entry point reached by propagation: its span then becomes the parent of
+// the recursion's own spans, so the tree mirrors the propagation structure.
+func (p *Protocol) lockRec(ctx context.Context, txn lock.TxnID, n Node, mode lock.Mode, kind string, durable, noFollow bool, timeout time.Duration, requested map[lock.Resource]lock.Mode, tg *txnGrants, sp trace.SpanHandle) (err error) {
+	res, anc, t, err := p.nm.chain(n)
 	if err != nil {
 		return err
+	}
+	if kind != "" && sp.Recording() {
+		sp = sp.Child(kind, res, mode)
+		defer func() { sp.End(err) }()
 	}
 	if prev, ok := requested[res]; ok && prev.Covers(mode) {
 		p.counters.memoHits.Add(1)
@@ -314,37 +323,22 @@ func (p *Protocol) lockRec(ctx context.Context, txn lock.TxnID, n Node, mode loc
 	// Rules 3/4/4′, downward part: before granting S or X on the node, lock
 	// the entry points of all lower (dependent) inner units accessible via
 	// it. Downward propagation crosses superunit boundaries and recurses,
-	// because common data may again contain common data.
+	// because common data may again contain common data. The schema rules a
+	// reference out below most data nodes (t has no ref plan): those need no
+	// scan, before the grant or after it.
+	var sc *scanBuf
 	if follow {
 		p.counters.entryScans.Add(1)
-		entries, err := EntryPointsUnder(p.st, p.nm, n)
-		if err != nil {
-			return err
-		}
-		for _, ep := range entries {
-			em := mode
-			kind := "downward"
-			if mode == lock.X && p.rule4Prime && !p.auth.CanModify(txn, ep.Relation()) {
-				// Rule 4′: non-modifiable inner units are only S-locked.
-				em = lock.S
-				kind = "downward-rule4prime"
-				p.counters.rule4Weakened.Add(1)
-			}
-			p.counters.downward.Add(1)
-			// The downward span becomes the parent of the recursion's own
-			// spans, so the tree mirrors the propagation structure.
-			next, opened := sp, false
-			if traced {
-				if eres, rerr := p.nm.Resource(DataNode(ep)); rerr == nil {
-					next, opened = sp.Child(kind, eres, em), true
-				}
-			}
-			err := p.lockRec(ctx, txn, DataNode(ep), em, durable, noFollow, timeout, requested, tg, next)
-			if opened {
-				next.End(err)
-			}
-			if err != nil {
+		if n.Level != LevelData || t.RefPlan() != nil {
+			sc = scanPool.Get().(*scanBuf)
+			defer scanPool.Put(sc)
+			if sc.cur, err = entryTargets(p.st, p.nm, n, t, sc.cur[:0]); err != nil {
 				return err
+			}
+			for _, ep := range sc.cur {
+				if err := p.lockEntry(ctx, txn, ep, mode, durable, noFollow, timeout, requested, tg, sp); err != nil {
+					return err
+				}
 			}
 		}
 	}
@@ -364,7 +358,42 @@ func (p *Protocol) lockRec(ctx context.Context, txn lock.TxnID, n Node, mode loc
 	}
 	p.counters.nodeLocks.Add(1)
 	tg.note(res, mode, durable)
+
+	// The scan ran before the grant, and the request may have waited in
+	// between: a transaction holding X below the node could add a reference
+	// and commit meanwhile. Now that the grant keeps writers out, scan again
+	// and lock what the first scan could not see, until nothing new turns up.
+	for late := true; sc != nil && late; {
+		sc.prev, sc.cur = sc.cur, sc.prev
+		if sc.cur, err = entryTargets(p.st, p.nm, n, t, sc.cur[:0]); err != nil {
+			return err
+		}
+		late = false
+		for _, ep := range sc.cur {
+			if _, seen := slices.BinarySearchFunc(sc.prev, ep, cmpEntry); seen {
+				continue
+			}
+			late = true
+			p.counters.lateEntries.Add(1)
+			if err := p.lockEntry(ctx, txn, ep, mode, durable, noFollow, timeout, requested, tg, sp); err != nil {
+				return err
+			}
+		}
+	}
 	return nil
+}
+
+// lockEntry propagates a request of the given mode onto one entry point
+// found below the requested node (rules 3/4, or 4′ where it applies).
+func (p *Protocol) lockEntry(ctx context.Context, txn lock.TxnID, ep store.Ref, mode lock.Mode, durable, noFollow bool, timeout time.Duration, requested map[lock.Resource]lock.Mode, tg *txnGrants, sp trace.SpanHandle) error {
+	kind := "downward"
+	if mode == lock.X && p.rule4Prime && !p.auth.CanModify(txn, ep.Relation) {
+		// Rule 4′: non-modifiable inner units are only S-locked.
+		mode, kind = lock.S, "downward-rule4prime"
+		p.counters.rule4Weakened.Add(1)
+	}
+	p.counters.downward.Add(1)
+	return p.lockRec(ctx, txn, DataNode(store.P(ep.Relation, ep.Key)), mode, kind, durable, noFollow, timeout, requested, tg, sp)
 }
 
 // upwardBatched services the upward half of rules 1–4 for unsampled calls
@@ -520,7 +549,7 @@ func (p *Protocol) Release(txn lock.TxnID) { p.mgr.ReleaseAll(txn) }
 // descendants in the same mode (§3.1). Because resource names are the
 // immediate-parent chains, implicit coverage is prefix coverage.
 func (p *Protocol) EffectiveMode(txn lock.TxnID, n Node) (lock.Mode, error) {
-	res, anc, err := p.nm.chain(n)
+	res, anc, _, err := p.nm.chain(n)
 	if err != nil {
 		return lock.None, err
 	}

@@ -26,9 +26,14 @@ type ProtocolStats struct {
 	// rules 1–4's requirement serviced in the rule 5 root-to-leaf order,
 	// including the implicit upward propagation above entry points.
 	UpwardLocks uint64
-	// EntryPointScans counts store walks discovering the dependent entry
-	// points below a node (the downward half of rules 3 and 4).
+	// EntryPointScans counts S/X requests that looked for dependent entry
+	// points below their node (the downward half of rules 3 and 4), whether
+	// the schema answered or the store had to be scanned.
 	EntryPointScans uint64
+	// LateEntryPoints counts entry points found only by the re-check after
+	// the node's own grant: references added below the node while the
+	// request waited for it.
+	LateEntryPoints uint64
 	// DownwardPropagations counts entry points recursively locked by
 	// downward propagation (rule 3 for S, rule 4 for X).
 	DownwardPropagations uint64
@@ -57,6 +62,7 @@ type protoCounters struct {
 	memoHits      atomic.Uint64
 	upwardLocks   atomic.Uint64
 	entryScans    atomic.Uint64
+	lateEntries   atomic.Uint64
 	downward      atomic.Uint64
 	rule4Weakened atomic.Uint64
 	nodeLocks     atomic.Uint64
@@ -71,6 +77,7 @@ func (pc *protoCounters) snapshot() ProtocolStats {
 		MemoHits:             pc.memoHits.Load(),
 		UpwardLocks:          pc.upwardLocks.Load(),
 		EntryPointScans:      pc.entryScans.Load(),
+		LateEntryPoints:      pc.lateEntries.Load(),
 		DownwardPropagations: pc.downward.Load(),
 		Rule4PrimeWeakened:   pc.rule4Weakened.Load(),
 		NodeLocks:            pc.nodeLocks.Load(),
@@ -85,6 +92,7 @@ func (pc *protoCounters) reset() {
 	pc.memoHits.Store(0)
 	pc.upwardLocks.Store(0)
 	pc.entryScans.Store(0)
+	pc.lateEntries.Store(0)
 	pc.downward.Store(0)
 	pc.rule4Weakened.Store(0)
 	pc.nodeLocks.Store(0)
@@ -113,6 +121,7 @@ func (p *Protocol) WriteMetrics(w io.Writer) {
 		{"memo_hits", st.MemoHits},
 		{"upward_locks", st.UpwardLocks},
 		{"entry_point_scans", st.EntryPointScans},
+		{"late_entry_points", st.LateEntryPoints},
 		{"downward_propagations", st.DownwardPropagations},
 		{"rule4prime_weakened", st.Rule4PrimeWeakened},
 		{"node_locks", st.NodeLocks},

@@ -1,9 +1,14 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
+	"strings"
+	"sync"
 
+	"colock/internal/schema"
 	"colock/internal/store"
 )
 
@@ -167,88 +172,115 @@ func unitNodes(st *store.Store, object store.Path) ([]store.Path, []store.RefAt)
 // accessible via the node n: the distinct targets of all references in n's
 // subtree, excluding targets that are themselves descendants of n in the
 // lock hierarchy (those are already covered implicitly by a lock on n).
-// The result is sorted for deterministic lock-acquisition order.
+// The result is sorted (Path.String() order) for deterministic
+// lock-acquisition order.
 //
-// This is the scan the protocol performs for implicit downward propagation;
-// §4.4.2.1 argues it is cheap because "the affected inner units have to be
-// accessed anyway to read the data during query execution".
+// This is the scan the protocol performs for implicit downward propagation
+// (§4.4.2.1). It is compiled from the schema: the type of n says whether a
+// reference can lie below it and which hops lead there (schema.RefPlan), so
+// a node over reference-free data is answered without touching the store,
+// and any other node by one read-locked pass over just those hops.
 func EntryPointsUnder(st *store.Store, nm *Namer, n Node) ([]store.Path, error) {
-	var refs []store.RefAt
+	var t *schema.Type
+	if n.Level == LevelData {
+		// The schema walk, not the name cache: a handful of steps over
+		// memory that is always hot, which a cache entry for a path not
+		// named lately is not. A path of invalid shape in a known relation
+		// has no type, and nothing stored below it.
+		info, err := nm.classifyUncached(n.Path)
+		if err != nil && nm.cat.Relation(n.Path.Relation()) == nil {
+			return nil, err
+		}
+		t = info.Type
+	}
+	// Most nodes reference a handful of entry points at most: collect on the
+	// stack, and allocate only the result.
+	var few [8]store.Ref
+	eps, err := entryTargets(st, nm, n, t, few[:0])
+	if err != nil || len(eps) == 0 {
+		return nil, err
+	}
+	segs := make([]string, 0, 2*len(eps))
+	out := make([]store.Path, len(eps))
+	for i, ep := range eps {
+		segs = append(segs, ep.Relation, ep.Key)
+		out[i] = segs[2*i : 2*i+2 : 2*i+2]
+	}
+	return out, nil
+}
+
+// scanBuf holds the entry points one lock request found below its node: cur
+// from the latest scan, prev from the one before (the protocol compares the
+// two after the grant). Pooled, so a scan allocates nothing once warm.
+type scanBuf struct{ cur, prev []store.Ref }
+
+var scanPool = sync.Pool{New: func() any { return new(scanBuf) }}
+
+// entryTargets appends to buf the entry points below n, distinct and in
+// Path.String() order. t is n's schema type (data nodes only; nil for a path
+// of invalid shape, below which nothing is stored).
+func entryTargets(st *store.Store, nm *Namer, n Node, t *schema.Type, buf []store.Ref) ([]store.Ref, error) {
 	switch n.Level {
 	case LevelDatabase:
 		// The database is the root of every superunit: everything is
 		// implicitly covered, no propagation needed.
-		return nil, nil
+		return buf, nil
 	case LevelSegment:
 		for _, rel := range nm.cat.Relations() {
-			if rel.Segment != n.Segment {
+			if rel.Segment == n.Segment {
+				buf = st.RefTargets(store.Path{rel.Name}, rel.Type.RefPlan(), buf)
+			}
+		}
+	case LevelRelation:
+		if rel := nm.cat.Relation(n.Path.Relation()); rel != nil {
+			buf = st.RefTargets(n.Path, rel.Type.RefPlan(), buf)
+		}
+	case LevelData:
+		// A schema-valid path whose instance does not exist (yet) has no
+		// dependent inner units — this happens when locking the resource of
+		// an object about to be inserted.
+		buf = st.RefTargets(n.Path, t.RefPlan(), buf)
+	}
+	kept := buf[:0]
+	for _, r := range buf {
+		if n.Level == LevelSegment {
+			// Targets stored in the same segment are descendants of the
+			// segment node and implicitly covered.
+			trel := nm.cat.Relation(r.Relation)
+			if trel == nil {
+				return nil, fmt.Errorf("core: unknown relation %q", r.Relation)
+			}
+			if trel.Segment == n.Segment {
 				continue
 			}
-			rs, err := relationRefs(st, rel.Name)
-			if err != nil {
-				return nil, err
-			}
-			refs = append(refs, rs...)
-		}
-		// Exclude targets stored in the same segment: they are descendants
-		// of the segment node and implicitly covered.
-		filtered := refs[:0]
-		for _, r := range refs {
-			trel := nm.cat.Relation(r.Target.Relation)
-			if trel == nil {
-				return nil, fmt.Errorf("core: unknown relation %q", r.Target.Relation)
-			}
-			if trel.Segment != n.Segment {
-				filtered = append(filtered, r)
-			}
-		}
-		refs = filtered
-	case LevelRelation:
-		rs, err := relationRefs(st, n.Path.Relation())
-		if err != nil {
-			return nil, err
-		}
-		refs = rs
-	case LevelData:
-		rs, err := st.Refs(n.Path)
-		if err != nil {
-			// A schema-valid path whose instance does not exist (yet) has no
-			// dependent inner units — this happens when locking the resource
-			// of an object about to be inserted.
-			if nm.cat.Relation(n.Path.Relation()) == nil {
-				return nil, err
-			}
-			return nil, nil
-		}
-		refs = rs
-	}
-	seen := make(map[string]bool)
-	var out []store.Path
-	for _, r := range refs {
-		p := store.P(r.Target.Relation, r.Target.Key)
-		// Targets inside the requested node's own subtree are already
-		// implicitly covered by a lock on n — possible only with recursive
-		// complex objects (a relation or object referencing itself).
-		if (n.Level == LevelRelation || n.Level == LevelData) && p.HasPrefix(n.Path) {
+		} else if r.Relation == n.Path[0] && (len(n.Path) == 1 || len(n.Path) == 2 && r.Key == n.Path[1]) {
+			// Targets inside the requested node's own subtree are already
+			// implicitly covered by a lock on n — possible only with
+			// recursive complex objects (a relation or object referencing
+			// itself).
 			continue
 		}
-		if k := p.String(); !seen[k] {
-			seen[k] = true
-			out = append(out, p)
-		}
+		kept = append(kept, r)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].String() < out[j].String() })
-	return out, nil
+	slices.SortFunc(kept, cmpEntry)
+	return slices.Compact(kept), nil
 }
 
-func relationRefs(st *store.Store, relation string) ([]store.RefAt, error) {
-	var out []store.RefAt
-	for _, key := range st.Keys(relation) {
-		rs, err := st.Refs(store.P(relation, key))
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, rs...)
+// cmpEntry orders entry points as their Path.String() forms order —
+// relation + "/" + key — without building the strings.
+func cmpEntry(a, b store.Ref) int {
+	ar, br := a.Relation, b.Relation
+	if ar == br {
+		return strings.Compare(a.Key, b.Key)
 	}
-	return out, nil
+	n := min(len(ar), len(br))
+	if c := strings.Compare(ar[:n], br[:n]); c != 0 {
+		return c
+	}
+	// One relation name is a proper prefix of the other; in the joined form
+	// its next byte is the separator, which no relation name contains.
+	if len(ar) == n {
+		return cmp.Compare('/', br[n])
+	}
+	return cmp.Compare(ar[n], '/')
 }

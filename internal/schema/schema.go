@@ -90,6 +90,76 @@ type Type struct {
 	Elem   *Type   // element type for Set and List
 	Fields []Field // attributes for Tuple
 	Target string  // referenced relation for Ref
+
+	// plan is the type's ref plan, compiled when a relation built on the
+	// type enters a catalog (planned marks it done); see RefPlan.
+	plan    *RefPlan
+	planned bool
+}
+
+// RefPlan is rules 3/4's downward scan (§4.4.2.1) compiled from one type: the
+// hops that lead from a value of the type to every reference BLU below it —
+// the places where the object-specific lock graph (Figure 5) has a dashed
+// edge. A type with no reference below it has no plan (nil), so the protocol
+// can grant S or X on such a node without looking at the stored value at all.
+// A plan with neither Fields nor Elem stands for a reference BLU itself.
+type RefPlan struct {
+	// Fields lists a tuple's attributes that have a plan of their own.
+	Fields []PlanField
+	// Elem is the plan of every element of a set or list.
+	Elem *RefPlan
+}
+
+// PlanField is one tuple attribute on the way to a reference.
+type PlanField struct {
+	Name string
+	Plan *RefPlan
+}
+
+// RefPlan returns the type's ref plan, nil when no reference BLU lies at or
+// below it. A type in a catalog answers from the plan AddRelation compiled;
+// any other type is walked on the spot.
+func (t *Type) RefPlan() *RefPlan {
+	if t == nil {
+		return nil
+	}
+	if t.planned {
+		return t.plan
+	}
+	switch t.Kind {
+	case KindRef:
+		return &RefPlan{}
+	case KindSet, KindList:
+		if e := t.Elem.RefPlan(); e != nil {
+			return &RefPlan{Elem: e}
+		}
+	case KindTuple:
+		var fields []PlanField
+		for _, f := range t.Fields {
+			if fp := f.Type.RefPlan(); fp != nil {
+				fields = append(fields, PlanField{Name: f.Name, Plan: fp})
+			}
+		}
+		if fields != nil {
+			return &RefPlan{Fields: fields}
+		}
+	}
+	return nil
+}
+
+// compilePlans stores the ref plan on every type of the tree, leaves first,
+// so that each plan is built from its children's stored plans. Types already
+// planned (shared with a relation added earlier) are left alone: nothing is
+// written to a type another goroutine may be reading.
+func (t *Type) compilePlans() {
+	if t == nil || t.planned {
+		return
+	}
+	t.Elem.compilePlans()
+	for _, f := range t.Fields {
+		f.Type.compilePlans()
+	}
+	t.plan, t.planned = t.RefPlan(), true
 }
 
 // Convenience constructors mirroring the paper's notation.
@@ -245,6 +315,9 @@ func (c *Catalog) Segments() []string {
 }
 
 // AddRelation registers a relation; its segment is registered implicitly.
+// The relation's type tree must not change afterwards: its ref plans are
+// compiled here, and the lock protocol's name cache relies on the same
+// immutability.
 func (c *Catalog) AddRelation(r *Relation) error {
 	if r == nil || r.Name == "" {
 		return fmt.Errorf("schema: relation must have a name")
@@ -252,6 +325,7 @@ func (c *Catalog) AddRelation(r *Relation) error {
 	if _, dup := c.relations[r.Name]; dup {
 		return fmt.Errorf("schema: duplicate relation %q", r.Name)
 	}
+	r.Type.compilePlans()
 	c.AddSegment(r.Segment)
 	c.relations[r.Name] = r
 	c.relOrder = append(c.relOrder, r.Name)

@@ -306,3 +306,43 @@ func TestPaperSchemaMatchesFigure1(t *testing.T) {
 		t.Errorf("segments = %v", got)
 	}
 }
+
+// TestRefPlan: the plan lists exactly the hops that end in a reference, is
+// stored on every type of a catalogued relation, and reads the same from a
+// type no catalog has seen.
+func TestRefPlan(t *testing.T) {
+	cat := PaperSchema()
+	if p := cat.Relation("effectors").Type.RefPlan(); p != nil {
+		t.Errorf("effectors has a ref plan: %+v", p)
+	}
+	cells := cat.Relation("cells").Type
+	p := cells.RefPlan()
+	if p == nil || len(p.Fields) != 1 || p.Fields[0].Name != "robots" || p.Elem != nil {
+		t.Fatalf("cells plan = %+v, want the single hop robots", p)
+	}
+	robot := p.Fields[0].Plan.Elem
+	if robot == nil || len(robot.Fields) != 1 || robot.Fields[0].Name != "effectors" {
+		t.Fatalf("robot plan = %+v, want the single hop effectors", robot)
+	}
+	if leaf := robot.Fields[0].Plan.Elem; leaf == nil || leaf.Fields != nil || leaf.Elem != nil {
+		t.Errorf("effectors element plan = %+v, want a bare reference", leaf)
+	}
+	// Compiled once: the robot type hands out the plan the cell's plan links.
+	if got := cells.Field("robots").Elem.RefPlan(); got != robot {
+		t.Error("robot type's plan is not the one its parent's plan points at")
+	}
+	if cells.Field("c_objects").RefPlan() != nil || cells.Field("cell_id").RefPlan() != nil {
+		t.Error("reference-free attributes have a plan")
+	}
+	// A type outside any catalog is walked on the spot.
+	loose := Tuple(F("id", Str()), F("m", List(Tuple(F("r", Ref("x")), F("n", Int())))))
+	lp := loose.RefPlan()
+	if lp == nil || len(lp.Fields) != 1 || lp.Fields[0].Name != "m" ||
+		len(lp.Fields[0].Plan.Elem.Fields) != 1 || lp.Fields[0].Plan.Elem.Fields[0].Name != "r" {
+		t.Errorf("loose plan = %+v", lp)
+	}
+	var none *Type
+	if none.RefPlan() != nil {
+		t.Error("nil type has a plan")
+	}
+}

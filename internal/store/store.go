@@ -169,14 +169,40 @@ func (s *Store) lookupLocked(p Path) (Value, error) {
 	return cur, nil
 }
 
+// typeAt returns the schema type of the value a path addresses, nil when
+// the path does not fit the schema.
+func (s *Store) typeAt(p Path) *schema.Type {
+	rel := s.cat.Relation(p.Relation())
+	if rel == nil || len(p) < 2 {
+		return nil
+	}
+	t := rel.Type
+	for _, seg := range p[2:] {
+		switch {
+		case t == nil:
+			return nil
+		case t.Kind == schema.KindTuple:
+			t = t.Field(seg)
+		default:
+			t = t.Elem // nil below an atomic value
+		}
+	}
+	return t
+}
+
 // SetAtomic replaces the atomic (or reference) value a path addresses and
-// returns the previous value, for undo logging.
+// returns the previous value, for undo logging. Like Insert and AddElem it
+// type-checks what it stores: the lock protocol finds references by the
+// schema's word on where they can be (RefTargets).
 func (s *Store) SetAtomic(p Path, v Value) (Value, error) {
 	if len(p) < 3 {
 		return nil, fmt.Errorf("store: path %q too short for attribute update", p)
 	}
 	if !v.Kind().Atomic() {
 		return nil, fmt.Errorf("store: SetAtomic with non-atomic %v", v.Kind())
+	}
+	if err := Check(v, s.typeAt(p)); err != nil {
+		return nil, fmt.Errorf("store: path %q: %w", p, err)
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -190,9 +216,6 @@ func (s *Store) SetAtomic(p Path, v Value) (Value, error) {
 		old := x.Get(last)
 		if old == nil {
 			return nil, fmt.Errorf("store: path %q: no field %q", p, last)
-		}
-		if old.Kind() != v.Kind() {
-			return nil, fmt.Errorf("store: path %q: kind %v, want %v", p, v.Kind(), old.Kind())
 		}
 		x.Set(last, v)
 		return old, nil
@@ -217,6 +240,11 @@ func (s *Store) SetAtomic(p Path, v Value) (Value, error) {
 // AddElem inserts an element into the collection a path addresses; it fails
 // if the ID already exists.
 func (s *Store) AddElem(collection Path, id string, v Value) error {
+	if t := s.typeAt(collection); t != nil && t.Elem != nil {
+		if err := Check(v, t.Elem); err != nil {
+			return fmt.Errorf("store: %q: element %q: %w", collection, id, err)
+		}
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	cv, err := s.lookupLocked(collection)
@@ -319,12 +347,11 @@ func (s *Store) ScanCount() uint64 { return s.scans.Load() }
 func (s *Store) ResetScanCount() { s.scans.Store(0) }
 
 // Refs returns the paths of all reference leaves inside the subtree rooted
-// at p, together with their targets. The lock protocol uses this during
-// implicit downward propagation: "this is done by a scan over all the
-// existing references … the affected inner units have to be accessed anyway
-// to read the data during query execution" (§4.4.2.1). The whole traversal
-// runs under the store's read lock so it is safe against concurrent
-// mutation of unrelated data.
+// at p, together with their targets, for callers that need to know where
+// each reference sits (unit analysis, the baseline protocols). The lock
+// protocol's downward propagation needs only the targets and uses RefTargets.
+// The whole traversal runs under the store's read lock so it is safe against
+// concurrent mutation of unrelated data.
 func (s *Store) Refs(p Path) ([]RefAt, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
@@ -341,6 +368,58 @@ func (s *Store) Refs(p Path) ([]RefAt, error) {
 	var out []RefAt
 	collectRefs(v, p, &out)
 	return out, nil
+}
+
+// RefTargets appends to buf the target of every reference leaf below p that
+// plan leads to, and returns the extended slice: the "scan over all the
+// existing references" of implicit downward propagation (§4.4.2.1), reduced
+// to the hops the schema says can end in a reference. A path of length 1
+// scans every object of the relation; an instance that does not exist (yet)
+// contributes nothing. Targets come in no particular order and may repeat.
+// One pass under the read lock; nothing is allocated beyond buf's growth.
+func (s *Store) RefTargets(p Path, plan *schema.RefPlan, buf []Ref) []Ref {
+	if plan == nil || len(p) == 0 {
+		return buf
+	}
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	if len(p) == 1 {
+		for _, obj := range s.rels[p[0]] {
+			buf = collectTargets(obj, plan, buf)
+		}
+		return buf
+	}
+	v, err := s.lookupLocked(p)
+	if err != nil {
+		return buf
+	}
+	return collectTargets(v, plan, buf)
+}
+
+// collectTargets walks v along plan. The value decides how to descend and
+// the plan where, so a value that does not fit the plan's type is skipped
+// rather than misread.
+func collectTargets(v Value, plan *schema.RefPlan, buf []Ref) []Ref {
+	var elems map[string]Value
+	switch x := v.(type) {
+	case Ref:
+		return append(buf, x)
+	case *Tuple:
+		for _, f := range plan.Fields {
+			buf = collectTargets(x.fields[f.Name], f.Plan, buf)
+		}
+		return buf
+	case *Set:
+		elems = x.elems
+	case *List:
+		elems = x.elems
+	}
+	if plan.Elem != nil {
+		for _, e := range elems {
+			buf = collectTargets(e, plan.Elem, buf)
+		}
+	}
+	return buf
 }
 
 // LookupClone navigates a path and returns a deep copy of the addressed

@@ -1,6 +1,7 @@
 package store
 
 import (
+	"sort"
 	"strings"
 	"testing"
 
@@ -175,6 +176,17 @@ func TestSetAtomic(t *testing.T) {
 	if oldRef != (Ref{"effectors", "e1"}) {
 		t.Errorf("old ref = %v", oldRef)
 	}
+	// Elements are type-checked too: the schema says where references can
+	// be, and the lock protocol takes its word.
+	if _, err := s.SetAtomic(rp, Str("e1")); err == nil {
+		t.Error("string accepted as element of a set of references")
+	}
+	if _, err := s.SetAtomic(rp, Ref{"cells", "c1"}); err == nil {
+		t.Error("reference to the wrong relation accepted")
+	}
+	if _, err := s.SetAtomic(p, Ref{"effectors", "e1"}); err == nil {
+		t.Error("reference accepted in a string attribute")
+	}
 }
 
 func TestAddRemoveElem(t *testing.T) {
@@ -195,6 +207,12 @@ func TestAddRemoveElem(t *testing.T) {
 	}
 	if err := s.AddElem(ParsePath("cells/c1/cell_id"), "x", Int(1)); err == nil {
 		t.Error("AddElem on atomic accepted")
+	}
+	if err := s.AddElem(coll, "x", Str("e3")); err == nil {
+		t.Error("string accepted into a set of references")
+	}
+	if err := s.AddElem(ParsePath("cells/c1/c_objects"), "o9", Ref{"effectors", "e3"}); err == nil {
+		t.Error("reference accepted into a set of tuples")
 	}
 	if _, err := s.RemoveElem(ParsePath("cells/c1/cell_id"), "x"); err == nil {
 		t.Error("RemoveElem on atomic accepted")
@@ -288,6 +306,45 @@ func TestRefs(t *testing.T) {
 	}
 	if _, err := s.Refs(ParsePath("cells/zz")); err == nil {
 		t.Error("Refs on bad path succeeded")
+	}
+}
+
+// TestRefTargets: the plan-driven collector returns the targets Refs finds,
+// without the paths, and looks at nothing the plan does not name.
+func TestRefTargets(t *testing.T) {
+	s := PaperDatabase()
+	cells := s.Catalog().Relation("cells").Type
+	robot := cells.Field("robots").Elem
+	keys := func(rs []Ref) string {
+		var ks []string
+		for _, r := range rs {
+			ks = append(ks, r.Relation+"/"+r.Key)
+		}
+		sort.Strings(ks)
+		return strings.Join(ks, " ")
+	}
+	if got := keys(s.RefTargets(ParsePath("cells/c1/robots/r1"), robot.RefPlan(), nil)); got != "effectors/e1 effectors/e2" {
+		t.Errorf("r1: %q", got)
+	}
+	if got := keys(s.RefTargets(ParsePath("cells/c1"), cells.RefPlan(), nil)); got != "effectors/e1 effectors/e2 effectors/e2 effectors/e3" {
+		t.Errorf("c1: %q", got)
+	}
+	if got := keys(s.RefTargets(ParsePath("cells"), cells.RefPlan(), nil)); got != "effectors/e1 effectors/e2 effectors/e2 effectors/e3" {
+		t.Errorf("relation cells: %q", got)
+	}
+	// No plan (reference-free type), no instance, unknown relation: buf
+	// comes back as it went in.
+	buf := []Ref{{"x", "y"}}
+	if plan := cells.Field("c_objects").RefPlan(); plan != nil {
+		t.Errorf("c_objects has a ref plan: %+v", plan)
+	}
+	for _, p := range []string{"cells/c1/c_objects", "cells/zz", "cells/c1/robots/zz", "nope", "nope/k"} {
+		if got := s.RefTargets(ParsePath(p), cells.RefPlan(), buf); len(got) != 1 {
+			t.Errorf("%s: %v", p, got)
+		}
+	}
+	if got := s.RefTargets(ParsePath("cells/c1"), nil, buf); len(got) != 1 {
+		t.Errorf("nil plan: %v", got)
 	}
 }
 
