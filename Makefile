@@ -34,9 +34,11 @@ race:
 # cores. On the network path, who holds the read loop (server session) and
 # the reader role (client) is decided by scheduling, so one core count does
 # not cover the hand-offs; in core and store, the downward scan runs against
-# concurrent writers and the post-grant re-check depends on who parks when.
+# concurrent writers and the post-grant re-check depends on who parks when;
+# in lock and txn, a transaction's lock list is written by whichever goroutine
+# grants its waiter.
 race-matrix:
-	$(GO) test -race -cpu 1,2,4 -count=2 ./client ./internal/server ./internal/wire ./internal/core ./internal/store
+	$(GO) test -race -cpu 1,2,4 -count=2 ./client ./internal/server ./internal/wire ./internal/core ./internal/store ./internal/lock ./internal/txn
 
 bench:
 	$(GO) test -bench=. -benchmem ./...

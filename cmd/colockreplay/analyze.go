@@ -233,7 +233,7 @@ func analyze(name string, recs []journal.Record, torn bool, cfg Config) *Report 
 func (a *analyzer) step(rec journal.Record) {
 	r := a.report
 	if rec.Kind == "fastpath" {
-		// One record stands for Hits grant-cache hits (a journal with one
+		// One record stands for Hits fast-path hits (a journal with one
 		// record per hit has Hits 0).
 		r.Kinds[rec.Kind] += int(max(rec.Hits, 1))
 	} else {

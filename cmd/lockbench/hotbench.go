@@ -1,8 +1,8 @@
 package main
 
-// Hot-path benchmark: measures what the PR-4 fast path — the per-transaction
-// granted-mode cache, batched chain acquisition and the allocation-free
-// namer — buys on a repeated-leaf protocol workload, against the same stack
+// Hot-path benchmark: measures what the PR-4 fast path — covered requests
+// answered from the transaction's lock list, batched chain acquisition and
+// the allocation-free namer — buys on a repeated-leaf protocol workload, against the same stack
 // with the fast path disabled (DisableFastPath + Namer.DisableCache). Emits
 // machine-readable BENCH_PR4.json.
 //
@@ -64,7 +64,7 @@ type hotBenchReport struct {
 }
 
 // hotWorkload builds one side of the comparison: the paper database behind a
-// protocol, with the fast path either fully enabled (grant cache + name
+// protocol, with the fast path either fully enabled (held-lock answers + name
 // cache + batching) or fully disabled. The returned body runs one
 // transaction — hotRepeat S-lock sweeps over five hot leaves, then release —
 // and returns its op count.
@@ -124,7 +124,7 @@ func runHotBench(workerCounts []int, dur time.Duration) *hotBenchReport {
 	rep := &hotBenchReport{
 		Benchmark: "hotbench",
 		Description: "protocol-level LockPath throughput with the PR-4 fast path " +
-			"(granted-mode cache + batched chain acquisition + name cache) vs the same stack disabled; " +
+			"(held-lock fast path + batched chain acquisition + name cache) vs the same stack disabled; " +
 			fmt.Sprintf("%d repeated-leaf S LockPaths on the paper database per transaction", hotPathsPerTxn),
 		GOMAXPROCS:  runtime.GOMAXPROCS(0),
 		PathsPerTxn: hotPathsPerTxn,

@@ -10,7 +10,7 @@ import (
 )
 
 // A quick hotbench run must produce a well-formed report whose fast side
-// demonstrably exercised the granted-mode cache and the batched manager
+// demonstrably exercised the held-lock fast path and the batched manager
 // path.
 func TestHotBenchQuick(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "bench.json")
@@ -29,7 +29,7 @@ func TestHotBenchQuick(t *testing.T) {
 		t.Errorf("degenerate row: %+v", row)
 	}
 	if rep.FastPathHits == 0 {
-		t.Error("fast side recorded no granted-mode cache hits")
+		t.Error("fast side recorded no fast-path hits")
 	}
 	if rep.BatchCalls == 0 {
 		t.Error("fast side recorded no batched manager rounds")

@@ -1,9 +1,11 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"sync"
 	"testing"
+	"time"
 
 	"colock/internal/lock"
 	"colock/internal/store"
@@ -32,7 +34,7 @@ func TestFastPathSkipsManager(t *testing.T) {
 
 // TestFastPathRepeatedLeaf: on the repeated-leaf workload shape (the
 // hotbench scenario) only the S node locks reach the manager; the shared
-// ancestor spine is served from the cache.
+// ancestor spine is answered by the lock list.
 func TestFastPathRepeatedLeaf(t *testing.T) {
 	p, _ := newProto(t, Options{})
 	if err := p.LockPath(1, store.P("cells", "c1", "robots", "r1"), lock.S); err != nil {
@@ -45,7 +47,7 @@ func TestFastPathRepeatedLeaf(t *testing.T) {
 	after := p.Manager().Stats()
 	// S on r1 re-scans and re-locks the node plus its two referenced
 	// effectors (e1, e2): exactly 3 manager requests, all regrants — the
-	// 5-deep ancestor spine and the effectors' own spines are cache hits.
+	// 5-deep ancestor spine and the effectors' own spines are fast-path hits.
 	if d := after.Requests - before.Requests; d != 3 {
 		t.Errorf("repeated leaf S made %d manager requests, want 3", d)
 	}
@@ -76,8 +78,8 @@ func TestColdChainIsBatched(t *testing.T) {
 	assertProtocolInvariants(t, p, 1)
 }
 
-// TestCacheInvalidatedOnReleaseAll: end of transaction drops the cache, so
-// the next transaction-life re-acquires through the manager.
+// TestCacheInvalidatedOnReleaseAll: end of transaction drops the lock list,
+// so the next transaction-life re-acquires through the manager.
 func TestCacheInvalidatedOnReleaseAll(t *testing.T) {
 	p, _ := newProto(t, Options{})
 	if err := p.Lock(1, DataNode(store.P("cells", "c1")), lock.IS); err != nil {
@@ -102,9 +104,9 @@ func TestCacheInvalidatedOnReleaseAll(t *testing.T) {
 }
 
 // TestCacheInvalidatedOnEarlyRelease: rule 5's leaf-to-root early release
-// (Unlock) must drop the cache — otherwise a later lock of a descendant
-// would skip the IS re-acquisition on the released ancestor and leave the
-// descendant without intention cover.
+// (Unlock) must take the node out of the lock list — otherwise a later lock
+// of a descendant would skip the IS re-acquisition on the released ancestor
+// and leave the descendant without intention cover.
 func TestCacheInvalidatedOnEarlyRelease(t *testing.T) {
 	p, _ := newProto(t, Options{})
 	r1 := store.P("cells", "c1", "robots", "r1")
@@ -118,7 +120,7 @@ func TestCacheInvalidatedOnEarlyRelease(t *testing.T) {
 		t.Fatalf("r1 still held %v after Unlock", got)
 	}
 	// Locking below r1 must re-acquire the intention on r1 through the
-	// manager — a stale cached X would have skipped it.
+	// manager — a stale listed X would have skipped it.
 	if err := p.LockPath(1, store.P("cells", "c1", "robots", "r1", "trajectory"), lock.S); err != nil {
 		t.Fatal(err)
 	}
@@ -128,42 +130,110 @@ func TestCacheInvalidatedOnEarlyRelease(t *testing.T) {
 	assertProtocolInvariants(t, p, 1)
 }
 
-// TestCacheInvalidatedOnDeEscalate pins the satellite requirement: after
-// DeEscalate downgrades the coarse lock, the next Lock must not be served
-// from a stale cached coarse grant.
+// TestCacheInvalidatedOnDeEscalate pins the fast path's contract after a
+// de-escalation, which is precise rather than a flush: the downgraded node
+// answers with its new mode (the lock list changes under the same latch as
+// the holder slot, so a stale X cannot exist), the untouched ancestors still
+// hit, and a request the new mode does not cover reaches the manager.
 func TestCacheInvalidatedOnDeEscalate(t *testing.T) {
 	p, _ := newProto(t, Options{})
+	mgr := p.Manager()
 	c1 := store.P("cells", "c1")
+	const c1res = lock.Resource("db1/seg1/cells/c1")
 	if err := p.LockPath(1, c1, lock.X); err != nil {
 		t.Fatal(err)
 	}
 	if err := p.DeEscalate(1, DataNode(c1), []store.Path{store.P("cells", "c1", "robots", "r1")}); err != nil {
 		t.Fatal(err)
 	}
-	if got := p.Manager().HeldMode(1, "db1/seg1/cells/c1"); got != lock.IX {
+	if got := mgr.HeldMode(1, c1res); got != lock.IX {
 		t.Fatalf("c1 held %v after de-escalation, want IX", got)
 	}
-	// The next lock call must go to the manager for every resource: the
-	// de-escalation invalidated the whole cache, so zero fast-path hits.
-	fpBefore := p.Stats().FastPathHits
+	if !mgr.HeldCovers(1, c1res, lock.IX, false) {
+		t.Error("c1 does not answer IX after de-escalation to IX")
+	}
+	for _, stale := range []lock.Mode{lock.S, lock.X} {
+		if mgr.HeldCovers(1, c1res, stale, false) {
+			t.Errorf("c1 still answers %v after de-escalation to IX", stale)
+		}
+	}
+	// Locking a sibling of the kept robot: the spine above it — db1, seg1,
+	// cells and c1 itself, now IX — is answered by the lock list; only the
+	// two new resources (c_objects IX, o1 X) reach the manager.
+	fp, ms := p.Stats().FastPathHits, mgr.Stats()
 	if err := p.LockPath(1, store.P("cells", "c1", "c_objects", "o1"), lock.X); err != nil {
 		t.Fatal(err)
 	}
-	if d := p.Stats().FastPathHits - fpBefore; d != 0 {
-		t.Errorf("post-deescalation Lock used %d stale cache hits, want 0", d)
+	if d := p.Stats().FastPathHits - fp; d != 4 {
+		t.Errorf("post-deescalation Lock had %d fast-path hits, want 4 (db1, seg1, cells, c1)", d)
 	}
-	// c1 must still be IX (a stale cached X would have hidden the need to
-	// keep it intention-locked — and the o1 X must coexist with siblings).
-	if got := p.Manager().HeldMode(1, "db1/seg1/cells/c1"); got != lock.IX {
+	if d := mgr.Stats().Grants - ms.Grants; d != 2 {
+		t.Errorf("post-deescalation Lock made %d grants, want 2 (c_objects, o1)", d)
+	}
+	if got := mgr.HeldMode(1, c1res); got != lock.IX {
 		t.Errorf("c1 held %v after locking o1, want IX", got)
 	}
-	// A second transaction can now reach the released siblings: IS below c1
-	// would deadlock against a stale-cache-corrupted hierarchy.
+	// A second transaction can now reach the released siblings.
 	if err := p.Lock(2, DataNode(store.P("cells", "c1", "robots")), lock.IS); err != nil {
 		t.Fatal(err)
 	}
 	assertProtocolInvariants(t, p, 1)
 	assertProtocolInvariants(t, p, 2)
+	p.Release(2)
+	// Asking for X on c1 again is not covered by the IX the list now shows:
+	// the request reaches the manager and converts the lock.
+	ms = mgr.Stats()
+	if err := p.LockPath(1, c1, lock.X); err != nil {
+		t.Fatal(err)
+	}
+	if d := mgr.Stats().Conversions - ms.Conversions; d != 1 {
+		t.Errorf("re-escalating c1 made %d conversions, want 1", d)
+	}
+	if got := mgr.HeldMode(1, c1res); got != lock.X {
+		t.Errorf("c1 held %v after re-escalation, want X", got)
+	}
+	assertProtocolInvariants(t, p, 1)
+}
+
+// TestFailedFirstLockLeavesNothingBehind: a transaction whose first lock call
+// fails (cancelled, timed out behind a conflicting holder) and which then
+// ends must leave no per-transaction state anywhere. The grant-cache registry
+// the lock list replaced created its entry before the first acquire and only
+// dropped it when ReleaseAll had released something: one leaked entry per
+// such transaction.
+func TestFailedFirstLockLeavesNothingBehind(t *testing.T) {
+	p, _ := newProto(t, Options{})
+	c1 := DataNode(store.P("cells", "c1"))
+	if err := p.Lock(1, c1, lock.X); err != nil {
+		t.Fatal(err)
+	}
+	cancelled, cancel := context.WithCancel(context.Background())
+	cancel()
+	for i := 0; i < 1000; i++ {
+		txn := lock.TxnID(2 + i)
+		var err error
+		if i%100 == 0 {
+			// Granted up to cells, times out on c1: the failed call leaves
+			// real locks behind for Release to drop.
+			err = p.LockTimeout(txn, c1, lock.S, time.Millisecond)
+		} else {
+			err = p.LockCtx(cancelled, txn, c1, lock.S)
+		}
+		if err == nil {
+			t.Fatalf("txn %d got S under txn 1's X", txn)
+		}
+		p.Release(txn)
+	}
+	if got := p.Manager().ActiveTxns(); got != 1 {
+		t.Errorf("ActiveTxns = %d after 1000 failed-first-lock transactions, want 1", got)
+	}
+	if got, want := p.Manager().LockCount(), len(p.Manager().HeldLocks(1)); got != want {
+		t.Errorf("LockCount = %d, txn 1 holds %d", got, want)
+	}
+	p.Release(1)
+	if got := p.Manager().ActiveTxns(); got != 0 {
+		t.Errorf("ActiveTxns = %d after the last release, want 0", got)
+	}
 }
 
 // TestDurableRequestNotSwallowedByCache: a durable ("long") request must
@@ -236,7 +306,7 @@ func TestDisableFastPath(t *testing.T) {
 	}
 }
 
-// TestFastPathStress exercises cache hits, ReleaseAll, Downgrade
+// TestFastPathStress exercises fast-path hits, ReleaseAll, Downgrade
 // (DeEscalate) and early release (Unlock) from concurrent transactions
 // under -race: each worker X-locks its own disjoint cell, de-escalates,
 // early-releases, and S-reads the shared paper cell (whose robots reference
@@ -289,7 +359,7 @@ func TestFastPathStress(t *testing.T) {
 					return
 				}
 				// Shared S traffic over the common effectors, repeated so the
-				// cache serves the spine.
+				// lock list answers the spine.
 				for k := 0; k < 3; k++ {
 					if err := p.LockPath(txn, store.P("cells", "c1", "robots", "r1"), lock.S); err != nil {
 						t.Errorf("txn %d: %v", txn, err)

@@ -279,10 +279,11 @@ func (nm *Namer) segRes(seg string) lock.Resource {
 }
 
 // chain returns the resource name of n together with its ancestor resources
-// in root-to-leaf order and, for a data node, its schema type (nil for a
-// path of invalid shape) — the protocol's per-lock naming, served from the
-// cache with zero allocations after the first visit. The returned slice is
-// shared and must not be modified.
+// in root-to-leaf order and, for a data node, its schema type — the
+// protocol's per-lock naming and validation in one lookup, served from the
+// cache with zero allocations after the first visit. A data path whose shape
+// the schema rules out gets its (cached) classification error. The returned
+// slice is shared and must not be modified.
 func (nm *Namer) chain(n Node) (lock.Resource, []lock.Resource, *schema.Type, error) {
 	switch n.Level {
 	case LevelDatabase:
@@ -305,14 +306,17 @@ func (nm *Namer) chain(n Node) (lock.Resource, []lock.Resource, *schema.Type, er
 				return "", nil, nil, err
 			}
 		}
-		info, _ := nm.classifyUncached(n.Path)
+		info, err := nm.classifyUncached(n.Path)
+		if err != nil {
+			return "", nil, nil, err
+		}
 		return res, anc, info.Type, nil
 	}
 	e, err := nm.entryFor(n.Path)
 	if err != nil {
 		return "", nil, nil, err
 	}
-	if nm.coalesceBLUs && len(n.Path) >= 3 && e.infoErr != nil {
+	if e.infoErr != nil {
 		return "", nil, nil, e.infoErr
 	}
 	return e.res, e.anc, e.info.Type, nil

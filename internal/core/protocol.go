@@ -50,17 +50,17 @@ type Protocol struct {
 	// pay one atomic add.
 	tr *trace.Recorder
 
-	// gcache is the per-transaction granted-mode cache (nil when the fast
-	// path is disabled); see cache.go. Invalidation is wired through the
-	// manager's OnRelease callback in NewProtocol.
-	gcache *grantCache
+	// fast enables the fast path (DESIGN.md §11): an IS/IX request the
+	// transaction's lock list already covers (Manager.HeldCovers) skips the
+	// manager, and what is left of a chain goes to it as one batch.
+	fast bool
 
 	// counters tallies rule applications; see ProtocolStats.
 	counters protoCounters
 
-	// onFastHit, when set, is notified once per grant-cache fast-path hit.
-	// Cache hits never reach the lock manager, so they are invisible to
-	// its event sinks; rate monitors hook here instead. See OnFastPathHit.
+	// onFastHit, when set, is notified once per fast-path hit. Hits never
+	// reach the lock manager's request path, so they are invisible to its
+	// event sinks; rate monitors hook here instead. See OnFastPathHit.
 	onFastHit atomic.Pointer[func()]
 }
 
@@ -74,10 +74,10 @@ type Options struct {
 	// Tracer, when non-nil, records per-transaction span trees for every
 	// sampled user-level lock call (see internal/trace).
 	Tracer *trace.Recorder
-	// DisableFastPath turns off the per-transaction granted-mode cache and
-	// the batched ancestor acquisition, forcing every request through the
-	// classic one-AcquireCtx-per-resource path. The benchmark baseline and
-	// an escape hatch; see DESIGN.md §11.
+	// DisableFastPath turns off the held-lock-list shortcut and the batched
+	// ancestor acquisition, forcing every request through the classic
+	// one-AcquireCtx-per-resource path. The benchmark baseline and an escape
+	// hatch; see DESIGN.md §11.
 	DisableFastPath bool
 }
 
@@ -89,11 +89,7 @@ func NewProtocol(mgr *lock.Manager, st *store.Store, nm *Namer, opts Options) *P
 	if auth == nil {
 		auth = authz.AllowAll{}
 	}
-	p := &Protocol{nm: nm, mgr: mgr, st: st, auth: auth, rule4Prime: opts.Rule4Prime, tr: opts.Tracer}
-	if !opts.DisableFastPath {
-		p.gcache = newGrantCache()
-		mgr.OnRelease(p.gcache.invalidate)
-	}
+	p := &Protocol{nm: nm, mgr: mgr, st: st, auth: auth, rule4Prime: opts.Rule4Prime, tr: opts.Tracer, fast: !opts.DisableFastPath}
 	mgr.OnResetStats(p.counters.reset)
 	return p
 }
@@ -105,10 +101,10 @@ func (p *Protocol) Manager() *lock.Manager { return p.mgr }
 // Tracer exposes the span recorder (nil when tracing is off).
 func (p *Protocol) Tracer() *trace.Recorder { return p.tr }
 
-// OnFastPathHit registers fn to run once per grant-cache fast-path hit, on
-// the requesting goroutine with no protocol or manager locks held. One hook
+// OnFastPathHit registers fn to run once per fast-path hit, on the
+// requesting goroutine with no protocol or manager locks held. One hook
 // slot: a second call replaces the first. fn must be cheap (an atomic add) —
-// it sits on the hottest path the cache exists to keep short.
+// it sits on the hottest path the fast path exists to keep short.
 func (p *Protocol) OnFastPathHit(fn func()) {
 	if fn == nil {
 		return
@@ -116,7 +112,8 @@ func (p *Protocol) OnFastPathHit(fn func()) {
 	p.onFastHit.Store(&fn)
 }
 
-// noteFastPathHit tallies one cache-served request and notifies the hook.
+// noteFastPathHit tallies one request the lock list answered and notifies
+// the hook.
 func (p *Protocol) noteFastPathHit() {
 	p.counters.fastPathHits.Add(1)
 	if f := p.onFastHit.Load(); f != nil {
@@ -208,14 +205,6 @@ func (p *Protocol) lockOpts(ctx context.Context, txn lock.TxnID, n Node, mode lo
 	default:
 		return fmt.Errorf("core: protocol mode must be IS, IX, S or X, got %v", mode)
 	}
-	if n.Level == LevelData && len(n.Path) >= 2 {
-		// Validate the path against the schema; instances need not exist
-		// (inserts lock their future resource), but the attribute shape
-		// must be real.
-		if _, err := p.nm.Classify(n.Path); err != nil {
-			return err
-		}
-	}
 	// Root span: one per sampled user-level lock call. The sampling decision
 	// is made before naming the resource, so sampled-out calls skip even
 	// that; children ride on the root's decision (zero handle = inert).
@@ -234,13 +223,7 @@ func (p *Protocol) lockOpts(ctx context.Context, txn lock.TxnID, n Node, mode lo
 		clear(requested)
 		requestedPool.Put(requested)
 	}()
-	// tg is the transaction's granted-mode cache handle, fetched once per
-	// call (nil when the fast path is disabled).
-	var tg *txnGrants
-	if p.gcache != nil {
-		tg = p.gcache.get(txn)
-	}
-	return p.lockRec(ctx, txn, n, mode, "", durable, noFollow, timeout, requested, tg, sp)
+	return p.lockRec(ctx, txn, n, mode, "", durable, noFollow, timeout, requested, sp)
 }
 
 var requestedPool = sync.Pool{
@@ -251,7 +234,10 @@ var requestedPool = sync.Pool{
 // caller named and the span kind ("downward", "downward-rule4prime") for an
 // entry point reached by propagation: its span then becomes the parent of
 // the recursion's own spans, so the tree mirrors the propagation structure.
-func (p *Protocol) lockRec(ctx context.Context, txn lock.TxnID, n Node, mode lock.Mode, kind string, durable, noFollow bool, timeout time.Duration, requested map[lock.Resource]lock.Mode, tg *txnGrants, sp trace.SpanHandle) (err error) {
+func (p *Protocol) lockRec(ctx context.Context, txn lock.TxnID, n Node, mode lock.Mode, kind string, durable, noFollow bool, timeout time.Duration, requested map[lock.Resource]lock.Mode, sp trace.SpanHandle) (err error) {
+	// chain also validates a data path against the schema: instances need
+	// not exist (inserts lock their future resource), but the attribute
+	// shape must be real.
 	res, anc, t, err := p.nm.chain(n)
 	if err != nil {
 		return err
@@ -270,11 +256,11 @@ func (p *Protocol) lockRec(ctx context.Context, txn lock.TxnID, n Node, mode loc
 	// (IS/IX, or S/X with noFollow) is a pure chain acquisition, eligible
 	// for the all-in-one batched fast path. Sampled calls (a recording sp) take
 	// the classic per-resource path so the span tree keeps its per-resource
-	// timing; a cache hit inside it emits no span (DESIGN.md §11).
+	// timing; a fast-path hit inside it emits no span (DESIGN.md §11).
 	follow := (mode == lock.S || mode == lock.X) && !noFollow
 	traced := sp.Recording()
-	if tg != nil && !traced && !follow {
-		return p.lockChainBatched(ctx, txn, res, anc, mode, intent, durable, timeout, requested, tg)
+	if p.fast && !traced && !follow {
+		return p.lockChainBatched(ctx, txn, res, anc, mode, intent, durable, timeout, requested)
 	}
 
 	// Rules 1–4, upward part: intention-lock all immediate parents
@@ -283,8 +269,8 @@ func (p *Protocol) lockRec(ctx context.Context, txn lock.TxnID, n Node, mode loc
 	// superunit boundaries because the ancestor chain is exactly the
 	// superunit spine.
 	if intent != lock.None {
-		if tg != nil && !traced {
-			if err := p.upwardBatched(ctx, txn, anc, intent, durable, timeout, requested, tg); err != nil {
+		if p.fast && !traced {
+			if err := p.upwardBatched(ctx, txn, anc, intent, durable, timeout, requested); err != nil {
 				return err
 			}
 		} else {
@@ -293,9 +279,9 @@ func (p *Protocol) lockRec(ctx context.Context, txn lock.TxnID, n Node, mode loc
 					p.counters.memoHits.Add(1)
 					continue
 				}
-				if tg != nil && tg.covers(ares, intent, durable) {
-					// Granted-mode cache hit: the manager already holds a
-					// covering lock for this txn; no manager call, no span.
+				if p.fast && p.mgr.HeldCovers(txn, ares, intent, durable) {
+					// Fast-path hit: the txn's lock list already holds a
+					// covering lock; no manager request, no span.
 					p.noteFastPathHit()
 					requested[ares] = lock.Sup(requested[ares], intent)
 					continue
@@ -308,7 +294,6 @@ func (p *Protocol) lockRec(ctx context.Context, txn lock.TxnID, n Node, mode loc
 				}
 				p.counters.upwardLocks.Add(1)
 				requested[ares] = lock.Sup(requested[ares], intent)
-				tg.note(ares, intent, durable)
 			}
 		}
 	}
@@ -336,17 +321,17 @@ func (p *Protocol) lockRec(ctx context.Context, txn lock.TxnID, n Node, mode loc
 				return err
 			}
 			for _, ep := range sc.cur {
-				if err := p.lockEntry(ctx, txn, ep, mode, durable, noFollow, timeout, requested, tg, sp); err != nil {
+				if err := p.lockEntry(ctx, txn, ep, mode, durable, noFollow, timeout, requested, sp); err != nil {
 					return err
 				}
 			}
 		}
 	}
 
-	// Final acquire on the node itself. An IS/IX request covered by the
-	// granted-mode cache skips the manager (and emits no span); S/X always
-	// goes to the manager, whose held-covers regrant path answers it.
-	if tg != nil && mode.IsIntention() && tg.covers(res, mode, durable) {
+	// Final acquire on the node itself. An IS/IX request the lock list
+	// covers skips the manager (and emits no span); S/X always goes to the
+	// manager, whose held-covers regrant path answers it.
+	if p.fast && mode.IsIntention() && p.mgr.HeldCovers(txn, res, mode, durable) {
 		p.noteFastPathHit()
 		return nil
 	}
@@ -357,7 +342,6 @@ func (p *Protocol) lockRec(ctx context.Context, txn lock.TxnID, n Node, mode loc
 		return err
 	}
 	p.counters.nodeLocks.Add(1)
-	tg.note(res, mode, durable)
 
 	// The scan ran before the grant, and the request may have waited in
 	// between: a transaction holding X below the node could add a reference
@@ -375,7 +359,7 @@ func (p *Protocol) lockRec(ctx context.Context, txn lock.TxnID, n Node, mode loc
 			}
 			late = true
 			p.counters.lateEntries.Add(1)
-			if err := p.lockEntry(ctx, txn, ep, mode, durable, noFollow, timeout, requested, tg, sp); err != nil {
+			if err := p.lockEntry(ctx, txn, ep, mode, durable, noFollow, timeout, requested, sp); err != nil {
 				return err
 			}
 		}
@@ -385,7 +369,7 @@ func (p *Protocol) lockRec(ctx context.Context, txn lock.TxnID, n Node, mode loc
 
 // lockEntry propagates a request of the given mode onto one entry point
 // found below the requested node (rules 3/4, or 4′ where it applies).
-func (p *Protocol) lockEntry(ctx context.Context, txn lock.TxnID, ep store.Ref, mode lock.Mode, durable, noFollow bool, timeout time.Duration, requested map[lock.Resource]lock.Mode, tg *txnGrants, sp trace.SpanHandle) error {
+func (p *Protocol) lockEntry(ctx context.Context, txn lock.TxnID, ep store.Ref, mode lock.Mode, durable, noFollow bool, timeout time.Duration, requested map[lock.Resource]lock.Mode, sp trace.SpanHandle) error {
 	kind := "downward"
 	if mode == lock.X && p.rule4Prime && !p.auth.CanModify(txn, ep.Relation) {
 		// Rule 4′: non-modifiable inner units are only S-locked.
@@ -393,46 +377,45 @@ func (p *Protocol) lockEntry(ctx context.Context, txn lock.TxnID, ep store.Ref, 
 		p.counters.rule4Weakened.Add(1)
 	}
 	p.counters.downward.Add(1)
-	return p.lockRec(ctx, txn, DataNode(store.P(ep.Relation, ep.Key)), mode, kind, durable, noFollow, timeout, requested, tg, sp)
+	return p.lockRec(ctx, txn, DataNode(store.P(ep.Relation, ep.Key)), mode, kind, durable, noFollow, timeout, requested, sp)
 }
 
-// upwardBatched services the upward half of rules 1–4 for unsampled calls
-// with the fast path on: cache and memo hits are skipped without touching
-// the manager, and whatever remains is acquired in ONE Manager.AcquireBatch
-// call (root-to-leaf order preserved) instead of one AcquireCtx round-trip
-// per ancestor.
-func (p *Protocol) upwardBatched(ctx context.Context, txn lock.TxnID, anc []lock.Resource, intent lock.Mode, durable bool, timeout time.Duration, requested map[lock.Resource]lock.Mode, tg *txnGrants) error {
-	// Pass 1 (hot): serve hits, count the manager-needing ancestors. The
-	// batch slice is only allocated when something actually needs the
-	// manager — the steady state allocates nothing.
-	need := 0
+// chainBatch is the stack buffer batched requests are built in: a chain
+// (database, segment, relation, object and four levels below it) fits; a
+// deeper one spills to the heap.
+type chainBatch [8]lock.BatchReq
+
+// missing appends to reqs an intent request for every ancestor that neither
+// this call's memo nor the transaction's lock list covers, root to leaf,
+// counting the hits.
+func (p *Protocol) missing(reqs []lock.BatchReq, txn lock.TxnID, anc []lock.Resource, intent lock.Mode, durable bool, requested map[lock.Resource]lock.Mode) []lock.BatchReq {
 	for _, ares := range anc {
 		if prev, ok := requested[ares]; ok && prev.Covers(intent) {
 			p.counters.memoHits.Add(1)
 			continue
 		}
-		if tg.covers(ares, intent, durable) {
-			// Deliberately NOT folded into requested: the cache answers any
-			// later encounter the memo would, and skipping the map write
+		if p.mgr.HeldCovers(txn, ares, intent, durable) {
+			// Deliberately NOT folded into requested: the lock list answers
+			// any later encounter the memo would, and skipping the map write
 			// keeps the steady state free of per-call map traffic.
 			p.noteFastPathHit()
 			continue
 		}
-		need++
-	}
-	if need == 0 {
-		return nil
-	}
-	// Pass 2 (cold): re-derive the manager-needing set pass 1 counted.
-	reqs := make([]lock.BatchReq, 0, need)
-	for _, ares := range anc {
-		if prev, ok := requested[ares]; ok && prev.Covers(intent) {
-			continue
-		}
-		if tg.covers(ares, intent, durable) {
-			continue
-		}
 		reqs = append(reqs, lock.BatchReq{Resource: ares, Mode: intent})
+	}
+	return reqs
+}
+
+// upwardBatched services the upward half of rules 1–4 for unsampled calls
+// with the fast path on: memo hits and ancestors the lock list covers are
+// skipped without a manager request, and whatever remains is acquired in ONE
+// Manager.AcquireBatch call (root-to-leaf order preserved) instead of one
+// AcquireCtx round-trip per ancestor.
+func (p *Protocol) upwardBatched(ctx context.Context, txn lock.TxnID, anc []lock.Resource, intent lock.Mode, durable bool, timeout time.Duration, requested map[lock.Resource]lock.Mode) error {
+	var buf chainBatch
+	reqs := p.missing(buf[:0], txn, anc, intent, durable, requested)
+	if len(reqs) == 0 {
+		return nil
 	}
 	if err := p.acquireBatch(ctx, txn, reqs, durable, timeout); err != nil {
 		return err
@@ -441,60 +424,34 @@ func (p *Protocol) upwardBatched(ctx context.Context, txn lock.TxnID, anc []lock
 	p.counters.batchedLocks.Add(uint64(len(reqs)))
 	for _, q := range reqs {
 		requested[q.Resource] = lock.Sup(requested[q.Resource], intent)
-		tg.note(q.Resource, intent, durable)
 	}
 	return nil
 }
 
 // lockChainBatched is the whole-call fast path for non-propagating requests
 // (IS/IX, or S/X with noFollow): the ancestor chain AND the node's own lock
-// are served from the caches and, for whatever is left, one AcquireBatch
-// call. The common steady-state outcome — everything cached — performs zero
-// manager calls and zero allocations.
-func (p *Protocol) lockChainBatched(ctx context.Context, txn lock.TxnID, res lock.Resource, anc []lock.Resource, mode, intent lock.Mode, durable bool, timeout time.Duration, requested map[lock.Resource]lock.Mode, tg *txnGrants) error {
-	need := 0
+// are served from the memo and the lock list and, for whatever is left, one
+// AcquireBatch call. The common steady-state outcome — everything already
+// held — performs zero manager requests and zero allocations.
+func (p *Protocol) lockChainBatched(ctx context.Context, txn lock.TxnID, res lock.Resource, anc []lock.Resource, mode, intent lock.Mode, durable bool, timeout time.Duration, requested map[lock.Resource]lock.Mode) error {
+	var buf chainBatch
+	reqs := buf[:0]
 	if intent != lock.None {
-		for _, ares := range anc {
-			if prev, ok := requested[ares]; ok && prev.Covers(intent) {
-				p.counters.memoHits.Add(1)
-				continue
-			}
-			if tg.covers(ares, intent, durable) {
-				p.noteFastPathHit()
-				continue
-			}
-			need++
-		}
+		reqs = p.missing(reqs, txn, anc, intent, durable, requested)
 	}
-	// Only IS/IX node locks may be served from the cache; a cached S/X
+	upward := len(reqs)
+	// Only IS/IX node locks may be served from the lock list; a held S/X
 	// answer would skip the downward re-scan — but this path is only taken
 	// for noFollow S/X, where the caller asserted there is nothing to scan.
-	// Keep S/X going to the manager anyway: noFollow is rare and the
-	// manager's regrant answer is authoritative.
-	nodeCached := mode.IsIntention() && tg.covers(res, mode, durable)
-	if nodeCached {
+	// Keep S/X going to the manager's request path anyway: noFollow is rare
+	// and every S/X request stays visible in Stats.Requests and the events.
+	if mode.IsIntention() && p.mgr.HeldCovers(txn, res, mode, durable) {
 		p.noteFastPathHit()
 	} else {
-		need++
-		requested[res] = lock.Sup(requested[res], mode)
-	}
-	if need == 0 {
-		return nil
-	}
-	reqs := make([]lock.BatchReq, 0, need)
-	if intent != lock.None {
-		for _, ares := range anc {
-			if prev, ok := requested[ares]; ok && prev.Covers(intent) {
-				continue
-			}
-			if tg.covers(ares, intent, durable) {
-				continue
-			}
-			reqs = append(reqs, lock.BatchReq{Resource: ares, Mode: intent})
-		}
-	}
-	if !nodeCached {
 		reqs = append(reqs, lock.BatchReq{Resource: res, Mode: mode})
+	}
+	if len(reqs) == 0 {
+		return nil
 	}
 	if err := p.acquireBatch(ctx, txn, reqs, durable, timeout); err != nil {
 		return err
@@ -502,12 +459,9 @@ func (p *Protocol) lockChainBatched(ctx context.Context, txn lock.TxnID, res loc
 	p.counters.batchedLocks.Add(uint64(len(reqs)))
 	for _, q := range reqs {
 		requested[q.Resource] = lock.Sup(requested[q.Resource], q.Mode)
-		tg.note(q.Resource, q.Mode, durable)
 	}
-	if nodeCached {
-		p.counters.upwardLocks.Add(uint64(len(reqs)))
-	} else {
-		p.counters.upwardLocks.Add(uint64(len(reqs) - 1))
+	p.counters.upwardLocks.Add(uint64(upward))
+	if len(reqs) > upward {
 		p.counters.nodeLocks.Add(1)
 	}
 	return nil

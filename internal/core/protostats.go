@@ -44,10 +44,10 @@ type ProtocolStats struct {
 	// themselves (Requests minus validation failures, plus recursion
 	// targets).
 	NodeLocks uint64
-	// FastPathHits counts lock requests served by the per-transaction
-	// granted-mode cache without a lock-manager round-trip (IS/IX
-	// re-acquisitions covered by a grant the manager already made). Cache
-	// hits emit no trace span.
+	// FastPathHits counts lock requests the transaction's lock list answered
+	// (Manager.HeldCovers) without a lock-manager request: IS/IX
+	// re-acquisitions covered by a lock the transaction already holds. Hits
+	// emit no trace span.
 	FastPathHits uint64
 	// BatchedLocks counts manager acquisitions that went through
 	// Manager.AcquireBatch (one latch round per chain) rather than

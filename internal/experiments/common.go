@@ -49,7 +49,7 @@ func lockerStack(name string, st *store.Store) baseline.Locker {
 	case "colock":
 		// The technique comparisons reproduce the paper's request-count
 		// claims (e.g. E8: identical counts on disjoint-only workloads).
-		// The granted-mode cache deliberately elides covered requests, so
+		// The fast path deliberately elides covered requests, so
 		// it is disabled here to keep the measured rule shape the paper's.
 		return baseline.Core{Proto: core.NewProtocol(mgr, st, nm, core.Options{DisableFastPath: true})}
 	case "xsql-whole-object":

@@ -35,7 +35,7 @@ const (
 	// RateAcquires counts granted requests (grants + conversions,
 	// fast-path and queued alike).
 	RateAcquires Rate = iota
-	// RateFastPath counts protocol grant-cache hits (requests served
+	// RateFastPath counts protocol fast-path hits (requests served
 	// without a lock-manager round-trip; see RecordFastPathHit).
 	RateFastPath
 	// RateBlocks counts requests that queued (wait events).
@@ -264,13 +264,13 @@ func (m *Monitor) count(w *window, e *lock.Event) {
 	}
 }
 
-// RecordFastPathHit counts one protocol grant-cache hit in the current
+// RecordFastPathHit counts one protocol fast-path hit in the current
 // window; wire it to core.Protocol.OnFastPathHit. Cache hits never reach
 // the lock manager, so they carry no timestamp — they land in the window
 // that is open right now.
 func (m *Monitor) RecordFastPathHit() { m.AddFastPathHits(1) }
 
-// AddFastPathHits counts n grant-cache hits at once: journal replay feeds it
+// AddFastPathHits counts n fast-path hits at once: journal replay feeds it
 // the hit count of a coalesced "fastpath" record.
 func (m *Monitor) AddFastPathHits(n uint64) {
 	m.slots[uint64(m.cur.Load())%liveSlots].counts[RateFastPath].Add(n)

@@ -33,7 +33,7 @@ import (
 // Record is one journaled event: a lock.Event plus the writer-assigned
 // sequence number (its ordinal in file order, 1-based). Synthetic kinds
 // extend the lock-manager vocabulary: "fastpath" stands for Hits protocol
-// grant-cache hits, "health" an SLO transition (detail in Resource, as the
+// fast-path hits, "health" an SLO transition (detail in Resource, as the
 // colockshell trace ring does), "reset" a ResetStats marker separating
 // benchmark phases.
 type Record struct {

@@ -173,7 +173,7 @@ func (w *Writer) RecordBatch(evs []lock.Event) {
 	w.wake(pos, n)
 }
 
-// RecordFastPathHit journals one protocol grant-cache hit; wire it to
+// RecordFastPathHit journals one protocol fast-path hit; wire it to
 // core.Protocol.OnFastPathHit (composed with the health monitor's counter).
 // It costs one atomic add: hits are counted, and enter the record stream as
 // one "fastpath" record carrying the count (Record.Hits), placed ahead of —

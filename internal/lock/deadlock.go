@@ -414,7 +414,7 @@ func (m *Manager) resolveDeadlock(txn TxnID, r Resource, w *waiter, target Mode)
 	if tr != nil {
 		tr.add(KindVictim, time.Now(), w.enq, txn, r, target, s.idx).Blockers = blockers
 	}
-	m.grantWaitersLocked(tr, s, r)
+	m.grantWaitersLocked(tr, s, s.res[r], r)
 	s.mu.Unlock()
 	tr.finish()
 	err := lockErrBlocked(txn, r, target, ErrDeadlock, blockers)
@@ -461,7 +461,7 @@ func (m *Manager) abortWaiter(victim TxnID) bool {
 	rec.w.done = true
 	tr.wakeAfter(rec.w, lockErrBlocked(victim, rec.res, rec.w.mode, ErrDeadlock, blockers))
 	// The victim's departure may unblock others.
-	m.grantWaitersLocked(tr, s, rec.res)
+	m.grantWaitersLocked(tr, s, s.res[rec.res], rec.res)
 	s.mu.Unlock()
 	tr.finish()
 	return true

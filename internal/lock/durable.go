@@ -84,7 +84,7 @@ func (m *Manager) Restore(locks []DurableLock) error {
 		e := s.entryFor(dl.Resource)
 		own := e.holderMode(dl.Txn)
 		if !e.compatGranted(own, dl.Mode) {
-			s.maybeDropEntry(dl.Resource)
+			s.maybeDropEntry(dl.Resource, e)
 			s.mu.Unlock()
 			tr.finish()
 			return fmt.Errorf("lock: restore conflict on %q for txn %d (%v)", dl.Resource, dl.Txn, dl.Mode)
@@ -92,6 +92,7 @@ func (m *Manager) Restore(locks []DurableLock) error {
 		if h := e.holder(dl.Txn); h != nil {
 			e.setMode(h, Sup(h.mode, dl.Mode))
 			h.durable = true
+			m.txnShardFor(dl.Txn).record(dl.Txn, dl.Resource, h, s)
 			s.mu.Unlock()
 			tr.finish()
 			continue

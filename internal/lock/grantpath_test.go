@@ -16,7 +16,8 @@ import (
 // introspection scratch buffers.
 
 // assertSummaries latches every shard and asserts each live entry's
-// summaries match a fold over its storage.
+// summaries match a fold over its storage, then that the held index matches
+// the table (the manager is quiescent: no ReleaseAll is mid-sweep).
 func assertSummaries(t *testing.T, m *Manager) {
 	t.Helper()
 	for _, s := range m.shards {
@@ -28,6 +29,9 @@ func assertSummaries(t *testing.T, m *Manager) {
 			}
 		}
 		s.mu.Unlock()
+	}
+	if err := checkHeldIndex(m, true); err != nil {
+		t.Fatalf("held index: %v", err)
 	}
 }
 
@@ -83,7 +87,7 @@ func TestSummaryMatchesFoldSequential(t *testing.T) {
 // TestSummaryStressConcurrent hammers the manager from many goroutines
 // (blocking acquires, conversions, downgrades, deadlock resolution) while a
 // checker goroutine repeatedly validates every entry's summaries under the
-// shard latch. Run with -race this also exercises the pooled waiter
+// shard latch, and the held index against the table. Run with -race this also exercises the pooled waiter
 // lifecycle under grant/timeout/victim races.
 func TestSummaryStressConcurrent(t *testing.T) {
 	m := NewManager(Options{})
@@ -112,6 +116,10 @@ func TestSummaryStressConcurrent(t *testing.T) {
 					}
 				}
 				s.mu.Unlock()
+			}
+			if err := checkHeldIndex(m, false); err != nil {
+				t.Errorf("held index: %v", err)
+				return
 			}
 			time.Sleep(200 * time.Microsecond)
 		}

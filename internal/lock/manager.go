@@ -152,6 +152,9 @@ type heldLock struct {
 	mode    Mode
 	durable bool
 	seq     uint64
+	// list is the generation of the lock list this slot is recorded in (see
+	// heldList.gen).
+	list uint64
 	// since is the grant time, kept only when the granting operation was
 	// traced; it is the reference for the release event's hold duration.
 	since time.Time
@@ -205,11 +208,6 @@ type Manager struct {
 	sinks      atomic.Pointer[[]consumer]
 	opSeq      atomic.Uint64 // operation counter for event sampling
 	sampleMask uint64        // 2^EventSampleShift − 1
-
-	// releaseFns are the OnRelease callbacks, invoked (with no latch held)
-	// whenever a transaction's lock coverage shrinks. Copy-on-write like
-	// sinks so notifyRelease pays one atomic load on the hot path.
-	releaseFns atomic.Pointer[[]func(TxnID)]
 
 	// Batch counters live on the manager (not a shard) because one
 	// AcquireBatch call spans several stripes.
@@ -356,40 +354,6 @@ func (m *Manager) OnResetStats(fn func()) {
 	m.resetMu.Lock()
 	m.resetFns = append(m.resetFns, fn)
 	m.resetMu.Unlock()
-}
-
-// OnRelease registers fn to be called whenever txn's lock coverage may have
-// shrunk: after a Release or Downgrade of one of its locks, or after
-// ReleaseAll dropped anything. The callback runs on the goroutine performing
-// the operation, AFTER all manager latches have been released, so it may call
-// back into the manager. Layers that cache granted modes (the protocol's
-// per-transaction grant cache) register here to invalidate on exactly the
-// operations that can retract a grant.
-func (m *Manager) OnRelease(fn func(TxnID)) {
-	if fn == nil {
-		return
-	}
-	for {
-		old := m.releaseFns.Load()
-		var fns []func(TxnID)
-		if old != nil {
-			fns = append(fns, *old...)
-		}
-		fns = append(fns, fn)
-		if m.releaseFns.CompareAndSwap(old, &fns) {
-			return
-		}
-	}
-}
-
-// notifyRelease invokes the OnRelease callbacks. MUST be called with no
-// manager latch held.
-func (m *Manager) notifyRelease(txn TxnID) {
-	if p := m.releaseFns.Load(); p != nil {
-		for _, fn := range *p {
-			fn(txn)
-		}
-	}
 }
 
 func (m *Manager) shardIndex(r Resource) uint32 { return shardHash(r) & m.mask }
@@ -551,8 +515,9 @@ func (m *Manager) AcquireCtx(ctx context.Context, txn TxnID, r Resource, mode Mo
 	e := s.entryFor(r)
 	h := e.holder(txn)
 	if h != nil {
-		if cfg.durable {
+		if cfg.durable && !h.durable {
 			h.durable = true
+			m.txnShardFor(txn).record(txn, r, h, s)
 		}
 		if h.mode.Covers(mode) {
 			s.stats.regrants.Add(1)
@@ -591,7 +556,7 @@ func (m *Manager) AcquireCtx(ctx context.Context, txn TxnID, r Resource, mode Mo
 	if cfg.noWait {
 		s.stats.conflicts.Add(1)
 		blockers := e.blockerTxns(txn, target, len(e.queue))
-		s.maybeDropEntry(r)
+		s.maybeDropEntry(r, e)
 		s.mu.Unlock()
 		tr.finish()
 		return lockErrBlocked(txn, r, mode, ErrWouldBlock, blockers)
@@ -608,7 +573,7 @@ func (m *Manager) AcquireCtx(ctx context.Context, txn TxnID, r Resource, mode Mo
 		m.sheds.Add(1)
 		m.degradedAcq.Add(1)
 		blockers := e.blockerTxns(txn, target, len(e.queue))
-		s.maybeDropEntry(r)
+		s.maybeDropEntry(r, e)
 		if tr != nil {
 			tr.add(KindShed, time.Now(), tr.start, txn, r, target, s.idx).Blockers = blockers
 		}
@@ -625,7 +590,7 @@ func (m *Manager) AcquireCtx(ctx context.Context, txn TxnID, r Resource, mode Mo
 		// event, and restart-wait retry policies pause until these blockers
 		// have drained.
 		blockers := e.blockerTxns(txn, target, len(e.queue))
-		s.maybeDropEntry(r)
+		s.maybeDropEntry(r, e)
 		if tr != nil {
 			ev := tr.add(KindVictim, time.Now(), tr.start, txn, r, target, s.idx)
 			ev.Blockers, ev.WaitDie = blockers, true
@@ -778,11 +743,13 @@ func (m *Manager) AcquireBatch(ctx context.Context, txn TxnID, reqs []BatchReq, 
 	tr := m.newTracer()
 
 	// Collect the distinct stripe indices, ascending (insertion sort into a
-	// small stack buffer; ancestor chains are short, so this beats a map).
-	var idxBuf [8]uint32
-	idxs := idxBuf[:0]
+	// small stack buffer; ancestor chains are short, so this beats a map),
+	// keeping each request's stripe for the grant pass.
+	var idxBuf, reqBuf [8]uint32
+	idxs, stripe := idxBuf[:0], reqBuf[:0]
 	for _, q := range reqs {
 		si := m.shardIndex(q.Resource)
+		stripe = append(stripe, si)
 		pos := len(idxs)
 		dup := false
 		for i, v := range idxs {
@@ -812,14 +779,15 @@ func (m *Manager) AcquireBatch(ctx context.Context, txn TxnID, reqs []BatchReq, 
 	fallbackAt := -1
 	fast := 0
 	for i, q := range reqs {
-		s := m.shards[m.shardIndex(q.Resource)]
+		s := m.shards[stripe[i]]
 		e := s.entryFor(q.Resource)
 		h := e.holder(txn)
 		if h != nil && h.mode.Covers(q.Mode) {
 			s.stats.requests.Add(1)
 			s.stats.regrants.Add(1)
-			if cfg.durable {
+			if cfg.durable && !h.durable {
 				h.durable = true
+				m.txnShardFor(txn).record(txn, q.Resource, h, s)
 			}
 			fast++
 			continue
@@ -851,7 +819,7 @@ func (m *Manager) AcquireBatch(ctx context.Context, txn TxnID, reqs []BatchReq, 
 		}
 		// Conflict: drop the entry if this lookup speculatively created it,
 		// and leave this request and the rest of the chain to the wait path.
-		s.maybeDropEntry(q.Resource)
+		s.maybeDropEntry(q.Resource, e)
 		fallbackAt = i
 		break
 	}
@@ -895,7 +863,7 @@ func (m *Manager) withdraw(tr *tracer, txn TxnID, r Resource, w *waiter, mode, t
 		tr.add(kind, time.Now(), w.enq, txn, r, target, s.idx).Blockers = blockers
 	}
 	// The withdrawn waiter may have been the FIFO barrier for later ones.
-	m.grantWaitersLocked(tr, s, r)
+	m.grantWaitersLocked(tr, s, s.res[r], r)
 	s.mu.Unlock()
 	tr.deliver()
 	return lockErrBlocked(txn, r, mode, cause, blockers)
@@ -909,7 +877,6 @@ func (m *Manager) grantLocked(tr *tracer, s *tableShard, e *entry, txn TxnID, r 
 	h := e.holder(txn)
 	if h == nil {
 		h = e.addHolder(txn)
-		m.txnShardFor(txn).add(txn, r)
 		s.stats.grants.Add(1)
 		n := m.size.Add(1)
 		for {
@@ -924,6 +891,7 @@ func (m *Manager) grantLocked(tr *tracer, s *tableShard, e *entry, txn TxnID, r 
 	e.setMode(h, mode)
 	h.durable = h.durable || durable
 	h.seq = m.seq.Add(1)
+	m.txnShardFor(txn).record(txn, r, h, s)
 	if tr != nil {
 		kind := KindGrant
 		if convert {
@@ -939,15 +907,14 @@ func (m *Manager) grantLocked(tr *tracer, s *tableShard, e *entry, txn TxnID, r 
 	}
 }
 
-// grantWaitersLocked scans r's queue front to back, granting every waiter
-// that has become compatible. Conversions (kept at the front) may be granted
-// even when a later plain waiter cannot; the scan stops at the first
-// non-grantable plain waiter so that plain requests stay FIFO. Caller holds
-// s.mu. Grant events for woken waiters ride on the waking operation's
+// grantWaitersLocked scans the queue of e, r's entry (nil if it has none),
+// front to back, granting every waiter that has become compatible.
+// Conversions (kept at the front) may be granted even when a later plain
+// waiter cannot; the scan stops at the first non-grantable plain waiter so
+// that plain requests stay FIFO. Caller holds s.mu. Grant events for woken waiters ride on the waking operation's
 // tracer (Dur measured from each waiter's own enqueue time), and so do their
 // wake-ups: a traced operation wakes them after delivering those events.
-func (m *Manager) grantWaitersLocked(tr *tracer, s *tableShard, r Resource) {
-	e := s.res[r]
+func (m *Manager) grantWaitersLocked(tr *tracer, s *tableShard, e *entry, r Resource) {
 	if e == nil {
 		return
 	}
@@ -974,7 +941,7 @@ func (m *Manager) grantWaitersLocked(tr *tracer, s *tableShard, r Resource) {
 			}
 		}
 	}
-	s.maybeDropEntry(r)
+	s.maybeDropEntry(r, e)
 }
 
 // Downgrade atomically lowers txn's lock on r to a weaker mode (e.g. X→IX
@@ -1002,21 +969,20 @@ func (m *Manager) Downgrade(txn TxnID, r Resource, mode Mode) error {
 		return fmt.Errorf("lock: %v on %q cannot be downgraded to %v", held, r, mode)
 	}
 	if mode == None {
-		m.releaseLocked(tr, s, txn, r)
+		m.releaseLocked(tr, s, e, txn, r, 0)
 		s.mu.Unlock()
 		tr.finish()
-		m.notifyRelease(txn)
 		return nil
 	}
 	e.setMode(h, mode)
+	m.txnShardFor(txn).record(txn, r, h, s)
 	s.stats.downgrades.Add(1)
 	if tr != nil {
 		tr.add(KindDowngrade, tr.start, time.Time{}, txn, r, mode, s.idx)
 	}
-	m.grantWaitersLocked(tr, s, r)
+	m.grantWaitersLocked(tr, s, e, r)
 	s.mu.Unlock()
 	tr.finish()
-	m.notifyRelease(txn)
 	return nil
 }
 
@@ -1026,20 +992,18 @@ func (m *Manager) Release(txn TxnID, r Resource) {
 	tr := m.newTracer()
 	s := m.shardFor(r)
 	s.mu.Lock()
-	dropped := m.releaseLocked(tr, s, txn, r)
+	m.releaseLocked(tr, s, s.res[r], txn, r, 0)
 	s.mu.Unlock()
 	tr.finish()
-	if dropped {
-		m.notifyRelease(txn)
-	}
 }
 
-// releaseLocked drops txn's granted lock on r and wakes unblocked waiters,
-// reporting whether a lock was actually dropped. Caller holds s.mu. The
-// release event reports the dropped mode and, when the grant was traced too,
-// the hold duration.
-func (m *Manager) releaseLocked(tr *tracer, s *tableShard, txn TxnID, r Resource) bool {
-	e := s.res[r]
+// releaseLocked drops txn's granted lock on r (e is r's entry, nil if it has
+// none) and wakes unblocked waiters, reporting whether a lock was actually
+// dropped. Caller holds s.mu. swept is 0, or the generation of the lock list
+// ReleaseAll has already taken out of the index: a slot recorded in that list
+// needs no index delete. The release event reports the dropped mode and, when
+// the grant was traced too, the hold duration.
+func (m *Manager) releaseLocked(tr *tracer, s *tableShard, e *entry, txn TxnID, r Resource, swept uint64) bool {
 	if e == nil {
 		return false
 	}
@@ -1047,7 +1011,9 @@ func (m *Manager) releaseLocked(tr *tracer, s *tableShard, txn TxnID, r Resource
 	if !ok {
 		return false
 	}
-	m.txnShardFor(txn).remove(txn, r)
+	if h.list != swept {
+		m.txnShardFor(txn).remove(txn, r)
+	}
 	m.size.Add(-1)
 	s.stats.releases.Add(1)
 	if tr != nil {
@@ -1057,14 +1023,15 @@ func (m *Manager) releaseLocked(tr *tracer, s *tableShard, txn TxnID, r Resource
 		// traced cost.
 		tr.add(KindRelease, tr.start, h.since, txn, r, h.mode, s.idx)
 	}
-	m.grantWaitersLocked(tr, s, r)
+	m.grantWaitersLocked(tr, s, e, r)
 	return true
 }
 
 // ReleaseAll drops every lock held by txn (end of transaction). Any granted
-// waiters are woken. The transaction's locks are found through the
-// sharded-by-txn held index, so release cost is proportional to the locks
-// held, not to the table size. The whole call is ONE operation for event
+// waiters are woken. The transaction's lock list is taken out of the held
+// index in one step and then swept — release cost is proportional to the
+// locks held, not to the table size, with no per-lock index delete — and goes
+// back to the pool afterwards. The whole call is ONE operation for event
 // sampling — a single tracer covers every released lock, so a 64-lock EOT
 // pays one sampling decision, not 64 — and events are delivered after all
 // shard latches have been dropped. When the sweep released anything and the
@@ -1073,26 +1040,47 @@ func (m *Manager) releaseLocked(tr *tracer, s *tableShard, txn TxnID, r Resource
 // the record of what a dying deadlock victim gave up.
 func (m *Manager) ReleaseAll(txn TxnID) {
 	tr := m.newTracer()
-	held := m.txnShardFor(txn).snapshot(txn)
-	// released compacts the resources actually dropped into the snapshot's
-	// own backing array (it never overtakes the read position).
-	released := held[:0]
-	for _, r := range held {
-		s := m.shardFor(r)
+	l := m.txnShardFor(txn).detach(txn)
+	if l == nil {
+		tr.finish()
+		return
+	}
+	var released []Resource
+	if tr != nil {
+		released = make([]Resource, 0, len(l.m))
+	}
+	for r, h := range l.m {
+		s := m.shards[h.stripe]
 		s.mu.Lock()
-		dropped := m.releaseLocked(tr, s, txn, r)
+		dropped := m.releaseLocked(tr, s, s.res[r], txn, r, l.gen)
 		s.mu.Unlock()
-		if dropped {
+		if dropped && tr != nil {
 			released = append(released, r)
 		}
 	}
-	if tr != nil && len(released) > 0 {
+	if len(released) > 0 {
 		tr.add(KindReleaseAll, time.Now(), tr.start, txn, "", None, 0).Resources = released
 	}
 	tr.finish()
-	if len(released) > 0 {
-		m.notifyRelease(txn)
+	putHeldList(l)
+}
+
+// HeldCovers reports whether txn already holds r in a mode covering mode —
+// durably, if durable is set. It is the protocol's fast path: answered from
+// txn's lock list under the txn-shard latch alone, it takes no table-shard
+// latch, counts no request and emits no event. The list changes under the
+// latch of r's table shard with the holder slot itself, so a true answer is
+// what AcquireCtx's regrant branch would have found; it is only ever stale
+// the safe way (a transaction whose list ReleaseAll has taken misses).
+func (m *Manager) HeldCovers(txn TxnID, r Resource, mode Mode, durable bool) bool {
+	ts := m.txnShardFor(txn)
+	ts.mu.Lock()
+	var h listedLock
+	if l := ts.held[txn]; l != nil {
+		h = l.m[r]
 	}
+	ts.mu.Unlock()
+	return h.mode != None && h.mode.Covers(mode) && (!durable || h.durable)
 }
 
 // HeldMode returns the mode txn currently holds on r (None if unheld).
@@ -1106,20 +1094,19 @@ func (m *Manager) HeldMode(txn TxnID, r Resource) Mode {
 	return None
 }
 
-// HeldLocks returns all locks currently held by txn, in acquisition order.
+// HeldLocks returns all locks currently held by txn, in acquisition order,
+// read from its lock list.
 func (m *Manager) HeldLocks(txn TxnID) []Held {
-	rs := m.txnShardFor(txn).snapshot(txn)
-	out := make([]Held, 0, len(rs))
-	for _, r := range rs {
-		s := m.shardFor(r)
-		s.mu.Lock()
-		if e := s.res[r]; e != nil {
-			if h := e.holder(txn); h != nil {
-				out = append(out, Held{Resource: r, Mode: h.mode, Durable: h.durable, Seq: h.seq})
-			}
+	out := []Held{}
+	ts := m.txnShardFor(txn)
+	ts.mu.Lock()
+	if l := ts.held[txn]; l != nil {
+		out = make([]Held, 0, len(l.m))
+		for r, h := range l.m {
+			out = append(out, Held{Resource: r, Mode: h.mode, Durable: h.durable, Seq: h.seq})
 		}
-		s.mu.Unlock()
 	}
+	ts.mu.Unlock()
 	sort.Slice(out, func(i, j int) bool { return out[i].Seq < out[j].Seq })
 	return out
 }

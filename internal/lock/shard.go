@@ -19,8 +19,8 @@ import (
 //     acquired in ascending stripe-index order (AcquireBatch's fast path
 //     latches every involved stripe that way, grants, and unlatches).
 //     Everything else holds at most ONE table-shard latch at a time;
-//     cross-shard work (ReleaseAll, HeldLocks, Snapshot, deadlock detection)
-//     snapshots under one latch, releases it, and re-latches the next shard.
+//     cross-shard work (ReleaseAll's sweep, Snapshot, deadlock detection)
+//     works under one latch, releases it, and re-latches the next shard.
 //     Single-latch code never acquires a second stripe, and ascending-order
 //     batchers cannot cycle among themselves, so the two regimes compose
 //     deadlock-free.
@@ -66,10 +66,10 @@ func (s *tableShard) removeWaiter(r Resource, w *waiter) bool {
 	return e.removeWaiterPtr(w)
 }
 
-// maybeDropEntry recycles r's entry once nothing is granted or queued.
+// maybeDropEntry recycles e, r's entry, once nothing is granted or queued.
 // Caller holds s.mu.
-func (s *tableShard) maybeDropEntry(r Resource) {
-	if e := s.res[r]; e != nil && e.empty() {
+func (s *tableShard) maybeDropEntry(r Resource, e *entry) {
+	if e.empty() {
 		delete(s.res, r)
 		putEntry(e)
 	}
@@ -124,50 +124,101 @@ func (ss *shardStats) reset() {
 	ss.summaryFast.Store(0)
 }
 
-// txnShard is one stripe of the per-transaction held-lock index (sharded by
-// TxnID), so that commit/abort release and HeldLocks never sweep the
-// resource shards looking for a transaction's locks.
+// txnShard is one stripe of the per-transaction held index (sharded by
+// TxnID): one lock list per transaction holding anything, so that commit/abort
+// release, HeldLocks and the protocol's "do I already hold this?" question
+// (HeldCovers) never sweep or latch the resource shards.
 type txnShard struct {
 	mu   sync.Mutex
-	held map[TxnID]map[Resource]struct{}
+	held map[TxnID]*heldList
 }
 
 func newTxnShard() *txnShard {
-	return &txnShard{held: make(map[TxnID]map[Resource]struct{})}
+	return &txnShard{held: make(map[TxnID]*heldList)}
 }
 
-func (ts *txnShard) add(txn TxnID, r Resource) {
-	ts.mu.Lock()
-	set := ts.held[txn]
-	if set == nil {
-		set = make(map[Resource]struct{})
-		ts.held[txn] = set
+// heldList is one transaction's lock list: what each of its holder slots in
+// the lock table says, by resource. It is written only under the latch of
+// the table shard that owns the slot (then the txn-shard latch, rule 1), at
+// the places a slot changes — so for every resource the list and the table
+// agree whenever that resource's table-shard latch is free. Lists are pooled:
+// the one a transaction's first grant checks out goes back, cleared, when its
+// last lock is released.
+type heldList struct {
+	m map[Resource]listedLock
+	// gen is stamped on every checkout from the pool and copied into each
+	// holder slot the list records (heldLock.list). ReleaseAll takes the list
+	// out of the index before sweeping the table; a slot carrying another
+	// generation was re-recorded meanwhile and needs a real index delete.
+	gen uint64
+}
+
+// listedLock is one list entry. stripe is the resource's table shard, kept
+// so that ReleaseAll's sweep does not hash every name again.
+type listedLock struct {
+	mode    Mode
+	durable bool
+	stripe  uint32
+	seq     uint64
+}
+
+// maxPooledList is the size past which ReleaseAll drops a list instead of
+// pooling it: clearing a map costs its high-water size, which one bulk
+// transaction must not pass on to every transaction after it.
+const maxPooledList = 1024
+
+var (
+	heldListPool = sync.Pool{New: func() any { return &heldList{m: make(map[Resource]listedLock, 16)} }}
+	heldListGen  atomic.Uint64
+)
+
+func putHeldList(l *heldList) {
+	if len(l.m) > maxPooledList {
+		return
 	}
-	set[r] = struct{}{}
+	clear(l.m)
+	heldListPool.Put(l)
+}
+
+// record copies h, txn's holder slot on r, into txn's lock list. Caller
+// holds the latch of s, r's table shard.
+func (ts *txnShard) record(txn TxnID, r Resource, h *heldLock, s *tableShard) {
+	ts.mu.Lock()
+	l := ts.held[txn]
+	if l == nil {
+		l = heldListPool.Get().(*heldList)
+		l.gen = heldListGen.Add(1)
+		ts.held[txn] = l
+	}
+	l.m[r] = listedLock{mode: h.mode, durable: h.durable, stripe: uint32(s.idx), seq: h.seq}
+	h.list = l.gen
 	ts.mu.Unlock()
 }
 
+// remove drops r from txn's lock list, recycling the list with its last
+// lock. Caller holds the latch of r's table shard.
 func (ts *txnShard) remove(txn TxnID, r Resource) {
 	ts.mu.Lock()
-	if set := ts.held[txn]; set != nil {
-		delete(set, r)
-		if len(set) == 0 {
+	if l := ts.held[txn]; l != nil {
+		delete(l.m, r)
+		if len(l.m) == 0 {
 			delete(ts.held, txn)
+			putHeldList(l)
 		}
 	}
 	ts.mu.Unlock()
 }
 
-// snapshot returns the resources txn holds at the moment of the call.
-func (ts *txnShard) snapshot(txn TxnID) []Resource {
+// detach takes txn's lock list out of the index and hands it to the caller
+// (nil if txn holds nothing), who sweeps the table and recycles it.
+func (ts *txnShard) detach(txn TxnID) *heldList {
 	ts.mu.Lock()
-	set := ts.held[txn]
-	out := make([]Resource, 0, len(set))
-	for r := range set {
-		out = append(out, r)
+	l := ts.held[txn]
+	if l != nil {
+		delete(ts.held, txn)
 	}
 	ts.mu.Unlock()
-	return out
+	return l
 }
 
 // waitRecord is a transaction's single outstanding lock request. Records
