@@ -1,17 +1,19 @@
 GO ?= go
 
-.PHONY: ci fmt vet build test race race-matrix bench shardbench obsbench tracebench hotbench hotbench-smoke stormbench stormbench-smoke healthbench healthmon-smoke journalbench journal-smoke grantbench grantbench-smoke netbench netbench-smoke bench-check benchdiff nodeprecated doc-lint drift-check obs-demo trace-demo figures clean
+.PHONY: ci fmt vet build test race race-matrix bench shardbench stormbench stormbench-smoke healthmon-smoke journal-smoke grantbench grantbench-smoke netbench netbench-smoke bench-check benchdiff nodeprecated doc-lint drift-check obs-demo trace-demo figures clean
 
 # ci is the gate every change must pass: formatting, vet, the
 # no-deprecated-wrappers grep, the godoc and docs-drift lints, build, the
 # full test suite under the race detector (the lock manager and protocol
 # are concurrent; -race is not optional here), the scheduling-sensitive
 # packages again at 1, 2 and 4 cores, the end-to-end
-# incident-dump demo, the fast-path, contention-survival, grant-path, and
+# incident-dump demo, the contention-survival, grant-path, and
 # network smoke benchmarks, the health-monitor smoke gate, the
 # journal-forensics smoke gate, and the check that the frozen benchmark
-# module still builds and runs against this tree.
-ci: fmt vet nodeprecated doc-lint drift-check build race race-matrix trace-demo hotbench-smoke stormbench-smoke healthmon-smoke journal-smoke grantbench-smoke netbench-smoke bench-check
+# module still builds and runs against this tree (15 gates; the fast path
+# and the four sinks are measured by bench/, whose pinned per-transaction
+# counts bench-check asserts).
+ci: fmt vet nodeprecated doc-lint drift-check build race race-matrix trace-demo stormbench-smoke healthmon-smoke journal-smoke grantbench-smoke netbench-smoke bench-check
 
 # fmt fails if any file needs gofmt, listing the offenders.
 fmt:
@@ -36,9 +38,10 @@ race:
 # not cover the hand-offs; in core and store, the downward scan runs against
 # concurrent writers and the post-grant re-check depends on who parks when;
 # in lock and txn, a transaction's lock list is written by whichever goroutine
-# grants its waiter.
+# grants its waiter; in engine, every sink of the daemons' assembly runs on
+# whichever goroutine performed the operation.
 race-matrix:
-	$(GO) test -race -cpu 1,2,4 -count=2 ./client ./internal/server ./internal/wire ./internal/core ./internal/store ./internal/lock ./internal/txn
+	$(GO) test -race -cpu 1,2,4 -count=2 ./client ./internal/server ./internal/wire ./internal/core ./internal/store ./internal/lock ./internal/txn ./internal/engine
 
 bench:
 	$(GO) test -bench=. -benchmem ./...
@@ -47,32 +50,6 @@ bench:
 # single-mutex seed replica; see DESIGN.md §8).
 shardbench:
 	$(GO) run ./cmd/lockbench -shardbench -shardout BENCH_PR1.json
-
-# obsbench regenerates BENCH_PR2.json (collector overhead + latency
-# quantiles; see DESIGN.md §9).
-obsbench:
-	$(GO) run ./cmd/lockbench -obsbench -obsout BENCH_PR2.json
-
-# tracebench regenerates BENCH_PR3.json (span-tracing overhead at 1-in-64
-# sampling; see DESIGN.md §10).
-tracebench:
-	$(GO) run ./cmd/lockbench -tracebench -traceout BENCH_PR3.json
-
-# hotbench regenerates BENCH_PR4.json (fast-path speedup: granted-mode
-# cache + batched chain acquisition + name cache; see DESIGN.md §11).
-hotbench:
-	$(GO) run ./cmd/lockbench -hotbench -hotout BENCH_PR4.json
-
-# hotbench-smoke runs a quick hotbench into a temp file and asserts, via the
-# flag-gated validation test in cmd/lockbench, that the report parses, the
-# fast path was live, and no row measured the fast path as a slowdown
-# (speedup ≥ 1.0x; the committed BENCH_PR4.json documents the full ≥2x run).
-hotbench-smoke:
-	@f=$$(mktemp) && \
-	$(GO) run ./cmd/lockbench -hotbench -quick -hotout "$$f" >/dev/null && \
-	$(GO) test ./cmd/lockbench -count=1 -run TestExternalHotBenchFile -hotbenchfile "$$f" && \
-	echo "hotbench-smoke: $$f passes (fast path live, no slowdown)" && \
-	rm -f "$$f"
 
 # stormbench regenerates BENCH_PR6.json (contention-survival goodput:
 # RunWithRetry + backoff + admission vs bare spin-restart, plus the
@@ -92,11 +69,6 @@ stormbench-smoke:
 	echo "stormbench-smoke: $$f passes (kit no slower than bare, chaos converged)" && \
 	rm -f "$$f"
 
-# healthbench regenerates BENCH_PR7.json (health-monitor overhead at 1-in-64
-# sampling + the SLO burn-and-recover storm; see DESIGN.md §13).
-healthbench:
-	$(GO) run ./cmd/lockbench -healthbench -healthout BENCH_PR7.json
-
 # healthmon-smoke runs a scripted colockshell session that storms a hot key
 # and dumps the /health document with `.health dump`, then asserts, via the
 # flag-gated validation test in internal/health, that the dump parses, the
@@ -109,12 +81,6 @@ healthmon-smoke:
 	$(GO) test ./internal/health -count=1 -run TestExternalHealthFile -healthfile "$$f" && \
 	echo "healthmon-smoke: $$f passes (verdict parses, hot key in top-K)" && \
 	rm -f "$$f"
-
-# journalbench regenerates BENCH_PR8.json (durable-journal overhead at
-# 1-in-64 sampling against both the bare and collector baselines; see
-# DESIGN.md §14).
-journalbench:
-	$(GO) run ./cmd/lockbench -journalbench -journalout BENCH_PR8.json
 
 # journal-smoke runs a scripted colockshell session with a durable journal
 # attached, storms a hot key, and dumps the live /health verdict; then it

@@ -5,11 +5,9 @@
 //	benchdiff -dir path  # scan another checkout
 //
 // Every lockbench report shares a loose schema: a "benchmark" name, a
-// "description", and either speedup-style rows (a "results" array whose rows
-// carry a speedup/ratio column) or overhead-style rows (an "overhead" array
-// with an "overhead_pct" column). benchdiff extracts the headline numbers
-// from whichever family a file belongs to, without depending on the exact
-// per-PR report structs.
+// "description", and a "results" array whose rows carry a speedup/ratio
+// column. benchdiff extracts the headline numbers without depending on the
+// exact per-PR report structs.
 package main
 
 import (
@@ -28,7 +26,6 @@ import (
 type headline struct {
 	File      string
 	Benchmark string
-	Kind      string // "speedup" or "overhead"
 	Min, Max  float64
 	Rows      int
 }
@@ -49,36 +46,26 @@ func summarize(path string) (headline, error) {
 	}
 	h := headline{File: filepath.Base(path)}
 	h.Benchmark, _ = doc["benchmark"].(string)
-	scan := func(rowsKey string, cols []string) bool {
-		rows, _ := doc[rowsKey].([]any)
-		found := false
-		for _, raw := range rows {
-			row, _ := raw.(map[string]any)
-			for _, col := range cols {
-				v, isNum := row[col].(float64)
-				if !isNum {
-					continue
-				}
-				if !found || v < h.Min {
-					h.Min = v
-				}
-				if !found || v > h.Max {
-					h.Max = v
-				}
-				found = true
-				h.Rows++
-				break
+	rows, _ := doc["results"].([]any)
+	for _, raw := range rows {
+		row, _ := raw.(map[string]any)
+		for _, col := range ratioKeys {
+			v, isNum := row[col].(float64)
+			if !isNum {
+				continue
 			}
+			if h.Rows == 0 || v < h.Min {
+				h.Min = v
+			}
+			if h.Rows == 0 || v > h.Max {
+				h.Max = v
+			}
+			h.Rows++
+			break
 		}
-		return found
 	}
-	switch {
-	case scan("results", ratioKeys):
-		h.Kind = "speedup"
-	case scan("overhead", []string{"overhead_pct"}):
-		h.Kind = "overhead"
-	default:
-		return headline{}, fmt.Errorf("%s: no speedup or overhead rows found", path)
+	if h.Rows == 0 {
+		return headline{}, fmt.Errorf("%s: no speedup rows found", path)
 	}
 	return h, nil
 }
@@ -101,14 +88,7 @@ func tabulate(dir string) (*metrics.Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		var head string
-		switch h.Kind {
-		case "speedup":
-			head = fmt.Sprintf("speedup %.2fx..%.2fx", h.Min, h.Max)
-		case "overhead":
-			head = fmt.Sprintf("overhead %.1f%%..%.1f%%", h.Min, h.Max)
-		}
-		tab.Addf(h.File, h.Benchmark, h.Rows, head)
+		tab.Addf(h.File, h.Benchmark, h.Rows, fmt.Sprintf("speedup %.2fx..%.2fx", h.Min, h.Max))
 	}
 	return tab, nil
 }

@@ -8,8 +8,7 @@ import (
 )
 
 // The committed BENCH_PR*.json reports at the repo root must all summarize:
-// every file yields either a speedup or an overhead headline, and the
-// grant-path report (this PR's artifact) appears with a speedup row.
+// every file yields a speedup headline, the grant-path report among them.
 func TestTabulateCommittedReports(t *testing.T) {
 	root := filepath.Join("..", "..")
 	files, err := filepath.Glob(filepath.Join(root, "BENCH_PR*.json"))
@@ -29,8 +28,8 @@ func TestTabulateCommittedReports(t *testing.T) {
 	}
 }
 
-// A report with neither a results nor an overhead array is rejected rather
-// than silently summarized as empty.
+// A report without a results array is rejected rather than silently
+// summarized as empty.
 func TestSummarizeRejectsUnknownShape(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "BENCH_PRX.json")
 	if err := os.WriteFile(path, []byte(`{"benchmark":"mystery"}`), 0o644); err != nil {

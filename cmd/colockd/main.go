@@ -20,7 +20,6 @@ import (
 	"context"
 	"flag"
 	"fmt"
-	"io"
 	"log"
 	"os"
 	"os/signal"
@@ -29,124 +28,11 @@ import (
 	"time"
 
 	"colock/internal/core"
-	"colock/internal/health"
-	"colock/internal/journal"
+	"colock/internal/engine"
 	"colock/internal/lock"
-	"colock/internal/obs"
 	"colock/internal/server"
 	"colock/internal/store"
-	"colock/internal/trace"
-	"colock/internal/txn"
 )
-
-// service is the wired-up daemon state: everything between the TCP
-// listener and the lock manager's shards.
-type service struct {
-	proto *core.Protocol
-	tm    *txn.Manager
-	col   *obs.Collector
-	rec   *trace.Recorder
-	prof  *trace.Profile
-	iw    *trace.IncidentWriter
-	mon   *health.Monitor
-	jw    *journal.Writer
-}
-
-// newService builds the manager stack exactly like colockshell does —
-// journal sink attached before the incident writer so a dump's trigger
-// event is inside the offset it records, health monitor in the reset
-// cascade, fast-path hits fanned to monitor and journal — so the obs
-// endpoint, lockmon and colockreplay see network traffic identically to
-// local traffic.
-func newService(policy lock.Policy, incidentDir, journalDir string) (*service, error) {
-	st := store.PaperDatabase()
-	core.CollectStatistics(st)
-	nm := core.NewNamer(st.Catalog(), false)
-	kindOf := core.UnitKindOf(nm)
-	col := obs.NewCollector(obs.Options{
-		KindLabels: core.UnitKindLabels,
-		KindOf:     kindOf,
-	})
-	mgr := lock.NewManager(lock.Options{
-		Policy: policy,
-		Sinks:  []lock.EventSink{col},
-	})
-	rec := trace.NewRecorder(trace.Options{
-		ShardOf: mgr.ShardOf,
-		KindOf: func(r lock.Resource) string {
-			if k := kindOf(r); k >= 0 && k < len(core.UnitKindLabels) {
-				return core.UnitKindLabels[k]
-			}
-			return "other"
-		},
-	})
-	var jw *journal.Writer
-	if journalDir != "" {
-		var err error
-		jw, err = journal.Open(journalDir, journal.Options{})
-		if err != nil {
-			return nil, err
-		}
-		mgr.AttachSink(jw)
-	}
-	prof := trace.NewProfile()
-	incOpts := trace.IncidentOptions{}
-	if jw != nil {
-		incOpts.JournalOffset = jw.Offset
-	}
-	iw := trace.NewIncidentWriter(incidentDir, rec, mgr, incOpts)
-	mgr.AttachSink(prof)
-	mgr.AttachSink(iw)
-	mon := health.NewMonitor(health.Options{
-		Window: time.Second,
-		Retain: 60,
-		TopK:   32,
-		SLO: health.SLO{
-			MaxAbortRate:   0.05,
-			MaxWaitP99:     250 * time.Millisecond,
-			MaxWaiterDepth: 64,
-		},
-		WaiterDepth: mgr.WaitingTxns,
-		GrantPath:   mgr.Stats,
-	})
-	mgr.AttachSink(mon)
-	if jw != nil {
-		mon.OnTransition(func(tr health.Transition) {
-			jw.Note("health", fmt.Sprintf("%s->%s %s", tr.From, tr.To, tr.Reason))
-		})
-	}
-	proto := core.NewProtocol(mgr, st, nm, core.Options{Tracer: rec})
-	if jw != nil {
-		proto.OnFastPathHit(func() {
-			mon.RecordFastPathHit()
-			jw.RecordFastPathHit()
-		})
-	} else {
-		proto.OnFastPathHit(mon.RecordFastPathHit)
-	}
-	return &service{
-		proto: proto,
-		tm:    txn.NewManager(proto, st),
-		col:   col,
-		rec:   rec,
-		prof:  prof,
-		iw:    iw,
-		mon:   mon,
-		jw:    jw,
-	}, nil
-}
-
-func parsePolicy(name string) (lock.Policy, error) {
-	switch name {
-	case "detect":
-		return lock.PolicyDetect, nil
-	case "waitdie":
-		return lock.PolicyWaitDie, nil
-	case "none":
-		return lock.PolicyNone, nil
-	}
-	return lock.PolicyDetect, fmt.Errorf("unknown deadlock policy %q (detect, waitdie, none)", name)
-}
 
 func parseAdmitMode(name string) (lock.AdmissionMode, error) {
 	switch name {
@@ -161,45 +47,67 @@ func parseAdmitMode(name string) (lock.AdmissionMode, error) {
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("colockd: ")
-	addr := flag.String("addr", "127.0.0.1:8029", "address to serve the wire protocol on")
-	deadlock := flag.String("deadlock", "detect", "deadlock policy: detect, waitdie or none")
-	obsAddr := flag.String("obs", "", "serve the observability HTTP endpoint on this address (e.g. 127.0.0.1:8023)")
-	incidents := flag.String("incidents", filepath.Join(os.TempDir(), "colockd-incidents"),
-		"directory for deadlock/timeout incident dumps (JSONL)")
-	journalDir := flag.String("journal", "",
-		"directory for the durable lock-event journal (analyze offline with colockreplay)")
-	lease := flag.Duration("lease", 5*time.Second,
-		"session lease: a client missing this keepalive deadline has its transactions aborted")
-	maxSessions := flag.Int("max-sessions", 0, "cap on concurrent sessions (0 = unlimited)")
-	maxInflight := flag.Int("max-inflight", 64, "cap on concurrently executing requests per session")
-	maxWaiters := flag.Int("max-waiters", 0,
-		"admission gate: engage when this many transactions are parked in wait queues (0 = off)")
-	admitDelay := flag.Duration("admit-delay", 50*time.Millisecond,
-		"how long a new transaction may stall waiting for the storm to drain before being shed")
-	admitMode := flag.String("admit-mode", "shed", "saturated-gate behavior: shed or degrade")
-	drainTimeout := flag.Duration("drain-timeout", 10*time.Second,
-		"how long graceful shutdown waits for in-flight transactions")
-	pprofOn := flag.Bool("pprof", false,
-		"expose net/http/pprof under /debug/pprof/ on the -obs endpoint")
-	flag.Parse()
-
-	policy, err := parsePolicy(*deadlock)
-	if err != nil {
+	stop := make(chan os.Signal, 1)
+	signal.Notify(stop, os.Interrupt, syscall.SIGTERM)
+	if err := run(os.Args[1:], stop); err != nil {
 		log.Fatal(err)
+	}
+}
+
+// run is the daemon from flag parsing to drained shutdown. Every start-up
+// failure comes back as an error AFTER the deferred engine Close has flushed
+// and closed the journal; main exits on it (os.Exit runs no defers, so
+// nothing in here may call log.Fatal once the engine is open).
+func run(args []string, stop <-chan os.Signal) error {
+	fs := flag.NewFlagSet("colockd", flag.ExitOnError)
+	addr := fs.String("addr", "127.0.0.1:8029", "address to serve the wire protocol on")
+	deadlock := fs.String("deadlock", "detect", "deadlock policy: detect, waitdie or none")
+	obsAddr := fs.String("obs", "", "serve the observability HTTP endpoint on this address (e.g. 127.0.0.1:8023)")
+	incidents := fs.String("incidents", filepath.Join(os.TempDir(), "colockd-incidents"),
+		"directory for deadlock/timeout incident dumps (JSONL)")
+	journalDir := fs.String("journal", "",
+		"directory for the durable lock-event journal (analyze offline with colockreplay)")
+	lease := fs.Duration("lease", 5*time.Second,
+		"session lease: a client missing this keepalive deadline has its transactions aborted")
+	maxSessions := fs.Int("max-sessions", 0, "cap on concurrent sessions (0 = unlimited)")
+	maxInflight := fs.Int("max-inflight", 64, "cap on concurrently executing requests per session")
+	maxWaiters := fs.Int("max-waiters", 0,
+		"admission gate: engage when this many transactions are parked in wait queues (0 = off)")
+	admitDelay := fs.Duration("admit-delay", 50*time.Millisecond,
+		"how long a new transaction may stall waiting for the storm to drain before being shed")
+	admitMode := fs.String("admit-mode", "shed", "saturated-gate behavior: shed or degrade")
+	drainTimeout := fs.Duration("drain-timeout", 10*time.Second,
+		"how long graceful shutdown waits for in-flight transactions")
+	pprofOn := fs.Bool("pprof", false,
+		"expose net/http/pprof under /debug/pprof/ on the -obs endpoint")
+	_ = fs.Parse(args) // ExitOnError: Parse does not return on a bad flag
+
+	policy, err := lock.ParsePolicy(*deadlock)
+	if err != nil {
+		return err
 	}
 	mode, err := parseAdmitMode(*admitMode)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	svc, err := newService(policy, *incidents, *journalDir)
+	st := store.PaperDatabase()
+	core.CollectStatistics(st)
+	eng, err := engine.Open(engine.Config{
+		Store:       st,
+		Policy:      policy,
+		IncidentDir: *incidents,
+		JournalDir:  *journalDir,
+	})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	if svc.jw != nil {
-		defer svc.jw.Close()
-	}
+	defer func() {
+		if err := eng.Close(); err != nil {
+			log.Printf("journal close: %v", err)
+		}
+	}()
 
-	srv := server.New(svc.tm, server.Options{
+	srv := server.New(eng.Txns, server.Options{
 		Lease:       *lease,
 		MaxSessions: *maxSessions,
 		MaxInflight: *maxInflight,
@@ -211,37 +119,24 @@ func main() {
 		Logf: log.Printf,
 	})
 	if err := srv.Serve(*addr); err != nil {
-		log.Fatal(err)
+		return err
 	}
+	defer srv.Close() // no-op after Drain; cuts the listener when -obs fails to bind
 
 	if *obsAddr != "" {
-		ts := &obs.TraceSources{
-			Recorder:  svc.rec,
-			Incidents: svc.iw,
-			Profile:   svc.prof,
-			Health:    svc.mon.Handler(),
-			Pprof:     *pprofOn,
-		}
-		extras := []func(io.Writer){svc.proto.WriteMetrics, svc.mon.WriteMetrics, srv.WriteMetrics}
-		if svc.jw != nil {
-			ts.Journal = svc.jw.StatusHandler()
-			extras = append(extras, svc.jw.WriteMetrics)
-		}
-		osrv, err := obs.Serve(*obsAddr, svc.proto.Manager(), svc.col, ts, extras...)
+		osrv, err := eng.ServeObs(*obsAddr, *pprofOn, srv.WriteMetrics)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		defer osrv.Close()
 		log.Printf("observability endpoint on http://%s/ (/metrics, /queues, /dot, /health, /trace/...)", osrv.Addr())
 	}
 	log.Printf("incident dumps in %s", *incidents)
-	if svc.jw != nil {
+	if eng.Journal != nil {
 		log.Printf("journaling lock events to %s (colockreplay -dir %s)", *journalDir, *journalDir)
 	}
 	log.Printf("serving lock protocol on %s (lease %s, deadlock %s)", srv.Addr(), *lease, *deadlock)
 
-	stop := make(chan os.Signal, 1)
-	signal.Notify(stop, os.Interrupt, syscall.SIGTERM)
 	<-stop
 	log.Printf("draining: refusing new sessions, waiting up to %s for in-flight transactions", *drainTimeout)
 	ctx, cancel := context.WithTimeout(context.Background(), *drainTimeout)
@@ -251,4 +146,5 @@ func main() {
 	} else {
 		log.Printf("drained cleanly")
 	}
+	return nil
 }

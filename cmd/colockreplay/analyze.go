@@ -42,7 +42,8 @@ type Config struct {
 	ConvoyDepth int
 	// Window is the SLO replay bucket width (default 1s).
 	Window time.Duration
-	// SLO grades the replayed windows (zero value: colockshell defaults).
+	// SLO grades the replayed windows (zero value: health.DefaultSLO, what
+	// the daemons grade against live).
 	SLO health.SLO
 	// Top bounds the hot-resource, convoy and critical-path lists.
 	Top int
@@ -56,7 +57,7 @@ func (c Config) withDefaults() Config {
 		c.Window = time.Second
 	}
 	if !c.sloSet() {
-		c.SLO = health.SLO{MaxAbortRate: 0.05, MaxWaitP99: 250 * time.Millisecond, MaxWaiterDepth: 64}
+		c.SLO = health.DefaultSLO
 	}
 	if c.Top <= 0 {
 		c.Top = 10

@@ -36,8 +36,8 @@ func main() {
 		top     = flag.Int("top", 10, "rows in the top lists")
 		jsonOut = flag.String("json", "", "write the machine-readable report to this path ('-' for stdout)")
 
-		sloAbort = flag.Float64("slo-abort", 0.05, "SLO: max per-window abort rate")
-		sloP99   = flag.Duration("slo-p99", 250*time.Millisecond, "SLO: max per-window wait p99")
+		sloAbort = flag.Float64("slo-abort", health.DefaultSLO.MaxAbortRate, "SLO: max per-window abort rate")
+		sloP99   = flag.Duration("slo-p99", health.DefaultSLO.MaxWaitP99, "SLO: max per-window wait p99")
 	)
 	flag.Parse()
 	if *dir == "" {
@@ -50,8 +50,9 @@ func main() {
 		ConvoyDepth: *convoyN,
 		Window:      *window,
 		Top:         *top,
-		SLO:         health.SLO{MaxAbortRate: *sloAbort, MaxWaitP99: *sloP99, MaxWaiterDepth: 64},
+		SLO:         health.DefaultSLO,
 	}
+	cfg.SLO.MaxAbortRate, cfg.SLO.MaxWaitP99 = *sloAbort, *sloP99
 
 	recs, torn, err := journal.ReadAll(*dir)
 	if err != nil {

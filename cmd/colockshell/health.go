@@ -32,12 +32,12 @@ var shellDegraded = lock.AdmissionConfig{
 
 func (s *shell) healthCmd(arg string) {
 	fields := strings.Fields(arg)
-	s.mon.Advance(time.Now())
+	s.eng.Monitor.Advance(time.Now())
 	switch {
 	case len(fields) == 0:
 		s.showHealth()
 	case fields[0] == "json" && len(fields) == 1:
-		if err := s.mon.WriteJSON(s.out); err != nil {
+		if err := s.eng.Monitor.WriteJSON(s.out); err != nil {
 			fmt.Fprintf(s.out, "error: %v\n", err)
 		}
 	case fields[0] == "dump" && len(fields) == 2:
@@ -46,7 +46,7 @@ func (s *shell) healthCmd(arg string) {
 			fmt.Fprintf(s.out, "error: %v\n", err)
 			return
 		}
-		werr := s.mon.WriteJSON(f)
+		werr := s.eng.Monitor.WriteJSON(f)
 		cerr := f.Close()
 		if werr != nil || cerr != nil {
 			fmt.Fprintf(s.out, "error: write %s: %v%v\n", fields[1], werr, cerr)
@@ -55,7 +55,7 @@ func (s *shell) healthCmd(arg string) {
 		fmt.Fprintf(s.out, "-- health report written to %s\n", fields[1])
 	case fields[0] == "auto" && len(fields) == 2 && fields[1] == "on":
 		if s.auto == nil {
-			s.auto = s.mon.EnableAutoAdmission(s.proto.Manager(), shellDegraded)
+			s.auto = s.eng.Monitor.EnableAutoAdmission(s.eng.Manager, shellDegraded)
 		} else {
 			s.auto.Enable()
 		}
@@ -74,7 +74,7 @@ func (s *shell) healthCmd(arg string) {
 }
 
 func (s *shell) showHealth() {
-	rep := s.mon.Report(8)
+	rep := s.eng.Monitor.Report(8)
 	fmt.Fprintf(s.out, "health: %s", rep.State)
 	if rep.Reason != "" {
 		fmt.Fprintf(s.out, " (%s)", rep.Reason)
@@ -116,8 +116,8 @@ func (s *shell) showTopK(arg string) {
 		}
 		n = v
 	}
-	s.mon.Advance(time.Now())
-	top := s.mon.TopK(n)
+	s.eng.Monitor.Advance(time.Now())
+	top := s.eng.Monitor.TopK(n)
 	if len(top) == 0 {
 		fmt.Fprintln(s.out, "no contention recorded (the sketch only counts blocked/aborted requests)")
 		return
@@ -133,6 +133,6 @@ func (s *shell) showTopK(arg string) {
 // healthSnapshot is used by tests to read the monitor without racing the
 // repl goroutine: it advances the clock and returns the report.
 func (s *shell) healthSnapshot() health.Report {
-	s.mon.Advance(time.Now())
-	return s.mon.Report(0)
+	s.eng.Monitor.Advance(time.Now())
+	return s.eng.Monitor.Report(0)
 }

@@ -94,18 +94,18 @@ func TestShellResetCascade(t *testing.T) {
 		t.Fatal("storm left no health data to reset")
 	}
 
-	s.proto.Manager().ResetStats()
+	s.eng.Manager.ResetStats()
 
 	if got := s.retry.Attempts(); got.Commits != 0 || got.GiveUps != 0 {
 		t.Errorf("retry collector survived ResetStats: %+v", got)
 	}
-	if st := s.proto.Manager().Stats(); st.Grants != 0 {
+	if st := s.eng.Manager.Stats(); st.Grants != 0 {
 		t.Errorf("manager grants survived ResetStats: %d", st.Grants)
 	}
-	if ps := s.proto.Stats(); ps.Requests != 0 {
+	if ps := s.eng.Protocol.Stats(); ps.Requests != 0 {
 		t.Errorf("protocol rule counters survived ResetStats: %+v", ps)
 	}
-	rep = s.mon.Report(0)
+	rep = s.eng.Monitor.Report(0)
 	if len(rep.Windows) != 0 || len(rep.TopK) != 0 {
 		t.Errorf("health monitor survived ResetStats: %d windows, %d topk rows",
 			len(rep.Windows), len(rep.TopK))

@@ -3,6 +3,7 @@ package main
 import (
 	"bufio"
 	"bytes"
+	"net"
 	"strings"
 	"testing"
 
@@ -67,7 +68,7 @@ func TestShellJournal(t *testing.T) {
 
 	// The incident header carries the journal offset, and the offset bounds
 	// the Seq ordinals of everything journaled before the dump.
-	infos := s.iw.Incidents()
+	infos := s.eng.Incidents.Incidents()
 	if len(infos) != 1 {
 		t.Fatalf("incidents = %+v, want one from .forcetimeout", infos)
 	}
@@ -103,5 +104,38 @@ func TestShellJournalAbsent(t *testing.T) {
 	runScript(t, s, `.journal`, `.quit`)
 	if !strings.Contains(buf.String(), "no journal attached") {
 		t.Errorf("missing no-journal message:\n%s", buf.String())
+	}
+}
+
+// A failed -obs bind must come back from run as an error with the journal
+// closed: the old log.Fatal skipped the deferred Close and left a
+// header-less segment that reads back as a torn journal.
+func TestStartupFailureClosesJournal(t *testing.T) {
+	dir := t.TempDir()
+	args := []string{"-journal", dir, "-incidents", t.TempDir()}
+	var out bytes.Buffer
+	session := "SELECT c FROM c IN cells WHERE c.cell_id = 'c1' FOR UPDATE\n.commit\n.quit\n"
+	if err := run(args, strings.NewReader(session), &out); err != nil {
+		t.Fatal(err)
+	}
+	before, _, err := journal.ReadAll(dir)
+	if err != nil || len(before) == 0 {
+		t.Fatalf("the first session journaled %d records, %v:\n%s", len(before), err, out.String())
+	}
+
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	if err := run(append(args, "-obs", ln.Addr().String()), strings.NewReader(""), &out); err == nil {
+		t.Fatal("run bound an occupied port")
+	}
+	after, torn, err := journal.ReadAll(dir)
+	if err != nil || torn {
+		t.Errorf("journal after the failed start: torn=%v err=%v", torn, err)
+	}
+	if len(after) != len(before) {
+		t.Errorf("read back %d records, %d were written before the failure", len(after), len(before))
 	}
 }

@@ -30,8 +30,8 @@ import (
 
 	"colock/internal/authz"
 	"colock/internal/core"
+	"colock/internal/engine"
 	"colock/internal/health"
-	"colock/internal/journal"
 	"colock/internal/lock"
 	"colock/internal/metrics"
 	"colock/internal/obs"
@@ -44,8 +44,7 @@ import (
 
 type shell struct {
 	st     *store.Store
-	proto  *core.Protocol
-	mgr    *txn.Manager
+	eng    *engine.Engine
 	exec   *query.Executor
 	auth   *authz.Table
 	prime  bool
@@ -53,29 +52,20 @@ type shell struct {
 	tx     *txn.Txn
 	out    *bufio.Writer
 	trace  *traceRing
-	col    *obs.Collector
-	rec    *trace.Recorder
-	prof   *trace.Profile
-	iw     *trace.IncidentWriter
 
 	// Contention-survival state (.chaos / .storm).
 	chaos    *resilience.Chaos
 	chaosCfg resilience.ChaosConfig
 	retry    *obs.RetryCollector
 
-	// Lock-health monitor (.health / .topk) and its optional auto-admission
-	// policy (.health auto on|off).
-	mon  *health.Monitor
+	// Auto-admission policy on the engine's health monitor (.health auto
+	// on|off).
 	auto *health.AutoAdmission
-
-	// Durable lock-event journal (.journal; -journal dir). Nil unless the
-	// shell was started with a journal directory.
-	jw *journal.Writer
 }
 
 // traceRing keeps the most recent lock-manager events for the .trace
-// command. The OnEvent hook runs outside the manager's shard latches, so
-// the ring only needs its own small mutex.
+// command. It is an event sink: Record runs outside the manager's shard
+// latches, so the ring only needs its own small mutex.
 type traceRing struct {
 	mu  sync.Mutex
 	buf []lock.Event
@@ -86,7 +76,8 @@ func newTraceRing(capacity int) *traceRing {
 	return &traceRing{cap: capacity}
 }
 
-func (t *traceRing) add(e lock.Event) {
+// Record is the lock.EventSink implementation.
+func (t *traceRing) Record(e lock.Event) {
 	t.mu.Lock()
 	t.buf = append(t.buf, e)
 	if len(t.buf) > t.cap {
@@ -101,186 +92,104 @@ func (t *traceRing) snapshot() []lock.Event {
 	return append([]lock.Event(nil), t.buf...)
 }
 
-// newShell builds a fully wired shell (shared by main and the tests): the
-// lock manager's event stream feeds the .trace ring (OnEvent hook), the obs
-// collector, the contention profile and the incident writer (sinks), and the
-// protocol records span trees into the recorder — every user statement is
-// traced (sample shift 0) since the shell is interactive. Incident dumps for
-// deadlock victims and acquire timeouts land in incidentDir. A non-empty
-// journalDir additionally attaches the durable lock-event journal: every
-// event (plus fast-path hits and SLO transitions) persists to append-only
-// segments that colockreplay analyzes offline, and incident dumps record the
-// journal offset for -around correlation.
+// newShell builds a fully wired shell (shared by run and the tests) over
+// engine.Open's assembly — the one colockd runs — plus what only the shell
+// has: the .trace ring as one more event sink, and the .storm retry
+// collector. Incident dumps for deadlock victims and acquire timeouts land
+// in incidentDir. A non-empty journalDir attaches the durable lock-event
+// journal: every event (plus fast-path hits and SLO transitions) persists to
+// append-only segments that colockreplay analyzes offline, and incident
+// dumps record the journal offset for -around correlation.
 func newShell(prime bool, policy lock.Policy, incidentDir, journalDir string, out *bufio.Writer) (*shell, error) {
 	st := store.PaperDatabase()
 	core.CollectStatistics(st)
-	nm := core.NewNamer(st.Catalog(), false)
 	auth := authz.NewTable(false)
-	opts := core.Options{}
+	cfg := engine.Config{Store: st, Policy: policy, IncidentDir: incidentDir, JournalDir: journalDir}
 	if prime {
-		opts = core.Options{Rule4Prime: true, Authorizer: auth}
+		cfg.Authorizer = auth
+	}
+	eng, err := engine.Open(cfg)
+	if err != nil {
+		return nil, err
 	}
 	ring := newTraceRing(64)
-	kindOf := core.UnitKindOf(nm)
-	col := obs.NewCollector(obs.Options{
-		KindLabels: core.UnitKindLabels,
-		KindOf:     kindOf,
-	})
-	mgr := lock.NewManager(lock.Options{
-		Policy:  policy,
-		OnEvent: ring.add,
-		Sinks:   []lock.EventSink{col},
-	})
-	rec := trace.NewRecorder(trace.Options{
-		ShardOf: mgr.ShardOf,
-		KindOf: func(r lock.Resource) string {
-			if k := kindOf(r); k >= 0 && k < len(core.UnitKindLabels) {
-				return core.UnitKindLabels[k]
-			}
-			return "other"
-		},
-	})
-	var jw *journal.Writer
-	if journalDir != "" {
-		var err error
-		jw, err = journal.Open(journalDir, journal.Options{})
-		if err != nil {
-			return nil, err
-		}
-		// Attached before the incident writer so the event that triggers a
-		// dump is inside the journal offset the dump records.
-		mgr.AttachSink(jw)
-	}
-	prof := trace.NewProfile()
-	incOpts := trace.IncidentOptions{}
-	if jw != nil {
-		incOpts.JournalOffset = jw.Offset
-	}
-	iw := trace.NewIncidentWriter(incidentDir, rec, mgr, incOpts)
-	mgr.AttachSink(prof)
-	mgr.AttachSink(iw)
-	mon := health.NewMonitor(health.Options{
-		Window: time.Second,
-		Retain: 60,
-		TopK:   32,
-		SLO: health.SLO{
-			MaxAbortRate:   0.05,
-			MaxWaitP99:     250 * time.Millisecond,
-			MaxWaiterDepth: 64,
-		},
-		WaiterDepth: mgr.WaitingTxns,
-		GrantPath:   mgr.Stats,
-	})
-	mgr.AttachSink(mon) // joins the ResetStats cascade via the resettable check
-	// SLO transitions surface in the .trace ring like any lock event, and in
-	// the journal so offline replay can compare its own grading against the
-	// transitions the live monitor actually fired.
-	mon.OnTransition(func(tr health.Transition) {
-		detail := fmt.Sprintf("%s->%s %s", tr.From, tr.To, tr.Reason)
-		ring.add(lock.Event{
+	eng.Manager.AttachSink(ring)
+	// SLO transitions surface in the .trace ring like any lock event.
+	eng.Monitor.OnTransition(func(tr health.Transition) {
+		ring.Record(lock.Event{
 			Kind:     "health",
 			At:       time.Now(),
-			Resource: lock.Resource(detail),
+			Resource: lock.Resource(fmt.Sprintf("%s->%s %s", tr.From, tr.To, tr.Reason)),
 		})
-		if jw != nil {
-			jw.Note("health", detail)
-		}
 	})
 	retry := obs.NewRetryCollector()
 	// The retry collector is not an event sink (it observes the retry layer,
 	// not the manager), so it must be registered into the reset cascade
 	// explicitly — otherwise .storm summaries survive a ResetStats.
-	mgr.OnResetStats(retry.ResetStats)
-	opts.Tracer = rec
-	proto := core.NewProtocol(mgr, st, nm, opts)
-	// OnFastPathHit holds ONE callback, so the monitor's counter and the
-	// journal compose in a single closure.
-	if jw != nil {
-		proto.OnFastPathHit(func() {
-			mon.RecordFastPathHit()
-			jw.RecordFastPathHit()
-		})
-	} else {
-		proto.OnFastPathHit(mon.RecordFastPathHit)
-	}
-	tm := txn.NewManager(proto, st)
+	eng.Manager.OnResetStats(retry.ResetStats)
 	return &shell{
-		st: st, proto: proto, mgr: tm,
-		exec: query.NewExecutor(tm, core.PlannerOptions{}),
+		st: st, eng: eng,
+		exec: query.NewExecutor(eng.Txns, core.PlannerOptions{}),
 		auth: auth, prime: prime, policy: policy,
 		out:   out,
 		trace: ring,
-		col:   col,
-		rec:   rec,
-		prof:  prof,
-		iw:    iw,
 		retry: retry,
-		mon:   mon,
-		jw:    jw,
 	}, nil
-}
-
-func parsePolicy(name string) (lock.Policy, error) {
-	switch name {
-	case "detect":
-		return lock.PolicyDetect, nil
-	case "waitdie":
-		return lock.PolicyWaitDie, nil
-	case "none":
-		return lock.PolicyNone, nil
-	}
-	return lock.PolicyDetect, fmt.Errorf("unknown deadlock policy %q (detect, waitdie, none)", name)
 }
 
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("colockshell: ")
-	prime := flag.Bool("rule4prime", true, "enable authorization cooperation (rule 4')")
-	deadlock := flag.String("deadlock", "detect", "deadlock policy: detect, waitdie or none")
-	obsAddr := flag.String("obs", "", "serve the observability HTTP endpoint on this address (e.g. 127.0.0.1:8023)")
-	incidents := flag.String("incidents", filepath.Join(os.TempDir(), "colockshell-incidents"),
-		"directory for deadlock/timeout incident dumps (JSONL)")
-	journalDir := flag.String("journal", "",
-		"directory for the durable lock-event journal (analyze offline with colockreplay)")
-	pprofOn := flag.Bool("pprof", false,
-		"expose net/http/pprof under /debug/pprof/ on the -obs endpoint")
-	flag.Parse()
-
-	policy, err := parsePolicy(*deadlock)
-	if err != nil {
+	if err := run(os.Args[1:], os.Stdin, os.Stdout); err != nil {
 		log.Fatal(err)
 	}
-	s, err := newShell(*prime, policy, *incidents, *journalDir, bufio.NewWriter(os.Stdout))
+}
+
+// run is the shell from flag parsing to .quit. A start-up failure comes back
+// as an error AFTER the deferred engine Close has flushed and closed the
+// journal; main exits on it (os.Exit runs no defers, so nothing in here may
+// call log.Fatal once the shell is built).
+func run(args []string, stdin io.Reader, stdout io.Writer) error {
+	fs := flag.NewFlagSet("colockshell", flag.ExitOnError)
+	prime := fs.Bool("rule4prime", true, "enable authorization cooperation (rule 4')")
+	deadlock := fs.String("deadlock", "detect", "deadlock policy: detect, waitdie or none")
+	obsAddr := fs.String("obs", "", "serve the observability HTTP endpoint on this address (e.g. 127.0.0.1:8023)")
+	incidents := fs.String("incidents", filepath.Join(os.TempDir(), "colockshell-incidents"),
+		"directory for deadlock/timeout incident dumps (JSONL)")
+	journalDir := fs.String("journal", "",
+		"directory for the durable lock-event journal (analyze offline with colockreplay)")
+	pprofOn := fs.Bool("pprof", false,
+		"expose net/http/pprof under /debug/pprof/ on the -obs endpoint")
+	_ = fs.Parse(args) // ExitOnError: Parse does not return on a bad flag
+
+	policy, err := lock.ParsePolicy(*deadlock)
 	if err != nil {
-		log.Fatal(err)
+		return err
+	}
+	s, err := newShell(*prime, policy, *incidents, *journalDir, bufio.NewWriter(stdout))
+	if err != nil {
+		return err
 	}
 	defer s.out.Flush()
-	if s.jw != nil {
-		defer s.jw.Close()
-	}
+	defer s.eng.Close() // .quit closes too and reports the error; this covers the error returns
 
 	if *obsAddr != "" {
-		ts := &obs.TraceSources{Recorder: s.rec, Incidents: s.iw, Profile: s.prof, Health: s.mon.Handler(), Pprof: *pprofOn}
-		extras := []func(io.Writer){s.proto.WriteMetrics, s.retry.WriteMetrics, s.mon.WriteMetrics}
-		if s.jw != nil {
-			ts.Journal = s.jw.StatusHandler()
-			extras = append(extras, s.jw.WriteMetrics)
-		}
-		srv, err := obs.Serve(*obsAddr, s.proto.Manager(), s.col, ts, extras...)
+		srv, err := s.eng.ServeObs(*obsAddr, *pprofOn, s.retry.WriteMetrics)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		defer srv.Close()
 		fmt.Fprintf(s.out, "observability endpoint on http://%s/ (/metrics, /queues, /dot, /health, /trace/...)\n", srv.Addr())
 	}
 	fmt.Fprintf(s.out, "incident dumps in %s\n", *incidents)
-	if s.jw != nil {
+	if s.eng.Journal != nil {
 		fmt.Fprintf(s.out, "journaling lock events to %s (colockreplay -dir %s)\n", *journalDir, *journalDir)
 	}
 
 	fmt.Fprintln(s.out, "colock shell over the paper's example database (Figures 1/6).")
 	fmt.Fprintln(s.out, "Enter HDBL queries or .help; rule 4' is", map[bool]string{true: "ON", false: "OFF"}[*prime])
-	s.repl(bufio.NewScanner(os.Stdin))
+	s.repl(bufio.NewScanner(stdin))
+	return nil
 }
 
 func (s *shell) repl(in *bufio.Scanner) {
@@ -383,7 +292,7 @@ A transaction starts implicitly with the first query.
 
 func (s *shell) ensureTx() *txn.Txn {
 	if s.tx == nil || s.tx.State() != txn.Active {
-		s.tx = s.mgr.Begin()
+		s.tx = s.eng.Txns.Begin()
 		if s.prime {
 			s.auth.Grant(s.tx.ID(), "cells") // shell user may modify cells, not effectors
 		}
@@ -408,7 +317,7 @@ func (s *shell) runCreate(src string) {
 
 func (s *shell) runQuery(src string) {
 	tx := s.ensureTx()
-	before := len(s.proto.Manager().HeldLocks(tx.ID()))
+	before := len(s.eng.Manager.HeldLocks(tx.ID()))
 	res, err := s.exec.RunStatement(tx, src)
 	if err != nil {
 		fmt.Fprintf(s.out, "error: %v\n", err)
@@ -426,7 +335,7 @@ func (s *shell) runQuery(src string) {
 	default:
 		fmt.Fprintf(s.out, "-- %d affected; new locks:\n", res.Affected)
 	}
-	held := s.proto.Manager().HeldLocks(tx.ID())
+	held := s.eng.Manager.HeldLocks(tx.ID())
 	for i := before; i < len(held); i++ {
 		fmt.Fprintf(s.out, "   %-4s %s\n", held[i].Mode, held[i].Resource)
 	}
@@ -437,7 +346,7 @@ func (s *shell) showLocks() {
 		fmt.Fprintln(s.out, "no active transaction")
 		return
 	}
-	held := s.proto.Manager().HeldLocks(s.tx.ID())
+	held := s.eng.Manager.HeldLocks(s.tx.ID())
 	if len(held) == 0 {
 		fmt.Fprintln(s.out, "no locks held")
 		return
@@ -464,7 +373,7 @@ func (s *shell) showTrace() {
 
 func (s *shell) showSpans() {
 	if s.tx != nil && s.tx.State() == txn.Active {
-		spans := s.rec.SpansOf(s.tx.ID())
+		spans := s.eng.Recorder.SpansOf(s.tx.ID())
 		if len(spans) == 0 {
 			fmt.Fprintln(s.out, "no spans for the current transaction yet")
 			return
@@ -472,7 +381,7 @@ func (s *shell) showSpans() {
 		fmt.Fprintf(s.out, "span tree of transaction %d:\n%s", s.tx.ID(), trace.Tree(spans))
 		return
 	}
-	recent := s.rec.Recent(32)
+	recent := s.eng.Recorder.Recent(32)
 	if len(recent) == 0 {
 		fmt.Fprintln(s.out, "no spans recorded yet (flight recorder empty)")
 		return
@@ -484,7 +393,7 @@ func (s *shell) showSpans() {
 }
 
 func (s *shell) showProfile() {
-	folded := s.prof.FoldedStacks()
+	folded := s.eng.Profile.FoldedStacks()
 	if folded == "" {
 		fmt.Fprintln(s.out, "no blocked time recorded (profile is empty)")
 		return
@@ -494,7 +403,7 @@ func (s *shell) showProfile() {
 }
 
 func (s *shell) showIncidents() {
-	infos := s.iw.Incidents()
+	infos := s.eng.Incidents.Incidents()
 	if len(infos) == 0 {
 		fmt.Fprintln(s.out, "no incidents recorded")
 		return
@@ -517,8 +426,8 @@ func (s *shell) forceTimeout() {
 		fmt.Fprintln(s.out, "finish the current transaction first (.commit or .abort)")
 		return
 	}
-	waiter := s.mgr.Begin()
-	holder := s.mgr.Begin()
+	waiter := s.eng.Txns.Begin()
+	holder := s.eng.Txns.Begin()
 	if s.prime {
 		s.auth.Grant(waiter.ID(), "cells")
 		s.auth.Grant(holder.ID(), "cells")
@@ -552,13 +461,13 @@ func (s *shell) forceDeadlock() {
 		fmt.Fprintln(s.out, "finish the current transaction first (.commit or .abort)")
 		return
 	}
-	a := s.mgr.Begin()
-	b := s.mgr.Begin()
+	a := s.eng.Txns.Begin()
+	b := s.eng.Txns.Begin()
 	if s.prime {
 		s.auth.Grant(a.ID(), "effectors")
 		s.auth.Grant(b.ID(), "effectors")
 	}
-	m := s.proto.Manager()
+	m := s.eng.Manager
 	if err := a.LockPath(nil, store.P("effectors", "e1"), lock.X); err != nil {
 		fmt.Fprintf(s.out, "error: %v\n", err)
 		a.Abort()
@@ -592,7 +501,7 @@ func (s *shell) forceDeadlock() {
 }
 
 func (s *shell) showMetrics() {
-	m := s.proto.Manager()
+	m := s.eng.Manager
 	st := m.Stats()
 
 	ops := metrics.NewTable("Lock-manager counters", "counter", "value")
@@ -623,7 +532,7 @@ func (s *shell) showMetrics() {
 		fmt.Fprintf(s.out, "\nretry (.storm): %s\n", s.retry)
 	}
 
-	ps := s.proto.Stats()
+	ps := s.eng.Protocol.Stats()
 	rules := metrics.NewTable("Protocol rule applications", "rule", "count")
 	rules.Addf("requests", ps.Requests)
 	rules.Addf("upward locks (1-4, order 5)", ps.UpwardLocks)
@@ -637,7 +546,7 @@ func (s *shell) showMetrics() {
 
 	lat := metrics.NewTable("Latencies by op, mode and unit kind",
 		"op", "mode", "unit", "count", "p50", "p95", "p99", "max")
-	views := s.col.Histograms()
+	views := s.eng.Collector.Histograms()
 	for _, v := range views {
 		lat.Addf(v.Op.String(), v.Mode.String(), v.Kind, v.Snap.Count,
 			v.Snap.Quantile(0.50), v.Snap.Quantile(0.95), v.Snap.Quantile(0.99), v.Snap.Max)
@@ -650,7 +559,7 @@ func (s *shell) showMetrics() {
 }
 
 func (s *shell) showQueues(all bool) {
-	qs := s.proto.Manager().SnapshotQueues()
+	qs := s.eng.Manager.SnapshotQueues()
 	shown := 0
 	for _, q := range qs {
 		if !all && !q.Contended() {
@@ -683,7 +592,7 @@ func (s *shell) showQueues(all bool) {
 }
 
 func (s *shell) showDOT() {
-	fmt.Fprint(s.out, s.proto.Manager().WaitsForDOT())
+	fmt.Fprint(s.out, s.eng.Manager.WaitsForDOT())
 }
 
 func (s *shell) showGraph(relation string) {
@@ -750,14 +659,14 @@ func (s *shell) finish(commit bool) {
 // forces buffered records to disk first (useful before pointing colockreplay
 // at a live journal).
 func (s *shell) journalCmd(arg string) {
-	if s.jw == nil {
+	if s.eng.Journal == nil {
 		fmt.Fprintln(s.out, "no journal attached (restart with -journal <dir>)")
 		return
 	}
 	switch arg {
 	case "":
 	case "flush":
-		if err := s.jw.Flush(); err != nil {
+		if err := s.eng.Journal.Flush(); err != nil {
 			fmt.Fprintf(s.out, "error: journal flush: %v\n", err)
 			return
 		}
@@ -766,7 +675,7 @@ func (s *shell) journalCmd(arg string) {
 		fmt.Fprintln(s.out, "usage: .journal [flush]")
 		return
 	}
-	st := s.jw.Status()
+	st := s.eng.Journal.Status()
 	fmt.Fprintf(s.out, "journal %s\n", st.Dir)
 	fmt.Fprintf(s.out, "  segment %d of %d, %d records persisted (%d accepted, %d dropped), %d bytes\n",
 		st.Segment, st.Segments, st.Records, st.Accepted, st.Dropped, st.Bytes)
@@ -780,13 +689,11 @@ func (s *shell) quit() {
 		s.tx.Abort()
 		fmt.Fprintln(s.out, "-- aborted open transaction")
 	}
-	if s.jw != nil {
-		if err := s.jw.Close(); err != nil {
-			fmt.Fprintf(s.out, "journal close: %v\n", err)
-		} else {
-			st := s.jw.Status()
-			fmt.Fprintf(s.out, "journal closed: %d records in %s\n", st.Records, st.Dir)
-		}
+	if err := s.eng.Close(); err != nil {
+		fmt.Fprintf(s.out, "journal close: %v\n", err)
+	} else if s.eng.Journal != nil {
+		st := s.eng.Journal.Status()
+		fmt.Fprintf(s.out, "journal closed: %d records in %s\n", st.Records, st.Dir)
 	}
 	fmt.Fprintln(s.out, "bye")
 }

@@ -52,7 +52,7 @@ func TestShellSelectAndCommit(t *testing.T) {
 			t.Errorf("output misses %q:\n%s", want, out)
 		}
 	}
-	if s.proto.Manager().LockCount() != 0 {
+	if s.eng.Manager.LockCount() != 0 {
 		t.Error("locks leaked")
 	}
 }

@@ -59,7 +59,7 @@ func TestShellQueues(t *testing.T) {
 // .dot must emit well-formed DOT naming the victim edge.
 func TestShellDotDeadlock(t *testing.T) {
 	s, buf := newTestShellPolicy(t, false, lock.PolicyNone)
-	m := s.proto.Manager()
+	m := s.eng.Manager
 
 	a, b := lock.Resource("db1/seg1/cells/c1"), lock.Resource("db1/seg2/effectors/e1")
 	if err := m.AcquireCtx(context.Background(), 101, a, lock.X); err != nil {
@@ -118,19 +118,5 @@ func TestShellDotEmpty(t *testing.T) {
 	end := strings.Index(out, "}\n")
 	if err := obs.ValidateDOT(out[start : end+2]); err != nil {
 		t.Errorf("empty .dot invalid: %v", err)
-	}
-}
-
-func TestParsePolicy(t *testing.T) {
-	for name, want := range map[string]lock.Policy{
-		"detect": lock.PolicyDetect, "waitdie": lock.PolicyWaitDie, "none": lock.PolicyNone,
-	} {
-		got, err := parsePolicy(name)
-		if err != nil || got != want {
-			t.Errorf("parsePolicy(%q) = %v, %v", name, got, err)
-		}
-	}
-	if _, err := parsePolicy("bogus"); err == nil {
-		t.Error("parsePolicy(bogus) should fail")
 	}
 }

@@ -25,7 +25,7 @@ import (
 // chaosCmd handles `.chaos` / `.chaos off` / `.chaos victim=0.2 timeout=0.1
 // delay=0.05 seed=42`.
 func (s *shell) chaosCmd(arg string) {
-	m := s.proto.Manager()
+	m := s.eng.Manager
 	fields := strings.Fields(arg)
 	if len(fields) == 0 {
 		if s.chaos == nil {
@@ -119,9 +119,9 @@ func (s *shell) storm(arg string) {
 	rc.ResetStats()
 	// Retries feed both the retry collector (attempts-per-commit summary)
 	// and the health monitor's windowed retry rate.
-	observer := resilience.Tee(rc, s.mon)
+	observer := resilience.Tee(rc, s.eng.Monitor)
 	hot := store.P("cells", "c1", "robots", "r1", "trajectory")
-	m := s.proto.Manager()
+	m := s.eng.Manager
 	fmt.Fprintf(s.out, "-- storm: %d workers × %d rounds, X on %s, retry with capped-exponential backoff\n",
 		workers, rounds, hot)
 
@@ -134,7 +134,7 @@ func (s *shell) storm(arg string) {
 		go func() {
 			defer wg.Done()
 			for r := 0; r < rounds; r++ {
-				err := s.mgr.RunWithRetry(context.Background(), func(tx *txn.Txn) error {
+				err := s.eng.Txns.RunWithRetry(context.Background(), func(tx *txn.Txn) error {
 					if s.prime {
 						s.auth.Grant(tx.ID(), "cells")
 					}

@@ -66,7 +66,7 @@ func TestShellForceTimeout(t *testing.T) {
 	if !strings.Contains(out, "timeout") {
 		t.Fatalf("no timeout reported:\n%s", out)
 	}
-	infos := s.iw.Incidents()
+	infos := s.eng.Incidents.Incidents()
 	if len(infos) != 1 || infos[0].Reason != "timeout" {
 		t.Fatalf("incidents = %+v, want one timeout", infos)
 	}
@@ -91,7 +91,7 @@ func TestShellForceDeadlock(t *testing.T) {
 	if !strings.Contains(out, "deadlock") {
 		t.Fatalf("no deadlock reported:\n%s", out)
 	}
-	infos := s.iw.Incidents()
+	infos := s.eng.Incidents.Incidents()
 	if len(infos) != 1 || infos[0].Reason != "victim" {
 		t.Fatalf("incidents = %+v, want one victim", infos)
 	}
@@ -104,7 +104,7 @@ func TestShellForceDeadlock(t *testing.T) {
 	if !strings.Contains(bufn.String(), "restart with -deadlock") {
 		t.Errorf("policy none did not refuse:\n%s", bufn.String())
 	}
-	if len(sn.iw.Incidents()) != 0 {
+	if len(sn.eng.Incidents.Incidents()) != 0 {
 		t.Errorf("policy none wrote an incident")
 	}
 }

@@ -6,12 +6,7 @@
 //	lockbench -quick       # small-scale smoke run
 //	lockbench -e E3,E5     # run selected experiments (E1..E13)
 //	lockbench -shardbench  # before/after sharded-table benchmark → BENCH_PR1.json
-//	lockbench -obsbench    # collector-overhead + latency benchmark → BENCH_PR2.json
-//	lockbench -tracebench  # span-tracing-overhead benchmark → BENCH_PR3.json
-//	lockbench -hotbench    # fast-path speedup benchmark → BENCH_PR4.json
 //	lockbench -stormbench  # contention-survival goodput benchmark → BENCH_PR6.json
-//	lockbench -healthbench # health-monitor overhead + SLO storm → BENCH_PR7.json
-//	lockbench -journalbench # durable-journal overhead benchmark → BENCH_PR8.json
 //	lockbench -grantbench  # constant-time grant-path benchmark → BENCH_PR9.json
 //	lockbench -netbench    # network lock-service loopback benchmark → BENCH_PR10.json
 package main
@@ -122,18 +117,8 @@ func main() {
 	sel := flag.String("e", "", "comma-separated experiment ids (E1..E13); empty = all")
 	shardbench := flag.Bool("shardbench", false, "run the sharded-lock-table before/after benchmark and write -shardout")
 	shardout := flag.String("shardout", "BENCH_PR1.json", "output path for the -shardbench JSON report")
-	obsbench := flag.Bool("obsbench", false, "run the observability-overhead benchmark and write -obsout")
-	obsout := flag.String("obsout", "BENCH_PR2.json", "output path for the -obsbench JSON report")
-	tracebench := flag.Bool("tracebench", false, "run the span-tracing-overhead benchmark and write -traceout")
-	traceout := flag.String("traceout", "BENCH_PR3.json", "output path for the -tracebench JSON report")
-	hotbench := flag.Bool("hotbench", false, "run the fast-path speedup benchmark and write -hotout")
-	hotout := flag.String("hotout", "BENCH_PR4.json", "output path for the -hotbench JSON report")
 	stormbench := flag.Bool("stormbench", false, "run the contention-survival goodput benchmark and write -stormout")
 	stormout := flag.String("stormout", "BENCH_PR6.json", "output path for the -stormbench JSON report")
-	healthbench := flag.Bool("healthbench", false, "run the health-monitor overhead benchmark and write -healthout")
-	healthout := flag.String("healthout", "BENCH_PR7.json", "output path for the -healthbench JSON report")
-	journalbench := flag.Bool("journalbench", false, "run the durable-journal overhead benchmark and write -journalout")
-	journalout := flag.String("journalout", "BENCH_PR8.json", "output path for the -journalbench JSON report")
 	grantbench := flag.Bool("grantbench", false, "run the constant-time grant-path benchmark and write -grantout")
 	grantout := flag.String("grantout", "BENCH_PR9.json", "output path for the -grantbench JSON report")
 	netbench := flag.Bool("netbench", false, "run the network lock-service loopback benchmark and write -netout")
@@ -174,38 +159,6 @@ func main() {
 		return
 	}
 
-	if *journalbench {
-		dur := 2 * time.Second
-		workers := []int{1, 4, 16}
-		if *quick {
-			dur = 300 * time.Millisecond
-			workers = []int{1, 4}
-		}
-		rep, err := writeJournalBench(*journalout, workers, dur)
-		if err != nil {
-			log.Fatalf("journalbench: %v", err)
-		}
-		printJournalBench(rep)
-		fmt.Printf("report written to %s\n", *journalout)
-		return
-	}
-
-	if *healthbench {
-		dur := 2 * time.Second
-		workers := []int{1, 4, 16}
-		if *quick {
-			dur = 300 * time.Millisecond
-			workers = []int{1, 4}
-		}
-		rep, err := writeHealthBench(*healthout, workers, dur)
-		if err != nil {
-			log.Fatalf("healthbench: %v", err)
-		}
-		printHealthBench(rep)
-		fmt.Printf("report written to %s\n", *healthout)
-		return
-	}
-
 	if *stormbench {
 		workers := []int{8, 32}
 		dur := 2 * time.Second
@@ -221,50 +174,6 @@ func main() {
 		}
 		printStormBench(rep)
 		fmt.Printf("report written to %s\n", *stormout)
-		return
-	}
-
-	if *hotbench {
-		dur := 2 * time.Second
-		workers := []int{1, 2, 4, 8, 16, 32}
-		if *quick {
-			dur = 300 * time.Millisecond
-			workers = []int{1, 4}
-		}
-		rep, err := writeHotBench(*hotout, workers, dur)
-		if err != nil {
-			log.Fatalf("hotbench: %v", err)
-		}
-		printHotBench(rep)
-		fmt.Printf("report written to %s\n", *hotout)
-		return
-	}
-
-	if *tracebench {
-		dur := 2 * time.Second
-		if *quick {
-			dur = 300 * time.Millisecond
-		}
-		rep, err := writeTraceBench(*traceout, []int{1, 4, 16}, dur)
-		if err != nil {
-			log.Fatalf("tracebench: %v", err)
-		}
-		printTraceBench(rep)
-		fmt.Printf("report written to %s\n", *traceout)
-		return
-	}
-
-	if *obsbench {
-		dur := 2 * time.Second
-		if *quick {
-			dur = 300 * time.Millisecond
-		}
-		rep, err := writeObsBench(*obsout, []int{1, 4, 16}, dur)
-		if err != nil {
-			log.Fatalf("obsbench: %v", err)
-		}
-		printObsBench(rep)
-		fmt.Printf("report written to %s\n", *obsout)
 		return
 	}
 

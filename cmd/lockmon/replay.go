@@ -46,12 +46,8 @@ func replayReport(dir string, window time.Duration) (health.Report, error) {
 	mon := health.NewMonitor(health.Options{
 		Window: window,
 		Retain: retain,
-		SLO: health.SLO{
-			MaxAbortRate:   0.05,
-			MaxWaitP99:     250 * time.Millisecond,
-			MaxWaiterDepth: 64,
-		},
-		Start: first,
+		SLO:    health.DefaultSLO,
+		Start:  first,
 	})
 	for i := range recs {
 		rec := recs[i]

@@ -46,8 +46,7 @@ type Protocol struct {
 	// tr, when non-nil, records a span tree per user-level Lock call: the
 	// root span is the call itself, children are the protocol's rule
 	// applications (upward intention locks, downward propagations, the node
-	// acquisition). Sampling is decided once per call; sampled-out calls
-	// pay one atomic add.
+	// acquisition).
 	tr *trace.Recorder
 
 	// fast enables the fast path (DESIGN.md §11): an IS/IX request the
@@ -72,7 +71,7 @@ type Options struct {
 	// Rule4Prime enables authorization cooperation (§4.4.2.1, rule 4′).
 	Rule4Prime bool
 	// Tracer, when non-nil, records per-transaction span trees for every
-	// sampled user-level lock call (see internal/trace).
+	// user-level lock call (see internal/trace).
 	Tracer *trace.Recorder
 	// DisableFastPath turns off the held-lock-list shortcut and the batched
 	// ancestor acquisition, forcing every request through the classic
@@ -205,11 +204,11 @@ func (p *Protocol) lockOpts(ctx context.Context, txn lock.TxnID, n Node, mode lo
 	default:
 		return fmt.Errorf("core: protocol mode must be IS, IX, S or X, got %v", mode)
 	}
-	// Root span: one per sampled user-level lock call. The sampling decision
-	// is made before naming the resource, so sampled-out calls skip even
-	// that; children ride on the root's decision (zero handle = inert).
+	// Root span: one per user-level lock call when a tracer is wired;
+	// without one the resource is not even named here and every child is
+	// inert (zero handle).
 	var sp trace.SpanHandle
-	if p.tr.Sample() {
+	if p.tr != nil {
 		if res, rerr := p.nm.Resource(n); rerr == nil {
 			sp = p.tr.Start(txn, "lock", res, mode)
 			defer func() { sp.End(err) }()
@@ -254,7 +253,7 @@ func (p *Protocol) lockRec(ctx context.Context, txn lock.TxnID, n Node, mode loc
 	// follow: granting S or X implies downward propagation (rules 3/4) —
 	// those requests must run the full protocol below. Everything else
 	// (IS/IX, or S/X with noFollow) is a pure chain acquisition, eligible
-	// for the all-in-one batched fast path. Sampled calls (a recording sp) take
+	// for the all-in-one batched fast path. Traced calls (a recording sp) take
 	// the classic per-resource path so the span tree keeps its per-resource
 	// timing; a fast-path hit inside it emits no span (DESIGN.md §11).
 	follow := (mode == lock.S || mode == lock.X) && !noFollow
@@ -406,7 +405,7 @@ func (p *Protocol) missing(reqs []lock.BatchReq, txn lock.TxnID, anc []lock.Reso
 	return reqs
 }
 
-// upwardBatched services the upward half of rules 1–4 for unsampled calls
+// upwardBatched services the upward half of rules 1–4 for untraced calls
 // with the fast path on: memo hits and ancestors the lock list covers are
 // skipped without a manager request, and whatever remains is acquired in ONE
 // Manager.AcquireBatch call (root-to-leaf order preserved) instead of one

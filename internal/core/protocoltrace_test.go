@@ -122,34 +122,6 @@ type denyRelation struct{ rel string }
 
 func (d denyRelation) CanModify(txn lock.TxnID, relation string) bool { return relation != d.rel }
 
-// Sampled-out calls leave no spans; sampled-in calls trace children too.
-func TestProtocolSpanSampling(t *testing.T) {
-	_, st := nestedCatalogAndStore(t)
-	nm := NewNamer(st.Catalog(), false)
-	mgr := lock.NewManager(lock.Options{})
-	rec := trace.NewRecorder(trace.Options{SampleShift: 6, ShardOf: mgr.ShardOf})
-	p := NewProtocol(mgr, st, nm, Options{Tracer: rec})
-
-	for i := 0; i < 64; i++ {
-		if err := p.LockPath(1, store.P("bolts", "b1"), lock.S); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if rec.SampledCalls() != 1 {
-		t.Errorf("SampledCalls = %d, want 1 of 64 at shift 6", rec.SampledCalls())
-	}
-	var roots int
-	for _, sp := range rec.SpansOf(1) {
-		if sp.Parent == 0 {
-			roots++
-		}
-	}
-	if roots != 1 {
-		t.Errorf("root spans = %d, want 1", roots)
-	}
-	mgr.ReleaseAll(1)
-}
-
 // LockTimeout plumbs a per-acquisition deadline through the protocol chain
 // and reports the blocking acquisition in the span tree.
 func TestProtocolLockTimeout(t *testing.T) {

@@ -12,7 +12,7 @@
 // leaves open: the lock manager reacting to its own measured contention.
 //
 // Clock discipline: nothing here calls time.Now on the event path. The
-// Monitor is a lock.EventSink fed by the manager's (sampled) tracer, and
+// Monitor is a lock.EventSink fed by the manager's tracer, and
 // every event already carries the timestamp the tracer stamped; windows are
 // rotated only by an explicit Advance(now) from an observation point — the
 // /health HTTP handler, the colockshell .health command, a test. Between

@@ -57,6 +57,16 @@ type SLO struct {
 	RecoverAfter int
 }
 
+// DefaultSLO is the threshold set both daemons grade against, and the one
+// lockmon -replay and colockreplay assume of a journal unless told
+// otherwise: a replayed verdict matches the live one only if both sides use
+// the same numbers.
+var DefaultSLO = SLO{
+	MaxAbortRate:   0.05,
+	MaxWaitP99:     250 * time.Millisecond,
+	MaxWaiterDepth: 64,
+}
+
 func (c SLO) withDefaults() SLO {
 	if c.WarnAfter <= 0 {
 		c.WarnAfter = 1

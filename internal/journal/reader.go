@@ -127,8 +127,8 @@ func (r *Reader) Next() (Record, error) {
 		if err != nil {
 			return Record{}, err
 		}
-		// Timestampless records (fast-path hits recorded during a sampling
-		// gap, reset markers) sort at the position of the last timestamped
+		// Timestampless records (events built by hand, older journals'
+		// fast-path hits) sort at the position of the last timestamped
 		// record before them.
 		key := rec.At
 		if key.IsZero() {

@@ -67,8 +67,7 @@ type Event struct {
 	Resource Resource
 	// Shard is the lock-table stripe that served the operation.
 	Shard int
-	// At is the monotonic timestamp taken when the event was recorded
-	// (zero when the operation fell outside the EventSampleShift sample).
+	// At is the monotonic timestamp taken when the event was recorded.
 	At time.Time
 	// Dur is a kind-dependent duration: for grant/convert it is the
 	// request-to-grant latency, for release the hold time of the dropped
@@ -76,7 +75,7 @@ type Event struct {
 	// request was withdrawn, for release-all the duration of the whole
 	// end-of-transaction sweep. Zero for wait/downgrade events, and zero
 	// whenever the needed reference timestamp was not captured (the
-	// matching earlier operation fell outside the sample).
+	// matching earlier operation ran before a sink was attached).
 	Dur time.Duration
 	// Blockers names, on wait events (and wait-die victim events), the
 	// transactions the request queued behind — incompatible holders plus
@@ -142,9 +141,9 @@ type wake struct {
 
 // tracer buffers one operation's events, and the wake-ups of the requests it
 // resolved, until the shard latch is released. A nil *tracer (no consumer
-// attached, or sampled out) records nothing. Tracers are pooled: the
-// operation that got one from newTracer hands it back with finish exactly
-// once, on every return path, and never touches it afterwards.
+// attached) records nothing. Tracers are pooled: the operation that got one
+// from newTracer hands it back with finish exactly once, on every return
+// path, and never touches it afterwards.
 type tracer struct {
 	consumers []consumer
 	start     time.Time // operation start, the fast-path latency reference
@@ -154,13 +153,12 @@ type tracer struct {
 
 var tracerPool = sync.Pool{New: func() any { return &tracer{evs: make([]Event, 0, 8)} }}
 
-// newTracer makes the per-operation tracing decision: nil when no consumer
-// is attached or the operation falls outside the 1-in-2^EventSampleShift
-// sample. Untraced operations pay one atomic load (plus one counter add
-// when sampling is on) and never touch the clock.
+// newTracer makes the per-operation tracing decision: every operation is
+// traced while a consumer is attached, none otherwise. Untraced operations
+// pay one atomic load and never touch the clock.
 func (m *Manager) newTracer() *tracer {
 	p := m.sinks.Load()
-	if p == nil || (m.sampleMask != 0 && m.opSeq.Add(1)&m.sampleMask != 0) {
+	if p == nil {
 		return nil
 	}
 	t := tracerPool.Get().(*tracer)

@@ -29,7 +29,7 @@ type WaiterInfo struct {
 	Convert bool
 	Durable bool
 	// Since is the request's start time; zero when the enqueuing operation
-	// was not traced (no sinks, or sampled out).
+	// was not traced (no sink attached at the time).
 	Since time.Time
 }
 

@@ -94,6 +94,20 @@ func (p Policy) String() string {
 	return "detect"
 }
 
+// ParsePolicy maps the -deadlock flag values of the daemons (detect,
+// waitdie, none) to a Policy.
+func ParsePolicy(name string) (Policy, error) {
+	switch name {
+	case "detect":
+		return PolicyDetect, nil
+	case "waitdie":
+		return PolicyWaitDie, nil
+	case "none":
+		return PolicyNone, nil
+	}
+	return PolicyDetect, fmt.Errorf("unknown deadlock policy %q (detect, waitdie, none)", name)
+}
+
 // Options configures a Manager.
 type Options struct {
 	// OnEvent, if non-nil, is invoked for every grant, wait, conversion,
@@ -110,12 +124,6 @@ type Options struct {
 	// the same no-latch contract. Use AttachSink to add one after
 	// construction.
 	Sinks []EventSink
-	// EventSampleShift samples event emission by operation: only one in
-	// 2^EventSampleShift operations is traced (0, the default, traces every
-	// operation). Sampling decides per operation, so the traced operations
-	// still deliver all their events in order; it exists to keep tracing
-	// overhead negligible on benchmark-grade hot paths.
-	EventSampleShift uint8
 	// Policy selects deadlock handling (default PolicyDetect).
 	Policy Policy
 	// Injector, if non-nil, is consulted at the top of every AcquireCtx and
@@ -205,9 +213,7 @@ type Manager struct {
 	// sinks is the composed consumer list (OnEvent hook + Options.Sinks +
 	// AttachSink additions); nil when tracing is off. Copy-on-write behind
 	// an atomic pointer so the hot path pays one load.
-	sinks      atomic.Pointer[[]consumer]
-	opSeq      atomic.Uint64 // operation counter for event sampling
-	sampleMask uint64        // 2^EventSampleShift − 1
+	sinks atomic.Pointer[[]consumer]
 
 	// Batch counters live on the manager (not a shard) because one
 	// AcquireBatch call spans several stripes.
@@ -287,7 +293,6 @@ func NewManager(opts Options) *Manager {
 	} else if m.deferDur < 0 {
 		m.deferDur = 0
 	}
-	m.sampleMask = (uint64(1) << opts.EventSampleShift) - 1
 	if opts.Injector != nil {
 		m.SetInjector(opts.Injector)
 	}

@@ -8,6 +8,20 @@ import (
 	"time"
 )
 
+func TestParsePolicy(t *testing.T) {
+	for name, want := range map[string]Policy{
+		"detect": PolicyDetect, "waitdie": PolicyWaitDie, "none": PolicyNone,
+	} {
+		got, err := ParsePolicy(name)
+		if err != nil || got != want {
+			t.Errorf("ParsePolicy(%q) = %v, %v", name, got, err)
+		}
+	}
+	if _, err := ParsePolicy("bogus"); err == nil {
+		t.Error("ParsePolicy(bogus) should fail")
+	}
+}
+
 func TestGrantCompatible(t *testing.T) {
 	m := NewManager(Options{})
 	if err := m.AcquireCtx(context.Background(), 1, "a", S); err != nil {

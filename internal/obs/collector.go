@@ -181,7 +181,7 @@ func (c *Collector) count(e *lock.Event) {
 		if !e.Waited {
 			c.observe(OpAcquire, e.Mode, c.kindIndex(e.Resource), e.Dur)
 		} else if e.Dur > 0 {
-			// Dur == 0 means the enqueue fell outside the event sample, so
+			// Dur == 0 means the enqueue ran before a sink was attached, so
 			// no wait reference exists — skip rather than record a zero.
 			ki := c.kindIndex(e.Resource)
 			c.observe(OpAcquire, e.Mode, ki, e.Dur)

@@ -3,7 +3,6 @@ package obs
 import (
 	"context"
 	"errors"
-	"fmt"
 	"strings"
 	"sync"
 	"testing"
@@ -247,32 +246,5 @@ func TestCollectorConcurrent(t *testing.T) {
 	}
 	if acq := c.Aggregate(OpAcquire); acq.Count != goroutines*iters {
 		t.Fatalf("acquire observations = %d, want %d", acq.Count, goroutines*iters)
-	}
-}
-
-// With sampling enabled the exact counters in Manager.Stats must keep exact
-// totals while the collector sees roughly 1/2^k of operations.
-func TestSampledCollector(t *testing.T) {
-	c := NewCollector(Options{})
-	m := lock.NewManager(lock.Options{Sinks: []lock.EventSink{c}, EventSampleShift: 2})
-	const n = 400
-	for i := 0; i < n; i++ {
-		r := lock.Resource(fmt.Sprintf("db1/seg1/cells/x%d", i))
-		if err := m.AcquireCtx(context.Background(), 1, r, lock.S); err != nil {
-			t.Fatal(err)
-		}
-	}
-	m.ReleaseAll(1)
-	if st := m.Stats(); st.Requests != n {
-		t.Fatalf("Stats.Requests = %d, want exact %d despite sampling", st.Requests, n)
-	}
-	got := c.EventCount("grant")
-	if got == 0 || got >= n {
-		t.Fatalf("sampled grant events = %d, want in (0, %d)", got, n)
-	}
-	// 1-in-4 sampling over a run of consecutive acquire operations: expect
-	// about n/4, allow generous slop for the deterministic modular pattern.
-	if got < n/8 || got > n/2 {
-		t.Errorf("sampled grant events = %d, want ≈ %d", got, n/4)
 	}
 }

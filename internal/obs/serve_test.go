@@ -237,11 +237,9 @@ func TestServeTraceRoutes(t *testing.T) {
 	m.AttachSink(prof)
 	m.AttachSink(iw)
 
-	if rec.Sample() {
-		sp := rec.Start(7, "lock", "db1/seg1/cells/c1", lock.S)
-		sp.Child("acquire", "db1/seg1/cells/c1", lock.S).End(nil)
-		sp.End(nil)
-	}
+	sp := rec.Start(7, "lock", "db1/seg1/cells/c1", lock.S)
+	sp.Child("acquire", "db1/seg1/cells/c1", lock.S).End(nil)
+	sp.End(nil)
 	if _, err := iw.Trigger("timeout", 7, "db1/seg1/cells/c1", "S"); err != nil {
 		t.Fatal(err)
 	}

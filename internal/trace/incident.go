@@ -20,11 +20,6 @@ import (
 // snapshot, and the waits-for graph in DOT — so a post-mortem needs no live
 // process. Record runs under the manager's sink contract (no latch held),
 // which is what makes the SnapshotQueues/WaitsForDOT callbacks safe.
-//
-// Event sampling gates the trigger: a victim/timeout whose operation fell
-// outside the manager's 1-in-2^EventSampleShift sample emits no event and
-// therefore dumps no incident. Run incident-bearing managers unsampled
-// (EventSampleShift 0), as colockshell does.
 type IncidentWriter struct {
 	dir    string
 	rec    *Recorder

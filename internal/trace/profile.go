@@ -30,8 +30,8 @@ type Profile struct {
 	dropped uint64 // waits discarded by the pending-map cap
 }
 
-// maxPending bounds the pending-wait map against leak when sampling splits
-// a wait from its terminal event (the wait traced, the grant not).
+// maxPending bounds the pending-wait map against waits whose terminal event
+// never arrives (requests parked for good under PolicyNone).
 const maxPending = 8192
 
 type pendingWait struct {

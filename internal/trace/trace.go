@@ -70,10 +70,6 @@ type SpanSink interface {
 
 // Options configures a Recorder.
 type Options struct {
-	// SampleShift samples tracing by user-level lock call: only one in
-	// 2^SampleShift root spans is recorded (children ride on the root's
-	// decision). 0 traces every call.
-	SampleShift uint8
 	// RingSize is the per-ring capacity of the flight recorder (completed
 	// spans; default 256, negative disables the flight recorder).
 	RingSize int
@@ -123,9 +119,8 @@ type txnTrace struct {
 var txnTracePool = sync.Pool{New: func() any { return new(txnTrace) }}
 
 // txnBufShard is one stripe of the per-transaction buffer registry. n
-// mirrors len(buf) so FinishTxn on an untraced transaction — the common
-// case at high sample shifts — can bail out on one atomic load without
-// taking the mutex.
+// mirrors len(buf) so FinishTxn on a transaction that recorded nothing can
+// bail out on one atomic load without taking the mutex.
 type txnBufShard struct {
 	mu  sync.Mutex
 	n   atomic.Int64
@@ -137,9 +132,6 @@ type Recorder struct {
 	kindOf  func(lock.Resource) string
 	shardOf func(lock.Resource) int
 
-	sampleMask uint64
-	opSeq      atomic.Uint64
-
 	shards []*txnBufShard
 	mask   uint32
 
@@ -148,8 +140,7 @@ type Recorder struct {
 
 	sinks atomic.Pointer[[]SpanSink]
 
-	spans   atomic.Uint64 // completed spans, for overhead accounting
-	sampled atomic.Uint64 // root-span sampling decisions that traced
+	spans atomic.Uint64 // completed spans, for overhead accounting
 }
 
 // NewRecorder builds a recorder.
@@ -164,11 +155,10 @@ func NewRecorder(opts Options) *Recorder {
 	}
 	const nShards = 64
 	r := &Recorder{
-		kindOf:     kindOf,
-		shardOf:    shardOf,
-		sampleMask: (uint64(1) << opts.SampleShift) - 1,
-		shards:     make([]*txnBufShard, nShards),
-		mask:       nShards - 1,
+		kindOf:  kindOf,
+		shardOf: shardOf,
+		shards:  make([]*txnBufShard, nShards),
+		mask:    nShards - 1,
 	}
 	for i := range r.shards {
 		r.shards[i] = &txnBufShard{buf: make(map[lock.TxnID]*txnTrace)}
@@ -217,20 +207,6 @@ func (r *Recorder) AttachSink(s SpanSink) {
 	}
 }
 
-// Sample makes the per-call sampling decision: true when the next user-level
-// lock call should be traced. Sampled-out calls pay one atomic add and never
-// touch the clock or the buffer registry.
-func (r *Recorder) Sample() bool {
-	if r == nil {
-		return false
-	}
-	if r.sampleMask != 0 && r.opSeq.Add(1)&r.sampleMask != 0 {
-		return false
-	}
-	r.sampled.Add(1)
-	return true
-}
-
 // bufFor returns txn's span buffer and its current life, taking a buffer
 // from the pool on the transaction's first traced call.
 func (r *Recorder) bufFor(txn lock.TxnID) (*txnTrace, uint32) {
@@ -251,7 +227,7 @@ func (r *Recorder) bufFor(txn lock.TxnID) (*txnTrace, uint32) {
 }
 
 // SpanHandle identifies an in-flight span. The zero handle is inert: Child
-// and End on it are no-ops, so call sites need no sampling guards. A handle
+// and End on it are no-ops, so call sites need no tracing guards. A handle
 // is a small value (copy it freely) and is dead once its transaction's
 // FinishTxn has run: Child and End on a dead handle record nothing.
 type SpanHandle struct {
@@ -265,8 +241,8 @@ type SpanHandle struct {
 // the zero handle).
 func (h SpanHandle) Recording() bool { return h.tt != nil }
 
-// Start opens a root span for a user-level lock call. Callers decide
-// sampling first (Sample); Start itself always records.
+// Start opens a root span for a user-level lock call; on a nil recorder it
+// returns the zero handle.
 func (r *Recorder) Start(txn lock.TxnID, kind string, res lock.Resource, mode lock.Mode) SpanHandle {
 	if r == nil {
 		return SpanHandle{}
@@ -369,8 +345,7 @@ func (r *Recorder) FinishTxn(txn lock.TxnID, outcome string) int {
 	}
 	s := r.shards[uint32(txn)&r.mask]
 	if s.n.Load() == 0 {
-		// Nothing buffered anywhere in this stripe — the common case for
-		// untraced transactions at high sample shifts.
+		// Nothing buffered anywhere in this stripe.
 		return 0
 	}
 	s.mu.Lock()
@@ -421,9 +396,6 @@ func (r *Recorder) Recent(n int) []Span {
 
 // SpanCount returns the number of completed spans recorded so far.
 func (r *Recorder) SpanCount() uint64 { return r.spans.Load() }
-
-// SampledCalls returns the number of user-level calls that traced.
-func (r *Recorder) SampledCalls() uint64 { return r.sampled.Load() }
 
 // spanRing is one bounded flight-recorder buffer behind a leaf mutex.
 type spanRing struct {

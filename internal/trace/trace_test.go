@@ -27,9 +27,6 @@ func TestSpanTreeLifecycle(t *testing.T) {
 	sink := &captureSink{}
 	rec := NewRecorder(Options{Sinks: []SpanSink{sink}})
 
-	if !rec.Sample() {
-		t.Fatal("SampleShift 0 must trace every call")
-	}
 	root := rec.Start(7, "lock", "db1/seg1/cells/c1", lock.X)
 	up := root.Child("upward", "db1/seg1/cells", lock.IX)
 	up.End(nil)
@@ -88,9 +85,6 @@ func TestSpanTreeLifecycle(t *testing.T) {
 
 func TestNilHandleAndNilRecorderAreInert(t *testing.T) {
 	var rec *Recorder
-	if rec.Sample() {
-		t.Error("nil recorder sampled in")
-	}
 	h := rec.Start(1, "lock", "a", lock.S)
 	if h.Recording() {
 		t.Fatalf("nil recorder Start = %v, want the zero handle", h)
@@ -99,22 +93,6 @@ func TestNilHandleAndNilRecorderAreInert(t *testing.T) {
 	h.End(nil)
 	if got := rec.FinishTxn(1, "commit"); got != 0 {
 		t.Errorf("nil recorder FinishTxn = %v", got)
-	}
-}
-
-func TestSampling(t *testing.T) {
-	rec := NewRecorder(Options{SampleShift: 2}) // 1 in 4
-	n := 0
-	for i := 0; i < 64; i++ {
-		if rec.Sample() {
-			n++
-		}
-	}
-	if n != 16 {
-		t.Errorf("sampled %d of 64 calls at shift 2, want 16", n)
-	}
-	if rec.SampledCalls() != 16 {
-		t.Errorf("SampledCalls = %d, want 16", rec.SampledCalls())
 	}
 }
 

@@ -2,29 +2,24 @@ package colock_test
 
 import (
 	"context"
-	"fmt"
 	"strconv"
 	"sync"
 	"testing"
-	"time"
 
 	"colock/client"
 	"colock/internal/core"
-	"colock/internal/health"
-	"colock/internal/journal"
+	"colock/internal/engine"
 	"colock/internal/lock"
-	"colock/internal/obs"
 	"colock/internal/resilience"
 	"colock/internal/server"
 	"colock/internal/store"
-	"colock/internal/trace"
 	"colock/internal/txn"
 	"colock/internal/workload"
 )
 
-// Allocation pins for the engine's two wirings: sink-less, and wired like
-// cmd/colockd's newService with -journal (every sink, every operation
-// sampled). A cell edit is Begin + 10 × LockPath + Commit on disjoint data:
+// Allocation pins for the engine's two wirings: sink-less, and
+// internal/engine's assembly with a journal (what colockd -journal runs:
+// every sink, every operation traced). A cell edit is Begin + 10 × LockPath + Commit on disjoint data:
 // six c_objects (S×5, X) and four robots (S×3, X) of one cell — the
 // transaction bench/ runs, so `go test ./...` sees an event-pipeline
 // regression without the benchmark.
@@ -61,62 +56,25 @@ func pinStore() *store.Store {
 	return st
 }
 
-// observedEngine mirrors newService in cmd/colockd with -journal set: the
-// same sinks, in the same attach order, with the default sampling.
-type observedEngine struct {
-	tm  *txn.Manager
-	mgr *lock.Manager
-	col *obs.Collector
-	jw  *journal.Writer
-}
-
-func newObservedEngine(tb testing.TB) *observedEngine {
+// newObservedEngine is engine.Open with a journal: the assembly colockd
+// -journal and colockshell -journal run, not a copy of it.
+func newObservedEngine(tb testing.TB) *engine.Engine {
 	tb.Helper()
-	st := pinStore()
-	nm := core.NewNamer(st.Catalog(), false)
-	kindOf := core.UnitKindOf(nm)
-	col := obs.NewCollector(obs.Options{KindLabels: core.UnitKindLabels, KindOf: kindOf})
-	mgr := lock.NewManager(lock.Options{Policy: lock.PolicyDetect, Sinks: []lock.EventSink{col}})
-	rec := trace.NewRecorder(trace.Options{
-		ShardOf: mgr.ShardOf,
-		KindOf: func(r lock.Resource) string {
-			if k := kindOf(r); k >= 0 && k < len(core.UnitKindLabels) {
-				return core.UnitKindLabels[k]
-			}
-			return "other"
-		},
+	e, err := engine.Open(engine.Config{
+		Store:       pinStore(),
+		Policy:      lock.PolicyDetect,
+		IncidentDir: tb.TempDir(),
+		JournalDir:  tb.TempDir(),
 	})
-	jw, err := journal.Open(tb.TempDir(), journal.Options{})
 	if err != nil {
 		tb.Fatal(err)
 	}
-	mgr.AttachSink(jw)
-	mgr.AttachSink(trace.NewProfile())
-	mgr.AttachSink(trace.NewIncidentWriter(tb.TempDir(), rec, mgr, trace.IncidentOptions{JournalOffset: jw.Offset}))
-	mon := health.NewMonitor(health.Options{
-		Window:      time.Second,
-		Retain:      60,
-		TopK:        32,
-		SLO:         health.SLO{MaxAbortRate: 0.05, MaxWaitP99: 250 * time.Millisecond, MaxWaiterDepth: 64},
-		WaiterDepth: mgr.WaitingTxns,
-		GrantPath:   mgr.Stats,
-	})
-	mgr.AttachSink(mon)
-	mon.OnTransition(func(tr health.Transition) {
-		jw.Note("health", fmt.Sprintf("%s->%s %s", tr.From, tr.To, tr.Reason))
-	})
-	proto := core.NewProtocol(mgr, st, nm, core.Options{Tracer: rec})
-	proto.OnFastPathHit(func() {
-		mon.RecordFastPathHit()
-		jw.RecordFastPathHit()
-	})
 	tb.Cleanup(func() {
-		if err := jw.Close(); err != nil {
+		if err := e.Close(); err != nil {
 			tb.Errorf("journal close: %v", err)
 		}
-		mgr.Close()
 	})
-	return &observedEngine{tm: txn.NewManager(proto, st), mgr: mgr, col: col, jw: jw}
+	return e
 }
 
 func bareTxnManager(tb testing.TB) *txn.Manager {
@@ -181,16 +139,16 @@ func TestCellEditAllocsObserved(t *testing.T) {
 	// 213 before the event pipeline was batched and pooled, 48 before the
 	// downward scan was compiled from the schema, 14 while every transaction
 	// grew its own held-lock maps; measured 2 (the transaction handle and the
-	// release-all event's Resources). Every call is sampled here and so takes
+	// release-all event's Resources). Every call is traced here and so takes
 	// the per-resource path, which builds no batch slices: fewer than the
 	// sink-less engine below.
-	if got := allocsPerCellEdit(t, e.tm); got > 4 {
+	if got := allocsPerCellEdit(t, e.Txns); got > 4 {
 		t.Errorf("observed engine: %.1f allocs per cell edit, want ≤ 4", got)
 	}
-	if st := e.jw.Status(); st.Dropped != 0 || st.Error != "" {
+	if st := e.Journal.Status(); st.Dropped != 0 || st.Error != "" {
 		t.Errorf("journal dropped %d records (error %q) with one client", st.Dropped, st.Error)
 	}
-	if got := e.col.EventCount("grant"); got == 0 {
+	if got := e.Collector.EventCount("grant"); got == 0 {
 		t.Error("collector saw no grants: the sinks were not live")
 	}
 }
@@ -282,7 +240,7 @@ func TestTracedAcquireReleaseAllocs(t *testing.T) {
 		t.Errorf("untraced AcquireCtx + ReleaseAll: %.1f allocs, want 0", got)
 	}
 
-	traced := pairOn(newObservedEngine(t).mgr)
+	traced := pairOn(newObservedEngine(t).Manager)
 	for i := 0; i < 2048; i++ { // fill the collector's event ring to capacity
 		traced()
 	}
@@ -306,7 +264,7 @@ func TestObservedEngineConcurrentStress(t *testing.T) {
 			for i := 0; i < rounds; i++ {
 				// Neighbouring workers overlap on cells, so requests really
 				// block, wake and (rarely) die as deadlock victims.
-				err := runCellEdit(e.tm, &edits[(w/2*7+i)%len(edits)])
+				err := runCellEdit(e.Txns, &edits[(w/2*7+i)%len(edits)])
 				if _, retry := resilience.Classify(err); err != nil && !retry {
 					t.Errorf("worker %d: %v", w, err)
 					return
@@ -315,10 +273,10 @@ func TestObservedEngineConcurrentStress(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
-	if n := e.mgr.LockCount(); n != 0 {
+	if n := e.Manager.LockCount(); n != 0 {
 		t.Errorf("%d locks left after the stress", n)
 	}
-	counts := e.col.EventCounts()
+	counts := e.Collector.EventCounts()
 	if counts["grant"]+counts["convert"] == 0 || counts["release-all"] == 0 {
 		t.Errorf("collector counts %v: sinks not live", counts)
 	}
@@ -328,7 +286,7 @@ func TestObservedEngineConcurrentStress(t *testing.T) {
 // as a testing.B benchmark, for profiling the event pipeline.
 func BenchmarkCellEditObserved(b *testing.B) {
 	e := newObservedEngine(b)
-	benchCellEdits(b, e.tm)
+	benchCellEdits(b, e.Txns)
 }
 
 // BenchmarkCellEditBare is the same transaction on the sink-less engine.

@@ -1,14 +1,16 @@
 #!/bin/sh
 # docdrift: documentation drift gate (make drift-check, part of make ci).
 #
-# The docs cross-reference each other two ways, and both rot silently:
+# The docs cross-reference each other three ways, and all rot silently:
 #   1. "DESIGN.md §N" section references, sprinkled through markdown and
 #      code comments, must point at a real "## N." heading in DESIGN.md.
 #   2. Intra-repo markdown links — [text](RELATIVE/PATH) in *.md — must
 #      point at files that exist (anchors and external URLs are out of
 #      scope).
-# Renumbering a DESIGN.md section or moving a file now fails CI instead of
-# leaving dead pointers for the next reader.
+#   3. Every `make <target>` and every BENCH_PR<n>.json named in *.md must
+#      be a target of the Makefile / a file that exists.
+# Renumbering a DESIGN.md section, moving a file, or deleting a gate or a
+# report now fails CI instead of leaving dead pointers for the next reader.
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -45,7 +47,32 @@ for md in *.md; do
     done
 done
 
+# --- check 3: make targets and benchmark reports named in the docs ---------
+# Exempt besides SNIPPETS.md: CHANGES.md and ROADMAP.md from "## Recent" on
+# are history (they name what a PR removed), and ISSUE.md describes a change
+# still to be made.
+for md in *.md; do
+    case "$md" in SNIPPETS.md|CHANGES.md|ISSUE.md) continue ;; esac
+    if [ "$md" = ROADMAP.md ]; then
+        text=$(sed '/^## Recent/,$d' "$md")
+    else
+        text=$(cat "$md")
+    fi
+    for t in $(echo "$text" | grep -o '`make [a-z][a-z0-9-]*' | sed 's/^`make //' | sort -u); do
+        if ! grep -q "^$t:" Makefile; then
+            echo "docdrift: $md names \`make $t\` but the Makefile has no such target"
+            fail=1
+        fi
+    done
+    for f in $(echo "$text" | grep -o 'BENCH_PR[0-9][0-9]*\.json' | sort -u); do
+        if [ ! -e "$f" ]; then
+            echo "docdrift: $md names $f but that file does not exist"
+            fail=1
+        fi
+    done
+done
+
 if [ "$fail" -ne 0 ]; then
     exit 1
 fi
-echo "docdrift: DESIGN.md § references resolve; markdown links resolve"
+echo "docdrift: DESIGN.md § references, markdown links, make targets and BENCH_PR files resolve"
