@@ -155,8 +155,9 @@ doc-lint:
 	@sh scripts/doclint.sh
 
 # drift-check asserts the docs have not drifted: every "DESIGN.md §N"
-# reference resolves to a real heading and every intra-repo markdown link
-# resolves to a real file. See scripts/docdrift.sh.
+# reference resolves to a real heading, every intra-repo markdown link to a
+# real file, every `make` target and BENCH_PR file they name exists, and
+# every `pkg.Symbol` they quote is one go doc finds. See scripts/docdrift.sh.
 drift-check:
 	@sh scripts/docdrift.sh
 

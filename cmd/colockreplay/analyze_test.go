@@ -1,6 +1,7 @@
 package main
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -255,5 +256,51 @@ func TestRenderSmoke(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Fatalf("report output missing %q:\n%s", want, out)
 		}
+	}
+}
+
+// TestOldJournalResetMarker: journals written while the manager still had a
+// reset protocol hold "reset" notes between benchmark phases. Nothing writes
+// them any more, but such a journal must still read back and analyze — the
+// marker is counted as a record of its kind and otherwise skipped, so every
+// finding equals that of the same history without it.
+func TestOldJournalResetMarker(t *testing.T) {
+	const res = lock.Resource("db/seg/cells/c1")
+	replay := func(marker bool) *Report {
+		dir := t.TempDir()
+		jw, err := journal.Open(dir, journal.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 1; i <= 4; i++ {
+			jw.Record(lock.Event{Kind: "wait", Txn: lock.TxnID(i), Resource: res, Mode: lock.X, At: at(time.Duration(i) * time.Millisecond)})
+		}
+		if marker {
+			jw.Record(lock.Event{Kind: "reset", At: at(5 * time.Millisecond)})
+		}
+		for i := 1; i <= 4; i++ {
+			jw.Record(lock.Event{Kind: "grant", Txn: lock.TxnID(i), Resource: res, Mode: lock.X, Waited: true,
+				At: at(time.Duration(10+i) * time.Millisecond), Dur: 10 * time.Millisecond})
+		}
+		if err := jw.Close(); err != nil {
+			t.Fatal(err)
+		}
+		recs, torn, err := journal.ReadAll(dir)
+		if err != nil || torn {
+			t.Fatalf("ReadAll: torn=%v err=%v", torn, err)
+		}
+		return analyze("t", recs, torn, Config{})
+	}
+	with, without := replay(true), replay(false)
+	if with.Kinds["reset"] != 1 || with.Records != without.Records+1 {
+		t.Fatalf("marker not read back: kinds %v, %d records vs %d without", with.Kinds, with.Records, without.Records)
+	}
+	if len(with.Convoys) != 1 || with.SLO.FinalState == "" {
+		t.Fatalf("analysis of the marked journal is empty: %+v", with)
+	}
+	delete(with.Kinds, "reset")
+	with.Records = without.Records
+	if !reflect.DeepEqual(with, without) {
+		t.Errorf("the marker changed the analysis:\n with    %+v\n without %+v", with, without)
 	}
 }

@@ -78,41 +78,3 @@ func TestShellHealthCommands(t *testing.T) {
 		t.Error("no retries recorded in any health window despite the storm")
 	}
 }
-
-// TestShellResetCascade pins the satellite fix: one Manager.ResetStats call
-// zeroes every counter surface the shell wires — manager stats, protocol
-// rules, the retry collector, and the health monitor.
-func TestShellResetCascade(t *testing.T) {
-	s, _ := newTestShellPolicy(t, false, lock.PolicyWaitDie)
-	runScript(t, s, `.storm 4 5`, `.quit`)
-
-	if s.retry.Attempts().Commits == 0 {
-		t.Fatal("storm produced no commits to reset")
-	}
-	rep := s.healthSnapshot()
-	if rep.Current.Counts["acquires"] == 0 && len(rep.Windows) == 0 {
-		t.Fatal("storm left no health data to reset")
-	}
-
-	s.eng.Manager.ResetStats()
-
-	if got := s.retry.Attempts(); got.Commits != 0 || got.GiveUps != 0 {
-		t.Errorf("retry collector survived ResetStats: %+v", got)
-	}
-	if st := s.eng.Manager.Stats(); st.Grants != 0 {
-		t.Errorf("manager grants survived ResetStats: %d", st.Grants)
-	}
-	if ps := s.eng.Protocol.Stats(); ps.Requests != 0 {
-		t.Errorf("protocol rule counters survived ResetStats: %+v", ps)
-	}
-	rep = s.eng.Monitor.Report(0)
-	if len(rep.Windows) != 0 || len(rep.TopK) != 0 {
-		t.Errorf("health monitor survived ResetStats: %d windows, %d topk rows",
-			len(rep.Windows), len(rep.TopK))
-	}
-	for name, c := range rep.Current.Counts {
-		if c != 0 {
-			t.Errorf("health current window %s = %d after ResetStats", name, c)
-		}
-	}
-}

@@ -122,18 +122,13 @@ func newShell(prime bool, policy lock.Policy, incidentDir, journalDir string, ou
 			Resource: lock.Resource(fmt.Sprintf("%s->%s %s", tr.From, tr.To, tr.Reason)),
 		})
 	})
-	retry := obs.NewRetryCollector()
-	// The retry collector is not an event sink (it observes the retry layer,
-	// not the manager), so it must be registered into the reset cascade
-	// explicitly — otherwise .storm summaries survive a ResetStats.
-	eng.Manager.OnResetStats(retry.ResetStats)
 	return &shell{
 		st: st, eng: eng,
 		exec: query.NewExecutor(eng.Txns, core.PlannerOptions{}),
 		auth: auth, prime: prime, policy: policy,
 		out:   out,
 		trace: ring,
-		retry: retry,
+		retry: obs.NewRetryCollector(),
 	}, nil
 }
 

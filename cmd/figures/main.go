@@ -193,18 +193,22 @@ func figure6() {
 	}
 }
 
+// eventLog is the lock.EventSink figure 7 collects its acquisition trace in
+// (single-threaded: the figure runs its queries one after the other).
+type eventLog []lock.Event
+
+func (l *eventLog) Record(e lock.Event) { *l = append(*l, e) }
+
 func figure7() {
 	header(`Figure 7: Complex Object "c1" and the Locks held by the Queries Q2 and Q3`)
 	st := store.PaperDatabase()
 	core.CollectStatistics(st)
 	nm := core.NewNamer(st.Catalog(), false)
 	auth := authz.NewTable(false)
-	// The OnEvent hook is delivered outside the manager's shard latches, so
-	// it can safely collect the acquisition trace while queries run.
-	var events []lock.Event
-	proto := core.NewProtocol(lock.NewManager(lock.Options{OnEvent: func(e lock.Event) {
-		events = append(events, e)
-	}}), st, nm, core.Options{
+	// Sinks are called outside the manager's shard latches, so one can
+	// safely collect the acquisition trace while queries run.
+	var events eventLog
+	proto := core.NewProtocol(lock.NewManager(lock.Options{Sinks: []lock.EventSink{&events}}), st, nm, core.Options{
 		Rule4Prime: true, Authorizer: auth,
 	})
 	mgr := txn.NewManager(proto, st)

@@ -12,7 +12,9 @@ import (
 // TestReplayReport writes a victim-heavy journal and checks the offline
 // dashboard: the replayed monitor grades the recording critical, the hot
 // key surfaces in the top-K panel, and the render pipeline accepts the
-// replayed report unchanged.
+// replayed report unchanged. The journal also holds a "reset" note, as ones
+// written while the manager still had a reset protocol do: the replay skips
+// it.
 func TestReplayReport(t *testing.T) {
 	dir := t.TempDir()
 	jw, err := journal.Open(dir, journal.Options{})
@@ -31,6 +33,9 @@ func TestReplayReport(t *testing.T) {
 		}
 		txn++
 		jw.Record(lock.Event{Kind: "grant", Txn: txn, Resource: hot, Mode: lock.X, At: t0.Add(10 * time.Millisecond)})
+		if win == 1 {
+			jw.Record(lock.Event{Kind: "reset", At: t0.Add(20 * time.Millisecond)})
+		}
 	}
 	if err := jw.Close(); err != nil {
 		t.Fatal(err)

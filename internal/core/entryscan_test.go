@@ -428,7 +428,7 @@ func TestLockSeesReferenceAddedWhileWaiting(t *testing.T) {
 	parked := make(chan struct{})
 	ctx := lock.WithParkNotify(context.Background(), func() { close(parked) })
 	done := make(chan error, 1)
-	go func() { done <- p.LockPathCtx(ctx, t2, store.P("parts", "p2"), lock.S) }()
+	go func() { done <- p.LockWith(ctx, t2, DataNode(store.P("parts", "p2")), lock.S, false, false, 0) }()
 	<-parked
 
 	b1 := store.Ref{Relation: "bolts", Key: "b1"}
@@ -453,7 +453,7 @@ func TestLockSeesReferenceAddedWhileWaiting(t *testing.T) {
 		t.Errorf("EntryPointScans = %d, want 3", stats.EntryPointScans)
 	}
 	// Exclusion holds from the side: X on bolts/b1 now conflicts.
-	if err := p.LockTimeout(3, DataNode(store.P("bolts", "b1")), lock.X, 1); err == nil {
+	if err := p.LockWith(context.Background(), 3, DataNode(store.P("bolts", "b1")), lock.X, false, false, 1); err == nil {
 		t.Error("T3 X-locked bolts/b1 under T2's S on parts/p2")
 	}
 }

@@ -215,9 +215,9 @@ func TestFailedFirstLockLeavesNothingBehind(t *testing.T) {
 		if i%100 == 0 {
 			// Granted up to cells, times out on c1: the failed call leaves
 			// real locks behind for Release to drop.
-			err = p.LockTimeout(txn, c1, lock.S, time.Millisecond)
+			err = p.LockWith(context.Background(), txn, c1, lock.S, false, false, time.Millisecond)
 		} else {
-			err = p.LockCtx(cancelled, txn, c1, lock.S)
+			err = p.LockWith(cancelled, txn, c1, lock.S, false, false, 0)
 		}
 		if err == nil {
 			t.Fatalf("txn %d got S under txn 1's X", txn)
@@ -247,40 +247,16 @@ func TestDurableRequestNotSwallowedByCache(t *testing.T) {
 	}
 	for _, h := range p.Manager().HeldLocks(1) {
 		if h.Durable {
-			t.Fatalf("%s durable before LockLong", h.Resource)
+			t.Fatalf("%s durable before the durable lock", h.Resource)
 		}
 	}
-	if err := p.LockLong(1, DataNode(r1), lock.S); err != nil {
+	if err := p.LockWith(context.Background(), 1, DataNode(r1), lock.S, true, false, 0); err != nil {
 		t.Fatal(err)
 	}
 	for _, h := range p.Manager().HeldLocks(1) {
 		if !h.Durable {
-			t.Errorf("%s not durable after LockLong (cache swallowed the durable upgrade?)", h.Resource)
+			t.Errorf("%s not durable after the durable lock (cache swallowed the durable upgrade?)", h.Resource)
 		}
-	}
-}
-
-// TestResetStatsClearsFastPathCounters: the ResetStats cascade must zero
-// the new protocol counters too (satellite regression test).
-func TestResetStatsClearsFastPathCounters(t *testing.T) {
-	p, _ := newProto(t, Options{})
-	for i := 0; i < 2; i++ {
-		if err := p.Lock(1, DataNode(store.P("cells", "c1")), lock.IS); err != nil {
-			t.Fatal(err)
-		}
-	}
-	st := p.Stats()
-	if st.FastPathHits == 0 || st.BatchedLocks == 0 {
-		t.Fatalf("expected nonzero fast-path counters, got %+v", st)
-	}
-	p.Manager().ResetStats()
-	st = p.Stats()
-	if st.FastPathHits != 0 || st.BatchedLocks != 0 {
-		t.Errorf("counters survived ResetStats: FastPathHits=%d BatchedLocks=%d", st.FastPathHits, st.BatchedLocks)
-	}
-	ms := p.Manager().Stats()
-	if ms.Batches != 0 || ms.BatchFastGrants != 0 {
-		t.Errorf("manager batch counters survived ResetStats: %+v", ms)
 	}
 }
 

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"strconv"
+	"strings"
 	"testing"
 
 	"colock/internal/schema"
@@ -141,5 +143,36 @@ func BenchmarkNamerResourceUncached(b *testing.B) {
 		if _, err := nm.Resource(n); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// TestNamerFirstVisitAllocs bounds what naming a path for the first time
+// costs: the entry, its path copy, one string that the whole ancestor chain
+// slices, and the chain's slice — independent of the path's depth. A run that
+// is still meeting new paths pays this per path, so it is kept small; the map
+// that indexes the entries is sized beforehand and is not counted.
+func TestNamerFirstVisitAllocs(t *testing.T) {
+	const n = 4096
+	nm := NewNamer(store.PaperDatabase().Catalog(), false)
+	nm.paths = make(map[uint64]*nameEntry, 2*n)
+	nodes := make([]Node, n)
+	for i := range nodes {
+		nodes[i] = DataNode(store.P("cells", "c"+strconv.Itoa(i/8), "robots", "r"+strconv.Itoa(i%8), "trajectory"))
+	}
+	i := 0
+	allocs := testing.AllocsPerRun(n-1, func() { // AllocsPerRun adds one warm-up call
+		res, anc, _, err := nm.chain(nodes[i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, a := range anc[2:] {
+			if !strings.HasPrefix(string(res), string(a)+"/") {
+				t.Fatalf("ancestor %q is not a prefix of %q", a, res)
+			}
+		}
+		i++
+	})
+	if allocs > 4 {
+		t.Errorf("first visit of a path allocates %.1f objects, want ≤ 4", allocs)
 	}
 }

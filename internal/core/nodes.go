@@ -133,14 +133,14 @@ type Namer struct {
 	// — the same scale as the lock table itself.
 	//
 	// dbRes and dbAnc are precomputed; segs caches segment resources; paths
-	// is keyed by an fnv-1a hash of the path segments with per-bucket
-	// collision lists, so a cache hit allocates nothing.
+	// is keyed by an fnv-1a hash of the path segments, colliding entries
+	// chained through nameEntry.next, so a cache hit allocates nothing.
 	nocache bool
 	dbRes   lock.Resource
 	dbAnc   []lock.Resource
 	mu      sync.RWMutex
 	segs    map[string]lock.Resource
-	paths   map[uint64][]*nameEntry
+	paths   map[uint64]*nameEntry
 }
 
 // nameEntry is the cached naming of one concrete data path.
@@ -153,6 +153,7 @@ type nameEntry struct {
 	// relation exists but whose shape is invalid; Classify returns it, and
 	// Resource does too when coalescing needed the classification.
 	infoErr error
+	next    *nameEntry // next entry with the same pathHash
 }
 
 // NewNamer returns a Namer over the catalog. coalesceBLUs selects the
@@ -163,7 +164,7 @@ func NewNamer(cat *schema.Catalog, coalesceBLUs bool) *Namer {
 	nm.dbRes = lock.Resource(cat.Database)
 	nm.dbAnc = []lock.Resource{nm.dbRes}
 	nm.segs = make(map[string]lock.Resource)
-	nm.paths = make(map[uint64][]*nameEntry)
+	nm.paths = make(map[uint64]*nameEntry)
 	return nm
 }
 
@@ -208,7 +209,7 @@ func (nm *Namer) entryFor(p store.Path) (*nameEntry, error) {
 	}
 	h := pathHash(p)
 	nm.mu.RLock()
-	for _, e := range nm.paths[h] {
+	for e := nm.paths[h]; e != nil; e = e.next {
 		if segsEqual(e.path, p) {
 			nm.mu.RUnlock()
 			return e, nil
@@ -220,19 +221,21 @@ func (nm *Namer) entryFor(p store.Path) (*nameEntry, error) {
 		return nil, err
 	}
 	nm.mu.Lock()
-	for _, o := range nm.paths[h] {
+	for o := nm.paths[h]; o != nil; o = o.next {
 		if segsEqual(o.path, p) {
 			nm.mu.Unlock()
 			return o, nil
 		}
 	}
-	nm.paths[h] = append(nm.paths[h], e)
+	e.next, nm.paths[h] = nm.paths[h], e
 	nm.mu.Unlock()
 	return e, nil
 }
 
 // buildEntry computes a nameEntry from the schema (the slow path, once per
-// distinct path).
+// distinct path). Every data ancestor's name is a prefix of the path's own
+// name, so the entry builds one string and the chain slices it: a first
+// visit costs four allocations however deep the path is.
 func (nm *Namer) buildEntry(p store.Path) (*nameEntry, error) {
 	rel := nm.cat.Relation(p.Relation())
 	if rel == nil {
@@ -240,22 +243,18 @@ func (nm *Namer) buildEntry(p store.Path) (*nameEntry, error) {
 	}
 	e := &nameEntry{path: append([]string(nil), p...)}
 	e.info, e.infoErr = nm.classifyUncached(p)
-	db := nm.cat.Database
-	named := p
+	seg := nm.segRes(rel.Segment)
+	var buf [8]string // stays on the stack for paths up to seven segments deep
+	parts := append(append(buf[:0], string(seg)), p...)
 	if nm.coalesceBLUs && len(p) >= 3 && e.infoErr == nil && e.info.Kind == BLU && !e.info.IsRef {
-		named = p.Parent().Child(bluLabel)
+		parts[len(p)] = bluLabel
 	}
-	if len(p) == 1 {
-		e.res = lock.Resource(db + "/" + rel.Segment + "/" + rel.Name)
-	} else {
-		e.res = lock.Resource(db + "/" + rel.Segment + "/" + strings.Join([]string(named), "/"))
-	}
-	e.anc = make([]lock.Resource, 0, len(p)+1)
-	e.anc = append(e.anc, nm.dbRes, nm.segRes(rel.Segment))
-	pre := db + "/" + rel.Segment
-	for i := 0; i < len(p)-1; i++ {
-		pre = pre + "/" + p[i]
-		e.anc = append(e.anc, lock.Resource(pre))
+	e.res = lock.Resource(strings.Join(parts, "/"))
+	e.anc = append(make([]lock.Resource, 0, len(p)+1), nm.dbRes, seg)
+	end := len(seg)
+	for _, s := range p[:len(p)-1] {
+		end += 1 + len(s)
+		e.anc = append(e.anc, e.res[:end])
 	}
 	return e, nil
 }
@@ -468,7 +467,7 @@ func (nm *Namer) classifyResource(r lock.Resource) (NodeInfo, error) {
 			h = (h ^ c) * 1099511628211
 		}
 		nm.mu.RLock()
-		for _, e := range nm.paths[h] {
+		for e := nm.paths[h]; e != nil; e = e.next {
 			if e.res == r {
 				nm.mu.RUnlock()
 				return e.info, e.infoErr

@@ -81,16 +81,13 @@ type Options struct {
 }
 
 // NewProtocol builds a protocol instance over a lock manager, a store and a
-// namer. The protocol's rule counters are registered with the manager's
-// ResetStats cascade, so resetting the manager resets them too.
+// namer.
 func NewProtocol(mgr *lock.Manager, st *store.Store, nm *Namer, opts Options) *Protocol {
 	auth := opts.Authorizer
 	if auth == nil {
 		auth = authz.AllowAll{}
 	}
-	p := &Protocol{nm: nm, mgr: mgr, st: st, auth: auth, rule4Prime: opts.Rule4Prime, tr: opts.Tracer, fast: !opts.DisableFastPath}
-	mgr.OnResetStats(p.counters.reset)
-	return p
+	return &Protocol{nm: nm, mgr: mgr, st: st, auth: auth, rule4Prime: opts.Rule4Prime, tr: opts.Tracer, fast: !opts.DisableFastPath}
 }
 
 // Manager exposes the underlying lock manager (for release, inspection and
@@ -135,35 +132,7 @@ func (p *Protocol) Namer() *Namer { return p.nm }
 // from the lock manager is returned unchanged and the transaction must
 // abort.
 func (p *Protocol) Lock(txn lock.TxnID, n Node, mode lock.Mode) error {
-	return p.LockCtx(context.Background(), txn, n, mode)
-}
-
-// LockCtx is Lock with a context: a canceled or expired context withdraws
-// the blocked lock-manager waiter and returns its error. Locks already
-// acquired for earlier nodes of the protocol chain are NOT rolled back —
-// the transaction must abort, exactly as after a deadlock victim error.
-func (p *Protocol) LockCtx(ctx context.Context, txn lock.TxnID, n Node, mode lock.Mode) error {
-	return p.lockOpts(ctx, txn, n, mode, false, false, 0)
-}
-
-// LockTimeout is Lock with a per-acquire deadline: every lock-manager
-// acquisition of the protocol chain is withdrawn after d, returning an error
-// wrapping lock.ErrTimeout. The timeout is per acquisition, not per call —
-// the workstation-server "don't block forever behind a check-out lock" knob,
-// and the trigger for automatic timeout incident dumps.
-func (p *Protocol) LockTimeout(txn lock.TxnID, n Node, mode lock.Mode, d time.Duration) error {
-	return p.lockOpts(context.Background(), txn, n, mode, false, false, d)
-}
-
-// LockLong is Lock with durable ("long") locks, as used for check-out in
-// workstation–server environments.
-func (p *Protocol) LockLong(txn lock.TxnID, n Node, mode lock.Mode) error {
-	return p.LockLongCtx(context.Background(), txn, n, mode)
-}
-
-// LockLongCtx is LockLong with a context (see LockCtx).
-func (p *Protocol) LockLongCtx(ctx context.Context, txn lock.TxnID, n Node, mode lock.Mode) error {
-	return p.lockOpts(ctx, txn, n, mode, true, false, 0)
+	return p.LockWith(context.Background(), txn, n, mode, false, false, 0)
 }
 
 // LockPath is shorthand for Lock on a data node.
@@ -171,30 +140,28 @@ func (p *Protocol) LockPath(txn lock.TxnID, path store.Path, mode lock.Mode) err
 	return p.Lock(txn, DataNode(path), mode)
 }
 
-// LockPathCtx is shorthand for LockCtx on a data node.
-func (p *Protocol) LockPathCtx(ctx context.Context, txn lock.TxnID, path store.Path, mode lock.Mode) error {
-	return p.LockCtx(ctx, txn, DataNode(path), mode)
-}
-
-// LockNoFollow acquires the lock without implicit downward propagation into
-// referenced common data. It exploits query semantics (§4.5 end): an
-// operation that accesses references without accessing the referenced data —
-// e.g. deleting a robot by a transaction without the right to delete
-// effectors — needs "no locks on common data at all". The caller must
-// guarantee the operation really never touches the referenced data.
-func (p *Protocol) LockNoFollow(txn lock.TxnID, n Node, mode lock.Mode) error {
-	return p.lockOpts(context.Background(), txn, n, mode, false, true, 0)
-}
-
 // LockWith is the unified acquisition entry point: one call expressing
-// every option combination — context, durability, NOFOLLOW, per-acquisition
-// timeout. The named wrappers above are each a fixed point in this option
-// space; the txn layer's variadic-option Lock builds directly on LockWith.
-func (p *Protocol) LockWith(ctx context.Context, txn lock.TxnID, n Node, mode lock.Mode, durable, noFollow bool, timeout time.Duration) error {
-	return p.lockOpts(ctx, txn, n, mode, durable, noFollow, timeout)
-}
-
-func (p *Protocol) lockOpts(ctx context.Context, txn lock.TxnID, n Node, mode lock.Mode, durable, noFollow bool, timeout time.Duration) (err error) {
+// every option combination; Lock is its all-defaults point and the txn
+// layer's variadic-option Lock builds directly on it.
+//
+//   - ctx: a canceled or expired context withdraws the blocked lock-manager
+//     waiter and returns its error. Locks already acquired for earlier nodes
+//     of the protocol chain are NOT rolled back — the transaction must abort,
+//     exactly as after a deadlock victim error.
+//   - durable: "long" locks, as used for check-out in workstation–server
+//     environments.
+//   - noFollow: no implicit downward propagation into referenced common
+//     data. It exploits query semantics (§4.5 end): an operation that
+//     accesses references without accessing the referenced data — e.g.
+//     deleting a robot by a transaction without the right to delete
+//     effectors — needs "no locks on common data at all". The caller must
+//     guarantee the operation really never touches the referenced data.
+//   - timeout > 0: every lock-manager acquisition of the chain is withdrawn
+//     after that long, returning an error wrapping lock.ErrTimeout. Per
+//     acquisition, not per call — the workstation-server "don't block
+//     forever behind a check-out lock" knob, and the trigger for automatic
+//     timeout incident dumps.
+func (p *Protocol) LockWith(ctx context.Context, txn lock.TxnID, n Node, mode lock.Mode, durable, noFollow bool, timeout time.Duration) (err error) {
 	p.counters.requests.Add(1)
 	if noFollow {
 		p.counters.noFollow.Add(1)
@@ -286,7 +253,7 @@ func (p *Protocol) lockRec(ctx context.Context, txn lock.TxnID, n Node, mode loc
 					continue
 				}
 				c := sp.Child("upward", ares, intent)
-				err = p.acquire(ctx, txn, ares, intent, durable, timeout)
+				err = p.mgr.AcquireCtx(ctx, txn, ares, intent, lock.AcquireOption{Durable: durable, Timeout: timeout})
 				c.End(err)
 				if err != nil {
 					return err
@@ -335,7 +302,7 @@ func (p *Protocol) lockRec(ctx context.Context, txn lock.TxnID, n Node, mode loc
 		return nil
 	}
 	c := sp.Child("acquire", res, mode)
-	err = p.acquire(ctx, txn, res, mode, durable, timeout)
+	err = p.mgr.AcquireCtx(ctx, txn, res, mode, lock.AcquireOption{Durable: durable, Timeout: timeout})
 	c.End(err)
 	if err != nil {
 		return err
@@ -416,7 +383,7 @@ func (p *Protocol) upwardBatched(ctx context.Context, txn lock.TxnID, anc []lock
 	if len(reqs) == 0 {
 		return nil
 	}
-	if err := p.acquireBatch(ctx, txn, reqs, durable, timeout); err != nil {
+	if err := p.mgr.AcquireBatch(ctx, txn, reqs, lock.AcquireOption{Durable: durable, Timeout: timeout}); err != nil {
 		return err
 	}
 	p.counters.upwardLocks.Add(uint64(len(reqs)))
@@ -452,7 +419,7 @@ func (p *Protocol) lockChainBatched(ctx context.Context, txn lock.TxnID, res loc
 	if len(reqs) == 0 {
 		return nil
 	}
-	if err := p.acquireBatch(ctx, txn, reqs, durable, timeout); err != nil {
+	if err := p.mgr.AcquireBatch(ctx, txn, reqs, lock.AcquireOption{Durable: durable, Timeout: timeout}); err != nil {
 		return err
 	}
 	p.counters.batchedLocks.Add(uint64(len(reqs)))
@@ -464,33 +431,6 @@ func (p *Protocol) lockChainBatched(ctx context.Context, txn lock.TxnID, res loc
 		p.counters.nodeLocks.Add(1)
 	}
 	return nil
-}
-
-// acquireBatch forwards to Manager.AcquireBatch with the call's options.
-func (p *Protocol) acquireBatch(ctx context.Context, txn lock.TxnID, reqs []lock.BatchReq, durable bool, timeout time.Duration) error {
-	switch {
-	case durable && timeout > 0:
-		return p.mgr.AcquireBatch(ctx, txn, reqs, lock.WithDurable(), lock.WithTimeout(timeout))
-	case durable:
-		return p.mgr.AcquireBatch(ctx, txn, reqs, lock.WithDurable())
-	case timeout > 0:
-		return p.mgr.AcquireBatch(ctx, txn, reqs, lock.WithTimeout(timeout))
-	default:
-		return p.mgr.AcquireBatch(ctx, txn, reqs)
-	}
-}
-
-func (p *Protocol) acquire(ctx context.Context, txn lock.TxnID, res lock.Resource, mode lock.Mode, durable bool, timeout time.Duration) error {
-	switch {
-	case durable && timeout > 0:
-		return p.mgr.AcquireCtx(ctx, txn, res, mode, lock.WithDurable(), lock.WithTimeout(timeout))
-	case durable:
-		return p.mgr.AcquireCtx(ctx, txn, res, mode, lock.WithDurable())
-	case timeout > 0:
-		return p.mgr.AcquireCtx(ctx, txn, res, mode, lock.WithTimeout(timeout))
-	default:
-		return p.mgr.AcquireCtx(ctx, txn, res, mode)
-	}
 }
 
 // Release drops all locks of a transaction (EOT, rule 5: "locks are

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"strings"
 	"testing"
 	"time"
@@ -319,7 +320,7 @@ func TestEffectiveMode(t *testing.T) {
 
 func TestLockLongIsDurable(t *testing.T) {
 	p, _ := newProto(t, Options{})
-	if err := p.LockLong(1, DataNode(store.P("cells", "c1")), lock.X); err != nil {
+	if err := p.LockWith(context.Background(), 1, DataNode(store.P("cells", "c1")), lock.X, true, false, 0); err != nil {
 		t.Fatal(err)
 	}
 	snap := p.Manager().Snapshot()

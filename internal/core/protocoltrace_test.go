@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"testing"
 	"time"
@@ -122,7 +123,7 @@ type denyRelation struct{ rel string }
 
 func (d denyRelation) CanModify(txn lock.TxnID, relation string) bool { return relation != d.rel }
 
-// LockTimeout plumbs a per-acquisition deadline through the protocol chain
+// LockWith plumbs a per-acquisition deadline through the protocol chain
 // and reports the blocking acquisition in the span tree.
 func TestProtocolLockTimeout(t *testing.T) {
 	_, st := nestedCatalogAndStore(t)
@@ -134,7 +135,7 @@ func TestProtocolLockTimeout(t *testing.T) {
 	if err := p.LockPath(1, store.P("bolts", "b1"), lock.X); err != nil {
 		t.Fatal(err)
 	}
-	err := p.LockTimeout(2, DataNode(store.P("bolts", "b1")), lock.X, 5*time.Millisecond)
+	err := p.LockWith(context.Background(), 2, DataNode(store.P("bolts", "b1")), lock.X, false, false, 5*time.Millisecond)
 	if !errors.Is(err, lock.ErrTimeout) {
 		t.Fatalf("got %v, want ErrTimeout", err)
 	}

@@ -14,7 +14,7 @@ import (
 // on top of the explicit requests. All counters are cumulative and safe for
 // concurrent use.
 type ProtocolStats struct {
-	// Requests counts top-level Lock/LockCtx/LockLong/LockNoFollow calls.
+	// Requests counts top-level Lock/LockWith calls.
 	Requests uint64
 	// NoFollow counts the subset of Requests that suppressed downward
 	// propagation (the §4.5 reference-only optimization).
@@ -86,25 +86,8 @@ func (pc *protoCounters) snapshot() ProtocolStats {
 	}
 }
 
-func (pc *protoCounters) reset() {
-	pc.requests.Store(0)
-	pc.noFollow.Store(0)
-	pc.memoHits.Store(0)
-	pc.upwardLocks.Store(0)
-	pc.entryScans.Store(0)
-	pc.lateEntries.Store(0)
-	pc.downward.Store(0)
-	pc.rule4Weakened.Store(0)
-	pc.nodeLocks.Store(0)
-	pc.fastPathHits.Store(0)
-	pc.batchedLocks.Store(0)
-}
-
 // Stats returns a snapshot of the protocol's rule counters.
 func (p *Protocol) Stats() ProtocolStats { return p.counters.snapshot() }
-
-// ResetStats zeroes the rule counters.
-func (p *Protocol) ResetStats() { p.counters.reset() }
 
 // WriteMetrics writes the rule counters in Prometheus text format, for
 // composition with obs.Handler's extra writers.

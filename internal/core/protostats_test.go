@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -44,11 +45,6 @@ func TestProtocolStatsCountsRules(t *testing.T) {
 	if st.MemoHits == 0 {
 		t.Error("MemoHits = 0, want > 0 (shared ancestor chains)")
 	}
-
-	p.ResetStats()
-	if p.Stats() != (ProtocolStats{}) {
-		t.Errorf("ResetStats left %+v", p.Stats())
-	}
 }
 
 func TestProtocolStatsRule4PrimeAndNoFollow(t *testing.T) {
@@ -63,7 +59,7 @@ func TestProtocolStatsRule4PrimeAndNoFollow(t *testing.T) {
 		t.Errorf("Rule4PrimeWeakened = %d, want 2 (both effectors demoted)", st.Rule4PrimeWeakened)
 	}
 
-	if err := p.LockNoFollow(2, DataNode(store.P("cells", "c2")), lock.X); err != nil {
+	if err := p.LockWith(context.Background(), 2, DataNode(store.P("cells", "c2")), lock.X, false, true, 0); err != nil {
 		t.Fatal(err)
 	}
 	st = p.Stats()

@@ -107,7 +107,7 @@ func Open(cfg Config) (*Engine, error) {
 		WaiterDepth: mgr.WaitingTxns,
 		GrantPath:   mgr.Stats,
 	})
-	mgr.AttachSink(mon) // also joins the ResetStats cascade
+	mgr.AttachSink(mon)
 
 	popts := core.Options{Tracer: rec}
 	if cfg.Authorizer != nil {

@@ -140,8 +140,8 @@ type Options struct {
 
 // Monitor is the health monitor. It implements lock.EventSink (attach with
 // Manager.AttachSink), the shape of resilience.Observer (wire with
-// txn.WithRetryObserver), and ResetStats for the manager's reset cascade.
-// All methods are safe for concurrent use.
+// txn.WithRetryObserver). Its counts are never reset: a reader that wants one
+// phase compares two reports. All methods are safe for concurrent use.
 type Monitor struct {
 	winDur      time.Duration
 	retain      int
@@ -464,19 +464,3 @@ func (m *Monitor) Current() WindowStats {
 
 // TopK returns the sketch's n hottest resource+mode keys (see Sketch.TopK).
 func (m *Monitor) TopK(n int) []TopEntry { return m.sketch.TopK(n) }
-
-// ResetStats zeroes the windows, the retained series, the sketch and the
-// SLO state machine (back to ok). Named for the lock manager's ResetStats
-// cascade: a monitor attached as a sink resets with everything else. The
-// window clock (start, current epoch) is deliberately untouched.
-func (m *Monitor) ResetStats() {
-	m.mu.Lock()
-	for i := range m.slots {
-		m.slots[i].reset()
-	}
-	m.closed = nil
-	m.slo.reset()
-	m.lastDepth = 0
-	m.mu.Unlock()
-	m.sketch.Reset()
-}

@@ -1,7 +1,6 @@
 package health
 
 import (
-	"context"
 	"encoding/json"
 	"net/http/httptest"
 	"strings"
@@ -180,45 +179,6 @@ func TestIdleJumpPreservesLiveDataAndEmitsEmpties(t *testing.T) {
 	m.Advance(at(102))
 	if m.State() != StateOK {
 		t.Fatalf("state = %v, want ok", m.State())
-	}
-}
-
-func TestMonitorResetStatsViaManagerCascade(t *testing.T) {
-	mgr := lock.NewManager(lock.Options{})
-	m := newTestMonitor(SLO{MaxAbortRate: 0.1})
-	mgr.AttachSink(m)
-
-	if err := mgr.AcquireCtx(context.Background(), 1, "db", lock.IS); err != nil {
-		t.Fatal(err)
-	}
-	mgr.ReleaseAll(1)
-	m.Record(lock.Event{Kind: "victim", At: at(0), WaitDie: true, Resource: "r", Mode: lock.X})
-	m.Record(lock.Event{Kind: "victim", At: at(0), WaitDie: true, Resource: "r", Mode: lock.X})
-	m.Advance(at(1))
-	if len(m.Windows(0)) == 0 || m.State() != StateWarn || m.sketch.Len() == 0 {
-		t.Fatalf("monitor did not accumulate state: windows=%d state=%v", len(m.Windows(0)), m.State())
-	}
-
-	mgr.ResetStats()
-
-	if got := len(m.Windows(0)); got != 0 {
-		t.Fatalf("windows after reset = %d, want 0", got)
-	}
-	if m.State() != StateOK {
-		t.Fatalf("state after reset = %v, want ok", m.State())
-	}
-	if m.sketch.Len() != 0 {
-		t.Fatalf("sketch after reset has %d keys", m.sketch.Len())
-	}
-	cur := m.Current()
-	for r := Rate(0); r < nRates; r++ {
-		if cur.Counts[r] != 0 {
-			t.Fatalf("live %v after reset = %d, want 0", r, cur.Counts[r])
-		}
-	}
-	// The clock survives the reset.
-	if cur.Epoch != 1 {
-		t.Fatalf("epoch after reset = %d, want 1", cur.Epoch)
 	}
 }
 

@@ -136,12 +136,6 @@ type sloMachine struct {
 	lastReason   string
 }
 
-func (sm *sloMachine) reset() {
-	sm.state = StateOK
-	sm.breachStreak, sm.cleanStreak = 0, 0
-	sm.lastReason = ""
-}
-
 // observe grades one closed window and reports a transition if the state
 // changed.
 func (sm *sloMachine) observe(ws WindowStats, depth int) (Transition, bool) {

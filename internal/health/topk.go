@@ -126,10 +126,3 @@ func (s *Sketch) Len() int {
 	defer s.mu.Unlock()
 	return len(s.m)
 }
-
-// Reset forgets everything.
-func (s *Sketch) Reset() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.m = make(map[string]*topSlot, s.cap)
-}

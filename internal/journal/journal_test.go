@@ -340,7 +340,6 @@ func TestManagerIntegration(t *testing.T) {
 		t.Fatal(err)
 	}
 	m.ReleaseAll(1)
-	m.ResetStats() // cascades to the writer: journals a "reset" marker
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -353,7 +352,7 @@ func TestManagerIntegration(t *testing.T) {
 	for _, r := range recs {
 		kinds[r.Kind]++
 	}
-	if kinds["grant"] != 2 || kinds["release-all"] != 1 || kinds["reset"] != 1 {
+	if kinds["grant"] != 2 || kinds["release-all"] != 1 {
 		t.Fatalf("unexpected kinds journaled: %v", kinds)
 	}
 	st := w.Status()

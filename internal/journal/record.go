@@ -34,8 +34,8 @@ import (
 // sequence number (its ordinal in file order, 1-based). Synthetic kinds
 // extend the lock-manager vocabulary: "fastpath" stands for Hits protocol
 // fast-path hits, "health" an SLO transition (detail in Resource, as the
-// colockshell trace ring does), "reset" a ResetStats marker separating
-// benchmark phases.
+// colockshell trace ring does). Journals written before counters became
+// cumulative may also hold "reset" markers; readers skip them.
 type Record struct {
 	Seq uint64
 	// Hits, on a "fastpath" record, is the number of consecutive grant-cache

@@ -22,14 +22,17 @@ type Options struct {
 	// MaxSegmentBytes rotates to a new segment file once the current one
 	// exceeds this size (default 8 MiB).
 	MaxSegmentBytes int64
-	// RingSize is the bounded event ring's capacity, rounded up to a power
-	// of two (default 8192). When the ring is full events are dropped and
-	// counted — the hot path never blocks on the journal.
-	RingSize int
-	// FlushEvery is the background flush period for the buffered segment
-	// writer (default 200ms). Close and Flush always flush.
-	FlushEvery time.Duration
 }
+
+const (
+	// ringSize is the capacity of the bounded event ring (a power of two).
+	// When the ring is full events are dropped and counted — the hot path
+	// never blocks on the journal.
+	ringSize = 8192
+	// flushEvery is the background flush period for the buffered segment
+	// writer. Close and Flush always flush.
+	flushEvery = 200 * time.Millisecond
+)
 
 // Writer persists lock events to an append-only segment journal in dir. It
 // implements lock.EventSink and lock.BatchSink: Record and RecordBatch copy
@@ -75,12 +78,6 @@ func Open(dir string, opts Options) (*Writer, error) {
 	if opts.MaxSegmentBytes <= 0 {
 		opts.MaxSegmentBytes = 8 << 20
 	}
-	if opts.RingSize <= 0 {
-		opts.RingSize = 8192
-	}
-	if opts.FlushEvery <= 0 {
-		opts.FlushEvery = 200 * time.Millisecond
-	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("journal: %w", err)
 	}
@@ -97,7 +94,7 @@ func Open(dir string, opts Options) (*Writer, error) {
 	w := &Writer{
 		dir:     dir,
 		opts:    opts,
-		ring:    newEventRing(opts.RingSize),
+		ring:    newEventRing(ringSize),
 		notify:  make(chan struct{}, 1),
 		flushCh: make(chan chan error),
 		done:    make(chan struct{}),
@@ -134,7 +131,7 @@ func Segments(dir string) ([]string, error) {
 }
 
 // drainPause is how long the writer goroutine sleeps between looks at the
-// ring while records keep arriving (the default ring holds 8 records per
+// ring while records keep arriving (the ring holds 8 records per
 // microsecond of it).
 const drainPause = time.Millisecond
 
@@ -202,14 +199,6 @@ func (w *Writer) Note(kind, detail string) {
 	}
 }
 
-// ResetStats zeroes the drop counter and journals a "reset" marker so
-// offline analysis can tell benchmark phases apart. Files are durable
-// history — the manager's ResetStats cascade never truncates them.
-func (w *Writer) ResetStats() {
-	w.dropped.Store(0)
-	w.Note("reset", "")
-}
-
 // push enqueues one record, reporting whether the ring took it.
 func (w *Writer) push(rec Record) bool {
 	if w.writeErr.Load() != nil {
@@ -262,7 +251,7 @@ func (w *Writer) fail(err error) { w.writeErr.CompareAndSwap(nil, &err) }
 // "Seq ≤ offset" reconstructs everything up to the correlated moment.
 func (w *Writer) Offset() uint64 { return w.accepted.Load() }
 
-// Dropped returns the events dropped since open (or the last ResetStats).
+// Dropped returns the events dropped since open.
 func (w *Writer) Dropped() uint64 { return w.dropped.Load() }
 
 // Records returns the records persisted to disk so far.
@@ -296,7 +285,7 @@ func (w *Writer) Close() error {
 // drain that found nothing parks it until the next record's wake-up.
 func (w *Writer) run() {
 	defer close(w.stopped)
-	ticker := time.NewTicker(w.opts.FlushEvery)
+	ticker := time.NewTicker(flushEvery)
 	defer ticker.Stop()
 	// poll is stopped and drained at every Reset below.
 	poll := time.NewTimer(time.Hour)

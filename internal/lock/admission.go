@@ -79,7 +79,7 @@ func (m *Manager) AdmissionConfigured() (AdmissionConfig, bool) {
 // saturated reports whether the live waiter depth has reached the
 // configured threshold.
 func (m *Manager) saturated(cfg *AdmissionConfig) bool {
-	return len(m.wf.txns()) >= cfg.MaxWaiters
+	return m.wf.size() >= cfg.MaxWaiters
 }
 
 // degradeSaturated reports whether degrade-mode fail-fast is in force right

@@ -191,31 +191,6 @@ func TestAcquireBatchManyShards(t *testing.T) {
 	}
 }
 
-// TestResetStatsClearsBatchCounters is the satellite regression test: the
-// PR-3 cascade pattern must cover the new manager-level batch counters.
-func TestResetStatsClearsBatchCounters(t *testing.T) {
-	m := NewManager(Options{})
-	if err := m.AcquireBatch(context.Background(), 1, chainReqs(IS, S)); err != nil {
-		t.Fatal(err)
-	}
-	if err := m.AcquireCtx(context.Background(), 2, "db/seg/rel/t2", X); err != nil {
-		t.Fatal(err)
-	}
-	go m.AcquireBatch(context.Background(), 3, []BatchReq{{"db/seg/rel/t2", S}}) //nolint:errcheck
-	waitFor(t, func() bool { return m.Stats().Waits == 1 })
-	m.ReleaseAll(2)
-	waitFor(t, func() bool { return m.HeldMode(3, "db/seg/rel/t2") == S })
-	st := m.Stats()
-	if st.Batches == 0 || st.BatchFastGrants == 0 || st.BatchFallbacks == 0 {
-		t.Fatalf("expected nonzero batch counters before reset, got %+v", st)
-	}
-	m.ResetStats()
-	st = m.Stats()
-	if st.Batches != 0 || st.BatchFastGrants != 0 || st.BatchFallbacks != 0 {
-		t.Errorf("batch counters not reset: %d/%d/%d", st.Batches, st.BatchFastGrants, st.BatchFallbacks)
-	}
-}
-
 func waitFor(t *testing.T, cond func() bool) {
 	t.Helper()
 	deadline := time.Now().Add(2 * time.Second)

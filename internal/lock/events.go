@@ -48,8 +48,8 @@ func KindOf(kind string) EventKind {
 	return KindOther
 }
 
-// Event is a lock-manager trace event, delivered to every attached consumer
-// (the OnEvent hook and the Options.Sinks).
+// Event is a lock-manager trace event, delivered to every attached sink
+// (Options.Sinks and AttachSink additions).
 type Event struct {
 	Kind string // "grant", "wait", "convert", "release", "release-all", "victim", "downgrade", "timeout", "cancel", "shed"
 	// Code is Kind as an integer; see EventKind.
@@ -97,9 +97,9 @@ func (e *Event) KindCode() EventKind {
 	return KindOf(e.Kind)
 }
 
-// EventSink consumes trace events. Sinks are invoked exactly like the
-// OnEvent hook: by the goroutine performing the operation, after all manager
-// latches have been released, so a sink may call back into the manager.
+// EventSink consumes trace events. Sinks are invoked by the goroutine
+// performing the operation, after all manager latches have been released, so
+// a sink may call back into the manager.
 type EventSink interface {
 	Record(Event)
 }
@@ -113,13 +113,8 @@ type BatchSink interface {
 	RecordBatch([]Event)
 }
 
-// consumer takes one delivery round; batchOf adapts a sink to it, and
-// hookSink the OnEvent hook to a sink.
+// consumer takes one delivery round; batchOf adapts a sink to it.
 type consumer func([]Event)
-
-type hookSink func(Event)
-
-func (f hookSink) Record(e Event) { f(e) }
 
 func batchOf(s EventSink) consumer {
 	if b, ok := s.(BatchSink); ok {

@@ -32,12 +32,13 @@ func (rs *recordingSink) kinds() []string {
 	return out
 }
 
-// The OnEvent hook and every sink see the same event stream, in the same
-// order, without double-buffering (one tracer buffer fans out to all).
+// Every sink — a Record-only func sink included — sees the same event stream,
+// in the same order, without double-buffering (one tracer buffer fans out to
+// all).
 func TestSinkComposition(t *testing.T) {
 	var hook recordingSink
 	s1, s2 := &recordingSink{}, &recordingSink{}
-	m := NewManager(Options{OnEvent: hook.Record, Sinks: []EventSink{s1, s2}})
+	m := NewManager(Options{Sinks: []EventSink{sinkFunc(hook.Record), s1, s2}})
 	if err := m.AcquireCtx(context.Background(), 1, "a", S); err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +78,7 @@ func TestAttachSink(t *testing.T) {
 }
 
 // A sink may call back into the manager: delivery happens with no latch
-// held, same contract as the OnEvent hook.
+// held.
 func TestSinkMayReenter(t *testing.T) {
 	var m *Manager
 	var counts []int

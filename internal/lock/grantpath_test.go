@@ -276,12 +276,6 @@ func TestDeferredDetectionCounters(t *testing.T) {
 	if st.Deadlocks != 1 {
 		t.Errorf("Deadlocks = %d, want 1", st.Deadlocks)
 	}
-
-	m.ResetStats()
-	st = m.Stats()
-	if st.DeferredDetections != 0 || st.DetectorRuns != 0 || st.SummaryFastChecks != 0 {
-		t.Errorf("ResetStats left grant-path counters: %+v", st)
-	}
 }
 
 // TestEagerDetectionIsSynchronous pins the EagerDetection contract: the
@@ -409,6 +403,44 @@ func TestIntrospectionScratchZeroAlloc(t *testing.T) {
 		t.Fatal(err)
 	}
 	m.ReleaseAll(7)
+}
+
+// TestDegradeGateZeroAlloc: the degrade gate is consulted on every conflicted
+// acquire, so with many transactions parked it must read the waiter depth,
+// not snapshot the waiters.
+func TestDegradeGateZeroAlloc(t *testing.T) {
+	m := NewManager(Options{Policy: PolicyNone})
+	defer m.Close()
+	const parked = 64
+	ctx, cancel := context.WithCancel(context.Background())
+	if err := m.AcquireCtx(ctx, 1, "hot", X); err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan error, parked)
+	for i := 0; i < parked; i++ {
+		txn := TxnID(2 + i)
+		go func() { done <- m.AcquireCtx(ctx, txn, "hot", S) }()
+	}
+	for i := 0; i < 2000 && m.WaitingTxns() < parked; i++ {
+		time.Sleep(time.Millisecond)
+	}
+	if got := m.WaitingTxns(); got != parked {
+		t.Fatalf("%d waiters parked, want %d", got, parked)
+	}
+	m.ConfigureAdmission(AdmissionConfig{MaxWaiters: parked, Mode: AdmitDegrade})
+	saturated := false
+	allocs := testing.AllocsPerRun(100, func() { saturated = m.degradeSaturated() })
+	if !saturated {
+		t.Error("gate not saturated at its own threshold")
+	}
+	if allocs != 0 {
+		t.Errorf("degradeSaturated allocs/op = %.1f with %d waiters, want 0", allocs, parked)
+	}
+	cancel()
+	for i := 0; i < parked; i++ {
+		<-done
+	}
+	m.ReleaseAll(1)
 }
 
 // TestSpillAndRecycle pushes one resource past inlineHolders (spilling the

@@ -311,7 +311,7 @@ func TestFailedFirstLockLeavesNoList(t *testing.T) {
 // costs no request and emits no event.
 func TestHeldCovers(t *testing.T) {
 	events := 0
-	m := NewManager(Options{OnEvent: func(Event) { events++ }})
+	m := NewManager(Options{Sinks: []EventSink{sinkFunc(func(Event) { events++ })}})
 	defer m.Close()
 	ctx := context.Background()
 	const r = Resource("db/seg/rel/o1")

@@ -110,31 +110,18 @@ func ParsePolicy(name string) (Policy, error) {
 
 // Options configures a Manager.
 type Options struct {
-	// OnEvent, if non-nil, is invoked for every grant, wait, conversion,
-	// release, downgrade, withdrawal and deadlock-victim event. Events are
-	// delivered by the goroutine performing the operation AFTER all manager
-	// latches have been released, so the hook may safely call back into the
-	// manager. Events of one operation arrive in order; ordering across
-	// concurrent operations on different resources is best-effort.
-	OnEvent func(Event)
-	// Sinks are additional event consumers (e.g. an obs.Collector),
-	// composed with OnEvent: an operation's events go to the hook, then to
-	// each sink in attach order (all of them to one consumer before the
-	// next, as one RecordBatch call where the sink is a BatchSink), under
-	// the same no-latch contract. Use AttachSink to add one after
-	// construction.
+	// Sinks are the event consumers (e.g. an obs.Collector). Every grant,
+	// wait, conversion, release, downgrade, withdrawal and deadlock-victim
+	// event is delivered by the goroutine performing the operation AFTER all
+	// manager latches have been released, so a sink may safely call back into
+	// the manager. An operation's events go to each sink in attach order (all
+	// of them to one consumer before the next, as one RecordBatch call where
+	// the sink is a BatchSink); events of one operation arrive in order,
+	// ordering across concurrent operations on different resources is
+	// best-effort. Use AttachSink to add one after construction.
 	Sinks []EventSink
 	// Policy selects deadlock handling (default PolicyDetect).
 	Policy Policy
-	// Injector, if non-nil, is consulted at the top of every AcquireCtx and
-	// AcquireBatch call and may delay the request (delayed grant) or fail it
-	// with a synthetic cause (deadlock victim, timeout) — deterministic
-	// fault injection for resilience testing (resilience.Chaos). It can also
-	// be swapped at runtime with SetInjector.
-	Injector Injector
-	// Admission, if non-nil, configures the admission gate at construction
-	// (equivalent to calling ConfigureAdmission afterwards).
-	Admission *AdmissionConfig
 	// Shards is the number of lock-table stripes. 0 picks an automatic
 	// GOMAXPROCS-scaled power of two (at least 16); other values are
 	// rounded up to a power of two. Shards=1 degenerates to the classic
@@ -210,8 +197,8 @@ type Manager struct {
 	size    atomic.Int64  // granted lock-table entries across all shards
 	high    atomic.Int64  // high-water mark of size
 
-	// sinks is the composed consumer list (OnEvent hook + Options.Sinks +
-	// AttachSink additions); nil when tracing is off. Copy-on-write behind
+	// sinks is the composed consumer list (Options.Sinks + AttachSink
+	// additions); nil when tracing is off. Copy-on-write behind
 	// an atomic pointer so the hot path pays one load.
 	sinks atomic.Pointer[[]consumer]
 
@@ -249,17 +236,7 @@ type Manager struct {
 	stopCh       chan struct{}
 	deferredDet  atomic.Uint64 // waiters whose detection was deferred
 	detectorRuns atomic.Uint64 // waits-for walks by the deferred detector
-
-	// resetFns are run by ResetStats after the shard counters are zeroed:
-	// OnResetStats registrations plus the ResetStats method of every
-	// attached sink that has one, so downstream aggregates (rule counters,
-	// obs collectors) reset in the same call.
-	resetMu  sync.Mutex
-	resetFns []func()
 }
-
-// resettable is the optional sink interface ResetStats cascades to.
-type resettable interface{ ResetStats() }
 
 // NewManager returns an empty lock manager.
 func NewManager(opts Options) *Manager {
@@ -293,26 +270,8 @@ func NewManager(opts Options) *Manager {
 	} else if m.deferDur < 0 {
 		m.deferDur = 0
 	}
-	if opts.Injector != nil {
-		m.SetInjector(opts.Injector)
-	}
-	if opts.Admission != nil {
-		m.ConfigureAdmission(*opts.Admission)
-	}
-	var cs []consumer
-	if opts.OnEvent != nil {
-		cs = append(cs, batchOf(hookSink(opts.OnEvent)))
-	}
 	for _, s := range opts.Sinks {
-		if s != nil {
-			cs = append(cs, batchOf(s))
-			if rs, ok := s.(resettable); ok {
-				m.resetFns = append(m.resetFns, rs.ResetStats)
-			}
-		}
-	}
-	if len(cs) > 0 {
-		m.sinks.Store(&cs)
+		m.AttachSink(s)
 	}
 	return m
 }
@@ -323,9 +282,6 @@ func NewManager(opts Options) *Manager {
 func (m *Manager) AttachSink(s EventSink) {
 	if s == nil {
 		return
-	}
-	if rs, ok := s.(resettable); ok {
-		m.OnResetStats(rs.ResetStats)
 	}
 	for {
 		old := m.sinks.Load()
@@ -347,19 +303,6 @@ func (m *Manager) NumShards() int { return len(m.shards) }
 // same value Event.Shard reports. Tracing layers use it to stamp spans with
 // their lock-table stripe without re-deriving the hash.
 func (m *Manager) ShardOf(r Resource) int { return int(m.shardIndex(r)) }
-
-// OnResetStats registers fn to run whenever ResetStats is called, after the
-// shard counters have been zeroed. Layers that keep statistics derived from
-// this manager's activity (protocol rule counters, observability collectors)
-// register here so one ResetStats call resets the whole stack.
-func (m *Manager) OnResetStats(fn func()) {
-	if fn == nil {
-		return
-	}
-	m.resetMu.Lock()
-	m.resetFns = append(m.resetFns, fn)
-	m.resetMu.Unlock()
-}
 
 func (m *Manager) shardIndex(r Resource) uint32 { return shardHash(r) & m.mask }
 
@@ -445,47 +388,48 @@ func (s *tableShard) queuedBlockers(r Resource, w *waiter) []TxnID {
 	return nil
 }
 
-// AcquireOption customizes a single AcquireCtx request.
-type AcquireOption func(*acquireConfig)
-
-type acquireConfig struct {
-	durable bool
-	noWait  bool
-	timeout time.Duration
+// AcquireOption customizes a single AcquireCtx or AcquireBatch request. It is
+// a plain value: the With* constructors each set one field, a caller that
+// already holds the settings as data fills in a literal, and several options
+// given to one call are folded field by field (see foldOptions).
+type AcquireOption struct {
+	// Durable marks the request as a durable ("long") lock that survives
+	// Snapshot/Restore (simulated shutdown); requesting a durable lock on a
+	// resource already held non-durably makes the held lock durable.
+	Durable bool
+	// NoWait makes the request non-blocking: if it cannot be granted
+	// immediately, AcquireCtx returns a *LockError wrapping ErrWouldBlock
+	// instead of queueing.
+	NoWait bool
+	// Timeout withdraws the request after that long and returns a *LockError
+	// wrapping ErrTimeout; <= 0 means no deadline. Useful in
+	// workstation-server environments where blocking behind a days-long
+	// check-out lock is not acceptable for interactive transactions.
+	Timeout time.Duration
 }
 
-// buildAcquireConfig folds the options into a config. Kept out of the
-// acquire bodies so that on the common zero-option call &cfg never escapes
-// there and the hot path stays allocation-free.
-func buildAcquireConfig(opts []AcquireOption) acquireConfig {
-	var cfg acquireConfig
+// foldOptions merges the options of one call: a flag set by any of them is
+// set, the last positive timeout wins.
+func foldOptions(opts []AcquireOption) AcquireOption {
+	var cfg AcquireOption
 	for _, o := range opts {
-		o(&cfg)
+		cfg.Durable = cfg.Durable || o.Durable
+		cfg.NoWait = cfg.NoWait || o.NoWait
+		if o.Timeout > 0 {
+			cfg.Timeout = o.Timeout
+		}
 	}
 	return cfg
 }
 
-// WithDurable marks the request as a durable ("long") lock that survives
-// Snapshot/Restore (simulated shutdown); requesting a durable lock on a
-// resource already held non-durably makes the held lock durable.
-func WithDurable() AcquireOption {
-	return func(c *acquireConfig) { c.durable = true }
-}
+// WithDurable is AcquireOption{Durable: true}.
+func WithDurable() AcquireOption { return AcquireOption{Durable: true} }
 
-// WithNoWait makes the request non-blocking: if it cannot be granted
-// immediately, AcquireCtx returns a *LockError wrapping ErrWouldBlock
-// instead of queueing.
-func WithNoWait() AcquireOption {
-	return func(c *acquireConfig) { c.noWait = true }
-}
+// WithNoWait is AcquireOption{NoWait: true}.
+func WithNoWait() AcquireOption { return AcquireOption{NoWait: true} }
 
-// WithTimeout withdraws the request after d and returns a *LockError
-// wrapping ErrTimeout. d <= 0 means no deadline. Useful in
-// workstation-server environments where blocking behind a days-long
-// check-out lock is not acceptable for interactive transactions.
-func WithTimeout(d time.Duration) AcquireOption {
-	return func(c *acquireConfig) { c.timeout = d }
-}
+// WithTimeout is AcquireOption{Timeout: d}.
+func WithTimeout(d time.Duration) AcquireOption { return AcquireOption{Timeout: d} }
 
 // AcquireCtx obtains (or converts to) a lock of at least the given mode on r
 // for txn. Without options it blocks until the lock is granted, the context
@@ -498,10 +442,7 @@ func (m *Manager) AcquireCtx(ctx context.Context, txn TxnID, r Resource, mode Mo
 	if !mode.Valid() || mode == None {
 		return fmt.Errorf("lock: invalid mode %v", mode)
 	}
-	var cfg acquireConfig
-	if len(opts) > 0 {
-		cfg = buildAcquireConfig(opts)
-	}
+	cfg := foldOptions(opts)
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -520,7 +461,7 @@ func (m *Manager) AcquireCtx(ctx context.Context, txn TxnID, r Resource, mode Mo
 	e := s.entryFor(r)
 	h := e.holder(txn)
 	if h != nil {
-		if cfg.durable && !h.durable {
+		if cfg.Durable && !h.durable {
 			h.durable = true
 			m.txnShardFor(txn).record(txn, r, h, s)
 		}
@@ -552,13 +493,13 @@ func (m *Manager) AcquireCtx(ctx context.Context, txn TxnID, r Resource, mode Mo
 		if tr != nil {
 			start = tr.start
 		}
-		m.grantLocked(tr, s, e, txn, r, target, cfg.durable || hadDurable, convert, false, start)
+		m.grantLocked(tr, s, e, txn, r, target, cfg.Durable || hadDurable, convert, false, start)
 		s.mu.Unlock()
 		tr.finish()
 		return nil
 	}
 
-	if cfg.noWait {
+	if cfg.NoWait {
 		s.stats.conflicts.Add(1)
 		blockers := e.blockerTxns(txn, target, len(e.queue))
 		s.maybeDropEntry(r, e)
@@ -609,7 +550,7 @@ func (m *Manager) AcquireCtx(ctx context.Context, txn TxnID, r Resource, mode Mo
 	// conversion priority: after existing conversion waiters, ahead of plain
 	// ones).
 	w := getWaiter()
-	w.txn, w.mode, w.convert, w.durable = txn, target, convert, cfg.durable
+	w.txn, w.mode, w.convert, w.durable = txn, target, convert, cfg.Durable
 	if tr != nil {
 		w.enq = tr.start
 	}
@@ -672,11 +613,11 @@ func notifyPark(ctx context.Context) {
 // await blocks on the waiter's ready channel, the context and the optional
 // timeout, withdrawing the waiter on context/timeout expiry. It is the one
 // place a lock request sleeps, hence where the park notification fires.
-func (m *Manager) await(ctx context.Context, cfg acquireConfig, tr *tracer, txn TxnID, r Resource, w *waiter, mode, target Mode) error {
+func (m *Manager) await(ctx context.Context, cfg AcquireOption, tr *tracer, txn TxnID, r Resource, w *waiter, mode, target Mode) error {
 	notifyPark(ctx)
 	var timerC <-chan time.Time
-	if cfg.timeout > 0 {
-		timer := time.NewTimer(cfg.timeout)
+	if cfg.Timeout > 0 {
+		timer := time.NewTimer(cfg.Timeout)
 		defer timer.Stop()
 		timerC = timer.C
 	}
@@ -731,10 +672,7 @@ func (m *Manager) AcquireBatch(ctx context.Context, txn TxnID, reqs []BatchReq, 
 			return fmt.Errorf("lock: invalid mode %v", q.Mode)
 		}
 	}
-	var cfg acquireConfig
-	if len(opts) > 0 {
-		cfg = buildAcquireConfig(opts)
-	}
+	cfg := foldOptions(opts)
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -790,7 +728,7 @@ func (m *Manager) AcquireBatch(ctx context.Context, txn TxnID, reqs []BatchReq, 
 		if h != nil && h.mode.Covers(q.Mode) {
 			s.stats.requests.Add(1)
 			s.stats.regrants.Add(1)
-			if cfg.durable && !h.durable {
+			if cfg.Durable && !h.durable {
 				h.durable = true
 				m.txnShardFor(txn).record(txn, q.Resource, h, s)
 			}
@@ -818,7 +756,7 @@ func (m *Manager) AcquireBatch(ctx context.Context, txn TxnID, reqs []BatchReq, 
 				start = tr.start
 			}
 			m.grantLocked(tr, s, e, txn, q.Resource, target,
-				cfg.durable || hadDurable, convert, false, start)
+				cfg.Durable || hadDurable, convert, false, start)
 			fast++
 			continue
 		}
@@ -838,7 +776,7 @@ func (m *Manager) AcquireBatch(ctx context.Context, txn TxnID, reqs []BatchReq, 
 	}
 	m.batchFallbacks.Add(1)
 	for _, q := range reqs[fallbackAt:] {
-		if err := m.AcquireCtx(ctx, txn, q.Resource, q.Mode, opts...); err != nil {
+		if err := m.AcquireCtx(ctx, txn, q.Resource, q.Mode, cfg); err != nil {
 			return err
 		}
 	}
@@ -1165,31 +1103,4 @@ func (m *Manager) Stats() Stats {
 // start the goroutine, so Close is optional for them.
 func (m *Manager) Close() {
 	m.stopOnce.Do(func() { close(m.stopCh) })
-}
-
-// ResetStats zeroes the counters (the lock table is untouched; the
-// high-water mark restarts from the current table size), then cascades to
-// every OnResetStats registration and every attached sink with a ResetStats
-// method — so protocol rule counters and obs collectors reset in the same
-// call and benchmark phases never report stale counts.
-func (m *Manager) ResetStats() {
-	for _, s := range m.shards {
-		s.stats.reset()
-	}
-	m.batches.Store(0)
-	m.batchFast.Store(0)
-	m.batchFallbacks.Store(0)
-	m.sheds.Store(0)
-	m.admitDelays.Store(0)
-	m.degradedAcq.Store(0)
-	m.injected.Store(0)
-	m.deferredDet.Store(0)
-	m.detectorRuns.Store(0)
-	m.high.Store(m.size.Load())
-	m.resetMu.Lock()
-	fns := append([]func(){}, m.resetFns...)
-	m.resetMu.Unlock()
-	for _, fn := range fns {
-		fn()
-	}
 }

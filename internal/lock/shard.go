@@ -27,8 +27,7 @@ import (
 //  4. txn-shard and waits-for latches are leaves: code holding them may not
 //     acquire any other manager latch.
 //
-// OnEvent callbacks and event sinks are delivered with NO latch held (see
-// Options.OnEvent / Options.Sinks).
+// Event sinks are called with NO latch held (see Options.Sinks).
 
 // tableShard is one stripe of the lock table: a resource→entry map and the
 // stripe's statistics counters.
@@ -107,21 +106,6 @@ func (ss *shardStats) addTo(st *Stats) {
 	st.Downgrades += ss.downgrades.Load()
 	st.Releases += ss.releases.Load()
 	st.SummaryFastChecks += ss.summaryFast.Load()
-}
-
-func (ss *shardStats) reset() {
-	ss.requests.Store(0)
-	ss.regrants.Store(0)
-	ss.grants.Store(0)
-	ss.conversions.Store(0)
-	ss.conflicts.Store(0)
-	ss.waits.Store(0)
-	ss.deadlocks.Store(0)
-	ss.timeouts.Store(0)
-	ss.cancels.Store(0)
-	ss.downgrades.Store(0)
-	ss.releases.Store(0)
-	ss.summaryFast.Store(0)
 }
 
 // txnShard is one stripe of the per-transaction held index (sharded by

@@ -238,17 +238,17 @@ func TestAcquireCtxOptions(t *testing.T) {
 	}
 }
 
-// TestEventHookMayReenter verifies the redesigned OnEvent contract: events
-// are delivered outside all shard latches, so the hook may call back into
-// the manager (the old contract forbade this on pain of self-deadlock).
+// TestEventHookMayReenter verifies the delivery contract: events are
+// delivered outside all shard latches, so a sink may call back into the
+// manager (the old contract forbade this on pain of self-deadlock).
 func TestEventHookMayReenter(t *testing.T) {
 	var m *Manager
 	var events []Event
 	var counts []int
-	m = NewManager(Options{OnEvent: func(e Event) {
+	m = NewManager(Options{Sinks: []EventSink{sinkFunc(func(e Event) {
 		events = append(events, e)
 		counts = append(counts, m.LockCount()) // re-enters the manager
-	}})
+	})}})
 	if err := m.AcquireCtx(context.Background(), 1, "a", X); err != nil {
 		t.Fatal(err)
 	}

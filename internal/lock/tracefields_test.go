@@ -178,46 +178,3 @@ func TestWaitsForDOTThreeTxnCycleAcrossShards(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-// resettableSink counts ResetStats cascades.
-type resettableSink struct {
-	recordingSink
-	resets int
-}
-
-func (rs *resettableSink) ResetStats() {
-	rs.mu.Lock()
-	rs.resets++
-	rs.mu.Unlock()
-}
-
-// ResetStats cascades to OnResetStats registrations and to attached sinks
-// exposing a ResetStats method — whether attached at construction or later.
-func TestResetStatsCascade(t *testing.T) {
-	early := &resettableSink{}
-	m := NewManager(Options{Sinks: []EventSink{early}})
-	late := &resettableSink{}
-	m.AttachSink(late)
-	hooks := 0
-	m.OnResetStats(func() { hooks++ })
-
-	if err := m.AcquireCtx(context.Background(), 1, "a", X); err != nil {
-		t.Fatal(err)
-	}
-	m.ReleaseAll(1)
-	m.ResetStats()
-
-	if hooks != 1 {
-		t.Errorf("OnResetStats hook ran %d times, want 1", hooks)
-	}
-	for name, s := range map[string]*resettableSink{"early": early, "late": late} {
-		s.mu.Lock()
-		if s.resets != 1 {
-			t.Errorf("%s sink ResetStats ran %d times, want 1", name, s.resets)
-		}
-		s.mu.Unlock()
-	}
-	if st := m.Stats(); st.Requests != 0 || st.Grants != 0 {
-		t.Errorf("stats after reset = %+v, want zero", st)
-	}
-}

@@ -1,9 +1,7 @@
 package obs
 
 import (
-	"sort"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -79,14 +77,6 @@ func DepthKindOf(r lock.Resource) int {
 
 // Options configures a Collector.
 type Options struct {
-	// RingSize is the per-ring event capacity (default 1024; negative
-	// disables event retention entirely, keeping only counters and
-	// histograms).
-	RingSize int
-	// Rings is the number of ring buffers (rounded up to a power of two,
-	// default 16). Events are routed by their lock-table shard index, so
-	// disjoint lock traffic lands on disjoint rings.
-	Rings int
 	// KindLabels and KindOf define the lockable-unit-kind dimension of the
 	// histograms; nil defaults to DefaultKinds/DepthKindOf. KindOf must
 	// return an index into KindLabels (out-of-range indexes are clamped to
@@ -96,20 +86,16 @@ type Options struct {
 }
 
 // Collector consumes lock.Events (it is a lock.EventSink) and maintains
-// event-kind counters, acquire/wait/hold latency histograms keyed by lock
-// mode and lockable-unit kind, and per-shard ring buffers of recent events
-// drained by a reader — mirroring the manager's latch-free delivery
-// discipline: Record and RecordBatch are called outside all manager latches
-// and touch only atomics plus the ring mutex of the event's shard.
+// cumulative event-kind counters and acquire/wait/hold latency histograms
+// keyed by lock mode and lockable-unit kind — what /metrics and the shell's
+// .metrics serve. It keeps no event: Record and RecordBatch are called
+// outside all manager latches and touch only atomics.
 type Collector struct {
 	kindLabels []string
 	kindOf     func(lock.Resource) int
 
 	events [lock.NumEventKinds]atomic.Uint64
 	hists  []*Histogram // nOps × nModes × len(kindLabels), row-major
-
-	rings    []*ring
-	ringMask int
 }
 
 // NewCollector builds a collector.
@@ -130,25 +116,6 @@ func NewCollector(opts Options) *Collector {
 	}
 	for i := range c.hists {
 		c.hists[i] = &Histogram{}
-	}
-	if opts.RingSize >= 0 {
-		size := opts.RingSize
-		if size == 0 {
-			size = 1024
-		}
-		n := opts.Rings
-		if n <= 0 {
-			n = 16
-		}
-		p := 1
-		for p < n {
-			p <<= 1
-		}
-		c.rings = make([]*ring, p)
-		for i := range c.rings {
-			c.rings[i] = &ring{cap: size}
-		}
-		c.ringMask = p - 1
 	}
 	return c
 }
@@ -200,50 +167,13 @@ func (c *Collector) count(e *lock.Event) {
 
 // Record consumes one event. It is the lock.EventSink implementation and
 // runs on the operation's goroutine with no manager latch held.
-func (c *Collector) Record(e lock.Event) { c.RecordBatch([]lock.Event{e}) }
+func (c *Collector) Record(e lock.Event) { c.count(&e) }
 
-// RecordBatch consumes one operation's events (lock.BatchSink). Events are
-// copied into the rings, never retained by reference; the ring mutex is
-// taken once per run of events that share a ring, i.e. once for every
-// operation on a single resource.
+// RecordBatch consumes one operation's events (lock.BatchSink); nothing of
+// the borrowed slice is retained.
 func (c *Collector) RecordBatch(evs []lock.Event) {
-	var held *ring
 	for i := range evs {
-		e := &evs[i]
-		c.count(e)
-		if c.rings == nil {
-			continue
-		}
-		if g := c.rings[e.Shard&c.ringMask]; g != held {
-			if held != nil {
-				held.mu.Unlock()
-			}
-			g.mu.Lock()
-			held = g
-		}
-		held.add(e)
-	}
-	if held != nil {
-		held.mu.Unlock()
-	}
-}
-
-// ResetStats zeroes the event counters and histograms and empties the event
-// rings. The lock manager's ResetStats cascade calls it on attached
-// collectors, so resetting the manager between benchmark phases resets the
-// whole observability surface in one step.
-func (c *Collector) ResetStats() {
-	for i := range c.events {
-		c.events[i].Store(0)
-	}
-	for _, h := range c.hists {
-		h.Reset()
-	}
-	for _, g := range c.rings {
-		g.mu.Lock()
-		g.buf = g.buf[:0]
-		g.start = 0
-		g.mu.Unlock()
+		c.count(&evs[i])
 	}
 }
 
@@ -320,65 +250,4 @@ func (c *Collector) Aggregate(op Op) HistSnapshot {
 		}
 	}
 	return s
-}
-
-// ring is one bounded buffer of recent events behind its own small mutex
-// (Record runs outside manager latches, so a leaf mutex here is safe; ring
-// choice follows the lock-table shard, keeping disjoint traffic disjoint).
-type ring struct {
-	mu    sync.Mutex
-	buf   []lock.Event
-	start int // index of the oldest event in buf
-	cap   int
-}
-
-// add copies e into the ring, overwriting the oldest event once full. Caller
-// holds g.mu.
-func (g *ring) add(e *lock.Event) {
-	if len(g.buf) < g.cap {
-		g.buf = append(g.buf, *e)
-	} else {
-		g.buf[g.start] = *e
-		g.start = (g.start + 1) % g.cap
-	}
-}
-
-// snapshot appends the ring's events (oldest first) to dst; clear empties
-// the ring.
-func (g *ring) snapshot(dst []lock.Event, clear bool) []lock.Event {
-	g.mu.Lock()
-	dst = append(dst, g.buf[g.start:]...)
-	dst = append(dst, g.buf[:g.start]...)
-	if clear {
-		g.buf = g.buf[:0]
-		g.start = 0
-	}
-	g.mu.Unlock()
-	return dst
-}
-
-// Drain removes and returns all buffered events, ordered by timestamp.
-// This is the reader side of the per-shard ring discipline: writers only
-// ever touch their own ring; the single reader merges.
-func (c *Collector) Drain() []lock.Event {
-	return c.collect(true)
-}
-
-// Recent returns up to n of the most recent buffered events (oldest first)
-// without consuming them. n ≤ 0 returns everything buffered.
-func (c *Collector) Recent(n int) []lock.Event {
-	evs := c.collect(false)
-	if n > 0 && len(evs) > n {
-		evs = evs[len(evs)-n:]
-	}
-	return evs
-}
-
-func (c *Collector) collect(clear bool) []lock.Event {
-	var evs []lock.Event
-	for _, g := range c.rings {
-		evs = g.snapshot(evs, clear)
-	}
-	sort.SliceStable(evs, func(i, j int) bool { return evs[i].At.Before(evs[j].At) })
-	return evs
 }

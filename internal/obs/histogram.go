@@ -88,8 +88,8 @@ func (h *Histogram) Record(d time.Duration) {
 func (h *Histogram) Count() uint64 { return h.count.Load() }
 
 // Reset zeroes the histogram. Concurrent Records during a reset may land
-// before or after it — acceptable for the benchmark-phase resets this
-// serves; there is no atomic cut across the counters.
+// before or after it — acceptable for the window-slot reuse this serves
+// (internal/health); there is no atomic cut across the counters.
 func (h *Histogram) Reset() {
 	for i := range h.counts {
 		h.counts[i].Store(0)

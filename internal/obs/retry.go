@@ -113,8 +113,8 @@ func (rc *RetryCollector) Attempts() AttemptsSnapshot {
 	return s
 }
 
-// ResetStats zeroes everything; named for the manager's ResetStats cascade
-// so a RetryCollector can be registered alongside event sinks.
+// ResetStats zeroes everything, so that one collector can summarize one run
+// at a time (the shell's .storm calls it before each storm).
 func (rc *RetryCollector) ResetStats() {
 	rc.mu.Lock()
 	rc.retries = make(map[string]uint64)

@@ -373,17 +373,7 @@ func (sess *session) handoffLock(reqID uint64, st *sessTxn, m wire.LockReq) {
 // lockHeld runs the acquisition with st.mu held and releases it — after
 // the reply, so one transaction's replies leave in the order it was served.
 func (rd *reader) lockHeld(reqID uint64, st *sessTxn, m wire.LockReq) {
-	var err error
-	switch node := m.Node.Node(); {
-	case !m.NoFollow && m.Timeout <= 0: // the common request builds no option slice
-		err = st.t.Lock(rd.ctx, node, m.Mode)
-	case !m.NoFollow:
-		err = st.t.Lock(rd.ctx, node, m.Mode, txn.WithTimeout(m.Timeout))
-	case m.Timeout <= 0:
-		err = st.t.Lock(rd.ctx, node, m.Mode, txn.WithNoFollow())
-	default:
-		err = st.t.Lock(rd.ctx, node, m.Mode, txn.WithNoFollow(), txn.WithTimeout(m.Timeout))
-	}
+	err := st.t.Lock(rd.ctx, m.Node.Node(), m.Mode, txn.Option{NoFollow: m.NoFollow, Timeout: m.Timeout})
 	rd.replyOutcome(reqID, err)
 	st.mu.Unlock()
 }

@@ -228,14 +228,3 @@ func (p *Profile) Dropped() uint64 {
 	defer p.mu.Unlock()
 	return p.dropped
 }
-
-// Reset clears the profile (folded cells and pending waits). Named Reset,
-// not ResetStats, so that lock.Manager.ResetStats — which resets every
-// attached sink implementing ResetStats — does not silently erase a profile
-// being accumulated across benchmark phases.
-func (p *Profile) Reset() {
-	p.mu.Lock()
-	p.pending = make(map[lock.TxnID]pendingWait)
-	p.cells = make(map[profileKey]*profileCell)
-	p.mu.Unlock()
-}

@@ -124,9 +124,4 @@ func TestProfileEndToEndWithManager(t *testing.T) {
 	if len(entries) != 1 || entries[0].BlockedNS < int64(2*time.Millisecond) {
 		t.Errorf("entries = %+v, want one with ≥2ms blocked", entries)
 	}
-
-	p.Reset()
-	if p.FoldedStacks() != "" || p.TotalBlocked() != 0 {
-		t.Error("Reset did not clear the profile")
-	}
 }

@@ -225,11 +225,8 @@ func (t *Txn) Lock(ctx context.Context, n core.Node, mode lock.Mode, opts ...Opt
 	if ctx == nil {
 		ctx = t.ctx
 	}
-	var cfg config
-	if len(opts) > 0 {
-		cfg = buildConfig(opts)
-	}
-	return t.m.proto.LockWith(ctx, t.id, n, mode, t.long, cfg.noFollow, cfg.timeout)
+	cfg := fold(opts)
+	return t.m.proto.LockWith(ctx, t.id, n, mode, t.long, cfg.NoFollow, cfg.Timeout)
 }
 
 // LockPath is Lock on a data path.
@@ -329,15 +326,7 @@ func (t *Txn) AddElem(collection store.Path, id string, v store.Value) error {
 	if err := t.LockPath(t.ctx, collection, lock.X); err != nil {
 		return err
 	}
-	if err := t.m.st.AddElem(collection, id, v); err != nil {
-		return err
-	}
-	t.m.recordAccess(t.id, AccessW, collection)
-	t.pushUndo(func() error {
-		_, err := t.m.st.RemoveElem(collection, id)
-		return err
-	})
-	return nil
+	return t.addElemLocked(collection, id, v)
 }
 
 // AddElemAt is AddElem for callers already holding a covering X lock (e.g.
@@ -346,6 +335,10 @@ func (t *Txn) AddElemAt(collection store.Path, id string, v store.Value) error {
 	if err := t.requireX(collection); err != nil {
 		return err
 	}
+	return t.addElemLocked(collection, id, v)
+}
+
+func (t *Txn) addElemLocked(collection store.Path, id string, v store.Value) error {
 	if err := t.m.st.AddElem(collection, id, v); err != nil {
 		return err
 	}
@@ -362,18 +355,7 @@ func (t *Txn) RemoveElem(collection store.Path, id string) error {
 	if err := t.LockPath(t.ctx, collection, lock.X); err != nil {
 		return err
 	}
-	old, err := t.m.st.RemoveElem(collection, id)
-	if err != nil {
-		return err
-	}
-	t.m.recordAccess(t.id, AccessW, collection)
-	if old == nil {
-		return nil // removing an absent element needs no undo
-	}
-	t.pushUndo(func() error {
-		return t.m.st.AddElem(collection, id, old)
-	})
-	return nil
+	return t.removeElemLocked(collection, id)
 }
 
 // RemoveElemAt is RemoveElem for callers already holding a covering X lock.
@@ -381,13 +363,17 @@ func (t *Txn) RemoveElemAt(collection store.Path, id string) error {
 	if err := t.requireX(collection); err != nil {
 		return err
 	}
+	return t.removeElemLocked(collection, id)
+}
+
+func (t *Txn) removeElemLocked(collection store.Path, id string) error {
 	old, err := t.m.st.RemoveElem(collection, id)
 	if err != nil {
 		return err
 	}
 	t.m.recordAccess(t.id, AccessW, collection)
 	if old == nil {
-		return nil
+		return nil // removing an absent element needs no undo
 	}
 	t.pushUndo(func() error {
 		return t.m.st.AddElem(collection, id, old)
@@ -546,7 +532,7 @@ func (t *Txn) Abort() {
 // (<= 0 for unlimited), WithBackoff, WithAttemptTimeout and
 // WithRetryObserver.
 func (m *Manager) RunWithRetry(ctx context.Context, body func(*Txn) error, opts ...Option) error {
-	cfg := buildConfig(opts)
+	cfg := fold(opts)
 	maxAttempts := 10
 	if cfg.maxAttemptsSet {
 		maxAttempts = cfg.maxAttempts

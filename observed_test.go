@@ -241,7 +241,7 @@ func TestTracedAcquireReleaseAllocs(t *testing.T) {
 	}
 
 	traced := pairOn(newObservedEngine(t).Manager)
-	for i := 0; i < 2048; i++ { // fill the collector's event ring to capacity
+	for i := 0; i < 2048; i++ { // warm the tracer pool, the span buffers and the journal ring
 		traced()
 	}
 	if got := testing.AllocsPerRun(500, traced); got != 1 {

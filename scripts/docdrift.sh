@@ -1,7 +1,8 @@
 #!/bin/sh
 # docdrift: documentation drift gate (make drift-check, part of make ci).
 #
-# The docs cross-reference each other three ways, and all rot silently:
+# The docs cross-reference each other and the code four ways, and all rot
+# silently:
 #   1. "DESIGN.md §N" section references, sprinkled through markdown and
 #      code comments, must point at a real "## N." heading in DESIGN.md.
 #   2. Intra-repo markdown links — [text](RELATIVE/PATH) in *.md — must
@@ -9,8 +10,12 @@
 #      scope).
 #   3. Every `make <target>` and every BENCH_PR<n>.json named in *.md must
 #      be a target of the Makefile / a file that exists.
-# Renumbering a DESIGN.md section, moving a file, or deleting a gate or a
-# report now fails CI instead of leaving dead pointers for the next reader.
+#   4. Every `pkg.Symbol` or `pkg.Type.Member` code span in *.md whose pkg
+#      is a package under internal/ (or client) must name something `go doc`
+#      finds there.
+# Renumbering a DESIGN.md section, moving a file, deleting a gate or a
+# report, or removing an exported name now fails CI instead of leaving dead
+# pointers for the next reader.
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -47,10 +52,14 @@ for md in *.md; do
     done
 done
 
-# --- check 3: make targets and benchmark reports named in the docs ---------
+# --- checks 3 and 4: make targets, benchmark reports and Go names ----------
 # Exempt besides SNIPPETS.md: CHANGES.md and ROADMAP.md from "## Recent" on
 # are history (they name what a PR removed), and ISSUE.md describes a change
 # still to be made.
+# Check 4 reads only spans that are exactly a qualified exported name
+# (`lock.Options.Sinks`, not `lock.us_per_txn` — a metric — and not a call
+# with arguments), and asks go doc once per distinct name.
+symbols=
 for md in *.md; do
     case "$md" in SNIPPETS.md|CHANGES.md|ISSUE.md) continue ;; esac
     if [ "$md" = ROADMAP.md ]; then
@@ -70,9 +79,21 @@ for md in *.md; do
             fail=1
         fi
     done
+    for s in $(echo "$text" | grep -oE '`[a-z]+\.[A-Z][A-Za-z0-9_]*(\.[A-Za-z_][A-Za-z0-9_]*)?`' | tr -d '`' | sort -u); do
+        pkg=${s%%.*}
+        dir=internal/$pkg
+        [ "$pkg" = client ] && dir=client
+        [ -d "$dir" ] || continue
+        case " $symbols " in *" $s "*) continue ;; esac
+        symbols="$symbols $s"
+        if ! ${GO:-go} doc "./$dir" "${s#*.}" >/dev/null 2>&1; then
+            echo "docdrift: $md names \`$s\` but go doc ./$dir ${s#*.} finds nothing"
+            fail=1
+        fi
+    done
 done
 
 if [ "$fail" -ne 0 ]; then
     exit 1
 fi
-echo "docdrift: DESIGN.md § references, markdown links, make targets and BENCH_PR files resolve"
+echo "docdrift: DESIGN.md § references, markdown links, make targets, BENCH_PR files and Go names resolve"
