@@ -1,19 +1,19 @@
 GO ?= go
 
-.PHONY: ci fmt vet build test race race-matrix bench shardbench stormbench stormbench-smoke healthmon-smoke journal-smoke grantbench grantbench-smoke netbench netbench-smoke bench-check benchdiff nodeprecated doc-lint drift-check obs-demo trace-demo figures clean
+.PHONY: ci fmt vet build test race race-matrix bench shardbench stormbench stormbench-smoke journal-smoke grantbench grantbench-smoke netbench netbench-smoke bench-check benchdiff nodeprecated doc-lint drift-check obs-demo figures clean
 
 # ci is the gate every change must pass: formatting, vet, the
 # no-deprecated-wrappers grep, the godoc and docs-drift lints, build, the
 # full test suite under the race detector (the lock manager and protocol
 # are concurrent; -race is not optional here), the scheduling-sensitive
-# packages again at 1, 2 and 4 cores, the end-to-end
-# incident-dump demo, the contention-survival, grant-path, and
-# network smoke benchmarks, the health-monitor smoke gate, the
-# journal-forensics smoke gate, and the check that the frozen benchmark
-# module still builds and runs against this tree (15 gates; the fast path
-# and the four sinks are measured by bench/, whose pinned per-transaction
-# counts bench-check asserts).
-ci: fmt vet nodeprecated doc-lint drift-check build race race-matrix trace-demo stormbench-smoke healthmon-smoke journal-smoke grantbench-smoke netbench-smoke bench-check
+# packages again at 1, 2 and 4 cores, the contention-survival, grant-path,
+# and network smoke benchmarks, the journal-forensics smoke gate, and the
+# check that the frozen benchmark module still builds and runs against this
+# tree (13 gates; the fast path and the four sinks are measured by bench/,
+# whose pinned per-transaction counts bench-check asserts; the forced-timeout
+# incident dump and the .health dump are checked in-process by
+# cmd/colockshell's TestShellForceTimeout and TestShellHealthCommands).
+ci: fmt vet nodeprecated doc-lint drift-check build race race-matrix stormbench-smoke journal-smoke grantbench-smoke netbench-smoke bench-check
 
 # fmt fails if any file needs gofmt, listing the offenders.
 fmt:
@@ -67,19 +67,6 @@ stormbench-smoke:
 	$(GO) run ./cmd/lockbench -stormbench -quick -stormout "$$f" >/dev/null && \
 	$(GO) test ./cmd/lockbench -count=1 -run TestExternalStormBenchFile -stormbenchfile "$$f" && \
 	echo "stormbench-smoke: $$f passes (kit no slower than bare, chaos converged)" && \
-	rm -f "$$f"
-
-# healthmon-smoke runs a scripted colockshell session that storms a hot key
-# and dumps the /health document with `.health dump`, then asserts, via the
-# flag-gated validation test in internal/health, that the dump parses, the
-# verdict is well-formed, every windowed rate is present, and the storm's hot
-# key leads the top-K contention sketch.
-healthmon-smoke:
-	@f=$$(mktemp) && \
-	printf "%s\n" ".storm 8 10" ".health" ".health dump $$f" ".topk 5" ".quit" \
-		| $(GO) run ./cmd/colockshell >/dev/null && \
-	$(GO) test ./internal/health -count=1 -run TestExternalHealthFile -healthfile "$$f" && \
-	echo "healthmon-smoke: $$f passes (verdict parses, hot key in top-K)" && \
 	rm -f "$$f"
 
 # journal-smoke runs a scripted colockshell session with a durable journal
@@ -174,19 +161,6 @@ nodeprecated:
 	@if grep -rn "Deprecated:" internal/lock --include="*.go"; then \
 		echo "nodeprecated: deprecated wrappers found in internal/lock"; exit 1; \
 	else echo "nodeprecated: internal/lock is wrapper-free"; fi
-
-# trace-demo runs a scripted colockshell session that forces a lock timeout,
-# then asserts that an incident dump was produced and parses (via the
-# flag-gated validation test in internal/trace).
-trace-demo:
-	@dir=$$(mktemp -d) && \
-	printf "%s\n" ".forcetimeout" ".incident" ".quit" \
-		| $(GO) run ./cmd/colockshell -incidents "$$dir" && \
-	f=$$(ls "$$dir"/incident-*-timeout-*.jsonl 2>/dev/null | head -1) && \
-	if [ -z "$$f" ]; then echo "trace-demo: no incident file produced"; exit 1; fi && \
-	$(GO) test ./internal/trace -count=1 -run TestExternalIncidentFileParses -incidentfile "$$f" && \
-	echo "trace-demo: incident dump $$f parses" && \
-	rm -rf "$$dir"
 
 # obs-demo runs a scripted colockshell session that takes locks and dumps
 # the .metrics tables, the wait-queue view, and the waits-for DOT graph.

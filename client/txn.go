@@ -9,8 +9,8 @@ import (
 
 	"colock/internal/core"
 	"colock/internal/lock"
-	"colock/internal/resilience"
 	"colock/internal/store"
+	"colock/internal/txn"
 	"colock/internal/wire"
 )
 
@@ -123,11 +123,8 @@ func (t *Txn) lock(ctx context.Context, typ byte, ref wire.NodeRef, mode lock.Mo
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-	var cfg config
-	if len(opts) > 0 { // the common call builds no config on the heap
-		cfg = buildConfig(opts)
-	}
-	timeout, err := effTimeout(ctx, cfg.timeout)
+	cfg := txn.Fold(opts)
+	timeout, err := effTimeout(ctx, cfg.Timeout)
 	if err != nil {
 		return &lock.LockError{Txn: t.id, Mode: mode, Cause: err}
 	}
@@ -135,7 +132,7 @@ func (t *Txn) lock(ctx context.Context, typ byte, ref wire.NodeRef, mode lock.Mo
 		Txn:      uint64(t.id),
 		Node:     ref,
 		Mode:     mode,
-		NoFollow: cfg.noFollow,
+		NoFollow: cfg.NoFollow,
 		Timeout:  timeout,
 	})
 }
@@ -223,18 +220,7 @@ func (t *Txn) Abort() {
 // values, classification is byte-for-byte the decision the in-process
 // RunWithRetry would have made. Defaults: 10 attempts, immediate restart.
 func (c *Client) RunWithRetry(ctx context.Context, body func(*Txn) error, opts ...Option) error {
-	cfg := buildConfig(opts)
-	maxAttempts := 10
-	if cfg.maxAttemptsSet {
-		maxAttempts = cfg.maxAttempts
-	}
-	r := &resilience.Retrier{
-		MaxAttempts:    maxAttempts,
-		Backoff:        cfg.backoff,
-		AttemptTimeout: cfg.attemptTimeout,
-		Observer:       cfg.observer,
-	}
-	return r.Run(ctx, func(actx context.Context) error {
+	return txn.Retrier(opts).Run(ctx, func(actx context.Context) error {
 		t, err := c.beginRetryable(actx)
 		if err != nil {
 			return err

@@ -564,61 +564,20 @@ func (a *analyzer) finish(recs []journal.Record, cfg Config) {
 	r.SLO = replaySLO(recs, cfg)
 }
 
-// replaySLO feeds the stream through a fresh health monitor, advancing its
-// window clock along the events' own timestamps, and grades history with
-// the same hysteretic machine that grades the present.
+// replaySLO grades history with the same hysteretic machine that grades the
+// present (health.Replay).
 func replaySLO(recs []journal.Record, cfg Config) SLOReplay {
 	out := SLOReplay{FinalState: health.StateOK.String(), WorstState: health.StateOK.String()}
-	var first, last time.Time
-	for i := range recs {
-		if !recs[i].At.IsZero() {
-			if first.IsZero() {
-				first = recs[i].At
-			}
-			if recs[i].At.After(last) {
-				last = recs[i].At
-			}
-		}
-	}
-	if first.IsZero() {
+	mon, trs := health.Replay(recs, cfg.Window, cfg.SLO)
+	if mon == nil {
 		return out
 	}
-	retain := int(last.Sub(first)/cfg.Window) + 2
-	if retain > 100000 {
-		retain = 100000
-	}
-	mon := health.NewMonitor(health.Options{
-		Window: cfg.Window,
-		Retain: retain,
-		SLO:    cfg.SLO,
-		Start:  first,
-	})
-	worst := health.StateOK
-	mon.OnTransition(func(tr health.Transition) {
-		if tr.To > worst {
-			worst = tr.To
-		}
+	worst := mon.State()
+	for _, tr := range trs {
+		worst = max(worst, tr.To)
 		out.Transitions = append(out.Transitions, fmt.Sprintf("%s->%s %s", tr.From, tr.To, tr.Reason))
-	})
-	for i := range recs {
-		rec := recs[i]
-		switch rec.Kind {
-		case "fastpath":
-			mon.AddFastPathHits(max(rec.Hits, 1))
-			continue
-		case "health", "reset":
-			continue
-		}
-		mon.Record(rec.Event())
-		if !rec.At.IsZero() {
-			mon.Advance(rec.At)
-		}
 	}
-	final := mon.Advance(last.Add(cfg.Window))
-	if final > worst {
-		worst = final
-	}
-	out.FinalState = final.String()
+	out.FinalState = mon.State().String()
 	out.WorstState = worst.String()
 	out.Windows = len(mon.Windows(0))
 	return out

@@ -182,6 +182,15 @@ func TestSLOReplayGradesHistory(t *testing.T) {
 	if len(rep.SLO.Transitions) == 0 || !strings.Contains(rep.SLO.Transitions[0], "abort rate") {
 		t.Fatalf("transitions = %v, want an abort-rate escalation first", rep.SLO.Transitions)
 	}
+	// The same records through health.Replay — what lockmon -replay calls —
+	// end in the same state over the same windows.
+	mon, trs := health.Replay(recs, time.Second, slo)
+	if mon == nil {
+		t.Fatal("health.Replay found nothing to replay")
+	}
+	if rep.SLO.FinalState != mon.State().String() || rep.SLO.Windows != len(mon.Windows(0)) || len(rep.SLO.Transitions) != len(trs) {
+		t.Errorf("SLO replay %+v, health.Replay %s over %d windows with %d transitions", rep.SLO, mon.State(), len(mon.Windows(0)), len(trs))
+	}
 
 	// A healthy stream grades ok.
 	healthy := []journal.Record{

@@ -2,7 +2,7 @@ package main
 
 // The lock-health commands: .health prints the SLO verdict with the windowed
 // rate series, .health json emits the full /health document, .health dump
-// writes it to a file (the healthmon-smoke Makefile gate scrapes that dump),
+// writes it to a file (the journal-smoke Makefile gate scrapes that dump),
 // .health auto toggles the burn-alert → admission-control policy, and .topk
 // ranks the hottest contended resources from the space-saving sketch.
 //

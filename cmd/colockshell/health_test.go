@@ -13,8 +13,8 @@ import (
 
 // TestShellHealthCommands drives the .health/.topk surface through the repl:
 // a storm feeds the monitor (the storm's retry observer is teed into it),
-// then the verdict, the JSON document, the dump file (the healthmon-smoke
-// contract), and the top-K table are all produced.
+// then the verdict, the JSON document, the dump file, and the top-K table
+// are all produced.
 func TestShellHealthCommands(t *testing.T) {
 	s, buf := newTestShellPolicy(t, false, lock.PolicyWaitDie)
 	dump := filepath.Join(t.TempDir(), "health.json")
@@ -43,8 +43,8 @@ func TestShellHealthCommands(t *testing.T) {
 		}
 	}
 
-	// The dump parses as a health.Report and carries the storm's hot key —
-	// the same assertions the healthmon-smoke gate runs externally.
+	// The dump parses as a health.Report with a well-formed verdict, every
+	// windowed rate present, and the storm's hot key in the top-K sketch.
 	data, err := os.ReadFile(dump)
 	if err != nil {
 		t.Fatal(err)
@@ -56,9 +56,17 @@ func TestShellHealthCommands(t *testing.T) {
 	if rep.State != "ok" && rep.State != "warn" && rep.State != "critical" {
 		t.Fatalf("bad verdict %q", rep.State)
 	}
+	if rep.WindowMs <= 0 {
+		t.Errorf("window_ms = %v, want > 0", rep.WindowMs)
+	}
+	for r := health.RateAcquires; r <= health.RateRetries; r++ {
+		if _, ok := rep.Current.Counts[r.String()]; !ok {
+			t.Errorf("current window missing rate %q", r)
+		}
+	}
 	found := false
 	for _, e := range rep.TopK {
-		if strings.Contains(e.Resource, "cells/c1") {
+		if strings.Contains(e.Resource, "cells/c1") && e.Count > 0 {
 			found = true
 		}
 	}

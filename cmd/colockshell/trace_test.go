@@ -74,7 +74,7 @@ func TestShellForceTimeout(t *testing.T) {
 	if err != nil {
 		t.Fatalf("incident file does not parse: %v", err)
 	}
-	if len(inc.Spans) == 0 || inc.Queues == nil || inc.DOT == "" {
+	if len(inc.Spans) == 0 || inc.Queues == nil || !strings.Contains(inc.DOT, "digraph") {
 		t.Errorf("incident missing spans/queues/DOT: reason=%s txn=%d", inc.Reason, inc.Txn)
 	}
 	if !strings.Contains(out, "blocked-on:txn:") {

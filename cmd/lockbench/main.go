@@ -15,100 +15,12 @@ import (
 	"flag"
 	"fmt"
 	"log"
+	"slices"
 	"strings"
 	"time"
 
 	"colock/internal/experiments"
-	"colock/internal/metrics"
 )
-
-// experimentOrder lists the experiments in presentation order.
-var experimentOrder = []string{"E1", "E2", "E3", "E4", "E5", "E6", "E7", "E8", "E9", "E10", "E11", "E12", "E13"}
-
-// experimentRunners maps experiment ids to their runners (quick selects the
-// small-scale parameterization).
-func experimentRunners() map[string]func(quick bool) *metrics.Table {
-	return map[string]func(quick bool) *metrics.Table{
-		"E1": func(q bool) *metrics.Table {
-			if q {
-				return experiments.E1Fig7Concurrency(20)
-			}
-			return experiments.E1Fig7Concurrency(200)
-		},
-		"E2": func(q bool) *metrics.Table {
-			if q {
-				return experiments.E2Granularity(8, 50, 200*time.Microsecond)
-			}
-			return experiments.E2Granularity(16, 200, 500*time.Microsecond)
-		},
-		"E3": func(q bool) *metrics.Table {
-			if q {
-				return experiments.E3SharedXLock([]int{2, 8, 32})
-			}
-			return experiments.E3SharedXLock([]int{2, 8, 32, 128})
-		},
-		"E4": func(q bool) *metrics.Table {
-			if q {
-				return experiments.E4FromTheSide(10)
-			}
-			return experiments.E4FromTheSide(50)
-		},
-		"E5": func(q bool) *metrics.Table {
-			if q {
-				return experiments.E5Authorization([]int{4, 16}, 200*time.Microsecond)
-			}
-			return experiments.E5Authorization([]int{4, 16, 64}, 500*time.Microsecond)
-		},
-		"E6": func(q bool) *metrics.Table {
-			if q {
-				return experiments.E6Escalation(200, []float64{0.05, 0.25, 0.5, 1.0})
-			}
-			return experiments.E6Escalation(500, []float64{0.02, 0.1, 0.25, 0.5, 0.75, 1.0})
-		},
-		"E7": func(q bool) *metrics.Table {
-			if q {
-				return experiments.E7LongTransactions(8, 30*time.Millisecond)
-			}
-			return experiments.E7LongTransactions(16, 100*time.Millisecond)
-		},
-		"E8": func(q bool) *metrics.Table {
-			if q {
-				return experiments.E8DisjointOverhead(16, 4)
-			}
-			return experiments.E8DisjointOverhead(64, 6)
-		},
-		"E9": func(q bool) *metrics.Table {
-			if q {
-				return experiments.E9BenefitSweep([]int{1, 2, 3, 4}, 30*time.Millisecond)
-			}
-			return experiments.E9BenefitSweep([]int{1, 2, 3, 4, 5}, 60*time.Millisecond)
-		},
-		"E10": func(q bool) *metrics.Table {
-			if q {
-				return experiments.E10DeEscalation(8, 30*time.Millisecond)
-			}
-			return experiments.E10DeEscalation(16, 100*time.Millisecond)
-		},
-		"E11": func(q bool) *metrics.Table {
-			if q {
-				return experiments.E11BLUCoalescing(16)
-			}
-			return experiments.E11BLUCoalescing(64)
-		},
-		"E12": func(q bool) *metrics.Table {
-			if q {
-				return experiments.E12RecursiveClosure([]int{2, 8, 32})
-			}
-			return experiments.E12RecursiveClosure([]int{2, 8, 32, 128})
-		},
-		"E13": func(q bool) *metrics.Table {
-			if q {
-				return experiments.E13DeadlockPolicy(4, 15)
-			}
-			return experiments.E13DeadlockPolicy(8, 40)
-		},
-	}
-}
 
 func main() {
 	log.SetFlags(0)
@@ -196,25 +108,21 @@ func main() {
 		return
 	}
 
-	runners := experimentRunners()
-	order := experimentOrder
-
-	var ids []string
-	if *sel == "" {
-		ids = order
-	} else {
+	run := experiments.All
+	if *sel != "" {
+		run = nil
 		for _, id := range strings.Split(*sel, ",") {
 			id = strings.ToUpper(strings.TrimSpace(id))
-			if _, ok := runners[id]; !ok {
+			i := slices.IndexFunc(experiments.All, func(e experiments.Experiment) bool { return e.ID == id })
+			if i < 0 {
 				log.Fatalf("unknown experiment %q (have E1..E13)", id)
 			}
-			ids = append(ids, id)
+			run = append(run, experiments.All[i])
 		}
 	}
-	for _, id := range ids {
+	for _, e := range run {
 		start := time.Now()
-		tab := runners[id](*quick)
-		fmt.Println(tab.String())
-		fmt.Printf("(%s finished in %s)\n\n", id, time.Since(start).Round(time.Millisecond))
+		fmt.Println(e.Run(*quick).String())
+		fmt.Printf("(%s finished in %s)\n\n", e.ID, time.Since(start).Round(time.Millisecond))
 	}
 }

@@ -1,25 +1,28 @@
 package main
 
-import "testing"
+import (
+	"fmt"
+	"testing"
+
+	"colock/internal/experiments"
+)
 
 func TestExperimentRegistryComplete(t *testing.T) {
-	runners := experimentRunners()
-	if len(runners) != len(experimentOrder) {
-		t.Fatalf("registry has %d entries, order lists %d", len(runners), len(experimentOrder))
+	if len(experiments.All) != 13 {
+		t.Fatalf("table has %d entries, want E1..E13", len(experiments.All))
 	}
-	for _, id := range experimentOrder {
-		if runners[id] == nil {
-			t.Errorf("no runner for %s", id)
+	for i, e := range experiments.All {
+		if want := fmt.Sprintf("E%d", i+1); e.ID != want || e.Run == nil {
+			t.Errorf("entry %d is %q (runner set: %v), want %s in presentation order", i, e.ID, e.Run != nil, want)
 		}
 	}
 }
 
 func TestFastRunnersProduceTables(t *testing.T) {
-	runners := experimentRunners()
-	for _, id := range []string{"E11", "E12"} {
-		tab := runners[id](true)
+	for _, e := range experiments.All[10:12] { // E11, E12
+		tab := e.Run(true)
 		if tab == nil || len(tab.Rows) == 0 {
-			t.Errorf("%s produced no rows", id)
+			t.Errorf("%s produced no rows", e.ID)
 		}
 	}
 }

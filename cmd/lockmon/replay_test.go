@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"colock/internal/health"
 	"colock/internal/journal"
 	"colock/internal/lock"
 )
@@ -50,6 +51,19 @@ func TestReplayReport(t *testing.T) {
 	}
 	if len(rep.Windows) == 0 {
 		t.Fatal("replayed report has no closed windows")
+	}
+	// The same journal through health.Replay — what colockreplay's SLO replay
+	// calls — ends in the same state over the same windows.
+	recs, _, err := journal.ReadAll(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mon, _ := health.Replay(recs, time.Second, health.DefaultSLO)
+	if mon == nil {
+		t.Fatal("health.Replay found nothing to replay")
+	}
+	if rep.State != mon.State().String() || len(rep.Windows) != len(mon.Windows(10)) {
+		t.Errorf("report says %s over %d windows, health.Replay %s over %d", rep.State, len(rep.Windows), mon.State(), len(mon.Windows(10)))
 	}
 	if len(rep.TopK) == 0 || !strings.Contains(rep.TopK[0].Resource, "cells/c1") {
 		t.Fatalf("top-K = %+v, want the hot trajectory leaf first", rep.TopK)

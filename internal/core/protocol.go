@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"slices"
 	"sync"
@@ -46,12 +47,12 @@ type Protocol struct {
 	// tr, when non-nil, records a span tree per user-level Lock call: the
 	// root span is the call itself, children are the protocol's rule
 	// applications (upward intention locks, downward propagations, the node
-	// acquisition).
+	// acquisition). It adds spans only; the manager calls are the same.
 	tr *trace.Recorder
 
 	// fast enables the fast path (DESIGN.md §11): an IS/IX request the
 	// transaction's lock list already covers (Manager.HeldCovers) skips the
-	// manager, and what is left of a chain goes to it as one batch.
+	// manager. What is left of a chain goes to it as one batch either way.
 	fast bool
 
 	// counters tallies rule applications; see ProtocolStats.
@@ -73,10 +74,10 @@ type Options struct {
 	// Tracer, when non-nil, records per-transaction span trees for every
 	// user-level lock call (see internal/trace).
 	Tracer *trace.Recorder
-	// DisableFastPath turns off the held-lock-list shortcut and the batched
-	// ancestor acquisition, forcing every request through the classic
-	// one-AcquireCtx-per-resource path. The benchmark baseline and an escape
-	// hatch; see DESIGN.md §11.
+	// DisableFastPath turns off the held-lock-list shortcut: every request
+	// the call's own memo does not cover reaches the manager, so the paper's
+	// request counts stay measurable (internal/experiments). Chains are
+	// batched either way; see DESIGN.md §11.
 	DisableFastPath bool
 }
 
@@ -216,52 +217,19 @@ func (p *Protocol) lockRec(ctx context.Context, txn lock.TxnID, n Node, mode loc
 		p.counters.memoHits.Add(1)
 		return nil
 	}
-	intent := mode.IntentionFor()
-	// follow: granting S or X implies downward propagation (rules 3/4) —
-	// those requests must run the full protocol below. Everything else
-	// (IS/IX, or S/X with noFollow) is a pure chain acquisition, eligible
-	// for the all-in-one batched fast path. Traced calls (a recording sp) take
-	// the classic per-resource path so the span tree keeps its per-resource
-	// timing; a fast-path hit inside it emits no span (DESIGN.md §11).
+	// follow: granting S or X implies downward propagation (rules 3/4), so
+	// the node's own lock comes after the scan below. Everything else (IS/IX,
+	// or S/X with noFollow) is a pure chain acquisition: the node's lock joins
+	// its ancestors' batch.
 	follow := (mode == lock.S || mode == lock.X) && !noFollow
-	traced := sp.Recording()
-	if p.fast && !traced && !follow {
-		return p.lockChainBatched(ctx, txn, res, anc, mode, intent, durable, timeout, requested)
-	}
 
 	// Rules 1–4, upward part: intention-lock all immediate parents
 	// root-to-leaf (rule 5 order). For entry points this is the "implicit
 	// upward propagation" up to the root of the superunit; it never crosses
 	// superunit boundaries because the ancestor chain is exactly the
 	// superunit spine.
-	if intent != lock.None {
-		if p.fast && !traced {
-			if err := p.upwardBatched(ctx, txn, anc, intent, durable, timeout, requested); err != nil {
-				return err
-			}
-		} else {
-			for _, ares := range anc {
-				if prev, ok := requested[ares]; ok && prev.Covers(intent) {
-					p.counters.memoHits.Add(1)
-					continue
-				}
-				if p.fast && p.mgr.HeldCovers(txn, ares, intent, durable) {
-					// Fast-path hit: the txn's lock list already holds a
-					// covering lock; no manager request, no span.
-					p.noteFastPathHit()
-					requested[ares] = lock.Sup(requested[ares], intent)
-					continue
-				}
-				c := sp.Child("upward", ares, intent)
-				err = p.mgr.AcquireCtx(ctx, txn, ares, intent, lock.AcquireOption{Durable: durable, Timeout: timeout})
-				c.End(err)
-				if err != nil {
-					return err
-				}
-				p.counters.upwardLocks.Add(1)
-				requested[ares] = lock.Sup(requested[ares], intent)
-			}
-		}
+	if err := p.lockChain(ctx, txn, res, anc, mode, !follow, durable, timeout, requested, sp); err != nil || !follow {
+		return err
 	}
 
 	// Reserve the mode in the memo BEFORE propagating: with recursive
@@ -278,29 +246,23 @@ func (p *Protocol) lockRec(ctx context.Context, txn lock.TxnID, n Node, mode loc
 	// reference out below most data nodes (t has no ref plan): those need no
 	// scan, before the grant or after it.
 	var sc *scanBuf
-	if follow {
-		p.counters.entryScans.Add(1)
-		if n.Level != LevelData || t.RefPlan() != nil {
-			sc = scanPool.Get().(*scanBuf)
-			defer scanPool.Put(sc)
-			if sc.cur, err = entryTargets(p.st, p.nm, n, t, sc.cur[:0]); err != nil {
+	p.counters.entryScans.Add(1)
+	if n.Level != LevelData || t.RefPlan() != nil {
+		sc = scanPool.Get().(*scanBuf)
+		defer scanPool.Put(sc)
+		if sc.cur, err = entryTargets(p.st, p.nm, n, t, sc.cur[:0]); err != nil {
+			return err
+		}
+		for _, ep := range sc.cur {
+			if err := p.lockEntry(ctx, txn, ep, mode, durable, noFollow, timeout, requested, sp); err != nil {
 				return err
-			}
-			for _, ep := range sc.cur {
-				if err := p.lockEntry(ctx, txn, ep, mode, durable, noFollow, timeout, requested, sp); err != nil {
-					return err
-				}
 			}
 		}
 	}
 
-	// Final acquire on the node itself. An IS/IX request the lock list
-	// covers skips the manager (and emits no span); S/X always goes to the
-	// manager, whose held-covers regrant path answers it.
-	if p.fast && mode.IsIntention() && p.mgr.HeldCovers(txn, res, mode, durable) {
-		p.noteFastPathHit()
-		return nil
-	}
+	// Final acquire on the node itself: S/X always goes to the manager, whose
+	// held-covers regrant path answers a repeat, so every S/X request stays
+	// visible in Stats.Requests and the events.
 	c := sp.Child("acquire", res, mode)
 	err = p.mgr.AcquireCtx(ctx, txn, res, mode, lock.AcquireOption{Durable: durable, Timeout: timeout})
 	c.End(err)
@@ -346,21 +308,16 @@ func (p *Protocol) lockEntry(ctx context.Context, txn lock.TxnID, ep store.Ref, 
 	return p.lockRec(ctx, txn, DataNode(store.P(ep.Relation, ep.Key)), mode, kind, durable, noFollow, timeout, requested, sp)
 }
 
-// chainBatch is the stack buffer batched requests are built in: a chain
-// (database, segment, relation, object and four levels below it) fits; a
-// deeper one spills to the heap.
-type chainBatch [8]lock.BatchReq
-
 // missing appends to reqs an intent request for every ancestor that neither
-// this call's memo nor the transaction's lock list covers, root to leaf,
-// counting the hits.
+// this call's memo nor (with the fast path on) the transaction's lock list
+// covers, root to leaf, counting the hits.
 func (p *Protocol) missing(reqs []lock.BatchReq, txn lock.TxnID, anc []lock.Resource, intent lock.Mode, durable bool, requested map[lock.Resource]lock.Mode) []lock.BatchReq {
 	for _, ares := range anc {
 		if prev, ok := requested[ares]; ok && prev.Covers(intent) {
 			p.counters.memoHits.Add(1)
 			continue
 		}
-		if p.mgr.HeldCovers(txn, ares, intent, durable) {
+		if p.fast && p.mgr.HeldCovers(txn, ares, intent, durable) {
 			// Deliberately NOT folded into requested: the lock list answers
 			// any later encounter the memo would, and skipping the map write
 			// keeps the steady state free of per-call map traffic.
@@ -372,65 +329,78 @@ func (p *Protocol) missing(reqs []lock.BatchReq, txn lock.TxnID, anc []lock.Reso
 	return reqs
 }
 
-// upwardBatched services the upward half of rules 1–4 for untraced calls
-// with the fast path on: memo hits and ancestors the lock list covers are
-// skipped without a manager request, and whatever remains is acquired in ONE
-// Manager.AcquireBatch call (root-to-leaf order preserved) instead of one
-// AcquireCtx round-trip per ancestor.
-func (p *Protocol) upwardBatched(ctx context.Context, txn lock.TxnID, anc []lock.Resource, intent lock.Mode, durable bool, timeout time.Duration, requested map[lock.Resource]lock.Mode) error {
-	var buf chainBatch
-	reqs := p.missing(buf[:0], txn, anc, intent, durable, requested)
-	if len(reqs) == 0 {
-		return nil
-	}
-	if err := p.mgr.AcquireBatch(ctx, txn, reqs, lock.AcquireOption{Durable: durable, Timeout: timeout}); err != nil {
-		return err
-	}
-	p.counters.upwardLocks.Add(uint64(len(reqs)))
-	p.counters.batchedLocks.Add(uint64(len(reqs)))
-	for _, q := range reqs {
-		requested[q.Resource] = lock.Sup(requested[q.Resource], intent)
-	}
-	return nil
-}
-
-// lockChainBatched is the whole-call fast path for non-propagating requests
-// (IS/IX, or S/X with noFollow): the ancestor chain AND the node's own lock
-// are served from the memo and the lock list and, for whatever is left, one
-// AcquireBatch call. The common steady-state outcome — everything already
-// held — performs zero manager requests and zero allocations.
-func (p *Protocol) lockChainBatched(ctx context.Context, txn lock.TxnID, res lock.Resource, anc []lock.Resource, mode, intent lock.Mode, durable bool, timeout time.Duration, requested map[lock.Resource]lock.Mode) error {
-	var buf chainBatch
-	reqs := buf[:0]
-	if intent != lock.None {
-		reqs = p.missing(reqs, txn, anc, intent, durable, requested)
-	}
+// lockChain is the one routine that sends chain requests to the manager: the
+// intent requests missing leaves and, when withNode is set (the request does
+// not propagate), the node's own lock go to it root to leaf as ONE
+// Manager.AcquireBatch. The common steady-state outcome — everything already
+// held — performs zero manager requests and zero allocations. A recording sp
+// gets one finished child per request the manager got to ("upward" for an
+// ancestor, "acquire" for the node), all sharing the batch's start and end.
+func (p *Protocol) lockChain(ctx context.Context, txn lock.TxnID, res lock.Resource, anc []lock.Resource, mode lock.Mode, withNode, durable bool, timeout time.Duration, requested map[lock.Resource]lock.Mode, sp trace.SpanHandle) error {
+	// Stack buffer: a chain (database, segment, relation, object and four
+	// levels below it) fits; a deeper one spills to the heap.
+	var buf [8]lock.BatchReq
+	reqs := p.missing(buf[:0], txn, anc, mode.IntentionFor(), durable, requested)
 	upward := len(reqs)
-	// Only IS/IX node locks may be served from the lock list; a held S/X
-	// answer would skip the downward re-scan — but this path is only taken
-	// for noFollow S/X, where the caller asserted there is nothing to scan.
-	// Keep S/X going to the manager's request path anyway: noFollow is rare
-	// and every S/X request stays visible in Stats.Requests and the events.
-	if mode.IsIntention() && p.mgr.HeldCovers(txn, res, mode, durable) {
-		p.noteFastPathHit()
-	} else {
-		reqs = append(reqs, lock.BatchReq{Resource: res, Mode: mode})
+	if withNode {
+		// Only IS/IX node locks may be served from the lock list: noFollow S/X
+		// is rare, and going to the manager keeps every S/X request visible in
+		// Stats.Requests and the events.
+		if p.fast && mode.IsIntention() && p.mgr.HeldCovers(txn, res, mode, durable) {
+			p.noteFastPathHit()
+		} else {
+			reqs = append(reqs, lock.BatchReq{Resource: res, Mode: mode})
+		}
 	}
 	if len(reqs) == 0 {
 		return nil
 	}
-	if err := p.mgr.AcquireBatch(ctx, txn, reqs, lock.AcquireOption{Durable: durable, Timeout: timeout}); err != nil {
+	var start time.Time
+	if sp.Recording() {
+		start = time.Now()
+	}
+	err := p.mgr.AcquireBatch(ctx, txn, reqs, lock.AcquireOption{Durable: durable, Timeout: timeout})
+	if sp.Recording() {
+		batchSpans(sp, reqs, upward, start, err)
+	}
+	if err != nil {
 		return err
 	}
 	p.counters.batchedLocks.Add(uint64(len(reqs)))
-	for _, q := range reqs {
-		requested[q.Resource] = lock.Sup(requested[q.Resource], q.Mode)
-	}
 	p.counters.upwardLocks.Add(uint64(upward))
 	if len(reqs) > upward {
 		p.counters.nodeLocks.Add(1)
 	}
+	for _, q := range reqs {
+		requested[q.Resource] = lock.Sup(requested[q.Resource], q.Mode)
+	}
 	return nil
+}
+
+// batchSpans records the children of one AcquireBatch call. The batch stops
+// at the first request that fails and its *lock.LockError names that
+// request's resource: the requests before it end clean, that one carries the
+// error, and the ones after it were never made and get no span.
+func batchSpans(sp trace.SpanHandle, reqs []lock.BatchReq, upward int, start time.Time, err error) {
+	end := time.Now()
+	var failed lock.Resource
+	if err != nil {
+		var le *lock.LockError
+		if errors.As(err, &le) {
+			failed = le.Resource
+		}
+	}
+	for i, q := range reqs {
+		kind := "upward"
+		if i >= upward {
+			kind = "acquire"
+		}
+		if err != nil && q.Resource == failed {
+			sp.ChildDone(kind, q.Resource, q.Mode, start, end, err)
+			return
+		}
+		sp.ChildDone(kind, q.Resource, q.Mode, start, end, nil)
+	}
 }
 
 // Release drops all locks of a transaction (EOT, rule 5: "locks are

@@ -425,14 +425,6 @@ func (m *Monitor) State() State {
 	return m.slo.state
 }
 
-// Streaks returns the state machine's consecutive breaching and clean
-// window counts — the burn-rate view of how entrenched the current state is.
-func (m *Monitor) Streaks() (breach, clean int) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.slo.breachStreak, m.slo.cleanStreak
-}
-
 // Windows returns up to n of the most recent closed windows, oldest first
 // (n <= 0 returns all retained).
 func (m *Monitor) Windows(n int) []WindowStats {

@@ -459,41 +459,8 @@ func (m *Manager) AcquireCtx(ctx context.Context, txn TxnID, r Resource, mode Mo
 	s.stats.requests.Add(1)
 
 	e := s.entryFor(r)
-	h := e.holder(txn)
-	if h != nil {
-		if cfg.Durable && !h.durable {
-			h.durable = true
-			m.txnShardFor(txn).record(txn, r, h, s)
-		}
-		if h.mode.Covers(mode) {
-			s.stats.regrants.Add(1)
-			s.mu.Unlock()
-			tr.finish()
-			return nil
-		}
-	}
-
-	target := mode
-	convert := false
-	own := None
-	hadDurable := false
-	if h != nil {
-		own = h.mode
-		target = Sup(h.mode, mode)
-		convert = true
-		hadDurable = h.durable
-	}
-
-	grantable, fastCheck := e.grantable(txn, own, target, convert)
-	if fastCheck {
-		s.stats.summaryFast.Add(1)
-	}
-	if grantable {
-		var start time.Time
-		if tr != nil {
-			start = tr.start
-		}
-		m.grantLocked(tr, s, e, txn, r, target, cfg.Durable || hadDurable, convert, false, start)
+	target, convert, granted := m.tryGrant(tr, s, e, txn, r, mode, cfg.Durable)
+	if granted {
 		s.mu.Unlock()
 		tr.finish()
 		return nil
@@ -719,63 +686,29 @@ func (m *Manager) AcquireBatch(ctx context.Context, txn TxnID, reqs []BatchReq, 
 	// Grant pass. A request that conflicts is NOT counted against the shard
 	// stats here — the fallback AcquireCtx call will do its own accounting —
 	// so per-request counters stay exactly one-per-request either way.
-	fallbackAt := -1
-	fast := 0
+	fast := 0 // requests granted under the latches: reqs[:fast]
 	for i, q := range reqs {
 		s := m.shards[stripe[i]]
 		e := s.entryFor(q.Resource)
-		h := e.holder(txn)
-		if h != nil && h.mode.Covers(q.Mode) {
-			s.stats.requests.Add(1)
-			s.stats.regrants.Add(1)
-			if cfg.Durable && !h.durable {
-				h.durable = true
-				m.txnShardFor(txn).record(txn, q.Resource, h, s)
-			}
-			fast++
-			continue
+		if _, _, granted := m.tryGrant(tr, s, e, txn, q.Resource, q.Mode, cfg.Durable); !granted {
+			// Conflict: drop the entry if this lookup speculatively created it,
+			// and leave this request and the rest of the chain to the wait path.
+			s.maybeDropEntry(q.Resource, e)
+			break
 		}
-		target := q.Mode
-		convert := false
-		own := None
-		hadDurable := false
-		if h != nil {
-			own = h.mode
-			target = Sup(h.mode, q.Mode)
-			convert = true
-			hadDurable = h.durable
-		}
-		ok, fastCheck := e.grantable(txn, own, target, convert)
-		if fastCheck {
-			s.stats.summaryFast.Add(1)
-		}
-		if ok {
-			s.stats.requests.Add(1)
-			var start time.Time
-			if tr != nil {
-				start = tr.start
-			}
-			m.grantLocked(tr, s, e, txn, q.Resource, target,
-				cfg.Durable || hadDurable, convert, false, start)
-			fast++
-			continue
-		}
-		// Conflict: drop the entry if this lookup speculatively created it,
-		// and leave this request and the rest of the chain to the wait path.
-		s.maybeDropEntry(q.Resource, e)
-		fallbackAt = i
-		break
+		s.stats.requests.Add(1)
+		fast++
 	}
 	for i := len(idxs) - 1; i >= 0; i-- {
 		m.shards[idxs[i]].mu.Unlock()
 	}
 	m.batchFast.Add(uint64(fast))
 	tr.finish()
-	if fallbackAt < 0 {
+	if fast == len(reqs) {
 		return nil
 	}
 	m.batchFallbacks.Add(1)
-	for _, q := range reqs[fallbackAt:] {
+	for _, q := range reqs[fast:] {
 		if err := m.AcquireCtx(ctx, txn, q.Resource, q.Mode, cfg); err != nil {
 			return err
 		}
@@ -810,6 +743,41 @@ func (m *Manager) withdraw(tr *tracer, txn TxnID, r Resource, w *waiter, mode, t
 	s.mu.Unlock()
 	tr.deliver()
 	return lockErrBlocked(txn, r, mode, cause, blockers)
+}
+
+// tryGrant is the immediate-grant decision AcquireCtx and AcquireBatch share.
+// Caller holds s.mu and counts the request; e is r's entry. A durable request
+// first makes a lock txn already holds on r durable. A held mode that covers
+// the request answers it (a regrant); otherwise the request — a conversion to
+// the supremum when txn holds a weaker mode — is granted if no other holder
+// and no earlier waiter stands in its way. When it reports false nothing was
+// granted, and target and convert describe the request to queue.
+func (m *Manager) tryGrant(tr *tracer, s *tableShard, e *entry, txn TxnID, r Resource, mode Mode, durable bool) (target Mode, convert, granted bool) {
+	own := None
+	if h := e.holder(txn); h != nil {
+		if durable && !h.durable {
+			h.durable = true
+			m.txnShardFor(txn).record(txn, r, h, s)
+		}
+		if h.mode.Covers(mode) {
+			s.stats.regrants.Add(1)
+			return h.mode, false, true
+		}
+		own, convert = h.mode, true
+	}
+	target = Sup(own, mode)
+	granted, fastCheck := e.grantable(txn, own, target, convert)
+	if fastCheck {
+		s.stats.summaryFast.Add(1)
+	}
+	if granted {
+		var start time.Time
+		if tr != nil {
+			start = tr.start
+		}
+		m.grantLocked(tr, s, e, txn, r, target, durable, convert, false, start)
+	}
+	return target, convert, granted
 }
 
 // grantLocked installs (or converts) txn's lock on r. Caller holds s.mu;

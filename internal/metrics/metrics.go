@@ -101,11 +101,6 @@ func Ratio(a, b float64) string {
 	return fmt.Sprintf("%.2fx", a/b)
 }
 
-// Pct formats a fractional change (0.042 → "+4.2%") as a signed percentage.
-func Pct(frac float64) string {
-	return fmt.Sprintf("%+.1f%%", frac*100)
-}
-
 // PerSec formats an operation count over a duration as ops/s.
 func PerSec(ops uint64, d time.Duration) string {
 	if d <= 0 {

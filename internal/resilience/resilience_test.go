@@ -173,22 +173,6 @@ func TestRetrierAttemptTimeout(t *testing.T) {
 	}
 }
 
-func TestRetrierRetryIfOverride(t *testing.T) {
-	appErr := errors.New("transient infra hiccup")
-	calls := 0
-	r := &Retrier{MaxAttempts: 3, RetryIf: func(err error) bool { return errors.Is(err, appErr) }}
-	err := r.Run(context.Background(), func(ctx context.Context) error {
-		calls++
-		if calls < 3 {
-			return appErr
-		}
-		return nil
-	})
-	if err != nil || calls != 3 {
-		t.Fatalf("err=%v calls=%d, want override to retry the app error", err, calls)
-	}
-}
-
 func TestCappedExponentialGrowsAndCaps(t *testing.T) {
 	b := CappedExponential{Base: time.Millisecond, Cap: 4 * time.Millisecond, Jitter: 0.001}
 	start := time.Now()

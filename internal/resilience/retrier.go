@@ -60,10 +60,6 @@ type Retrier struct {
 	// attempt is withdrawn when the budget expires and the attempt retries
 	// as a timeout. The parent ctx still bounds the whole Run.
 	AttemptTimeout time.Duration
-	// RetryIf overrides the default classification when set: it is
-	// consulted INSTEAD of Classify's retry verdict (the cause label for
-	// observers still comes from Classify).
-	RetryIf func(error) bool
 	// Observer, when set, is notified of every retry and final outcome.
 	Observer Observer
 }
@@ -91,9 +87,6 @@ func (r *Retrier) Run(ctx context.Context, body func(ctx context.Context) error)
 			return nil
 		}
 		cause, retry := Classify(err)
-		if r.RetryIf != nil {
-			retry = r.RetryIf(err)
-		}
 		// The parent context ending overrides everything: an attempt that
 		// died because the caller gave up must not restart.
 		if ctx.Err() != nil {

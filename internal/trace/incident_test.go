@@ -3,7 +3,6 @@ package trace
 import (
 	"context"
 	"errors"
-	"flag"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -11,35 +10,6 @@ import (
 
 	"colock/internal/lock"
 )
-
-var externalIncident = flag.String("incidentfile", "",
-	"path to an incident JSONL file to validate (used by `make trace-demo`)")
-
-// TestExternalIncidentFileParses validates an incident dump produced outside
-// the test process — the `make trace-demo` gate pipes a scripted colockshell
-// session into a temp dir and hands the resulting file in here. Skipped when
-// no -incidentfile is given.
-func TestExternalIncidentFileParses(t *testing.T) {
-	if *externalIncident == "" {
-		t.Skip("no -incidentfile given")
-	}
-	inc, err := ParseIncidentFile(*externalIncident)
-	if err != nil {
-		t.Fatalf("incident file does not parse: %v", err)
-	}
-	if inc.Reason != "timeout" && inc.Reason != "victim" {
-		t.Errorf("incident reason = %q, want timeout or victim", inc.Reason)
-	}
-	if len(inc.Spans) == 0 {
-		t.Error("incident carries no victim span tree")
-	}
-	if inc.Queues == nil {
-		t.Error("incident carries no queue snapshot")
-	}
-	if !strings.Contains(inc.DOT, "digraph") {
-		t.Errorf("incident waits-for graph is not DOT:\n%s", inc.DOT)
-	}
-}
 
 func TestManualIncidentRoundTrip(t *testing.T) {
 	m := lock.NewManager(lock.Options{})

@@ -248,7 +248,7 @@ func (r *Recorder) Start(txn lock.TxnID, kind string, res lock.Resource, mode lo
 		return SpanHandle{}
 	}
 	tt, gen := r.bufFor(txn)
-	return r.start(tt, gen, 0, kind, res, mode)
+	return r.start(tt, gen, 0, kind, res, mode, time.Now())
 }
 
 // Child opens a span under h. Inert on the zero handle.
@@ -256,11 +256,20 @@ func (h SpanHandle) Child(kind string, res lock.Resource, mode lock.Mode) SpanHa
 	if h.tt == nil {
 		return SpanHandle{}
 	}
-	return h.rec.start(h.tt, h.gen, uint64(h.idx)+1, kind, res, mode)
+	return h.rec.start(h.tt, h.gen, uint64(h.idx)+1, kind, res, mode, time.Now())
 }
 
-func (r *Recorder) start(tt *txnTrace, gen uint32, parent uint64, kind string, res lock.Resource, mode lock.Mode) SpanHandle {
-	shard, now := r.shardOf(res), time.Now()
+// ChildDone records under h a span that ran from start to end: the way to
+// give the requests of one batched manager call a span each, sharing the
+// call's two clock reads. Inert on the zero handle.
+func (h SpanHandle) ChildDone(kind string, res lock.Resource, mode lock.Mode, start, end time.Time, err error) {
+	if h.tt != nil {
+		h.rec.start(h.tt, h.gen, uint64(h.idx)+1, kind, res, mode, start).end(end, err)
+	}
+}
+
+func (r *Recorder) start(tt *txnTrace, gen uint32, parent uint64, kind string, res lock.Resource, mode lock.Mode, now time.Time) SpanHandle {
+	shard := r.shardOf(res)
 	tt.mu.Lock()
 	if tt.gen != gen {
 		tt.mu.Unlock()
@@ -285,6 +294,13 @@ func (r *Recorder) start(tt *txnTrace, gen uint32, parent uint64, kind string, r
 // End closes the span, stamping its duration and error; the completed span
 // is also pushed into the flight recorder. Inert on the zero handle.
 func (h SpanHandle) End(err error) {
+	if h.tt != nil {
+		h.end(time.Now(), err)
+	}
+}
+
+// end closes the span at the given time.
+func (h SpanHandle) end(at time.Time, err error) {
 	tt := h.tt
 	if tt == nil {
 		return
@@ -295,7 +311,7 @@ func (h SpanHandle) End(err error) {
 		return
 	}
 	sp := &tt.spans[h.idx]
-	sp.Dur = time.Since(sp.Start)
+	sp.Dur = at.Sub(sp.Start)
 	sp.Open = false
 	if err != nil {
 		sp.Err = err.Error()

@@ -14,7 +14,8 @@ import (
 // the receiving call are ignored.
 //
 // An Option is a plain value: each With* constructor sets one field, and the
-// options of one call are folded field by field (see fold).
+// options of one call are folded field by field (see Fold). Package client's
+// Option is this type.
 type Option struct {
 	// Per-lock-call. Exported so that a caller holding both as data (the
 	// server's decoded lock request) passes one literal.
@@ -29,9 +30,9 @@ type Option struct {
 	observer       resilience.Observer
 }
 
-// fold merges the options of one call: a flag set by any of them is set, and
+// Fold merges the options of one call: a flag set by any of them is set, and
 // for every other field the last option that sets it wins.
-func fold(opts []Option) Option {
+func Fold(opts []Option) Option {
 	var cfg Option
 	for _, o := range opts {
 		if o.Timeout > 0 {
@@ -52,6 +53,23 @@ func fold(opts []Option) Option {
 		}
 	}
 	return cfg
+}
+
+// Retrier builds the restart loop the retry options of one RunWithRetry call
+// describe: 10 attempts and an immediate restart unless they say otherwise.
+// The in-process and the remote RunWithRetry both run on it.
+func Retrier(opts []Option) *resilience.Retrier {
+	cfg := Fold(opts)
+	r := &resilience.Retrier{
+		MaxAttempts:    10,
+		Backoff:        cfg.backoff,
+		AttemptTimeout: cfg.attemptTimeout,
+		Observer:       cfg.observer,
+	}
+	if cfg.maxAttemptsSet {
+		r.MaxAttempts = cfg.maxAttempts
+	}
+	return r
 }
 
 // WithTimeout bounds each lock-manager acquisition of the protocol chain:

@@ -15,7 +15,6 @@ import (
 
 	"colock/internal/core"
 	"colock/internal/lock"
-	"colock/internal/resilience"
 	"colock/internal/store"
 )
 
@@ -225,7 +224,7 @@ func (t *Txn) Lock(ctx context.Context, n core.Node, mode lock.Mode, opts ...Opt
 	if ctx == nil {
 		ctx = t.ctx
 	}
-	cfg := fold(opts)
+	cfg := Fold(opts)
 	return t.m.proto.LockWith(ctx, t.id, n, mode, t.long, cfg.NoFollow, cfg.Timeout)
 }
 
@@ -532,18 +531,7 @@ func (t *Txn) Abort() {
 // (<= 0 for unlimited), WithBackoff, WithAttemptTimeout and
 // WithRetryObserver.
 func (m *Manager) RunWithRetry(ctx context.Context, body func(*Txn) error, opts ...Option) error {
-	cfg := fold(opts)
-	maxAttempts := 10
-	if cfg.maxAttemptsSet {
-		maxAttempts = cfg.maxAttempts
-	}
-	r := &resilience.Retrier{
-		MaxAttempts:    maxAttempts,
-		Backoff:        cfg.backoff,
-		AttemptTimeout: cfg.attemptTimeout,
-		Observer:       cfg.observer,
-	}
-	return r.Run(ctx, func(actx context.Context) error {
+	return Retrier(opts).Run(ctx, func(actx context.Context) error {
 		t, err := m.BeginCtx(actx)
 		if err != nil {
 			return err

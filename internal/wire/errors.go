@@ -51,37 +51,6 @@ const (
 	CauseProtocol byte = 11
 )
 
-// CauseName returns the spec name of a cause code.
-func CauseName(c byte) string {
-	switch c {
-	case CauseOther:
-		return "other"
-	case CauseDeadlock:
-		return "deadlock"
-	case CauseWaitDie:
-		return "wait-die"
-	case CauseTimeout:
-		return "timeout"
-	case CauseWouldBlock:
-		return "would-block"
-	case CauseShed:
-		return "shed"
-	case CauseCanceled:
-		return "canceled"
-	case CauseNotActive:
-		return "not-active"
-	case CauseExpired:
-		return "expired"
-	case CauseDraining:
-		return "draining"
-	case CauseBusy:
-		return "busy"
-	case CauseProtocol:
-		return "protocol"
-	}
-	return fmt.Sprintf("cause(%d)", c)
-}
-
 // ErrSessionExpired is the client-side error for CauseExpired: every
 // transaction of the session was aborted server-side and the connection is
 // gone. Not retryable on this session — re-Dial to start over.

@@ -139,9 +139,8 @@ func TestCellEditAllocsObserved(t *testing.T) {
 	// 213 before the event pipeline was batched and pooled, 48 before the
 	// downward scan was compiled from the schema, 14 while every transaction
 	// grew its own held-lock maps; measured 2 (the transaction handle and the
-	// release-all event's Resources). Every call is traced here and so takes
-	// the per-resource path, which builds no batch slices: fewer than the
-	// sink-less engine below.
+	// release-all event's Resources): one more than the sink-less engine
+	// below, which runs the same protocol and manager code.
 	if got := allocsPerCellEdit(t, e.Txns); got > 4 {
 		t.Errorf("observed engine: %.1f allocs per cell edit, want ≤ 4", got)
 	}
@@ -162,6 +161,33 @@ func TestCellEditAllocsBare(t *testing.T) {
 	// stack), the lock list and the release sweep allocate nothing.
 	if got := allocsPerCellEdit(t, bareTxnManager(t)); got > 3 {
 		t.Errorf("sink-less engine: %.1f allocs per cell edit, want ≤ 3 (the nil-tracer path, the downward scan, the batches and the lock list must stay free)", got)
+	}
+}
+
+// The sinks and the tracer observe; they do not steer. One pass of the script
+// leaves the same protocol and manager counters on engine.Open's assembly as
+// on the sink-less stack: same requests, same fast-path hits, same batches.
+func TestObservedAndBareStacksCountAlike(t *testing.T) {
+	edits := cellEdits()
+	run := func(tm *txn.Manager) (core.ProtocolStats, lock.Stats) {
+		t.Helper()
+		for i := range edits {
+			if err := runCellEdit(tm, &edits[i]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return tm.Protocol().Stats(), tm.Protocol().Manager().Stats()
+	}
+	obsProto, obsMgr := run(newObservedEngine(t).Txns)
+	bareProto, bareMgr := run(bareTxnManager(t))
+	if obsMgr.Batches == 0 || obsProto.FastPathHits == 0 {
+		t.Fatalf("observed engine made no batches or no fast-path hits: %+v %+v", obsMgr, obsProto)
+	}
+	if obsProto != bareProto {
+		t.Errorf("protocol counters differ:\nobserved %+v\nbare     %+v", obsProto, bareProto)
+	}
+	if obsMgr != bareMgr {
+		t.Errorf("manager counters differ:\nobserved %+v\nbare     %+v", obsMgr, bareMgr)
 	}
 }
 
