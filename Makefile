@@ -1,19 +1,19 @@
 GO ?= go
 
-.PHONY: ci fmt vet build test race race-matrix bench shardbench stormbench stormbench-smoke journal-smoke grantbench grantbench-smoke netbench netbench-smoke bench-check benchdiff nodeprecated doc-lint drift-check obs-demo figures clean
+.PHONY: ci fmt vet build test race race-matrix bench shardbench stormbench stormbench-smoke journal-smoke grantbench grantbench-smoke netbench netbench-smoke bench-check benchdiff doc-lint drift-check obs-demo figures clean
 
-# ci is the gate every change must pass: formatting, vet, the
-# no-deprecated-wrappers grep, the godoc and docs-drift lints, build, the
+# ci is the gate every change must pass: formatting, vet, the godoc lint
+# (which also greps for deprecated wrappers) and the docs-drift lint, build, the
 # full test suite under the race detector (the lock manager and protocol
 # are concurrent; -race is not optional here), the scheduling-sensitive
 # packages again at 1, 2 and 4 cores, the contention-survival, grant-path,
 # and network smoke benchmarks, the journal-forensics smoke gate, and the
 # check that the frozen benchmark module still builds and runs against this
-# tree (13 gates; the fast path and the four sinks are measured by bench/,
+# tree (12 gates; the fast path and the four sinks are measured by bench/,
 # whose pinned per-transaction counts bench-check asserts; the forced-timeout
 # incident dump and the .health dump are checked in-process by
 # cmd/colockshell's TestShellForceTimeout and TestShellHealthCommands).
-ci: fmt vet nodeprecated doc-lint drift-check build race race-matrix stormbench-smoke journal-smoke grantbench-smoke netbench-smoke bench-check
+ci: fmt vet doc-lint drift-check build race race-matrix stormbench-smoke journal-smoke grantbench-smoke netbench-smoke bench-check
 
 # fmt fails if any file needs gofmt, listing the offenders.
 fmt:
@@ -135,9 +135,10 @@ bench-check:
 	*) echo "bench-check: last line of bench/run.sh --workload $$w lacks \"correct\":true: $$out"; exit 1;; esac; \
 	done
 
-# doc-lint asserts godoc hygiene: every package has a package doc comment
-# and every exported symbol of the public API packages (client,
-# internal/wire) is documented. See scripts/doclint.sh.
+# doc-lint asserts godoc hygiene: every package has a package doc comment,
+# every exported symbol of the public API packages (client, internal/wire)
+# is documented, and no Deprecated marker survives in internal/lock. See
+# scripts/doclint.sh.
 doc-lint:
 	@sh scripts/doclint.sh
 
@@ -152,15 +153,6 @@ drift-check:
 # trajectory of the PR sequence is visible in one table.
 benchdiff:
 	$(GO) run ./cmd/benchdiff
-
-# nodeprecated fails the build if any Deprecated marker survives in
-# internal/lock: the consolidated AcquireCtx + options API is the only
-# acquire surface, and this gate keeps the legacy wrappers from creeping
-# back.
-nodeprecated:
-	@if grep -rn "Deprecated:" internal/lock --include="*.go"; then \
-		echo "nodeprecated: deprecated wrappers found in internal/lock"; exit 1; \
-	else echo "nodeprecated: internal/lock is wrapper-free"; fi
 
 # obs-demo runs a scripted colockshell session that takes locks and dumps
 # the .metrics tables, the wait-queue view, and the waits-for DOT graph.

@@ -59,8 +59,6 @@ var ErrClosed = errors.New("client: session closed")
 
 // Options tunes Dial.
 type Options struct {
-	// DialTimeout bounds the TCP connect + handshake. Defaults to 10s.
-	DialTimeout time.Duration
 	// NoKeepalive disables the automatic lease ping. The caller then owns
 	// the lease: without frames the server expires the session and aborts
 	// its transactions. Meant for tests and for processes with their own
@@ -110,6 +108,8 @@ const (
 	// idlePoll is how long the connection goes unread once calls stop,
 	// and so the background goroutine's whole cost while calls flow.
 	idlePoll = 10 * time.Millisecond
+	// dialTimeout bounds Dial's TCP connect + handshake.
+	dialTimeout = 10 * time.Second
 )
 
 // replyChans recycles the one-shot reply channels of completed calls.
@@ -118,15 +118,11 @@ var replyChans = sync.Pool{New: func() any { return make(chan reply, 1) }}
 // Dial connects to a colockd server and performs the handshake. The
 // returned client's lease keepalive is already running (unless disabled).
 func Dial(addr string, opts Options) (*Client, error) {
-	timeout := opts.DialTimeout
-	if timeout <= 0 {
-		timeout = 10 * time.Second
-	}
-	conn, err := net.DialTimeout("tcp", addr, timeout)
+	conn, err := net.DialTimeout("tcp", addr, dialTimeout)
 	if err != nil {
 		return nil, err
 	}
-	_ = conn.SetDeadline(time.Now().Add(timeout))
+	_ = conn.SetDeadline(time.Now().Add(dialTimeout))
 	if err := wire.WriteHello(conn, wire.Hello{Version: wire.Version}); err != nil {
 		conn.Close()
 		return nil, fmt.Errorf("client: handshake: %w", err)

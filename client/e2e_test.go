@@ -359,7 +359,7 @@ func TestDrainRefusesNewWhileInflightFinish(t *testing.T) {
 	waitFor(t, 2*time.Second, srv.Draining, "server to enter draining")
 
 	// New sessions are refused at the handshake.
-	if _, err := client.Dial(srv.Addr(), client.Options{DialTimeout: 2 * time.Second}); !errors.Is(err, lock.ErrShed) {
+	if _, err := client.Dial(srv.Addr(), client.Options{}); !errors.Is(err, lock.ErrShed) {
 		t.Errorf("Dial while draining = %v, want shed-classified refusal", err)
 	}
 	// New transactions on live sessions are refused retryably.
@@ -666,7 +666,7 @@ func TestTinyLeaseClamped(t *testing.T) {
 func TestMaxSessionsRefusal(t *testing.T) {
 	srv, _ := startServer(t, lock.PolicyDetect, server.Options{MaxSessions: 1})
 	_ = dial(t, srv, client.Options{})
-	if _, err := client.Dial(srv.Addr(), client.Options{DialTimeout: 2 * time.Second}); !errors.Is(err, lock.ErrShed) {
+	if _, err := client.Dial(srv.Addr(), client.Options{}); !errors.Is(err, lock.ErrShed) {
 		t.Fatalf("surplus dial = %v, want shed-classified refusal", err)
 	}
 }

@@ -123,7 +123,7 @@ func figure3() {
 		if err != nil {
 			log.Fatalf("%s: %v", q.name, err)
 		}
-		an, err := query.Analyze(cat, parsed, query.AnalyzeOptions{})
+		an, err := query.Analyze(cat, parsed)
 		if err != nil {
 			log.Fatalf("%s: %v", q.name, err)
 		}

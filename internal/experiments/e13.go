@@ -23,10 +23,10 @@ func E13DeadlockPolicy(workers, rounds int) *metrics.Table {
 	for _, policy := range []lock.Policy{lock.PolicyDetect, lock.PolicyWaitDie} {
 		st := workload.Generate(cfg)
 		nm := core.NewNamer(st.Catalog(), false)
-		// Eager detection reproduces the paper-era semantics the experiment
-		// reports on: a cycle is found and a victim chosen the instant the
-		// closing request enqueues, not after the deferral window.
-		mgr := lock.NewManager(lock.Options{Policy: policy, EagerDetection: true})
+		// No deferral window: a cycle is found and a victim chosen as soon
+		// as the closing request enqueues, as in the paper-era managers the
+		// experiment reports on.
+		mgr := lock.NewManager(lock.Options{Policy: policy, DeadlockDefer: -1})
 		proto := core.NewProtocol(mgr, st, nm, core.Options{})
 
 		hot := []store.Path{
@@ -71,6 +71,7 @@ func E13DeadlockPolicy(workers, rounds int) *metrics.Table {
 		}
 		wg.Wait()
 		el := time.Since(start)
+		mgr.Close()
 		t.Addf(policy.String(), workers*rounds, aborts, mgr.Stats().Waits, el)
 	}
 	return t

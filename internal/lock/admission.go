@@ -31,6 +31,10 @@ func (am AdmissionMode) String() string {
 	return "unknown"
 }
 
+// admitPoll is how often a transaction stalled in Admit re-checks the
+// waiter depth.
+const admitPoll = time.Millisecond
+
 // AdmissionConfig bounds how much queued contention the manager tolerates
 // before it starts refusing work. The gate is keyed on live waiter depth —
 // the number of transactions currently parked in wait queues — because that
@@ -45,9 +49,6 @@ type AdmissionConfig struct {
 	// the storm to drain before shedding it (AdmitShed mode). Zero means
 	// shed immediately when saturated.
 	MaxDelay time.Duration
-	// Poll is the re-check interval while stalling in Admit. Defaults to
-	// 1ms when zero.
-	Poll time.Duration
 	// Mode selects shedding (refuse Begin) or degradation (fail-fast
 	// conflicting acquires).
 	Mode AdmissionMode
@@ -60,11 +61,7 @@ func (m *Manager) ConfigureAdmission(cfg AdmissionConfig) {
 		m.admission.Store(nil)
 		return
 	}
-	if cfg.Poll <= 0 {
-		cfg.Poll = time.Millisecond
-	}
-	c := cfg
-	m.admission.Store(&c)
+	m.admission.Store(&cfg)
 }
 
 // AdmissionConfigured reports the active gate, if any.
@@ -95,7 +92,7 @@ func (m *Manager) degradeSaturated() bool {
 
 // Admit gates the start of a new transaction. With no gate configured, or
 // in AdmitDegrade mode, it admits immediately. In AdmitShed mode it stalls
-// — polling the waiter depth every Poll — until the storm drains or
+// — polling the waiter depth every admitPoll — until the storm drains or
 // MaxDelay elapses, then sheds with ErrShed. The caller's ctx cancels the
 // stall early (returning the ctx error wrapped in a *LockError so callers
 // classify uniformly). txn names the transaction being admitted, for the
@@ -112,7 +109,7 @@ func (m *Manager) Admit(ctx context.Context, txn TxnID) error {
 	}
 	notifyPark(ctx) // about to stall: the admission gate's one sleeping site
 	deadline := time.Now().Add(cfg.MaxDelay)
-	ticker := time.NewTicker(cfg.Poll)
+	ticker := time.NewTicker(admitPoll)
 	defer ticker.Stop()
 	for {
 		if cfg.MaxDelay <= 0 || !time.Now().Before(deadline) {

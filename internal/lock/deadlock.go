@@ -29,19 +29,17 @@ import (
 // — manufactures exactly these phantoms at high rate, and revalidation is
 // what keeps convoys from bleeding spurious aborts.
 //
-// WHEN the walk runs is a policy choice. Eager detection
-// (Options.EagerDetection) runs it inline on every enqueue — exact, but the
-// enqueue path pays a full graph walk whose answer is almost always "no
-// cycle". Deferred detection (the default) instead arms the waiter on a
-// dirty queue; a single background detector goroutine picks it up after
+// WHEN the walk runs: an enqueued waiter is armed on a dirty list, and a
+// single background detector goroutine picks it up after
 // Options.DeadlockDefer and walks only if the wait is STILL live (validated
-// against the waits-for registry by waiter identity). Grant-bound waits —
-// the overwhelming majority — are woken before the deferral elapses and
-// never pay for detection at all. Cycles are still always found: the waiter
-// whose edge completed the cycle stays blocked (cycles don't resolve
-// themselves), so its armed check survives validation and its walk sees the
-// full cycle. The cost is latency (a cycle lives ~DeadlockDefer longer) and
-// a slightly wider window for the spurious-victim race above.
+// against the waits-for registry by waiter identity). Grant-bound waits — the
+// overwhelming majority — are woken before the deferral elapses and never pay
+// for detection at all. Cycles are still always found: the waiter whose edge
+// completed the cycle stays blocked (cycles don't resolve themselves), so its
+// armed check survives validation and its walk sees the full cycle. The cost
+// is latency (a cycle lives ~DeadlockDefer longer) and a slightly wider
+// window for the spurious-victim race above. A negative DeadlockDefer arms
+// the check for immediate pickup, which finds a cycle as soon as it closes.
 
 // dirtyWaiter is one armed deferred detection: at armAt, if txn's
 // outstanding wait is still this exact waiter INCARNATION — same pointer
@@ -70,21 +68,22 @@ type dirtyWaiter struct {
 // waits stretch, more walks validate live. Pushing is a mutex-guarded
 // append, so backlog memory is proportional to how far behind the detector
 // actually is (entries are discarded at receipt once their wait resolves).
+//
+// Once Close has stopped the detector nobody drains the list, so the check
+// runs inline on the calling goroutine instead: the waiter is about to park
+// in await and receives a victim verdict on its ready channel.
 func (m *Manager) armDetection(txn TxnID, w *waiter) {
-	select {
-	case <-m.stopCh:
-		// Manager closed: no detector drains the queue anymore; run inline
-		// so detection is never lost.
-		m.inlineDetect(txn, w, w.gen)
-		return
-	default:
-	}
-	m.ensureDetector()
-	m.deferredDet.Add(1)
 	d := dirtyWaiter{txn: txn, w: w, gen: w.gen, armAt: time.Now().Add(m.deferDur)}
 	m.dirtyMu.Lock()
+	if m.stopped {
+		m.dirtyMu.Unlock()
+		m.detect(d, nil)
+		return
+	}
+	m.ensureDetector()
 	m.dirty = append(m.dirty, d)
 	m.dirtyMu.Unlock()
+	m.deferredDet.Add(1)
 	select {
 	case m.dirtyBell <- struct{}{}:
 	default: // bell already rung; the detector will see this push too
@@ -117,10 +116,16 @@ func (m *Manager) stillWaiting(d dirtyWaiter) bool {
 	return ok && rec.w == d.w && rec.gen == d.gen
 }
 
-// checkDirty runs one matured deferred detection: revalidate, then walk.
-func (m *Manager) checkDirty(d dirtyWaiter, sc *detScratch) {
+// detect runs one armed check: if the wait is still live, walk the
+// waits-for graph from it and abort the youngest member of a cycle found. sc
+// is the detector's scratch, or nil to borrow one from the pool.
+func (m *Manager) detect(d dirtyWaiter, sc *detScratch) {
 	if !m.stillWaiting(d) {
 		return // resolved while parked; nothing to check
+	}
+	if sc == nil {
+		sc = detScratchPool.Get().(*detScratch)
+		defer detScratchPool.Put(sc)
 	}
 	m.detectorRuns.Add(1)
 	if victim, found := m.findDeadlockVictim(d.txn, sc); found {
@@ -139,6 +144,11 @@ func (m *Manager) checkDirty(d dirtyWaiter, sc *detScratch) {
 // through takeDirty, so the whole loop is allocation-free at steady state.
 // The persistent timer uses the classic Stop/drain/Reset discipline (it is
 // provably stopped-and-drained at every Reset below).
+//
+// On Close the loop walks every arming it still holds, matured or not, and
+// exits: Close sets stopped before it closes stopCh, so the last takeDirty
+// sees every push there will ever be, and a cycle armed before Close is
+// resolved rather than stranded.
 func (m *Manager) detectorLoop() {
 	sc := detScratchPool.Get().(*detScratch)
 	defer detScratchPool.Put(sc)
@@ -153,22 +163,23 @@ func (m *Manager) detectorLoop() {
 		for len(pending) > 0 && time.Until(pending[0].armAt) <= 0 {
 			d := pending[0]
 			pending = pending[1:]
-			m.checkDirty(d, sc)
+			m.detect(d, sc)
 		}
+		closing := false
 		if len(pending) == 0 {
 			// Release the drained backing array so a contention spike's
 			// pending list does not pin memory forever.
 			pending = nil
 			select {
 			case <-m.stopCh:
-				return
+				closing = true
 			case <-m.dirtyBell:
 			}
 		} else {
 			timer.Reset(time.Until(pending[0].armAt))
 			select {
 			case <-m.stopCh:
-				return
+				closing = true
 			case <-timer.C:
 			case <-m.dirtyBell:
 				if !timer.Stop() {
@@ -176,33 +187,20 @@ func (m *Manager) detectorLoop() {
 				}
 			}
 		}
-		// Triage the new armings: dead on arrival or parked until maturity.
 		batch := m.takeDirty(spare)
+		if closing {
+			for _, d := range append(pending, batch...) {
+				m.detect(d, sc)
+			}
+			return
+		}
+		// Triage the new armings: dead on arrival or parked until maturity.
 		for _, d := range batch {
 			if m.stillWaiting(d) {
 				pending = append(pending, d)
 			}
 		}
 		spare = batch
-	}
-}
-
-// inlineDetect is the deferred path's fallback walk (detector unavailable or
-// dirty queue saturated): validate and walk on the calling goroutine. Unlike
-// eager resolveDeadlock it resolves a self-victim through abortWaiter — the
-// caller is about to park in await and receives the verdict on the ready
-// channel.
-func (m *Manager) inlineDetect(txn TxnID, w *waiter, gen uint64) {
-	rec, ok := m.wf.get(txn)
-	if !ok || rec.w != w || rec.gen != gen {
-		return
-	}
-	sc := detScratchPool.Get().(*detScratch)
-	victim, found := m.findDeadlockVictim(txn, sc)
-	detScratchPool.Put(sc)
-	m.detectorRuns.Add(1)
-	if found {
-		m.abortWaiter(victim)
 	}
 }
 
@@ -376,50 +374,6 @@ func (m *Manager) findDeadlockVictim(start TxnID, sc *detScratch) (TxnID, bool) 
 		}
 	}
 	return victim, true
-}
-
-// resolveDeadlock is the EAGER path: run cycle detection for a freshly
-// enqueued waiter and resolve any cycle found, before the caller parks. It
-// returns (err, true) when txn's own request is finished — either txn was
-// chosen as the victim (err wraps ErrDeadlock), or the request completed
-// concurrently and err is its outcome (nil on a raced grant). (nil, false)
-// means the caller should keep waiting.
-func (m *Manager) resolveDeadlock(txn TxnID, r Resource, w *waiter, target Mode) (error, bool) {
-	m.detectorRuns.Add(1)
-	sc := detScratchPool.Get().(*detScratch)
-	victim, ok := m.findDeadlockVictim(txn, sc)
-	detScratchPool.Put(sc)
-	if !ok {
-		return nil, false
-	}
-	if victim != txn {
-		m.abortWaiter(victim)
-		return nil, false
-	}
-	s := m.shardFor(r)
-	s.mu.Lock()
-	if w.done {
-		// A grant (or a concurrent detector's abort) raced the detection;
-		// that outcome stands.
-		s.mu.Unlock()
-		err := <-w.ready
-		putWaiter(w)
-		return err, true
-	}
-	tr := m.newTracer()
-	blockers := s.queuedBlockers(r, w)
-	s.removeWaiter(r, w)
-	m.wf.delete(txn)
-	s.stats.deadlocks.Add(1)
-	if tr != nil {
-		tr.add(KindVictim, time.Now(), w.enq, txn, r, target, s.idx).Blockers = blockers
-	}
-	m.grantWaitersLocked(tr, s, s.res[r], r)
-	s.mu.Unlock()
-	tr.finish()
-	err := lockErrBlocked(txn, r, target, ErrDeadlock, blockers)
-	putWaiter(w)
-	return err, true
 }
 
 // abortWaiter makes victim's outstanding wait fail with ErrDeadlock. It

@@ -448,8 +448,8 @@ func (e *entry) checkSummary() error {
 // Pool lifecycle discipline (the recycle-race rules):
 //
 //   - A waiter is recycled ONLY by the goroutine that owns its outcome: the
-//     blocked requester after receiving from ready, or after withdraw /
-//     resolveDeadlock removed it from the queue under the shard latch. Other
+//     blocked requester after receiving from ready, or after withdraw
+//     removed it from the queue under the shard latch. Other
 //     actors (granters, the detector) may touch a waiter only under the
 //     shard latch after proving it current — by queue membership
 //     (removeWaiterPtr) or by pointer-equality with the waits-for record.

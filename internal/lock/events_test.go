@@ -359,8 +359,8 @@ func (s *slowSink) saw(txn TxnID, kind string) bool {
 
 // The delivery contract (DESIGN.md §9): a request's terminal event — the
 // grant after a wait, victim, wait-die, timeout, cancel, shed — has reached
-// every sink before the request returns, whichever goroutine resolved it, in
-// both detector modes.
+// every sink before the request returns, whichever goroutine resolved it —
+// a victim whether it waited first or closed the cycle itself.
 func TestTerminalEventBeforeReturn(t *testing.T) {
 	ctx := context.Background()
 	waitQueued := func(t *testing.T, m *Manager, n int) {
@@ -397,7 +397,7 @@ func TestTerminalEventBeforeReturn(t *testing.T) {
 			}()
 			return m.AcquireCtx(ctx, 2, "a", X)
 		}},
-		{name: "victim-eager", opts: Options{EagerDetection: true}, wantErr: ErrDeadlock, wantKind: "victim", run: func(t *testing.T, m *Manager) error {
+		{name: "victim-closing", wantErr: ErrDeadlock, wantKind: "victim", run: func(t *testing.T, m *Manager) error {
 			if err := m.AcquireCtx(ctx, 2, "b", X); err != nil {
 				t.Fatal(err)
 			}

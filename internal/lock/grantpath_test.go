@@ -11,8 +11,8 @@ import (
 
 // Tests for the constant-time grant path: granted-group summaries
 // (entry.checkSummary vs a fold over holder storage), pooled wait blocks,
-// and deferred deadlock detection (equivalence with the eager walk on the
-// canonical cycles), plus allocation regressions for the pooled
+// and deferred deadlock detection (immediate and deferred arming agree on
+// the canonical cycles), plus allocation regressions for the pooled
 // introspection scratch buffers.
 
 // assertSummaries latches every shard and asserts each live entry's
@@ -160,19 +160,36 @@ func TestSummaryStressConcurrent(t *testing.T) {
 	}
 }
 
-// detectionConfigs are the two detection schedules whose observable
-// semantics must agree: the eager inline walk and the deferred detector
-// with a short arming window.
+// detectionConfigs are the two arming windows whose observable semantics
+// must agree: detection armed for immediate pickup, and deferred by a short
+// window.
 func detectionConfigs() map[string]Options {
 	return map[string]Options{
-		"eager":    {EagerDetection: true},
-		"deferred": {DeadlockDefer: 200 * time.Microsecond},
+		"immediate": {DeadlockDefer: -1},
+		"deferred":  {DeadlockDefer: 200 * time.Microsecond},
 	}
 }
 
+// acquireParked starts txn's request for r in mode on its own goroutine and
+// returns once the request has parked behind a conflict — its deadlock check,
+// if any, already armed — with the channel its outcome arrives on.
+func acquireParked(t *testing.T, m *Manager, txn TxnID, r Resource, mode Mode) <-chan error {
+	t.Helper()
+	parked := make(chan struct{})
+	res := make(chan error, 1)
+	ctx := WithParkNotify(context.Background(), func() { close(parked) })
+	go func() { res <- m.AcquireCtx(ctx, txn, r, mode) }()
+	select {
+	case <-parked:
+	case err := <-res:
+		t.Fatalf("txn %d: request for %q returned without parking: %v", txn, r, err)
+	}
+	return res
+}
+
 // TestDeferredEagerEquivalenceTwoTxn runs the canonical AB-BA cycle under
-// both schedules: the younger transaction must be the victim, the survivor
-// must complete, and exactly one deadlock must be counted.
+// both arming windows: the younger transaction must be the victim, the
+// survivor must complete, and exactly one deadlock must be counted.
 func TestDeferredEagerEquivalenceTwoTxn(t *testing.T) {
 	for name, opts := range detectionConfigs() {
 		t.Run(name, func(t *testing.T) {
@@ -184,9 +201,7 @@ func TestDeferredEagerEquivalenceTwoTxn(t *testing.T) {
 			if err := m.AcquireCtx(context.Background(), 2, "b", X); err != nil {
 				t.Fatal(err)
 			}
-			r1 := make(chan error, 1)
-			go func() { r1 <- m.AcquireCtx(context.Background(), 1, "b", X) }()
-			time.Sleep(20 * time.Millisecond)
+			r1 := acquireParked(t, m, 1, "b", X)
 
 			err2 := m.AcquireCtx(context.Background(), 2, "a", X) // closes the cycle
 			if !errors.Is(err2, ErrDeadlock) {
@@ -205,8 +220,8 @@ func TestDeferredEagerEquivalenceTwoTxn(t *testing.T) {
 }
 
 // TestDeferredEagerEquivalenceThreeTxn runs the 3-txn cross-shard cycle
-// a→b→c→a under both schedules; txn 3 (youngest) must die, the chain must
-// drain.
+// a→b→c→a under both arming windows; txn 3 (youngest) must die, the chain
+// must drain.
 func TestDeferredEagerEquivalenceThreeTxn(t *testing.T) {
 	for name, opts := range detectionConfigs() {
 		t.Run(name, func(t *testing.T) {
@@ -216,12 +231,8 @@ func TestDeferredEagerEquivalenceThreeTxn(t *testing.T) {
 			_ = m.AcquireCtx(context.Background(), 2, "b", X)
 			_ = m.AcquireCtx(context.Background(), 3, "c", X)
 
-			r1 := make(chan error, 1)
-			r2 := make(chan error, 1)
-			go func() { r1 <- m.AcquireCtx(context.Background(), 1, "b", X) }()
-			time.Sleep(20 * time.Millisecond)
-			go func() { r2 <- m.AcquireCtx(context.Background(), 2, "c", X) }()
-			time.Sleep(20 * time.Millisecond)
+			r1 := acquireParked(t, m, 1, "b", X)
+			r2 := acquireParked(t, m, 2, "c", X)
 
 			err3 := m.AcquireCtx(context.Background(), 3, "a", X)
 			if !errors.Is(err3, ErrDeadlock) {
@@ -243,7 +254,7 @@ func TestDeferredEagerEquivalenceThreeTxn(t *testing.T) {
 	}
 }
 
-// TestDeferredDetectionCounters checks the new Stats plumbing: a resolved
+// TestDeferredDetectionCounters checks the Stats plumbing: a resolved
 // deferred deadlock must surface DeferredDetections and DetectorRuns, and
 // ordinary grants must hit the summary fast path.
 func TestDeferredDetectionCounters(t *testing.T) {
@@ -251,9 +262,7 @@ func TestDeferredDetectionCounters(t *testing.T) {
 	defer m.Close()
 	_ = m.AcquireCtx(context.Background(), 1, "a", X)
 	_ = m.AcquireCtx(context.Background(), 2, "b", X)
-	r1 := make(chan error, 1)
-	go func() { r1 <- m.AcquireCtx(context.Background(), 1, "b", X) }()
-	time.Sleep(20 * time.Millisecond)
+	r1 := acquireParked(t, m, 1, "b", X)
 	if err := m.AcquireCtx(context.Background(), 2, "a", X); !errors.Is(err, ErrDeadlock) {
 		t.Fatalf("want ErrDeadlock, got %v", err)
 	}
@@ -264,8 +273,8 @@ func TestDeferredDetectionCounters(t *testing.T) {
 	m.ReleaseAll(1)
 
 	st := m.Stats()
-	if st.DeferredDetections == 0 {
-		t.Errorf("DeferredDetections = 0, want > 0")
+	if st.DeferredDetections != 2 {
+		t.Errorf("DeferredDetections = %d, want 2 (both waiters armed)", st.DeferredDetections)
 	}
 	if st.DetectorRuns == 0 {
 		t.Errorf("DetectorRuns = 0, want > 0")
@@ -278,33 +287,6 @@ func TestDeferredDetectionCounters(t *testing.T) {
 	}
 }
 
-// TestEagerDetectionIsSynchronous pins the EagerDetection contract: the
-// walk runs on the enqueue itself, so the cycle-closing Acquire observes
-// its deadlock with zero detector involvement.
-func TestEagerDetectionIsSynchronous(t *testing.T) {
-	m := NewManager(Options{EagerDetection: true})
-	_ = m.AcquireCtx(context.Background(), 1, "a", X)
-	_ = m.AcquireCtx(context.Background(), 2, "b", X)
-	r1 := make(chan error, 1)
-	go func() { r1 <- m.AcquireCtx(context.Background(), 1, "b", X) }()
-	time.Sleep(20 * time.Millisecond)
-	if err := m.AcquireCtx(context.Background(), 2, "a", X); !errors.Is(err, ErrDeadlock) {
-		t.Fatalf("want ErrDeadlock, got %v", err)
-	}
-	m.ReleaseAll(2)
-	if err := <-r1; err != nil {
-		t.Fatal(err)
-	}
-	m.ReleaseAll(1)
-	st := m.Stats()
-	if st.DeferredDetections != 0 {
-		t.Errorf("DeferredDetections = %d, want 0 under EagerDetection", st.DeferredDetections)
-	}
-	if st.DetectorRuns == 0 {
-		t.Errorf("DetectorRuns = 0, want > 0 (eager walks count too)")
-	}
-}
-
 // TestCloseFallsBackToInlineDetection: after Close the background detector
 // is gone, so deadlock checks must run inline regardless of DeadlockDefer —
 // a cycle formed after Close still resolves promptly.
@@ -313,9 +295,7 @@ func TestCloseFallsBackToInlineDetection(t *testing.T) {
 	m.Close()
 	_ = m.AcquireCtx(context.Background(), 1, "a", X)
 	_ = m.AcquireCtx(context.Background(), 2, "b", X)
-	r1 := make(chan error, 1)
-	go func() { r1 <- m.AcquireCtx(context.Background(), 1, "b", X) }()
-	time.Sleep(20 * time.Millisecond)
+	r1 := acquireParked(t, m, 1, "b", X)
 
 	r2 := make(chan error, 1)
 	go func() { r2 <- m.AcquireCtx(context.Background(), 2, "a", X) }()
@@ -332,6 +312,37 @@ func TestCloseFallsBackToInlineDetection(t *testing.T) {
 		t.Fatal(err)
 	}
 	m.ReleaseAll(1)
+	if st := m.Stats(); st.DeferredDetections != 0 || st.DetectorRuns == 0 {
+		t.Errorf("DeferredDetections = %d, DetectorRuns = %d; want 0 and > 0 (inline walks only)", st.DeferredDetections, st.DetectorRuns)
+	}
+}
+
+// TestCloseResolvesArmedCycle: a cycle whose closing waiter armed its check
+// before Close must still be resolved — Close makes the detector walk every
+// arming it holds before it exits, whatever the deferral window.
+func TestCloseResolvesArmedCycle(t *testing.T) {
+	m := NewManager(Options{DeadlockDefer: time.Hour})
+	_ = m.AcquireCtx(context.Background(), 1, "a", X)
+	_ = m.AcquireCtx(context.Background(), 2, "b", X)
+	r1 := acquireParked(t, m, 1, "b", X)
+	r2 := acquireParked(t, m, 2, "a", X) // closes the cycle; armed for an hour
+	m.Close()
+	select {
+	case err := <-r2:
+		if !errors.Is(err, ErrDeadlock) {
+			t.Fatalf("txn 2: want ErrDeadlock, got %v", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("cycle armed before Close was never resolved")
+	}
+	m.ReleaseAll(2)
+	if err := <-r1; err != nil {
+		t.Fatalf("txn 1 (survivor): %v", err)
+	}
+	m.ReleaseAll(1)
+	if got := m.Stats().Deadlocks; got != 1 {
+		t.Errorf("Deadlocks = %d, want 1", got)
+	}
 }
 
 // TestDeferralElidesWalkForShortWaits: a conflict that resolves within the
@@ -343,9 +354,7 @@ func TestDeferralElidesWalkForShortWaits(t *testing.T) {
 	if err := m.AcquireCtx(context.Background(), 1, "a", X); err != nil {
 		t.Fatal(err)
 	}
-	got := make(chan error, 1)
-	go func() { got <- m.AcquireCtx(context.Background(), 2, "a", X) }()
-	time.Sleep(20 * time.Millisecond) // blocked, but well inside the window
+	got := acquireParked(t, m, 2, "a", X) // blocked, but well inside the window
 	m.ReleaseAll(1)
 	if err := <-got; err != nil {
 		t.Fatal(err)

@@ -128,19 +128,12 @@ type Options struct {
 	// single-latch lock table (useful as a benchmark baseline).
 	Shards int
 	// DeadlockDefer is how long a waiter under PolicyDetect blocks before
-	// deadlock detection is armed for it (the background detector then
-	// validates the wait is still live and runs the waits-for walk). Most
-	// waits are grant-bound and far shorter than any real cycle's lifetime,
-	// so deferral removes the full graph walk from the enqueue path. 0 picks
-	// the default (1ms); a negative value arms detection immediately, still
-	// on the detector goroutine.
+	// the background detector validates the wait is still live and runs the
+	// waits-for walk for it. Most waits are grant-bound and far shorter than
+	// any real cycle's lifetime, so deferral removes the full graph walk from
+	// the enqueue path. 0 picks the default (1ms); a negative value arms
+	// detection immediately, still on the detector goroutine.
 	DeadlockDefer time.Duration
-	// EagerDetection restores the pre-deferral semantics: the waits-for walk
-	// runs inline on the enqueuing goroutine before it blocks, and a request
-	// chosen as victim returns without ever parking. The paper-claim
-	// experiments use it so detection counts stay exact per enqueue; the
-	// deadlock unit tests run both ways.
-	EagerDetection bool
 }
 
 type heldLock struct {
@@ -226,11 +219,13 @@ type Manager struct {
 	// Close stops it. Armings accumulate in the unbounded dirty list —
 	// memory tracks the real backlog instead of a fixed channel buffer, and
 	// arming never degrades to an inline walk on the request path. deferDur
-	// is the resolved Options.DeadlockDefer.
+	// is the resolved Options.DeadlockDefer. stopped, set by Close under
+	// dirtyMu, turns later armings into inline walks.
 	deferDur     time.Duration
 	detOnce      sync.Once
 	dirtyMu      sync.Mutex
 	dirty        []dirtyWaiter
+	stopped      bool
 	dirtyBell    chan struct{} // cap 1: wakes the detector after a push
 	stopOnce     sync.Once
 	stopCh       chan struct{}
@@ -532,23 +527,14 @@ func (m *Manager) AcquireCtx(ctx context.Context, txn TxnID, r Resource, mode Mo
 	s.mu.Unlock()
 	tr.deliver()
 
-	// Deadlock check: did enqueuing this waiter close a cycle? Runs with NO
-	// shard latch held — the detector latches one shard at a time (see
-	// deadlock.go). By default detection is deferred: the waiter is armed on
-	// the detector's dirty queue and the walk runs only if it is still
-	// blocked after DeadlockDefer. Under wait-die no cycle can form (the
-	// young-waits-for-old edge was refused above), so detection is skipped;
-	// under PolicyNone the cycle is left in place for timeouts and
-	// introspection to deal with.
+	// Deadlock check: did enqueuing this waiter close a cycle? The waiter is
+	// armed on the detector's dirty list with NO shard latch held, and the
+	// walk runs only if it is still blocked after DeadlockDefer (see
+	// deadlock.go). Under wait-die no cycle can form (the young-waits-for-old
+	// edge was refused above), so detection is skipped; under PolicyNone the
+	// cycle is left in place for timeouts and introspection to deal with.
 	if m.opts.Policy == PolicyDetect {
-		if m.opts.EagerDetection {
-			if err, victim := m.resolveDeadlock(txn, r, w, target); victim {
-				tr.finish()
-				return err
-			}
-		} else {
-			m.armDetection(txn, w)
-		}
+		m.armDetection(txn, w)
 	}
 
 	return m.await(ctx, cfg, tr, txn, r, w, mode, target)
@@ -1064,11 +1050,18 @@ func (m *Manager) Stats() Stats {
 }
 
 // Close stops the background deadlock-detector goroutine, if one was ever
-// started (it starts lazily with the first deferred-detection arming). The
-// lock table itself needs no teardown and the manager remains usable after
-// Close — waiters arming detection then run the waits-for walk inline. Safe
-// to call more than once. Managers that never block under PolicyDetect never
-// start the goroutine, so Close is optional for them.
+// started (it starts lazily with the first deferred-detection arming); before
+// it exits the detector walks every arming still live, so a cycle armed
+// before Close is resolved, not stranded. The lock table itself needs no
+// teardown and the manager remains usable after Close — waiters arming
+// detection then run the waits-for walk inline. Safe to call more than once.
+// Managers that never block under PolicyDetect never start the goroutine, so
+// Close is optional for them.
 func (m *Manager) Close() {
-	m.stopOnce.Do(func() { close(m.stopCh) })
+	m.stopOnce.Do(func() {
+		m.dirtyMu.Lock()
+		m.stopped = true
+		m.dirtyMu.Unlock()
+		close(m.stopCh)
+	})
 }

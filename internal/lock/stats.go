@@ -53,11 +53,10 @@ type Stats struct {
 	// scanning the wait queue.
 	SummaryFastChecks uint64
 	// DeferredDetections counts blocked requests whose deadlock check was
-	// handed to the background detector instead of walking the waits-for
-	// graph inline on enqueue (Options.DeadlockDefer).
+	// handed to the background detector (Options.DeadlockDefer).
 	DeferredDetections uint64
 	// DetectorRuns counts waits-for walks actually executed for still-blocked
-	// waiters — by the background detector or the eager inline path. The gap
+	// waiters — by the background detector, or inline after Close. The gap
 	// DeferredDetections−DetectorRuns is work the deferral window elided.
 	DetectorRuns uint64
 	// MaxTableSize is the high-water mark of granted lock-table entries.

@@ -109,54 +109,6 @@ func statCounters(st lock.Stats) []statKV {
 	}
 }
 
-// Vars is the expvar-style gauge set published at /debug/vars.
-type Vars struct {
-	TableEntries int            `json:"table_entries"`
-	MaxTable     int            `json:"table_entries_max"`
-	ShardEntries []int          `json:"shard_entries"`
-	ActiveTxns   int            `json:"active_txns"`
-	WaitingTxns  int            `json:"waiting_txns"`
-	Stats        map[string]any `json:"stats"`
-	Events       map[string]any `json:"events,omitempty"`
-}
-
-// SnapshotVars gathers the expvar gauges from a manager and (optionally) a
-// collector.
-func SnapshotVars(m *lock.Manager, c *Collector) Vars {
-	st := m.Stats()
-	sizes := m.ShardSizes()
-	total := 0
-	for _, n := range sizes {
-		total += n
-	}
-	v := Vars{
-		TableEntries: total,
-		MaxTable:     st.MaxTableSize,
-		ShardEntries: sizes,
-		ActiveTxns:   m.ActiveTxns(),
-		WaitingTxns:  m.WaitingTxns(),
-		Stats:        make(map[string]any),
-	}
-	for _, kv := range statCounters(st) {
-		v.Stats[kv.name] = kv.val
-	}
-	if c != nil {
-		v.Events = make(map[string]any)
-		for k, n := range c.EventCounts() {
-			v.Events[k] = n
-		}
-	}
-	return v
-}
-
-// WriteVars writes the expvar-style JSON gauge document (sorted keys, via
-// encoding/json's map ordering).
-func WriteVars(w io.Writer, m *lock.Manager, c *Collector) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(SnapshotVars(m, c))
-}
-
 // WriteQueuesJSON writes the live queue snapshot as JSON.
 func WriteQueuesJSON(w io.Writer, m *lock.Manager, contendedOnly bool) error {
 	type grantJSON struct {

@@ -53,7 +53,6 @@ type TraceSources struct {
 // Handler returns an http.Handler exposing the observability surface:
 //
 //	/metrics          Prometheus text format (collector + manager + extras)
-//	/debug/vars       expvar-style JSON gauges
 //	/queues           live lock-table queue snapshot (JSON; ?contended=1 filters)
 //	/dot              waits-for graph in Graphviz DOT format
 //	/health           lock-health verdict (JSON; see internal/health)
@@ -92,10 +91,6 @@ func Handler(m *lock.Manager, col *Collector, ts *TraceSources, extra ...func(io
 		for _, f := range extra {
 			f(w)
 		}
-	})
-	register("/debug/vars", true, func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "application/json; charset=utf-8")
-		_ = WriteVars(w, m, col)
 	})
 	register("/queues", true, func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "application/json; charset=utf-8")

@@ -51,23 +51,13 @@ func TestServeEndpoints(t *testing.T) {
 		"# TYPE colock_acquire_latency_seconds summary",
 		`colock_acquire_latency_seconds{mode="X",unit="entry-point",quantile="0.5"}`,
 		"colock_table_entries 1",
+		`colock_lock_ops_total{op="requests"} 1`,
 		"colock_active_txns 1",
 		"colock_protocol_requests_total 7", // the extra writer
 	} {
 		if !strings.Contains(metrics, want) {
 			t.Errorf("/metrics missing %q:\n%s", want, metrics)
 		}
-	}
-
-	var vars Vars
-	if err := json.Unmarshal([]byte(get("/debug/vars")), &vars); err != nil {
-		t.Fatalf("/debug/vars not JSON: %v", err)
-	}
-	if vars.TableEntries != 1 || vars.ActiveTxns != 1 {
-		t.Errorf("vars = %+v, want 1 table entry and 1 active txn", vars)
-	}
-	if vars.Stats["requests"] == nil {
-		t.Error("vars missing stats.requests")
 	}
 
 	var queues []map[string]any
@@ -153,7 +143,7 @@ func TestIndexListsRegisteredRoutes(t *testing.T) {
 	}
 
 	minimal := fetch(nil)
-	wantMin := []string{"/debug/vars", "/dot", "/metrics", "/queues"}
+	wantMin := []string{"/dot", "/metrics", "/queues"}
 	if fmt.Sprint(minimal) != fmt.Sprint(wantMin) {
 		t.Errorf("minimal index = %v, want %v", minimal, wantMin)
 	}
@@ -169,7 +159,7 @@ func TestIndexListsRegisteredRoutes(t *testing.T) {
 		Pprof:     true,
 	})
 	wantFull := []string{
-		"/debug/pprof/", "/debug/vars", "/dot", "/health", "/journal/status",
+		"/debug/pprof/", "/dot", "/health", "/journal/status",
 		"/metrics", "/queues", "/trace/incidents", "/trace/profile", "/trace/spans",
 	}
 	if fmt.Sprint(full) != fmt.Sprint(wantFull) {

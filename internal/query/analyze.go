@@ -32,31 +32,17 @@ type Analysis struct {
 	ElemTypes []*schema.Type
 }
 
-// AnalyzeOptions tune the analyzer's selectivity guesses for residual
-// predicates.
-type AnalyzeOptions struct {
-	// EqSelectivity estimates equality predicates on non-key attributes
-	// (default 0.1).
-	EqSelectivity float64
-	// RangeSelectivity estimates range predicates (default 0.3).
-	RangeSelectivity float64
-}
-
-func (o AnalyzeOptions) withDefaults() AnalyzeOptions {
-	if o.EqSelectivity <= 0 {
-		o.EqSelectivity = 0.1
-	}
-	if o.RangeSelectivity <= 0 {
-		o.RangeSelectivity = 0.3
-	}
-	return o
-}
+// The analyzer's selectivity guesses for residual predicates: equality on a
+// non-key attribute, and a range.
+const (
+	eqSelectivity    = 0.1
+	rangeSelectivity = 0.3
+)
 
 // Analyze resolves the query's bindings against the catalog. The FROM chain
 // must be linear: each binding after the first ranges over a collection
 // reached from the previous binding's variable.
-func Analyze(cat *schema.Catalog, q *Query, opts AnalyzeOptions) (*Analysis, error) {
-	opts = opts.withDefaults()
+func Analyze(cat *schema.Catalog, q *Query) (*Analysis, error) {
 	if len(q.From) == 0 {
 		return nil, fmt.Errorf("query: no FROM bindings")
 	}
@@ -195,9 +181,9 @@ func Analyze(cat *schema.Catalog, q *Query, opts AnalyzeOptions) (*Analysis, err
 		}
 
 		an.Residual[idx] = append(an.Residual[idx], p)
-		sel := opts.RangeSelectivity
+		sel := rangeSelectivity
 		if p.Op == "=" {
-			sel = opts.EqSelectivity
+			sel = eqSelectivity
 		}
 		if idx == 0 {
 			an.Spec.ObjectSelectivity *= sel

@@ -13,7 +13,7 @@ func analyzeSrc(t *testing.T, src string) *Analysis {
 	if err != nil {
 		t.Fatal(err)
 	}
-	an, err := Analyze(schema.PaperSchema(), q, AnalyzeOptions{})
+	an, err := Analyze(schema.PaperSchema(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,12 +117,12 @@ func TestAnalyzeContradictoryKeys(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Analyze(schema.PaperSchema(), q, AnalyzeOptions{}); err == nil {
+	if _, err := Analyze(schema.PaperSchema(), q); err == nil {
 		t.Error("contradictory keys accepted")
 	}
 	// Identical duplicates are fine.
 	q2, _ := Parse(`SELECT c FROM c IN cells WHERE c.cell_id = 'c1' AND c.cell_id = 'c1'`)
-	if _, err := Analyze(schema.PaperSchema(), q2, AnalyzeOptions{}); err != nil {
+	if _, err := Analyze(schema.PaperSchema(), q2); err != nil {
 		t.Errorf("identical duplicate keys rejected: %v", err)
 	}
 }
@@ -142,7 +142,7 @@ func TestAnalyzeErrors(t *testing.T) {
 		if err != nil {
 			t.Fatalf("parse %q: %v", src, err)
 		}
-		if _, err := Analyze(schema.PaperSchema(), q, AnalyzeOptions{}); err == nil {
+		if _, err := Analyze(schema.PaperSchema(), q); err == nil {
 			t.Errorf("analyzed %q", src)
 		}
 	}

@@ -42,7 +42,7 @@ func (e *Executor) Run(tx *txn.Txn, input string) ([]Result, core.Plan, error) {
 // RunQuery analyzes, plans and executes a parsed query.
 func (e *Executor) RunQuery(tx *txn.Txn, q *Query) ([]Result, core.Plan, error) {
 	cat := e.mgr.Store().Catalog()
-	an, err := Analyze(cat, q, AnalyzeOptions{})
+	an, err := Analyze(cat, q)
 	if err != nil {
 		return nil, core.Plan{}, err
 	}

@@ -80,7 +80,7 @@ func (e *Executor) execUpdate(tx *txn.Txn, stmt *Statement) (*StatementResult, e
 // validateSetClauses checks the SET attribute chains against the schema type
 // of the updated variable, before any locks are taken.
 func validateSetClauses(cat *schema.Catalog, stmt *Statement) error {
-	an, err := Analyze(cat, stmt.Query, AnalyzeOptions{})
+	an, err := Analyze(cat, stmt.Query)
 	if err != nil {
 		return err
 	}

@@ -36,13 +36,13 @@ func TestAnalyzeProjectionValidation(t *testing.T) {
 		if err != nil {
 			t.Fatalf("parse %q: %v", src, err)
 		}
-		if _, err := Analyze(cat, q, AnalyzeOptions{}); err == nil {
+		if _, err := Analyze(cat, q); err == nil {
 			t.Errorf("analyzed %q", src)
 		}
 	}
 	// Projecting a collection-valued attribute is allowed (it is a value).
 	q, _ := Parse(`SELECT r.effectors FROM c IN cells, r IN c.robots`)
-	if _, err := Analyze(cat, q, AnalyzeOptions{}); err != nil {
+	if _, err := Analyze(cat, q); err != nil {
 		t.Errorf("collection projection rejected: %v", err)
 	}
 }

@@ -24,7 +24,6 @@ type IncidentWriter struct {
 	dir    string
 	rec    *Recorder
 	mgr    *lock.Manager
-	max    int
 	offset func() uint64
 
 	mu        sync.Mutex
@@ -49,11 +48,12 @@ type IncidentInfo struct {
 	JournalOffset uint64 `json:"journal_offset,omitempty"`
 }
 
+// maxIncidents caps the number of files an IncidentWriter writes; further
+// triggers are counted as dropped instead of flooding the disk.
+const maxIncidents = 64
+
 // IncidentOptions configures an IncidentWriter.
 type IncidentOptions struct {
-	// MaxIncidents caps the number of files written (default 64); further
-	// triggers are counted as dropped instead of flooding the disk.
-	MaxIncidents int
 	// JournalOffset, when set, is sampled at dump time and recorded in the
 	// incident header for offline correlation; wire it to the durable
 	// journal writer's Offset method.
@@ -64,11 +64,7 @@ type IncidentOptions struct {
 // rec supplies the span buffers and flight recorder; mgr the queue snapshot
 // and waits-for graph.
 func NewIncidentWriter(dir string, rec *Recorder, mgr *lock.Manager, opts IncidentOptions) *IncidentWriter {
-	max := opts.MaxIncidents
-	if max <= 0 {
-		max = 64
-	}
-	return &IncidentWriter{dir: dir, rec: rec, mgr: mgr, max: max, offset: opts.JournalOffset}
+	return &IncidentWriter{dir: dir, rec: rec, mgr: mgr, offset: opts.JournalOffset}
 }
 
 // Record is the lock.EventSink implementation: deadlock-victim and
@@ -98,7 +94,7 @@ func (iw *IncidentWriter) Incidents() []IncidentInfo {
 	return append([]IncidentInfo(nil), iw.incidents...)
 }
 
-// Dropped returns the number of triggers suppressed by the MaxIncidents cap.
+// Dropped returns the number of triggers suppressed by the maxIncidents cap.
 func (iw *IncidentWriter) Dropped() int {
 	iw.mu.Lock()
 	defer iw.mu.Unlock()
@@ -133,10 +129,10 @@ type incidentLine struct {
 // the written file's path.
 func (iw *IncidentWriter) Trigger(reason string, txn lock.TxnID, res lock.Resource, mode string) (string, error) {
 	iw.mu.Lock()
-	if len(iw.incidents) >= iw.max {
+	if len(iw.incidents) >= maxIncidents {
 		iw.dropped++
 		iw.mu.Unlock()
-		return "", fmt.Errorf("trace: incident cap %d reached", iw.max)
+		return "", fmt.Errorf("trace: incident cap %d reached", maxIncidents)
 	}
 	iw.seq++
 	seq := iw.seq

@@ -145,18 +145,18 @@ func TestIncidentAutoOnDeadlockVictim(t *testing.T) {
 
 func TestIncidentCap(t *testing.T) {
 	m := lock.NewManager(lock.Options{})
-	iw := NewIncidentWriter(t.TempDir(), nil, m, IncidentOptions{MaxIncidents: 2})
-	for i := 0; i < 3; i++ {
+	iw := NewIncidentWriter(t.TempDir(), nil, m, IncidentOptions{})
+	for i := 0; i <= maxIncidents; i++ {
 		_, err := iw.Trigger("manual", lock.TxnID(i+1), "a", "X")
-		if i < 2 && err != nil {
+		if i < maxIncidents && err != nil {
 			t.Fatal(err)
 		}
-		if i == 2 && err == nil {
-			t.Fatal("third incident exceeded cap but was written")
+		if i == maxIncidents && err == nil {
+			t.Fatal("incident past the cap was written")
 		}
 	}
-	if len(iw.Incidents()) != 2 || iw.Dropped() != 1 {
-		t.Errorf("incidents=%d dropped=%d, want 2 and 1", len(iw.Incidents()), iw.Dropped())
+	if len(iw.Incidents()) != maxIncidents || iw.Dropped() != 1 {
+		t.Errorf("incidents=%d dropped=%d, want %d and 1", len(iw.Incidents()), iw.Dropped(), maxIncidents)
 	}
 }
 

@@ -13,16 +13,16 @@
 //
 // Spans are buffered per transaction (transactions are single threads of
 // execution, so the buffer append is uncontended; a leaf mutex guards it
-// only against concurrent incident dumps) and flushed to attachable
-// SpanSinks at commit/abort, mirroring the lock manager's sink-after-latch
-// discipline: sinks run on the finishing goroutine with no latch held.
+// only against concurrent readers) and dropped at commit/abort. They leave
+// the recorder three ways: SpansOf copies a live transaction's buffer, Recent
+// reads the flight recorder of completed spans, and incident dumps embed
+// both.
 //
 // Recording allocates nothing at steady state: a transaction's buffer is
 // looked up once per root span and travels in the SpanHandle, and buffers —
 // span slices included — are recycled across transactions. The price is a
-// lifetime rule: the spans handed to a SpanSink are borrowed (valid until
-// RecordSpans returns), and a SpanHandle dies with its transaction's
-// FinishTxn (a late End is ignored).
+// lifetime rule: a SpanHandle dies with its transaction's FinishTxn (a late
+// End is ignored).
 package trace
 
 import (
@@ -59,24 +59,16 @@ type Span struct {
 	Open bool `json:"open,omitempty"`
 }
 
-// SpanSink consumes a finished transaction's span tree. Sinks are invoked by
-// the goroutine finishing the transaction, with no lock-manager latch held,
-// so a sink may call back into the manager or recorder. The spans slice is
-// borrowed: it is reused for another transaction once RecordSpans returns,
-// so a sink copies what it keeps.
-type SpanSink interface {
-	RecordSpans(txn lock.TxnID, outcome string, spans []Span)
-}
+// The flight recorder keeps the last ringSize completed spans in each of
+// nRings rings (a power of two). Completed spans are routed by their
+// lock-table shard, so disjoint lock traffic lands on disjoint rings.
+const (
+	ringSize = 256
+	nRings   = 16
+)
 
 // Options configures a Recorder.
 type Options struct {
-	// RingSize is the per-ring capacity of the flight recorder (completed
-	// spans; default 256, negative disables the flight recorder).
-	RingSize int
-	// Rings is the number of flight-recorder rings (rounded up to a power
-	// of two, default 16). Completed spans are routed by their lock-table
-	// shard, so disjoint lock traffic lands on disjoint rings.
-	Rings int
 	// KindOf classifies a resource into a lockable-unit kind label for the
 	// span's Unit field; nil uses a path-depth default mirroring
 	// obs.DepthKindOf.
@@ -84,9 +76,6 @@ type Options struct {
 	// ShardOf maps a resource to its lock-table stripe (wire it to
 	// lock.Manager.ShardOf); nil stamps shard 0.
 	ShardOf func(lock.Resource) int
-	// Sinks receive every finished transaction's spans; AttachSink adds
-	// more after construction.
-	Sinks []SpanSink
 }
 
 // depthKind is the default unit classifier (path depth, as in obs).
@@ -135,12 +124,7 @@ type Recorder struct {
 	shards []*txnBufShard
 	mask   uint32
 
-	rings    []*spanRing
-	ringMask int
-
-	sinks atomic.Pointer[[]SpanSink]
-
-	spans atomic.Uint64 // completed spans, for overhead accounting
+	rings [nRings]spanRing
 }
 
 // NewRecorder builds a recorder.
@@ -163,48 +147,7 @@ func NewRecorder(opts Options) *Recorder {
 	for i := range r.shards {
 		r.shards[i] = &txnBufShard{buf: make(map[lock.TxnID]*txnTrace)}
 	}
-	if opts.RingSize >= 0 {
-		size := opts.RingSize
-		if size == 0 {
-			size = 256
-		}
-		n := opts.Rings
-		if n <= 0 {
-			n = 16
-		}
-		p := 1
-		for p < n {
-			p <<= 1
-		}
-		r.rings = make([]*spanRing, p)
-		for i := range r.rings {
-			r.rings[i] = &spanRing{cap: size}
-		}
-		r.ringMask = p - 1
-	}
-	if len(opts.Sinks) > 0 {
-		sinks := append([]SpanSink(nil), opts.Sinks...)
-		r.sinks.Store(&sinks)
-	}
 	return r
-}
-
-// AttachSink adds a span consumer after construction.
-func (r *Recorder) AttachSink(s SpanSink) {
-	if s == nil {
-		return
-	}
-	for {
-		old := r.sinks.Load()
-		var sinks []SpanSink
-		if old != nil {
-			sinks = append(sinks, *old...)
-		}
-		sinks = append(sinks, s)
-		if r.sinks.CompareAndSwap(old, &sinks) {
-			return
-		}
-	}
 }
 
 // bufFor returns txn's span buffer and its current life, taking a buffer
@@ -316,15 +259,12 @@ func (h SpanHandle) end(at time.Time, err error) {
 	if err != nil {
 		sp.Err = err.Error()
 	}
-	if h.rec.rings != nil {
-		h.rec.rings[sp.Shard&h.rec.ringMask].add(sp)
-	}
+	h.rec.rings[sp.Shard&(nRings-1)].add(sp)
 	tt.mu.Unlock()
-	h.rec.spans.Add(1)
 }
 
-// SpansOf returns a copy of txn's buffered (not yet flushed) spans, in start
-// order; spans still in flight have Open set.
+// SpansOf returns a copy of txn's buffered spans (nil once the transaction
+// has finished), in start order; spans still in flight have Open set.
 func (r *Recorder) SpansOf(txn lock.TxnID) []Span {
 	s := r.shards[uint32(txn)&r.mask]
 	// The registry mutex is held across the copy: FinishTxn must take it to
@@ -345,24 +285,24 @@ func (r *Recorder) SpansOf(txn lock.TxnID) []Span {
 
 // fillUnits classifies the spans' resources. Unit is a pure function of
 // Resource, so it is worked out where spans leave the recorder (SpansOf,
-// Recent, the SpanSinks) instead of once per span on the locking path.
+// Recent) instead of once per span on the locking path.
 func (r *Recorder) fillUnits(spans []Span) {
 	for i := range spans {
 		spans[i].Unit = r.kindOf(spans[i].Resource)
 	}
 }
 
-// FinishTxn flushes txn's buffered spans to every attached sink, recycles the
-// buffer, and returns the number of spans flushed (0 when the transaction
-// recorded none). outcome is "commit" or "abort".
-func (r *Recorder) FinishTxn(txn lock.TxnID, outcome string) int {
+// FinishTxn drops txn's buffered spans and recycles the buffer; txn's span
+// handles die with it. A no-op on a nil recorder or a transaction that
+// recorded nothing.
+func (r *Recorder) FinishTxn(txn lock.TxnID) {
 	if r == nil {
-		return 0
+		return
 	}
 	s := r.shards[uint32(txn)&r.mask]
 	if s.n.Load() == 0 {
 		// Nothing buffered anywhere in this stripe.
-		return 0
+		return
 	}
 	s.mu.Lock()
 	tt := s.buf[txn]
@@ -372,35 +312,24 @@ func (r *Recorder) FinishTxn(txn lock.TxnID, outcome string) int {
 	}
 	s.mu.Unlock()
 	if tt == nil {
-		return 0
+		return
 	}
-	// Unregistered: no reader can reach the buffer any more, and the
-	// transaction (a single thread of execution) is the caller. Only a stale
+	// Unregistered: no reader can reach the buffer any more. Only a stale
 	// handle's End can still arrive, and it stops at the gen check.
-	n := len(tt.spans)
-	if n > 0 {
-		if p := r.sinks.Load(); p != nil {
-			r.fillUnits(tt.spans)
-			for _, sink := range *p {
-				sink.RecordSpans(txn, outcome, tt.spans)
-			}
-		}
-	}
 	tt.mu.Lock()
 	tt.gen++
 	clear(tt.spans)
 	tt.spans = tt.spans[:0]
 	tt.mu.Unlock()
 	txnTracePool.Put(tt)
-	return n
 }
 
 // Recent returns up to n of the most recently completed spans from the
 // flight recorder (oldest first); n ≤ 0 returns everything retained.
 func (r *Recorder) Recent(n int) []Span {
 	var out []Span
-	for _, g := range r.rings {
-		out = g.snapshot(out)
+	for i := range r.rings {
+		out = r.rings[i].snapshot(out)
 	}
 	sort.SliceStable(out, func(i, j int) bool { return out[i].Start.Before(out[j].Start) })
 	if n > 0 && len(out) > n {
@@ -410,24 +339,20 @@ func (r *Recorder) Recent(n int) []Span {
 	return out
 }
 
-// SpanCount returns the number of completed spans recorded so far.
-func (r *Recorder) SpanCount() uint64 { return r.spans.Load() }
-
 // spanRing is one bounded flight-recorder buffer behind a leaf mutex.
 type spanRing struct {
 	mu    sync.Mutex
 	buf   []Span
 	start int
-	cap   int
 }
 
 func (g *spanRing) add(sp *Span) {
 	g.mu.Lock()
-	if len(g.buf) < g.cap {
+	if len(g.buf) < ringSize {
 		g.buf = append(g.buf, *sp)
 	} else {
 		g.buf[g.start] = *sp
-		g.start = (g.start + 1) % g.cap
+		g.start = (g.start + 1) % ringSize
 	}
 	g.mu.Unlock()
 }

@@ -158,16 +158,8 @@ func (m *Manager) finish(t *Txn, committed bool) {
 	} else {
 		m.aborts.Add(1)
 	}
-	// Flush the transaction's buffered span tree to the attached span sinks
-	// (no-op when tracing is off). Runs after the locks are released, on the
-	// finishing goroutine, mirroring the lock manager's sink discipline.
-	if rec := m.proto.Tracer(); rec != nil {
-		outcome := "abort"
-		if committed {
-			outcome = "commit"
-		}
-		rec.FinishTxn(t.id, outcome)
-	}
+	// Recycle the transaction's span buffer (a no-op when tracing is off).
+	m.proto.Tracer().FinishTxn(t.id)
 }
 
 // Txn is one transaction. A Txn is used by a single goroutine at a time

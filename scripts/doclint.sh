@@ -1,7 +1,7 @@
 #!/bin/sh
 # doclint: godoc hygiene gate (make doc-lint, part of make ci).
 #
-# Two checks:
+# Three checks:
 #   1. Every package in the module carries a package doc comment —
 #      "// Package <name> ..." for libraries, "// Command <name> ..." for
 #      main packages — so `go doc` has something to say about every unit
@@ -10,6 +10,9 @@
 #      (client, and the wire package third-party implementors read) has a
 #      doc comment on the line above it. Internal packages are exempt from
 #      the per-symbol rule; the public surface is not.
+#   3. No "Deprecated:" marker survives in internal/lock: the consolidated
+#      AcquireCtx + options API is the only acquire surface, and this check
+#      keeps the legacy wrappers from creeping back.
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -45,7 +48,13 @@ for f in client/*.go internal/wire/*.go; do
     ' "$f" || fail=1
 done
 
+# --- check 3: no deprecated wrappers in internal/lock ----------------------
+if grep -rn "Deprecated:" internal/lock --include="*.go"; then
+    echo "doclint: deprecated wrappers found in internal/lock"
+    fail=1
+fi
+
 if [ "$fail" -ne 0 ]; then
     exit 1
 fi
-echo "doclint: every package documented; public API symbols documented"
+echo "doclint: every package documented; public API symbols documented; internal/lock is wrapper-free"
