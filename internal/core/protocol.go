@@ -162,7 +162,7 @@ func (p *Protocol) LockPath(txn lock.TxnID, path store.Path, mode lock.Mode) err
 //     acquisition, not per call — the workstation-server "don't block
 //     forever behind a check-out lock" knob, and the trigger for automatic
 //     timeout incident dumps.
-func (p *Protocol) LockWith(ctx context.Context, txn lock.TxnID, n Node, mode lock.Mode, durable, noFollow bool, timeout time.Duration) (err error) {
+func (p *Protocol) LockWith(ctx context.Context, txn lock.TxnID, n Node, mode lock.Mode, durable, noFollow bool, timeout time.Duration) error {
 	p.counters.requests.Add(1)
 	if noFollow {
 		p.counters.noFollow.Add(1)
@@ -172,16 +172,6 @@ func (p *Protocol) LockWith(ctx context.Context, txn lock.TxnID, n Node, mode lo
 	default:
 		return fmt.Errorf("core: protocol mode must be IS, IX, S or X, got %v", mode)
 	}
-	// Root span: one per user-level lock call when a tracer is wired;
-	// without one the resource is not even named here and every child is
-	// inert (zero handle).
-	var sp trace.SpanHandle
-	if p.tr != nil {
-		if res, rerr := p.nm.Resource(n); rerr == nil {
-			sp = p.tr.Start(txn, "lock", res, mode)
-			defer func() { sp.End(err) }()
-		}
-	}
 	// requested tracks the strongest mode already handled per resource
 	// within this call, so that diamond-shaped sharing does not reprocess
 	// entry points. Pooled: the map is cleared and reused across calls.
@@ -190,7 +180,7 @@ func (p *Protocol) LockWith(ctx context.Context, txn lock.TxnID, n Node, mode lo
 		clear(requested)
 		requestedPool.Put(requested)
 	}()
-	return p.lockRec(ctx, txn, n, mode, "", durable, noFollow, timeout, requested, sp)
+	return p.lockRec(ctx, txn, n, mode, "", durable, noFollow, timeout, requested, trace.SpanHandle{})
 }
 
 var requestedPool = sync.Pool{
@@ -198,9 +188,9 @@ var requestedPool = sync.Pool{
 }
 
 // lockRec locks one node under the protocol. kind is "" for the node the
-// caller named and the span kind ("downward", "downward-rule4prime") for an
-// entry point reached by propagation: its span then becomes the parent of
-// the recursion's own spans, so the tree mirrors the propagation structure.
+// caller named (the root span) and the span kind ("downward",
+// "downward-rule4prime") for an entry point reached by propagation, whose
+// span parents the recursion's spans: the tree mirrors the propagation.
 func (p *Protocol) lockRec(ctx context.Context, txn lock.TxnID, n Node, mode lock.Mode, kind string, durable, noFollow bool, timeout time.Duration, requested map[lock.Resource]lock.Mode, sp trace.SpanHandle) (err error) {
 	// chain also validates a data path against the schema: instances need
 	// not exist (inserts lock their future resource), but the attribute
@@ -209,9 +199,14 @@ func (p *Protocol) lockRec(ctx context.Context, txn lock.TxnID, n Node, mode loc
 	if err != nil {
 		return err
 	}
-	if kind != "" && sp.Recording() {
+	if kind == "" {
+		if p.tr != nil {
+			sp = p.tr.Start(txn, "lock", res, mode)
+			defer func() { sp.End(err) }()
+		}
+	} else if sp.Recording() {
 		sp = sp.Child(kind, res, mode)
-		defer func() { sp.End(err) }()
+		defer func() { sp.EndAtLast(err) }()
 	}
 	if prev, ok := requested[res]; ok && prev.Covers(mode) {
 		p.counters.memoHits.Add(1)
@@ -355,13 +350,9 @@ func (p *Protocol) lockChain(ctx context.Context, txn lock.TxnID, res lock.Resou
 	if len(reqs) == 0 {
 		return nil
 	}
-	var start time.Time
-	if sp.Recording() {
-		start = time.Now()
-	}
 	err := p.mgr.AcquireBatch(ctx, txn, reqs, lock.AcquireOption{Durable: durable, Timeout: timeout})
 	if sp.Recording() {
-		batchSpans(sp, reqs, upward, start, err)
+		batchSpans(sp, reqs, upward, err)
 	}
 	if err != nil {
 		return err
@@ -377,12 +368,13 @@ func (p *Protocol) lockChain(ctx context.Context, txn lock.TxnID, res lock.Resou
 	return nil
 }
 
-// batchSpans records the children of one AcquireBatch call. The batch stops
-// at the first request that fails and its *lock.LockError names that
-// request's resource: the requests before it end clean, that one carries the
-// error, and the ones after it were never made and get no span.
-func batchSpans(sp trace.SpanHandle, reqs []lock.BatchReq, upward int, start time.Time, err error) {
-	end := time.Now()
+// batchSpans records the children of one AcquireBatch call, all over the
+// call's one Lap. The batch stops at the first request that fails and its
+// *lock.LockError names that request's resource: the requests before it end
+// clean, that one carries the error, and the ones after it were never made
+// and get no span.
+func batchSpans(sp trace.SpanHandle, reqs []lock.BatchReq, upward int, err error) {
+	start, end := sp.Lap()
 	var failed lock.Resource
 	if err != nil {
 		var le *lock.LockError

@@ -5,7 +5,6 @@ import (
 	"encoding/gob"
 	"fmt"
 	"sort"
-	"time"
 )
 
 // Durable ("long") locks. The paper (§3.1): "Complex objects which are
@@ -97,11 +96,7 @@ func (m *Manager) Restore(locks []DurableLock) error {
 			tr.finish()
 			continue
 		}
-		var start time.Time
-		if tr != nil {
-			start = tr.start
-		}
-		m.grantLocked(tr, s, e, dl.Txn, dl.Resource, dl.Mode, true, false, false, start)
+		m.grantLocked(tr, s, e, dl.Txn, dl.Resource, dl.Mode, true, false, nil)
 		s.mu.Unlock()
 		tr.finish()
 	}

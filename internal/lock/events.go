@@ -67,7 +67,8 @@ type Event struct {
 	Resource Resource
 	// Shard is the lock-table stripe that served the operation.
 	Shard int
-	// At is the monotonic timestamp taken when the event was recorded.
+	// At is the monotonic timestamp taken when the event was delivered: the
+	// events of one delivery round share one clock reading.
 	At time.Time
 	// Dur is a kind-dependent duration: for grant/convert it is the
 	// request-to-grant latency, for release the hold time of the dropped
@@ -141,7 +142,7 @@ type wake struct {
 // path, and never touches it afterwards.
 type tracer struct {
 	consumers []consumer
-	start     time.Time // operation start, the fast-path latency reference
+	start     time.Time // operation start, the fast-path latency and hold reference
 	evs       []Event
 	wakes     []wake
 }
@@ -161,16 +162,13 @@ func (m *Manager) newTracer() *tracer {
 	return t
 }
 
-// add appends an event of kind k, stamped At = now and Dur = now − ref (a
-// zero ref leaves Dur zero), and returns it for the caller to set what else
-// the kind carries. The pointer is valid until the next add.
-func (t *tracer) add(k EventKind, now, ref time.Time, txn TxnID, r Resource, mode Mode, shard int) *Event {
-	t.evs = append(t.evs, Event{Kind: kindNames[k], Code: k, At: now, Txn: txn, Resource: r, Mode: mode, Shard: shard})
-	e := &t.evs[len(t.evs)-1]
-	if !ref.IsZero() {
-		e.Dur = now.Sub(ref)
-	}
-	return e
+// add appends an event of kind k and returns it for the caller to set what
+// else the kind carries; the pointer is valid until the next add. The event
+// is stamped when its round is delivered: At = that clock reading, Dur =
+// At − ref (a zero ref leaves Dur zero). Until then At holds ref.
+func (t *tracer) add(k EventKind, ref time.Time, txn TxnID, r Resource, mode Mode, shard int) *Event {
+	t.evs = append(t.evs, Event{Kind: kindNames[k], Code: k, At: ref, Txn: txn, Resource: r, Mode: mode, Shard: shard})
+	return &t.evs[len(t.evs)-1]
 }
 
 // wakeAfter wakes a resolved request once the resolving operation's events
@@ -184,14 +182,23 @@ func (t *tracer) wakeAfter(w *waiter, err error) {
 	t.wakes = append(t.wakes, wake{ready: w.ready, err: err})
 }
 
-// deliver hands the buffered events to every consumer in turn, then fires
-// the owed wake-ups, and empties both buffers (an operation may deliver in
-// several rounds: wait, then withdraw). MUST be called with no latch held.
+// deliver stamps the buffered events with one clock reading, hands them to
+// every consumer in turn, then fires the owed wake-ups, and empties both
+// buffers (an operation delivers in rounds: wait, then withdraw). MUST be
+// called with no latch held.
 func (t *tracer) deliver() {
 	if t == nil {
 		return
 	}
 	if len(t.evs) > 0 {
+		now := time.Now()
+		for i := range t.evs {
+			e := &t.evs[i]
+			if !e.At.IsZero() {
+				e.Dur = now.Sub(e.At)
+			}
+			e.At = now
+		}
 		for _, c := range t.consumers {
 			c(t.evs)
 		}

@@ -140,6 +140,42 @@ func TestEventTimestampsAndDurations(t *testing.T) {
 	}
 }
 
+// One delivery, one clock reading: the grants of an AcquireBatch share At,
+// and each Dur counts from the operation's start — where the hold clock
+// starts too, so a later release's Dur counts from there.
+func TestBatchEventsShareOneStamp(t *testing.T) {
+	sink := &recordingSink{}
+	m := NewManager(Options{Sinks: []EventSink{sink}})
+	before := time.Now()
+	reqs := []BatchReq{{"db", IX}, {"db/s", IX}, {"db/s/r", IX}, {"db/s/r/k", X}}
+	if err := m.AcquireBatch(context.Background(), 1, reqs); err != nil {
+		t.Fatal(err)
+	}
+	after := time.Now()
+	time.Sleep(time.Millisecond)
+	m.Release(1, "db/s/r/k")
+
+	sink.mu.Lock()
+	defer sink.mu.Unlock()
+	if len(sink.events) != len(reqs)+1 {
+		t.Fatalf("events = %+v, want %d grants and a release", sink.events, len(reqs))
+	}
+	g := sink.events[0]
+	start := g.At.Add(-g.Dur)
+	if start.Before(before) || start.After(after) || g.Dur < 0 {
+		t.Errorf("grant At %v − Dur %v = %v, want the operation's start, within [%v, %v]", g.At, g.Dur, start, before, after)
+	}
+	for _, e := range sink.events[:len(reqs)] {
+		if e.Kind != "grant" || !e.At.Equal(g.At) || e.Dur != g.Dur {
+			t.Errorf("batch grant %+v: want At %v and Dur %v, shared with the first", e, g.At, g.Dur)
+		}
+	}
+	r := sink.events[len(reqs)]
+	if r.Kind != "release" || r.Dur != r.At.Sub(start) || r.Dur < time.Millisecond {
+		t.Errorf("release %+v: want Dur = At − %v, ≥ 1ms", r, start)
+	}
+}
+
 // Under -race: per-operation event ordering must hold through a shared sink
 // even with many concurrent operations — for any (txn, resource) the stream
 // is grant, then release, repeated, never reordered or dropped.

@@ -143,8 +143,8 @@ type heldLock struct {
 	// list is the generation of the lock list this slot is recorded in (see
 	// heldList.gen).
 	list uint64
-	// since is the grant time, kept only when the granting operation was
-	// traced; it is the reference for the release event's hold duration.
+	// since is the granting operation's start, kept only when that operation
+	// was traced; it is the reference for the release event's hold duration.
 	since time.Time
 }
 
@@ -483,7 +483,7 @@ func (m *Manager) AcquireCtx(ctx context.Context, txn TxnID, r Resource, mode Mo
 		blockers := e.blockerTxns(txn, target, len(e.queue))
 		s.maybeDropEntry(r, e)
 		if tr != nil {
-			tr.add(KindShed, time.Now(), tr.start, txn, r, target, s.idx).Blockers = blockers
+			tr.add(KindShed, tr.start, txn, r, target, s.idx).Blockers = blockers
 		}
 		s.mu.Unlock()
 		tr.finish()
@@ -500,7 +500,7 @@ func (m *Manager) AcquireCtx(ctx context.Context, txn TxnID, r Resource, mode Mo
 		blockers := e.blockerTxns(txn, target, len(e.queue))
 		s.maybeDropEntry(r, e)
 		if tr != nil {
-			ev := tr.add(KindVictim, time.Now(), tr.start, txn, r, target, s.idx)
+			ev := tr.add(KindVictim, tr.start, txn, r, target, s.idx)
 			ev.Blockers, ev.WaitDie = blockers, true
 		}
 		s.mu.Unlock()
@@ -521,7 +521,7 @@ func (m *Manager) AcquireCtx(ctx context.Context, txn TxnID, r Resource, mode Mo
 	s.stats.conflicts.Add(1)
 	s.stats.waits.Add(1)
 	if tr != nil {
-		ev := tr.add(KindWait, time.Now(), time.Time{}, txn, r, target, s.idx)
+		ev := tr.add(KindWait, time.Time{}, txn, r, target, s.idx)
 		ev.Blockers = e.blockerTxns(txn, target, pos)
 	}
 	s.mu.Unlock()
@@ -722,7 +722,7 @@ func (m *Manager) withdraw(tr *tracer, txn TxnID, r Resource, w *waiter, mode, t
 		s.stats.cancels.Add(1)
 	}
 	if tr != nil {
-		tr.add(kind, time.Now(), w.enq, txn, r, target, s.idx).Blockers = blockers
+		tr.add(kind, w.enq, txn, r, target, s.idx).Blockers = blockers
 	}
 	// The withdrawn waiter may have been the FIFO barrier for later ones.
 	m.grantWaitersLocked(tr, s, s.res[r], r)
@@ -757,20 +757,17 @@ func (m *Manager) tryGrant(tr *tracer, s *tableShard, e *entry, txn TxnID, r Res
 		s.stats.summaryFast.Add(1)
 	}
 	if granted {
-		var start time.Time
-		if tr != nil {
-			start = tr.start
-		}
-		m.grantLocked(tr, s, e, txn, r, target, durable, convert, false, start)
+		m.grantLocked(tr, s, e, txn, r, target, durable, convert, nil)
 	}
 	return target, convert, granted
 }
 
 // grantLocked installs (or converts) txn's lock on r. Caller holds s.mu;
 // the trace event (if the operation is traced) is buffered on tr for
-// delivery after unlock. ref is the latency reference: the request's start
-// for fast-path grants, the waiter's enqueue time for queued ones.
-func (m *Manager) grantLocked(tr *tracer, s *tableShard, e *entry, txn TxnID, r Resource, mode Mode, durable, convert, waited bool, ref time.Time) {
+// delivery after unlock. w is the waiter granted, nil for an immediate
+// grant: the latency reference is its enqueue time, else the request's
+// start.
+func (m *Manager) grantLocked(tr *tracer, s *tableShard, e *entry, txn TxnID, r Resource, mode Mode, durable, convert bool, w *waiter) {
 	h := e.holder(txn)
 	if h == nil {
 		h = e.addHolder(txn)
@@ -794,13 +791,17 @@ func (m *Manager) grantLocked(tr *tracer, s *tableShard, e *entry, txn TxnID, r 
 		if convert {
 			kind = KindConvert
 		}
-		now := time.Now()
 		if h.since.IsZero() {
 			// First traced grant of this hold: the hold-duration clock
-			// starts here (conversions keep the original grant time).
-			h.since = now
+			// starts at the granting operation's start (conversions keep the
+			// original grant's).
+			h.since = tr.start
 		}
-		tr.add(kind, now, ref, txn, r, mode, s.idx).Waited = waited
+		ref := tr.start
+		if w != nil {
+			ref = w.enq
+		}
+		tr.add(kind, ref, txn, r, mode, s.idx).Waited = w != nil
 	}
 }
 
@@ -825,7 +826,7 @@ func (m *Manager) grantWaitersLocked(tr *tracer, s *tableShard, e *entry, r Reso
 			if e.compatGranted(own, w.mode) {
 				e.dequeueAt(i)
 				m.wf.delete(w.txn)
-				m.grantLocked(tr, s, e, w.txn, r, w.mode, w.durable, w.convert, true, w.enq)
+				m.grantLocked(tr, s, e, w.txn, r, w.mode, w.durable, w.convert, w)
 				// From here the waiter belongs to the woken goroutine (which
 				// will recycle it); it must not be touched again.
 				w.done = true
@@ -875,7 +876,7 @@ func (m *Manager) Downgrade(txn TxnID, r Resource, mode Mode) error {
 	m.txnShardFor(txn).record(txn, r, h, s)
 	s.stats.downgrades.Add(1)
 	if tr != nil {
-		tr.add(KindDowngrade, tr.start, time.Time{}, txn, r, mode, s.idx)
+		tr.add(KindDowngrade, time.Time{}, txn, r, mode, s.idx)
 	}
 	m.grantWaitersLocked(tr, s, e, r)
 	s.mu.Unlock()
@@ -914,11 +915,7 @@ func (m *Manager) releaseLocked(tr *tracer, s *tableShard, e *entry, txn TxnID, 
 	m.size.Add(-1)
 	s.stats.releases.Add(1)
 	if tr != nil {
-		// Stamped with the operation-start time, not a fresh clock read:
-		// releases are short and non-blocking, so the sub-microsecond
-		// staleness is irrelevant and the saved time.Now is most of the
-		// traced cost.
-		tr.add(KindRelease, tr.start, h.since, txn, r, h.mode, s.idx)
+		tr.add(KindRelease, h.since, txn, r, h.mode, s.idx)
 	}
 	m.grantWaitersLocked(tr, s, e, r)
 	return true
@@ -956,7 +953,7 @@ func (m *Manager) ReleaseAll(txn TxnID) {
 		}
 	}
 	if len(released) > 0 {
-		tr.add(KindReleaseAll, time.Now(), tr.start, txn, "", None, 0).Resources = released
+		tr.add(KindReleaseAll, tr.start, txn, "", None, 0).Resources = released
 	}
 	tr.finish()
 	putHeldList(l)

@@ -121,9 +121,13 @@ func Handler(m *lock.Manager, col *Collector, ts *TraceSources, extra ...func(io
 			_ = enc.Encode(spans)
 			return
 		}
-		n := 0
+		n := 0 // everything retained
 		if q := r.URL.Query().Get("n"); q != "" {
-			n, _ = strconv.Atoi(q)
+			var err error
+			if n, err = strconv.Atoi(q); err != nil || n < 1 {
+				http.Error(w, "bad n", http.StatusBadRequest)
+				return
+			}
 		}
 		spans := ts.Recorder.Recent(n)
 		if spans == nil {

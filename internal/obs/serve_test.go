@@ -274,6 +274,16 @@ func TestServeTraceRoutes(t *testing.T) {
 	if len(recent) == 0 {
 		t.Error("/trace/spans returned no recent spans")
 	}
+	for _, q := range []string{"?n=abc", "?n=-3", "?n=0", "?txn=x"} {
+		resp, err := http.Get("http://" + srv.Addr() + "/trace/spans" + q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("/trace/spans%s: status %d, want 400", q, resp.StatusCode)
+		}
+	}
 
 	var incidents []trace.IncidentInfo
 	if err := json.Unmarshal([]byte(get("/trace/incidents")), &incidents); err != nil {

@@ -11,18 +11,21 @@
 // under the call's root span, carrying resource, mode, lockable-unit kind,
 // lock-table shard and wall-clock timing.
 //
-// Spans are buffered per transaction (transactions are single threads of
-// execution, so the buffer append is uncontended; a leaf mutex guards it
-// only against concurrent readers) and dropped at commit/abort. They leave
-// the recorder three ways: SpansOf copies a live transaction's buffer, Recent
-// reads the flight recorder of completed spans, and incident dumps embed
-// both.
+// Recording a span is one append of a compact record to the transaction's
+// own buffer (transactions are single threads of execution, so the append
+// is uncontended; a leaf mutex guards it only against concurrent readers);
+// what a Span adds to the record is derived where spans leave the
+// recorder: SpansOf copies a live transaction's buffer, Recent reads the
+// flight recorder, and incident dumps embed both. The clock is read once
+// per call boundary — a root span's start and end, the end of each
+// lock-manager call — and children open at the last reading, so the spans
+// of one call tile its interval.
 //
 // Recording allocates nothing at steady state: a transaction's buffer is
 // looked up once per root span and travels in the SpanHandle, and buffers —
-// span slices included — are recycled across transactions. The price is a
-// lifetime rule: a SpanHandle dies with its transaction's FinishTxn (a late
-// End is ignored).
+// record slices included — are recycled across transactions. The price is
+// a lifetime rule: a SpanHandle dies with its transaction's FinishTxn (a
+// late End is ignored).
 package trace
 
 import (
@@ -59,13 +62,9 @@ type Span struct {
 	Open bool `json:"open,omitempty"`
 }
 
-// The flight recorder keeps the last ringSize completed spans in each of
-// nRings rings (a power of two). Completed spans are routed by their
-// lock-table shard, so disjoint lock traffic lands on disjoint rings.
-const (
-	ringSize = 256
-	nRings   = 16
-)
+// maxRetained bounds the flight recorder: the buffers of finished
+// transactions it keeps hold at most this many spans in all.
+const maxRetained = 4096
 
 // Options configures a Recorder.
 type Options struct {
@@ -93,19 +92,44 @@ func depthKind(r lock.Resource) string {
 	return "node"
 }
 
+// record is one span as a transaction's buffer holds it: what the locking
+// path knows, nothing derived.
+type record struct {
+	kind   string
+	res    lock.Resource
+	err    error
+	start  time.Duration // on the recorder's clock
+	dur    time.Duration
+	parent uint32
+	mode   lock.Mode
+	open   bool
+}
+
 // txnTrace is one transaction's span buffer. The owning transaction is a
 // single thread of execution, so appends never contend; the mutex exists
 // for concurrent readers (incident dumps, /trace/spans). Buffers are pooled:
 // gen counts the buffer's lives, so a handle from an earlier life is
 // recognised and ignored.
 type txnTrace struct {
-	txn   lock.TxnID
-	mu    sync.Mutex
-	gen   uint32
-	spans []Span // span IDs are index+1
+	txn  lock.TxnID
+	mu   sync.Mutex
+	gen  uint32
+	last time.Duration // the transaction's latest clock reading
+	recs []record      // span IDs are index+1
+	next *txnTrace     // the next newer buffer, while the flight recorder keeps this one
 }
 
 var txnTracePool = sync.Pool{New: func() any { return new(txnTrace) }}
+
+// recycle empties a buffer no reader can reach any more and pools it.
+func recycle(tt *txnTrace) {
+	tt.mu.Lock()
+	clear(tt.recs)
+	tt.recs = tt.recs[:0]
+	tt.next = nil
+	tt.mu.Unlock()
+	txnTracePool.Put(tt)
+}
 
 // txnBufShard is one stripe of the per-transaction buffer registry. n
 // mirrors len(buf) so FinishTxn on a transaction that recorded nothing can
@@ -120,11 +144,16 @@ type txnBufShard struct {
 type Recorder struct {
 	kindOf  func(lock.Resource) string
 	shardOf func(lock.Resource) int
+	epoch   time.Time
 
 	shards []*txnBufShard
 	mask   uint32
 
-	rings [nRings]spanRing
+	// The flight recorder: finished transactions' buffers, oldest first,
+	// linked through txnTrace.next and holding finSpans spans in all.
+	finMu            sync.Mutex
+	finHead, finTail *txnTrace
+	finSpans         int
 }
 
 // NewRecorder builds a recorder.
@@ -141,6 +170,7 @@ func NewRecorder(opts Options) *Recorder {
 	r := &Recorder{
 		kindOf:  kindOf,
 		shardOf: shardOf,
+		epoch:   time.Now(),
 		shards:  make([]*txnBufShard, nShards),
 		mask:    nShards - 1,
 	}
@@ -149,6 +179,9 @@ func NewRecorder(opts Options) *Recorder {
 	}
 	return r
 }
+
+// now reads the recorder's clock: the monotonic time since its epoch.
+func (r *Recorder) now() time.Duration { return time.Since(r.epoch) }
 
 // bufFor returns txn's span buffer and its current life, taking a buffer
 // from the pool on the transaction's first traced call.
@@ -184,83 +217,133 @@ type SpanHandle struct {
 // the zero handle).
 func (h SpanHandle) Recording() bool { return h.tt != nil }
 
-// Start opens a root span for a user-level lock call; on a nil recorder it
-// returns the zero handle.
+// Start opens a root span for a user-level lock call at a fresh clock
+// reading; on a nil recorder it returns the zero handle.
 func (r *Recorder) Start(txn lock.TxnID, kind string, res lock.Resource, mode lock.Mode) SpanHandle {
 	if r == nil {
 		return SpanHandle{}
 	}
 	tt, gen := r.bufFor(txn)
-	return r.start(tt, gen, 0, kind, res, mode, time.Now())
+	return r.open(tt, gen, 0, true, kind, res, mode)
 }
 
-// Child opens a span under h. Inert on the zero handle.
+// Child opens a span under h at the transaction's last clock reading. Inert
+// on the zero handle.
 func (h SpanHandle) Child(kind string, res lock.Resource, mode lock.Mode) SpanHandle {
 	if h.tt == nil {
 		return SpanHandle{}
 	}
-	return h.rec.start(h.tt, h.gen, uint64(h.idx)+1, kind, res, mode, time.Now())
+	return h.rec.open(h.tt, h.gen, uint32(h.idx)+1, false, kind, res, mode)
 }
 
-// ChildDone records under h a span that ran from start to end: the way to
-// give the requests of one batched manager call a span each, sharing the
-// call's two clock reads. Inert on the zero handle.
-func (h SpanHandle) ChildDone(kind string, res lock.Resource, mode lock.Mode, start, end time.Time, err error) {
-	if h.tt != nil {
-		h.rec.start(h.tt, h.gen, uint64(h.idx)+1, kind, res, mode, start).end(end, err)
+// open appends an open span to tt if it is still in life gen, starting at
+// the transaction's last reading — after taking a fresh one, if asked.
+func (r *Recorder) open(tt *txnTrace, gen, parent uint32, fresh bool, kind string, res lock.Resource, mode lock.Mode) SpanHandle {
+	var now time.Duration
+	if fresh {
+		now = r.now()
 	}
-}
-
-func (r *Recorder) start(tt *txnTrace, gen uint32, parent uint64, kind string, res lock.Resource, mode lock.Mode, now time.Time) SpanHandle {
-	shard := r.shardOf(res)
 	tt.mu.Lock()
+	defer tt.mu.Unlock()
 	if tt.gen != gen {
-		tt.mu.Unlock()
 		return SpanHandle{}
 	}
-	idx := len(tt.spans)
-	tt.spans = append(tt.spans, Span{
-		Txn:      tt.txn,
-		ID:       uint64(idx) + 1,
-		Parent:   parent,
-		Kind:     kind,
-		Resource: res,
-		Mode:     mode.String(),
-		Shard:    shard,
-		Start:    now,
-		Open:     true,
-	})
-	tt.mu.Unlock()
-	return SpanHandle{rec: r, tt: tt, idx: int32(idx), gen: gen}
+	if fresh {
+		tt.last = now
+	}
+	tt.recs = append(tt.recs, record{kind: kind, res: res, start: tt.last, parent: parent, mode: mode, open: true})
+	return SpanHandle{rec: r, tt: tt, idx: int32(len(tt.recs) - 1), gen: gen}
 }
 
-// End closes the span, stamping its duration and error; the completed span
-// is also pushed into the flight recorder. Inert on the zero handle.
+// End closes the span at a fresh clock reading — the end of a root span or
+// of its manager call — which becomes the transaction's last reading.
 func (h SpanHandle) End(err error) {
 	if h.tt != nil {
-		h.end(time.Now(), err)
+		h.end(true, err)
 	}
 }
 
-// end closes the span at the given time.
-func (h SpanHandle) end(at time.Time, err error) {
+// EndAtLast closes the span at the transaction's last clock reading — the
+// end of the last manager call made under it — without reading the clock.
+func (h SpanHandle) EndAtLast(err error) {
+	if h.tt != nil {
+		h.end(false, err)
+	}
+}
+
+func (h SpanHandle) end(fresh bool, err error) {
+	var now time.Duration
+	if fresh {
+		now = h.rec.now()
+	}
+	tt := h.tt
+	tt.mu.Lock()
+	if tt.gen == h.gen {
+		if fresh {
+			tt.last = now
+		}
+		rc := &tt.recs[h.idx]
+		rc.dur, rc.err, rc.open = tt.last-rc.start, err, false
+	}
+	tt.mu.Unlock()
+}
+
+// Lap reads the clock at the end of a manager call made under h and returns
+// the call's bounds: from the transaction's last reading to this new one.
+func (h SpanHandle) Lap() (start, end time.Duration) {
+	tt := h.tt
+	if tt == nil {
+		return 0, 0
+	}
+	now := h.rec.now()
+	tt.mu.Lock()
+	if tt.gen == h.gen {
+		start, end = tt.last, now
+		tt.last = now
+	}
+	tt.mu.Unlock()
+	return start, end
+}
+
+// ChildDone records under h a finished span from start to end: the way to
+// give each request of one batched manager call a span over the call's Lap.
+func (h SpanHandle) ChildDone(kind string, res lock.Resource, mode lock.Mode, start, end time.Duration, err error) {
 	tt := h.tt
 	if tt == nil {
 		return
 	}
 	tt.mu.Lock()
-	if tt.gen != h.gen {
-		tt.mu.Unlock()
-		return
+	if tt.gen == h.gen {
+		tt.recs = append(tt.recs, record{kind: kind, res: res, err: err, start: start, dur: end - start, parent: uint32(h.idx) + 1, mode: mode})
 	}
-	sp := &tt.spans[h.idx]
-	sp.Dur = at.Sub(sp.Start)
-	sp.Open = false
-	if err != nil {
-		sp.Err = err.Error()
-	}
-	h.rec.rings[sp.Shard&(nRings-1)].add(sp)
 	tt.mu.Unlock()
+}
+
+// appendSpans appends tt's spans to dst — all of them, or only the
+// completed ones — with the fields a record stores. Caller holds tt.mu.
+func (r *Recorder) appendSpans(dst []Span, tt *txnTrace, withOpen bool) []Span {
+	for i := range tt.recs {
+		rc := &tt.recs[i]
+		if rc.open && !withOpen {
+			continue
+		}
+		sp := Span{Txn: tt.txn, ID: uint64(i) + 1, Parent: uint64(rc.parent), Kind: rc.kind, Resource: rc.res,
+			Mode: rc.mode.String(), Start: r.epoch.Add(rc.start), Dur: rc.dur, Open: rc.open}
+		if rc.err != nil {
+			sp.Err = rc.err.Error()
+		}
+		dst = append(dst, sp)
+	}
+	return dst
+}
+
+// derive fills in the fields that are pure functions of Resource, where
+// spans leave the recorder instead of once per span on the locking path.
+func (r *Recorder) derive(spans []Span) {
+	for i := range spans {
+		spans[i].Unit = r.kindOf(spans[i].Resource)
+		spans[i].Shard = r.shardOf(spans[i].Resource)
+	}
 }
 
 // SpansOf returns a copy of txn's buffered spans (nil once the transaction
@@ -277,23 +360,14 @@ func (r *Recorder) SpansOf(txn lock.TxnID) []Span {
 		return nil
 	}
 	tt.mu.Lock()
-	out := append([]Span(nil), tt.spans...)
+	out := r.appendSpans(nil, tt, true)
 	tt.mu.Unlock()
-	r.fillUnits(out)
+	r.derive(out)
 	return out
 }
 
-// fillUnits classifies the spans' resources. Unit is a pure function of
-// Resource, so it is worked out where spans leave the recorder (SpansOf,
-// Recent) instead of once per span on the locking path.
-func (r *Recorder) fillUnits(spans []Span) {
-	for i := range spans {
-		spans[i].Unit = r.kindOf(spans[i].Resource)
-	}
-}
-
-// FinishTxn drops txn's buffered spans and recycles the buffer; txn's span
-// handles die with it. A no-op on a nil recorder or a transaction that
+// FinishTxn ends txn's tracing: its span handles die, and its buffer moves
+// to the flight recorder. A no-op on a nil recorder or a transaction that
 // recorded nothing.
 func (r *Recorder) FinishTxn(txn lock.TxnID) {
 	if r == nil {
@@ -314,55 +388,65 @@ func (r *Recorder) FinishTxn(txn lock.TxnID) {
 	if tt == nil {
 		return
 	}
-	// Unregistered: no reader can reach the buffer any more. Only a stale
-	// handle's End can still arrive, and it stops at the gen check.
+	// Unregistered: from here readers reach the buffer only through the
+	// flight recorder, and a stale handle stops at the gen check.
 	tt.mu.Lock()
 	tt.gen++
-	clear(tt.spans)
-	tt.spans = tt.spans[:0]
 	tt.mu.Unlock()
-	txnTracePool.Put(tt)
+	r.retain(tt)
 }
 
-// Recent returns up to n of the most recently completed spans from the
-// flight recorder (oldest first); n ≤ 0 returns everything retained.
+// retain keeps a finished buffer in the flight recorder, evicting the
+// oldest while more than maxRetained spans are kept; a buffer over the
+// budget on its own goes straight back to the pool.
+func (r *Recorder) retain(tt *txnTrace) {
+	n := len(tt.recs) // no handle appends any more
+	if n > maxRetained {
+		recycle(tt)
+		return
+	}
+	r.finMu.Lock()
+	defer r.finMu.Unlock()
+	if r.finTail == nil {
+		r.finHead = tt
+	} else {
+		r.finTail.next = tt
+	}
+	r.finTail = tt
+	r.finSpans += n
+	for r.finSpans > maxRetained {
+		old := r.finHead
+		r.finHead, r.finSpans = old.next, r.finSpans-len(old.recs)
+		recycle(old)
+	}
+}
+
+// Recent returns up to n of the most recently started completed spans
+// (oldest first): those of live transactions and those the flight recorder
+// retained of finished ones. n ≤ 0 returns everything.
 func (r *Recorder) Recent(n int) []Span {
 	var out []Span
-	for i := range r.rings {
-		out = r.rings[i].snapshot(out)
+	for _, s := range r.shards {
+		s.mu.Lock()
+		for _, tt := range s.buf {
+			tt.mu.Lock()
+			out = r.appendSpans(out, tt, false)
+			tt.mu.Unlock()
+		}
+		s.mu.Unlock()
 	}
+	// Retained buffers change only when evicted, under finMu.
+	r.finMu.Lock()
+	for tt := r.finHead; tt != nil; tt = tt.next {
+		out = r.appendSpans(out, tt, false)
+	}
+	r.finMu.Unlock()
 	sort.SliceStable(out, func(i, j int) bool { return out[i].Start.Before(out[j].Start) })
 	if n > 0 && len(out) > n {
 		out = out[len(out)-n:]
 	}
-	r.fillUnits(out)
+	r.derive(out)
 	return out
-}
-
-// spanRing is one bounded flight-recorder buffer behind a leaf mutex.
-type spanRing struct {
-	mu    sync.Mutex
-	buf   []Span
-	start int
-}
-
-func (g *spanRing) add(sp *Span) {
-	g.mu.Lock()
-	if len(g.buf) < ringSize {
-		g.buf = append(g.buf, *sp)
-	} else {
-		g.buf[g.start] = *sp
-		g.start = (g.start + 1) % ringSize
-	}
-	g.mu.Unlock()
-}
-
-func (g *spanRing) snapshot(dst []Span) []Span {
-	g.mu.Lock()
-	dst = append(dst, g.buf[g.start:]...)
-	dst = append(dst, g.buf[:g.start]...)
-	g.mu.Unlock()
-	return dst
 }
 
 // Tree renders a span slice as an indented tree (children under parents, in

@@ -158,7 +158,8 @@ func (m *Manager) finish(t *Txn, committed bool) {
 	} else {
 		m.aborts.Add(1)
 	}
-	// Recycle the transaction's span buffer (a no-op when tracing is off).
+	// Hand the transaction's span buffer to the flight recorder (a no-op
+	// when tracing is off).
 	m.proto.Tracer().FinishTxn(t.id)
 }
 
