@@ -107,9 +107,7 @@ func TestReaderRoleStress(t *testing.T) {
 	waitFor(t, 5*time.Second, func() bool { return mgr.LockCount() == 0 }, "lock table to drain")
 	c.Close()
 	waitFor(t, 5*time.Second, func() bool { return srv.SessionCount() == 0 }, "session teardown")
-	// +1: the lock manager's deadlock detector starts with the first wait
-	// and stays with the manager.
-	waitFor(t, 5*time.Second, func() bool { return runtime.NumGoroutine() <= baseline+1 }, "client and session goroutines to exit")
+	waitFor(t, 5*time.Second, func() bool { return runtime.NumGoroutine() <= baseline }, "client and session goroutines to exit")
 }
 
 // TestIdleSessionObservesServer: with no call in flight — none ever made —

@@ -16,7 +16,7 @@ import (
 // runs and are exempt). A clock read costs tens of nanoseconds, and the
 // lock path's tracing reads it once per call boundary; a change that adds
 // one justifies it, updates this pin and says so in CHANGES.md.
-const wantClockReads = 39
+const wantClockReads = 38
 
 func TestClockReadCount(t *testing.T) {
 	var reads []string

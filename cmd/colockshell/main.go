@@ -524,7 +524,7 @@ func (s *shell) showMetrics() {
 	ops.Addf("waiting txns", m.WaitingTxns())
 	fmt.Fprint(s.out, ops)
 	if snap := s.retry.Attempts(); snap.Commits+snap.GiveUps > 0 {
-		fmt.Fprintf(s.out, "\nretry (.storm): %s\n", s.retry)
+		fmt.Fprintf(s.out, "\nretry (all .storm runs): %s\n", s.retry)
 	}
 
 	ps := s.eng.Protocol.Stats()

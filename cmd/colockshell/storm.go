@@ -17,6 +17,7 @@ import (
 	"time"
 
 	"colock/internal/lock"
+	"colock/internal/obs"
 	"colock/internal/resilience"
 	"colock/internal/store"
 	"colock/internal/txn"
@@ -115,11 +116,11 @@ func (s *shell) storm(arg string) {
 		}
 	}
 
-	rc := s.retry
-	rc.ResetStats()
-	// Retries feed both the retry collector (attempts-per-commit summary)
-	// and the health monitor's windowed retry rate.
-	observer := resilience.Tee(rc, s.eng.Monitor)
+	// Retries feed this storm's own collector (its attempts-per-commit
+	// summary), the shell's cumulative one (/metrics, .metrics) and the
+	// health monitor's windowed retry rate.
+	rc := obs.NewRetryCollector()
+	observer := resilience.Tee(rc, s.retry, s.eng.Monitor)
 	hot := store.P("cells", "c1", "robots", "r1", "trajectory")
 	m := s.eng.Manager
 	fmt.Fprintf(s.out, "-- storm: %d workers × %d rounds, X on %s, retry with capped-exponential backoff\n",

@@ -33,6 +33,20 @@ func TestShellChaosAndStorm(t *testing.T) {
 	}
 }
 
+// TestShellStormCountersAreCumulative: each storm prints its own summary, but
+// the shell's retry collector — what /metrics exports as _total counters —
+// only grows: two storms leave the sum of both runs' commits.
+func TestShellStormCountersAreCumulative(t *testing.T) {
+	s, buf := newTestShell(t, false)
+	runScript(t, s, `.storm 2 3`, `.storm 3 2`)
+	if got := s.retry.Attempts().Commits; got != 12 {
+		t.Errorf("cumulative commits = %d, want 12 (6 + 6)", got)
+	}
+	if n := strings.Count(buf.String(), "-- 6 commits, 0 failures"); n != 2 {
+		t.Errorf("per-storm summaries reporting 6 commits = %d, want 2:\n%s", n, buf.String())
+	}
+}
+
 func TestShellChaosBadArgs(t *testing.T) {
 	s, buf := newTestShell(t, false)
 	runScript(t, s,

@@ -392,7 +392,6 @@ func blockedAllocsPerOp(iters int) (current, baseline float64) {
 // plus the manager's detector counters.
 func probeDeferredDetector() (resolved bool, deferred, runs uint64) {
 	mgr := lock.NewManager(lock.Options{DeadlockDefer: 200 * time.Microsecond})
-	defer mgr.Close()
 	ctx := context.Background()
 	_ = mgr.AcquireCtx(ctx, 1, "da", lock.X)
 	_ = mgr.AcquireCtx(ctx, 2, "db", lock.X)

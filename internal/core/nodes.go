@@ -169,9 +169,10 @@ func NewNamer(cat *schema.Catalog, coalesceBLUs bool) *Namer {
 }
 
 // DisableCache turns the name cache off: every Resource/Classify call
-// recomputes from scratch, as the pre-cache implementation did. It exists as
-// the benchmark baseline (lockbench -hotbench) and must be called before the
-// namer is shared between goroutines.
+// recomputes from scratch, as the pre-cache implementation did. It is the
+// reference naming the tests check the cache against (and the downward scan
+// must work without a cache entry), and must be called before the namer is
+// shared between goroutines.
 func (nm *Namer) DisableCache() { nm.nocache = true }
 
 // pathHash is fnv-1a over the path's segments, with a separator byte so

@@ -138,12 +138,10 @@ func Open(cfg Config) (*Engine, error) {
 	}, nil
 }
 
-// Close stops the manager's deadlock detector and drains, flushes and closes
-// the journal, returning its first write error. Both halves are idempotent,
-// so Close may be called again (colockshell's .quit closes, and so does
-// main's defer).
+// Close drains, flushes and closes the journal, returning its first write
+// error. It is idempotent, so it may be called again (colockshell's .quit
+// closes, and so does main's defer).
 func (e *Engine) Close() error {
-	e.Manager.Close()
 	if e.Journal == nil {
 		return nil
 	}

@@ -71,7 +71,6 @@ func E13DeadlockPolicy(workers, rounds int) *metrics.Table {
 		}
 		wg.Wait()
 		el := time.Since(start)
-		mgr.Close()
 		t.Addf(policy.String(), workers*rounds, aborts, mgr.Stats().Waits, el)
 	}
 	return t

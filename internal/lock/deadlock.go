@@ -1,9 +1,6 @@
 package lock
 
-import (
-	"sync"
-	"time"
-)
+import "sync"
 
 // Deadlock detection over the sharded lock table. The waits-for graph has an
 // edge T1 → T2 whenever T1 has an outstanding waiter that is incompatible
@@ -11,8 +8,8 @@ import (
 // waiter of T2. The victim is the youngest (highest TxnID) transaction on
 // the detected cycle.
 //
-// Sharding makes detection a cross-shard concern: the detector never holds
-// more than one shard latch at a time. It walks the graph edge set by edge
+// Sharding makes detection a cross-shard concern: a walk never holds more
+// than one shard latch at a time. It goes through the graph edge set by edge
 // set — the waits-for registry (wf) names the resource each blocked
 // transaction waits on, and the out-edges of one transaction are computed
 // under that single resource's shard latch. Each edge is therefore accurate
@@ -29,178 +26,38 @@ import (
 // — manufactures exactly these phantoms at high rate, and revalidation is
 // what keeps convoys from bleeding spurious aborts.
 //
-// WHEN the walk runs: an enqueued waiter is armed on a dirty list, and a
-// single background detector goroutine picks it up after
-// Options.DeadlockDefer and walks only if the wait is STILL live (validated
-// against the waits-for registry by waiter identity). Grant-bound waits — the
-// overwhelming majority — are woken before the deferral elapses and never pay
-// for detection at all. Cycles are still always found: the waiter whose edge
-// completed the cycle stays blocked (cycles don't resolve themselves), so its
-// armed check survives validation and its walk sees the full cycle. The cost
-// is latency (a cycle lives ~DeadlockDefer longer) and a slightly wider
-// window for the spurious-victim race above. A negative DeadlockDefer arms
-// the check for immediate pickup, which finds a cycle as soon as it closes.
-
-// dirtyWaiter is one armed deferred detection: at armAt, if txn's
-// outstanding wait is still this exact waiter INCARNATION — same pointer
-// AND same checkout gen; the pointer alone is ABA-prone because the pool
-// can reissue the address to the same transaction's next request — run the
-// walk. w is an identity token only — it is never dereferenced until
-// revalidated under the shard latch (pooled waiters may be recycled at any
-// time).
-type dirtyWaiter struct {
-	txn   TxnID
-	w     *waiter
-	gen   uint64
-	armAt time.Time
-}
-
-// armDetection schedules deferred detection for a freshly enqueued waiter.
-// Called with no latch held. Reading w.gen here is race-free: the owner
-// wrote it before enqueue and nothing rewrites it until the owner itself
-// recycles the waiter after await returns.
+// WHEN the walk runs: a blocked request runs its own check. Its goroutine is
+// idle anyway, so after Options.DeadlockDefer a still-blocked waiter walks
+// the graph from itself inside await and then keeps waiting. Grant-bound
+// waits — the overwhelming majority — are woken before the deferral elapses
+// and never pay for detection at all. Cycles are still always found: the
+// waiter whose edge completed the cycle stays blocked (cycles don't resolve
+// themselves), so its check finds the wait still live and its walk sees the
+// full cycle. The cost is latency (a cycle lives ~DeadlockDefer longer) and a
+// slightly wider window for the spurious-victim race above. A negative
+// DeadlockDefer walks before parking, which finds a cycle as soon as it
+// closes.
 //
-// The dirty list is unbounded on purpose. A convoy arms hundreds of
-// thousands of (short-lived) waits per second; any fixed buffer either
-// wastes its full capacity up front or overflows under exactly that load,
-// and an overflow fallback that walks inline on the request path turns one
-// scheduling hiccup into a feedback loop — inline walks slow the workers,
-// waits stretch, more walks validate live. Pushing is a mutex-guarded
-// append, so backlog memory is proportional to how far behind the detector
-// actually is (entries are discarded at receipt once their wait resolves).
-//
-// Once Close has stopped the detector nobody drains the list, so the check
-// runs inline on the calling goroutine instead: the waiter is about to park
-// in await and receives a victim verdict on its ready channel.
-func (m *Manager) armDetection(txn TxnID, w *waiter) {
-	d := dirtyWaiter{txn: txn, w: w, gen: w.gen, armAt: time.Now().Add(m.deferDur)}
-	m.dirtyMu.Lock()
-	if m.stopped {
-		m.dirtyMu.Unlock()
-		m.detect(d, nil)
-		return
-	}
-	m.ensureDetector()
-	m.dirty = append(m.dirty, d)
-	m.dirtyMu.Unlock()
-	m.deferredDet.Add(1)
-	select {
-	case m.dirtyBell <- struct{}{}:
-	default: // bell already rung; the detector will see this push too
-	}
-}
+// Walks run one at a time (Manager.walkMu), so two members of one cycle never
+// pick victims at the same time: a walk that starts after another's abort
+// sees the broken cycle and aborts nobody.
 
-// ensureDetector starts the background detector goroutine on first use.
-func (m *Manager) ensureDetector() {
-	m.detOnce.Do(func() {
-		m.dirtyBell = make(chan struct{}, 1)
-		go m.detectorLoop()
-	})
-}
-
-// takeDirty swaps out the accumulated armings, reusing buf (the detector's
-// previously drained batch) as the next accumulation buffer so steady-state
-// arming never allocates.
-func (m *Manager) takeDirty(buf []dirtyWaiter) []dirtyWaiter {
-	m.dirtyMu.Lock()
-	batch := m.dirty
-	m.dirty = buf[:0]
-	m.dirtyMu.Unlock()
-	return batch
-}
-
-// stillWaiting reports whether the armed wait is still the transaction's
-// current one — same waiter pointer AND same checkout gen (pool ABA guard).
-func (m *Manager) stillWaiting(d dirtyWaiter) bool {
-	rec, ok := m.wf.get(d.txn)
-	return ok && rec.w == d.w && rec.gen == d.gen
-}
-
-// detect runs one armed check: if the wait is still live, walk the
-// waits-for graph from it and abort the youngest member of a cycle found. sc
-// is the detector's scratch, or nil to borrow one from the pool.
-func (m *Manager) detect(d dirtyWaiter, sc *detScratch) {
-	if !m.stillWaiting(d) {
-		return // resolved while parked; nothing to check
+// detect is the one place a waits-for walk starts: if txn's outstanding wait
+// is still w — same pointer AND same checkout gen, the pool ABA guard — walk
+// the graph from it and abort the youngest member of a cycle found. Called by
+// w's owner with no latch held. The victim event reaches the sinks while
+// walkMu is held, so nothing a sink does may wait for another walk.
+func (m *Manager) detect(txn TxnID, w *waiter) {
+	m.walkMu.Lock()
+	defer m.walkMu.Unlock()
+	if rec, ok := m.wf.get(txn); !ok || rec.w != w || rec.gen != w.gen {
+		return // granted or withdrawn meanwhile; nothing to check
 	}
-	if sc == nil {
-		sc = detScratchPool.Get().(*detScratch)
-		defer detScratchPool.Put(sc)
-	}
-	m.detectorRuns.Add(1)
-	if victim, found := m.findDeadlockVictim(d.txn, sc); found {
-		m.abortWaiter(victim)
-	}
-}
-
-// detectorLoop drains the dirty list in batches. On every wake — the bell
-// after a push, or the maturity timer — it swaps the accumulated armings
-// out, validates each for the price of one registry lookup, discards those
-// whose wait already resolved (the overwhelming majority under churn), and
-// parks the still-live rest on the pending list; pending's ripe prefix is
-// then walked. pending stays ordered by armAt (armings are pushed in arm
-// order), so maturity checks only ever look at its head. One persistent
-// scratch buffer serves every walk, and the two batch buffers ping-pong
-// through takeDirty, so the whole loop is allocation-free at steady state.
-// The persistent timer uses the classic Stop/drain/Reset discipline (it is
-// provably stopped-and-drained at every Reset below).
-//
-// On Close the loop walks every arming it still holds, matured or not, and
-// exits: Close sets stopped before it closes stopCh, so the last takeDirty
-// sees every push there will ever be, and a cycle armed before Close is
-// resolved rather than stranded.
-func (m *Manager) detectorLoop() {
 	sc := detScratchPool.Get().(*detScratch)
 	defer detScratchPool.Put(sc)
-	timer := time.NewTimer(time.Hour)
-	if !timer.Stop() {
-		<-timer.C
-	}
-	defer timer.Stop()
-	var pending, spare []dirtyWaiter
-	for {
-		// Walk the ripe prefix of pending.
-		for len(pending) > 0 && time.Until(pending[0].armAt) <= 0 {
-			d := pending[0]
-			pending = pending[1:]
-			m.detect(d, sc)
-		}
-		closing := false
-		if len(pending) == 0 {
-			// Release the drained backing array so a contention spike's
-			// pending list does not pin memory forever.
-			pending = nil
-			select {
-			case <-m.stopCh:
-				closing = true
-			case <-m.dirtyBell:
-			}
-		} else {
-			timer.Reset(time.Until(pending[0].armAt))
-			select {
-			case <-m.stopCh:
-				closing = true
-			case <-timer.C:
-			case <-m.dirtyBell:
-				if !timer.Stop() {
-					<-timer.C
-				}
-			}
-		}
-		batch := m.takeDirty(spare)
-		if closing {
-			for _, d := range append(pending, batch...) {
-				m.detect(d, sc)
-			}
-			return
-		}
-		// Triage the new armings: dead on arrival or parked until maturity.
-		for _, d := range batch {
-			if m.stillWaiting(d) {
-				pending = append(pending, d)
-			}
-		}
-		spare = batch
+	m.detectorRuns.Add(1)
+	if victim, found := m.findDeadlockVictim(txn, sc); found {
+		m.abortWaiter(victim)
 	}
 }
 

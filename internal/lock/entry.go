@@ -449,12 +449,13 @@ func (e *entry) checkSummary() error {
 //
 //   - A waiter is recycled ONLY by the goroutine that owns its outcome: the
 //     blocked requester after receiving from ready, or after withdraw
-//     removed it from the queue under the shard latch. Other
-//     actors (granters, the detector) may touch a waiter only under the
-//     shard latch after proving it current — by queue membership
+//     removed it from the queue under the shard latch. Other actors
+//     (granters, another waiter's deadlock walk) may touch a waiter only
+//     under the shard latch after proving it current — by queue membership
 //     (removeWaiterPtr) or by pointer-equality with the waits-for record.
-//   - The ready channel is reused across lives; putWaiter drains a raced
-//     buffered outcome so a recycled waiter never wakes spuriously.
+//   - The ready channel and the deadlock-check timer are reused across
+//     lives; putWaiter drains a raced buffered outcome so a recycled waiter
+//     never wakes spuriously, and await leaves the timer stopped and drained.
 //   - Entries are recycled only when empty (maybeDropEntry), so their
 //     summaries are all-zero by construction; getEntry just resets the
 //     sentinels.

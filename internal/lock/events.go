@@ -100,7 +100,9 @@ func (e *Event) KindCode() EventKind {
 
 // EventSink consumes trace events. Sinks are invoked by the goroutine
 // performing the operation, after all manager latches have been released, so
-// a sink may call back into the manager.
+// a sink may call back into the manager — but it must not block on a lock:
+// a deadlock victim's event is delivered inside the walk that chose it, and
+// walks run one at a time.
 type EventSink interface {
 	Record(Event)
 }

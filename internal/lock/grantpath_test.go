@@ -3,8 +3,11 @@ package lock
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math/rand"
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -287,61 +290,91 @@ func TestDeferredDetectionCounters(t *testing.T) {
 	}
 }
 
-// TestCloseFallsBackToInlineDetection: after Close the background detector
-// is gone, so deadlock checks must run inline regardless of DeadlockDefer —
-// a cycle formed after Close still resolves promptly.
-func TestCloseFallsBackToInlineDetection(t *testing.T) {
-	m := NewManager(Options{DeadlockDefer: time.Hour})
-	m.Close()
+// TestManagerOwnsNoGoroutine: deadlock checks run on the blocked requests'
+// own goroutines, so once a default-window AB-BA cycle is resolved and every
+// transaction has released, the goroutine count is back at its baseline —
+// with no Close.
+func TestManagerOwnsNoGoroutine(t *testing.T) {
+	baseline := runtime.NumGoroutine()
+	m := NewManager(Options{})
 	_ = m.AcquireCtx(context.Background(), 1, "a", X)
 	_ = m.AcquireCtx(context.Background(), 2, "b", X)
 	r1 := acquireParked(t, m, 1, "b", X)
-
-	r2 := make(chan error, 1)
-	go func() { r2 <- m.AcquireCtx(context.Background(), 2, "a", X) }()
-	select {
-	case err := <-r2:
-		if !errors.Is(err, ErrDeadlock) {
-			t.Fatalf("want ErrDeadlock, got %v", err)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("deadlock not resolved after Close (inline fallback missing)")
-	}
-	m.ReleaseAll(2)
-	if err := <-r1; err != nil {
-		t.Fatal(err)
-	}
-	m.ReleaseAll(1)
-	if st := m.Stats(); st.DeferredDetections != 0 || st.DetectorRuns == 0 {
-		t.Errorf("DeferredDetections = %d, DetectorRuns = %d; want 0 and > 0 (inline walks only)", st.DeferredDetections, st.DetectorRuns)
-	}
-}
-
-// TestCloseResolvesArmedCycle: a cycle whose closing waiter armed its check
-// before Close must still be resolved — Close makes the detector walk every
-// arming it holds before it exits, whatever the deferral window.
-func TestCloseResolvesArmedCycle(t *testing.T) {
-	m := NewManager(Options{DeadlockDefer: time.Hour})
-	_ = m.AcquireCtx(context.Background(), 1, "a", X)
-	_ = m.AcquireCtx(context.Background(), 2, "b", X)
-	r1 := acquireParked(t, m, 1, "b", X)
-	r2 := acquireParked(t, m, 2, "a", X) // closes the cycle; armed for an hour
-	m.Close()
-	select {
-	case err := <-r2:
-		if !errors.Is(err, ErrDeadlock) {
-			t.Fatalf("txn 2: want ErrDeadlock, got %v", err)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("cycle armed before Close was never resolved")
+	if err := m.AcquireCtx(context.Background(), 2, "a", X); !errors.Is(err, ErrDeadlock) {
+		t.Fatalf("txn 2: want ErrDeadlock, got %v", err)
 	}
 	m.ReleaseAll(2)
 	if err := <-r1; err != nil {
 		t.Fatalf("txn 1 (survivor): %v", err)
 	}
 	m.ReleaseAll(1)
-	if got := m.Stats().Deadlocks; got != 1 {
-		t.Errorf("Deadlocks = %d, want 1", got)
+	deadline := time.Now().Add(2 * time.Second)
+	for runtime.NumGoroutine() > baseline && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	if n := runtime.NumGoroutine(); n > baseline {
+		t.Errorf("goroutines = %d after the cycle resolved, baseline %d", n, baseline)
+	}
+}
+
+// TestConcurrentDisjointCycles forms 16 disjoint AB-BA cycles at once: every
+// cycle loses exactly its younger member, whichever of its waiters walks
+// first, and every older member completes.
+func TestConcurrentDisjointCycles(t *testing.T) {
+	const cycles = 16
+	m := NewManager(Options{DeadlockDefer: 100 * time.Microsecond})
+	ctx := context.Background()
+	second := make(map[TxnID]Resource, 2*cycles)
+	for k := 0; k < cycles; k++ {
+		older, younger := TxnID(2*k+1), TxnID(2*k+2)
+		a, b := Resource(fmt.Sprintf("a%d", k)), Resource(fmt.Sprintf("b%d", k))
+		if err := m.AcquireCtx(ctx, older, a, X); err != nil {
+			t.Fatal(err)
+		}
+		if err := m.AcquireCtx(ctx, younger, b, X); err != nil {
+			t.Fatal(err)
+		}
+		second[older], second[younger] = b, a
+	}
+	var victims, survivors atomic.Int32
+	var wg sync.WaitGroup
+	start := make(chan struct{})
+	for txn, r := range second {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			err := m.AcquireCtx(ctx, txn, r, X)
+			switch {
+			case errors.Is(err, ErrDeadlock):
+				victims.Add(1)
+				if txn%2 == 1 {
+					t.Errorf("txn %d: the older member was the victim", txn)
+				}
+			case err != nil:
+				t.Errorf("txn %d: %v", txn, err)
+			default:
+				survivors.Add(1)
+			}
+			m.ReleaseAll(txn)
+		}()
+	}
+	close(start)
+	done := make(chan struct{})
+	go func() { wg.Wait(); close(done) }()
+	select {
+	case <-done:
+	case <-time.After(10 * time.Second):
+		t.Fatal("cycles not resolved")
+	}
+	if v, s := victims.Load(), survivors.Load(); v != cycles || s != cycles {
+		t.Errorf("victims = %d, survivors = %d; want %d each", v, s, cycles)
+	}
+	if got := m.Stats().Deadlocks; got != cycles {
+		t.Errorf("Deadlocks = %d, want %d", got, cycles)
+	}
+	if n := m.LockCount(); n != 0 {
+		t.Errorf("locks leaked: %d", n)
 	}
 }
 

@@ -67,7 +67,8 @@ type Policy uint8
 
 const (
 	// PolicyDetect (default) lets requests wait and runs waits-for cycle
-	// detection on every new waiter, aborting the youngest cycle member.
+	// detection for every waiter still blocked after Options.DeadlockDefer,
+	// aborting the youngest cycle member.
 	PolicyDetect Policy = iota
 	// PolicyWaitDie is the classic prevention scheme: an older transaction
 	// may wait for a younger one, but a younger requester "dies"
@@ -127,12 +128,12 @@ type Options struct {
 	// rounded up to a power of two. Shards=1 degenerates to the classic
 	// single-latch lock table (useful as a benchmark baseline).
 	Shards int
-	// DeadlockDefer is how long a waiter under PolicyDetect blocks before
-	// the background detector validates the wait is still live and runs the
-	// waits-for walk for it. Most waits are grant-bound and far shorter than
-	// any real cycle's lifetime, so deferral removes the full graph walk from
-	// the enqueue path. 0 picks the default (1ms); a negative value arms
-	// detection immediately, still on the detector goroutine.
+	// DeadlockDefer is how long a waiter under PolicyDetect blocks before it
+	// walks the waits-for graph from itself, on its own goroutine, and then
+	// keeps waiting. Most waits are grant-bound and far shorter than any real
+	// cycle's lifetime, so deferral removes the full graph walk from the
+	// enqueue path. 0 picks the default (1ms); a negative value walks at once,
+	// before the waiter parks.
 	DeadlockDefer time.Duration
 }
 
@@ -167,13 +168,17 @@ type waiter struct {
 	// gen is a globally unique stamp assigned on every checkout from the
 	// pool. Pointer equality alone cannot prove a waits-for record current:
 	// the pool may hand the SAME waiter address back to the same transaction
-	// for its next blocked request (ABA), which would make the deferred
-	// detector mistake a brand-new short wait for the one it armed and pay a
-	// graph walk for it. Identity checks therefore compare (pointer, gen).
+	// for its next blocked request (ABA), which would make abortWaiter
+	// mistake a brand-new wait for the one a walk found on a cycle. Identity
+	// checks therefore compare (pointer, gen).
 	gen uint64
 	// enq is the request's start time, kept only when the enqueuing
 	// operation was traced; it is the reference for wait durations.
 	enq time.Time
+	// det is the owner's deadlock-check timer (Options.DeadlockDefer),
+	// created on first use and kept across pool lives; await leaves it
+	// stopped and drained.
+	det *time.Timer
 }
 
 // Manager is a blocking multi-granularity lock manager over a sharded lock
@@ -214,23 +219,14 @@ type Manager struct {
 	injector atomic.Pointer[Injector]
 	injected atomic.Uint64 // synthetic failures injected
 
-	// Deferred deadlock detection (see deadlock.go). The detector goroutine
-	// starts lazily with the first armed waiter and parks on dirtyBell;
-	// Close stops it. Armings accumulate in the unbounded dirty list —
-	// memory tracks the real backlog instead of a fixed channel buffer, and
-	// arming never degrades to an inline walk on the request path. deferDur
-	// is the resolved Options.DeadlockDefer. stopped, set by Close under
-	// dirtyMu, turns later armings into inline walks.
+	// Deadlock detection (see deadlock.go): each blocked waiter runs its own
+	// check after deferDur, the resolved Options.DeadlockDefer (0 = walk at
+	// once). walkMu lets one walk run at a time; the grant path never takes
+	// it.
 	deferDur     time.Duration
-	detOnce      sync.Once
-	dirtyMu      sync.Mutex
-	dirty        []dirtyWaiter
-	stopped      bool
-	dirtyBell    chan struct{} // cap 1: wakes the detector after a push
-	stopOnce     sync.Once
-	stopCh       chan struct{}
-	deferredDet  atomic.Uint64 // waiters whose detection was deferred
-	detectorRuns atomic.Uint64 // waits-for walks by the deferred detector
+	walkMu       sync.Mutex
+	deferredDet  atomic.Uint64 // waiters whose check was armed
+	detectorRuns atomic.Uint64 // waits-for walks run
 }
 
 // NewManager returns an empty lock manager.
@@ -258,7 +254,6 @@ func NewManager(opts Options) *Manager {
 		m.txns[i] = newTxnShard()
 	}
 	m.wf.waiting = make(map[TxnID]waitRecord)
-	m.stopCh = make(chan struct{})
 	m.deferDur = opts.DeadlockDefer
 	if m.deferDur == 0 {
 		m.deferDur = time.Millisecond
@@ -526,17 +521,6 @@ func (m *Manager) AcquireCtx(ctx context.Context, txn TxnID, r Resource, mode Mo
 	}
 	s.mu.Unlock()
 	tr.deliver()
-
-	// Deadlock check: did enqueuing this waiter close a cycle? The waiter is
-	// armed on the detector's dirty list with NO shard latch held, and the
-	// walk runs only if it is still blocked after DeadlockDefer (see
-	// deadlock.go). Under wait-die no cycle can form (the young-waits-for-old
-	// edge was refused above), so detection is skipped; under PolicyNone the
-	// cycle is left in place for timeouts and introspection to deal with.
-	if m.opts.Policy == PolicyDetect {
-		m.armDetection(txn, w)
-	}
-
 	return m.await(ctx, cfg, tr, txn, r, w, mode, target)
 }
 
@@ -566,7 +550,29 @@ func notifyPark(ctx context.Context) {
 // await blocks on the waiter's ready channel, the context and the optional
 // timeout, withdrawing the waiter on context/timeout expiry. It is the one
 // place a lock request sleeps, hence where the park notification fires.
+//
+// Under PolicyDetect it also runs the request's deadlock check (did this
+// wait close a cycle?): once, after DeadlockDefer, if the waiter is still
+// blocked — or at once, before parking, when the deferral is negative — and
+// then it keeps waiting. The check is armed before the park notification.
+// Under wait-die no cycle can form (the young-waits-for-old edge was refused
+// before enqueue); under PolicyNone the cycle is left in place for timeouts
+// and introspection to deal with.
 func (m *Manager) await(ctx context.Context, cfg AcquireOption, tr *tracer, txn TxnID, r Resource, w *waiter, mode, target Mode) error {
+	var detC <-chan time.Time
+	if m.opts.Policy == PolicyDetect {
+		m.deferredDet.Add(1)
+		switch {
+		case m.deferDur == 0:
+			m.detect(txn, w)
+		case w.det == nil:
+			w.det = time.NewTimer(m.deferDur)
+			detC = w.det.C
+		default:
+			w.det.Reset(m.deferDur)
+			detC = w.det.C
+		}
+	}
 	notifyPark(ctx)
 	var timerC <-chan time.Time
 	if cfg.Timeout > 0 {
@@ -575,12 +581,25 @@ func (m *Manager) await(ctx context.Context, cfg AcquireOption, tr *tracer, txn 
 		timerC = timer.C
 	}
 	var err error
-	select {
-	case err = <-w.ready:
-	case <-ctx.Done():
-		err = m.withdraw(tr, txn, r, w, mode, target, ctx.Err(), KindCancel)
-	case <-timerC:
-		err = m.withdraw(tr, txn, r, w, mode, target, ErrTimeout, KindTimeout)
+	for {
+		select {
+		case <-detC:
+			detC = nil
+			m.detect(txn, w)
+			continue
+		case err = <-w.ready:
+		case <-ctx.Done():
+			err = m.withdraw(tr, txn, r, w, mode, target, ctx.Err(), KindCancel)
+		case <-timerC:
+			err = m.withdraw(tr, txn, r, w, mode, target, ErrTimeout, KindTimeout)
+		}
+		break
+	}
+	// An armed check that has not fired is stopped, and a tick it sent but
+	// nobody received is drained (go.mod's go 1.22 keeps the pre-1.23 timer
+	// channel; under the newer rules Stop drains it and reports true).
+	if detC != nil && !w.det.Stop() {
+		<-w.det.C
 	}
 	putWaiter(w)
 	tr.finish()
@@ -1046,19 +1065,7 @@ func (m *Manager) Stats() Stats {
 	return st
 }
 
-// Close stops the background deadlock-detector goroutine, if one was ever
-// started (it starts lazily with the first deferred-detection arming); before
-// it exits the detector walks every arming still live, so a cycle armed
-// before Close is resolved, not stranded. The lock table itself needs no
-// teardown and the manager remains usable after Close — waiters arming
-// detection then run the waits-for walk inline. Safe to call more than once.
-// Managers that never block under PolicyDetect never start the goroutine, so
-// Close is optional for them.
-func (m *Manager) Close() {
-	m.stopOnce.Do(func() {
-		m.dirtyMu.Lock()
-		m.stopped = true
-		m.dirtyMu.Unlock()
-		close(m.stopCh)
-	})
-}
+// Close does nothing: the manager owns no goroutine (each blocked request
+// runs its own deadlock check) and the lock table needs no teardown. It
+// stays so that code which closes what it opens keeps compiling.
+func (m *Manager) Close() {}

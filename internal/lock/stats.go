@@ -53,10 +53,11 @@ type Stats struct {
 	// scanning the wait queue.
 	SummaryFastChecks uint64
 	// DeferredDetections counts blocked requests whose deadlock check was
-	// handed to the background detector (Options.DeadlockDefer).
+	// armed (it runs after Options.DeadlockDefer if the request is still
+	// blocked).
 	DeferredDetections uint64
-	// DetectorRuns counts waits-for walks actually executed for still-blocked
-	// waiters — by the background detector, or inline after Close. The gap
+	// DetectorRuns counts waits-for walks actually executed, each by a
+	// still-blocked waiter on its own goroutine. The gap
 	// DeferredDetections−DetectorRuns is work the deferral window elided.
 	DetectorRuns uint64
 	// MaxTableSize is the high-water mark of granted lock-table entries.

@@ -113,21 +113,6 @@ func (rc *RetryCollector) Attempts() AttemptsSnapshot {
 	return s
 }
 
-// ResetStats zeroes everything, so that one collector can summarize one run
-// at a time (the shell's .storm calls it before each storm).
-func (rc *RetryCollector) ResetStats() {
-	rc.mu.Lock()
-	rc.retries = make(map[string]uint64)
-	rc.mu.Unlock()
-	rc.commits.Store(0)
-	rc.giveUps.Store(0)
-	rc.sum.Store(0)
-	rc.max.Store(0)
-	for i := range rc.attempts {
-		rc.attempts[i].Store(0)
-	}
-}
-
 // WriteMetrics appends the retry families in Prometheus text format; wire
 // it into Handler's extra writers. Causes are emitted in sorted order so
 // successive scrapes diff cleanly.

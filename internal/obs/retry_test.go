@@ -39,11 +39,6 @@ func TestRetryCollectorCounts(t *testing.T) {
 	if str := rc.String(); !strings.Contains(str, "deadlock=2") || !strings.Contains(str, "commits=2") {
 		t.Errorf("String() = %q", str)
 	}
-
-	rc.ResetStats()
-	if s := rc.Attempts(); s.Commits != 0 || s.Sum != 0 || len(rc.Retries()) != 0 {
-		t.Errorf("after reset: %+v %v", s, rc.Retries())
-	}
 }
 
 func TestRetryCollectorOverflowBucket(t *testing.T) {
