@@ -1,19 +1,18 @@
 GO ?= go
 
-.PHONY: ci fmt vet build test race race-matrix bench shardbench stormbench stormbench-smoke journal-smoke grantbench grantbench-smoke netbench netbench-smoke bench-check benchdiff doc-lint drift-check obs-demo figures clean
+.PHONY: ci fmt vet build test race race-matrix bench journal-smoke bench-check doc-lint drift-check obs-demo figures clean
 
-# ci is the gate every change must pass: formatting, vet, the godoc lint
-# (which also greps for deprecated wrappers) and the docs-drift lint, build, the
-# full test suite under the race detector (the lock manager and protocol
-# are concurrent; -race is not optional here), the scheduling-sensitive
-# packages again at 1, 2 and 4 cores, the contention-survival, grant-path,
-# and network smoke benchmarks, the journal-forensics smoke gate, and the
-# check that the frozen benchmark module still builds and runs against this
-# tree (12 gates; the fast path and the four sinks are measured by bench/,
+# ci is the gate every change must pass (9 gates): formatting, vet, the godoc
+# lint (which also greps for deprecated wrappers) and the docs-drift lint,
+# build, the full test suite under the race detector (the lock manager and
+# protocol are concurrent; -race is not optional here), the
+# scheduling-sensitive packages again at 1, 2 and 4 cores, the
+# journal-forensics smoke gate, and the check that the frozen benchmark module
+# still builds and runs against this tree (performance is measured by bench/,
 # whose pinned per-transaction counts bench-check asserts; the forced-timeout
 # incident dump and the .health dump are checked in-process by
 # cmd/colockshell's TestShellForceTimeout and TestShellHealthCommands).
-ci: fmt vet doc-lint drift-check build race race-matrix stormbench-smoke journal-smoke grantbench-smoke netbench-smoke bench-check
+ci: fmt vet doc-lint drift-check build race race-matrix journal-smoke bench-check
 
 # fmt fails if any file needs gofmt, listing the offenders.
 fmt:
@@ -46,29 +45,6 @@ race-matrix:
 bench:
 	$(GO) test -bench=. -benchmem ./...
 
-# shardbench regenerates BENCH_PR1.json (sharded lock table vs the
-# single-mutex seed replica; see DESIGN.md §8).
-shardbench:
-	$(GO) run ./cmd/lockbench -shardbench -shardout BENCH_PR1.json
-
-# stormbench regenerates BENCH_PR6.json (contention-survival goodput:
-# RunWithRetry + backoff + admission vs bare spin-restart, plus the
-# fixed-seed chaos convergence phase; see DESIGN.md §12).
-stormbench:
-	$(GO) run ./cmd/lockbench -stormbench -stormout BENCH_PR6.json
-
-# stormbench-smoke runs a quick stormbench into a temp file and asserts, via
-# the flag-gated validation test in cmd/lockbench, that the report parses,
-# no row measured the survival kit as a slowdown (ratio ≥ 1.0x; the
-# committed BENCH_PR6.json documents the full ≥1.5x run), and the fixed-seed
-# chaos phase committed every transaction.
-stormbench-smoke:
-	@f=$$(mktemp) && \
-	$(GO) run ./cmd/lockbench -stormbench -quick -stormout "$$f" >/dev/null && \
-	$(GO) test ./cmd/lockbench -count=1 -run TestExternalStormBenchFile -stormbenchfile "$$f" && \
-	echo "stormbench-smoke: $$f passes (kit no slower than bare, chaos converged)" && \
-	rm -f "$$f"
-
 # journal-smoke runs a scripted colockshell session with a durable journal
 # attached, storms a hot key, and dumps the live /health verdict; then it
 # replays the journal offline with colockreplay -json and asserts, via the
@@ -84,42 +60,6 @@ journal-smoke:
 		-replayfile "$$f" -livehealth "$$hf" && \
 	echo "journal-smoke: replay of $$dir passes (hot key, convoy, SLO verdict matches live)" && \
 	rm -rf "$$dir" "$$hf" "$$f"
-
-# grantbench regenerates BENCH_PR9.json (constant-time grant path:
-# granted-group summaries + pooled wait blocks + deferred deadlock
-# detection vs the pre-change map-scan replica; see DESIGN.md §15).
-grantbench:
-	$(GO) run ./cmd/lockbench -grantbench -grantout BENCH_PR9.json
-
-# grantbench-smoke runs a quick grantbench into a temp file and asserts, via
-# the flag-gated validation test in cmd/lockbench, that the report parses, no
-# hot-root row measured the summary path as a slowdown (≥1.0x; the committed
-# BENCH_PR9.json documents the full ≥1.3x run), the blocked path stays at
-# ≤1 alloc/op, and the deferred detector resolved a real AB-BA cycle.
-grantbench-smoke:
-	@f=$$(mktemp) && \
-	$(GO) run ./cmd/lockbench -grantbench -quick -grantout "$$f" >/dev/null && \
-	$(GO) test ./cmd/lockbench -count=1 -run TestExternalGrantBenchFile -grantbenchfile "$$f" && \
-	echo "grantbench-smoke: $$f passes (summaries live, blocked path alloc-free, detector resolves)" && \
-	rm -f "$$f"
-
-# netbench regenerates BENCH_PR10.json (colockd wire-protocol loopback
-# cost vs the identical in-process loop; see DESIGN.md §16).
-netbench:
-	$(GO) run ./cmd/lockbench -netbench -netout BENCH_PR10.json
-
-# netbench-smoke runs a quick netbench into a temp file and asserts, via
-# the flag-gated validation test in cmd/lockbench, that the report parses,
-# both sides measured real throughput, and the wire costs more than
-# in-process (ratio > 1.0x; the committed full BENCH_PR10.json additionally
-# documents the ≥50k acquires/s bar at 32 connections, which the same test
-# enforces on full reports).
-netbench-smoke:
-	@f=$$(mktemp) && \
-	$(GO) run ./cmd/lockbench -netbench -quick -netout "$$f" >/dev/null && \
-	$(GO) test ./cmd/lockbench -count=1 -run TestExternalNetBenchFile -netbenchfile "$$f" && \
-	echo "netbench-smoke: $$f passes (wire round trips real, costed against in-process)" && \
-	rm -f "$$f"
 
 # bench-check covers what `go build ./... && go test ./...` at the root cannot
 # see: bench/ is a module of its own (BENCHMARK.json's benchmark, frozen
@@ -148,11 +88,6 @@ doc-lint:
 # every `pkg.Symbol` they quote is one go doc finds. See scripts/docdrift.sh.
 drift-check:
 	@sh scripts/docdrift.sh
-
-# benchdiff tabulates every committed BENCH_PR*.json so the performance
-# trajectory of the PR sequence is visible in one table.
-benchdiff:
-	$(GO) run ./cmd/benchdiff
 
 # obs-demo runs a scripted colockshell session that takes locks and dumps
 # the .metrics tables, the wait-queue view, and the waits-for DOT graph.

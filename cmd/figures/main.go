@@ -1,8 +1,12 @@
 // Command figures reproduces every figure of the paper from the running
-// implementation:
+// implementation, and prints the experiment tables E1-E13 that turn the
+// paper's qualitative evaluation (§4.6) into measurements (DESIGN.md §5 maps
+// each claim to its experiment):
 //
-//	figures            # print all figures
-//	figures -fig 5     # print one figure
+//	figures                  # print all figures
+//	figures -fig 5           # print one figure
+//	figures -e all           # run every experiment (EXPERIMENTS.md scale)
+//	figures -e E3,E13 -quick # run selected experiments at the small scale
 //
 // Figure 1: schema of the relations "cells" and "effectors";
 // Figure 2: lock graphs of System R and XSQL;
@@ -18,11 +22,14 @@ import (
 	"fmt"
 	"log"
 	"os"
+	"slices"
 	"sort"
 	"strings"
+	"time"
 
 	"colock/internal/authz"
 	"colock/internal/core"
+	"colock/internal/experiments"
 	"colock/internal/lock"
 	"colock/internal/query"
 	"colock/internal/schema"
@@ -34,7 +41,22 @@ func main() {
 	log.SetFlags(0)
 	log.SetPrefix("figures: ")
 	fig := flag.Int("fig", 0, "figure number to print (0 = all)")
+	sel := flag.String("e", "", "print experiment tables instead: comma-separated ids (E1..E13) or all")
+	quick := flag.Bool("quick", false, "run the -e experiments at the small scale")
 	flag.Parse()
+
+	if *sel != "" {
+		run, err := selectExperiments(*sel)
+		if err != nil {
+			log.Fatal(err)
+		}
+		for _, e := range run {
+			start := time.Now()
+			fmt.Println(e.Run(*quick).String())
+			fmt.Printf("(%s finished in %s)\n\n", e.ID, time.Since(start).Round(time.Millisecond))
+		}
+		return
+	}
 
 	printers := map[int]func(){
 		1: figure1, 2: figure2, 3: figure3, 4: figure4,
@@ -52,6 +74,24 @@ func main() {
 		printers[i]()
 		fmt.Println()
 	}
+}
+
+// selectExperiments resolves the -e list: "all", or comma-separated ids in
+// the order given.
+func selectExperiments(sel string) ([]experiments.Experiment, error) {
+	if strings.EqualFold(strings.TrimSpace(sel), "all") {
+		return experiments.All, nil
+	}
+	var run []experiments.Experiment
+	for _, id := range strings.Split(sel, ",") {
+		id = strings.ToUpper(strings.TrimSpace(id))
+		i := slices.IndexFunc(experiments.All, func(e experiments.Experiment) bool { return e.ID == id })
+		if i < 0 {
+			return nil, fmt.Errorf("unknown experiment %q (have E1..E13 or all)", id)
+		}
+		run = append(run, experiments.All[i])
+	}
+	return run, nil
 }
 
 func header(title string) {

@@ -2,10 +2,13 @@ package main
 
 import (
 	"bytes"
+	"fmt"
 	"io"
 	"os"
 	"strings"
 	"testing"
+
+	"colock/internal/experiments"
 )
 
 // capture runs fn with os.Stdout redirected and returns what it printed.
@@ -49,6 +52,42 @@ func TestFigurePrinters(t *testing.T) {
 			if !strings.Contains(out, want) {
 				t.Errorf("figure %d output misses %q:\n%s", i+1, want, out)
 			}
+		}
+	}
+}
+
+func TestExperimentRegistryComplete(t *testing.T) {
+	if len(experiments.All) != 13 {
+		t.Fatalf("table has %d entries, want E1..E13", len(experiments.All))
+	}
+	for i, e := range experiments.All {
+		if want := fmt.Sprintf("E%d", i+1); e.ID != want || e.Run == nil {
+			t.Errorf("entry %d is %q (runner set: %v), want %s in presentation order", i, e.ID, e.Run != nil, want)
+		}
+	}
+}
+
+func TestFastRunnersProduceTables(t *testing.T) {
+	for _, e := range experiments.All[10:12] { // E11, E12
+		tab := e.Run(true)
+		if tab == nil || len(tab.Rows) == 0 {
+			t.Errorf("%s produced no rows", e.ID)
+		}
+	}
+}
+
+func TestSelectExperiments(t *testing.T) {
+	all, err := selectExperiments("all")
+	if err != nil || len(all) != len(experiments.All) {
+		t.Fatalf("all: %d experiments, err %v", len(all), err)
+	}
+	two, err := selectExperiments("e13, E3")
+	if err != nil || len(two) != 2 || two[0].ID != "E13" || two[1].ID != "E3" {
+		t.Fatalf("e13, E3: %v, err %v", two, err)
+	}
+	for _, bad := range []string{"E14", "E3,", "figures"} {
+		if _, err := selectExperiments(bad); err == nil {
+			t.Errorf("%q: no error", bad)
 		}
 	}
 }

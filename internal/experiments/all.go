@@ -7,8 +7,8 @@ import (
 )
 
 // Experiment is one entry of the suite: its id and its runner, which takes
-// the small scale (seconds, not minutes; lockbench -quick and smoke tests)
-// or the scale EXPERIMENTS.md was recorded at.
+// the small scale (seconds, not minutes; figures -quick and the tests) or
+// the scale EXPERIMENTS.md was recorded at.
 type Experiment struct {
 	ID  string
 	Run func(quick bool) *metrics.Table
@@ -22,7 +22,7 @@ func pick[T any](quick bool, small, full T) T {
 	return full
 }
 
-// All is the suite in presentation order; cmd/lockbench iterates it.
+// All is the suite in presentation order; cmd/figures -e prints its tables.
 var All = []Experiment{
 	{"E1", func(q bool) *metrics.Table { return E1Fig7Concurrency(pick(q, 20, 200)) }},
 	{"E2", func(q bool) *metrics.Table {

@@ -1,8 +1,8 @@
-// Package experiments implements the quantitative evaluation harness: one
-// experiment per qualitative claim of the paper's §4.6 (see DESIGN.md §5 for
-// the index). Each experiment returns a metrics.Table whose rows reproduce
-// the claim's expected shape; cmd/lockbench prints them and bench_test.go
-// wraps them as testing.B benchmarks.
+// Package experiments turns the paper's qualitative evaluation (§4.6) into
+// measurements: one experiment per claim (see DESIGN.md §5 for the index).
+// Each experiment returns a metrics.Table whose rows reproduce the claim's
+// expected shape; cmd/figures -e prints them and bench_test.go wraps them
+// as testing.B benchmarks.
 package experiments
 
 import (

@@ -16,7 +16,7 @@ import (
 // (entry.checkSummary vs a fold over holder storage), pooled wait blocks,
 // and deferred deadlock detection (immediate and deferred arming agree on
 // the canonical cycles), plus allocation regressions for the pooled
-// introspection scratch buffers.
+// introspection scratch buffers and the blocked hand-off.
 
 // assertSummaries latches every shard and asserts each live entry's
 // summaries match a fold over its storage, then that the held index matches
@@ -483,6 +483,117 @@ func TestDegradeGateZeroAlloc(t *testing.T) {
 		<-done
 	}
 	m.ReleaseAll(1)
+}
+
+// TestContendedHandOffAllocs pins the cost of blocking: two transactions
+// hand an X lock on one resource back and forth, every request queued
+// behind the other's hold and granted by its release, so the pooled waiter
+// (its ready channel and deadlock-check timer) is all a blocked request may
+// cost. Each transaction also holds an IS anchor for the whole run, so its
+// lock list never empties and per-transaction bookkeeping stays out of the
+// measurement.
+func TestContendedHandOffAllocs(t *testing.T) {
+	m := NewManager(Options{})
+	defer m.Close()
+	// Cancelled when the test returns, so a failed side never strands the
+	// other one.
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	for txn := TxnID(1); txn <= 2; txn++ {
+		if err := m.AcquireCtx(ctx, txn, Resource(fmt.Sprintf("anchor-%d", txn)), IS); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := m.AcquireCtx(ctx, 1, "pp", X); err != nil {
+		t.Fatal(err)
+	}
+	// A holder releases only once the other's request has parked (its park
+	// notification fired), so every request blocks. Each round starts and
+	// ends with txn 1 holding "pp": txn 2 queues and txn 1 hands over, then
+	// txn 1 queues and txn 2 hands back.
+	parked1, parked2 := make(chan struct{}, 1), make(chan struct{}, 1)
+	ctx1 := WithParkNotify(ctx, func() { parked1 <- struct{}{} })
+	ctx2 := WithParkNotify(ctx, func() { parked2 <- struct{}{} })
+	awaitPark := func(parked chan struct{}) error {
+		select {
+		case <-parked:
+			return nil
+		case <-ctx.Done():
+			return ctx.Err()
+		}
+	}
+	handOff := func(rounds int) {
+		errs := make(chan error, 2)
+		go func() {
+			for k := 0; k < rounds; k++ {
+				if err := awaitPark(parked2); err != nil {
+					errs <- err
+					return
+				}
+				m.Release(1, "pp")
+				if err := m.AcquireCtx(ctx1, 1, "pp", X); err != nil {
+					errs <- err
+					return
+				}
+			}
+			errs <- nil
+		}()
+		go func() {
+			for k := 0; k < rounds; k++ {
+				if err := m.AcquireCtx(ctx2, 2, "pp", X); err != nil {
+					errs <- err
+					return
+				}
+				if err := awaitPark(parked1); err != nil {
+					errs <- err
+					return
+				}
+				m.Release(2, "pp")
+			}
+			errs <- nil
+		}()
+		for i := 0; i < 2; i++ {
+			if err := <-errs; err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+
+	const rounds = 2000
+	handOff(rounds / 4) // warm the waiter pool and both lock lists
+	runtime.GC()
+	var before, after runtime.MemStats
+	waits := m.Stats().Waits
+	runtime.ReadMemStats(&before)
+	handOff(rounds)
+	runtime.ReadMemStats(&after)
+	ops := uint64(2 * rounds)
+	if got := m.Stats().Waits - waits; got != ops {
+		t.Fatalf("%d of %d hand-off requests blocked, want all", got, ops)
+	}
+	allocs := float64(after.Mallocs-before.Mallocs) / float64(ops)
+	t.Logf("blocked path allocs/op = %.2f", allocs)
+	if !poolsRecycle() {
+		return // not checked: sync.Pool is dropping objects (race detector on)
+	}
+	if allocs > 1.0 {
+		t.Errorf("blocked path allocs/op = %.2f, want <= 1.0 (pooled waiters)", allocs)
+	}
+}
+
+// poolsRecycle reports whether sync.Pool hands back what it was given: under
+// the race detector it drops a quarter of all Puts on purpose, which turns
+// every pooled object into an occasional allocation.
+func poolsRecycle() bool {
+	var p sync.Pool
+	for i := 0; i < 64; i++ {
+		x := new(int)
+		p.Put(x)
+		if p.Get() != any(x) {
+			return false
+		}
+	}
+	return true
 }
 
 // TestSpillAndRecycle pushes one resource past inlineHolders (spilling the

@@ -126,7 +126,8 @@ type Options struct {
 	// Shards is the number of lock-table stripes. 0 picks an automatic
 	// GOMAXPROCS-scaled power of two (at least 16); other values are
 	// rounded up to a power of two. Shards=1 degenerates to the classic
-	// single-latch lock table (useful as a benchmark baseline).
+	// single-latch lock table. Only tests set it, to pin the stripe layout
+	// they exercise.
 	Shards int
 	// DeadlockDefer is how long a waiter under PolicyDetect blocks before it
 	// walks the waits-for graph from itself, on its own goroutine, and then
@@ -285,9 +286,6 @@ func (m *Manager) AttachSink(s EventSink) {
 		}
 	}
 }
-
-// NumShards returns the number of lock-table stripes.
-func (m *Manager) NumShards() int { return len(m.shards) }
 
 // ShardOf returns the index of the lock-table stripe that serves r — the
 // same value Event.Shard reports. Tracing layers use it to stamp spans with

@@ -10,13 +10,13 @@ import (
 )
 
 func TestShardCount(t *testing.T) {
-	if n := NewManager(Options{}).NumShards(); n < 16 || n&(n-1) != 0 {
+	if n := len(NewManager(Options{}).shards); n < 16 || n&(n-1) != 0 {
 		t.Errorf("default shard count %d: want a power of two >= 16", n)
 	}
-	if n := NewManager(Options{Shards: 1}).NumShards(); n != 1 {
+	if n := len(NewManager(Options{Shards: 1}).shards); n != 1 {
 		t.Errorf("Shards:1 gave %d shards", n)
 	}
-	if n := NewManager(Options{Shards: 5}).NumShards(); n != 8 {
+	if n := len(NewManager(Options{Shards: 5}).shards); n != 8 {
 		t.Errorf("Shards:5 gave %d shards, want 8 (next power of two)", n)
 	}
 }
@@ -25,7 +25,7 @@ func TestShardCount(t *testing.T) {
 // distinct shards, so tests exercise genuinely cross-shard paths.
 func twoResourcesInDifferentShards(t *testing.T, m *Manager) (Resource, Resource) {
 	t.Helper()
-	if m.NumShards() < 2 {
+	if len(m.shards) < 2 {
 		t.Fatal("need at least 2 shards")
 	}
 	a := Resource("a")

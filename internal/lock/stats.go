@@ -4,7 +4,8 @@ package lock
 // "administrative overhead of locks and conflict tests" that the paper's
 // qualitative evaluation argues about.
 type Stats struct {
-	// Requests counts every Acquire/TryAcquire call.
+	// Requests counts every lock request: one per AcquireCtx call, one per
+	// request of an AcquireBatch call.
 	Requests uint64
 	// Regrants counts requests already covered by a held lock (no-ops).
 	Regrants uint64
@@ -18,10 +19,10 @@ type Stats struct {
 	Waits uint64
 	// Deadlocks counts detected deadlock cycles.
 	Deadlocks uint64
-	// Timeouts counts requests withdrawn by AcquireTimeout/WithTimeout
-	// deadlines.
+	// Timeouts counts requests withdrawn because their WithTimeout
+	// deadline passed.
 	Timeouts uint64
-	// Cancels counts requests withdrawn by AcquireCtx context cancellation.
+	// Cancels counts requests withdrawn because their context was done.
 	Cancels uint64
 	// Downgrades counts in-place mode downgrades (de-escalation).
 	Downgrades uint64

@@ -1,6 +1,6 @@
-// Package metrics provides the small measurement and reporting toolkit the
-// benchmark harness uses: aligned text tables (one per reproduced paper
-// table/figure-claim) and throughput/overhead counters.
+// Package metrics renders aligned text tables: one per experiment that
+// reproduces a claim of the paper (cmd/figures -e prints them), and
+// colockshell's health views.
 package metrics
 
 import (
@@ -91,20 +91,4 @@ func (t *Table) String() string {
 		writeRow(row)
 	}
 	return b.String()
-}
-
-// Ratio formats a/b as "x.xx×", guarding against division by zero.
-func Ratio(a, b float64) string {
-	if b == 0 {
-		return "∞"
-	}
-	return fmt.Sprintf("%.2fx", a/b)
-}
-
-// PerSec formats an operation count over a duration as ops/s.
-func PerSec(ops uint64, d time.Duration) string {
-	if d <= 0 {
-		return "-"
-	}
-	return fmt.Sprintf("%.0f/s", float64(ops)/d.Seconds())
 }

@@ -59,21 +59,3 @@ func TestAddf(t *testing.T) {
 		t.Errorf("row = %v", row)
 	}
 }
-
-func TestRatio(t *testing.T) {
-	if Ratio(10, 5) != "2.00x" {
-		t.Errorf("Ratio = %s", Ratio(10, 5))
-	}
-	if Ratio(1, 0) != "∞" {
-		t.Errorf("Ratio by zero = %s", Ratio(1, 0))
-	}
-}
-
-func TestPerSec(t *testing.T) {
-	if PerSec(100, time.Second) != "100/s" {
-		t.Errorf("PerSec = %s", PerSec(100, time.Second))
-	}
-	if PerSec(100, 0) != "-" {
-		t.Error("PerSec zero duration")
-	}
-}
