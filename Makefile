@@ -1,18 +1,19 @@
 GO ?= go
 
-.PHONY: ci fmt vet build test race race-matrix bench journal-smoke bench-check doc-lint drift-check obs-demo figures clean
+.PHONY: ci fmt vet build test race race-matrix fuzz-smoke bench journal-smoke bench-check doc-lint drift-check obs-demo figures clean
 
-# ci is the gate every change must pass (9 gates): formatting, vet, the godoc
+# ci is the gate every change must pass (10 gates): formatting, vet, the godoc
 # lint (which also greps for deprecated wrappers) and the docs-drift lint,
 # build, the full test suite under the race detector (the lock manager and
 # protocol are concurrent; -race is not optional here), the
-# scheduling-sensitive packages again at 1, 2 and 4 cores, the
-# journal-forensics smoke gate, and the check that the frozen benchmark module
-# still builds and runs against this tree (performance is measured by bench/,
-# whose pinned per-transaction counts bench-check asserts; the forced-timeout
-# incident dump and the .health dump are checked in-process by
-# cmd/colockshell's TestShellForceTimeout and TestShellHealthCommands).
-ci: fmt vet doc-lint drift-check build race race-matrix journal-smoke bench-check
+# scheduling-sensitive packages again at 1, 2 and 4 cores, a short run of
+# every fuzz target, the journal-forensics smoke gate, and the check that the
+# frozen benchmark module still builds and runs against this tree
+# (performance is measured by bench/, whose pinned per-transaction counts
+# bench-check asserts; the forced-timeout incident dump and the .health dump
+# are checked in-process by cmd/colockshell's TestShellForceTimeout and
+# TestShellHealthCommands).
+ci: fmt vet doc-lint drift-check build race race-matrix fuzz-smoke journal-smoke bench-check
 
 # fmt fails if any file needs gofmt, listing the offenders.
 fmt:
@@ -41,6 +42,16 @@ race:
 # whichever goroutine performed the operation.
 race-matrix:
 	$(GO) test -race -cpu 1,2,4 -count=2 ./client ./internal/server ./internal/wire ./internal/core ./internal/store ./internal/lock ./internal/txn ./internal/engine
+
+# fuzz-smoke runs each fuzz target for 5s: the journal record
+# codec, the wire decoders, and the waits-for cycle walk against brute force.
+# A failing input is written to the package's testdata/fuzz/ and runs as a
+# seed from then on.
+fuzz-smoke:
+	$(GO) test -run '^$$' -fuzz '^FuzzRecordRoundTrip$$' -fuzztime 5s ./internal/journal
+	@for f in FuzzFrameReader FuzzDecode FuzzLockReqRoundTrip FuzzHandshake; do \
+		$(GO) test -run '^$$' -fuzz "^$$f\$$" -fuzztime 5s ./internal/wire || exit 1; done
+	$(GO) test -run '^$$' -fuzz '^FuzzCycleFinder$$' -fuzztime 5s ./internal/lock
 
 bench:
 	$(GO) test -bench=. -benchmem ./...

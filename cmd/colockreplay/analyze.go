@@ -189,8 +189,8 @@ type convoyTrack struct {
 type analyzer struct {
 	cfg     Config
 	report  *Report
-	waiting map[lock.TxnID]*waitInfo
-	edges   map[lock.TxnID]map[lock.TxnID]bool // waiter → blockers
+	waiting map[lock.TxnID]*waitInfo // its blockers are the waits-for edges
+	finder  lock.CycleFinder
 	depth   map[lock.Resource]int
 	convoys map[lock.Resource]*convoyTrack
 	cycles  map[string]*Cycle // open cycles by member key
@@ -215,7 +215,6 @@ func analyze(name string, recs []journal.Record, torn bool, cfg Config) *Report 
 			Kinds:   make(map[string]int),
 		},
 		waiting: make(map[lock.TxnID]*waitInfo),
-		edges:   make(map[lock.TxnID]map[lock.TxnID]bool),
 		depth:   make(map[lock.Resource]int),
 		convoys: make(map[lock.Resource]*convoyTrack),
 		cycles:  make(map[string]*Cycle),
@@ -233,7 +232,7 @@ func analyze(name string, recs []journal.Record, torn bool, cfg Config) *Report 
 // step consumes one record.
 func (a *analyzer) step(rec journal.Record) {
 	r := a.report
-	if rec.Kind == "fastpath" {
+	if rec.Kind == journal.KindFastPath {
 		// One record stands for Hits fast-path hits (a journal with one
 		// record per hit has Hits 0).
 		r.Kinds[rec.Kind] += int(max(rec.Hits, 1))
@@ -251,16 +250,16 @@ func (a *analyzer) step(rec journal.Record) {
 	if rec.Txn != 0 {
 		a.txns[rec.Txn] = true
 	}
-	switch rec.Kind {
-	case "grant", "convert":
+	switch rec.KindCode() {
+	case lock.KindGrant, lock.KindConvert:
 		a.grants++
 		if rec.Waited && rec.Dur > 0 {
 			a.wait.Record(rec.Dur)
 		}
 		a.endWait(rec, "grant")
-	case "wait":
+	case lock.KindWait:
 		a.beginWait(rec)
-	case "victim":
+	case lock.KindVictim:
 		a.aborts++
 		if rec.Dur > 0 {
 			a.wait.Record(rec.Dur)
@@ -271,16 +270,16 @@ func (a *analyzer) step(rec journal.Record) {
 		}
 		a.touchHot(rec)
 		a.endWait(rec, outcome)
-	case "timeout":
+	case lock.KindTimeout:
 		a.aborts++
 		if rec.Dur > 0 {
 			a.wait.Record(rec.Dur)
 		}
 		a.touchHot(rec)
 		a.endWait(rec, "timeout")
-	case "cancel":
+	case lock.KindCancel:
 		a.endWait(rec, "cancel")
-	case "shed":
+	case lock.KindShed:
 		a.touchHot(rec)
 	}
 }
@@ -331,14 +330,6 @@ func (a *analyzer) beginWait(rec journal.Record) {
 	}
 
 	if len(rec.Blockers) > 0 {
-		out := a.edges[rec.Txn]
-		if out == nil {
-			out = make(map[lock.TxnID]bool)
-			a.edges[rec.Txn] = out
-		}
-		for _, b := range rec.Blockers {
-			out[b] = true
-		}
 		a.detectCycle(rec.Txn, rec.At)
 	}
 }
@@ -360,7 +351,6 @@ func (a *analyzer) endWait(rec journal.Record, outcome string) {
 		return
 	}
 	delete(a.waiting, rec.Txn)
-	delete(a.edges, rec.Txn)
 
 	d := a.depth[ws.resource] - 1
 	if d <= 0 {
@@ -437,38 +427,27 @@ func (a *analyzer) closeConvoy(res lock.Resource, ct *convoyTrack, end time.Time
 	*ct = convoyTrack{}
 }
 
-// detectCycle looks for a waits-for cycle through txn after its edges were
-// added, and opens a Cycle record for a new one.
+// detectCycle opens a Cycle record when txn's new edges closed a waits-for
+// cycle through it. One walk from txn, linear in the edges it reaches, finds
+// such a cycle whenever txn reaches itself, however long the cycle is.
 func (a *analyzer) detectCycle(txn lock.TxnID, at time.Time) {
-	var path []lock.TxnID
-	onPath := make(map[lock.TxnID]bool)
-	var dfs func(t lock.TxnID) []lock.TxnID
-	dfs = func(t lock.TxnID) []lock.TxnID {
-		if onPath[t] {
-			if t == txn {
-				return append([]lock.TxnID(nil), path...)
-			}
-			return nil
+	var ids []uint64
+	a.finder.Reset()
+	a.finder.Walk(txn, func(t lock.TxnID, dst []lock.TxnID) []lock.TxnID {
+		if ws := a.waiting[t]; ws != nil {
+			dst = append(dst, ws.blockers...)
 		}
-		if len(path) > 64 {
-			return nil
+		return dst
+	}, func(cycle []lock.TxnID) bool {
+		if cycle[len(cycle)-1] != txn {
+			return true // a cycle txn only leads into
 		}
-		onPath[t] = true
-		path = append(path, t)
-		for next := range a.edges[t] {
-			if cyc := dfs(next); cyc != nil {
-				return cyc
-			}
-		}
-		path = path[:len(path)-1]
-		onPath[t] = false
-		return nil
-	}
-	cyc := dfs(txn)
-	if cyc == nil {
+		ids = txnIDs(cycle)
+		return false
+	})
+	if ids == nil {
 		return
 	}
-	ids := txnIDs(cyc)
 	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 	key := fmt.Sprint(ids)
 	if _, ok := a.cycles[key]; ok {
@@ -615,7 +594,7 @@ func diffReport(a, b *Report) []diffLine {
 		{"victims", fmt.Sprint(a.Kinds["victim"]), fmt.Sprint(b.Kinds["victim"])},
 		{"timeouts", fmt.Sprint(a.Kinds["timeout"]), fmt.Sprint(b.Kinds["timeout"])},
 		{"sheds", fmt.Sprint(a.Kinds["shed"]), fmt.Sprint(b.Kinds["shed"])},
-		{"fast-path hits", fmt.Sprint(a.Kinds["fastpath"]), fmt.Sprint(b.Kinds["fastpath"])},
+		{"fast-path hits", fmt.Sprint(a.Kinds[journal.KindFastPath]), fmt.Sprint(b.Kinds[journal.KindFastPath])},
 		{"abort rate", f(a.AbortRate), f(b.AbortRate)},
 		{"wait p50 (ms)", f(a.WaitP50Ms), f(b.WaitP50Ms)},
 		{"wait p99 (ms)", f(a.WaitP99Ms), f(b.WaitP99Ms)},

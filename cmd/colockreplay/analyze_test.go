@@ -1,6 +1,7 @@
 package main
 
 import (
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -18,7 +19,7 @@ func at(d time.Duration) time.Time { return base.Add(d) }
 
 // rec builds one synthetic record.
 func rec(seq uint64, kind string, txn lock.TxnID, res lock.Resource, mode lock.Mode, t time.Time) journal.Record {
-	return journal.Record{Seq: seq, Kind: kind, Txn: txn, Resource: res, Mode: mode, At: t}
+	return journal.Record{Seq: seq, Event: lock.Event{Kind: kind, Txn: txn, Resource: res, Mode: mode, At: t}}
 }
 
 func TestConvoyDetection(t *testing.T) {
@@ -106,9 +107,9 @@ func TestNearMissAndCaughtCycles(t *testing.T) {
 
 func TestUnresolvedCycleAndOpenWaits(t *testing.T) {
 	recs := []journal.Record{
-		{Seq: 1, Kind: "wait", Txn: 1, Resource: "a", Mode: lock.X, At: at(time.Millisecond), Blockers: []lock.TxnID{2}},
-		{Seq: 2, Kind: "wait", Txn: 2, Resource: "b", Mode: lock.X, At: at(2 * time.Millisecond), Blockers: []lock.TxnID{1}},
-		{Seq: 3, Kind: "grant", Txn: 9, Resource: "c", Mode: lock.S, At: at(10 * time.Millisecond)},
+		{Seq: 1, Event: lock.Event{Kind: "wait", Txn: 1, Resource: "a", Mode: lock.X, At: at(time.Millisecond), Blockers: []lock.TxnID{2}}},
+		{Seq: 2, Event: lock.Event{Kind: "wait", Txn: 2, Resource: "b", Mode: lock.X, At: at(2 * time.Millisecond), Blockers: []lock.TxnID{1}}},
+		{Seq: 3, Event: lock.Event{Kind: "grant", Txn: 9, Resource: "c", Mode: lock.S, At: at(10 * time.Millisecond)}},
 	}
 	rep := analyze("t", recs, false, Config{})
 	if len(rep.Cycles) != 1 || rep.Cycles[0].BrokenBy != "unresolved" || !rep.Cycles[0].NearMiss {
@@ -125,12 +126,12 @@ func TestUnresolvedCycleAndOpenWaits(t *testing.T) {
 func TestCriticalPathsAndHotResources(t *testing.T) {
 	hot := lock.Resource("db/seg/cells/c1/robots/r1/trajectory")
 	recs := []journal.Record{
-		{Seq: 1, Kind: "wait", Txn: 1, Resource: hot, Mode: lock.X, At: at(0), Blockers: []lock.TxnID{7}},
-		{Seq: 2, Kind: "grant", Txn: 1, Resource: hot, Mode: lock.X, At: at(50 * time.Millisecond), Waited: true, Dur: 50 * time.Millisecond},
-		{Seq: 3, Kind: "wait", Txn: 1, Resource: "other", Mode: lock.S, At: at(60 * time.Millisecond)},
-		{Seq: 4, Kind: "grant", Txn: 1, Resource: "other", Mode: lock.S, At: at(70 * time.Millisecond), Waited: true}, // Dur omitted: computed from At
-		{Seq: 5, Kind: "wait", Txn: 2, Resource: hot, Mode: lock.X, At: at(80 * time.Millisecond)},
-		{Seq: 6, Kind: "victim", Txn: 2, Resource: hot, Mode: lock.X, At: at(85 * time.Millisecond), Dur: 5 * time.Millisecond},
+		{Seq: 1, Event: lock.Event{Kind: "wait", Txn: 1, Resource: hot, Mode: lock.X, At: at(0), Blockers: []lock.TxnID{7}}},
+		{Seq: 2, Event: lock.Event{Kind: "grant", Txn: 1, Resource: hot, Mode: lock.X, At: at(50 * time.Millisecond), Waited: true, Dur: 50 * time.Millisecond}},
+		{Seq: 3, Event: lock.Event{Kind: "wait", Txn: 1, Resource: "other", Mode: lock.S, At: at(60 * time.Millisecond)}},
+		{Seq: 4, Event: lock.Event{Kind: "grant", Txn: 1, Resource: "other", Mode: lock.S, At: at(70 * time.Millisecond), Waited: true}}, // Dur omitted: computed from At
+		{Seq: 5, Event: lock.Event{Kind: "wait", Txn: 2, Resource: hot, Mode: lock.X, At: at(80 * time.Millisecond)}},
+		{Seq: 6, Event: lock.Event{Kind: "victim", Txn: 2, Resource: hot, Mode: lock.X, At: at(85 * time.Millisecond), Dur: 5 * time.Millisecond}},
 	}
 	rep := analyze("t", recs, false, Config{})
 	if len(rep.CriticalPaths) != 2 {
@@ -170,10 +171,10 @@ func TestSLOReplayGradesHistory(t *testing.T) {
 		t0 := at(time.Duration(win) * time.Second)
 		for i := 0; i < 5; i++ {
 			seq++
-			recs = append(recs, journal.Record{Seq: seq, Kind: "victim", Txn: lock.TxnID(seq), Resource: "r", Mode: lock.X, At: t0.Add(time.Duration(i) * time.Millisecond)})
+			recs = append(recs, journal.Record{Seq: seq, Event: lock.Event{Kind: "victim", Txn: lock.TxnID(seq), Resource: "r", Mode: lock.X, At: t0.Add(time.Duration(i) * time.Millisecond)}})
 		}
 		seq++
-		recs = append(recs, journal.Record{Seq: seq, Kind: "grant", Txn: lock.TxnID(seq), Resource: "r", Mode: lock.X, At: t0.Add(10 * time.Millisecond)})
+		recs = append(recs, journal.Record{Seq: seq, Event: lock.Event{Kind: "grant", Txn: lock.TxnID(seq), Resource: "r", Mode: lock.X, At: t0.Add(10 * time.Millisecond)}})
 	}
 	rep := analyze("t", recs, false, Config{Window: time.Second, SLO: slo})
 	if rep.SLO.WorstState != "critical" || rep.SLO.FinalState != "critical" {
@@ -194,8 +195,8 @@ func TestSLOReplayGradesHistory(t *testing.T) {
 
 	// A healthy stream grades ok.
 	healthy := []journal.Record{
-		{Seq: 1, Kind: "grant", Txn: 1, Resource: "r", Mode: lock.S, At: at(0)},
-		{Seq: 2, Kind: "grant", Txn: 2, Resource: "r", Mode: lock.S, At: at(3 * time.Second)},
+		{Seq: 1, Event: lock.Event{Kind: "grant", Txn: 1, Resource: "r", Mode: lock.S, At: at(0)}},
+		{Seq: 2, Event: lock.Event{Kind: "grant", Txn: 2, Resource: "r", Mode: lock.S, At: at(3 * time.Second)}},
 	}
 	rep = analyze("t", healthy, false, Config{Window: time.Second, SLO: slo})
 	if rep.SLO.WorstState != "ok" || rep.SLO.FinalState != "ok" {
@@ -209,7 +210,7 @@ func TestSLOReplayGradesHistory(t *testing.T) {
 func TestFilterAround(t *testing.T) {
 	var recs []journal.Record
 	for i := 1; i <= 10; i++ {
-		recs = append(recs, journal.Record{Seq: uint64(i), Kind: "grant", Txn: lock.TxnID(i), Resource: "r", At: at(time.Duration(i) * time.Second)})
+		recs = append(recs, journal.Record{Seq: uint64(i), Event: lock.Event{Kind: "grant", Txn: lock.TxnID(i), Resource: "r", At: at(time.Duration(i) * time.Second)}})
 	}
 	inc := &trace.Incident{At: at(7 * time.Second), JournalOffset: 6}
 	got := filterAround(recs, inc, 4*time.Second)
@@ -227,11 +228,11 @@ func TestFilterAround(t *testing.T) {
 
 func TestDiffReport(t *testing.T) {
 	a := analyze("a", []journal.Record{
-		{Seq: 1, Kind: "grant", Txn: 1, Resource: "r", Mode: lock.X, At: at(0)},
+		{Seq: 1, Event: lock.Event{Kind: "grant", Txn: 1, Resource: "r", Mode: lock.X, At: at(0)}},
 	}, false, Config{})
 	b := analyze("b", []journal.Record{
-		{Seq: 1, Kind: "wait", Txn: 1, Resource: "r", Mode: lock.X, At: at(0)},
-		{Seq: 2, Kind: "victim", Txn: 1, Resource: "r", Mode: lock.X, At: at(time.Millisecond)},
+		{Seq: 1, Event: lock.Event{Kind: "wait", Txn: 1, Resource: "r", Mode: lock.X, At: at(0)}},
+		{Seq: 2, Event: lock.Event{Kind: "victim", Txn: 1, Resource: "r", Mode: lock.X, At: at(time.Millisecond)}},
 	}, false, Config{})
 	lines := diffReport(a, b)
 	byName := map[string]diffLine{}
@@ -250,12 +251,12 @@ func TestDiffReport(t *testing.T) {
 // rich report and never panics.
 func TestRenderSmoke(t *testing.T) {
 	recs := []journal.Record{
-		{Seq: 1, Kind: "wait", Txn: 1, Resource: "a", Mode: lock.X, At: at(time.Millisecond), Blockers: []lock.TxnID{2}},
-		{Seq: 2, Kind: "wait", Txn: 2, Resource: "b", Mode: lock.X, At: at(2 * time.Millisecond), Blockers: []lock.TxnID{1}},
-		{Seq: 3, Kind: "wait", Txn: 3, Resource: "b", Mode: lock.X, At: at(2 * time.Millisecond), Blockers: []lock.TxnID{1}},
-		{Seq: 4, Kind: "wait", Txn: 4, Resource: "b", Mode: lock.X, At: at(2 * time.Millisecond), Blockers: []lock.TxnID{1}},
-		{Seq: 5, Kind: "timeout", Txn: 2, Resource: "b", Mode: lock.X, At: at(5 * time.Millisecond), Dur: 3 * time.Millisecond},
-		{Seq: 6, Kind: "grant", Txn: 1, Resource: "a", Mode: lock.X, At: at(6 * time.Millisecond), Waited: true, Dur: 5 * time.Millisecond},
+		{Seq: 1, Event: lock.Event{Kind: "wait", Txn: 1, Resource: "a", Mode: lock.X, At: at(time.Millisecond), Blockers: []lock.TxnID{2}}},
+		{Seq: 2, Event: lock.Event{Kind: "wait", Txn: 2, Resource: "b", Mode: lock.X, At: at(2 * time.Millisecond), Blockers: []lock.TxnID{1}}},
+		{Seq: 3, Event: lock.Event{Kind: "wait", Txn: 3, Resource: "b", Mode: lock.X, At: at(2 * time.Millisecond), Blockers: []lock.TxnID{1}}},
+		{Seq: 4, Event: lock.Event{Kind: "wait", Txn: 4, Resource: "b", Mode: lock.X, At: at(2 * time.Millisecond), Blockers: []lock.TxnID{1}}},
+		{Seq: 5, Event: lock.Event{Kind: "timeout", Txn: 2, Resource: "b", Mode: lock.X, At: at(5 * time.Millisecond), Dur: 3 * time.Millisecond}},
+		{Seq: 6, Event: lock.Event{Kind: "grant", Txn: 1, Resource: "a", Mode: lock.X, At: at(6 * time.Millisecond), Waited: true, Dur: 5 * time.Millisecond}},
 	}
 	rep := analyze("t", recs, true, Config{ConvoyDepth: 3})
 	var sb strings.Builder
@@ -311,5 +312,60 @@ func TestOldJournalResetMarker(t *testing.T) {
 	with.Records = without.Records
 	if !reflect.DeepEqual(with, without) {
 		t.Errorf("the marker changed the analysis:\n with    %+v\n without %+v", with, without)
+	}
+}
+
+// analyzeWithin runs analyze, failing the test if it takes longer than d.
+func analyzeWithin(t *testing.T, d time.Duration, recs []journal.Record) *Report {
+	t.Helper()
+	done := make(chan *Report, 1)
+	go func() { done <- analyze("t", recs, false, Config{}) }()
+	select {
+	case rep := <-done:
+		return rep
+	case <-time.After(d):
+		t.Fatalf("analyze of %d records still running after %v", len(recs), d)
+		return nil
+	}
+}
+
+// TestConvoyReplayIsLinear replays a 64-waiter X convoy: each waiter's
+// Blockers name the holder and every earlier waiter, as the manager reports
+// them, so a search that enumerates paths grows exponentially with the
+// queue. The cycle walk must stay linear.
+func TestConvoyReplayIsLinear(t *testing.T) {
+	recs := []journal.Record{rec(1, "grant", 1, "hot", lock.X, at(0))}
+	blockers := []lock.TxnID{1}
+	for i := 2; i <= 65; i++ {
+		r := rec(uint64(i), "wait", lock.TxnID(i), "hot", lock.X, at(time.Duration(i)*time.Millisecond))
+		r.Blockers = append([]lock.TxnID(nil), blockers...)
+		recs = append(recs, r)
+		blockers = append(blockers, lock.TxnID(i))
+	}
+	rep := analyzeWithin(t, 2*time.Second, recs)
+	if len(rep.Cycles) != 0 {
+		t.Errorf("cycles = %+v, want none in a convoy", rep.Cycles)
+	}
+	if len(rep.Convoys) != 1 || rep.Convoys[0].PeakDepth != 64 {
+		t.Errorf("convoys = %+v, want one of depth 64", rep.Convoys)
+	}
+}
+
+// TestLongCycleFound replays an 80-member waits-for ring: the cycle has no
+// length cap, so it is reported whole and unresolved.
+func TestLongCycleFound(t *testing.T) {
+	const n = 80
+	var recs []journal.Record
+	for i := 1; i <= n; i++ {
+		r := rec(uint64(i), "wait", lock.TxnID(i), lock.Resource(fmt.Sprint("r", i%n+1)), lock.X, at(time.Duration(i)*time.Millisecond))
+		r.Blockers = []lock.TxnID{lock.TxnID(i%n + 1)}
+		recs = append(recs, r)
+	}
+	rep := analyzeWithin(t, 2*time.Second, recs)
+	if len(rep.Cycles) != 1 {
+		t.Fatalf("cycles = %+v, want one", rep.Cycles)
+	}
+	if c := rep.Cycles[0]; len(c.Txns) != n || c.BrokenBy != "unresolved" {
+		t.Errorf("cycle has %d members, broken by %q; want %d, unresolved", len(c.Txns), c.BrokenBy, n)
 	}
 }

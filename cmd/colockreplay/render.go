@@ -8,6 +8,7 @@ import (
 	"io"
 	"time"
 
+	"colock/internal/journal"
 	"colock/internal/trace"
 )
 
@@ -34,7 +35,7 @@ func printReport(w io.Writer, r *Report, cfg Config) {
 	fmt.Fprintf(w, "txns      %d   abort rate %.3f\n", r.Txns, r.AbortRate)
 	fmt.Fprintf(w, "events    grants=%d waits=%d victims=%d timeouts=%d sheds=%d fastpath=%d releases=%d\n",
 		r.Kinds["grant"]+r.Kinds["convert"], r.Kinds["wait"], r.Kinds["victim"],
-		r.Kinds["timeout"], r.Kinds["shed"], r.Kinds["fastpath"], r.Kinds["release"]+r.Kinds["release-all"])
+		r.Kinds["timeout"], r.Kinds["shed"], r.Kinds[journal.KindFastPath], r.Kinds["release"]+r.Kinds["release-all"])
 	if r.WaitCount > 0 {
 		fmt.Fprintf(w, "waits     n=%d p50=%.2fms p95=%.2fms p99=%.2fms max=%.2fms\n",
 			r.WaitCount, r.WaitP50Ms, r.WaitP95Ms, r.WaitP99Ms, r.WaitMaxMs)

@@ -32,6 +32,7 @@ import (
 	"colock/internal/core"
 	"colock/internal/engine"
 	"colock/internal/health"
+	"colock/internal/journal"
 	"colock/internal/lock"
 	"colock/internal/metrics"
 	"colock/internal/obs"
@@ -117,7 +118,7 @@ func newShell(prime bool, policy lock.Policy, incidentDir, journalDir string, ou
 	// SLO transitions surface in the .trace ring like any lock event.
 	eng.Monitor.OnTransition(func(tr health.Transition) {
 		ring.Record(lock.Event{
-			Kind:     "health",
+			Kind:     journal.KindHealth,
 			At:       time.Now(),
 			Resource: lock.Resource(fmt.Sprintf("%s->%s %s", tr.From, tr.To, tr.Reason)),
 		})
@@ -500,24 +501,8 @@ func (s *shell) showMetrics() {
 	st := m.Stats()
 
 	ops := metrics.NewTable("Lock-manager counters", "counter", "value")
-	for _, kv := range []struct {
-		name string
-		val  uint64
-	}{
-		{"requests", st.Requests}, {"regrants", st.Regrants},
-		{"grants", st.Grants}, {"conversions", st.Conversions},
-		{"conflicts", st.Conflicts}, {"waits", st.Waits},
-		{"deadlocks", st.Deadlocks}, {"releases", st.Releases},
-		{"batches", st.Batches}, {"batch fast grants", st.BatchFastGrants},
-		{"batch fallbacks", st.BatchFallbacks},
-		{"sheds", st.Sheds}, {"admit delays", st.AdmitDelays},
-		{"degraded acquires", st.DegradedAcquires},
-		{"injected faults", st.InjectedFaults},
-		{"summary fast checks", st.SummaryFastChecks},
-		{"deferred detections", st.DeferredDetections},
-		{"detector runs", st.DetectorRuns},
-	} {
-		ops.Addf(kv.name, kv.val)
+	for _, c := range st.Counters() {
+		ops.Addf(c.Name, c.Value)
 	}
 	ops.Addf("max table size", st.MaxTableSize)
 	ops.Addf("active txns", m.ActiveTxns())
@@ -527,16 +512,10 @@ func (s *shell) showMetrics() {
 		fmt.Fprintf(s.out, "\nretry (all .storm runs): %s\n", s.retry)
 	}
 
-	ps := s.eng.Protocol.Stats()
 	rules := metrics.NewTable("Protocol rule applications", "rule", "count")
-	rules.Addf("requests", ps.Requests)
-	rules.Addf("upward locks (1-4, order 5)", ps.UpwardLocks)
-	rules.Addf("downward propagations (3/4)", ps.DownwardPropagations)
-	rules.Addf("rule 4' weakened to S", ps.Rule4PrimeWeakened)
-	rules.Addf("memo hits", ps.MemoHits)
-	rules.Addf("no-follow requests", ps.NoFollow)
-	rules.Addf("fast-path cache hits", ps.FastPathHits)
-	rules.Addf("batched manager locks", ps.BatchedLocks)
+	for _, c := range s.eng.Protocol.Stats().Counters() {
+		rules.Addf(c.Name, c.Value)
+	}
 	fmt.Fprintf(s.out, "\n%s", rules)
 
 	lat := metrics.NewTable("Latencies by op, mode and unit kind",

@@ -2,10 +2,12 @@ package main
 
 import (
 	"context"
+	"regexp"
 	"strings"
 	"testing"
 	"time"
 
+	"colock/internal/core"
 	"colock/internal/lock"
 	"colock/internal/obs"
 )
@@ -23,8 +25,8 @@ func TestShellMetrics(t *testing.T) {
 		"Lock-manager counters",
 		"requests",
 		"Protocol rule applications",
-		"downward propagations (3/4)",
-		"rule 4' weakened to S",
+		"downward_propagations",
+		"rule4prime_weakened",
 		"Latencies by op, mode and unit kind",
 		"p50", "p95", "p99",
 		"acquire",
@@ -32,6 +34,26 @@ func TestShellMetrics(t *testing.T) {
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf(".metrics output missing %q:\n%s", want, out)
+		}
+	}
+	// Every manager counter is a row of the first table, every rule
+	// counter one of the second.
+	mgr, rules, _ := strings.Cut(out, "Protocol rule applications")
+	for _, tc := range []struct {
+		table string
+		cs    []lock.Counter
+		n     int
+	}{
+		{mgr, lock.Stats{}.Counters(), 21},
+		{rules, core.ProtocolStats{}.Counters(), 11},
+	} {
+		if len(tc.cs) != tc.n {
+			t.Errorf("%d counters, want %d", len(tc.cs), tc.n)
+		}
+		for _, c := range tc.cs {
+			if !regexp.MustCompile(`(?m)^\s*` + c.Name + `\s+\d+\s*$`).MatchString(tc.table) {
+				t.Errorf(".metrics has no %s row", c.Name)
+			}
 		}
 	}
 }

@@ -24,7 +24,7 @@ func TestShellChaosAndStorm(t *testing.T) {
 		"storm: 4 workers × 5 rounds",
 		"20 commits, 0 failures",
 		"retry summary:",
-		"injected faults",
+		"injected_faults",
 		"chaos injection off",
 	} {
 		if !strings.Contains(out, want) {

@@ -89,29 +89,30 @@ func (pc *protoCounters) snapshot() ProtocolStats {
 // Stats returns a snapshot of the protocol's rule counters.
 func (p *Protocol) Stats() ProtocolStats { return p.counters.snapshot() }
 
+// Counters returns every rule counter with its metric name, in field order.
+func (s ProtocolStats) Counters() []lock.Counter {
+	return []lock.Counter{
+		{Name: "requests", Value: s.Requests},
+		{Name: "no_follow", Value: s.NoFollow},
+		{Name: "memo_hits", Value: s.MemoHits},
+		{Name: "upward_locks", Value: s.UpwardLocks},
+		{Name: "entry_point_scans", Value: s.EntryPointScans},
+		{Name: "late_entry_points", Value: s.LateEntryPoints},
+		{Name: "downward_propagations", Value: s.DownwardPropagations},
+		{Name: "rule4prime_weakened", Value: s.Rule4PrimeWeakened},
+		{Name: "node_locks", Value: s.NodeLocks},
+		{Name: "fast_path_hits", Value: s.FastPathHits},
+		{Name: "batched_locks", Value: s.BatchedLocks},
+	}
+}
+
 // WriteMetrics writes the rule counters in Prometheus text format, for
 // composition with obs.Handler's extra writers.
 func (p *Protocol) WriteMetrics(w io.Writer) {
-	st := p.Stats()
 	fmt.Fprintf(w, "# HELP colock_protocol_ops_total Protocol rule applications (rules 1-5, 4').\n")
 	fmt.Fprintf(w, "# TYPE colock_protocol_ops_total counter\n")
-	for _, kv := range []struct {
-		name string
-		val  uint64
-	}{
-		{"requests", st.Requests},
-		{"no_follow", st.NoFollow},
-		{"memo_hits", st.MemoHits},
-		{"upward_locks", st.UpwardLocks},
-		{"entry_point_scans", st.EntryPointScans},
-		{"late_entry_points", st.LateEntryPoints},
-		{"downward_propagations", st.DownwardPropagations},
-		{"rule4prime_weakened", st.Rule4PrimeWeakened},
-		{"node_locks", st.NodeLocks},
-		{"fast_path_hits", st.FastPathHits},
-		{"batched_locks", st.BatchedLocks},
-	} {
-		fmt.Fprintf(w, "colock_protocol_ops_total{op=%q} %d\n", kv.name, kv.val)
+	for _, c := range p.Stats().Counters() {
+		fmt.Fprintf(w, "colock_protocol_ops_total{op=%q} %d\n", c.Name, c.Value)
 	}
 }
 

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -87,6 +88,53 @@ func TestProtocolWriteMetrics(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Errorf("metrics missing %q:\n%s", want, out)
 		}
+	}
+}
+
+// TestCountersComplete checks that the manager's and the protocol's
+// Counters list every uint64 field of their stats struct exactly once, each
+// under a name of its own — the lists /metrics and .metrics print.
+func TestCountersComplete(t *testing.T) {
+	var ls lock.Stats
+	want := numberFields(&ls)
+	checkCounters(t, "lock.Stats", ls.Counters(), want)
+	var ps ProtocolStats
+	want = numberFields(&ps)
+	checkCounters(t, "ProtocolStats", ps.Counters(), want)
+}
+
+// numberFields sets every uint64 field of the struct *p to its field index
+// plus one and returns the field names by value.
+func numberFields(p any) map[uint64]string {
+	v := reflect.ValueOf(p).Elem()
+	want := make(map[uint64]string)
+	for i := 0; i < v.NumField(); i++ {
+		if v.Field(i).Kind() == reflect.Uint64 {
+			v.Field(i).SetUint(uint64(i + 1))
+			want[uint64(i+1)] = v.Type().Field(i).Name
+		}
+	}
+	return want
+}
+
+func checkCounters(t *testing.T, typ string, cs []lock.Counter, want map[uint64]string) {
+	t.Helper()
+	names := make(map[string]bool)
+	got := make(map[uint64]int)
+	for _, c := range cs {
+		if names[c.Name] {
+			t.Errorf("%s: counter name %q listed twice", typ, c.Name)
+		}
+		names[c.Name] = true
+		got[c.Value]++
+	}
+	for v, field := range want {
+		if got[v] != 1 {
+			t.Errorf("%s.%s appears %d times in Counters(), want 1", typ, field, got[v])
+		}
+	}
+	if len(cs) != len(want) {
+		t.Errorf("%s.Counters() lists %d counters, want %d", typ, len(cs), len(want))
 	}
 }
 

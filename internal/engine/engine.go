@@ -116,7 +116,7 @@ func Open(cfg Config) (*Engine, error) {
 	proto := core.NewProtocol(mgr, st, nm, popts)
 	if jw != nil {
 		mon.OnTransition(func(tr health.Transition) {
-			jw.Note("health", fmt.Sprintf("%s->%s %s", tr.From, tr.To, tr.Reason))
+			jw.Note(journal.KindHealth, fmt.Sprintf("%s->%s %s", tr.From, tr.To, tr.Reason))
 		})
 		proto.OnFastPathHit(func() {
 			mon.RecordFastPathHit()

@@ -271,7 +271,7 @@ func (m *Monitor) count(w *window, e *lock.Event) {
 func (m *Monitor) RecordFastPathHit() { m.AddFastPathHits(1) }
 
 // AddFastPathHits counts n fast-path hits at once: journal replay feeds it
-// the hit count of a coalesced "fastpath" record.
+// the hit count of a coalesced journal.KindFastPath record.
 func (m *Monitor) AddFastPathHits(n uint64) {
 	m.slots[uint64(m.cur.Load())%liveSlots].counts[RateFastPath].Add(n)
 }

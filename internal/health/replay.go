@@ -13,9 +13,8 @@ import (
 // is closed. It returns that monitor — State, Report and Windows then say
 // what a live monitor would have served at the end of the journal — and the
 // SLO transitions it made on the way, or a nil monitor when no record carries
-// a timestamp. A coalesced "fastpath" record counts as its Hits; "health"
-// notes, and the "reset" markers of journals written while counters could be
-// reset, are skipped.
+// a timestamp. A coalesced journal.KindFastPath record counts as its Hits;
+// journal.KindHealth notes and journal.KindReset markers are skipped.
 func Replay(recs []journal.Record, window time.Duration, slo SLO) (*Monitor, []Transition) {
 	var first, last time.Time
 	for i := range recs {
@@ -45,13 +44,13 @@ func Replay(recs []journal.Record, window time.Duration, slo SLO) (*Monitor, []T
 	for i := range recs {
 		rec := &recs[i]
 		switch rec.Kind {
-		case "fastpath":
+		case journal.KindFastPath:
 			mon.AddFastPathHits(max(rec.Hits, 1))
 			continue
-		case "health", "reset":
+		case journal.KindHealth, journal.KindReset:
 			continue
 		}
-		mon.Record(rec.Event())
+		mon.Record(rec.Event)
 		if !rec.At.IsZero() {
 			mon.Advance(rec.At)
 		}

@@ -18,13 +18,13 @@ func TestReplay(t *testing.T) {
 	for win := 0; win < 4; win++ {
 		t0 := base.Add(time.Duration(win) * time.Second)
 		for i := 0; i < 5; i++ {
-			recs = append(recs, journal.Record{Kind: "victim", Txn: lock.TxnID(len(recs) + 1), Resource: "db/s/r/hot", Mode: lock.X, At: t0.Add(time.Duration(i) * time.Millisecond)})
+			recs = append(recs, journal.Record{Event: lock.Event{Kind: "victim", Txn: lock.TxnID(len(recs) + 1), Resource: "db/s/r/hot", Mode: lock.X, At: t0.Add(time.Duration(i) * time.Millisecond)}})
 		}
 		recs = append(recs,
-			journal.Record{Kind: "grant", Txn: lock.TxnID(len(recs) + 1), Resource: "db/s/r/hot", Mode: lock.X, At: t0.Add(10 * time.Millisecond)},
-			journal.Record{Kind: "fastpath", Hits: 7, At: t0.Add(11 * time.Millisecond)},
-			journal.Record{Kind: "health", At: t0.Add(12 * time.Millisecond)},
-			journal.Record{Kind: "reset", At: t0.Add(13 * time.Millisecond)})
+			journal.Record{Event: lock.Event{Kind: "grant", Txn: lock.TxnID(len(recs) + 1), Resource: "db/s/r/hot", Mode: lock.X, At: t0.Add(10 * time.Millisecond)}},
+			journal.Record{Event: lock.Event{Kind: "fastpath", At: t0.Add(11 * time.Millisecond)}, Hits: 7},
+			journal.Record{Event: lock.Event{Kind: "health", At: t0.Add(12 * time.Millisecond)}},
+			journal.Record{Event: lock.Event{Kind: "reset", At: t0.Add(13 * time.Millisecond)}})
 	}
 	mon, trs := Replay(recs, time.Second, DefaultSLO)
 	if mon == nil {

@@ -21,15 +21,15 @@ func at(i int) time.Time { return time.Unix(1700000000, int64(i)*int64(time.Mill
 // wait-die flags, zero durations, synthetic kinds.
 func sampleRecords() []Record {
 	return []Record{
-		{Kind: "grant", Txn: 1, Resource: "db1/seg1/cells/c1", Mode: lock.X, Shard: 3, At: at(0), Dur: 42 * time.Microsecond},
-		{Kind: "wait", Txn: 2, Resource: "db1/seg1/cells/c1", Mode: lock.X, Shard: 3, At: at(1), Blockers: []lock.TxnID{1}},
-		{Kind: "grant", Txn: 2, Resource: "db1/seg1/cells/c1", Mode: lock.X, Shard: 3, Waited: true, At: at(2), Dur: time.Millisecond},
-		{Kind: "victim", Txn: 3, Resource: "db1/seg1/cells/c2", Mode: lock.IX, Shard: 5, WaitDie: true, At: at(3), Dur: 7 * time.Millisecond, Blockers: []lock.TxnID{1, 2}},
-		{Kind: "release-all", Txn: 1, Shard: 0, At: at(4), Dur: time.Microsecond,
-			Resources: []lock.Resource{"db1/seg1/cells/c1", "db1", "db1/seg1"}},
-		{Kind: "fastpath", Hits: 38, At: at(5)},
-		{Kind: "health", Resource: "ok->warn abort rate 0.4 > 0.05", At: at(6)},
-		{Kind: "reset", At: at(7)},
+		{Event: lock.Event{Kind: "grant", Txn: 1, Resource: "db1/seg1/cells/c1", Mode: lock.X, Shard: 3, At: at(0), Dur: 42 * time.Microsecond}},
+		{Event: lock.Event{Kind: "wait", Txn: 2, Resource: "db1/seg1/cells/c1", Mode: lock.X, Shard: 3, At: at(1), Blockers: []lock.TxnID{1}}},
+		{Event: lock.Event{Kind: "grant", Txn: 2, Resource: "db1/seg1/cells/c1", Mode: lock.X, Shard: 3, Waited: true, At: at(2), Dur: time.Millisecond}},
+		{Event: lock.Event{Kind: "victim", Txn: 3, Resource: "db1/seg1/cells/c2", Mode: lock.IX, Shard: 5, WaitDie: true, At: at(3), Dur: 7 * time.Millisecond, Blockers: []lock.TxnID{1, 2}}},
+		{Event: lock.Event{Kind: "release-all", Txn: 1, Shard: 0, At: at(4), Dur: time.Microsecond,
+			Resources: []lock.Resource{"db1/seg1/cells/c1", "db1", "db1/seg1"}}},
+		{Event: lock.Event{Kind: "fastpath", At: at(5)}, Hits: 38},
+		{Event: lock.Event{Kind: "health", Resource: "ok->warn abort rate 0.4 > 0.05", At: at(6)}},
+		{Event: lock.Event{Kind: "reset", At: at(7)}},
 	}
 }
 
@@ -89,8 +89,8 @@ func TestSegmentRotationAndInterning(t *testing.T) {
 	// re-intern per segment and still decode everywhere.
 	var recs []Record
 	for i := 0; i < 500; i++ {
-		recs = append(recs, Record{Kind: "grant", Txn: lock.TxnID(i%7 + 1),
-			Resource: "db1/seg1/cells/c1/robots/r1/trajectory", Mode: lock.X, At: at(i)})
+		recs = append(recs, Record{Event: lock.Event{Kind: "grant", Txn: lock.TxnID(i%7 + 1),
+			Resource: "db1/seg1/cells/c1/robots/r1/trajectory", Mode: lock.X, At: at(i)}})
 	}
 	writeJournal(t, dir, Options{MaxSegmentBytes: 1024}, recs)
 
@@ -178,7 +178,7 @@ func TestCorruptMiddleSegmentFails(t *testing.T) {
 	dir := t.TempDir()
 	var recs []Record
 	for i := 0; i < 300; i++ {
-		recs = append(recs, Record{Kind: "grant", Txn: 1, Resource: lock.Resource(strings.Repeat("r", 40)), At: at(i)})
+		recs = append(recs, Record{Event: lock.Event{Kind: "grant", Txn: 1, Resource: lock.Resource(strings.Repeat("r", 40)), At: at(i)}})
 	}
 	writeJournal(t, dir, Options{MaxSegmentBytes: 2048}, recs)
 	segs, _ := Segments(dir)
@@ -226,7 +226,7 @@ func TestTimestampOrderAcrossDisorder(t *testing.T) {
 		if i%2 == 0 && i+5 < 200 {
 			j = i + 5
 		}
-		recs = append(recs, Record{Kind: "grant", Txn: lock.TxnID(i), Resource: "r", At: at(j)})
+		recs = append(recs, Record{Event: lock.Event{Kind: "grant", Txn: lock.TxnID(i), Resource: "r", At: at(j)}})
 	}
 	writeJournal(t, dir, Options{}, recs)
 	got, _, err := ReadAll(dir)
@@ -243,11 +243,11 @@ func TestTimestampOrderAcrossDisorder(t *testing.T) {
 func TestRingFullDropsAndFIFO(t *testing.T) {
 	r := newEventRing(4)
 	for i := 0; i < 4; i++ {
-		if !r.push(Record{Txn: lock.TxnID(i)}) {
+		if !r.push(Record{Event: lock.Event{Txn: lock.TxnID(i)}}) {
 			t.Fatalf("push %d failed below capacity", i)
 		}
 	}
-	if r.push(Record{Txn: 99}) {
+	if r.push(Record{Event: lock.Event{Txn: 99}}) {
 		t.Fatal("push into a full ring succeeded")
 	}
 	for i := 0; i < 4; i++ {
@@ -260,7 +260,7 @@ func TestRingFullDropsAndFIFO(t *testing.T) {
 		t.Fatal("pop from empty ring succeeded")
 	}
 	// Wrap around: capacity is reusable after pops.
-	if !r.push(Record{Txn: 7}) {
+	if !r.push(Record{Event: lock.Event{Txn: 7}}) {
 		t.Fatal("push after drain failed")
 	}
 	if rec, ok := r.pop(); !ok || rec.Txn != 7 {
@@ -279,7 +279,7 @@ func TestRingConcurrentProducers(t *testing.T) {
 		go func(p int) {
 			defer wg.Done()
 			for i := 0; i < each; i++ {
-				if !r.push(Record{Txn: lock.TxnID(p*each + i)}) {
+				if !r.push(Record{Event: lock.Event{Txn: lock.TxnID(p*each + i)}}) {
 					droppedMu.Lock()
 					dropped++
 					droppedMu.Unlock()
@@ -414,7 +414,7 @@ func FuzzRecordRoundTrip(f *testing.F) {
 	f.Add("", uint64(0), "", byte(0), uint32(0), false, false, int64(0), int64(-5), uint64(0), "")
 	f.Add("victim", uint64(1<<63), strings.Repeat("long/", 100), byte(255), uint32(1<<20), true, true, int64(-1), int64(1<<40), uint64(7), "q")
 	f.Fuzz(func(t *testing.T, kind string, txn uint64, resource string, mode byte, shard uint32, waited, waitdie bool, atNanos, dur int64, blocker uint64, extraRes string) {
-		rec := Record{
+		rec := Record{Event: lock.Event{
 			Kind:     kind,
 			Txn:      lock.TxnID(txn),
 			Resource: lock.Resource(resource),
@@ -422,7 +422,7 @@ func FuzzRecordRoundTrip(f *testing.F) {
 			Shard:    int(shard & 0x7fffffff),
 			Waited:   waited,
 			WaitDie:  waitdie,
-		}
+		}}
 		if atNanos != 0 {
 			rec.At = time.Unix(0, atNanos)
 		}

@@ -25,70 +25,34 @@ package journal
 
 import (
 	"fmt"
-	"time"
 
 	"colock/internal/lock"
 )
 
+// Synthetic record kinds, extending the lock manager's vocabulary.
+const (
+	// KindFastPath stands for Hits protocol fast-path hits.
+	KindFastPath = "fastpath"
+	// KindHealth is an SLO transition, its summary in Resource (the
+	// convention the colockshell trace ring shares).
+	KindHealth = "health"
+	// KindReset is a counter-reset marker of journals written before
+	// counters became cumulative; readers skip it.
+	KindReset = "reset"
+)
+
 // Record is one journaled event: a lock.Event plus the writer-assigned
-// sequence number (its ordinal in file order, 1-based). Synthetic kinds
-// extend the lock-manager vocabulary: "fastpath" stands for Hits protocol
-// fast-path hits, "health" an SLO transition (detail in Resource, as the
-// colockshell trace ring does). Journals written before counters became
-// cumulative may also hold "reset" markers; readers skip them.
+// sequence number (its ordinal in file order, 1-based) and, on a
+// KindFastPath record, the hit count. Decoding leaves Event.Code zero;
+// KindCode resolves it from Kind.
 type Record struct {
+	lock.Event
 	Seq uint64
-	// Hits, on a "fastpath" record, is the number of consecutive grant-cache
-	// hits the record stands for: the writer counts hits and folds the
-	// count into the stream ahead of the next record it accepts, stamped
-	// with that record's time.
-	Hits      uint64
-	Kind      string
-	Txn       lock.TxnID
-	Resource  lock.Resource
-	Mode      lock.Mode
-	Shard     int
-	Waited    bool
-	WaitDie   bool
-	At        time.Time
-	Dur       time.Duration
-	Blockers  []lock.TxnID
-	Resources []lock.Resource
-}
-
-// setEvent overwrites r with the journal record of e (Seq unassigned).
-func (r *Record) setEvent(e *lock.Event) {
-	*r = Record{
-		Kind:      e.Kind,
-		Txn:       e.Txn,
-		Resource:  e.Resource,
-		Mode:      e.Mode,
-		Shard:     e.Shard,
-		Waited:    e.Waited,
-		WaitDie:   e.WaitDie,
-		At:        e.At,
-		Dur:       e.Dur,
-		Blockers:  e.Blockers,
-		Resources: e.Resources,
-	}
-}
-
-// Event converts the record back into the lock event it journals.
-func (r Record) Event() lock.Event {
-	return lock.Event{
-		Kind:      r.Kind,
-		Code:      lock.KindOf(r.Kind),
-		Txn:       r.Txn,
-		Resource:  r.Resource,
-		Mode:      r.Mode,
-		Shard:     r.Shard,
-		Waited:    r.Waited,
-		WaitDie:   r.WaitDie,
-		At:        r.At,
-		Dur:       r.Dur,
-		Blockers:  r.Blockers,
-		Resources: r.Resources,
-	}
+	// Hits, on a KindFastPath record, is the number of consecutive
+	// grant-cache hits the record stands for: the writer counts hits and
+	// folds the count into the stream ahead of the next record it accepts,
+	// stamped with that record's time.
+	Hits uint64
 }
 
 // String renders the record for timelines and debugging.

@@ -52,7 +52,7 @@ type Writer struct {
 	once    sync.Once
 
 	// hits counts fast-path hits not yet in the record stream; the next
-	// accepted record (or Flush/Close) folds them into one "fastpath" record.
+	// accepted record (or Flush/Close) folds them into one KindFastPath record.
 	hits atomic.Uint64
 
 	accepted atomic.Uint64 // records accepted into the ring
@@ -163,7 +163,7 @@ func (w *Writer) RecordBatch(evs []lock.Event) {
 		return
 	}
 	for i := range evs {
-		w.ring.slots[(pos+uint64(i))&w.ring.mask].rec.setEvent(&evs[i])
+		w.ring.slots[(pos+uint64(i))&w.ring.mask].rec = Record{Event: evs[i]}
 		w.ring.publish(pos + uint64(i))
 	}
 	w.accepted.Add(n)
@@ -173,7 +173,7 @@ func (w *Writer) RecordBatch(evs []lock.Event) {
 // RecordFastPathHit journals one protocol fast-path hit; wire it to
 // core.Protocol.OnFastPathHit (composed with the health monitor's counter).
 // It costs one atomic add: hits are counted, and enter the record stream as
-// one "fastpath" record carrying the count (Record.Hits), placed ahead of —
+// one KindFastPath record carrying the count (Record.Hits), placed ahead of —
 // and stamped like — the next record the writer accepts.
 func (w *Writer) RecordFastPathHit() { w.hits.Add(1) }
 
@@ -183,18 +183,18 @@ func (w *Writer) foldHits(at time.Time) {
 	if w.hits.Load() == 0 {
 		return
 	}
-	if n := w.hits.Swap(0); n > 0 && !w.push(Record{Kind: "fastpath", Hits: n, At: at}) {
+	if n := w.hits.Swap(0); n > 0 && !w.push(Record{Event: lock.Event{Kind: KindFastPath, At: at}, Hits: n}) {
 		w.hits.Add(n)
 	}
 }
 
-// Note journals a synthetic event, e.g. kind "health" with an SLO
+// Note journals a synthetic event, e.g. KindHealth with an SLO
 // transition summary as detail — the same convention the colockshell trace
 // ring uses for non-lock events.
 func (w *Writer) Note(kind, detail string) {
 	now := time.Now()
 	w.foldHits(now)
-	if !w.push(Record{Kind: kind, Resource: lock.Resource(detail), At: now}) {
+	if !w.push(Record{Event: lock.Event{Kind: kind, Resource: lock.Resource(detail), At: now}}) {
 		w.dropped.Add(1)
 	}
 }

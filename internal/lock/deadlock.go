@@ -116,50 +116,31 @@ func putBlockScratch(sc *blockScratch) {
 }
 
 // detScratch holds every buffer a waits-for walk needs, so detection is
-// allocation-free at steady state: the DFS is iterative with an explicit
-// frame stack, and all out-edge slices live in one shared arena indexed by
-// the frames.
+// allocation-free at steady state: the finder's own buffers, the dedup set
+// for one node's out-edges, and the edge list revalidation re-reads.
 type detScratch struct {
+	f     CycleFinder
 	seen  map[TxnID]bool
-	color map[TxnID]uint8
-	arena []TxnID // concatenated out-edge lists
-	stack []dfsFrame
-	cycle []TxnID
-}
-
-// dfsFrame is one node on the DFS path; its unvisited out-edges are
-// arena[lo:hi].
-type dfsFrame struct {
-	txn    TxnID
-	lo, hi int
+	edges []TxnID
 }
 
 var detScratchPool = sync.Pool{New: func() any {
-	return &detScratch{
-		seen:  make(map[TxnID]bool, 16),
-		color: make(map[TxnID]uint8, 16),
-	}
+	return &detScratch{seen: make(map[TxnID]bool, 16)}
 }}
 
-// push marks t on the DFS path and loads its out-edges into the arena.
-func (sc *detScratch) push(m *Manager, t TxnID) {
-	const grey = 1
-	sc.color[t] = grey
-	lo := len(sc.arena)
+// outEdges appends t's current waits-for out-edges to dst.
+func (m *Manager) outEdges(sc *detScratch, t TxnID, dst []TxnID) []TxnID {
 	clear(sc.seen)
-	_, _, sc.arena = m.appendWaitsFor(t, sc.arena, sc.seen)
-	sc.stack = append(sc.stack, dfsFrame{txn: t, lo: lo, hi: len(sc.arena)})
+	_, _, dst = m.appendWaitsFor(t, dst, sc.seen)
+	return dst
 }
 
 // confirmEdge reports whether from currently blocks on to, by re-reading
 // from's out-edges under the shard latch. Used to revalidate a detected
-// cycle before aborting its victim; reuses sc.arena (the walk is over), but
-// leaves sc.cycle untouched.
+// cycle before aborting its victim.
 func (m *Manager) confirmEdge(sc *detScratch, from, to TxnID) bool {
-	clear(sc.seen)
-	sc.arena = sc.arena[:0]
-	_, _, sc.arena = m.appendWaitsFor(from, sc.arena, sc.seen)
-	for _, t := range sc.arena {
+	sc.edges = m.outEdges(sc, from, sc.edges[:0])
+	for _, t := range sc.edges {
 		if t == to {
 			return true
 		}
@@ -170,67 +151,30 @@ func (m *Manager) confirmEdge(sc *detScratch, from, to TxnID) bool {
 // findDeadlockVictim searches for a waits-for cycle reachable from start
 // and, if one exists, returns the youngest transaction on it. It holds at
 // most one shard latch at any moment (inside appendWaitsFor) and allocates
-// nothing once the scratch buffers are warm. A found cycle is revalidated
-// edge by edge before it is reported: each edge of the walk was read at a
-// different instant, so under churn the "cycle" may be a phantom assembled
-// from edges that never coexisted (see the package comment). A real cycle
-// is stable and always confirms.
-func (m *Manager) findDeadlockVictim(start TxnID, sc *detScratch) (TxnID, bool) {
-	const (
-		white = 0 // unvisited
-		grey  = 1 // on the current DFS path
-		black = 2 // fully explored
-	)
-	clear(sc.color)
-	sc.arena = sc.arena[:0]
-	sc.stack = sc.stack[:0]
-	sc.cycle = sc.cycle[:0]
-
-	sc.push(m, start)
-	for len(sc.stack) > 0 && len(sc.cycle) == 0 {
-		top := &sc.stack[len(sc.stack)-1]
-		if top.lo == top.hi {
-			sc.color[top.txn] = black
-			sc.stack = sc.stack[:len(sc.stack)-1]
-			continue
-		}
-		next := sc.arena[top.lo]
-		top.lo++
-		switch sc.color[next] {
-		case grey:
-			// Found a cycle: the stack suffix from next to the top.
-			for i := len(sc.stack) - 1; i >= 0; i-- {
-				sc.cycle = append(sc.cycle, sc.stack[i].txn)
-				if sc.stack[i].txn == next {
-					break
-				}
+// nothing once the scratch buffers are warm. The first cycle found is
+// revalidated edge by edge before it is reported: each edge of the walk was
+// read at a different instant, so under churn the "cycle" may be a phantom
+// assembled from edges that never coexisted (see the package comment). A
+// real cycle is stable and always confirms.
+func (m *Manager) findDeadlockVictim(start TxnID, sc *detScratch) (victim TxnID, ok bool) {
+	sc.f.Reset()
+	sc.f.Walk(start, func(t TxnID, dst []TxnID) []TxnID {
+		return m.outEdges(sc, t, dst)
+	}, func(cycle []TxnID) bool {
+		// cycle[j+1] waits for cycle[j], and the closing edge is
+		// cycle[0] → cycle[n-1]. Any gap means a phantom of the walk.
+		n := len(cycle)
+		for j := 0; j+1 < n; j++ {
+			if !m.confirmEdge(sc, cycle[j+1], cycle[j]) {
+				return false
 			}
-		case white:
-			sc.push(m, next)
 		}
-	}
-	if len(sc.cycle) == 0 {
-		return 0, false
-	}
-	// sc.cycle holds the stack suffix deepest-first: cycle[j+1] waits for
-	// cycle[j], and the closing edge is cycle[0] → cycle[n-1]. Re-confirm
-	// each edge; any gap means the cycle was a phantom of the walk.
-	n := len(sc.cycle)
-	for j := 0; j+1 < n; j++ {
-		if !m.confirmEdge(sc, sc.cycle[j+1], sc.cycle[j]) {
-			return 0, false
+		if m.confirmEdge(sc, cycle[0], cycle[n-1]) {
+			victim, ok = Youngest(cycle), true
 		}
-	}
-	if !m.confirmEdge(sc, sc.cycle[0], sc.cycle[n-1]) {
-		return 0, false
-	}
-	victim := sc.cycle[0]
-	for _, t := range sc.cycle {
-		if t > victim {
-			victim = t
-		}
-	}
-	return victim, true
+		return false
+	})
+	return victim, ok
 }
 
 // abortWaiter makes victim's outstanding wait fail with ErrDeadlock. It

@@ -172,13 +172,34 @@ func waitsForDOT(edges []WaitEdge) string {
 		nodes[e.From], nodes[e.To] = true, true
 	}
 
-	onCycle, victims, victimEdges := cycleAnalysis(adj)
-
 	ids := make([]TxnID, 0, len(nodes))
 	for t := range nodes {
 		ids = append(ids, t)
 	}
 	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+
+	// Mark every cycle one walk of the whole graph finds, its victim, and
+	// the victim's outgoing cycle edge — the edge whose removal (aborting
+	// the victim) breaks the cycle.
+	onCycle := make(map[TxnID]bool)
+	victims := make(map[TxnID]bool)
+	victimEdges := make(map[[2]TxnID]bool)
+	var f CycleFinder
+	for _, t := range ids {
+		f.Walk(t, func(t TxnID, dst []TxnID) []TxnID {
+			return append(dst, adj[t]...)
+		}, func(cycle []TxnID) bool {
+			victim := Youngest(cycle)
+			victims[victim] = true
+			for k, c := range cycle {
+				onCycle[c] = true
+				if c == victim { // cycle[k] waits for cycle[k-1], cycle[0] for cycle[n-1]
+					victimEdges[[2]TxnID{victim, cycle[(k+len(cycle)-1)%len(cycle)]}] = true
+				}
+			}
+			return true
+		})
+	}
 
 	var b strings.Builder
 	b.WriteString("digraph waitsfor {\n")
@@ -204,69 +225,6 @@ func waitsForDOT(edges []WaitEdge) string {
 	}
 	b.WriteString("}\n")
 	return b.String()
-}
-
-// cycleAnalysis finds the nodes on waits-for cycles, the victim of each
-// cycle (its youngest member), and the victim's outgoing edge within its
-// cycle — the edge whose removal (aborting the victim) breaks the cycle.
-func cycleAnalysis(adj map[TxnID][]TxnID) (onCycle, victims map[TxnID]bool, victimEdges map[[2]TxnID]bool) {
-	onCycle = make(map[TxnID]bool)
-	victims = make(map[TxnID]bool)
-	victimEdges = make(map[[2]TxnID]bool)
-
-	const (
-		white = 0
-		grey  = 1
-		black = 2
-	)
-	color := make(map[TxnID]int)
-	var path []TxnID
-
-	starts := make([]TxnID, 0, len(adj))
-	for t := range adj {
-		starts = append(starts, t)
-	}
-	sort.Slice(starts, func(i, j int) bool { return starts[i] < starts[j] })
-
-	var dfs func(t TxnID)
-	dfs = func(t TxnID) {
-		color[t] = grey
-		path = append(path, t)
-		for _, next := range adj[t] {
-			switch color[next] {
-			case grey:
-				// Cycle: the path suffix from next to t.
-				i := len(path) - 1
-				for ; i >= 0 && path[i] != next; i-- {
-				}
-				cycle := path[i:]
-				victim := cycle[0]
-				for _, c := range cycle {
-					onCycle[c] = true
-					if c > victim {
-						victim = c
-					}
-				}
-				victims[victim] = true
-				// The victim's successor on the cycle.
-				for k, c := range cycle {
-					if c == victim {
-						victimEdges[[2]TxnID{victim, cycle[(k+1)%len(cycle)]}] = true
-					}
-				}
-			case white:
-				dfs(next)
-			}
-		}
-		color[t] = black
-		path = path[:len(path)-1]
-	}
-	for _, t := range starts {
-		if color[t] == white {
-			dfs(t)
-		}
-	}
-	return onCycle, victims, victimEdges
 }
 
 // dotEscape escapes a string for use inside a double-quoted DOT string.

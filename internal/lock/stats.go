@@ -65,58 +65,66 @@ type Stats struct {
 	MaxTableSize int
 }
 
+// Counter is one named cumulative counter; the name is the op label the
+// metrics endpoints print.
+type Counter struct {
+	Name  string
+	Value uint64
+}
+
+// statFields is the one list of Stats' counters, in field order: Add, Sub
+// and Counters all loop over it.
+var statFields = [...]struct {
+	name  string
+	field func(*Stats) *uint64
+}{
+	{"requests", func(s *Stats) *uint64 { return &s.Requests }},
+	{"regrants", func(s *Stats) *uint64 { return &s.Regrants }},
+	{"grants", func(s *Stats) *uint64 { return &s.Grants }},
+	{"conversions", func(s *Stats) *uint64 { return &s.Conversions }},
+	{"conflicts", func(s *Stats) *uint64 { return &s.Conflicts }},
+	{"waits", func(s *Stats) *uint64 { return &s.Waits }},
+	{"deadlocks", func(s *Stats) *uint64 { return &s.Deadlocks }},
+	{"timeouts", func(s *Stats) *uint64 { return &s.Timeouts }},
+	{"cancels", func(s *Stats) *uint64 { return &s.Cancels }},
+	{"downgrades", func(s *Stats) *uint64 { return &s.Downgrades }},
+	{"releases", func(s *Stats) *uint64 { return &s.Releases }},
+	{"sheds", func(s *Stats) *uint64 { return &s.Sheds }},
+	{"admit_delays", func(s *Stats) *uint64 { return &s.AdmitDelays }},
+	{"degraded_acquires", func(s *Stats) *uint64 { return &s.DegradedAcquires }},
+	{"injected_faults", func(s *Stats) *uint64 { return &s.InjectedFaults }},
+	{"batches", func(s *Stats) *uint64 { return &s.Batches }},
+	{"batch_fast_grants", func(s *Stats) *uint64 { return &s.BatchFastGrants }},
+	{"batch_fallbacks", func(s *Stats) *uint64 { return &s.BatchFallbacks }},
+	{"summary_fast_checks", func(s *Stats) *uint64 { return &s.SummaryFastChecks }},
+	{"deferred_detections", func(s *Stats) *uint64 { return &s.DeferredDetections }},
+	{"detector_runs", func(s *Stats) *uint64 { return &s.DetectorRuns }},
+}
+
+// Counters returns every counter with its metric name, in field order
+// (MaxTableSize is a gauge, not a counter, and is left out).
+func (s Stats) Counters() []Counter {
+	out := make([]Counter, len(statFields))
+	for i, f := range statFields {
+		out[i] = Counter{f.name, *f.field(&s)}
+	}
+	return out
+}
+
 // Add returns the field-wise sum of s and o (MaxTableSize takes the max).
 func (s Stats) Add(o Stats) Stats {
-	s.Requests += o.Requests
-	s.Regrants += o.Regrants
-	s.Grants += o.Grants
-	s.Conversions += o.Conversions
-	s.Conflicts += o.Conflicts
-	s.Waits += o.Waits
-	s.Deadlocks += o.Deadlocks
-	s.Timeouts += o.Timeouts
-	s.Cancels += o.Cancels
-	s.Downgrades += o.Downgrades
-	s.Releases += o.Releases
-	s.Sheds += o.Sheds
-	s.AdmitDelays += o.AdmitDelays
-	s.DegradedAcquires += o.DegradedAcquires
-	s.InjectedFaults += o.InjectedFaults
-	s.Batches += o.Batches
-	s.BatchFastGrants += o.BatchFastGrants
-	s.BatchFallbacks += o.BatchFallbacks
-	s.SummaryFastChecks += o.SummaryFastChecks
-	s.DeferredDetections += o.DeferredDetections
-	s.DetectorRuns += o.DetectorRuns
-	if o.MaxTableSize > s.MaxTableSize {
-		s.MaxTableSize = o.MaxTableSize
+	for _, f := range statFields {
+		*f.field(&s) += *f.field(&o)
 	}
+	s.MaxTableSize = max(s.MaxTableSize, o.MaxTableSize)
 	return s
 }
 
 // Sub returns the field-wise difference s−o, used to attribute counters to
 // a benchmark phase. MaxTableSize is carried over from s unchanged.
 func (s Stats) Sub(o Stats) Stats {
-	s.Requests -= o.Requests
-	s.Regrants -= o.Regrants
-	s.Grants -= o.Grants
-	s.Conversions -= o.Conversions
-	s.Conflicts -= o.Conflicts
-	s.Waits -= o.Waits
-	s.Deadlocks -= o.Deadlocks
-	s.Timeouts -= o.Timeouts
-	s.Cancels -= o.Cancels
-	s.Downgrades -= o.Downgrades
-	s.Releases -= o.Releases
-	s.Sheds -= o.Sheds
-	s.AdmitDelays -= o.AdmitDelays
-	s.DegradedAcquires -= o.DegradedAcquires
-	s.InjectedFaults -= o.InjectedFaults
-	s.Batches -= o.Batches
-	s.BatchFastGrants -= o.BatchFastGrants
-	s.BatchFallbacks -= o.BatchFallbacks
-	s.SummaryFastChecks -= o.SummaryFastChecks
-	s.DeferredDetections -= o.DeferredDetections
-	s.DetectorRuns -= o.DetectorRuns
+	for _, f := range statFields {
+		*f.field(&s) -= *f.field(&o)
+	}
 	return s
 }

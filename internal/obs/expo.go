@@ -55,8 +55,8 @@ func WriteManagerMetrics(w io.Writer, m *lock.Manager) {
 	st := m.Stats()
 	fmt.Fprintf(w, "# HELP colock_lock_ops_total Cumulative lock-manager operation counters.\n")
 	fmt.Fprintf(w, "# TYPE colock_lock_ops_total counter\n")
-	for _, kv := range statCounters(st) {
-		fmt.Fprintf(w, "colock_lock_ops_total{op=%q} %d\n", kv.name, kv.val)
+	for _, c := range st.Counters() {
+		fmt.Fprintf(w, "colock_lock_ops_total{op=%q} %d\n", c.Name, c.Value)
 	}
 	sizes := m.ShardSizes()
 	total := 0
@@ -80,33 +80,6 @@ func WriteManagerMetrics(w io.Writer, m *lock.Manager) {
 	fmt.Fprintf(w, "# HELP colock_waiting_txns Transactions blocked on a lock request.\n")
 	fmt.Fprintf(w, "# TYPE colock_waiting_txns gauge\n")
 	fmt.Fprintf(w, "colock_waiting_txns %d\n", m.WaitingTxns())
-}
-
-type statKV struct {
-	name string
-	val  uint64
-}
-
-func statCounters(st lock.Stats) []statKV {
-	return []statKV{
-		{"requests", st.Requests},
-		{"regrants", st.Regrants},
-		{"grants", st.Grants},
-		{"conversions", st.Conversions},
-		{"conflicts", st.Conflicts},
-		{"waits", st.Waits},
-		{"deadlocks", st.Deadlocks},
-		{"timeouts", st.Timeouts},
-		{"cancels", st.Cancels},
-		{"downgrades", st.Downgrades},
-		{"releases", st.Releases},
-		{"batches", st.Batches},
-		{"batch_fast_grants", st.BatchFastGrants},
-		{"batch_fallbacks", st.BatchFallbacks},
-		{"summary_fast_checks", st.SummaryFastChecks},
-		{"deferred_detections", st.DeferredDetections},
-		{"detector_runs", st.DetectorRuns},
-	}
 }
 
 // WriteQueuesJSON writes the live queue snapshot as JSON.

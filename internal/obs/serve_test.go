@@ -59,6 +59,16 @@ func TestServeEndpoints(t *testing.T) {
 			t.Errorf("/metrics missing %q:\n%s", want, metrics)
 		}
 	}
+	// Every manager counter is exported, the admission and fault-injection
+	// ones included.
+	if n := strings.Count(metrics, "colock_lock_ops_total{op="); n != 21 {
+		t.Errorf("/metrics exports %d colock_lock_ops_total ops, want 21", n)
+	}
+	for _, c := range (lock.Stats{}).Counters() {
+		if want := fmt.Sprintf("colock_lock_ops_total{op=%q} ", c.Name); !strings.Contains(metrics, want) {
+			t.Errorf("/metrics missing %q", want)
+		}
+	}
 
 	var queues []map[string]any
 	if err := json.Unmarshal([]byte(get("/queues")), &queues); err != nil {
