@@ -16,7 +16,7 @@ package main
 //     before detection could prove them.
 //   - convoys: per-resource queue-depth timelines; a run of ≥N simultaneous
 //     waiters on one resource is a convoy, reported with its depth peak and
-//     timeline — the post-hoc proof of what the live top-K sketch only ranks.
+//     timeline — the post-hoc proof of what the live top-K only ranks.
 //   - blocking critical paths: per transaction, the ordered chain of blocked
 //     acquisitions with durations and blocker attribution.
 //   - historical SLO: the stream replayed through a fresh health.Monitor,
@@ -33,6 +33,7 @@ import (
 	"colock/internal/journal"
 	"colock/internal/lock"
 	"colock/internal/obs"
+	"colock/internal/trace"
 )
 
 // Config holds the analysis knobs.
@@ -96,7 +97,10 @@ type Report struct {
 	SLO           SLOReplay     `json:"slo"`
 }
 
-// HotResource is one contended resource ranked by blocked events.
+// HotResource is one (resource, mode) row of the contention table
+// (trace.Profile), ranked by contention events: waits, sheds, victims and
+// timeouts. BlockedMs sums the Dur of the key's waited grants and
+// conversions, victims, timeouts and cancels.
 type HotResource struct {
 	Resource  string  `json:"resource"`
 	Mode      string  `json:"mode"`
@@ -194,7 +198,7 @@ type analyzer struct {
 	depth   map[lock.Resource]int
 	convoys map[lock.Resource]*convoyTrack
 	cycles  map[string]*Cycle // open cycles by member key
-	hot     map[string]*HotResource
+	hot     *trace.Profile    // sized to the stream: exact, never evicts
 	paths   map[lock.TxnID]*TxnPath
 	txns    map[lock.TxnID]bool
 	wait    obs.Histogram
@@ -218,7 +222,7 @@ func analyze(name string, recs []journal.Record, torn bool, cfg Config) *Report 
 		depth:   make(map[lock.Resource]int),
 		convoys: make(map[lock.Resource]*convoyTrack),
 		cycles:  make(map[string]*Cycle),
-		hot:     make(map[string]*HotResource),
+		hot:     trace.NewProfileCap(len(recs)),
 		paths:   make(map[lock.TxnID]*TxnPath),
 		txns:    make(map[lock.TxnID]bool),
 	}
@@ -250,6 +254,7 @@ func (a *analyzer) step(rec journal.Record) {
 	if rec.Txn != 0 {
 		a.txns[rec.Txn] = true
 	}
+	a.hot.Record(rec.Event)
 	switch rec.KindCode() {
 	case lock.KindGrant, lock.KindConvert:
 		a.grants++
@@ -268,42 +273,21 @@ func (a *analyzer) step(rec journal.Record) {
 		if rec.WaitDie {
 			outcome = "victim-waitdie"
 		}
-		a.touchHot(rec)
 		a.endWait(rec, outcome)
 	case lock.KindTimeout:
 		a.aborts++
 		if rec.Dur > 0 {
 			a.wait.Record(rec.Dur)
 		}
-		a.touchHot(rec)
 		a.endWait(rec, "timeout")
 	case lock.KindCancel:
 		a.endWait(rec, "cancel")
-	case lock.KindShed:
-		a.touchHot(rec)
 	}
-}
-
-// hotKey joins resource and mode for the contention map.
-func hotKey(res lock.Resource, mode lock.Mode) string {
-	return string(res) + "\x00" + mode.String()
-}
-
-// touchHot counts one contention event against the resource.
-func (a *analyzer) touchHot(rec journal.Record) {
-	k := hotKey(rec.Resource, rec.Mode)
-	h := a.hot[k]
-	if h == nil {
-		h = &HotResource{Resource: string(rec.Resource), Mode: rec.Mode.String()}
-		a.hot[k] = h
-	}
-	h.Blocks++
 }
 
 // beginWait opens a blocked request: queue depth, convoy tracking, waits-for
 // edges, cycle detection.
 func (a *analyzer) beginWait(rec journal.Record) {
-	a.touchHot(rec)
 	a.waiting[rec.Txn] = &waitInfo{resource: rec.Resource, mode: rec.Mode, blockers: rec.Blockers, since: rec.At}
 	d := a.depth[rec.Resource] + 1
 	a.depth[rec.Resource] = d
@@ -372,9 +356,6 @@ func (a *analyzer) endWait(rec journal.Record, outcome string) {
 	}
 	if dur < 0 {
 		dur = 0
-	}
-	if h := a.hot[hotKey(ws.resource, ws.mode)]; h != nil {
-		h.BlockedMs += ms(dur)
 	}
 	p := a.paths[rec.Txn]
 	if p == nil {
@@ -495,17 +476,9 @@ func (a *analyzer) finish(recs []journal.Record, cfg Config) {
 		}
 	}
 
-	for _, h := range a.hot {
-		r.Hot = append(r.Hot, *h)
-	}
-	sort.Slice(r.Hot, func(i, j int) bool {
-		if r.Hot[i].Blocks != r.Hot[j].Blocks {
-			return r.Hot[i].Blocks > r.Hot[j].Blocks
-		}
-		return r.Hot[i].Resource < r.Hot[j].Resource
-	})
-	if len(r.Hot) > cfg.Top {
-		r.Hot = r.Hot[:cfg.Top]
+	for _, e := range a.hot.TopK(cfg.Top) {
+		r.Hot = append(r.Hot, HotResource{Resource: string(e.Resource), Mode: e.Mode,
+			Blocks: int(e.Blocks), BlockedMs: ms(time.Duration(e.BlockedNS))})
 	}
 
 	sort.Slice(r.Convoys, func(i, j int) bool {

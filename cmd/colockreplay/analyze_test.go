@@ -183,8 +183,8 @@ func TestSLOReplayGradesHistory(t *testing.T) {
 	if len(rep.SLO.Transitions) == 0 || !strings.Contains(rep.SLO.Transitions[0], "abort rate") {
 		t.Fatalf("transitions = %v, want an abort-rate escalation first", rep.SLO.Transitions)
 	}
-	// The same records through health.Replay — what lockmon -replay calls —
-	// end in the same state over the same windows.
+	// The same records through health.Replay directly end in the same state
+	// over the same windows.
 	mon, trs := health.Replay(recs, time.Second, slo)
 	if mon == nil {
 		t.Fatal("health.Replay found nothing to replay")

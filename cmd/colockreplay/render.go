@@ -1,7 +1,7 @@
 package main
 
-// Text rendering for the analysis report. Pure io.Writer funcs, like
-// lockmon's render: testable without a terminal.
+// Text rendering for the analysis report. Pure io.Writer funcs: testable
+// without a terminal.
 
 import (
 	"fmt"

@@ -4,7 +4,7 @@ package main
 // rate series, .health json emits the full /health document, .health dump
 // writes it to a file (the journal-smoke Makefile gate scrapes that dump),
 // .health auto toggles the burn-alert → admission-control policy, and .topk
-// ranks the hottest contended resources from the space-saving sketch.
+// ranks the hottest contended resources from the monitor's contention table.
 //
 // Every command advances the monitor's window clock to now first: the
 // monitor has no timer of its own — polls ARE the clock.
@@ -117,9 +117,9 @@ func (s *shell) showTopK(arg string) {
 		n = v
 	}
 	s.eng.Monitor.Advance(time.Now())
-	top := s.eng.Monitor.TopK(n)
+	top := s.eng.Monitor.Profile().TopK(n)
 	if len(top) == 0 {
-		fmt.Fprintln(s.out, "no contention recorded (the sketch only counts blocked/aborted requests)")
+		fmt.Fprintln(s.out, "no contention recorded (the table counts waits, victims, timeouts and sheds; counts halve every health window)")
 		return
 	}
 	tab := metrics.NewTable("Hottest contended resources (decayed counts)",

@@ -44,7 +44,7 @@ func TestShellHealthCommands(t *testing.T) {
 	}
 
 	// The dump parses as a health.Report with a well-formed verdict, every
-	// windowed rate present, and the storm's hot key in the top-K sketch.
+	// windowed rate present, and the storm's hot key in the top-K table.
 	data, err := os.ReadFile(dump)
 	if err != nil {
 		t.Fatal(err)
@@ -84,5 +84,15 @@ func TestShellHealthCommands(t *testing.T) {
 	}
 	if sawRetries == 0 {
 		t.Error("no retries recorded in any health window despite the storm")
+	}
+}
+
+// .topk on a shell without contention says the table is empty and what
+// fills it.
+func TestShellTopKEmpty(t *testing.T) {
+	s, buf := newTestShell(t, false)
+	runScript(t, s, `.topk`, `.quit`)
+	if out := buf.String(); !strings.Contains(out, "no contention recorded (the table counts waits, victims, timeouts and sheds") {
+		t.Errorf(".topk without contention:\n%s", out)
 	}
 }

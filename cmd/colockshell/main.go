@@ -264,13 +264,13 @@ func (s *shell) help() {
 Commands: .locks   show locks of the current transaction
           .trace   show recent lock-manager events (grant/wait/convert/release/victim)
           .spans   span tree of the current transaction (or recent spans)
-          .profile blocked-time contention profile (folded flame-graph stacks)
+          .profile blocked time by (resource, mode) (folded flame-graph stacks)
           .incident      list deadlock/timeout incident dumps
           .forcetimeout  run a scripted two-txn scenario ending in a lock timeout
           .forcedeadlock run a scripted two-txn ABBA deadlock (needs detect/waitdie)
           .metrics lock-manager and protocol telemetry (latencies, counters)
           .health [json|dump <path>|auto on|auto off]  SLO verdict + window series
-          .topk [n]  hottest contended resources (decayed space-saving sketch)
+          .topk [n]  hottest contended resources (decayed contention table)
           .journal [flush]  durable lock-event journal status (-journal dir)
           .chaos [off|victim=R timeout=R delay=R seed=N]  deterministic fault injection
           .storm [workers] [rounds]  hot-key write storm through the retry layer
@@ -389,7 +389,7 @@ func (s *shell) showSpans() {
 }
 
 func (s *shell) showProfile() {
-	folded := s.eng.Profile.FoldedStacks()
+	folded := s.eng.Monitor.Profile().FoldedStacks()
 	if folded == "" {
 		fmt.Fprintln(s.out, "no blocked time recorded (profile is empty)")
 		return

@@ -3,6 +3,7 @@ package main
 import (
 	"bufio"
 	"bytes"
+	"regexp"
 	"strings"
 	"testing"
 
@@ -53,7 +54,7 @@ func TestShellProfileAndIncidentEmpty(t *testing.T) {
 }
 
 // .forcetimeout must end in a timeout error, an automatic incident dump that
-// parses, and a non-empty contention profile naming the holder.
+// parses, and a non-empty contention profile naming the contended lock.
 func TestShellForceTimeout(t *testing.T) {
 	dir := t.TempDir()
 	var buf bytes.Buffer
@@ -77,8 +78,8 @@ func TestShellForceTimeout(t *testing.T) {
 	if len(inc.Spans) == 0 || inc.Queues == nil || !strings.Contains(inc.DOT, "digraph") {
 		t.Errorf("incident missing spans/queues/DOT: reason=%s txn=%d", inc.Reason, inc.Txn)
 	}
-	if !strings.Contains(out, "blocked-on:txn:") {
-		t.Errorf(".profile after forced timeout shows no blocker:\n%s", out)
+	if !regexp.MustCompile(`(?m)^db1;[^ ]+;X [1-9][0-9]*$`).MatchString(out) {
+		t.Errorf(".profile after forced timeout shows no blocked X lock:\n%s", out)
 	}
 }
 

@@ -136,7 +136,6 @@ func recordMixedStream(t *testing.T) (*batchLog, *recordLog) {
 // sinkSet is a fresh instance of every event sink of the colockd wiring.
 type sinkSet struct {
 	col  *obs.Collector
-	prof *trace.Profile
 	iw   *trace.IncidentWriter
 	mon  *health.Monitor
 	jw   *journal.Writer
@@ -145,7 +144,7 @@ type sinkSet struct {
 
 func newSinkSet(t *testing.T, start time.Time) *sinkSet {
 	t.Helper()
-	s := &sinkSet{col: obs.NewCollector(obs.Options{}), prof: trace.NewProfile(), jdir: t.TempDir()}
+	s := &sinkSet{col: obs.NewCollector(obs.Options{}), jdir: t.TempDir()}
 	s.iw = trace.NewIncidentWriter(t.TempDir(), nil, nil, trace.IncidentOptions{})
 	// One window holds the whole stream, whatever second it was recorded in.
 	s.mon = health.NewMonitor(health.Options{Window: time.Hour, Start: start})
@@ -157,7 +156,7 @@ func newSinkSet(t *testing.T, start time.Time) *sinkSet {
 }
 
 func (s *sinkSet) sinks() []lock.EventSink {
-	return []lock.EventSink{s.col, s.jw, s.prof, s.iw, s.mon}
+	return []lock.EventSink{s.col, s.jw, s.iw, s.mon}
 }
 
 func (s *sinkSet) hit() {
@@ -231,10 +230,10 @@ func TestRecordAndRecordBatchEquivalent(t *testing.T) {
 	if a, b := one.mon.Current(), batch.mon.Current(); !reflect.DeepEqual(a, b) || a.Counts[health.RateFastPath] != uint64(hits) {
 		t.Errorf("monitor windows: Record %+v, RecordBatch %+v (want %d fast-path hits)", a, b, hits)
 	}
-	if a, b := one.mon.TopK(0), batch.mon.TopK(0); !reflect.DeepEqual(a, b) {
+	if a, b := one.mon.Profile().TopK(0), batch.mon.Profile().TopK(0); !reflect.DeepEqual(a, b) {
 		t.Errorf("monitor hot keys: Record %v, RecordBatch %v", a, b)
 	}
-	if a, b := one.prof.FoldedStacks(), batch.prof.FoldedStacks(); a == "" || a != b {
+	if a, b := one.mon.Profile().FoldedStacks(), batch.mon.Profile().FoldedStacks(); a == "" || a != b {
 		t.Errorf("contention profiles differ (or are empty):\nRecord:\n%s\nRecordBatch:\n%s", a, b)
 	}
 	ia, ib := one.iw.Incidents(), batch.iw.Incidents()

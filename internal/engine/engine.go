@@ -14,12 +14,12 @@
 //     victim/timeout event that triggers the dump must already be inside
 //     that offset for `colockreplay -around` to replay up to and including
 //     it.
-//  3. Profile — pairs wait events with their terminal events.
-//  4. Incident writer — dumps on victim/timeout, reading the recorder, the
+//  3. Incident writer — dumps on victim/timeout, reading the recorder, the
 //     manager's queues and the journal offset.
-//  5. Monitor — health windows graded against health.DefaultSLO; its SLO
-//     transitions are noted in the journal so offline replay can compare
-//     its own grading against what fired live.
+//  4. Monitor — health windows graded against health.DefaultSLO, and the
+//     contention table (trace.Profile) that /health, /trace/profile,
+//     .topk and .profile read; its SLO transitions are noted in the journal
+//     so offline replay can compare its own grading against what fired live.
 //
 // Sinks a caller attaches afterwards (Manager.AttachSink) run after these.
 // Fast-path hits bypass the manager and so the event stream; the protocol's
@@ -65,7 +65,6 @@ type Engine struct {
 	Txns      *txn.Manager
 	Collector *obs.Collector
 	Recorder  *trace.Recorder
-	Profile   *trace.Profile
 	Incidents *trace.IncidentWriter
 	Monitor   *health.Monitor
 	Journal   *journal.Writer
@@ -98,9 +97,7 @@ func Open(cfg Config) (*Engine, error) {
 		mgr.AttachSink(jw)
 		incOpts.JournalOffset = jw.Offset
 	}
-	prof := trace.NewProfile()
 	iw := trace.NewIncidentWriter(cfg.IncidentDir, rec, mgr, incOpts)
-	mgr.AttachSink(prof)
 	mgr.AttachSink(iw)
 	mon := health.NewMonitor(health.Options{
 		SLO:         health.DefaultSLO,
@@ -131,7 +128,6 @@ func Open(cfg Config) (*Engine, error) {
 		Txns:      txn.NewManager(proto, st),
 		Collector: col,
 		Recorder:  rec,
-		Profile:   prof,
 		Incidents: iw,
 		Monitor:   mon,
 		Journal:   jw,
@@ -156,7 +152,7 @@ func (e *Engine) ServeObs(addr string, pprof bool, extras ...func(io.Writer)) (*
 	ts := &obs.TraceSources{
 		Recorder:  e.Recorder,
 		Incidents: e.Incidents,
-		Profile:   e.Profile,
+		Profile:   e.Monitor.Profile(),
 		Health:    e.Monitor.Handler(),
 		Pprof:     pprof,
 	}

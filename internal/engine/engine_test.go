@@ -2,7 +2,10 @@ package engine
 
 import (
 	"context"
+	"errors"
+	"runtime"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -171,5 +174,66 @@ func TestNoJournalWiresMonitorOnly(t *testing.T) {
 	srv.Close()
 	if err := e.Close(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// A contended engine's memory does not grow with the number of waits it has
+// seen. Fresh transactions, 16 at a time, queue for X on cells/c1 behind one
+// holder and time out after 50µs; heap after GC at 4N waits is within 1 MB
+// of heap at N, and the contention table holds at most its capacity.
+func TestSoakBlockedWaitsBoundedHeap(t *testing.T) {
+	const n, workers = 2000, 16
+	e := open(t, t.TempDir())
+	ctx := context.Background()
+	c1 := store.P("cells", "c1")
+	holder := e.Txns.Begin()
+	defer holder.Abort()
+	if err := holder.LockPath(ctx, c1, lock.X); err != nil {
+		t.Fatal(err)
+	}
+	drive := func(waits int) {
+		var wg sync.WaitGroup
+		for g := 0; g < workers; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i := 0; i < waits/workers; i++ {
+					tx := e.Txns.Begin()
+					if err := tx.LockPath(ctx, c1, lock.X, txn.WithTimeout(50*time.Microsecond)); !errors.Is(err, lock.ErrTimeout) {
+						t.Errorf("contended X request: %v, want a timeout", err)
+					}
+					tx.Abort()
+				}
+			}()
+		}
+		wg.Wait()
+	}
+	heap := func() uint64 {
+		if err := e.Journal.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		runtime.GC()
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+
+	drive(n)
+	atN := heap()
+	drive(3 * n)
+	at4N := heap()
+	if t.Failed() {
+		return
+	}
+	if waits := e.Manager.Stats().Waits; waits < 4*n {
+		t.Fatalf("%d blocked waits, want at least %d", waits, 4*n)
+	}
+	t.Logf("heap after GC: %.2f MB at N=%d waits, %.2f MB at 4N", float64(atN)/(1<<20), n, float64(at4N)/(1<<20))
+	if at4N > atN+1<<20 {
+		t.Errorf("heap grew by %.2f MB between %d and %d waits, want at most 1 MB", float64(at4N-atN)/(1<<20), n, 4*n)
+	}
+	if slots := len(e.Monitor.Profile().Entries()); slots > trace.DefaultProfileCap {
+		t.Errorf("contention table holds %d slots, want at most %d", slots, trace.DefaultProfileCap)
 	}
 }

@@ -1,6 +1,7 @@
 // Package health is the lock manager's self-observation layer: a windowed
-// time-series of lock-event rates, a top-K hot-resource sketch, and an SLO
-// engine that grades each closed window against declarative thresholds and
+// time-series of lock-event rates, the contention table (trace.Profile, the
+// top-K hot resources by (resource, mode), decayed once per window), and an
+// SLO engine that grades each closed window against declarative thresholds and
 // runs an ok → warn → critical state machine with hysteresis.
 //
 // Where package obs answers "how slow are locks on average, ever" and
@@ -26,6 +27,7 @@ import (
 
 	"colock/internal/lock"
 	"colock/internal/obs"
+	"colock/internal/trace"
 )
 
 // Rate indexes the per-window event-rate counters.
@@ -120,7 +122,8 @@ type Options struct {
 	Window time.Duration
 	// Retain is how many closed windows the series keeps (default 60).
 	Retain int
-	// TopK is the hot-resource sketch capacity (default 32 tracked keys).
+	// TopK is the contention table's capacity (default
+	// trace.DefaultProfileCap keys).
 	TopK int
 	// SLO sets the health thresholds and state-machine pacing. A zero
 	// value disables grading: the state stays ok.
@@ -152,7 +155,7 @@ type Monitor struct {
 	cur   atomic.Int64
 	slots [liveSlots]window
 
-	sketch *Sketch
+	prof *trace.Profile
 
 	mu        sync.Mutex
 	closed    []WindowStats // newest last, capped at retain
@@ -171,7 +174,7 @@ func NewMonitor(opts Options) *Monitor {
 		opts.Retain = 60
 	}
 	if opts.TopK <= 0 {
-		opts.TopK = 32
+		opts.TopK = trace.DefaultProfileCap
 	}
 	if opts.Start.IsZero() {
 		opts.Start = time.Now()
@@ -182,7 +185,7 @@ func NewMonitor(opts Options) *Monitor {
 		start:       opts.Start,
 		waiterDepth: opts.WaiterDepth,
 		grantPath:   opts.GrantPath,
-		sketch:      NewSketch(opts.TopK),
+		prof:        trace.NewProfileCap(opts.TopK),
 		slo:         sloMachine{cfg: opts.SLO.withDefaults()},
 	}
 }
@@ -214,9 +217,11 @@ func (m *Monitor) slotAt(at time.Time) *window {
 
 // Record consumes one lock event (the lock.EventSink implementation). It
 // runs on the operation's goroutine outside all manager latches, uses the
-// event's own timestamp to pick a window, and never reads the clock.
+// event's own timestamp to pick a window, and never reads the clock. The
+// event also feeds the contention table.
 func (m *Monitor) Record(e lock.Event) {
 	m.count(m.slotAt(e.At), &e)
+	m.prof.Record(e)
 }
 
 // RecordBatch consumes one operation's events (lock.BatchSink). The window
@@ -230,6 +235,7 @@ func (m *Monitor) RecordBatch(evs []lock.Event) {
 	for i := range evs {
 		m.count(w, &evs[i])
 	}
+	m.prof.RecordBatch(evs)
 }
 
 func (m *Monitor) count(w *window, e *lock.Event) {
@@ -241,7 +247,6 @@ func (m *Monitor) count(w *window, e *lock.Event) {
 		}
 	case lock.KindWait:
 		w.counts[RateBlocks].Add(1)
-		m.sketch.Touch(e.Resource, e.Mode)
 	case lock.KindVictim:
 		if e.WaitDie {
 			w.counts[RateWaitDie].Add(1)
@@ -251,16 +256,13 @@ func (m *Monitor) count(w *window, e *lock.Event) {
 		if e.Dur > 0 {
 			w.wait.Record(e.Dur)
 		}
-		m.sketch.Touch(e.Resource, e.Mode)
 	case lock.KindTimeout:
 		w.counts[RateTimeouts].Add(1)
 		if e.Dur > 0 {
 			w.wait.Record(e.Dur)
 		}
-		m.sketch.Touch(e.Resource, e.Mode)
 	case lock.KindShed:
 		w.counts[RateSheds].Add(1)
-		m.sketch.Touch(e.Resource, e.Mode)
 	}
 }
 
@@ -311,8 +313,8 @@ func (m *Monitor) OnTransition(fn func(Transition)) {
 
 // Advance rotates the window clock to now: every window that ended before
 // now is closed, graded against the SLO, appended to the retained series,
-// and the hot-key sketch decays once per closed window (capped at liveSlots
-// decays per call, so one late poll can't erase the sketch). Listeners
+// and the contention table decays once per closed window (capped at liveSlots
+// decays per call, so one late poll can't erase the table). Listeners
 // observe any state transitions. Advance is the ONLY place windows rotate; drive it
 // from observation points (HTTP polls, shell commands, test clocks), at
 // least once per few windows for exact attribution. Returns the state after
@@ -365,10 +367,10 @@ func (m *Monitor) Advance(now time.Time) State {
 	m.cur.Store(target)
 	m.mu.Unlock()
 
-	// One sketch decay per closed window, capped so a single late poll
+	// One table decay per closed window, capped so a single late poll
 	// cannot halve a hot key into oblivion.
 	for i := int64(0); i < closedN && i < liveSlots; i++ {
-		m.sketch.Decay()
+		m.prof.Decay()
 	}
 
 	if len(fired) > 0 {
@@ -454,5 +456,5 @@ func (m *Monitor) Current() WindowStats {
 	return ws
 }
 
-// TopK returns the sketch's n hottest resource+mode keys (see Sketch.TopK).
-func (m *Monitor) TopK(n int) []TopEntry { return m.sketch.TopK(n) }
+// Profile returns the contention table the monitor feeds and decays.
+func (m *Monitor) Profile() *trace.Profile { return m.prof }

@@ -56,9 +56,9 @@ func TestRecordRoutesKindsToRates(t *testing.T) {
 	if ws.WaitMax < time.Millisecond || ws.WaitP99 == 0 {
 		t.Fatalf("wait quantiles not recorded: p99=%v max=%v", ws.WaitP99, ws.WaitMax)
 	}
-	// Four contention events fed the sketch under one key; the window
+	// Four contention events fed the table under one key; the window
 	// close decayed the count once (4 → 2).
-	top := m.TopK(1)
+	top := m.Profile().TopK(1)
 	if len(top) != 1 || top[0].Resource != "r" || top[0].Count != 2 {
 		t.Fatalf("topk = %+v, want r/X count=2 after decay", top)
 	}

@@ -138,7 +138,7 @@ func (m *Monitor) Report(n int) Report {
 		rep.Windows = append(rep.Windows, viewOf(ws))
 	}
 	rep.Current = viewOf(m.Current())
-	for _, e := range m.TopK(topn) {
+	for _, e := range m.prof.TopK(topn) {
 		rep.TopK = append(rep.TopK, TopKView{
 			Resource: string(e.Resource), Mode: e.Mode, Count: e.Count, MaxErr: e.MaxErr,
 		})
@@ -214,7 +214,7 @@ func (m *Monitor) WriteMetrics(w io.Writer) {
 
 	fmt.Fprintf(w, "# HELP colock_health_hot_count Decayed contention count of the top-10 hot resources.\n")
 	fmt.Fprintf(w, "# TYPE colock_health_hot_count gauge\n")
-	for _, e := range m.TopK(10) {
+	for _, e := range m.prof.TopK(10) {
 		fmt.Fprintf(w, "colock_health_hot_count{resource=\"%s\",mode=\"%s\"} %d\n",
 			labelEscape(string(e.Resource)), e.Mode, e.Count)
 	}

@@ -58,9 +58,8 @@ type SLO struct {
 }
 
 // DefaultSLO is the threshold set both daemons grade against, and the one
-// lockmon -replay and colockreplay assume of a journal unless told
-// otherwise: a replayed verdict matches the live one only if both sides use
-// the same numbers.
+// colockreplay assumes of a journal unless told otherwise: a replayed
+// verdict matches the live one only if both sides use the same numbers.
 var DefaultSLO = SLO{
 	MaxAbortRate:   0.05,
 	MaxWaitP99:     250 * time.Millisecond,

@@ -187,8 +187,8 @@ func TestStormSLOTransitionsWithAutoAdmission(t *testing.T) {
 		}
 	}
 
-	// The storm's hot key leads the contention sketch, X-mode keyed.
-	top := mon.TopK(3)
+	// The storm's hot key leads the contention table, X-mode keyed.
+	top := mon.Profile().TopK(3)
 	if len(top) == 0 {
 		t.Fatal("empty top-K after a storm")
 	}

@@ -2,23 +2,31 @@ package health
 
 import (
 	"testing"
+	"time"
 
 	"colock/internal/lock"
 )
 
-func touchN(s *Sketch, r lock.Resource, m lock.Mode, n int) {
+// The monitor's top-K is its contention table (trace.Profile): these tests
+// feed it wait events through Record and decay it by closing windows.
+
+func newTopKMonitor(capacity int) *Monitor {
+	return NewMonitor(Options{Window: time.Second, TopK: capacity, Start: base})
+}
+
+func touchN(m *Monitor, r lock.Resource, mode lock.Mode, n int) {
 	for i := 0; i < n; i++ {
-		s.Touch(r, m)
+		m.Record(lock.Event{Kind: "wait", At: at(0), Resource: r, Mode: mode})
 	}
 }
 
 func TestSketchExactWhileUnderCapacity(t *testing.T) {
-	s := NewSketch(4)
-	touchN(s, "a", lock.X, 5)
-	touchN(s, "b", lock.S, 3)
-	touchN(s, "a", lock.S, 1)
+	m := newTopKMonitor(4)
+	touchN(m, "a", lock.X, 5)
+	touchN(m, "b", lock.S, 3)
+	touchN(m, "a", lock.S, 1)
 
-	top := s.TopK(0)
+	top := m.Profile().TopK(0)
 	if len(top) != 3 {
 		t.Fatalf("tracked %d keys, want 3", len(top))
 	}
@@ -31,12 +39,12 @@ func TestSketchExactWhileUnderCapacity(t *testing.T) {
 }
 
 func TestSketchEvictionInheritsMinWithErrorBound(t *testing.T) {
-	s := NewSketch(2)
-	touchN(s, "hot", lock.X, 10)
-	touchN(s, "warm", lock.X, 3)
-	s.Touch("new", lock.X) // at capacity: evicts warm (min=3)
+	m := newTopKMonitor(2)
+	touchN(m, "hot", lock.X, 10)
+	touchN(m, "warm", lock.X, 3)
+	touchN(m, "new", lock.X, 1) // at capacity: evicts warm (min=3)
 
-	top := s.TopK(0)
+	top := m.Profile().TopK(0)
 	if len(top) != 2 {
 		t.Fatalf("tracked %d keys, want 2", len(top))
 	}
@@ -51,20 +59,24 @@ func TestSketchEvictionInheritsMinWithErrorBound(t *testing.T) {
 	if lo := top[1].Count - top[1].MaxErr; lo > 1 {
 		t.Fatalf("lower bound %d exceeds true count 1", lo)
 	}
+	// Blocks counts only what the key did since it took the slot.
+	if top[1].Blocks != 1 {
+		t.Fatalf("top[1].Blocks = %d, want 1", top[1].Blocks)
+	}
 }
 
 func TestSketchNeverUndercounts(t *testing.T) {
-	// Overflow a tiny sketch with a skewed stream; every surviving key's
+	// Overflow a tiny table with a skewed stream; every surviving key's
 	// estimate must be ≥ its true frequency, and the heaviest key must
 	// still rank first.
-	s := NewSketch(3)
+	m := newTopKMonitor(3)
 	true_ := map[lock.Resource]uint64{}
 	stream := []lock.Resource{"a", "b", "a", "c", "a", "d", "a", "e", "b", "a", "f", "a"}
 	for _, r := range stream {
-		s.Touch(r, lock.X)
+		touchN(m, r, lock.X, 1)
 		true_[r]++
 	}
-	top := s.TopK(0)
+	top := m.Profile().TopK(0)
 	if top[0].Resource != "a" {
 		t.Fatalf("heaviest key = %q, want a (top: %+v)", top[0].Resource, top)
 	}
@@ -76,30 +88,30 @@ func TestSketchNeverUndercounts(t *testing.T) {
 }
 
 func TestSketchDecayHalvesAndDrops(t *testing.T) {
-	s := NewSketch(4)
-	touchN(s, "hot", lock.X, 8)
-	touchN(s, "cool", lock.X, 1)
-	s.Decay()
-	top := s.TopK(0)
+	m := newTopKMonitor(4)
+	touchN(m, "hot", lock.X, 8)
+	touchN(m, "cool", lock.X, 1)
+	m.Advance(at(1)) // one closed window, one decay
+	top := m.Profile().TopK(0)
 	if len(top) != 1 || top[0].Resource != "hot" || top[0].Count != 4 {
 		t.Fatalf("after decay: %+v, want only hot count=4 (cool dropped)", top)
 	}
-	s.Decay()
-	s.Decay()
-	if got := s.TopK(0)[0].Count; got != 1 {
+	m.Advance(at(2))
+	m.Advance(at(3))
+	if got := m.Profile().TopK(0)[0].Count; got != 1 {
 		t.Fatalf("hot after 3 decays = %d, want 1", got)
 	}
-	s.Decay()
-	if s.Len() != 0 {
-		t.Fatalf("sketch should be empty after final decay, has %d keys", s.Len())
+	m.Advance(at(4))
+	if top := m.Profile().TopK(0); len(top) != 0 {
+		t.Fatalf("top-K should be empty after final decay, has %+v", top)
 	}
 }
 
 func TestSketchModeSeparatesKeys(t *testing.T) {
-	s := NewSketch(4)
-	touchN(s, "ep", lock.X, 2)
-	touchN(s, "ep", lock.S, 5)
-	top := s.TopK(0)
+	m := newTopKMonitor(4)
+	touchN(m, "ep", lock.X, 2)
+	touchN(m, "ep", lock.S, 5)
+	top := m.Profile().TopK(0)
 	if len(top) != 2 {
 		t.Fatalf("tracked %d keys, want 2 (same resource, two modes)", len(top))
 	}
@@ -109,14 +121,14 @@ func TestSketchModeSeparatesKeys(t *testing.T) {
 }
 
 func TestSketchTopKTruncatesAndReset(t *testing.T) {
-	s := NewSketch(8)
+	m := newTopKMonitor(8)
 	for _, r := range []lock.Resource{"a", "b", "c", "d"} {
-		s.Touch(r, lock.X)
+		touchN(m, r, lock.X, 1)
 	}
-	if got := len(s.TopK(2)); got != 2 {
+	if got := len(m.Profile().TopK(2)); got != 2 {
 		t.Fatalf("TopK(2) returned %d entries", got)
 	}
-	if got := len(s.TopK(0)); got != s.Len() {
-		t.Fatalf("TopK(0) returned %d of %d entries", got, s.Len())
+	if got := len(m.Profile().TopK(0)); got != len(m.Profile().Entries()) {
+		t.Fatalf("TopK(0) returned %d of %d entries", got, len(m.Profile().Entries()))
 	}
 }

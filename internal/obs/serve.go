@@ -29,8 +29,9 @@ type TraceSources struct {
 	Recorder *trace.Recorder
 	// Incidents lists written incident dumps (/trace/incidents).
 	Incidents *trace.IncidentWriter
-	// Profile renders the blocked-time contention profile in folded-stack
-	// text (/trace/profile), ready for flamegraph tooling.
+	// Profile is the contention table (health.Monitor.Profile) whose
+	// blocked time /trace/profile renders in folded-stack text, ready for
+	// flamegraph tooling.
 	Profile *trace.Profile
 	// Health serves the lock-health verdict on /health (JSON state + window
 	// series + top-K hot resources). Wire internal/health.Monitor.Handler

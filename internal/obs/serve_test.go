@@ -304,7 +304,7 @@ func TestServeTraceRoutes(t *testing.T) {
 	}
 
 	profile := get("/trace/profile")
-	if !strings.Contains(profile, "txn:7;X:db1/seg1/cells/c1;blocked-on:txn:3 1500") {
+	if !strings.Contains(profile, "db1;seg1;cells;c1;X 1500") {
 		t.Errorf("/trace/profile missing folded stack:\n%s", profile)
 	}
 

@@ -10,54 +10,56 @@ import (
 	"colock/internal/lock"
 )
 
-// Profile folds blocked time into a contention profile keyed by
-// (resource, mode, waiting txn → holding txn). It is a lock.EventSink:
-// "wait" events carry the blocker set the manager computed under the shard
-// latch (Event.Blockers), and the matching grant/timeout/cancel/victim
-// event carries the blocked duration; the pair becomes one folded sample.
+// Profile is the contention table: who waits where, keyed by (resource,
+// mode). It is the one copy of that count — health.Monitor owns and decays
+// one for /health, .topk, /trace/profile and .profile, and colockreplay
+// fills one from a journal for its hot list.
 //
-// The folded-stack text output (FoldedStacks) is the flame-graph interchange
-// format — semicolon-separated frames, a space, and an integer value — so
-// blocked time renders directly in flamegraph.pl, inferno, speedscope, or
-// `pprof -flame` after a trivial conversion. Frames contain no spaces or
-// semicolons by construction. The value unit is nanoseconds of blocked
-// time; the full Dur is attributed to every blocker of the wait (a wait
-// behind two holders cost the waiter that time against both).
+// The table is a space-saving (Misra–Gries family) summary in bounded
+// memory: at most its capacity of keys hold a slot. A new key arriving at
+// capacity takes over the slot with the lowest decayed count, inheriting
+// that count + 1 and recording the count as its error bound. The classic
+// guarantees follow: Count never undercounts the key's contention events
+// since the last decay, any key whose count beats the evicted minimum is
+// present, and Count − MaxErr is a certain lower bound.
+//
+// One contention event is a wait, a shed, a victim or a timeout. Blocked
+// time — the Dur of a waited grant or conversion, a victim, a timeout or a
+// cancel — is added to the key's slot if it has one; no wait is paired with
+// its end, so nothing is held per transaction.
+//
+// Profile is a lock.EventSink and lock.BatchSink. All methods are safe for
+// concurrent use.
 type Profile struct {
-	mu      sync.Mutex
-	pending map[lock.TxnID]pendingWait
-	cells   map[profileKey]*profileCell
-	dropped uint64 // waits discarded by the pending-map cap
-}
-
-// maxPending bounds the pending-wait map against waits whose terminal event
-// never arrives (requests parked for good under PolicyNone).
-const maxPending = 8192
-
-type pendingWait struct {
-	res      lock.Resource
-	mode     string
-	blockers []lock.TxnID
+	mu    sync.Mutex
+	cap   int
+	slots map[profileKey]*profileSlot
 }
 
 type profileKey struct {
-	res    lock.Resource
-	mode   string
-	waiter lock.TxnID
-	holder lock.TxnID // 0 when the blocker set was unknown
+	res  lock.Resource
+	mode lock.Mode
 }
 
-type profileCell struct {
-	ns    int64
-	count uint64
+type profileSlot struct {
+	blocks    uint64 // contention events since the key took the slot
+	blockedNS int64
+	count     uint64 // decayed contention events; the space-saving estimate
+	maxErr    uint64
 }
 
-// NewProfile builds an empty contention profile.
-func NewProfile() *Profile {
-	return &Profile{
-		pending: make(map[lock.TxnID]pendingWait),
-		cells:   make(map[profileKey]*profileCell),
-	}
+// DefaultProfileCap is NewProfile's capacity, and health.Options.TopK's
+// default.
+const DefaultProfileCap = 32
+
+// NewProfile builds an empty contention table of DefaultProfileCap slots.
+func NewProfile() *Profile { return NewProfileCap(DefaultProfileCap) }
+
+// NewProfileCap builds an empty contention table of at most capacity slots
+// (minimum 1). A table at least as large as the number of events it is fed
+// never evicts, so its counts are exact.
+func NewProfileCap(capacity int) *Profile {
+	return &Profile{cap: max(capacity, 1), slots: make(map[profileKey]*profileSlot)}
 }
 
 // Record is the lock.EventSink implementation.
@@ -69,18 +71,8 @@ func (p *Profile) Record(e lock.Event) {
 	}
 }
 
-// concerns reports whether e can start or end a wait.
-func concerns(e *lock.Event) bool {
-	switch e.KindCode() {
-	case lock.KindRelease, lock.KindDowngrade, lock.KindShed, lock.KindOther:
-		return false
-	}
-	return true
-}
-
 // RecordBatch consumes one operation's events (lock.BatchSink) under at most
-// one hold of the profile's mutex. Nothing of the batch is retained except
-// the (never reused) blocker sets of wait events.
+// one hold of the table's mutex.
 func (p *Profile) RecordBatch(evs []lock.Event) {
 	locked := false
 	for i := range evs {
@@ -98,110 +90,160 @@ func (p *Profile) RecordBatch(evs []lock.Event) {
 	}
 }
 
-// recordLocked folds one event. Caller holds p.mu.
-func (p *Profile) recordLocked(e *lock.Event) {
+// concerns reports whether e counts contention or blocked time.
+func concerns(e *lock.Event) bool {
 	switch e.KindCode() {
-	case lock.KindWait:
-		if len(p.pending) >= maxPending {
-			p.dropped++
-		} else {
-			p.pending[e.Txn] = pendingWait{res: e.Resource, mode: e.Mode.String(), blockers: e.Blockers}
-		}
+	case lock.KindWait, lock.KindShed, lock.KindVictim, lock.KindTimeout, lock.KindCancel:
+		return true
 	case lock.KindGrant, lock.KindConvert:
-		pw, ok := p.pending[e.Txn]
-		delete(p.pending, e.Txn)
-		if ok && e.Waited && e.Dur > 0 {
-			p.foldLocked(pw, e)
+		return e.Waited
+	}
+	return false
+}
+
+// recordLocked folds one event that concerns the table. Caller holds p.mu.
+func (p *Profile) recordLocked(e *lock.Event) {
+	k := profileKey{e.Resource, e.Mode}
+	switch e.KindCode() {
+	case lock.KindWait, lock.KindShed:
+		p.touchLocked(k)
+	case lock.KindVictim, lock.KindTimeout:
+		p.touchLocked(k).blockedNS += int64(e.Dur)
+	default: // a waited grant or conversion, a cancel
+		if s := p.slots[k]; s != nil {
+			s.blockedNS += int64(e.Dur)
 		}
-	case lock.KindTimeout, lock.KindCancel, lock.KindVictim:
-		pw, ok := p.pending[e.Txn]
-		delete(p.pending, e.Txn)
-		if !ok {
-			// A wait-die victim dies without ever queueing; its victim
-			// event carries the blockers directly.
-			pw = pendingWait{res: e.Resource, mode: e.Mode.String(), blockers: e.Blockers}
-		}
-		if e.Dur > 0 {
-			p.foldLocked(pw, e)
-		}
-	case lock.KindReleaseAll:
-		delete(p.pending, e.Txn)
 	}
 }
 
-// foldLocked adds one blocked-time sample. Caller holds p.mu.
-func (p *Profile) foldLocked(pw pendingWait, e *lock.Event) {
-	holders := pw.blockers
-	if len(holders) == 0 {
-		holders = []lock.TxnID{0}
+// touchLocked counts one contention event against k and returns its slot.
+// Caller holds p.mu.
+func (p *Profile) touchLocked(k profileKey) *profileSlot {
+	if s := p.slots[k]; s != nil {
+		s.blocks++
+		s.count++
+		return s
 	}
-	for _, h := range holders {
-		k := profileKey{res: pw.res, mode: pw.mode, waiter: e.Txn, holder: h}
-		c := p.cells[k]
-		if c == nil {
-			c = &profileCell{}
-			p.cells[k] = c
+	if len(p.slots) < p.cap {
+		s := &profileSlot{blocks: 1, count: 1}
+		p.slots[k] = s
+		return s
+	}
+	// At capacity: the newcomer takes over the minimum slot, inheriting
+	// min+1 with error bound min (it may have occurred up to min times
+	// while untracked, never more — else it would have displaced earlier).
+	var minKey profileKey
+	var min *profileSlot
+	for mk, s := range p.slots {
+		if min == nil || s.count < min.count || s.count == min.count && keyLess(mk, minKey) {
+			min, minKey = s, mk
 		}
-		c.ns += int64(e.Dur)
-		c.count++
 	}
+	delete(p.slots, minKey)
+	*min = profileSlot{blocks: 1, count: min.count + 1, maxErr: min.count}
+	p.slots[k] = min
+	return min
 }
 
-// Entry is one contention-profile row.
+func keyLess(a, b profileKey) bool {
+	if a.res != b.res {
+		return a.res < b.res
+	}
+	return a.mode < b.mode
+}
+
+// Decay halves every slot's Count and MaxErr, turning the lifetime summary
+// into an exponentially weighted "hot now" ranking. Slots stay: one whose
+// count reaches zero is the first to be taken over. health.Monitor calls it
+// once per closed window.
+func (p *Profile) Decay() {
+	p.mu.Lock()
+	for _, s := range p.slots {
+		s.count >>= 1
+		s.maxErr >>= 1
+	}
+	p.mu.Unlock()
+}
+
+// Entry is one slot of the contention table.
 type Entry struct {
-	Resource  lock.Resource `json:"resource"`
-	Mode      string        `json:"mode"`
-	Waiter    lock.TxnID    `json:"waiter"`
-	Holder    lock.TxnID    `json:"holder"` // 0 = unknown
-	BlockedNS int64         `json:"blocked_ns"`
-	Count     uint64        `json:"count"`
+	Resource lock.Resource
+	// Mode is the requested mode that contended: an X-hot entry point and
+	// an S-hot one rank apart.
+	Mode string
+	// Blocks counts the contention events since the key took the slot.
+	Blocks uint64
+	// BlockedNS is the blocked time since the key took the slot.
+	BlockedNS int64
+	// Count is the decayed space-saving estimate: true ≤ Count ≤ true +
+	// MaxErr over the events since the last decay.
+	Count uint64
+	// MaxErr bounds the overestimation Count carries from taking over a
+	// slot (zero for keys tracked since their first contention).
+	MaxErr uint64
 }
 
-// Entries returns the profile rows sorted by blocked time, largest first.
+// Entries returns every slot, descending by Count with (resource, mode)
+// breaking ties.
 func (p *Profile) Entries() []Entry {
 	p.mu.Lock()
-	out := make([]Entry, 0, len(p.cells))
-	for k, c := range p.cells {
-		out = append(out, Entry{Resource: k.res, Mode: k.mode, Waiter: k.waiter, Holder: k.holder, BlockedNS: c.ns, Count: c.count})
+	out := make([]Entry, 0, len(p.slots))
+	for k, s := range p.slots {
+		out = append(out, Entry{Resource: k.res, Mode: k.mode.String(), Blocks: s.blocks,
+			BlockedNS: s.blockedNS, Count: s.count, MaxErr: s.maxErr})
 	}
 	p.mu.Unlock()
 	sort.Slice(out, func(i, j int) bool {
-		if out[i].BlockedNS != out[j].BlockedNS {
-			return out[i].BlockedNS > out[j].BlockedNS
+		if out[i].Count != out[j].Count {
+			return out[i].Count > out[j].Count
 		}
-		return foldedLine(out[i]) < foldedLine(out[j])
+		if out[i].Resource != out[j].Resource {
+			return out[i].Resource < out[j].Resource
+		}
+		return out[i].Mode < out[j].Mode
 	})
 	return out
 }
 
-// foldedLine renders one entry in folded-stack form:
-//
-//	txn:<waiter>;<mode>:<resource>;blocked-on:txn:<holder> <ns>
-//
-// Hierarchical resource names keep their slashes; frames never contain
-// spaces or semicolons (resource names are path strings).
-func foldedLine(e Entry) string {
-	holder := fmt.Sprintf("blocked-on:txn:%d", e.Holder)
-	if e.Holder == 0 {
-		holder = "blocked-on:unknown"
+// TopK returns the n hottest entries in Entries order, omitting those whose
+// Count has decayed to zero (n <= 0 returns all of the rest).
+func (p *Profile) TopK(n int) []Entry {
+	out := p.Entries()
+	for i, e := range out {
+		if e.Count == 0 {
+			out = out[:i]
+			break
+		}
 	}
-	return fmt.Sprintf("txn:%d;%s:%s;%s %d", e.Waiter, e.Mode, e.Resource, holder, e.BlockedNS)
+	if n > 0 && len(out) > n {
+		out = out[:n]
+	}
+	return out
 }
 
-// FoldedStacks renders the whole profile as folded-stack text, one sample
-// line per (resource, mode, waiter, holder) cell, sorted lexicographically
-// (the order flamegraph tooling expects is irrelevant, but a stable order
-// makes the output diffable).
+// FoldedStacks renders the table's blocked time as folded-stack text, the
+// flame-graph interchange format (flamegraph.pl, inferno, speedscope): one
+// line per slot with blocked time, whose frames are the resource path's
+// segments and then the mode, a space, and the blocked nanoseconds —
+//
+//	db1;seg1;cells;c1;X 1500
+//
+// The object-specific lock graph is then the flame graph: blocked time sums
+// up the hierarchy to the unit and segment an operator would escalate.
+// Frames contain no spaces or semicolons (resource names are path strings).
+// Lines are sorted, so the output is diffable.
 func (p *Profile) FoldedStacks() string {
-	entries := p.Entries()
-	lines := make([]string, len(entries))
-	for i, e := range entries {
-		lines[i] = foldedLine(e)
+	var lines []string
+	for _, e := range p.Entries() {
+		if e.BlockedNS > 0 {
+			frames := strings.ReplaceAll(string(e.Resource), "/", ";")
+			lines = append(lines, fmt.Sprintf("%s;%s %d", frames, e.Mode, e.BlockedNS))
+		}
 	}
-	sort.Strings(lines)
 	if len(lines) == 0 {
 		return ""
 	}
+	sort.Strings(lines)
 	return strings.Join(lines, "\n") + "\n"
 }
 
@@ -209,22 +251,4 @@ func (p *Profile) FoldedStacks() string {
 func (p *Profile) WriteFolded(w io.Writer) error {
 	_, err := io.WriteString(w, p.FoldedStacks())
 	return err
-}
-
-// TotalBlocked returns the total folded blocked time in nanoseconds.
-func (p *Profile) TotalBlocked() int64 {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	var ns int64
-	for _, c := range p.cells {
-		ns += c.ns
-	}
-	return ns
-}
-
-// Dropped returns the number of waits discarded by the pending-map cap.
-func (p *Profile) Dropped() uint64 {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.dropped
 }
