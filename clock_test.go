@@ -6,6 +6,7 @@ import (
 	"go/token"
 	"io/fs"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -18,40 +19,73 @@ import (
 // one justifies it, updates this pin and says so in CHANGES.md.
 const wantClockReads = 38
 
+// wantTestSleeps pins the number of time.Sleep( calls in the test files
+// outside bench/. A sleep makes a test slow and its outcome a matter of
+// scheduling; tests order goroutines with notifications (lock.WithParkNotify)
+// instead. The pin only moves down, and a change that moves it says so in
+// CHANGES.md.
+const wantTestSleeps = 50
+
 func TestClockReadCount(t *testing.T) {
 	var reads []string
-	fset := token.NewFileSet()
 	for _, root := range []string{"internal", "client"} {
-		err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
-			if err != nil || d.IsDir() || !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
-				return err
-			}
-			f, err := parser.ParseFile(fset, path, nil, 0)
-			if err != nil {
-				return err
-			}
-			ast.Inspect(f, func(n ast.Node) bool {
-				call, ok := n.(*ast.CallExpr)
-				if !ok {
-					return true
-				}
-				sel, ok := call.Fun.(*ast.SelectorExpr)
-				if !ok || sel.Sel.Name != "Now" && sel.Sel.Name != "Since" {
-					return true
-				}
-				if x, ok := sel.X.(*ast.Ident); ok && x.Name == "time" {
-					reads = append(reads, fset.Position(call.Pos()).String())
-				}
-				return true
-			})
-			return nil
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
+		reads = append(reads, timeCalls(t, root, false, "Now", "Since")...)
 	}
 	if len(reads) != wantClockReads {
-		sort.Strings(reads)
 		t.Errorf("clock reads = %d, want %d:\n  %s", len(reads), wantClockReads, strings.Join(reads, "\n  "))
 	}
+}
+
+func TestTestSleepCount(t *testing.T) {
+	sleeps := timeCalls(t, ".", true, "Sleep")
+	if len(sleeps) != wantTestSleeps {
+		t.Errorf("test sleeps = %d, want %d:\n  %s", len(sleeps), wantTestSleeps, strings.Join(sleeps, "\n  "))
+	}
+}
+
+// timeCalls returns the sorted positions of the time.<name>( calls in the
+// Go files under root, the test files if tests is set and the others if
+// not. bench/ and hidden directories are skipped.
+func timeCalls(t *testing.T, root string, tests bool, names ...string) []string {
+	t.Helper()
+	var calls []string
+	fset := token.NewFileSet()
+	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if path == "bench" || path != "." && strings.HasPrefix(d.Name(), ".") {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") != tests {
+			return nil
+		}
+		f, err := parser.ParseFile(fset, path, nil, 0)
+		if err != nil {
+			return err
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			call, ok := n.(*ast.CallExpr)
+			if !ok {
+				return true
+			}
+			sel, ok := call.Fun.(*ast.SelectorExpr)
+			if !ok || !slices.Contains(names, sel.Sel.Name) {
+				return true
+			}
+			if x, ok := sel.X.(*ast.Ident); ok && x.Name == "time" {
+				calls = append(calls, fset.Position(call.Pos()).String())
+			}
+			return true
+		})
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sort.Strings(calls)
+	return calls
 }

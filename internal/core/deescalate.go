@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 
 	"colock/internal/lock"
@@ -26,10 +27,11 @@ import (
 //   - txn must hold S or X explicitly on n;
 //   - every keep path must lie strictly below n in the hierarchy.
 //
-// After the call, siblings of the kept paths are available to other
-// transactions. Early release of a coarse lock weakens two-phase locking —
-// like rule 5's leaf-to-root early release, it is only safe if the
-// transaction no longer depends on the released data.
+// The kept locks inherit the coarse lock's durability. After the call,
+// siblings of the kept paths are available to other transactions. Early
+// release of a coarse lock weakens two-phase locking — like rule 5's
+// leaf-to-root early release, it is only safe if the transaction no longer
+// depends on the released data.
 func (p *Protocol) DeEscalate(txn lock.TxnID, n Node, keep []store.Path) error {
 	res, err := p.nm.Resource(n)
 	if err != nil {
@@ -54,11 +56,11 @@ func (p *Protocol) DeEscalate(txn lock.TxnID, n Node, keep []store.Path) error {
 		}
 	}
 
-	// Acquire the fine locks while still covered by the coarse lock. The
-	// protocol's normal Lock handles intention chains and downward
-	// propagation into common data reachable from the kept parts.
+	// Acquire the fine locks, as durable as the coarse lock, while it still
+	// covers them (intention chains and downward propagation included).
+	durable := p.mgr.HeldCovers(txn, res, held, true)
 	for _, k := range keep {
-		if err := p.Lock(txn, DataNode(k), held); err != nil {
+		if err := p.LockWith(context.TODO(), txn, DataNode(k), held, durable, false, 0); err != nil {
 			return err
 		}
 	}

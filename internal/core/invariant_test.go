@@ -110,7 +110,7 @@ func assertEntryPointCoverage(t *testing.T, p *Protocol, st *store.Store, txn lo
 			continue
 		}
 		n := nodeFromResource(t, p, string(h.Resource))
-		entries, err := EntryPointsUnder(st, p.Namer(), n)
+		entries, err := EntryPointsUnder(st, p.nm, n)
 		if err != nil {
 			t.Fatalf("entry points under %s: %v", h.Resource, err)
 		}
@@ -198,7 +198,7 @@ func TestDeEscalationPreservesInvariants(t *testing.T) {
 		assertProtocolInvariants(t, p, 1)
 		assertEntryPointCoverage(t, p, st, 1)
 		// The coarse lock is gone.
-		res := p.Namer().MustResource(DataNode(obj))
+		res := p.nm.MustResource(DataNode(obj))
 		if got := p.Manager().HeldMode(1, res); got == lock.S || got == lock.X {
 			return false
 		}
@@ -263,7 +263,7 @@ func TestTwoTxnCompatibilityProperty(t *testing.T) {
 // (including ancestors and propagation) would be granted without blocking.
 func probeCompatible(p *Protocol, st *store.Store, txn lock.TxnID, n Node, mode lock.Mode) bool {
 	check := func(nn Node, m lock.Mode) bool {
-		res, err := p.Namer().Resource(nn)
+		res, err := p.nm.Resource(nn)
 		if err != nil {
 			return false
 		}
@@ -274,7 +274,7 @@ func probeCompatible(p *Protocol, st *store.Store, txn lock.TxnID, n Node, mode 
 		}
 		return true
 	}
-	anc, err := p.Namer().Ancestors(n)
+	anc, err := p.nm.Ancestors(n)
 	if err != nil {
 		return false
 	}
@@ -287,12 +287,12 @@ func probeCompatible(p *Protocol, st *store.Store, txn lock.TxnID, n Node, mode 
 		return false
 	}
 	if mode == lock.S || mode == lock.X {
-		entries, err := EntryPointsUnder(st, p.Namer(), n)
+		entries, err := EntryPointsUnder(st, p.nm, n)
 		if err != nil {
 			return false
 		}
 		for _, ep := range entries {
-			epAnc, err := p.Namer().Ancestors(DataNode(ep))
+			epAnc, err := p.nm.Ancestors(DataNode(ep))
 			if err != nil {
 				return false
 			}

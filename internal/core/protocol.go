@@ -125,9 +125,6 @@ func (p *Protocol) CanModify(txn lock.TxnID, relation string) bool {
 	return p.auth.CanModify(txn, relation)
 }
 
-// Namer exposes the resource namer.
-func (p *Protocol) Namer() *Namer { return p.nm }
-
 // Lock acquires a lock of the given mode (IS, IX, S or X) on the node,
 // following the protocol. It blocks until granted; a deadlock-victim error
 // from the lock manager is returned unchanged and the transaction must
@@ -172,26 +169,47 @@ func (p *Protocol) LockWith(ctx context.Context, txn lock.TxnID, n Node, mode lo
 	default:
 		return fmt.Errorf("core: protocol mode must be IS, IX, S or X, got %v", mode)
 	}
-	// requested tracks the strongest mode already handled per resource
-	// within this call, so that diamond-shaped sharing does not reprocess
-	// entry points. Pooled: the map is cleared and reused across calls.
-	requested := requestedPool.Get().(map[lock.Resource]lock.Mode)
+	c := callPool.Get().(*call)
+	c.ctx, c.txn, c.opt, c.noFollow = ctx, txn, lock.AcquireOption{Durable: durable, Timeout: timeout}, noFollow
 	defer func() {
-		clear(requested)
-		requestedPool.Put(requested)
+		clear(c.requested)
+		c.ctx = nil
+		callPool.Put(c)
 	}()
-	return p.lockRec(ctx, txn, n, mode, "", durable, noFollow, timeout, requested, trace.SpanHandle{})
+	return p.lock(c, n, mode, "", trace.SpanHandle{})
 }
 
-var requestedPool = sync.Pool{
-	New: func() any { return make(map[lock.Resource]lock.Mode, 16) },
+// call carries one LockWith request through the protocol's fan-out: every
+// lock it takes — intention locks up a chain, S/X down into common data —
+// goes to the manager with the same context, transaction and options.
+// Pooled: put back with its memo cleared and no caller context.
+type call struct {
+	ctx      context.Context
+	txn      lock.TxnID
+	opt      lock.AcquireOption
+	noFollow bool
+	// requested holds the strongest mode handled per resource in this call,
+	// so that diamond-shaped sharing does not reprocess entry points.
+	requested map[lock.Resource]lock.Mode
 }
 
-// lockRec locks one node under the protocol. kind is "" for the node the
-// caller named (the root span) and the span kind ("downward",
-// "downward-rule4prime") for an entry point reached by propagation, whose
+var callPool = sync.Pool{
+	New: func() any { return &call{requested: make(map[lock.Resource]lock.Mode, 16)} },
+}
+
+// lock locks one node under the protocol. kind is "" for the node the caller
+// named (the root span) and "downward" for an entry point reached by
+// propagation, which rule 4′ may weaken to S ("downward-rule4prime"); its
 // span parents the recursion's spans: the tree mirrors the propagation.
-func (p *Protocol) lockRec(ctx context.Context, txn lock.TxnID, n Node, mode lock.Mode, kind string, durable, noFollow bool, timeout time.Duration, requested map[lock.Resource]lock.Mode, sp trace.SpanHandle) (err error) {
+func (p *Protocol) lock(c *call, n Node, mode lock.Mode, kind string, sp trace.SpanHandle) (err error) {
+	if kind != "" {
+		if mode == lock.X && p.rule4Prime && !p.auth.CanModify(c.txn, n.Path.Relation()) {
+			// Rule 4′: non-modifiable inner units are only S-locked.
+			mode, kind = lock.S, "downward-rule4prime"
+			p.counters.rule4Weakened.Add(1)
+		}
+		p.counters.downward.Add(1)
+	}
 	// chain also validates a data path against the schema: instances need
 	// not exist (inserts lock their future resource), but the attribute
 	// shape must be real.
@@ -201,14 +219,14 @@ func (p *Protocol) lockRec(ctx context.Context, txn lock.TxnID, n Node, mode loc
 	}
 	if kind == "" {
 		if p.tr != nil {
-			sp = p.tr.Start(txn, "lock", res, mode)
+			sp = p.tr.Start(c.txn, "lock", res, mode)
 			defer func() { sp.End(err) }()
 		}
 	} else if sp.Recording() {
 		sp = sp.Child(kind, res, mode)
 		defer func() { sp.EndAtLast(err) }()
 	}
-	if prev, ok := requested[res]; ok && prev.Covers(mode) {
+	if prev, ok := c.requested[res]; ok && prev.Covers(mode) {
 		p.counters.memoHits.Add(1)
 		return nil
 	}
@@ -216,14 +234,14 @@ func (p *Protocol) lockRec(ctx context.Context, txn lock.TxnID, n Node, mode loc
 	// the node's own lock comes after the scan below. Everything else (IS/IX,
 	// or S/X with noFollow) is a pure chain acquisition: the node's lock joins
 	// its ancestors' batch.
-	follow := (mode == lock.S || mode == lock.X) && !noFollow
+	follow := (mode == lock.S || mode == lock.X) && !c.noFollow
 
 	// Rules 1–4, upward part: intention-lock all immediate parents
 	// root-to-leaf (rule 5 order). For entry points this is the "implicit
 	// upward propagation" up to the root of the superunit; it never crosses
 	// superunit boundaries because the ancestor chain is exactly the
 	// superunit spine.
-	if err := p.lockChain(ctx, txn, res, anc, mode, !follow, durable, timeout, requested, sp); err != nil || !follow {
+	if err := p.chain(c, res, anc, mode, !follow, sp); err != nil || !follow {
 		return err
 	}
 
@@ -231,8 +249,7 @@ func (p *Protocol) lockRec(ctx context.Context, txn lock.TxnID, n Node, mode loc
 	// complex objects a reference cycle leads back to this node, and the
 	// reservation terminates the recursion (the cycle member is then locked
 	// on the way back up).
-	reserved := requested[res]
-	requested[res] = lock.Sup(reserved, mode)
+	c.requested[res] = lock.Sup(c.requested[res], mode)
 
 	// Rules 3/4/4′, downward part: before granting S or X on the node, lock
 	// the entry points of all lower (dependent) inner units accessible via
@@ -249,7 +266,7 @@ func (p *Protocol) lockRec(ctx context.Context, txn lock.TxnID, n Node, mode loc
 			return err
 		}
 		for _, ep := range sc.cur {
-			if err := p.lockEntry(ctx, txn, ep, mode, durable, noFollow, timeout, requested, sp); err != nil {
+			if err := p.lock(c, DataNode(store.P(ep.Relation, ep.Key)), mode, "downward", sp); err != nil {
 				return err
 			}
 		}
@@ -258,9 +275,9 @@ func (p *Protocol) lockRec(ctx context.Context, txn lock.TxnID, n Node, mode loc
 	// Final acquire on the node itself: S/X always goes to the manager, whose
 	// held-covers regrant path answers a repeat, so every S/X request stays
 	// visible in Stats.Requests and the events.
-	c := sp.Child("acquire", res, mode)
-	err = p.mgr.AcquireCtx(ctx, txn, res, mode, lock.AcquireOption{Durable: durable, Timeout: timeout})
-	c.End(err)
+	a := sp.Child("acquire", res, mode)
+	err = p.mgr.AcquireCtx(c.ctx, c.txn, res, mode, c.opt)
+	a.End(err)
 	if err != nil {
 		return err
 	}
@@ -282,7 +299,7 @@ func (p *Protocol) lockRec(ctx context.Context, txn lock.TxnID, n Node, mode loc
 			}
 			late = true
 			p.counters.lateEntries.Add(1)
-			if err := p.lockEntry(ctx, txn, ep, mode, durable, noFollow, timeout, requested, sp); err != nil {
+			if err := p.lock(c, DataNode(store.P(ep.Relation, ep.Key)), mode, "downward", sp); err != nil {
 				return err
 			}
 		}
@@ -290,29 +307,25 @@ func (p *Protocol) lockRec(ctx context.Context, txn lock.TxnID, n Node, mode loc
 	return nil
 }
 
-// lockEntry propagates a request of the given mode onto one entry point
-// found below the requested node (rules 3/4, or 4′ where it applies).
-func (p *Protocol) lockEntry(ctx context.Context, txn lock.TxnID, ep store.Ref, mode lock.Mode, durable, noFollow bool, timeout time.Duration, requested map[lock.Resource]lock.Mode, sp trace.SpanHandle) error {
-	kind := "downward"
-	if mode == lock.X && p.rule4Prime && !p.auth.CanModify(txn, ep.Relation) {
-		// Rule 4′: non-modifiable inner units are only S-locked.
-		mode, kind = lock.S, "downward-rule4prime"
-		p.counters.rule4Weakened.Add(1)
-	}
-	p.counters.downward.Add(1)
-	return p.lockRec(ctx, txn, DataNode(store.P(ep.Relation, ep.Key)), mode, kind, durable, noFollow, timeout, requested, sp)
-}
-
-// missing appends to reqs an intent request for every ancestor that neither
-// this call's memo nor (with the fast path on) the transaction's lock list
-// covers, root to leaf, counting the hits.
-func (p *Protocol) missing(reqs []lock.BatchReq, txn lock.TxnID, anc []lock.Resource, intent lock.Mode, durable bool, requested map[lock.Resource]lock.Mode) []lock.BatchReq {
+// chain is the one routine that sends chain requests to the manager: an
+// intent request for each ancestor neither the call's memo nor (with the
+// fast path on) the lock list covers and, when withNode is set (the request
+// does not propagate), the node's own lock go to it root to leaf as ONE
+// Manager.AcquireBatch. The steady state — everything already held — makes
+// zero manager requests and zero allocations. A recording sp gets one
+// finished child per request the manager got to ("upward" for an ancestor,
+// "acquire" for the node), all sharing the batch's start and end.
+func (p *Protocol) chain(c *call, res lock.Resource, anc []lock.Resource, mode lock.Mode, withNode bool, sp trace.SpanHandle) error {
+	// Stack buffer: a chain (database, segment, relation, object and four
+	// levels below it) fits; a deeper one spills to the heap.
+	var buf [8]lock.BatchReq
+	reqs, intent := buf[:0], mode.IntentionFor()
 	for _, ares := range anc {
-		if prev, ok := requested[ares]; ok && prev.Covers(intent) {
+		if prev, ok := c.requested[ares]; ok && prev.Covers(intent) {
 			p.counters.memoHits.Add(1)
 			continue
 		}
-		if p.fast && p.mgr.HeldCovers(txn, ares, intent, durable) {
+		if p.fast && p.mgr.HeldCovers(c.txn, ares, intent, c.opt.Durable) {
 			// Deliberately NOT folded into requested: the lock list answers
 			// any later encounter the memo would, and skipping the map write
 			// keeps the steady state free of per-call map traffic.
@@ -321,27 +334,12 @@ func (p *Protocol) missing(reqs []lock.BatchReq, txn lock.TxnID, anc []lock.Reso
 		}
 		reqs = append(reqs, lock.BatchReq{Resource: ares, Mode: intent})
 	}
-	return reqs
-}
-
-// lockChain is the one routine that sends chain requests to the manager: the
-// intent requests missing leaves and, when withNode is set (the request does
-// not propagate), the node's own lock go to it root to leaf as ONE
-// Manager.AcquireBatch. The common steady-state outcome — everything already
-// held — performs zero manager requests and zero allocations. A recording sp
-// gets one finished child per request the manager got to ("upward" for an
-// ancestor, "acquire" for the node), all sharing the batch's start and end.
-func (p *Protocol) lockChain(ctx context.Context, txn lock.TxnID, res lock.Resource, anc []lock.Resource, mode lock.Mode, withNode, durable bool, timeout time.Duration, requested map[lock.Resource]lock.Mode, sp trace.SpanHandle) error {
-	// Stack buffer: a chain (database, segment, relation, object and four
-	// levels below it) fits; a deeper one spills to the heap.
-	var buf [8]lock.BatchReq
-	reqs := p.missing(buf[:0], txn, anc, mode.IntentionFor(), durable, requested)
 	upward := len(reqs)
 	if withNode {
 		// Only IS/IX node locks may be served from the lock list: noFollow S/X
 		// is rare, and going to the manager keeps every S/X request visible in
 		// Stats.Requests and the events.
-		if p.fast && mode.IsIntention() && p.mgr.HeldCovers(txn, res, mode, durable) {
+		if p.fast && mode.IsIntention() && p.mgr.HeldCovers(c.txn, res, mode, c.opt.Durable) {
 			p.noteFastPathHit()
 		} else {
 			reqs = append(reqs, lock.BatchReq{Resource: res, Mode: mode})
@@ -350,7 +348,7 @@ func (p *Protocol) lockChain(ctx context.Context, txn lock.TxnID, res lock.Resou
 	if len(reqs) == 0 {
 		return nil
 	}
-	err := p.mgr.AcquireBatch(ctx, txn, reqs, lock.AcquireOption{Durable: durable, Timeout: timeout})
+	err := p.mgr.AcquireBatch(c.ctx, c.txn, reqs, c.opt)
 	if sp.Recording() {
 		batchSpans(sp, reqs, upward, err)
 	}
@@ -363,7 +361,7 @@ func (p *Protocol) lockChain(ctx context.Context, txn lock.TxnID, res lock.Resou
 		p.counters.nodeLocks.Add(1)
 	}
 	for _, q := range reqs {
-		requested[q.Resource] = lock.Sup(requested[q.Resource], q.Mode)
+		c.requested[q.Resource] = lock.Sup(c.requested[q.Resource], q.Mode)
 	}
 	return nil
 }

@@ -227,9 +227,9 @@ func (t *Txn) LockPath(ctx context.Context, p store.Path, mode lock.Mode, opts .
 }
 
 // DeEscalate trades the transaction's coarse S/X lock on a node for locks of
-// the same mode on the kept descendant paths (§5 "de-escalation"). Like any
-// early release, it is only safe once the transaction no longer depends on
-// the released parts.
+// the same mode on the kept descendant paths (§5 "de-escalation"). They
+// inherit its durability. Like any early release, it is only safe once the
+// transaction no longer depends on the released parts.
 func (t *Txn) DeEscalate(n core.Node, keep []store.Path) error {
 	if err := t.checkActive(); err != nil {
 		return err

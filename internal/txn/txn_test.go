@@ -317,17 +317,56 @@ func TestRunWithRetryPropagatesOtherErrors(t *testing.T) {
 }
 
 func TestLongTxnLocksAreDurable(t *testing.T) {
-	m := newManager(t)
+	st := store.PaperDatabase()
+	nm := core.NewNamer(st.Catalog(), false)
+	mgr := lock.NewManager(lock.Options{})
+	m := NewManager(core.NewProtocol(mgr, st, nm, core.Options{}), st)
 	tx := m.BeginLong()
 	if !tx.Long() {
 		t.Error("Long() = false")
 	}
-	if err := tx.LockPath(nil, store.P("cells", "c1"), lock.X); err != nil {
+	// allDurable checks that every lock the long transaction holds is in
+	// the snapshot with the same mode, and returns the snapshot.
+	allDurable := func(step string) []lock.DurableLock {
+		t.Helper()
+		snap := mgr.Snapshot()
+		durable := make(map[lock.Resource]lock.Mode, len(snap))
+		for _, dl := range snap {
+			if dl.Txn == tx.ID() {
+				durable[dl.Resource] = dl.Mode
+			}
+		}
+		held := mgr.HeldLocks(tx.ID())
+		if len(held) == 0 {
+			t.Fatalf("%s: long transaction holds no locks", step)
+		}
+		for _, h := range held {
+			if got, ok := durable[h.Resource]; !ok || got != h.Mode {
+				t.Errorf("%s: held %s %v, snapshot has %v (present %v)", step, h.Resource, h.Mode, got, ok)
+			}
+		}
+		return snap
+	}
+	c1 := store.P("cells", "c1")
+	if err := tx.LockPath(nil, c1, lock.X); err != nil {
 		t.Fatal(err)
 	}
-	snap := m.Protocol().Manager().Snapshot()
-	if len(snap) == 0 {
-		t.Fatal("long transaction produced no durable locks")
+	allDurable("after X on cells/c1")
+
+	// De-escalation keeps the check-out's durability: the kept robot and
+	// its intention chain survive a restart.
+	r1 := store.P("cells", "c1", "robots", "r1")
+	if err := tx.DeEscalate(core.DataNode(c1), []store.Path{r1}); err != nil {
+		t.Fatal(err)
+	}
+	snap := allDurable("after de-escalation to r1")
+	restarted := lock.NewManager(lock.Options{})
+	if err := restarted.Restore(snap); err != nil {
+		t.Fatal(err)
+	}
+	err := restarted.AcquireCtx(context.Background(), tx.ID()+1, nm.MustResource(core.DataNode(r1)), lock.S, lock.WithNoWait())
+	if !errors.Is(err, lock.ErrWouldBlock) {
+		t.Errorf("S on the kept robot after restore: err = %v, want ErrWouldBlock", err)
 	}
 	tx.Abort()
 }

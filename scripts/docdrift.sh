@@ -1,7 +1,7 @@
 #!/bin/sh
 # docdrift: documentation drift gate (make drift-check, part of make ci).
 #
-# The docs cross-reference each other and the code four ways, and all rot
+# The docs cross-reference each other and the code five ways, and all rot
 # silently:
 #   1. "DESIGN.md §N" section references, sprinkled through markdown and
 #      code comments, must point at a real "## N." heading in DESIGN.md.
@@ -13,8 +13,12 @@
 #   4. Every `pkg.Symbol` or `pkg.Type.Member` code span in *.md whose pkg
 #      is a package under internal/ (or client) must name something `go doc`
 #      finds there.
+#   5. Every `Type.method` code span (an unexported method, which go doc
+#      does not show) in the same files must match a method declaration
+#      `func (r *Type) method(` in a non-test .go file under internal/,
+#      client/ or cmd/.
 # Renumbering a DESIGN.md section, moving a file, deleting a gate or a
-# report, or removing an exported name now fails CI instead of leaving dead
+# report, or removing or renaming a name now fails CI instead of leaving dead
 # pointers for the next reader.
 set -eu
 cd "$(dirname "$0")/.."
@@ -52,14 +56,16 @@ for md in *.md; do
     done
 done
 
-# --- checks 3 and 4: make targets, benchmark reports and Go names ----------
+# --- checks 3, 4 and 5: make targets, benchmark reports and Go names -------
 # Exempt besides SNIPPETS.md: CHANGES.md and ROADMAP.md from "## Recent" on
 # are history (they name what a PR removed), and ISSUE.md describes a change
 # still to be made.
 # Check 4 reads only spans that are exactly a qualified exported name
 # (`lock.Options.Sinks`, not `lock.us_per_txn` — a metric — and not a call
-# with arguments), and asks go doc once per distinct name.
+# with arguments), and asks go doc once per distinct name. Check 5 skips a
+# span that names a file (`EXPERIMENTS.md`).
 symbols=
+methods=
 for md in *.md; do
     case "$md" in SNIPPETS.md|CHANGES.md|ISSUE.md) continue ;; esac
     if [ "$md" = ROADMAP.md ]; then
@@ -91,9 +97,19 @@ for md in *.md; do
             fail=1
         fi
     done
+    for s in $(echo "$text" | grep -oE '`[A-Z][A-Za-z0-9_]*\.[a-z][A-Za-z0-9_]*`' | tr -d '`' | sort -u); do
+        [ -e "$s" ] && continue
+        case " $methods " in *" $s "*) continue ;; esac
+        methods="$methods $s"
+        if ! grep -rqE --include='*.go' --exclude='*_test.go' \
+            "^func \(([A-Za-z_][A-Za-z0-9_]* )?\*?${s%%.*}(\[[^]]*\])?\) ${s#*.}[[(]" internal client cmd; then
+            echo "docdrift: $md names \`$s\` but no non-test file under internal/, client/ or cmd/ declares that method"
+            fail=1
+        fi
+    done
 done
 
 if [ "$fail" -ne 0 ]; then
     exit 1
 fi
-echo "docdrift: DESIGN.md § references, markdown links, make targets, BENCH_PR files and Go names resolve"
+echo "docdrift: DESIGN.md § references, markdown links, make targets, BENCH_PR files, Go names and methods resolve"
