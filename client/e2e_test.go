@@ -245,13 +245,12 @@ func TestTimeoutOverWire(t *testing.T) {
 	tb.Abort()
 }
 
-// TestShedOverWire: the admission gate installed via server options sheds
-// a Begin while the waits-for graph is saturated, and the refusal
-// classifies as a retryable shed on the client.
+// TestShedOverWire: the admission gate installed on the server's lock
+// manager sheds a Begin while the waits-for graph is saturated, and the
+// refusal classifies as a retryable shed on the client.
 func TestShedOverWire(t *testing.T) {
-	srv, mgr := startServer(t, lock.PolicyDetect, server.Options{
-		Admission: lock.AdmissionConfig{MaxWaiters: 1, Mode: lock.AdmitShed},
-	})
+	srv, mgr := startServer(t, lock.PolicyDetect, server.Options{})
+	mgr.ConfigureAdmission(lock.AdmissionConfig{MaxWaiters: 1, Mode: lock.AdmitShed})
 	a := dial(t, srv, client.Options{})
 	b := dial(t, srv, client.Options{})
 	c := dial(t, srv, client.Options{})

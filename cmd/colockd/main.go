@@ -107,16 +107,18 @@ func run(args []string, stop <-chan os.Signal) error {
 		}
 	}()
 
+	// The waiter-depth gate sheds or degrades network transactions exactly
+	// like local ones; a zero -max-waiters installs none.
+	eng.Manager.ConfigureAdmission(lock.AdmissionConfig{
+		MaxWaiters: *maxWaiters,
+		MaxDelay:   *admitDelay,
+		Mode:       mode,
+	})
 	srv := server.New(eng.Txns, server.Options{
 		Lease:       *lease,
 		MaxSessions: *maxSessions,
 		MaxInflight: *maxInflight,
-		Admission: lock.AdmissionConfig{
-			MaxWaiters: *maxWaiters,
-			MaxDelay:   *admitDelay,
-			Mode:       mode,
-		},
-		Logf: log.Printf,
+		Logf:        log.Printf,
 	})
 	if err := srv.Serve(*addr); err != nil {
 		return err

@@ -106,8 +106,8 @@ func (s ProtocolStats) Counters() []lock.Counter {
 	}
 }
 
-// WriteMetrics writes the rule counters in Prometheus text format, for
-// composition with obs.Handler's extra writers.
+// WriteMetrics writes the rule counters in Prometheus text format; the
+// engine's /metrics (engine.Engine.Handler) writes them after the manager's.
 func (p *Protocol) WriteMetrics(w io.Writer) {
 	fmt.Fprintf(w, "# HELP colock_protocol_ops_total Protocol rule applications (rules 1-5, 4').\n")
 	fmt.Fprintf(w, "# TYPE colock_protocol_ops_total counter\n")

@@ -28,7 +28,6 @@ package engine
 
 import (
 	"fmt"
-	"io"
 
 	"colock/internal/authz"
 	"colock/internal/core"
@@ -142,24 +141,4 @@ func (e *Engine) Close() error {
 		return nil
 	}
 	return e.Journal.Close()
-}
-
-// ServeObs starts the observability HTTP endpoint over the engine's
-// components: /metrics carries the manager's and collector's series, then
-// the protocol's, the monitor's and the journal's, then extras (a daemon's
-// own writers). The caller closes the returned server.
-func (e *Engine) ServeObs(addr string, pprof bool, extras ...func(io.Writer)) (*obs.Server, error) {
-	ts := &obs.TraceSources{
-		Recorder:  e.Recorder,
-		Incidents: e.Incidents,
-		Profile:   e.Monitor.Profile(),
-		Health:    e.Monitor.Handler(),
-		Pprof:     pprof,
-	}
-	writers := []func(io.Writer){e.Protocol.WriteMetrics, e.Monitor.WriteMetrics}
-	if e.Journal != nil {
-		ts.Journal = e.Journal.StatusHandler()
-		writers = append(writers, e.Journal.WriteMetrics)
-	}
-	return obs.Serve(addr, e.Manager, e.Collector, ts, append(writers, extras...)...)
 }

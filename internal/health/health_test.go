@@ -2,7 +2,6 @@ package health
 
 import (
 	"encoding/json"
-	"net/http/httptest"
 	"strings"
 	"testing"
 	"time"
@@ -202,7 +201,7 @@ func TestWaiterDepthSampledAtAdvance(t *testing.T) {
 	}
 }
 
-func TestReportAndHandlerJSON(t *testing.T) {
+func TestReportJSON(t *testing.T) {
 	m := newTestMonitor(SLO{MaxAbortRate: 0.25})
 	m.Record(lock.Event{Kind: "grant", At: at(0)})
 	m.Record(lock.Event{Kind: "wait", At: at(0), Resource: "cells/c1", Mode: lock.X})
@@ -224,24 +223,18 @@ func TestReportAndHandlerJSON(t *testing.T) {
 		t.Fatalf("report slo = %+v", rep.SLO)
 	}
 
-	// The HTTP handler serves the same document (advancing to real now,
-	// which is far past the synthetic base — an idle jump, still valid).
-	srv := httptest.NewServer(m.Handler())
-	defer srv.Close()
-	resp, err := srv.Client().Get(srv.URL)
-	if err != nil {
+	// WriteJSON (what /health and the shell's .health dump serve) carries
+	// the same document.
+	var b strings.Builder
+	if err := m.WriteJSON(&b); err != nil {
 		t.Fatal(err)
 	}
-	defer resp.Body.Close()
-	if ct := resp.Header.Get("Content-Type"); ct != "application/json" {
-		t.Fatalf("content type %q", ct)
-	}
 	var got Report
-	if err := json.NewDecoder(resp.Body).Decode(&got); err != nil {
-		t.Fatalf("decode /health: %v", err)
+	if err := json.Unmarshal([]byte(b.String()), &got); err != nil {
+		t.Fatalf("decode WriteJSON: %v", err)
 	}
-	if got.State == "" || got.WindowMs != 1000 {
-		t.Fatalf("handler report = %+v", got)
+	if got.State != rep.State || got.WindowMs != 1000 || len(got.Windows) != 1 || len(got.TopK) != 1 {
+		t.Fatalf("WriteJSON report = %+v, want %+v", got, rep)
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"net/http"
 	"strings"
 	"time"
 )
@@ -153,24 +152,11 @@ func (m *Monitor) WriteJSON(w io.Writer) error {
 	return enc.Encode(m.Report(0))
 }
 
-// Handler returns the /health endpoint: each request advances the window
-// clock to now (polling IS the clock — see Advance) and serves the full
-// Report as JSON.
-func (m *Monitor) Handler() http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		m.Advance(time.Now())
-		w.Header().Set("Content-Type", "application/json")
-		if err := m.WriteJSON(w); err != nil {
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-		}
-	})
-}
-
-// WriteMetrics appends the health gauges in Prometheus text format; wire it
-// into obs.Handler's extra writers next to the collector and manager
-// metrics. Gauges cover the verdict, the streaks, the last CLOSED window's
-// rates (stable between polls, unlike the partial current window), and the
-// top-10 hot resources.
+// WriteMetrics appends the health gauges in Prometheus text format; the
+// engine's /metrics (engine.Engine.Handler) writes them after the collector,
+// manager and protocol series. Gauges cover the verdict, the streaks, the
+// last CLOSED window's rates (stable between polls, unlike the partial
+// current window), and the top-10 hot resources.
 func (m *Monitor) WriteMetrics(w io.Writer) {
 	m.mu.Lock()
 	state := m.slo.state

@@ -2,10 +2,8 @@ package journal
 
 import (
 	"bufio"
-	"encoding/json"
 	"fmt"
 	"io"
-	"net/http"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -444,19 +442,9 @@ func (w *Writer) Status() Status {
 	return st
 }
 
-// StatusHandler serves Status as JSON; wire it into obs.TraceSources.Journal
-// to expose /journal/status.
-func (w *Writer) StatusHandler() http.Handler {
-	return http.HandlerFunc(func(rw http.ResponseWriter, r *http.Request) {
-		rw.Header().Set("Content-Type", "application/json; charset=utf-8")
-		enc := json.NewEncoder(rw)
-		enc.SetIndent("", "  ")
-		_ = enc.Encode(w.Status())
-	})
-}
-
-// WriteMetrics appends the journal counters in Prometheus text format; wire
-// it into obs.Handler's extra writers.
+// WriteMetrics appends the journal counters in Prometheus text format; the
+// engine's /metrics (engine.Engine.Handler) writes them when a journal is
+// attached.
 func (w *Writer) WriteMetrics(out io.Writer) {
 	st := w.Status()
 	fmt.Fprintf(out, "# HELP colock_journal_records_total Lock events persisted to the journal.\n")

@@ -1,17 +1,19 @@
 package obs_test
 
-// Grammar audit of the full /metrics document: every family the stack can
-// export — collector, manager, protocol rules, retry collector, health
-// gauges — written back-to-back exactly as obs.Handler composes them, then
-// checked against the Prometheus text exposition rules: well-formed HELP
-// and TYPE lines, every sample under a declared family, samples grouped
-// with their family, parseable label sets and values, and no family
-// declared twice across the writers (duplicate names would make a scraper
-// reject the whole page).
+// Grammar audit of the full /metrics document: the page an engine with a
+// journal serves, with the server's and the retry collector's families as
+// extras (colockd and colockshell pass one each), checked against the
+// Prometheus text exposition rules: well-formed HELP and TYPE lines, every
+// sample under a declared family, samples grouped with their family,
+// parseable label sets and values, and no family declared twice across the
+// writers (duplicate names would make a scraper reject the whole page).
 
 import (
 	"context"
 	"fmt"
+	"io"
+	"net/http"
+	"net/http/httptest"
 	"regexp"
 	"strconv"
 	"strings"
@@ -19,9 +21,10 @@ import (
 	"time"
 
 	"colock/internal/core"
-	"colock/internal/health"
+	"colock/internal/engine"
 	"colock/internal/lock"
 	"colock/internal/obs"
+	"colock/internal/server"
 	"colock/internal/store"
 )
 
@@ -143,49 +146,60 @@ func splitLabels(body string) []string {
 
 func TestMetricsGrammarAcrossAllWriters(t *testing.T) {
 	st := store.PaperDatabase()
-	nm := core.NewNamer(st.Catalog(), false)
-	col := obs.NewCollector(obs.Options{})
-	mgr := lock.NewManager(lock.Options{Sinks: []lock.EventSink{col}})
-	proto := core.NewProtocol(mgr, st, nm, core.Options{})
+	core.CollectStatistics(st)
+	e, err := engine.Open(engine.Config{Store: st, IncidentDir: t.TempDir(), JournalDir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
 	rc := obs.NewRetryCollector()
-	mon := health.NewMonitor(health.Options{Window: time.Second, SLO: health.SLO{MaxAbortRate: 0.1}})
-	mgr.AttachSink(mon)
 
 	// Populate label-bearing series: real lock traffic (event counters,
 	// latency histograms, health windows + a hot key with a label-hostile
 	// name), retry causes, a commit and a give-up.
 	ctx := context.Background()
-	if err := mgr.AcquireCtx(ctx, 1, "db1", lock.IX); err != nil {
+	if err := e.Manager.AcquireCtx(ctx, 1, "db1", lock.IX); err != nil {
 		t.Fatal(err)
 	}
-	if err := mgr.AcquireCtx(ctx, 1, `db1/seg"odd\name`, lock.X); err != nil {
+	if err := e.Manager.AcquireCtx(ctx, 1, `db1/seg"odd\name`, lock.X); err != nil {
 		t.Fatal(err)
 	}
-	mgr.ReleaseAll(1)
-	mon.Record(lock.Event{Kind: "wait", At: time.Now(), Resource: `db1/seg"odd\name`, Mode: lock.X})
-	mon.Record(lock.Event{Kind: "wait", At: time.Now(), Resource: `db1/seg"odd\name`, Mode: lock.X})
-	mon.Advance(time.Now().Add(2 * time.Second))
+	e.Manager.ReleaseAll(1)
+	// The waits come after the window close: closing windows decays the
+	// hot counts, and two waits decayed twice leave no hot key to escape.
+	now := time.Now().Add(2 * time.Second)
+	e.Monitor.Advance(now)
+	e.Monitor.Record(lock.Event{Kind: "wait", At: now, Resource: `db1/seg"odd\name`, Mode: lock.X})
+	e.Monitor.Record(lock.Event{Kind: "wait", At: now, Resource: `db1/seg"odd\name`, Mode: lock.X})
 	rc.Retry("victim", 1)
 	rc.Retry("timeout", 2)
 	rc.Done(3, nil)
 	rc.Done(2, context.DeadlineExceeded)
 
-	// Compose the document exactly like obs.Handler's /metrics route:
-	// collector, manager, then the extra writers the shell registers.
-	var b strings.Builder
-	col.WriteMetrics(&b)
-	obs.WriteManagerMetrics(&b, mgr)
-	proto.WriteMetrics(&b)
-	rc.WriteMetrics(&b)
-	mon.WriteMetrics(&b)
-	doc := b.String()
+	srv := httptest.NewServer(e.Handler(false, server.New(e.Txns, server.Options{}).WriteMetrics, rc.WriteMetrics))
+	defer srv.Close()
+	resp, err := http.Get(srv.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	doc := string(body)
 
 	checkPromGrammar(t, doc)
 
-	// The three new surfaces of this PR are all present.
-	for _, fam := range []string{"colock_retries_total", "colock_health_state", "colock_health_hot_count"} {
+	for _, fam := range []string{
+		"colock_retries_total", "colock_health_state", "colock_health_hot_count",
+		"colock_journal_records_total", "colock_server_sessions",
+	} {
 		if !strings.Contains(doc, "# TYPE "+fam+" ") {
-			t.Fatalf("family %s missing from the composed document", fam)
+			t.Fatalf("family %s missing from /metrics", fam)
 		}
+	}
+	if !strings.Contains(doc, `resource="db1/seg\"odd\\name"`) {
+		t.Errorf("/metrics does not carry the escaped hot key:\n%s", doc)
 	}
 }

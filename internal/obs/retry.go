@@ -114,7 +114,7 @@ func (rc *RetryCollector) Attempts() AttemptsSnapshot {
 }
 
 // WriteMetrics appends the retry families in Prometheus text format; wire
-// it into Handler's extra writers. Causes are emitted in sorted order so
+// it into engine.Engine.ServeObs's extra writers. Causes are emitted in sorted order so
 // successive scrapes diff cleanly.
 func (rc *RetryCollector) WriteMetrics(w io.Writer) {
 	retries := rc.Retries()

@@ -25,7 +25,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"colock/internal/lock"
 	"colock/internal/txn"
 	"colock/internal/wire"
 )
@@ -47,10 +46,6 @@ type Options struct {
 	// CauseBusy error instead of queueing (queueing would stall the read
 	// loop and starve the lease). Zero defaults to 64.
 	MaxInflight int
-	// Admission, when MaxWaiters > 0, is installed on the lock manager via
-	// ConfigureAdmission at Serve time: the waiter-depth gate then sheds
-	// or degrades network transactions exactly like local ones.
-	Admission lock.AdmissionConfig
 	// Logf receives connection-level diagnostics; nil silences them.
 	Logf func(format string, args ...any)
 }
@@ -112,9 +107,6 @@ func (s *Server) Serve(addr string) error {
 		return err
 	}
 	s.ln = ln
-	if s.opts.Admission.MaxWaiters > 0 {
-		s.tm.Protocol().Manager().ConfigureAdmission(s.opts.Admission)
-	}
 	s.wg.Add(2)
 	go s.acceptLoop()
 	go s.leaseLoop()
@@ -338,7 +330,7 @@ func (s *Server) shutdown() {
 }
 
 // WriteMetrics appends the colock_server_* Prometheus family, for wiring
-// as an extra writer on obs.Serve.
+// as an extra writer on engine.Engine.ServeObs.
 func (s *Server) WriteMetrics(w io.Writer) {
 	gauge := func(name, help string, v any) {
 		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s gauge\n%s %v\n", name, help, name, name, v)

@@ -1,7 +1,7 @@
 #!/bin/sh
 # docdrift: documentation drift gate (make drift-check, part of make ci).
 #
-# The docs cross-reference each other and the code five ways, and all rot
+# The docs cross-reference each other and the code six ways, and all rot
 # silently:
 #   1. "DESIGN.md §N" section references, sprinkled through markdown and
 #      code comments, must point at a real "## N." heading in DESIGN.md.
@@ -17,6 +17,10 @@
 #      does not show) in the same files must match a method declaration
 #      `func (r *Type) method(` in a non-test .go file under internal/,
 #      client/ or cmd/.
+#   6. Every `pkg.Symbol` or `pkg.Type.Member` in a // comment of a non-test
+#      .go file under internal/, client/ or cmd/, whose pkg is a package
+#      under internal/ (or client), must name something `go doc` finds
+#      there; a plural that fails may pass as its singular (lock.Events).
 # Renumbering a DESIGN.md section, moving a file, deleting a gate or a
 # report, or removing or renaming a name now fails CI instead of leaving dead
 # pointers for the next reader.
@@ -109,7 +113,28 @@ for md in *.md; do
     done
 done
 
+# --- check 6: qualified names in Go comments --------------------------------
+# The text after a line's first // is the comment; a name preceded by a dot
+# (m.lock.Mode) is a field path, not a package-qualified name.
+for s in $(grep -rhE --include='*.go' --exclude='*_test.go' '//' internal client cmd |
+    awk '{ i = index($0, "//"); if (i) print substr($0, i + 2) }' |
+    grep -oE '(^|[^A-Za-z0-9_.])[a-z]+\.[A-Z][A-Za-z0-9_]*(\.[A-Za-z_][A-Za-z0-9_]*)?' |
+    sed -E 's/^[^a-z]//' | sort -u); do
+    pkg=${s%%.*}
+    dir=internal/$pkg
+    [ "$pkg" = client ] && dir=client
+    [ -d "$dir" ] || continue
+    name=${s#*.}
+    ${GO:-go} doc "./$dir" "$name" >/dev/null 2>&1 && continue
+    case "$name" in
+    *s) ${GO:-go} doc "./$dir" "${name%s}" >/dev/null 2>&1 && continue ;;
+    esac
+    echo "docdrift: a Go comment names \`$s\` but go doc ./$dir $name finds nothing:"
+    grep -rnF --include='*.go' --exclude='*_test.go' "$s" internal client cmd | head -5
+    fail=1
+done
+
 if [ "$fail" -ne 0 ]; then
     exit 1
 fi
-echo "docdrift: DESIGN.md § references, markdown links, make targets, BENCH_PR files, Go names and methods resolve"
+echo "docdrift: DESIGN.md § references, markdown links, make targets, BENCH_PR files, Go names, methods and names in Go comments resolve"
