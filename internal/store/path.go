@@ -98,13 +98,23 @@ func (p Path) Validate() error {
 	if len(p) == 0 {
 		return fmt.Errorf("store: empty path")
 	}
-	for i, s := range p {
-		if s == "" {
-			return fmt.Errorf("store: empty segment %d in path %q", i, p)
+	for _, s := range p {
+		if err := checkSegment(s); err != nil {
+			return fmt.Errorf("store: path %q: %w", p, err)
 		}
-		if strings.Contains(s, "/") {
-			return fmt.Errorf("store: segment %q contains '/'", s)
-		}
+	}
+	return nil
+}
+
+// checkSegment is the rule every path segment obeys: not empty, no '/'.
+// The store holds it for every key and element ID it accepts, so that each
+// of them can be addressed.
+func checkSegment(s string) error {
+	if s == "" {
+		return fmt.Errorf("empty path segment")
+	}
+	if strings.Contains(s, "/") {
+		return fmt.Errorf("path segment %q contains '/'", s)
 	}
 	return nil
 }

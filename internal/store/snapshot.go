@@ -51,31 +51,29 @@ func toWire(v Value) wireValue {
 	case Ref:
 		return wireValue{Kind: wireRef, RefRel: x.Relation, RefKey: x.Key}
 	case *Tuple:
-		w := wireValue{Kind: wireTuple}
-		for _, n := range x.FieldNames() {
-			w.Names = append(w.Names, n)
-			w.Children = append(w.Children, toWire(x.Get(n)))
-		}
-		return w
+		return toWireEntries(wireTuple, x.fields)
 	case *Set:
-		w := wireValue{Kind: wireSet}
-		for _, id := range x.IDs() {
-			w.Names = append(w.Names, id)
-			w.Children = append(w.Children, toWire(x.Get(id)))
-		}
-		return w
+		return toWireEntries(wireSet, x.elems)
 	case *List:
-		w := wireValue{Kind: wireList}
-		for _, id := range x.IDs() {
-			w.Names = append(w.Names, id)
-			w.Children = append(w.Children, toWire(x.Get(id)))
-		}
-		return w
+		return toWireEntries(wireList, x.elems)
 	}
 	panic(fmt.Sprintf("store: cannot serialize %T", v))
 }
 
+// toWireEntries encodes a tuple's, set's or list's entries in their order.
+func toWireEntries(kind uint8, es []entry) wireValue {
+	w := wireValue{Kind: kind}
+	for _, e := range es {
+		w.Names = append(w.Names, e.name)
+		w.Children = append(w.Children, toWire(e.v))
+	}
+	return w
+}
+
 func fromWire(w wireValue) (Value, error) {
+	if len(w.Names) != len(w.Children) {
+		return nil, fmt.Errorf("store: %d names for %d values", len(w.Names), len(w.Children))
+	}
 	switch w.Kind {
 	case wireStr:
 		return Str(w.Str), nil
@@ -88,37 +86,30 @@ func fromWire(w wireValue) (Value, error) {
 	case wireRef:
 		return Ref{Relation: w.RefRel, Key: w.RefKey}, nil
 	case wireTuple:
-		t := NewTuple()
-		for i, n := range w.Names {
-			c, err := fromWire(w.Children[i])
-			if err != nil {
-				return nil, err
-			}
-			t.Set(n, c)
-		}
-		return t, nil
+		t := &Tuple{fields: make([]entry, 0, len(w.Names))}
+		return t, fromWireEntries(w, func(n string, c Value) { t.Set(n, c) })
 	case wireSet:
-		s := NewSet()
-		for i, id := range w.Names {
-			c, err := fromWire(w.Children[i])
-			if err != nil {
-				return nil, err
-			}
-			s.Add(id, c)
-		}
-		return s, nil
+		s := &Set{elems: make([]entry, 0, len(w.Names))}
+		return s, fromWireEntries(w, func(id string, c Value) { s.Add(id, c) })
 	case wireList:
-		l := NewList()
-		for i, id := range w.Names {
-			c, err := fromWire(w.Children[i])
-			if err != nil {
-				return nil, err
-			}
-			l.Append(id, c)
-		}
-		return l, nil
+		l := &List{elems: make([]entry, 0, len(w.Names))}
+		return l, fromWireEntries(w, func(id string, c Value) { l.Append(id, c) })
 	}
 	return nil, fmt.Errorf("store: unknown wire kind %d", w.Kind)
+}
+
+// fromWireEntries decodes w's children in order and hands each to add. A
+// backup taken by EncodeData lists them in the order the value keeps, so
+// add only ever appends.
+func fromWireEntries(w wireValue, add func(string, Value)) error {
+	for i, n := range w.Names {
+		c, err := fromWire(w.Children[i])
+		if err != nil {
+			return err
+		}
+		add(n, c)
+	}
+	return nil
 }
 
 // objectRecord is one serialized complex object.
@@ -180,7 +171,7 @@ func (s *Store) RestoreData(data []byte) error {
 		if !ok {
 			return fmt.Errorf("store: restore %s/%s: not a tuple", rec.Relation, rec.Key)
 		}
-		if err := Check(obj, rel.Type); err != nil {
+		if err := checkObject(rel, rec.Key, obj); err != nil {
 			return fmt.Errorf("store: restore %s/%s: %w", rec.Relation, rec.Key, err)
 		}
 		if _, dup := fresh[rec.Relation][rec.Key]; dup {

@@ -45,12 +45,8 @@ func (s *Store) Insert(relation, key string, obj *Tuple) error {
 	if rel == nil {
 		return fmt.Errorf("store: unknown relation %q", relation)
 	}
-	if err := Check(obj, rel.Type); err != nil {
+	if err := checkObject(rel, key, obj); err != nil {
 		return fmt.Errorf("store: insert into %q: %w", relation, err)
-	}
-	kv := obj.Get(rel.Key)
-	if got := atomicString(kv); got != key {
-		return fmt.Errorf("store: insert into %q: key attribute %q = %v, want %q", relation, rel.Key, kv, key)
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -63,6 +59,22 @@ func (s *Store) Insert(relation, key string, obj *Tuple) error {
 		return fmt.Errorf("store: duplicate object %q/%q", relation, key)
 	}
 	s.rels[relation][key] = obj
+	return nil
+}
+
+// checkObject is what Insert and RestoreData ask of a complex object: a key
+// a path can address, a value of the relation's type, and a key attribute
+// equal to the key.
+func checkObject(rel *schema.Relation, key string, obj *Tuple) error {
+	if err := checkSegment(key); err != nil {
+		return err
+	}
+	if err := Check(obj, rel.Type); err != nil {
+		return err
+	}
+	if kv := obj.Get(rel.Key); atomicString(kv) != key {
+		return fmt.Errorf("key attribute %q = %v, want %q", rel.Key, kv, key)
+	}
 	return nil
 }
 
@@ -144,27 +156,12 @@ func (s *Store) lookupLocked(p Path) (Value, error) {
 		return nil, fmt.Errorf("store: no object %q/%q", p.Relation(), p.Key())
 	}
 	var cur Value = obj
-	for i := 2; i < len(p); i++ {
-		seg := p[i]
-		switch x := cur.(type) {
-		case *Tuple:
-			cur = x.Get(seg)
-			if cur == nil {
-				return nil, fmt.Errorf("store: path %q: no field %q", p, seg)
-			}
-		case *Set:
-			cur = x.Get(seg)
-			if cur == nil {
-				return nil, fmt.Errorf("store: path %q: no element %q", p, seg)
-			}
-		case *List:
-			cur = x.Get(seg)
-			if cur == nil {
-				return nil, fmt.Errorf("store: path %q: no element %q", p, seg)
-			}
-		default:
-			return nil, fmt.Errorf("store: path %q: cannot descend into %v at %q", p, cur.Kind(), seg)
+	for _, seg := range p[2:] {
+		next := get(cur, seg)
+		if next == nil {
+			return nil, fmt.Errorf("store: path %q: %v has no component %q", p, cur.Kind(), seg)
 		}
+		cur = next
 	}
 	return cur, nil
 }
@@ -210,36 +207,21 @@ func (s *Store) SetAtomic(p Path, v Value) (Value, error) {
 	if err != nil {
 		return nil, err
 	}
-	last := p[len(p)-1]
-	switch x := parent.(type) {
-	case *Tuple:
-		old := x.Get(last)
-		if old == nil {
-			return nil, fmt.Errorf("store: path %q: no field %q", p, last)
-		}
-		x.Set(last, v)
-		return old, nil
-	case *Set:
-		old := x.Get(last)
-		if old == nil {
-			return nil, fmt.Errorf("store: path %q: no element %q", p, last)
-		}
-		x.Add(last, v)
-		return old, nil
-	case *List:
-		old := x.Get(last)
-		if old == nil {
-			return nil, fmt.Errorf("store: path %q: no element %q", p, last)
-		}
-		x.Append(last, v)
-		return old, nil
+	es, i, ok := find(parent, p[len(p)-1])
+	if !ok || es[i].v == nil {
+		return nil, fmt.Errorf("store: path %q: %v has no component %q", p, parent.Kind(), p[len(p)-1])
 	}
-	return nil, fmt.Errorf("store: path %q: parent is %v", p, parent.Kind())
+	old := es[i].v
+	es[i].v = v
+	return old, nil
 }
 
 // AddElem inserts an element into the collection a path addresses; it fails
 // if the ID already exists.
 func (s *Store) AddElem(collection Path, id string, v Value) error {
+	if err := checkSegment(id); err != nil {
+		return fmt.Errorf("store: %q: element ID: %w", collection, err)
+	}
 	if t := s.typeAt(collection); t != nil && t.Elem != nil {
 		if err := Check(v, t.Elem); err != nil {
 			return fmt.Errorf("store: %q: element %q: %w", collection, id, err)
@@ -251,16 +233,13 @@ func (s *Store) AddElem(collection Path, id string, v Value) error {
 	if err != nil {
 		return err
 	}
+	if get(cv, id) != nil {
+		return fmt.Errorf("store: %q: duplicate element %q", collection, id)
+	}
 	switch x := cv.(type) {
 	case *Set:
-		if x.Get(id) != nil {
-			return fmt.Errorf("store: %q: duplicate element %q", collection, id)
-		}
 		x.Add(id, v)
 	case *List:
-		if x.Get(id) != nil {
-			return fmt.Errorf("store: %q: duplicate element %q", collection, id)
-		}
 		x.Append(id, v)
 	default:
 		return fmt.Errorf("store: %q is not a collection", collection)
@@ -320,23 +299,11 @@ func (s *Store) BackRefs(relation, key string) []BackRef {
 
 func (s *Store) scanValue(v Value, at Path, relation, key string, out *[]BackRef) {
 	s.scans.Add(1)
-	switch x := v.(type) {
-	case Ref:
-		if x.Relation == relation && x.Key == key {
-			*out = append(*out, BackRef{RefPath: at})
-		}
-	case *Tuple:
-		for _, n := range x.FieldNames() {
-			s.scanValue(x.Get(n), at.Child(n), relation, key, out)
-		}
-	case *Set:
-		for _, id := range x.IDs() {
-			s.scanValue(x.Get(id), at.Child(id), relation, key, out)
-		}
-	case *List:
-		for _, id := range x.IDs() {
-			s.scanValue(x.Get(id), at.Child(id), relation, key, out)
-		}
+	if x, ok := v.(Ref); ok && x.Relation == relation && x.Key == key {
+		*out = append(*out, BackRef{RefPath: at})
+	}
+	for _, e := range children(v) {
+		s.scanValue(e.v, at.Child(e.name), relation, key, out)
 	}
 }
 
@@ -400,23 +367,18 @@ func (s *Store) RefTargets(p Path, plan *schema.RefPlan, buf []Ref) []Ref {
 // the plan where, so a value that does not fit the plan's type is skipped
 // rather than misread.
 func collectTargets(v Value, plan *schema.RefPlan, buf []Ref) []Ref {
-	var elems map[string]Value
 	switch x := v.(type) {
 	case Ref:
 		return append(buf, x)
 	case *Tuple:
 		for _, f := range plan.Fields {
-			buf = collectTargets(x.fields[f.Name], f.Plan, buf)
+			buf = collectTargets(x.Get(f.Name), f.Plan, buf)
 		}
 		return buf
-	case *Set:
-		elems = x.elems
-	case *List:
-		elems = x.elems
 	}
 	if plan.Elem != nil {
-		for _, e := range elems {
-			buf = collectTargets(e, plan.Elem, buf)
+		for _, e := range children(v) {
+			buf = collectTargets(e.v, plan.Elem, buf)
 		}
 	}
 	return buf
@@ -472,21 +434,11 @@ type RefAt struct {
 }
 
 func collectRefs(v Value, at Path, out *[]RefAt) {
-	switch x := v.(type) {
-	case Ref:
+	if x, ok := v.(Ref); ok {
 		*out = append(*out, RefAt{Path: at, Target: x})
-	case *Tuple:
-		for _, n := range x.FieldNames() {
-			collectRefs(x.Get(n), at.Child(n), out)
-		}
-	case *Set:
-		for _, id := range x.IDs() {
-			collectRefs(x.Get(id), at.Child(id), out)
-		}
-	case *List:
-		for _, id := range x.IDs() {
-			collectRefs(x.Get(id), at.Child(id), out)
-		}
+	}
+	for _, e := range children(v) {
+		collectRefs(e.v, at.Child(e.name), out)
 	}
 }
 

@@ -8,7 +8,6 @@ package store
 
 import (
 	"fmt"
-	"sort"
 	"strconv"
 	"strings"
 
@@ -90,13 +89,132 @@ func (v Ref) Clone() Value { return v }
 // String implements Value.
 func (v Ref) String() string { return "->" + v.Relation + "/" + v.Key }
 
-// Tuple is a (complex) tuple value with named fields.
+// entry is one component of a tuple, set or list: a field name or element
+// ID with its value. Tuples and sets keep their entries sorted by name,
+// lists in list order; every walk over a value reads them in that order.
+type entry struct {
+	name string
+	v    Value
+}
+
+// children returns the entries of a tuple, set or list, nil for any other
+// value.
+func children(v Value) []entry {
+	switch x := v.(type) {
+	case *Tuple:
+		return x.fields
+	case *Set:
+		return x.elems
+	case *List:
+		return x.elems
+	}
+	return nil
+}
+
+// find returns the entries of v (see children), the index of name among
+// them and whether it is there. A list is scanned and a miss gives its
+// length; tuples and sets are binary-searched and a miss gives the index
+// where name belongs.
+func find(v Value, name string) ([]entry, int, bool) {
+	es := children(v)
+	if _, list := v.(*List); list {
+		for i := range es {
+			if es[i].name == name {
+				return es, i, true
+			}
+		}
+		return es, len(es), false
+	}
+	lo, hi := 0, len(es)
+	for lo < hi {
+		if m := int(uint(lo+hi) >> 1); es[m].name < name {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	return es, lo, lo < len(es) && es[lo].name == name
+}
+
+// get returns v's component name, or nil.
+func get(v Value, name string) Value {
+	if es, i, ok := find(v, name); ok {
+		return es[i].v
+	}
+	return nil
+}
+
+// put stores name → x in v's entries, replacing an existing entry, and
+// returns the entries. A new entry goes where find says it belongs.
+func put(v Value, name string, x Value) []entry {
+	es, i, ok := find(v, name)
+	if ok {
+		es[i].v = x
+		return es
+	}
+	if len(es) == cap(es) {
+		// Grow by a quarter rather than double: values are built once and
+		// then mostly read, and spare capacity is live heap.
+		es = append(make([]entry, 0, len(es)+1+len(es)/4), es...)
+	}
+	es = es[:len(es)+1]
+	copy(es[i+1:], es[i:])
+	es[i] = entry{name, x}
+	return es
+}
+
+// remove deletes v's component name and returns the entries and the
+// removed value (nil if absent).
+func remove(v Value, name string) ([]entry, Value) {
+	es, i, ok := find(v, name)
+	if !ok {
+		return es, nil
+	}
+	x := es[i].v
+	copy(es[i:], es[i+1:])
+	es[len(es)-1] = entry{}
+	return es[:len(es)-1], x
+}
+
+// names returns a copy of the names of es, in order.
+func names(es []entry) []string {
+	out := make([]string, len(es))
+	for i, e := range es {
+		out[i] = e.name
+	}
+	return out
+}
+
+// cloneEntries deep-copies es into a slice of exactly its length.
+func cloneEntries(es []entry) []entry {
+	if len(es) == 0 {
+		return nil
+	}
+	out := make([]entry, len(es))
+	for i, e := range es {
+		out[i] = entry{e.name, e.v.Clone()}
+	}
+	return out
+}
+
+// render formats es as name+sep+value pairs inside open and close.
+func render(open string, es []entry, sep, close string) string {
+	parts := make([]string, len(es))
+	for i, e := range es {
+		parts[i] = e.name + sep + e.v.String()
+	}
+	return open + strings.Join(parts, ", ") + close
+}
+
+// Tuple is a (complex) tuple value with named fields, kept as one slice
+// sorted by field name: a tuple has a handful of fields, which fit in one
+// or two cache lines, where a map would cost several times the memory.
 type Tuple struct {
-	fields map[string]Value
+	fields []entry
 }
 
 // NewTuple returns an empty tuple value.
-func NewTuple() *Tuple { return &Tuple{fields: make(map[string]Value)} }
+func NewTuple() *Tuple { return &Tuple{} }
 
 // Kind implements Value.
 func (*Tuple) Kind() schema.Kind { return schema.KindTuple }
@@ -104,51 +222,33 @@ func (*Tuple) Kind() schema.Kind { return schema.KindTuple }
 // Set stores a field value, replacing any previous one, and returns the
 // tuple for chaining.
 func (t *Tuple) Set(name string, v Value) *Tuple {
-	t.fields[name] = v
+	t.fields = put(t, name, v)
 	return t
 }
 
 // Get returns the named field value, or nil.
-func (t *Tuple) Get(name string) Value { return t.fields[name] }
+func (t *Tuple) Get(name string) Value { return get(t, name) }
 
 // FieldNames returns the field names in sorted order.
-func (t *Tuple) FieldNames() []string {
-	out := make([]string, 0, len(t.fields))
-	for n := range t.fields {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
-}
+func (t *Tuple) FieldNames() []string { return names(t.fields) }
 
 // Clone implements Value.
-func (t *Tuple) Clone() Value {
-	c := NewTuple()
-	for n, v := range t.fields {
-		c.fields[n] = v.Clone()
-	}
-	return c
-}
+func (t *Tuple) Clone() Value { return &Tuple{fields: cloneEntries(t.fields)} }
 
 // String implements Value.
-func (t *Tuple) String() string {
-	parts := make([]string, 0, len(t.fields))
-	for _, n := range t.FieldNames() {
-		parts = append(parts, n+":"+t.fields[n].String())
-	}
-	return "{" + strings.Join(parts, ", ") + "}"
-}
+func (t *Tuple) String() string { return render("{", t.fields, ":", "}") }
 
 // Set is an unordered collection of identified elements. Element IDs give
 // subobjects a stable identity, which the lock technique needs to name
 // lockable units (e.g. "c_object o1"). For sets of references the
-// conventional ID is the referenced key.
+// conventional ID is the referenced key. The elements are one slice sorted
+// by ID: Get is a binary search, Add and Remove shift the tail.
 type Set struct {
-	elems map[string]Value
+	elems []entry
 }
 
 // NewSet returns an empty set value.
-func NewSet() *Set { return &Set{elems: make(map[string]Value)} }
+func NewSet() *Set { return &Set{} }
 
 // Kind implements Value.
 func (*Set) Kind() schema.Kind { return schema.KindSet }
@@ -156,60 +256,40 @@ func (*Set) Kind() schema.Kind { return schema.KindSet }
 // Add inserts (or replaces) the element with the given ID and returns the
 // set for chaining.
 func (s *Set) Add(id string, v Value) *Set {
-	s.elems[id] = v
+	s.elems = put(s, id, v)
 	return s
 }
 
 // Remove deletes the element and returns its previous value (nil if absent).
-func (s *Set) Remove(id string) Value {
-	v := s.elems[id]
-	delete(s.elems, id)
+func (s *Set) Remove(id string) (v Value) {
+	s.elems, v = remove(s, id)
 	return v
 }
 
 // Get returns the element with the given ID, or nil.
-func (s *Set) Get(id string) Value { return s.elems[id] }
+func (s *Set) Get(id string) Value { return get(s, id) }
 
 // Len returns the number of elements.
 func (s *Set) Len() int { return len(s.elems) }
 
 // IDs returns the element IDs in sorted order.
-func (s *Set) IDs() []string {
-	out := make([]string, 0, len(s.elems))
-	for id := range s.elems {
-		out = append(out, id)
-	}
-	sort.Strings(out)
-	return out
-}
+func (s *Set) IDs() []string { return names(s.elems) }
 
 // Clone implements Value.
-func (s *Set) Clone() Value {
-	c := NewSet()
-	for id, v := range s.elems {
-		c.elems[id] = v.Clone()
-	}
-	return c
-}
+func (s *Set) Clone() Value { return &Set{elems: cloneEntries(s.elems)} }
 
 // String implements Value.
-func (s *Set) String() string {
-	parts := make([]string, 0, len(s.elems))
-	for _, id := range s.IDs() {
-		parts = append(parts, id+"="+s.elems[id].String())
-	}
-	return "S{" + strings.Join(parts, ", ") + "}"
-}
+func (s *Set) String() string { return render("S{", s.elems, "=", "}") }
 
 // List is an ordered collection of identified elements (e.g. the robots of a
-// cell, ordered by robot_id).
+// cell, ordered by robot_id), kept as one slice in list order: Get, Append
+// and Remove find an ID by a linear scan.
 type List struct {
-	ids   []string
-	elems map[string]Value
+	elems []entry
 }
 
 // NewList returns an empty list value.
-func NewList() *List { return &List{elems: make(map[string]Value)} }
+func NewList() *List { return &List{} }
 
 // Kind implements Value.
 func (*List) Kind() schema.Kind { return schema.KindList }
@@ -217,71 +297,30 @@ func (*List) Kind() schema.Kind { return schema.KindList }
 // Append adds an element at the end; appending an existing ID replaces the
 // value in place. Returns the list for chaining.
 func (l *List) Append(id string, v Value) *List {
-	if _, ok := l.elems[id]; !ok {
-		l.ids = append(l.ids, id)
-	}
-	l.elems[id] = v
+	l.elems = put(l, id, v)
 	return l
 }
 
 // Remove deletes the element and returns its previous value (nil if absent).
-func (l *List) Remove(id string) Value {
-	v, ok := l.elems[id]
-	if !ok {
-		return nil
-	}
-	delete(l.elems, id)
-	for i, x := range l.ids {
-		if x == id {
-			l.ids = append(l.ids[:i], l.ids[i+1:]...)
-			break
-		}
-	}
+func (l *List) Remove(id string) (v Value) {
+	l.elems, v = remove(l, id)
 	return v
 }
 
-// Get returns the element with the given ID, or nil.
-func (l *List) Get(id string) Value { return l.elems[id] }
+// Get returns the element with the given ID, or nil. It is a linear scan.
+func (l *List) Get(id string) Value { return get(l, id) }
 
 // Len returns the number of elements.
-func (l *List) Len() int { return len(l.ids) }
+func (l *List) Len() int { return len(l.elems) }
 
 // IDs returns the element IDs in list order.
-func (l *List) IDs() []string {
-	out := make([]string, len(l.ids))
-	copy(out, l.ids)
-	return out
-}
+func (l *List) IDs() []string { return names(l.elems) }
 
 // Clone implements Value.
-func (l *List) Clone() Value {
-	c := NewList()
-	for _, id := range l.ids {
-		c.Append(id, l.elems[id].Clone())
-	}
-	return c
-}
+func (l *List) Clone() Value { return &List{elems: cloneEntries(l.elems)} }
 
 // String implements Value.
-func (l *List) String() string {
-	parts := make([]string, 0, len(l.ids))
-	for _, id := range l.ids {
-		parts = append(parts, id+"="+l.elems[id].String())
-	}
-	return "L[" + strings.Join(parts, ", ") + "]"
-}
-
-// collection is the common interface of Set and List used by navigation.
-type collection interface {
-	Get(id string) Value
-	IDs() []string
-	Len() int
-}
-
-var (
-	_ collection = (*Set)(nil)
-	_ collection = (*List)(nil)
-)
+func (l *List) String() string { return render("L[", l.elems, "=", "]") }
 
 // Check validates that v conforms to type t.
 func Check(v Value, t *schema.Type) error {
@@ -306,25 +345,17 @@ func Check(v Value, t *schema.Type) error {
 			return fmt.Errorf("store: reference targets %q, want %q", r.Relation, t.Target)
 		}
 		return nil
-	case schema.KindSet:
-		s, ok := v.(*Set)
-		if !ok {
-			return fmt.Errorf("store: value kind %v, want set", v.Kind())
+	case schema.KindSet, schema.KindList:
+		if v.Kind() != t.Kind {
+			return fmt.Errorf("store: value kind %v, want %v", v.Kind(), t.Kind)
 		}
-		for _, id := range s.IDs() {
-			if err := Check(s.Get(id), t.Elem); err != nil {
-				return fmt.Errorf("element %q: %w", id, err)
+		// Every element ID must be one a path can address.
+		for _, e := range children(v) {
+			if err := checkSegment(e.name); err != nil {
+				return err
 			}
-		}
-		return nil
-	case schema.KindList:
-		l, ok := v.(*List)
-		if !ok {
-			return fmt.Errorf("store: value kind %v, want list", v.Kind())
-		}
-		for _, id := range l.IDs() {
-			if err := Check(l.Get(id), t.Elem); err != nil {
-				return fmt.Errorf("element %q: %w", id, err)
+			if err := Check(e.v, t.Elem); err != nil {
+				return fmt.Errorf("element %q: %w", e.name, err)
 			}
 		}
 		return nil
@@ -342,9 +373,9 @@ func Check(v Value, t *schema.Type) error {
 				return fmt.Errorf("field %q: %w", f.Name, err)
 			}
 		}
-		for _, n := range tp.FieldNames() {
-			if t.Field(n) == nil {
-				return fmt.Errorf("store: unexpected field %q", n)
+		for _, f := range tp.fields {
+			if t.Field(f.name) == nil {
+				return fmt.Errorf("store: unexpected field %q", f.name)
 			}
 		}
 		return nil

@@ -83,7 +83,7 @@ func Generate(cfg Config) *store.Store {
 		for r := 0; r < cfg.RobotsPerCell; r++ {
 			rid := fmt.Sprintf("r%d", r)
 			effs := store.NewSet()
-			for !cfg.DisjointOnly && len(effs.IDs()) < cfg.EffectorsPerRobot && len(effs.IDs()) < cfg.Effectors {
+			for !cfg.DisjointOnly && effs.Len() < cfg.EffectorsPerRobot && effs.Len() < cfg.Effectors {
 				eid := fmt.Sprintf("e%d", rng.Intn(cfg.Effectors))
 				effs.Add(eid, store.Ref{Relation: "effectors", Key: eid})
 			}
@@ -177,7 +177,7 @@ func GenerateChain(cfg ChainConfig) *store.Store {
 				Set("payload", store.Str(fmt.Sprintf("p%d_%d", i, k)))
 			if i < cfg.Depth-1 {
 				subs := store.NewSet()
-				for len(subs.IDs()) < cfg.Fanout && len(subs.IDs()) < cfg.PerLevel {
+				for subs.Len() < cfg.Fanout && subs.Len() < cfg.PerLevel {
 					sid := fmt.Sprintf("n%d_%d", i+1, rng.Intn(cfg.PerLevel))
 					subs.Add(sid, store.Ref{Relation: LevelRelation(i + 1), Key: sid})
 				}
