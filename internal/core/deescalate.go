@@ -33,11 +33,11 @@ import (
 // leaf-to-root early release, it is only safe if the transaction no longer
 // depends on the released data.
 func (p *Protocol) DeEscalate(txn lock.TxnID, n Node, keep []store.Path) error {
-	res, err := p.nm.Resource(n)
+	e, err := p.nm.resolve(n)
 	if err != nil {
 		return err
 	}
-	held := p.mgr.HeldMode(txn, res)
+	held := p.mgr.HeldModeID(txn, e.id)
 	if held != lock.S && held != lock.X {
 		return fmt.Errorf("core: de-escalation needs an explicit S or X on %v, held %v", n, held)
 	}
@@ -58,7 +58,7 @@ func (p *Protocol) DeEscalate(txn lock.TxnID, n Node, keep []store.Path) error {
 
 	// Acquire the fine locks, as durable as the coarse lock, while it still
 	// covers them (intention chains and downward propagation included).
-	durable := p.mgr.HeldCovers(txn, res, held, true)
+	durable := p.mgr.HeldCoversID(txn, e.id, held, true)
 	for _, k := range keep {
 		if err := p.LockWith(context.TODO(), txn, DataNode(k), held, durable, false, 0); err != nil {
 			return err
@@ -69,7 +69,7 @@ func (p *Protocol) DeEscalate(txn lock.TxnID, n Node, keep []store.Path) error {
 	// kept descendants require. The ancestors already hold at least that
 	// intention strength, so the hierarchy invariant is preserved with no
 	// unprotected window.
-	return p.mgr.Downgrade(txn, res, held.IntentionFor())
+	return p.mgr.DowngradeID(txn, e.id, held.IntentionFor())
 }
 
 // Unlock releases txn's explicit lock on a single node before end of
@@ -77,19 +77,19 @@ func (p *Protocol) DeEscalate(txn lock.TxnID, n Node, keep []store.Path) error {
 // release a node while the transaction still holds explicit locks on
 // descendants (that would break the intention-chain invariant).
 func (p *Protocol) Unlock(txn lock.TxnID, n Node) error {
-	res, err := p.nm.Resource(n)
+	e, err := p.nm.resolve(n)
 	if err != nil {
 		return err
 	}
-	if p.mgr.HeldMode(txn, res) == lock.None {
+	if p.mgr.HeldModeID(txn, e.id) == lock.None {
 		return nil
 	}
-	prefix := string(res) + "/"
+	prefix := string(e.res) + "/"
 	for _, h := range p.mgr.HeldLocks(txn) {
 		if len(h.Resource) > len(prefix) && string(h.Resource[:len(prefix)]) == prefix {
 			return fmt.Errorf("core: cannot release %v before descendant %s (leaf-to-root order)", n, h.Resource)
 		}
 	}
-	p.mgr.Release(txn, res)
+	p.mgr.ReleaseID(txn, e.id)
 	return nil
 }

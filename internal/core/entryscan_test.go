@@ -8,6 +8,7 @@ import (
 	"sync"
 	"testing"
 
+	"colock/internal/authz"
 	"colock/internal/lock"
 	"colock/internal/schema"
 	"colock/internal/store"
@@ -498,6 +499,31 @@ func TestEntryPointsUnderAllocs(t *testing.T) {
 	}
 	if eps, err := EntryPointsUnder(st, nm, nodes["robot_2refs"]); err != nil || len(eps) != 2 {
 		t.Fatalf("robot_2refs: entry points = %v, %v", eps, err)
+	}
+}
+
+// TestDownwardLockAllocs pins propagation's steady state: a warm S lock on
+// a robot that references two effectors, under the rule 4′ protocol, locks
+// both entry points without allocating — their paths live in the pooled
+// scan buffer and their ids in the name cache.
+func TestDownwardLockAllocs(t *testing.T) {
+	skipUnlessPoolsRecycle(t)
+	st, nm, nodes := benchScanNodes(t)
+	p := NewProtocol(lock.NewManager(lock.Options{}), st, nm, Options{Rule4Prime: true, Authorizer: authz.DenyAll{}})
+	txn := lock.TxnID(0)
+	run := func() {
+		txn++
+		if err := p.Lock(txn, nodes["robot_2refs"], lock.S); err != nil {
+			t.Fatal(err)
+		}
+		p.Release(txn)
+	}
+	run()
+	if got := p.Stats().DownwardPropagations; got != 2 {
+		t.Fatalf("one robot S lock made %d downward locks, want 2", got)
+	}
+	if allocs := testing.AllocsPerRun(200, run); allocs != 0 {
+		t.Errorf("warm robot S lock with two effector references: %v allocs, want 0", allocs)
 	}
 }
 

@@ -19,6 +19,7 @@ import (
 	"fmt"
 	"strings"
 	"sync"
+	"sync/atomic"
 
 	"colock/internal/lock"
 	"colock/internal/schema"
@@ -123,32 +124,49 @@ type Namer struct {
 	coalesceBLUs bool
 
 	// The name cache: every concrete data path named once keeps its computed
-	// resource string, root-to-leaf ancestor resource chain, and schema
-	// classification, so the naming hot path (protocol upward locking) does
-	// no string building and no schema walk after the first visit. Safe
-	// because relation schemas are add-only (a relation, once in the catalog,
-	// is never removed or retyped), so a computed name can never go stale;
-	// an unknown-relation error is NOT cached, since DDL may add the
-	// relation later. Size is bounded by the number of distinct paths named
-	// — the same scale as the lock table itself.
+	// resource string, its id and its root-to-leaf ancestors' ids, and its
+	// schema classification, so the naming hot path (protocol upward
+	// locking) does no string building, no interning and no schema walk
+	// after the first visit. Safe because relation schemas are add-only (a
+	// relation, once in the catalog, is never removed or retyped), so a
+	// computed name can never go stale; an unknown-relation error is NOT
+	// cached, since DDL may add the relation later. Size is bounded by the
+	// number of distinct paths named — the same scale as the lock table
+	// itself.
 	//
-	// dbRes and dbAnc are precomputed; segs caches segment resources; paths
-	// is keyed by an fnv-1a hash of the path segments, colliding entries
-	// chained through nameEntry.next, so a cache hit allocates nothing.
+	// db is precomputed; segs caches segment entries; paths is keyed by an
+	// fnv-1a hash of the path segments, colliding entries chained through
+	// nameEntry.next, so a cache hit allocates nothing.
+	//
+	// mgr is the lock manager whose id space the ids belong to, nil until
+	// NewProtocol binds the namer.
 	nocache bool
-	dbRes   lock.Resource
-	dbAnc   []lock.Resource
+	db      *nameEntry
+	mgr     *lock.Manager
 	mu      sync.RWMutex
-	segs    map[string]lock.Resource
+	segs    map[string]*nameEntry
 	paths   map[uint64]*nameEntry
 }
 
-// nameEntry is the cached naming of one concrete data path.
+// nameEntry is the cached naming of one concrete data path, or of the
+// database or a segment (no path, no classification).
 type nameEntry struct {
-	path []string        // owned copy of the path segments (cache key)
-	res  lock.Resource   // resource name (after BLU coalescing)
-	anc  []lock.Resource // ancestor chain, root to leaf; shared, read-only
-	info NodeInfo
+	path []string      // owned copy of the path segments (cache key)
+	res  lock.Resource // resource name (after BLU coalescing)
+	// segEnd is the length of the segment's name, the prefix of a data
+	// entry's res before "/" + the path; 0 for the database and segments.
+	segEnd int32
+	// id and ancID are the resource's id and its ancestors' ids, root to
+	// leaf, in the bound manager's id space; set when the entry is cached
+	// by a bound namer or when the namer is bound.
+	id    lock.ResID
+	ancID []lock.ResID
+	// anc is the ancestor chain by name, built on the first chain call:
+	// the lock path needs only the ids.
+	anc atomic.Pointer[ancNames]
+	// typ is the schema type of the addressed value (nil for a relation);
+	// the rest of the classification follows from it (info).
+	typ *schema.Type
 	// infoErr is the (deterministic) classification error for paths whose
 	// relation exists but whose shape is invalid; Classify returns it, and
 	// Resource does too when coalescing needed the classification.
@@ -156,16 +174,105 @@ type nameEntry struct {
 	next    *nameEntry // next entry with the same pathHash
 }
 
+// info is the entry's classification (zero with infoErr).
+func (e *nameEntry) info() NodeInfo {
+	switch {
+	case e.infoErr != nil:
+		return NodeInfo{}
+	case e.typ == nil:
+		return NodeInfo{Kind: HoLU} // a relation
+	}
+	return classifyType(e.typ)
+}
+
+// ancNames is an entry's ancestor chain by name: names, backed by buf for
+// chains up to eight deep, in one allocation.
+type ancNames struct {
+	names []lock.Resource
+	buf   [8]lock.Resource
+}
+
 // NewNamer returns a Namer over the catalog. coalesceBLUs selects the
 // footnote-3 BLU granularity (one BLU per tuple level) instead of one BLU
 // per atomic attribute.
 func NewNamer(cat *schema.Catalog, coalesceBLUs bool) *Namer {
 	nm := &Namer{cat: cat, coalesceBLUs: coalesceBLUs}
-	nm.dbRes = lock.Resource(cat.Database)
-	nm.dbAnc = []lock.Resource{nm.dbRes}
-	nm.segs = make(map[string]lock.Resource)
+	nm.db = &nameEntry{res: lock.Resource(cat.Database)}
+	nm.segs = make(map[string]*nameEntry)
 	nm.paths = make(map[uint64]*nameEntry)
 	return nm
+}
+
+// appendAnc appends e's ancestor names, root to leaf, to dst. Every one is
+// a prefix of e.res, so this allocates nothing beyond dst.
+func (nm *Namer) appendAnc(dst []lock.Resource, e *nameEntry) []lock.Resource {
+	switch {
+	case e == nm.db:
+		return dst
+	case e.segEnd == 0: // a segment
+		return append(dst, nm.db.res)
+	}
+	end := int(e.segEnd)
+	dst = append(dst, nm.db.res, e.res[:end])
+	for _, s := range e.path[:len(e.path)-1] {
+		end += 1 + len(s)
+		dst = append(dst, e.res[:end])
+	}
+	return dst
+}
+
+// ancestors returns e's ancestor names, root to leaf, building them on the
+// first call. The slice is shared and must not be modified.
+func (nm *Namer) ancestors(e *nameEntry) []lock.Resource {
+	a := e.anc.Load()
+	if a == nil {
+		a = new(ancNames)
+		a.names = nm.appendAnc(a.buf[:0], e)
+		if !e.anc.CompareAndSwap(nil, a) {
+			a = e.anc.Load()
+		}
+	}
+	return a.names
+}
+
+// bind ties the namer to mgr's id space, giving every cached entry its ids.
+// A namer serves one manager: binding it to a second one panics.
+func (nm *Namer) bind(mgr *lock.Manager) {
+	nm.mu.Lock()
+	defer nm.mu.Unlock()
+	switch nm.mgr {
+	case mgr:
+		return
+	case nil:
+	default:
+		panic("core: namer is already bound to another lock manager")
+	}
+	nm.mgr = mgr
+	nm.intern(nm.db)
+	for _, e := range nm.segs {
+		nm.intern(e)
+	}
+	for _, e := range nm.paths {
+		for ; e != nil; e = e.next {
+			nm.intern(e)
+		}
+	}
+}
+
+// intern sets e's ids in the bound manager's id space. Entries whose shape
+// the schema rules out are never locked and get none. Caller holds nm.mu
+// for writing, or owns e.
+func (nm *Namer) intern(e *nameEntry) {
+	if e.infoErr != nil {
+		return
+	}
+	var buf [8]lock.Resource
+	anc := nm.appendAnc(buf[:0], e)
+	e.id = nm.mgr.Intern(e.res)
+	e.ancID = make([]lock.ResID, len(anc))
+	for i, a := range anc {
+		e.ancID[i] = nm.mgr.Intern(a)
+	}
 }
 
 // DisableCache turns the name cache off: every Resource/Classify call
@@ -228,35 +335,35 @@ func (nm *Namer) entryFor(p store.Path) (*nameEntry, error) {
 			return o, nil
 		}
 	}
+	if nm.mgr != nil {
+		nm.intern(e)
+	}
 	e.next, nm.paths[h] = nm.paths[h], e
 	nm.mu.Unlock()
 	return e, nil
 }
 
 // buildEntry computes a nameEntry from the schema (the slow path, once per
-// distinct path). Every data ancestor's name is a prefix of the path's own
-// name, so the entry builds one string and the chain slices it: a first
-// visit costs four allocations however deep the path is.
+// distinct path). Every ancestor's name is a prefix of the path's own name,
+// so the entry builds one string: a first visit costs three allocations
+// however deep the path is, and a fourth for the ancestor ids (bound namer)
+// or names (chain).
 func (nm *Namer) buildEntry(p store.Path) (*nameEntry, error) {
 	rel := nm.cat.Relation(p.Relation())
 	if rel == nil {
 		return nil, fmt.Errorf("core: unknown relation %q", p.Relation())
 	}
 	e := &nameEntry{path: append([]string(nil), p...)}
-	e.info, e.infoErr = nm.classifyUncached(p)
+	info, err := nm.classifyUncached(p)
+	e.typ, e.infoErr = info.Type, err
 	seg := nm.segRes(rel.Segment)
 	var buf [8]string // stays on the stack for paths up to seven segments deep
 	parts := append(append(buf[:0], string(seg)), p...)
-	if nm.coalesceBLUs && len(p) >= 3 && e.infoErr == nil && e.info.Kind == BLU && !e.info.IsRef {
+	if nm.coalesceBLUs && len(p) >= 3 && err == nil && info.Kind == BLU && !info.IsRef {
 		parts[len(p)] = bluLabel
 	}
 	e.res = lock.Resource(strings.Join(parts, "/"))
-	e.anc = append(make([]lock.Resource, 0, len(p)+1), nm.dbRes, seg)
-	end := len(seg)
-	for _, s := range p[:len(p)-1] {
-		end += 1 + len(s)
-		e.anc = append(e.anc, e.res[:end])
-	}
+	e.segEnd = int32(len(seg))
 	return e, nil
 }
 
@@ -265,31 +372,68 @@ func (nm *Namer) segRes(seg string) lock.Resource {
 	if nm.nocache {
 		return lock.Resource(nm.cat.Database + "/" + seg)
 	}
+	return nm.segEntry(seg).res
+}
+
+// segEntry returns the cached entry of a segment.
+func (nm *Namer) segEntry(seg string) *nameEntry {
 	nm.mu.RLock()
-	r, ok := nm.segs[seg]
+	e := nm.segs[seg]
 	nm.mu.RUnlock()
-	if ok {
-		return r
+	if e != nil {
+		return e
 	}
-	r = lock.Resource(nm.cat.Database + "/" + seg)
 	nm.mu.Lock()
-	nm.segs[seg] = r
-	nm.mu.Unlock()
-	return r
+	defer nm.mu.Unlock()
+	if e = nm.segs[seg]; e == nil {
+		e = &nameEntry{res: lock.Resource(nm.cat.Database + "/" + seg)}
+		if nm.mgr != nil {
+			nm.intern(e)
+		}
+		nm.segs[seg] = e
+	}
+	return e
+}
+
+// resolve returns the naming of n the protocol locks with: its resource
+// name and id, and its ancestors' ids in root-to-leaf order — served from
+// the cache with zero allocations after the first visit — and, for a data
+// node, its schema type in typ. A data path whose shape the schema rules
+// out gets its (cached) classification error. The namer must be bound; the
+// entry is shared and must not be modified.
+func (nm *Namer) resolve(n Node) (*nameEntry, error) {
+	switch n.Level {
+	case LevelDatabase:
+		return nm.db, nil
+	case LevelSegment:
+		return nm.segEntry(n.Segment), nil
+	}
+	var e *nameEntry
+	var err error
+	if nm.nocache {
+		if e, err = nm.buildEntry(n.Path); err == nil {
+			nm.intern(e)
+		}
+	} else {
+		e, err = nm.entryFor(n.Path)
+	}
+	if err == nil {
+		err = e.infoErr
+	}
+	return e, err
 }
 
 // chain returns the resource name of n together with its ancestor resources
-// in root-to-leaf order and, for a data node, its schema type — the
-// protocol's per-lock naming and validation in one lookup, served from the
-// cache with zero allocations after the first visit. A data path whose shape
-// the schema rules out gets its (cached) classification error. The returned
-// slice is shared and must not be modified.
+// in root-to-leaf order and, for a data node, its schema type: resolve by
+// name. The returned slice is shared and must not be modified.
 func (nm *Namer) chain(n Node) (lock.Resource, []lock.Resource, *schema.Type, error) {
 	switch n.Level {
 	case LevelDatabase:
-		return nm.dbRes, nil, nil, nil
+		return nm.db.res, nil, nil, nil
 	case LevelSegment:
-		return nm.segRes(n.Segment), nm.dbAnc, nil, nil
+		if nm.nocache {
+			return nm.segRes(n.Segment), []lock.Resource{nm.db.res}, nil, nil
+		}
 	}
 	if nm.nocache {
 		res, err := nm.Resource(n)
@@ -312,14 +456,11 @@ func (nm *Namer) chain(n Node) (lock.Resource, []lock.Resource, *schema.Type, er
 		}
 		return res, anc, info.Type, nil
 	}
-	e, err := nm.entryFor(n.Path)
+	e, err := nm.resolve(n)
 	if err != nil {
 		return "", nil, nil, err
 	}
-	if e.infoErr != nil {
-		return "", nil, nil, e.infoErr
-	}
-	return e.res, e.anc, e.info.Type, nil
+	return e.res, nm.ancestors(e), e.typ, nil
 }
 
 // Catalog returns the catalog the namer was built over.
@@ -333,7 +474,7 @@ const bluLabel = "#attrs"
 func (nm *Namer) Resource(n Node) (lock.Resource, error) {
 	switch n.Level {
 	case LevelDatabase:
-		return nm.dbRes, nil
+		return nm.db.res, nil
 	case LevelSegment:
 		return nm.segRes(n.Segment), nil
 	}
@@ -445,7 +586,7 @@ func (nm *Namer) Classify(p store.Path) (NodeInfo, error) {
 	if e.infoErr != nil {
 		return NodeInfo{}, e.infoErr
 	}
-	return e.info, nil
+	return e.info(), nil
 }
 
 // classifyResource is Classify for a data node given by its resource name
@@ -471,7 +612,7 @@ func (nm *Namer) classifyResource(r lock.Resource) (NodeInfo, error) {
 		for e := nm.paths[h]; e != nil; e = e.next {
 			if e.res == r {
 				nm.mu.RUnlock()
-				return e.info, e.infoErr
+				return e.info(), e.infoErr
 			}
 		}
 		nm.mu.RUnlock()

@@ -82,12 +82,14 @@ type Options struct {
 }
 
 // NewProtocol builds a protocol instance over a lock manager, a store and a
-// namer.
+// namer, binding the namer to the manager's resource id space. A namer
+// serves one manager: NewProtocol panics if nm is already bound to another.
 func NewProtocol(mgr *lock.Manager, st *store.Store, nm *Namer, opts Options) *Protocol {
 	auth := opts.Authorizer
 	if auth == nil {
 		auth = authz.AllowAll{}
 	}
+	nm.bind(mgr)
 	return &Protocol{nm: nm, mgr: mgr, st: st, auth: auth, rule4Prime: opts.Rule4Prime, tr: opts.Tracer, fast: !opts.DisableFastPath}
 }
 
@@ -172,7 +174,7 @@ func (p *Protocol) LockWith(ctx context.Context, txn lock.TxnID, n Node, mode lo
 	c := callPool.Get().(*call)
 	c.ctx, c.txn, c.opt, c.noFollow = ctx, txn, lock.AcquireOption{Durable: durable, Timeout: timeout}, noFollow
 	defer func() {
-		clear(c.requested)
+		c.requested.Clear()
 		c.ctx = nil
 		callPool.Put(c)
 	}()
@@ -190,12 +192,16 @@ type call struct {
 	noFollow bool
 	// requested holds the strongest mode handled per resource in this call,
 	// so that diamond-shaped sharing does not reprocess entry points.
-	requested map[lock.Resource]lock.Mode
+	requested lock.IDMap[lock.Mode]
 }
 
-var callPool = sync.Pool{
-	New: func() any { return &call{requested: make(map[lock.Resource]lock.Mode, 16)} },
+// memo records mode as handled for id in this call.
+func (c *call) memo(id lock.ResID, mode lock.Mode) {
+	prev, _ := c.requested.Get(id)
+	c.requested.Put(id, lock.Sup(prev, mode))
 }
+
+var callPool = sync.Pool{New: func() any { return new(call) }}
 
 // lock locks one node under the protocol. kind is "" for the node the caller
 // named (the root span) and "downward" for an entry point reached by
@@ -210,13 +216,14 @@ func (p *Protocol) lock(c *call, n Node, mode lock.Mode, kind string, sp trace.S
 		}
 		p.counters.downward.Add(1)
 	}
-	// chain also validates a data path against the schema: instances need
+	// resolve also validates a data path against the schema: instances need
 	// not exist (inserts lock their future resource), but the attribute
 	// shape must be real.
-	res, anc, t, err := p.nm.chain(n)
+	e, err := p.nm.resolve(n)
 	if err != nil {
 		return err
 	}
+	res, t := e.res, e.typ
 	if kind == "" {
 		if p.tr != nil {
 			sp = p.tr.Start(c.txn, "lock", res, mode)
@@ -226,7 +233,7 @@ func (p *Protocol) lock(c *call, n Node, mode lock.Mode, kind string, sp trace.S
 		sp = sp.Child(kind, res, mode)
 		defer func() { sp.EndAtLast(err) }()
 	}
-	if prev, ok := c.requested[res]; ok && prev.Covers(mode) {
+	if prev, ok := c.requested.Get(e.id); ok && prev.Covers(mode) {
 		p.counters.memoHits.Add(1)
 		return nil
 	}
@@ -241,7 +248,7 @@ func (p *Protocol) lock(c *call, n Node, mode lock.Mode, kind string, sp trace.S
 	// upward propagation" up to the root of the superunit; it never crosses
 	// superunit boundaries because the ancestor chain is exactly the
 	// superunit spine.
-	if err := p.chain(c, res, anc, mode, !follow, sp); err != nil || !follow {
+	if err := p.chain(c, e, mode, !follow, sp); err != nil || !follow {
 		return err
 	}
 
@@ -249,7 +256,7 @@ func (p *Protocol) lock(c *call, n Node, mode lock.Mode, kind string, sp trace.S
 	// complex objects a reference cycle leads back to this node, and the
 	// reservation terminates the recursion (the cycle member is then locked
 	// on the way back up).
-	c.requested[res] = lock.Sup(c.requested[res], mode)
+	c.memo(e.id, mode)
 
 	// Rules 3/4/4′, downward part: before granting S or X on the node, lock
 	// the entry points of all lower (dependent) inner units accessible via
@@ -266,7 +273,7 @@ func (p *Protocol) lock(c *call, n Node, mode lock.Mode, kind string, sp trace.S
 			return err
 		}
 		for _, ep := range sc.cur {
-			if err := p.lock(c, DataNode(store.P(ep.Relation, ep.Key)), mode, "downward", sp); err != nil {
+			if err := p.lock(c, sc.node(ep), mode, "downward", sp); err != nil {
 				return err
 			}
 		}
@@ -276,7 +283,7 @@ func (p *Protocol) lock(c *call, n Node, mode lock.Mode, kind string, sp trace.S
 	// held-covers regrant path answers a repeat, so every S/X request stays
 	// visible in Stats.Requests and the events.
 	a := sp.Child("acquire", res, mode)
-	err = p.mgr.AcquireCtx(c.ctx, c.txn, res, mode, c.opt)
+	err = p.mgr.AcquireID(c.ctx, c.txn, e.id, mode, c.opt)
 	a.End(err)
 	if err != nil {
 		return err
@@ -299,7 +306,7 @@ func (p *Protocol) lock(c *call, n Node, mode lock.Mode, kind string, sp trace.S
 			}
 			late = true
 			p.counters.lateEntries.Add(1)
-			if err := p.lock(c, DataNode(store.P(ep.Relation, ep.Key)), mode, "downward", sp); err != nil {
+			if err := p.lock(c, sc.node(ep), mode, "downward", sp); err != nil {
 				return err
 			}
 		}
@@ -308,49 +315,49 @@ func (p *Protocol) lock(c *call, n Node, mode lock.Mode, kind string, sp trace.S
 }
 
 // chain is the one routine that sends chain requests to the manager: an
-// intent request for each ancestor neither the call's memo nor (with the
-// fast path on) the lock list covers and, when withNode is set (the request
-// does not propagate), the node's own lock go to it root to leaf as ONE
-// Manager.AcquireBatch. The steady state — everything already held — makes
-// zero manager requests and zero allocations. A recording sp gets one
+// intent request for each ancestor of e neither the call's memo nor (with
+// the fast path on) the lock list covers and, when withNode is set (the
+// request does not propagate), the node's own lock go to it root to leaf as
+// ONE Manager.AcquireBatchID. The steady state — everything already held —
+// makes zero manager requests and zero allocations. A recording sp gets one
 // finished child per request the manager got to ("upward" for an ancestor,
 // "acquire" for the node), all sharing the batch's start and end.
-func (p *Protocol) chain(c *call, res lock.Resource, anc []lock.Resource, mode lock.Mode, withNode bool, sp trace.SpanHandle) error {
+func (p *Protocol) chain(c *call, e *nameEntry, mode lock.Mode, withNode bool, sp trace.SpanHandle) error {
 	// Stack buffer: a chain (database, segment, relation, object and four
 	// levels below it) fits; a deeper one spills to the heap.
-	var buf [8]lock.BatchReq
+	var buf [8]lock.IDReq
 	reqs, intent := buf[:0], mode.IntentionFor()
-	for _, ares := range anc {
-		if prev, ok := c.requested[ares]; ok && prev.Covers(intent) {
+	for _, aid := range e.ancID {
+		if prev, ok := c.requested.Get(aid); ok && prev.Covers(intent) {
 			p.counters.memoHits.Add(1)
 			continue
 		}
-		if p.fast && p.mgr.HeldCovers(c.txn, ares, intent, c.opt.Durable) {
+		if p.fast && p.mgr.HeldCoversID(c.txn, aid, intent, c.opt.Durable) {
 			// Deliberately NOT folded into requested: the lock list answers
 			// any later encounter the memo would, and skipping the map write
 			// keeps the steady state free of per-call map traffic.
 			p.noteFastPathHit()
 			continue
 		}
-		reqs = append(reqs, lock.BatchReq{Resource: ares, Mode: intent})
+		reqs = append(reqs, lock.IDReq{ID: aid, Mode: intent})
 	}
 	upward := len(reqs)
 	if withNode {
 		// Only IS/IX node locks may be served from the lock list: noFollow S/X
 		// is rare, and going to the manager keeps every S/X request visible in
 		// Stats.Requests and the events.
-		if p.fast && mode.IsIntention() && p.mgr.HeldCovers(c.txn, res, mode, c.opt.Durable) {
+		if p.fast && mode.IsIntention() && p.mgr.HeldCoversID(c.txn, e.id, mode, c.opt.Durable) {
 			p.noteFastPathHit()
 		} else {
-			reqs = append(reqs, lock.BatchReq{Resource: res, Mode: mode})
+			reqs = append(reqs, lock.IDReq{ID: e.id, Mode: mode})
 		}
 	}
 	if len(reqs) == 0 {
 		return nil
 	}
-	err := p.mgr.AcquireBatch(c.ctx, c.txn, reqs, c.opt)
+	err := p.mgr.AcquireBatchID(c.ctx, c.txn, reqs, c.opt)
 	if sp.Recording() {
-		batchSpans(sp, reqs, upward, err)
+		batchSpans(p.mgr, sp, reqs, upward, err)
 	}
 	if err != nil {
 		return err
@@ -361,17 +368,17 @@ func (p *Protocol) chain(c *call, res lock.Resource, anc []lock.Resource, mode l
 		p.counters.nodeLocks.Add(1)
 	}
 	for _, q := range reqs {
-		c.requested[q.Resource] = lock.Sup(c.requested[q.Resource], q.Mode)
+		c.memo(q.ID, q.Mode)
 	}
 	return nil
 }
 
-// batchSpans records the children of one AcquireBatch call, all over the
-// call's one Lap. The batch stops at the first request that fails and its
-// *lock.LockError names that request's resource: the requests before it end
-// clean, that one carries the error, and the ones after it were never made
-// and get no span.
-func batchSpans(sp trace.SpanHandle, reqs []lock.BatchReq, upward int, err error) {
+// batchSpans records the children of one AcquireBatchID call, all over the
+// call's one Lap, naming each request's resource through mgr. The batch
+// stops at the first request that fails and its *lock.LockError names that
+// request's resource: the requests before it end clean, that one carries the
+// error, and the ones after it were never made and get no span.
+func batchSpans(mgr *lock.Manager, sp trace.SpanHandle, reqs []lock.IDReq, upward int, err error) {
 	start, end := sp.Lap()
 	var failed lock.Resource
 	if err != nil {
@@ -385,11 +392,12 @@ func batchSpans(sp trace.SpanHandle, reqs []lock.BatchReq, upward int, err error
 		if i >= upward {
 			kind = "acquire"
 		}
-		if err != nil && q.Resource == failed {
-			sp.ChildDone(kind, q.Resource, q.Mode, start, end, err)
+		res := mgr.Name(q.ID)
+		if err != nil && res == failed {
+			sp.ChildDone(kind, res, q.Mode, start, end, err)
 			return
 		}
-		sp.ChildDone(kind, q.Resource, q.Mode, start, end, nil)
+		sp.ChildDone(kind, res, q.Mode, start, end, nil)
 	}
 }
 
@@ -402,13 +410,13 @@ func (p *Protocol) Release(txn lock.TxnID) { p.mgr.ReleaseAll(txn) }
 // descendants in the same mode (§3.1). Because resource names are the
 // immediate-parent chains, implicit coverage is prefix coverage.
 func (p *Protocol) EffectiveMode(txn lock.TxnID, n Node) (lock.Mode, error) {
-	res, anc, _, err := p.nm.chain(n)
+	e, err := p.nm.resolve(n)
 	if err != nil {
 		return lock.None, err
 	}
-	best := p.mgr.HeldMode(txn, res)
-	for _, ares := range anc {
-		switch p.mgr.HeldMode(txn, ares) {
+	best := p.mgr.HeldModeID(txn, e.id)
+	for _, aid := range e.ancID {
+		switch p.mgr.HeldModeID(txn, aid) {
 		case lock.S:
 			best = lock.Sup(best, lock.S)
 		case lock.X:

@@ -85,8 +85,7 @@ func skipUnlessPoolsRecycle(t *testing.T) {
 
 // A warm traced LockWith allocates nothing the untraced one does not:
 // records go into the transaction's pooled buffer, which the flight
-// recorder hands back to the pool when it evicts it. (Propagation itself
-// allocates: lock names each entry point it reaches.)
+// recorder hands back to the pool when it evicts it.
 func TestWarmTracedLockWithAllocs(t *testing.T) {
 	skipUnlessPoolsRecycle(t)
 	_, st := nestedCatalogAndStore(t)

@@ -212,7 +212,19 @@ func EntryPointsUnder(st *store.Store, nm *Namer, n Node) ([]store.Path, error) 
 // scanBuf holds the entry points one lock request found below its node: cur
 // from the latest scan, prev from the one before (the protocol compares the
 // two after the grant). Pooled, so a scan allocates nothing once warm.
-type scanBuf struct{ cur, prev []store.Ref }
+type scanBuf struct {
+	cur, prev []store.Ref
+	// path backs the node of the entry point being locked (see node).
+	path [2]string
+}
+
+// node returns the data node of entry point ep, its path stored in the
+// buffer: valid until the next call, which is all a downward lock needs (the
+// namer copies a path it caches).
+func (sc *scanBuf) node(ep store.Ref) Node {
+	sc.path = [2]string{ep.Relation, ep.Key}
+	return DataNode(sc.path[:])
+}
 
 var scanPool = sync.Pool{New: func() any { return new(scanBuf) }}
 

@@ -69,15 +69,15 @@ func (m *Manager) detect(txn TxnID, w *waiter) {
 // registry currency change together under this latch, and a waiter cannot
 // be recycled while queued, so the deref is safe even though waiters are
 // pooled.
-func (m *Manager) appendWaitsFor(txn TxnID, dst []TxnID, seen map[TxnID]bool) (Resource, Mode, []TxnID) {
+func (m *Manager) appendWaitsFor(txn TxnID, dst []TxnID, seen map[TxnID]bool) (ResID, Mode, []TxnID) {
 	rec, ok := m.wf.get(txn)
 	if !ok {
-		return "", None, dst
+		return 0, None, dst
 	}
 	s := m.shardFor(rec.res)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	e := s.res[rec.res]
+	e := s.get(rec.res)
 	if e == nil {
 		return rec.res, None, dst
 	}
@@ -208,15 +208,15 @@ func (m *Manager) abortWaiter(victim TxnID) bool {
 	m.wf.delete(victim)
 	s.stats.deadlocks.Add(1)
 	if tr != nil {
-		tr.add(KindVictim, rec.w.enq, victim, rec.res, rec.w.mode, s.idx).Blockers = blockers
+		tr.add(KindVictim, rec.w.enq, victim, m.Name(rec.res), rec.w.mode, s.idx).Blockers = blockers
 	}
 	// The victim learns its fate only after the victim event is delivered
 	// (tr.finish below). From here the waiter belongs to the victim's
 	// goroutine; rec.w is not touched again.
 	rec.w.done = true
-	tr.wakeAfter(rec.w, lockErrBlocked(victim, rec.res, rec.w.mode, ErrDeadlock, blockers))
+	tr.wakeAfter(rec.w, lockErrBlocked(victim, m.Name(rec.res), rec.w.mode, ErrDeadlock, blockers))
 	// The victim's departure may unblock others.
-	m.grantWaitersLocked(tr, s, s.res[rec.res], rec.res)
+	m.grantWaitersLocked(tr, s, s.get(rec.res), rec.res)
 	s.mu.Unlock()
 	tr.finish()
 	return true

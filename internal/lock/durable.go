@@ -33,7 +33,11 @@ func (m *Manager) Snapshot() []DurableLock {
 	var out []DurableLock
 	for _, s := range m.shards {
 		s.mu.Lock()
-		for r, e := range s.res {
+		for i, e := range s.res {
+			if e == nil {
+				continue
+			}
+			r := m.Name(s.id(i))
 			e.forEachHolder(func(t TxnID, h *heldLock) bool {
 				if h.durable {
 					out = append(out, DurableLock{Txn: t, Resource: r, Mode: h.mode})
@@ -78,12 +82,13 @@ func DecodeSnapshot(data []byte) ([]DurableLock, error) {
 func (m *Manager) Restore(locks []DurableLock) error {
 	for _, dl := range locks {
 		tr := m.newTracer()
-		s := m.shardFor(dl.Resource)
+		id := m.Intern(dl.Resource)
+		s := m.shardFor(id)
 		s.mu.Lock()
-		e := s.entryFor(dl.Resource)
+		e := s.entryFor(id)
 		own := e.holderMode(dl.Txn)
 		if !e.compatGranted(own, dl.Mode) {
-			s.maybeDropEntry(dl.Resource, e)
+			s.maybeDropEntry(id, e)
 			s.mu.Unlock()
 			tr.finish()
 			return fmt.Errorf("lock: restore conflict on %q for txn %d (%v)", dl.Resource, dl.Txn, dl.Mode)
@@ -91,12 +96,12 @@ func (m *Manager) Restore(locks []DurableLock) error {
 		if h := e.holder(dl.Txn); h != nil {
 			e.setMode(h, Sup(h.mode, dl.Mode))
 			h.durable = true
-			m.txnShardFor(dl.Txn).record(dl.Txn, dl.Resource, h, s)
+			m.txnShardFor(dl.Txn).record(dl.Txn, id, h)
 			s.mu.Unlock()
 			tr.finish()
 			continue
 		}
-		m.grantLocked(tr, s, e, dl.Txn, dl.Resource, dl.Mode, true, false, nil)
+		m.grantLocked(tr, s, e, dl.Txn, id, dl.Mode, true, false, nil)
 		s.mu.Unlock()
 		tr.finish()
 	}

@@ -126,8 +126,8 @@ func TestEventTimestampsAndDurations(t *testing.T) {
 	if g.Kind != "grant" || g.At.IsZero() || g.Dur < 0 || g.Waited {
 		t.Errorf("grant event = %+v", g)
 	}
-	if g.Shard != int(m.shardIndex("a")) {
-		t.Errorf("grant shard = %d, want %d", g.Shard, m.shardIndex("a"))
+	if g.Shard != m.ShardOf("a") {
+		t.Errorf("grant shard = %d, want %d", g.Shard, m.ShardOf("a"))
 	}
 	if r.Kind != "release" || r.Mode != X {
 		t.Errorf("release event = %+v, want mode X", r)

@@ -22,7 +22,7 @@ import (
 // disagreement is a slot recorded in a list ReleaseAll has detached and is
 // still sweeping; quiescent callers rule that out too.
 func checkHeldIndex(m *Manager, quiescent bool) error {
-	listedAs := func(txn TxnID, r Resource) (listedLock, uint64, bool) {
+	listedAs := func(txn TxnID, r ResID) (listedLock, uint64, bool) {
 		ts := m.txnShardFor(txn)
 		ts.mu.Lock()
 		defer ts.mu.Unlock()
@@ -30,22 +30,26 @@ func checkHeldIndex(m *Manager, quiescent bool) error {
 		if l == nil {
 			return listedLock{}, 0, false
 		}
-		it, ok := l.m[r]
+		it, ok := l.m.Get(r)
 		return it, l.gen, ok
 	}
 	for _, s := range m.shards {
 		s.mu.Lock()
-		for r, e := range s.res {
+		for i, e := range s.res {
+			if e == nil {
+				continue
+			}
+			r := s.id(i)
 			var err error
 			e.forEachHolder(func(txn TxnID, h *heldLock) bool {
 				it, gen, ok := listedAs(txn, r)
-				switch want := (listedLock{mode: h.mode, durable: h.durable, stripe: uint32(s.idx), seq: h.seq}); {
+				switch want := (listedLock{mode: h.mode, durable: h.durable, seq: h.seq}); {
 				case ok && gen == h.list && it != want:
-					err = fmt.Errorf("txn %d on %q: list says %+v, slot says %+v", txn, r, it, want)
+					err = fmt.Errorf("txn %d on %q: list says %+v, slot says %+v", txn, m.Name(r), it, want)
 				case ok && gen != h.list:
-					err = fmt.Errorf("txn %d on %q: listed in generation %d, slot stamped %d", txn, r, gen, h.list)
+					err = fmt.Errorf("txn %d on %q: listed in generation %d, slot stamped %d", txn, m.Name(r), gen, h.list)
 				case !ok && (quiescent || gen == h.list):
-					err = fmt.Errorf("txn %d holds %v on %q, not in its list", txn, h.mode, r)
+					err = fmt.Errorf("txn %d holds %v on %q, not in its list", txn, h.mode, m.Name(r))
 				}
 				return err == nil
 			})
@@ -58,18 +62,20 @@ func checkHeldIndex(m *Manager, quiescent bool) error {
 	}
 	type pair struct {
 		txn TxnID
-		r   Resource
+		r   ResID
 	}
 	var pairs []pair
 	for _, ts := range m.txns {
 		ts.mu.Lock()
 		for txn, l := range ts.held {
-			if len(l.m) == 0 {
+			if l.m.Len() == 0 {
 				ts.mu.Unlock()
 				return fmt.Errorf("txn %d: empty list left in the index", txn)
 			}
-			for r := range l.m {
-				pairs = append(pairs, pair{txn, r})
+			for _, slot := range l.m.slots {
+				if slot.key != 0 {
+					pairs = append(pairs, pair{txn, slot.key - 1})
+				}
 			}
 		}
 		ts.mu.Unlock()
@@ -79,12 +85,12 @@ func checkHeldIndex(m *Manager, quiescent bool) error {
 		s.mu.Lock()
 		_, _, ok := listedAs(p.txn, p.r)
 		held := false
-		if e := s.res[p.r]; e != nil {
+		if e := s.get(p.r); e != nil {
 			held = e.holder(p.txn) != nil
 		}
 		s.mu.Unlock()
 		if ok && !held {
-			return fmt.Errorf("txn %d lists %q, the table has no such holder", p.txn, p.r)
+			return fmt.Errorf("txn %d lists %q, the table has no such holder", p.txn, m.Name(p.r))
 		}
 	}
 	return nil
@@ -405,11 +411,13 @@ func TestReleaseAllSweepSeesRerecordedSlot(t *testing.T) {
 	if err := checkHeldIndex(m, false); err != nil {
 		t.Error(err)
 	}
-	for r := range l.m { // ReleaseAll, the sweep
-		s := m.shardFor(r)
-		s.mu.Lock()
-		m.releaseLocked(nil, s, s.res[r], 1, r, l.gen)
-		s.mu.Unlock()
+	for _, slot := range l.m.slots { // ReleaseAll, the sweep
+		if r := slot.key - 1; slot.key != 0 {
+			s := m.shardFor(r)
+			s.mu.Lock()
+			m.releaseLocked(nil, s, s.get(r), 1, r, l.gen)
+			s.mu.Unlock()
+		}
 	}
 	putHeldList(l)
 	if m.HeldCovers(1, "a", IS, false) || m.TxnActive(1) || m.LockCount() != 0 {

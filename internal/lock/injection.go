@@ -41,11 +41,12 @@ func (m *Manager) SetInjector(inj Injector) {
 // before any latch is taken, so a Delay stalls only the calling goroutine.
 // Delays respect ctx: cancellation during a synthetic stall surfaces as the
 // usual *LockError wrapping ctx.Err().
-func (m *Manager) inject(ctx context.Context, txn TxnID, r Resource, mode Mode) error {
+func (m *Manager) inject(ctx context.Context, txn TxnID, id ResID, mode Mode) error {
 	p := m.injector.Load()
 	if p == nil {
 		return nil
 	}
+	r := m.Name(id)
 	f := (*p).InjectAcquire(txn, r, mode)
 	if f.Delay > 0 {
 		t := time.NewTimer(f.Delay)

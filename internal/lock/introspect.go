@@ -51,8 +51,11 @@ func (m *Manager) SnapshotQueues() []QueueInfo {
 	var out []QueueInfo
 	for _, s := range m.shards {
 		s.mu.Lock()
-		for r, e := range s.res {
-			q := QueueInfo{Resource: r, Shard: s.idx}
+		for i, e := range s.res {
+			if e == nil {
+				continue
+			}
+			q := QueueInfo{Resource: m.Name(s.id(i)), Shard: s.idx}
 			e.forEachHolder(func(t TxnID, h *heldLock) bool {
 				q.Granted = append(q.Granted, GrantInfo{Txn: t, Mode: h.mode, Durable: h.durable, Seq: h.seq})
 				return true
@@ -76,7 +79,7 @@ func (m *Manager) ShardSizes() []int {
 	out := make([]int, len(m.shards))
 	for i, s := range m.shards {
 		s.mu.Lock()
-		out[i] = len(s.res)
+		out[i] = s.live
 		s.mu.Unlock()
 	}
 	return out
@@ -134,11 +137,11 @@ func (m *Manager) WaitsForEdges() []WaitEdge {
 	sc := getBlockScratch()
 	for _, txn := range m.wf.txns() {
 		clear(sc.seen)
-		var res Resource
+		var res ResID
 		var mode Mode
 		res, mode, sc.out = m.appendWaitsFor(txn, sc.out[:0], sc.seen)
 		for _, to := range sc.out {
-			out = append(out, WaitEdge{From: txn, To: to, Resource: res, Mode: mode})
+			out = append(out, WaitEdge{From: txn, To: to, Resource: m.Name(res), Mode: mode})
 		}
 	}
 	putBlockScratch(sc)

@@ -18,7 +18,9 @@ type TxnID uint64
 
 // Resource identifies a lockable unit. The core package uses hierarchical
 // path strings such as "db1/seg1/cells/c1/robots/r1", but the lock manager
-// treats resources as opaque.
+// treats resources as opaque: it keys its table by the ResID Intern assigns
+// each name, and every name-taking method is Intern plus its id-taking
+// twin.
 type Resource string
 
 // ErrDeadlock is returned from AcquireCtx when the requesting transaction
@@ -187,6 +189,7 @@ type waiter struct {
 // latch-ordering discipline.
 type Manager struct {
 	opts    Options
+	ids     idTable
 	shards  []*tableShard
 	mask    uint32
 	txns    []*txnShard
@@ -250,8 +253,13 @@ func NewManager(opts Options) *Manager {
 		txns:    make([]*txnShard, n),
 		txnMask: uint32(n - 1),
 	}
+	m.ids.ids = make(map[Resource]ResID)
+	shift := uint8(0)
+	for 1<<shift < n {
+		shift++
+	}
 	for i := 0; i < n; i++ {
-		m.shards[i] = newTableShard(i)
+		m.shards[i] = newTableShard(i, shift)
 		m.txns[i] = newTxnShard()
 	}
 	m.wf.waiting = make(map[TxnID]waitRecord)
@@ -288,13 +296,15 @@ func (m *Manager) AttachSink(s EventSink) {
 }
 
 // ShardOf returns the index of the lock-table stripe that serves r — the
-// same value Event.Shard reports. Tracing layers use it to stamp spans with
-// their lock-table stripe without re-deriving the hash.
-func (m *Manager) ShardOf(r Resource) int { return int(m.shardIndex(r)) }
+// same value Event.Shard reports — or 0 for a name the manager has not
+// interned. It adds nothing to the id space. Tracing layers use it to stamp
+// spans with their lock-table stripe.
+func (m *Manager) ShardOf(r Resource) int {
+	id, _ := m.ids.lookup(r)
+	return int(uint32(id) & m.mask)
+}
 
-func (m *Manager) shardIndex(r Resource) uint32 { return shardHash(r) & m.mask }
-
-func (m *Manager) shardFor(r Resource) *tableShard { return m.shards[m.shardIndex(r)] }
+func (m *Manager) shardFor(id ResID) *tableShard { return m.shards[uint32(id)&m.mask] }
 
 func (m *Manager) txnShardFor(txn TxnID) *txnShard {
 	return m.txns[uint32(txn)&m.txnMask]
@@ -363,8 +373,8 @@ func sortTxnIDs(a []TxnID) {
 // queuedBlockers computes the blocker set for a waiter currently enqueued
 // on r, so withdrawal and victim errors can report who the dead request was
 // waiting behind. Caller holds the shard latch.
-func (s *tableShard) queuedBlockers(r Resource, w *waiter) []TxnID {
-	e := s.res[r]
+func (s *tableShard) queuedBlockers(id ResID, w *waiter) []TxnID {
+	e := s.get(id)
 	if e == nil {
 		return nil
 	}
@@ -419,14 +429,19 @@ func WithNoWait() AcquireOption { return AcquireOption{NoWait: true} }
 // WithTimeout is AcquireOption{Timeout: d}.
 func WithTimeout(d time.Duration) AcquireOption { return AcquireOption{Timeout: d} }
 
-// AcquireCtx obtains (or converts to) a lock of at least the given mode on r
-// for txn. Without options it blocks until the lock is granted, the context
-// is done, or the transaction is chosen as a deadlock victim. A canceled or
-// expired context withdraws the waiter (no queue entry is leaked) and
-// returns a *LockError whose Cause is ctx.Err(), so
+// AcquireCtx is AcquireID on r's id.
+func (m *Manager) AcquireCtx(ctx context.Context, txn TxnID, r Resource, mode Mode, opts ...AcquireOption) error {
+	return m.AcquireID(ctx, txn, m.Intern(r), mode, opts...)
+}
+
+// AcquireID obtains (or converts to) a lock of at least the given mode on
+// resource id for txn. Without options it blocks until the lock is granted,
+// the context is done, or the transaction is chosen as a deadlock victim. A
+// canceled or expired context withdraws the waiter (no queue entry is
+// leaked) and returns a *LockError whose Cause is ctx.Err(), so
 // errors.Is(err, context.Canceled) holds. All failures are reported as
 // *LockError values wrapping one of the sentinel errors.
-func (m *Manager) AcquireCtx(ctx context.Context, txn TxnID, r Resource, mode Mode, opts ...AcquireOption) error {
+func (m *Manager) AcquireID(ctx context.Context, txn TxnID, id ResID, mode Mode, opts ...AcquireOption) error {
 	if !mode.Valid() || mode == None {
 		return fmt.Errorf("lock: invalid mode %v", mode)
 	}
@@ -435,19 +450,19 @@ func (m *Manager) AcquireCtx(ctx context.Context, txn TxnID, r Resource, mode Mo
 		ctx = context.Background()
 	}
 	if err := ctx.Err(); err != nil {
-		return lockErr(txn, r, mode, err)
+		return lockErr(txn, m.Name(id), mode, err)
 	}
-	if err := m.inject(ctx, txn, r, mode); err != nil {
+	if err := m.inject(ctx, txn, id, mode); err != nil {
 		return err
 	}
 
 	tr := m.newTracer()
-	s := m.shardFor(r)
+	s := m.shardFor(id)
 	s.mu.Lock()
 	s.stats.requests.Add(1)
 
-	e := s.entryFor(r)
-	target, convert, granted := m.tryGrant(tr, s, e, txn, r, mode, cfg.Durable)
+	e := s.entryFor(id)
+	target, convert, granted := m.tryGrant(tr, s, e, txn, id, mode, cfg.Durable)
 	if granted {
 		s.mu.Unlock()
 		tr.finish()
@@ -457,10 +472,10 @@ func (m *Manager) AcquireCtx(ctx context.Context, txn TxnID, r Resource, mode Mo
 	if cfg.NoWait {
 		s.stats.conflicts.Add(1)
 		blockers := e.blockerTxns(txn, target, len(e.queue))
-		s.maybeDropEntry(r, e)
+		s.maybeDropEntry(id, e)
 		s.mu.Unlock()
 		tr.finish()
-		return lockErrBlocked(txn, r, mode, ErrWouldBlock, blockers)
+		return lockErrBlocked(txn, m.Name(id), mode, ErrWouldBlock, blockers)
 	}
 
 	// Graceful degradation: when the admission gate is saturated in degrade
@@ -474,13 +489,13 @@ func (m *Manager) AcquireCtx(ctx context.Context, txn TxnID, r Resource, mode Mo
 		m.sheds.Add(1)
 		m.degradedAcq.Add(1)
 		blockers := e.blockerTxns(txn, target, len(e.queue))
-		s.maybeDropEntry(r, e)
+		s.maybeDropEntry(id, e)
 		if tr != nil {
-			tr.add(KindShed, tr.start, txn, r, target, s.idx).Blockers = blockers
+			tr.add(KindShed, tr.start, txn, m.Name(id), target, s.idx).Blockers = blockers
 		}
 		s.mu.Unlock()
 		tr.finish()
-		return lockErrBlocked(txn, r, mode, ErrShed, blockers)
+		return lockErrBlocked(txn, m.Name(id), mode, ErrShed, blockers)
 	}
 
 	if m.opts.Policy == PolicyWaitDie && e.mustDie(txn, target) {
@@ -491,14 +506,14 @@ func (m *Manager) AcquireCtx(ctx context.Context, txn TxnID, r Resource, mode Mo
 		// event, and restart-wait retry policies pause until these blockers
 		// have drained.
 		blockers := e.blockerTxns(txn, target, len(e.queue))
-		s.maybeDropEntry(r, e)
+		s.maybeDropEntry(id, e)
 		if tr != nil {
-			ev := tr.add(KindVictim, tr.start, txn, r, target, s.idx)
+			ev := tr.add(KindVictim, tr.start, txn, m.Name(id), target, s.idx)
 			ev.Blockers, ev.WaitDie = blockers, true
 		}
 		s.mu.Unlock()
 		tr.finish()
-		return lockErrBlocked(txn, r, mode, ErrWaitDie, blockers)
+		return lockErrBlocked(txn, m.Name(id), mode, ErrWaitDie, blockers)
 	}
 
 	// Enqueue a pooled waiter (entry.enqueue gives conversions the classic
@@ -510,16 +525,16 @@ func (m *Manager) AcquireCtx(ctx context.Context, txn TxnID, r Resource, mode Mo
 		w.enq = tr.start
 	}
 	pos := e.enqueue(w)
-	m.wf.put(txn, waitRecord{res: r, w: w, gen: w.gen})
+	m.wf.put(txn, waitRecord{res: id, w: w, gen: w.gen})
 	s.stats.conflicts.Add(1)
 	s.stats.waits.Add(1)
 	if tr != nil {
-		ev := tr.add(KindWait, time.Time{}, txn, r, target, s.idx)
+		ev := tr.add(KindWait, time.Time{}, txn, m.Name(id), target, s.idx)
 		ev.Blockers = e.blockerTxns(txn, target, pos)
 	}
 	s.mu.Unlock()
 	tr.deliver()
-	return m.await(ctx, cfg, tr, txn, r, w, mode, target)
+	return m.await(ctx, cfg, tr, txn, id, w, mode, target)
 }
 
 // parkNotifyKey carries a park notification in a context (WithParkNotify).
@@ -556,7 +571,7 @@ func notifyPark(ctx context.Context) {
 // Under wait-die no cycle can form (the young-waits-for-old edge was refused
 // before enqueue); under PolicyNone the cycle is left in place for timeouts
 // and introspection to deal with.
-func (m *Manager) await(ctx context.Context, cfg AcquireOption, tr *tracer, txn TxnID, r Resource, w *waiter, mode, target Mode) error {
+func (m *Manager) await(ctx context.Context, cfg AcquireOption, tr *tracer, txn TxnID, id ResID, w *waiter, mode, target Mode) error {
 	var detC <-chan time.Time
 	if m.opts.Policy == PolicyDetect {
 		m.deferredDet.Add(1)
@@ -587,9 +602,9 @@ func (m *Manager) await(ctx context.Context, cfg AcquireOption, tr *tracer, txn 
 			continue
 		case err = <-w.ready:
 		case <-ctx.Done():
-			err = m.withdraw(tr, txn, r, w, mode, target, ctx.Err(), KindCancel)
+			err = m.withdraw(tr, txn, id, w, mode, target, ctx.Err(), KindCancel)
 		case <-timerC:
-			err = m.withdraw(tr, txn, r, w, mode, target, ErrTimeout, KindTimeout)
+			err = m.withdraw(tr, txn, id, w, mode, target, ErrTimeout, KindTimeout)
 		}
 		break
 	}
@@ -610,7 +625,23 @@ type BatchReq struct {
 	Mode     Mode
 }
 
-// AcquireBatch obtains locks for every request in reqs, in order, on behalf
+// IDReq is one request of an AcquireBatchID call.
+type IDReq struct {
+	ID   ResID
+	Mode Mode
+}
+
+// AcquireBatch is AcquireBatchID on the requests' ids.
+func (m *Manager) AcquireBatch(ctx context.Context, txn TxnID, reqs []BatchReq, opts ...AcquireOption) error {
+	var buf [8]IDReq
+	ids := buf[:0]
+	for _, q := range reqs {
+		ids = append(ids, IDReq{ID: m.Intern(q.Resource), Mode: q.Mode})
+	}
+	return m.AcquireBatchID(ctx, txn, ids, opts...)
+}
+
+// AcquireBatchID obtains locks for every request in reqs, in order, on behalf
 // of txn. It exists for the protocol's root-to-leaf ancestor chains: instead
 // of N AcquireCtx round-trips (N shard-latch acquisitions, N tracer
 // decisions), the batch latches every involved stripe once — in ascending
@@ -626,14 +657,14 @@ type BatchReq struct {
 //
 // On the first request that cannot be granted immediately, the batch
 // releases all latches, flushes the tracer, and falls back to the plain
-// AcquireCtx wait path for that request and every later one — waiting,
+// AcquireID wait path for that request and every later one — waiting,
 // deadlock handling, timeouts and cancellation behave exactly as if the tail
 // had been acquired one call at a time. Requests before the conflict stay
 // granted (lock acquisition is not transactional; the caller's 2PL makes
 // that safe). Options apply to every request in the batch.
 //
 // The whole batch is ONE operation for event sampling, like ReleaseAll.
-func (m *Manager) AcquireBatch(ctx context.Context, txn TxnID, reqs []BatchReq, opts ...AcquireOption) error {
+func (m *Manager) AcquireBatchID(ctx context.Context, txn TxnID, reqs []IDReq, opts ...AcquireOption) error {
 	if len(reqs) == 0 {
 		return nil
 	}
@@ -647,9 +678,9 @@ func (m *Manager) AcquireBatch(ctx context.Context, txn TxnID, reqs []BatchReq, 
 		ctx = context.Background()
 	}
 	if err := ctx.Err(); err != nil {
-		return lockErr(txn, reqs[0].Resource, reqs[0].Mode, err)
+		return lockErr(txn, m.Name(reqs[0].ID), reqs[0].Mode, err)
 	}
-	if err := m.inject(ctx, txn, reqs[0].Resource, reqs[0].Mode); err != nil {
+	if err := m.inject(ctx, txn, reqs[0].ID, reqs[0].Mode); err != nil {
 		return err
 	}
 	m.batches.Add(1)
@@ -661,7 +692,7 @@ func (m *Manager) AcquireBatch(ctx context.Context, txn TxnID, reqs []BatchReq, 
 	var idxBuf, reqBuf [8]uint32
 	idxs, stripe := idxBuf[:0], reqBuf[:0]
 	for _, q := range reqs {
-		si := m.shardIndex(q.Resource)
+		si := uint32(q.ID) & m.mask
 		stripe = append(stripe, si)
 		pos := len(idxs)
 		dup := false
@@ -687,16 +718,16 @@ func (m *Manager) AcquireBatch(ctx context.Context, txn TxnID, reqs []BatchReq, 
 	}
 
 	// Grant pass. A request that conflicts is NOT counted against the shard
-	// stats here — the fallback AcquireCtx call will do its own accounting —
+	// stats here — the fallback AcquireID call will do its own accounting —
 	// so per-request counters stay exactly one-per-request either way.
 	fast := 0 // requests granted under the latches: reqs[:fast]
 	for i, q := range reqs {
 		s := m.shards[stripe[i]]
-		e := s.entryFor(q.Resource)
-		if _, _, granted := m.tryGrant(tr, s, e, txn, q.Resource, q.Mode, cfg.Durable); !granted {
+		e := s.entryFor(q.ID)
+		if _, _, granted := m.tryGrant(tr, s, e, txn, q.ID, q.Mode, cfg.Durable); !granted {
 			// Conflict: drop the entry if this lookup speculatively created it,
 			// and leave this request and the rest of the chain to the wait path.
-			s.maybeDropEntry(q.Resource, e)
+			s.maybeDropEntry(q.ID, e)
 			break
 		}
 		s.stats.requests.Add(1)
@@ -712,7 +743,7 @@ func (m *Manager) AcquireBatch(ctx context.Context, txn TxnID, reqs []BatchReq, 
 	}
 	m.batchFallbacks.Add(1)
 	for _, q := range reqs[fast:] {
-		if err := m.AcquireCtx(ctx, txn, q.Resource, q.Mode, cfg); err != nil {
+		if err := m.AcquireID(ctx, txn, q.ID, q.Mode, cfg); err != nil {
 			return err
 		}
 	}
@@ -723,15 +754,15 @@ func (m *Manager) AcquireBatch(ctx context.Context, txn TxnID, reqs []BatchReq, 
 // a deadlock abort) may have raced the expiry: the waiter is then already
 // resolved (done) and that outcome, which arrives once its event has been
 // delivered, is returned instead. The caller recycles the waiter.
-func (m *Manager) withdraw(tr *tracer, txn TxnID, r Resource, w *waiter, mode, target Mode, cause error, kind EventKind) error {
-	s := m.shardFor(r)
+func (m *Manager) withdraw(tr *tracer, txn TxnID, id ResID, w *waiter, mode, target Mode, cause error, kind EventKind) error {
+	s := m.shardFor(id)
 	s.mu.Lock()
 	if w.done {
 		s.mu.Unlock()
 		return <-w.ready
 	}
-	blockers := s.queuedBlockers(r, w)
-	s.removeWaiter(r, w)
+	blockers := s.queuedBlockers(id, w)
+	s.removeWaiter(id, w)
 	m.wf.delete(txn)
 	if kind == KindTimeout {
 		s.stats.timeouts.Add(1)
@@ -739,28 +770,29 @@ func (m *Manager) withdraw(tr *tracer, txn TxnID, r Resource, w *waiter, mode, t
 		s.stats.cancels.Add(1)
 	}
 	if tr != nil {
-		tr.add(kind, w.enq, txn, r, target, s.idx).Blockers = blockers
+		tr.add(kind, w.enq, txn, m.Name(id), target, s.idx).Blockers = blockers
 	}
 	// The withdrawn waiter may have been the FIFO barrier for later ones.
-	m.grantWaitersLocked(tr, s, s.res[r], r)
+	m.grantWaitersLocked(tr, s, s.get(id), id)
 	s.mu.Unlock()
 	tr.deliver()
-	return lockErrBlocked(txn, r, mode, cause, blockers)
+	return lockErrBlocked(txn, m.Name(id), mode, cause, blockers)
 }
 
-// tryGrant is the immediate-grant decision AcquireCtx and AcquireBatch share.
-// Caller holds s.mu and counts the request; e is r's entry. A durable request
-// first makes a lock txn already holds on r durable. A held mode that covers
-// the request answers it (a regrant); otherwise the request — a conversion to
-// the supremum when txn holds a weaker mode — is granted if no other holder
-// and no earlier waiter stands in its way. When it reports false nothing was
-// granted, and target and convert describe the request to queue.
-func (m *Manager) tryGrant(tr *tracer, s *tableShard, e *entry, txn TxnID, r Resource, mode Mode, durable bool) (target Mode, convert, granted bool) {
+// tryGrant is the immediate-grant decision AcquireID and AcquireBatchID
+// share. Caller holds s.mu and counts the request; e is id's entry. A
+// durable request first makes a lock txn already holds on id durable. A held
+// mode that covers the request answers it (a regrant); otherwise the request
+// — a conversion to the supremum when txn holds a weaker mode — is granted
+// if no other holder and no earlier waiter stands in its way. When it
+// reports false nothing was granted, and target and convert describe the
+// request to queue.
+func (m *Manager) tryGrant(tr *tracer, s *tableShard, e *entry, txn TxnID, id ResID, mode Mode, durable bool) (target Mode, convert, granted bool) {
 	own := None
 	if h := e.holder(txn); h != nil {
 		if durable && !h.durable {
 			h.durable = true
-			m.txnShardFor(txn).record(txn, r, h, s)
+			m.txnShardFor(txn).record(txn, id, h)
 		}
 		if h.mode.Covers(mode) {
 			s.stats.regrants.Add(1)
@@ -774,17 +806,17 @@ func (m *Manager) tryGrant(tr *tracer, s *tableShard, e *entry, txn TxnID, r Res
 		s.stats.summaryFast.Add(1)
 	}
 	if granted {
-		m.grantLocked(tr, s, e, txn, r, target, durable, convert, nil)
+		m.grantLocked(tr, s, e, txn, id, target, durable, convert, nil)
 	}
 	return target, convert, granted
 }
 
-// grantLocked installs (or converts) txn's lock on r. Caller holds s.mu;
+// grantLocked installs (or converts) txn's lock on id. Caller holds s.mu;
 // the trace event (if the operation is traced) is buffered on tr for
 // delivery after unlock. w is the waiter granted, nil for an immediate
 // grant: the latency reference is its enqueue time, else the request's
 // start.
-func (m *Manager) grantLocked(tr *tracer, s *tableShard, e *entry, txn TxnID, r Resource, mode Mode, durable, convert bool, w *waiter) {
+func (m *Manager) grantLocked(tr *tracer, s *tableShard, e *entry, txn TxnID, id ResID, mode Mode, durable, convert bool, w *waiter) {
 	h := e.holder(txn)
 	if h == nil {
 		h = e.addHolder(txn)
@@ -802,7 +834,7 @@ func (m *Manager) grantLocked(tr *tracer, s *tableShard, e *entry, txn TxnID, r 
 	e.setMode(h, mode)
 	h.durable = h.durable || durable
 	h.seq = m.seq.Add(1)
-	m.txnShardFor(txn).record(txn, r, h, s)
+	m.txnShardFor(txn).record(txn, id, h)
 	if tr != nil {
 		kind := KindGrant
 		if convert {
@@ -818,18 +850,18 @@ func (m *Manager) grantLocked(tr *tracer, s *tableShard, e *entry, txn TxnID, r 
 		if w != nil {
 			ref = w.enq
 		}
-		tr.add(kind, ref, txn, r, mode, s.idx).Waited = w != nil
+		tr.add(kind, ref, txn, m.Name(id), mode, s.idx).Waited = w != nil
 	}
 }
 
-// grantWaitersLocked scans the queue of e, r's entry (nil if it has none),
+// grantWaitersLocked scans the queue of e, id's entry (nil if it has none),
 // front to back, granting every waiter that has become compatible.
 // Conversions (kept at the front) may be granted even when a later plain
 // waiter cannot; the scan stops at the first non-grantable plain waiter so
 // that plain requests stay FIFO. Caller holds s.mu. Grant events for woken waiters ride on the waking operation's
 // tracer (Dur measured from each waiter's own enqueue time), and so do their
 // wake-ups: a traced operation wakes them after delivering those events.
-func (m *Manager) grantWaitersLocked(tr *tracer, s *tableShard, e *entry, r Resource) {
+func (m *Manager) grantWaitersLocked(tr *tracer, s *tableShard, e *entry, id ResID) {
 	if e == nil {
 		return
 	}
@@ -843,7 +875,7 @@ func (m *Manager) grantWaitersLocked(tr *tracer, s *tableShard, e *entry, r Reso
 			if e.compatGranted(own, w.mode) {
 				e.dequeueAt(i)
 				m.wf.delete(w.txn)
-				m.grantLocked(tr, s, e, w.txn, r, w.mode, w.durable, w.convert, w)
+				m.grantLocked(tr, s, e, w.txn, id, w.mode, w.durable, w.convert, w)
 				// From here the waiter belongs to the woken goroutine (which
 				// will recycle it); it must not be touched again.
 				w.done = true
@@ -856,18 +888,24 @@ func (m *Manager) grantWaitersLocked(tr *tracer, s *tableShard, e *entry, r Reso
 			}
 		}
 	}
-	s.maybeDropEntry(r, e)
+	s.maybeDropEntry(id, e)
 }
 
-// Downgrade atomically lowers txn's lock on r to a weaker mode (e.g. X→IX
-// during de-escalation) and wakes any waiters the weaker mode is compatible
-// with. Downgrading to None releases the lock. It is an error if txn holds
-// no lock on r or if mode is not weaker than (or equal to) the held mode.
+// Downgrade is DowngradeID on r's id.
 func (m *Manager) Downgrade(txn TxnID, r Resource, mode Mode) error {
+	return m.DowngradeID(txn, m.Intern(r), mode)
+}
+
+// DowngradeID atomically lowers txn's lock on id to a weaker mode (e.g.
+// X→IX during de-escalation) and wakes any waiters the weaker mode is
+// compatible with. Downgrading to None releases the lock. It is an error if
+// txn holds no lock on id or if mode is not weaker than (or equal to) the
+// held mode.
+func (m *Manager) DowngradeID(txn TxnID, id ResID, mode Mode) error {
 	tr := m.newTracer()
-	s := m.shardFor(r)
+	s := m.shardFor(id)
 	s.mu.Lock()
-	e := s.res[r]
+	e := s.get(id)
 	var h *heldLock
 	if e != nil {
 		h = e.holder(txn)
@@ -875,50 +913,53 @@ func (m *Manager) Downgrade(txn TxnID, r Resource, mode Mode) error {
 	if h == nil {
 		s.mu.Unlock()
 		tr.finish()
-		return fmt.Errorf("lock: downgrade of unheld %q by txn %d", r, txn)
+		return fmt.Errorf("lock: downgrade of unheld %q by txn %d", m.Name(id), txn)
 	}
 	if !h.mode.Covers(mode) {
 		held := h.mode
 		s.mu.Unlock()
 		tr.finish()
-		return fmt.Errorf("lock: %v on %q cannot be downgraded to %v", held, r, mode)
+		return fmt.Errorf("lock: %v on %q cannot be downgraded to %v", held, m.Name(id), mode)
 	}
 	if mode == None {
-		m.releaseLocked(tr, s, e, txn, r, 0)
+		m.releaseLocked(tr, s, e, txn, id, 0)
 		s.mu.Unlock()
 		tr.finish()
 		return nil
 	}
 	e.setMode(h, mode)
-	m.txnShardFor(txn).record(txn, r, h, s)
+	m.txnShardFor(txn).record(txn, id, h)
 	s.stats.downgrades.Add(1)
 	if tr != nil {
-		tr.add(KindDowngrade, time.Time{}, txn, r, mode, s.idx)
+		tr.add(KindDowngrade, time.Time{}, txn, m.Name(id), mode, s.idx)
 	}
-	m.grantWaitersLocked(tr, s, e, r)
+	m.grantWaitersLocked(tr, s, e, id)
 	s.mu.Unlock()
 	tr.finish()
 	return nil
 }
 
-// Release drops txn's lock on r (leaf-to-root early release). Releasing a
-// resource that is not held is a no-op.
-func (m *Manager) Release(txn TxnID, r Resource) {
+// Release is ReleaseID on r's id.
+func (m *Manager) Release(txn TxnID, r Resource) { m.ReleaseID(txn, m.Intern(r)) }
+
+// ReleaseID drops txn's lock on id (leaf-to-root early release). Releasing
+// a resource that is not held is a no-op.
+func (m *Manager) ReleaseID(txn TxnID, id ResID) {
 	tr := m.newTracer()
-	s := m.shardFor(r)
+	s := m.shardFor(id)
 	s.mu.Lock()
-	m.releaseLocked(tr, s, s.res[r], txn, r, 0)
+	m.releaseLocked(tr, s, s.get(id), txn, id, 0)
 	s.mu.Unlock()
 	tr.finish()
 }
 
-// releaseLocked drops txn's granted lock on r (e is r's entry, nil if it has
-// none) and wakes unblocked waiters, reporting whether a lock was actually
+// releaseLocked drops txn's granted lock on id (e is id's entry, nil if it
+// has none) and wakes unblocked waiters, reporting whether a lock was actually
 // dropped. Caller holds s.mu. swept is 0, or the generation of the lock list
 // ReleaseAll has already taken out of the index: a slot recorded in that list
 // needs no index delete. The release event reports the dropped mode and, when
 // the grant was traced too, the hold duration.
-func (m *Manager) releaseLocked(tr *tracer, s *tableShard, e *entry, txn TxnID, r Resource, swept uint64) bool {
+func (m *Manager) releaseLocked(tr *tracer, s *tableShard, e *entry, txn TxnID, id ResID, swept uint64) bool {
 	if e == nil {
 		return false
 	}
@@ -927,14 +968,14 @@ func (m *Manager) releaseLocked(tr *tracer, s *tableShard, e *entry, txn TxnID, 
 		return false
 	}
 	if h.list != swept {
-		m.txnShardFor(txn).remove(txn, r)
+		m.txnShardFor(txn).remove(txn, id)
 	}
 	m.size.Add(-1)
 	s.stats.releases.Add(1)
 	if tr != nil {
-		tr.add(KindRelease, h.since, txn, r, h.mode, s.idx)
+		tr.add(KindRelease, h.since, txn, m.Name(id), h.mode, s.idx)
 	}
-	m.grantWaitersLocked(tr, s, e, r)
+	m.grantWaitersLocked(tr, s, e, id)
 	return true
 }
 
@@ -958,15 +999,19 @@ func (m *Manager) ReleaseAll(txn TxnID) {
 	}
 	var released []Resource
 	if tr != nil {
-		released = make([]Resource, 0, len(l.m))
+		released = make([]Resource, 0, l.m.Len())
 	}
-	for r, h := range l.m {
-		s := m.shards[h.stripe]
+	for _, slot := range l.m.slots {
+		if slot.key == 0 {
+			continue
+		}
+		id := slot.key - 1
+		s := m.shardFor(id)
 		s.mu.Lock()
-		dropped := m.releaseLocked(tr, s, s.res[r], txn, r, l.gen)
+		dropped := m.releaseLocked(tr, s, s.get(id), txn, id, l.gen)
 		s.mu.Unlock()
 		if dropped && tr != nil {
-			released = append(released, r)
+			released = append(released, m.Name(id))
 		}
 	}
 	if len(released) > 0 {
@@ -976,30 +1021,39 @@ func (m *Manager) ReleaseAll(txn TxnID) {
 	putHeldList(l)
 }
 
-// HeldCovers reports whether txn already holds r in a mode covering mode —
-// durably, if durable is set. It is the protocol's fast path: answered from
-// txn's lock list under the txn-shard latch alone, it takes no table-shard
-// latch, counts no request and emits no event. The list changes under the
-// latch of r's table shard with the holder slot itself, so a true answer is
-// what AcquireCtx's regrant branch would have found; it is only ever stale
-// the safe way (a transaction whose list ReleaseAll has taken misses).
+// HeldCovers is HeldCoversID on r's id.
 func (m *Manager) HeldCovers(txn TxnID, r Resource, mode Mode, durable bool) bool {
+	return m.HeldCoversID(txn, m.Intern(r), mode, durable)
+}
+
+// HeldCoversID reports whether txn already holds id in a mode covering mode
+// — durably, if durable is set. It is the protocol's fast path: answered
+// from txn's lock list under the txn-shard latch alone, it takes no
+// table-shard latch, counts no request and emits no event. The list changes
+// under the latch of id's table shard with the holder slot itself, so a true
+// answer is what AcquireID's regrant branch would have found; it is only
+// ever stale the safe way (a transaction whose list ReleaseAll has taken
+// misses).
+func (m *Manager) HeldCoversID(txn TxnID, id ResID, mode Mode, durable bool) bool {
 	ts := m.txnShardFor(txn)
 	ts.mu.Lock()
 	var h listedLock
 	if l := ts.held[txn]; l != nil {
-		h = l.m[r]
+		h, _ = l.m.Get(id)
 	}
 	ts.mu.Unlock()
 	return h.mode != None && h.mode.Covers(mode) && (!durable || h.durable)
 }
 
-// HeldMode returns the mode txn currently holds on r (None if unheld).
-func (m *Manager) HeldMode(txn TxnID, r Resource) Mode {
-	s := m.shardFor(r)
+// HeldMode is HeldModeID on r's id.
+func (m *Manager) HeldMode(txn TxnID, r Resource) Mode { return m.HeldModeID(txn, m.Intern(r)) }
+
+// HeldModeID returns the mode txn currently holds on id (None if unheld).
+func (m *Manager) HeldModeID(txn TxnID, id ResID) Mode {
+	s := m.shardFor(id)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if e := s.res[r]; e != nil {
+	if e := s.get(id); e != nil {
 		return e.holderMode(txn)
 	}
 	return None
@@ -1012,9 +1066,11 @@ func (m *Manager) HeldLocks(txn TxnID) []Held {
 	ts := m.txnShardFor(txn)
 	ts.mu.Lock()
 	if l := ts.held[txn]; l != nil {
-		out = make([]Held, 0, len(l.m))
-		for r, h := range l.m {
-			out = append(out, Held{Resource: r, Mode: h.mode, Durable: h.durable, Seq: h.seq})
+		out = make([]Held, 0, l.m.Len())
+		for _, slot := range l.m.slots {
+			if h := slot.val; slot.key != 0 {
+				out = append(out, Held{Resource: m.Name(slot.key - 1), Mode: h.mode, Durable: h.durable, Seq: h.seq})
+			}
 		}
 	}
 	ts.mu.Unlock()
@@ -1030,11 +1086,12 @@ func (m *Manager) LockCount() int {
 
 // Holders returns the transactions holding a lock on r and their modes.
 func (m *Manager) Holders(r Resource) map[TxnID]Mode {
-	s := m.shardFor(r)
+	id := m.Intern(r)
+	s := m.shardFor(id)
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	out := make(map[TxnID]Mode)
-	if e := s.res[r]; e != nil {
+	if e := s.get(id); e != nil {
 		e.forEachHolder(func(t TxnID, h *heldLock) bool {
 			out[t] = h.mode
 			return true

@@ -4,7 +4,7 @@
 //
 // It provides the five classic lock modes (IS, IX, S, SIX, X) with their
 // compatibility matrix and supremum lattice, a sharded lock table (striped
-// by resource hash, one latch per shard — see shard.go for the ordering
+// by dense resource id, one latch per shard — see shard.go for the ordering
 // discipline) with FIFO wait queues and in-place lock conversion, cross-
 // shard waits-for deadlock detection with youngest-victim abort, a
 // context-aware AcquireCtx entry point with cancellation, and durable

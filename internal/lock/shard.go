@@ -6,10 +6,13 @@ import (
 )
 
 // The lock table is striped into power-of-two shards, each owning a slice of
-// the resource namespace (fnv-1a hash of the Resource string) behind its own
-// latch. Disjoint-resource traffic — the common case the paper's
-// fine-granularity protocol is designed to produce — therefore never
-// serializes behind a single hot mutex.
+// the resource id space behind its own latch: resource id i lives in shard
+// i & (shards-1), in slot i >> log2(shards) of that shard's dense entry
+// slice, so a request finds its stripe and its entry by two integer
+// operations and hashes no string (names become ids once, in Intern or in
+// the protocol's name cache). Disjoint-resource traffic — the common case
+// the paper's fine-granularity protocol is designed to produce — therefore
+// never serializes behind a single hot mutex.
 //
 // Latch-ordering discipline (violations deadlock the manager itself):
 //
@@ -24,52 +27,75 @@ import (
 //     Single-latch code never acquires a second stripe, and ascending-order
 //     batchers cannot cycle among themselves, so the two regimes compose
 //     deadlock-free.
-//  4. txn-shard and waits-for latches are leaves: code holding them may not
-//     acquire any other manager latch.
+//  4. txn-shard, waits-for and id-table latches are leaves: code holding
+//     them may not acquire any other manager latch.
 //
 // Event sinks are called with NO latch held (see Options.Sinks).
 
-// tableShard is one stripe of the lock table: a resource→entry map and the
-// stripe's statistics counters.
+// tableShard is one stripe of the lock table: its resources' entries, by
+// id, and the stripe's statistics counters.
 type tableShard struct {
 	mu    sync.Mutex
-	idx   int // stripe index, stamped into trace events
-	res   map[Resource]*entry
+	idx   int   // stripe index, stamped into trace events
+	shift uint8 // log2 of the stripe count: slot = id >> shift
+	// res holds the entry of resource (slot << shift | idx) at res[slot],
+	// nil where the resource has no entry. It grows with the id space (a
+	// pointer per id) and never shrinks; entries are pooled and dropped as
+	// soon as nothing is granted or queued.
+	res   []*entry
+	live  int // non-nil entries in res
 	stats shardStats
 }
 
-func newTableShard(idx int) *tableShard {
-	return &tableShard{idx: idx, res: make(map[Resource]*entry)}
+func newTableShard(idx int, shift uint8) *tableShard {
+	return &tableShard{idx: idx, shift: shift}
+}
+
+// id returns the resource id of res[slot].
+func (s *tableShard) id(slot int) ResID { return ResID(slot)<<s.shift | ResID(s.idx) }
+
+// get returns id's entry, or nil. Caller holds s.mu.
+func (s *tableShard) get(id ResID) *entry {
+	if i := int(id >> s.shift); i < len(s.res) {
+		return s.res[i]
+	}
+	return nil
 }
 
 // entryFor returns (creating from the pool on demand) the shard's entry for
-// r. Caller holds s.mu.
-func (s *tableShard) entryFor(r Resource) *entry {
-	e := s.res[r]
+// id. Caller holds s.mu.
+func (s *tableShard) entryFor(id ResID) *entry {
+	i := int(id >> s.shift)
+	if i >= len(s.res) {
+		s.res = append(s.res, make([]*entry, i+1-len(s.res))...)
+	}
+	e := s.res[i]
 	if e == nil {
 		e = getEntry()
-		s.res[r] = e
+		s.res[i] = e
+		s.live++
 	}
 	return e
 }
 
-// removeWaiter removes w from r's queue, reporting whether it was present.
+// removeWaiter removes w from id's queue, reporting whether it was present.
 // Caller holds s.mu. A false return means the waiter was already granted or
 // withdrawn by a concurrent actor (its ready channel then carries the
 // outcome).
-func (s *tableShard) removeWaiter(r Resource, w *waiter) bool {
-	e := s.res[r]
+func (s *tableShard) removeWaiter(id ResID, w *waiter) bool {
+	e := s.get(id)
 	if e == nil {
 		return false
 	}
 	return e.removeWaiterPtr(w)
 }
 
-// maybeDropEntry recycles e, r's entry, once nothing is granted or queued.
+// maybeDropEntry recycles e, id's entry, once nothing is granted or queued.
 // Caller holds s.mu.
-func (s *tableShard) maybeDropEntry(r Resource, e *entry) {
+func (s *tableShard) maybeDropEntry(id ResID, e *entry) {
 	if e.empty() {
-		delete(s.res, r)
+		s.res[id>>s.shift] = nil
+		s.live--
 		putEntry(e)
 	}
 }
@@ -122,14 +148,14 @@ func newTxnShard() *txnShard {
 }
 
 // heldList is one transaction's lock list: what each of its holder slots in
-// the lock table says, by resource. It is written only under the latch of
+// the lock table says, by resource id. It is written only under the latch of
 // the table shard that owns the slot (then the txn-shard latch, rule 1), at
 // the places a slot changes — so for every resource the list and the table
 // agree whenever that resource's table-shard latch is free. Lists are pooled:
 // the one a transaction's first grant checks out goes back, cleared, when its
 // last lock is released.
 type heldList struct {
-	m map[Resource]listedLock
+	m IDMap[listedLock]
 	// gen is stamped on every checkout from the pool and copied into each
 	// holder slot the list records (heldLock.list). ReleaseAll takes the list
 	// out of the index before sweeping the table; a slot carrying another
@@ -137,36 +163,27 @@ type heldList struct {
 	gen uint64
 }
 
-// listedLock is one list entry. stripe is the resource's table shard, kept
-// so that ReleaseAll's sweep does not hash every name again.
+// listedLock is one list entry; the resource's table shard follows from its
+// id.
 type listedLock struct {
 	mode    Mode
 	durable bool
-	stripe  uint32
 	seq     uint64
 }
 
-// maxPooledList is the size past which ReleaseAll drops a list instead of
-// pooling it: clearing a map costs its high-water size, which one bulk
-// transaction must not pass on to every transaction after it.
-const maxPooledList = 1024
-
 var (
-	heldListPool = sync.Pool{New: func() any { return &heldList{m: make(map[Resource]listedLock, 16)} }}
+	heldListPool = sync.Pool{New: func() any { return new(heldList) }}
 	heldListGen  atomic.Uint64
 )
 
 func putHeldList(l *heldList) {
-	if len(l.m) > maxPooledList {
-		return
-	}
-	clear(l.m)
+	l.m.Clear()
 	heldListPool.Put(l)
 }
 
-// record copies h, txn's holder slot on r, into txn's lock list. Caller
-// holds the latch of s, r's table shard.
-func (ts *txnShard) record(txn TxnID, r Resource, h *heldLock, s *tableShard) {
+// record copies h, txn's holder slot on id, into txn's lock list. Caller
+// holds the latch of id's table shard.
+func (ts *txnShard) record(txn TxnID, id ResID, h *heldLock) {
 	ts.mu.Lock()
 	l := ts.held[txn]
 	if l == nil {
@@ -174,18 +191,18 @@ func (ts *txnShard) record(txn TxnID, r Resource, h *heldLock, s *tableShard) {
 		l.gen = heldListGen.Add(1)
 		ts.held[txn] = l
 	}
-	l.m[r] = listedLock{mode: h.mode, durable: h.durable, stripe: uint32(s.idx), seq: h.seq}
+	l.m.Put(id, listedLock{mode: h.mode, durable: h.durable, seq: h.seq})
 	h.list = l.gen
 	ts.mu.Unlock()
 }
 
-// remove drops r from txn's lock list, recycling the list with its last
-// lock. Caller holds the latch of r's table shard.
-func (ts *txnShard) remove(txn TxnID, r Resource) {
+// remove drops id from txn's lock list, recycling the list with its last
+// lock. Caller holds the latch of id's table shard.
+func (ts *txnShard) remove(txn TxnID, id ResID) {
 	ts.mu.Lock()
 	if l := ts.held[txn]; l != nil {
-		delete(l.m, r)
-		if len(l.m) == 0 {
+		l.m.delete(id)
+		if l.m.Len() == 0 {
 			delete(ts.held, txn)
 			putHeldList(l)
 		}
@@ -214,7 +231,7 @@ func (ts *txnShard) detach(txn TxnID) *heldList {
 // w's checkout stamp, captured at registration: comparing it alongside the
 // pointer defeats pool ABA (same address, different blocked request).
 type waitRecord struct {
-	res Resource
+	res ResID
 	w   *waiter
 	gen uint64
 }
@@ -266,16 +283,6 @@ func (wt *waitTable) txns() []TxnID {
 	}
 	wt.mu.Unlock()
 	return out
-}
-
-// shardHash is fnv-1a over the resource name.
-func shardHash(r Resource) uint32 {
-	h := uint32(2166136261)
-	for i := 0; i < len(r); i++ {
-		h ^= uint32(r[i])
-		h *= 16777619
-	}
-	return h
 }
 
 // nextPow2 rounds n up to the next power of two (n ≥ 1).

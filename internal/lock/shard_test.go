@@ -21,17 +21,20 @@ func TestShardCount(t *testing.T) {
 	}
 }
 
-// twoResourcesInDifferentShards returns resources guaranteed to hash to
-// distinct shards, so tests exercise genuinely cross-shard paths.
+// twoResourcesInDifferentShards returns resources guaranteed to live in
+// distinct shards (their ids differ modulo the stripe count), so tests
+// exercise genuinely cross-shard paths.
 func twoResourcesInDifferentShards(t *testing.T, m *Manager) (Resource, Resource) {
 	t.Helper()
 	if len(m.shards) < 2 {
 		t.Fatal("need at least 2 shards")
 	}
 	a := Resource("a")
+	m.Intern(a)
 	for i := 0; i < 10000; i++ {
 		b := Resource(fmt.Sprintf("b%d", i))
-		if m.shardIndex(b) != m.shardIndex(a) {
+		m.Intern(b)
+		if m.ShardOf(b) != m.ShardOf(a) {
 			return a, b
 		}
 	}

@@ -82,13 +82,14 @@ func TestWaitDieVictimBlockers(t *testing.T) {
 }
 
 // distinctShardResources returns n resources that land on pairwise distinct
-// lock-table stripes of m.
+// lock-table stripes of m, interning them.
 func distinctShardResources(t *testing.T, m *Manager, n int) []Resource {
 	t.Helper()
 	var out []Resource
 	used := make(map[int]bool)
 	for i := 0; len(out) < n && i < 10000; i++ {
 		r := Resource(fmt.Sprintf("res%d", i))
+		m.Intern(r)
 		if s := m.ShardOf(r); !used[s] {
 			used[s] = true
 			out = append(out, r)

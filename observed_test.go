@@ -2,8 +2,10 @@ package colock_test
 
 import (
 	"context"
+	"runtime"
 	"strconv"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"colock/client"
@@ -318,6 +320,34 @@ func BenchmarkCellEditObserved(b *testing.B) {
 // BenchmarkCellEditBare is the same transaction on the sink-less engine.
 func BenchmarkCellEditBare(b *testing.B) {
 	benchCellEdits(b, bareTxnManager(b))
+}
+
+// BenchmarkCellEditBareParallel is BenchmarkCellEditBare from every
+// goroutine of b.RunParallel — GOMAXPROCS of them, so run it with -cpu 1,2 —
+// each editing its own cells: no two transactions conflict, and what stops
+// it scaling is state every client writes.
+func BenchmarkCellEditBareParallel(b *testing.B) {
+	tm := bareTxnManager(b)
+	edits := cellEdits()
+	workers := runtime.GOMAXPROCS(0)
+	if workers > len(edits) {
+		b.Skipf("%d goroutines for %d cells", workers, len(edits))
+	}
+	var next atomic.Int32
+	b.ReportAllocs()
+	b.ResetTimer()
+	b.RunParallel(func(pb *testing.PB) {
+		w := int(next.Add(1)) - 1
+		for i := w; pb.Next(); {
+			if err := runCellEdit(tm, &edits[i]); err != nil {
+				b.Error(err)
+				return
+			}
+			if i += workers; i >= len(edits) {
+				i = w
+			}
+		}
+	})
 }
 
 // BenchmarkCellEditOverWire is the same transaction on that engine through
