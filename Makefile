@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: ci fmt vet build test race race-matrix fuzz-smoke bench journal-smoke bench-check doc-lint drift-check obs-demo figures clean
+.PHONY: ci fmt vet build test race race-matrix fuzz-smoke bench scale journal-smoke bench-check doc-lint drift-check obs-demo figures clean
 
 # ci is the gate every change must pass (10 gates): formatting, vet, the godoc
 # lint (which also greps for deprecated wrappers) and the docs-drift lint,
@@ -55,6 +55,14 @@ fuzz-smoke:
 
 bench:
 	$(GO) test -bench=. -benchmem ./...
+
+# scale runs BenchmarkCellEditBareParallel (disjoint cells, every goroutine on
+# one engine) at 1 and 2 CPUs, five times each, and prints each side's median
+# ns/op and the 2-CPU/1-CPU ratio: how much of a second core the lock path
+# turns into transactions. A yardstick, not a ci gate: the ratio depends on
+# the host. See scripts/scale.sh.
+scale:
+	@GO=$(GO) sh scripts/scale.sh
 
 # journal-smoke runs a scripted colockshell session with a durable journal
 # attached, storms a hot key, and dumps the live /health verdict; then it

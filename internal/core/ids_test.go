@@ -97,7 +97,7 @@ func TestNamerBindsOneManager(t *testing.T) {
 func TestBoundNamerFirstVisitAllocs(t *testing.T) {
 	const n = 4096
 	nm := NewNamer(store.PaperDatabase().Catalog(), false)
-	nm.paths = make(map[uint64]*nameEntry, 2*n)
+	nm.paths.Store(newPathTable(4 * n))
 	nm.bind(lock.NewManager(lock.Options{}))
 	nodes := make([]Node, n)
 	for i := range nodes {

@@ -3,8 +3,10 @@ package core
 import (
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 
+	"colock/internal/lock"
 	"colock/internal/schema"
 	"colock/internal/store"
 )
@@ -149,12 +151,12 @@ func BenchmarkNamerResourceUncached(b *testing.B) {
 // TestNamerFirstVisitAllocs bounds what naming a path for the first time
 // costs: the entry, its path copy, one string that the whole ancestor chain
 // slices, and the chain's slice — independent of the path's depth. A run that
-// is still meeting new paths pays this per path, so it is kept small; the map
-// that indexes the entries is sized beforehand and is not counted.
+// is still meeting new paths pays this per path, so it is kept small; the
+// table that indexes the entries is sized beforehand and is not counted.
 func TestNamerFirstVisitAllocs(t *testing.T) {
 	const n = 4096
 	nm := NewNamer(store.PaperDatabase().Catalog(), false)
-	nm.paths = make(map[uint64]*nameEntry, 2*n)
+	nm.paths.Store(newPathTable(4 * n))
 	nodes := make([]Node, n)
 	for i := range nodes {
 		nodes[i] = DataNode(store.P("cells", "c"+strconv.Itoa(i/8), "robots", "r"+strconv.Itoa(i%8), "trajectory"))
@@ -174,5 +176,68 @@ func TestNamerFirstVisitAllocs(t *testing.T) {
 	})
 	if allocs > 4 {
 		t.Errorf("first visit of a path allocates %.1f objects, want ≤ 4", allocs)
+	}
+}
+
+// TestNamerConcurrentFirstVisits: cache hits take no latch, so readers probe
+// the path table while writers fill it and replace it with larger ones.
+// Eight goroutines of a bound namer name the same 2,000 new paths, each in
+// its own order, and classify them by name; every naming must be the one
+// entry the cache keeps for its path (same pointer, same id) and agree with
+// the uncached namer. Run it under -race.
+func TestNamerConcurrentFirstVisits(t *testing.T) {
+	const workers, paths = 8, 2000
+	cat := store.PaperDatabase().Catalog()
+	nm := NewNamer(cat, false)
+	mgr := lock.NewManager(lock.Options{})
+	nm.bind(mgr)
+	legacy := NewNamer(cat, false)
+	legacy.DisableCache()
+	nodes := make([]Node, paths)
+	for i := range nodes {
+		nodes[i] = DataNode(store.P("cells", "c"+strconv.Itoa(i/8), "robots", "r"+strconv.Itoa(i%8)))
+	}
+	strides := [workers]int{1, 3, 7, 9, 11, 13, 17, 19} // coprime to paths
+	got := make([][]*nameEntry, workers)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		got[w] = make([]*nameEntry, paths)
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for k := 0; k < paths; k++ {
+				i := (k*strides[w] + w*97) % paths // a different order per worker
+				e, err := nm.resolve(nodes[i])
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				got[w][i] = e
+				if _, err := nm.classifyResource(e.res); err != nil {
+					t.Error(err)
+					return
+				}
+				if seg := nm.segEntry("seg" + strconv.Itoa(k%4)); seg != nm.segEntry("seg"+strconv.Itoa(k%4)) {
+					t.Errorf("segment entry changed between two lookups")
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	for i, n := range nodes {
+		want, err := legacy.Resource(n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		e := got[0][i]
+		for w := 1; w < workers; w++ {
+			if got[w][i] != e {
+				t.Fatalf("%v: workers 0 and %d got different entries", n, w)
+			}
+		}
+		if e.res != want || e.id != mgr.Intern(want) {
+			t.Fatalf("%v: cached (%q, id %d), want (%q, id %d)", n, e.res, e.id, want, mgr.Intern(want))
+		}
 	}
 }

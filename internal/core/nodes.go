@@ -134,18 +134,58 @@ type Namer struct {
 	// number of distinct paths named — the same scale as the lock table
 	// itself.
 	//
-	// db is precomputed; segs caches segment entries; paths is keyed by an
-	// fnv-1a hash of the path segments, colliding entries chained through
-	// nameEntry.next, so a cache hit allocates nothing.
+	// db is precomputed; segs caches segment entries in a map replaced
+	// whole on each addition; paths indexes data entries by an fnv-1a hash
+	// of the path segments (pathTable). A cache hit takes no latch, writes
+	// nothing and allocates nothing: readers load the two atomic pointers,
+	// and only a miss takes mu, which serializes the writers.
 	//
 	// mgr is the lock manager whose id space the ids belong to, nil until
 	// NewProtocol binds the namer.
 	nocache bool
 	db      *nameEntry
 	mgr     *lock.Manager
-	mu      sync.RWMutex
-	segs    map[string]*nameEntry
-	paths   map[uint64]*nameEntry
+	segs    atomic.Pointer[map[string]*nameEntry]
+	paths   atomic.Pointer[pathTable]
+	_       linePad // keeps the writers' latch off the lines every hit reads
+	mu      sync.Mutex
+}
+
+// pathTable is the name cache's index of data entries: open addressing with
+// linear probing over atomic slots, keyed by pathHash. A published entry is
+// never moved or unlinked: a writer (holding Namer.mu) fills a free slot,
+// or — past three quarters full — fills a table of twice the size and
+// publishes it in place of the old one, which stays intact for readers still
+// probing it.
+type pathTable struct {
+	slots []pathSlot // power-of-two length
+	n     int        // entries; read and written under Namer.mu
+}
+
+// pathSlot is one slot of a pathTable. The hash sits beside the entry so
+// that a probe passes colliding slots without touching their entries; it
+// is stored before the entry is published, so a reader that sees the entry
+// sees its hash.
+type pathSlot struct {
+	hash atomic.Uint64
+	e    atomic.Pointer[nameEntry]
+}
+
+func newPathTable(size int) *pathTable {
+	return &pathTable{slots: make([]pathSlot, size)}
+}
+
+// put stores e, whose pathHash is h, in its first free slot. Caller holds
+// Namer.mu and has made room.
+func (t *pathTable) put(h uint64, e *nameEntry) {
+	mask := uint64(len(t.slots) - 1)
+	i := h & mask
+	for t.slots[i].e.Load() != nil {
+		i = (i + 1) & mask
+	}
+	t.slots[i].hash.Store(h)
+	t.slots[i].e.Store(e)
+	t.n++
 }
 
 // nameEntry is the cached naming of one concrete data path, or of the
@@ -171,7 +211,6 @@ type nameEntry struct {
 	// relation exists but whose shape is invalid; Classify returns it, and
 	// Resource does too when coalescing needed the classification.
 	infoErr error
-	next    *nameEntry // next entry with the same pathHash
 }
 
 // info is the entry's classification (zero with infoErr).
@@ -198,8 +237,8 @@ type ancNames struct {
 func NewNamer(cat *schema.Catalog, coalesceBLUs bool) *Namer {
 	nm := &Namer{cat: cat, coalesceBLUs: coalesceBLUs}
 	nm.db = &nameEntry{res: lock.Resource(cat.Database)}
-	nm.segs = make(map[string]*nameEntry)
-	nm.paths = make(map[uint64]*nameEntry)
+	nm.segs.Store(&map[string]*nameEntry{})
+	nm.paths.Store(newPathTable(64))
 	return nm
 }
 
@@ -249,19 +288,21 @@ func (nm *Namer) bind(mgr *lock.Manager) {
 	}
 	nm.mgr = mgr
 	nm.intern(nm.db)
-	for _, e := range nm.segs {
+	for _, e := range *nm.segs.Load() {
 		nm.intern(e)
 	}
-	for _, e := range nm.paths {
-		for ; e != nil; e = e.next {
+	t := nm.paths.Load()
+	for i := range t.slots {
+		if e := t.slots[i].e.Load(); e != nil {
 			nm.intern(e)
 		}
 	}
 }
 
 // intern sets e's ids in the bound manager's id space. Entries whose shape
-// the schema rules out are never locked and get none. Caller holds nm.mu
-// for writing, or owns e.
+// the schema rules out are never locked and get none. Caller holds nm.mu,
+// or owns e. (bind interns published entries: it runs in NewProtocol,
+// before the namer serves lock calls.)
 func (nm *Namer) intern(e *nameEntry) {
 	if e.infoErr != nil {
 		return
@@ -316,31 +357,47 @@ func (nm *Namer) entryFor(p store.Path) (*nameEntry, error) {
 		return nil, fmt.Errorf("core: empty path")
 	}
 	h := pathHash(p)
-	nm.mu.RLock()
-	for e := nm.paths[h]; e != nil; e = e.next {
-		if segsEqual(e.path, p) {
-			nm.mu.RUnlock()
-			return e, nil
-		}
+	if e := nm.cachedPath(h, p); e != nil {
+		return e, nil
 	}
-	nm.mu.RUnlock()
 	e, err := nm.buildEntry(p)
 	if err != nil {
 		return nil, err
 	}
 	nm.mu.Lock()
-	for o := nm.paths[h]; o != nil; o = o.next {
-		if segsEqual(o.path, p) {
-			nm.mu.Unlock()
-			return o, nil
-		}
+	defer nm.mu.Unlock()
+	if o := nm.cachedPath(h, p); o != nil {
+		return o, nil
 	}
 	if nm.mgr != nil {
 		nm.intern(e)
 	}
-	e.next, nm.paths[h] = nm.paths[h], e
-	nm.mu.Unlock()
+	t := nm.paths.Load()
+	if 4*(t.n+1) > 3*len(t.slots) {
+		grown := newPathTable(2 * len(t.slots))
+		for i := range t.slots {
+			if o := t.slots[i].e.Load(); o != nil {
+				grown.put(t.slots[i].hash.Load(), o)
+			}
+		}
+		nm.paths.Store(grown)
+		t = grown
+	}
+	t.put(h, e)
 	return e, nil
+}
+
+// cachedPath returns the cached entry of p, whose pathHash is h, or nil. It
+// takes no latch.
+func (nm *Namer) cachedPath(h uint64, p store.Path) *nameEntry {
+	t := nm.paths.Load()
+	mask := uint64(len(t.slots) - 1)
+	for i := h & mask; ; i = (i + 1) & mask {
+		e := t.slots[i].e.Load()
+		if e == nil || t.slots[i].hash.Load() == h && segsEqual(e.path, p) {
+			return e
+		}
+	}
 }
 
 // buildEntry computes a nameEntry from the schema (the slow path, once per
@@ -377,21 +434,25 @@ func (nm *Namer) segRes(seg string) lock.Resource {
 
 // segEntry returns the cached entry of a segment.
 func (nm *Namer) segEntry(seg string) *nameEntry {
-	nm.mu.RLock()
-	e := nm.segs[seg]
-	nm.mu.RUnlock()
-	if e != nil {
+	if e := (*nm.segs.Load())[seg]; e != nil {
 		return e
 	}
 	nm.mu.Lock()
 	defer nm.mu.Unlock()
-	if e = nm.segs[seg]; e == nil {
-		e = &nameEntry{res: lock.Resource(nm.cat.Database + "/" + seg)}
-		if nm.mgr != nil {
-			nm.intern(e)
-		}
-		nm.segs[seg] = e
+	old := *nm.segs.Load()
+	if e := old[seg]; e != nil {
+		return e
 	}
+	e := &nameEntry{res: lock.Resource(nm.cat.Database + "/" + seg)}
+	if nm.mgr != nil {
+		nm.intern(e)
+	}
+	grown := make(map[string]*nameEntry, len(old)+1)
+	for k, v := range old {
+		grown[k] = v
+	}
+	grown[seg] = e
+	nm.segs.Store(&grown)
 	return e
 }
 
@@ -608,14 +669,17 @@ func (nm *Namer) classifyResource(r lock.Resource) (NodeInfo, error) {
 			}
 			h = (h ^ c) * 1099511628211
 		}
-		nm.mu.RLock()
-		for e := nm.paths[h]; e != nil; e = e.next {
-			if e.res == r {
-				nm.mu.RUnlock()
+		t := nm.paths.Load()
+		mask := uint64(len(t.slots) - 1)
+		for i := h & mask; ; i = (i + 1) & mask {
+			e := t.slots[i].e.Load()
+			if e == nil {
+				break
+			}
+			if t.slots[i].hash.Load() == h && e.res == r {
 				return e.info(), e.infoErr
 			}
 		}
-		nm.mu.RUnlock()
 	}
 	return nm.Classify(store.Path(strings.Split(tail, "/")))
 }

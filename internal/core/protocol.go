@@ -55,13 +55,18 @@ type Protocol struct {
 	// manager. What is left of a chain goes to it as one batch either way.
 	fast bool
 
-	// counters tallies rule applications; see ProtocolStats.
-	counters protoCounters
-
 	// onFastHit, when set, is notified once per fast-path hit. Hits never
 	// reach the lock manager's request path, so they are invisible to its
 	// event sinks; rate monitors hook here instead. See OnFastPathHit.
 	onFastHit atomic.Pointer[func()]
+
+	// counters tallies rule applications, striped by transaction; see
+	// ProtocolStats. Everything above is read-mostly and every lock call
+	// loads it, so the stripes' pads keep the counter writes off its cache
+	// lines, and the trailing pad keeps the last stripe off the next heap
+	// object's.
+	counters protoCounters
+	_        linePad
 }
 
 // Options configures a Protocol.
@@ -113,8 +118,8 @@ func (p *Protocol) OnFastPathHit(fn func()) {
 
 // noteFastPathHit tallies one request the lock list answered and notifies
 // the hook.
-func (p *Protocol) noteFastPathHit() {
-	p.counters.fastPathHits.Add(1)
+func (p *Protocol) noteFastPathHit(c *call) {
+	c.ctr.fastPathHits.Add(1)
 	if f := p.onFastHit.Load(); f != nil {
 		(*f)()
 	}
@@ -162,9 +167,10 @@ func (p *Protocol) LockPath(txn lock.TxnID, path store.Path, mode lock.Mode) err
 //     forever behind a check-out lock" knob, and the trigger for automatic
 //     timeout incident dumps.
 func (p *Protocol) LockWith(ctx context.Context, txn lock.TxnID, n Node, mode lock.Mode, durable, noFollow bool, timeout time.Duration) error {
-	p.counters.requests.Add(1)
+	ctr := p.counters.of(txn)
+	ctr.requests.Add(1)
 	if noFollow {
-		p.counters.noFollow.Add(1)
+		ctr.noFollow.Add(1)
 	}
 	switch mode {
 	case lock.IS, lock.IX, lock.S, lock.X:
@@ -172,10 +178,10 @@ func (p *Protocol) LockWith(ctx context.Context, txn lock.TxnID, n Node, mode lo
 		return fmt.Errorf("core: protocol mode must be IS, IX, S or X, got %v", mode)
 	}
 	c := callPool.Get().(*call)
-	c.ctx, c.txn, c.opt, c.noFollow = ctx, txn, lock.AcquireOption{Durable: durable, Timeout: timeout}, noFollow
+	c.ctx, c.txn, c.opt, c.noFollow, c.ctr = ctx, txn, lock.AcquireOption{Durable: durable, Timeout: timeout}, noFollow, ctr
 	defer func() {
 		c.requested.Clear()
-		c.ctx = nil
+		c.ctx, c.ctr = nil, nil
 		callPool.Put(c)
 	}()
 	return p.lock(c, n, mode, "", trace.SpanHandle{})
@@ -190,6 +196,8 @@ type call struct {
 	txn      lock.TxnID
 	opt      lock.AcquireOption
 	noFollow bool
+	// ctr is the transaction's stripe of the protocol's counters.
+	ctr *protoStripe
 	// requested holds the strongest mode handled per resource in this call,
 	// so that diamond-shaped sharing does not reprocess entry points.
 	requested lock.IDMap[lock.Mode]
@@ -212,9 +220,9 @@ func (p *Protocol) lock(c *call, n Node, mode lock.Mode, kind string, sp trace.S
 		if mode == lock.X && p.rule4Prime && !p.auth.CanModify(c.txn, n.Path.Relation()) {
 			// Rule 4′: non-modifiable inner units are only S-locked.
 			mode, kind = lock.S, "downward-rule4prime"
-			p.counters.rule4Weakened.Add(1)
+			c.ctr.rule4Weakened.Add(1)
 		}
-		p.counters.downward.Add(1)
+		c.ctr.downward.Add(1)
 	}
 	// resolve also validates a data path against the schema: instances need
 	// not exist (inserts lock their future resource), but the attribute
@@ -234,7 +242,7 @@ func (p *Protocol) lock(c *call, n Node, mode lock.Mode, kind string, sp trace.S
 		defer func() { sp.EndAtLast(err) }()
 	}
 	if prev, ok := c.requested.Get(e.id); ok && prev.Covers(mode) {
-		p.counters.memoHits.Add(1)
+		c.ctr.memoHits.Add(1)
 		return nil
 	}
 	// follow: granting S or X implies downward propagation (rules 3/4), so
@@ -265,7 +273,7 @@ func (p *Protocol) lock(c *call, n Node, mode lock.Mode, kind string, sp trace.S
 	// reference out below most data nodes (t has no ref plan): those need no
 	// scan, before the grant or after it.
 	var sc *scanBuf
-	p.counters.entryScans.Add(1)
+	c.ctr.entryScans.Add(1)
 	if n.Level != LevelData || t.RefPlan() != nil {
 		sc = scanPool.Get().(*scanBuf)
 		defer scanPool.Put(sc)
@@ -288,7 +296,7 @@ func (p *Protocol) lock(c *call, n Node, mode lock.Mode, kind string, sp trace.S
 	if err != nil {
 		return err
 	}
-	p.counters.nodeLocks.Add(1)
+	c.ctr.nodeLocks.Add(1)
 
 	// The scan ran before the grant, and the request may have waited in
 	// between: a transaction holding X below the node could add a reference
@@ -305,7 +313,7 @@ func (p *Protocol) lock(c *call, n Node, mode lock.Mode, kind string, sp trace.S
 				continue
 			}
 			late = true
-			p.counters.lateEntries.Add(1)
+			c.ctr.lateEntries.Add(1)
 			if err := p.lock(c, sc.node(ep), mode, "downward", sp); err != nil {
 				return err
 			}
@@ -329,14 +337,14 @@ func (p *Protocol) chain(c *call, e *nameEntry, mode lock.Mode, withNode bool, s
 	reqs, intent := buf[:0], mode.IntentionFor()
 	for _, aid := range e.ancID {
 		if prev, ok := c.requested.Get(aid); ok && prev.Covers(intent) {
-			p.counters.memoHits.Add(1)
+			c.ctr.memoHits.Add(1)
 			continue
 		}
 		if p.fast && p.mgr.HeldCoversID(c.txn, aid, intent, c.opt.Durable) {
 			// Deliberately NOT folded into requested: the lock list answers
 			// any later encounter the memo would, and skipping the map write
 			// keeps the steady state free of per-call map traffic.
-			p.noteFastPathHit()
+			p.noteFastPathHit(c)
 			continue
 		}
 		reqs = append(reqs, lock.IDReq{ID: aid, Mode: intent})
@@ -347,7 +355,7 @@ func (p *Protocol) chain(c *call, e *nameEntry, mode lock.Mode, withNode bool, s
 		// is rare, and going to the manager keeps every S/X request visible in
 		// Stats.Requests and the events.
 		if p.fast && mode.IsIntention() && p.mgr.HeldCoversID(c.txn, e.id, mode, c.opt.Durable) {
-			p.noteFastPathHit()
+			p.noteFastPathHit(c)
 		} else {
 			reqs = append(reqs, lock.IDReq{ID: e.id, Mode: mode})
 		}
@@ -362,10 +370,10 @@ func (p *Protocol) chain(c *call, e *nameEntry, mode lock.Mode, withNode bool, s
 	if err != nil {
 		return err
 	}
-	p.counters.batchedLocks.Add(uint64(len(reqs)))
-	p.counters.upwardLocks.Add(uint64(upward))
+	c.ctr.batchedLocks.Add(uint64(len(reqs)))
+	c.ctr.upwardLocks.Add(uint64(upward))
 	if len(reqs) > upward {
-		p.counters.nodeLocks.Add(1)
+		c.ctr.nodeLocks.Add(1)
 	}
 	for _, q := range reqs {
 		c.memo(q.ID, q.Mode)

@@ -96,7 +96,7 @@ func (m *Manager) Restore(locks []DurableLock) error {
 		if h := e.holder(dl.Txn); h != nil {
 			e.setMode(h, Sup(h.mode, dl.Mode))
 			h.durable = true
-			m.txnShardFor(dl.Txn).record(dl.Txn, id, h)
+			m.txnShardFor(dl.Txn).record(dl.Txn, id, h, false)
 			s.mu.Unlock()
 			tr.finish()
 			continue

@@ -68,6 +68,10 @@ type entry struct {
 	oldestHolder TxnID
 	oldestWaiter TxnID
 	nHolders     int
+	// grants numbers the entry's grants and conversions (heldLock.order):
+	// the order SnapshotQueues lists holders in, kept per resource so that no
+	// grant writes a word every grant on every resource writes.
+	grants uint64
 }
 
 // holderCount returns the number of granted holders.
@@ -461,8 +465,8 @@ func (e *entry) checkSummary() error {
 //     lives; putWaiter drains a raced buffered outcome so a recycled waiter
 //     never wakes spuriously, and await leaves the timer stopped and drained.
 //   - Entries are recycled only when empty (maybeDropEntry), so their
-//     summaries are all-zero by construction; getEntry just resets the
-//     sentinels.
+//     summaries are all-zero by construction; putEntry restarts the grant
+//     numbering and getEntry resets the sentinels.
 
 var waiterPool = sync.Pool{New: func() any { return &waiter{ready: make(chan error, 1)} }}
 
@@ -499,6 +503,7 @@ func getEntry() *entry {
 func putEntry(e *entry) {
 	e.slots = e.slots[:0]
 	e.queue = e.queue[:0]
+	e.grants = 0
 	entryPool.Put(e)
 }
 

@@ -19,7 +19,10 @@ type GrantInfo struct {
 	Txn     TxnID
 	Mode    Mode
 	Durable bool
-	Seq     uint64 // global grant sequence number
+	// Seq is the resource's grant sequence number: its entry's grants and
+	// conversions numbered from 1 in the order they happened, restarting
+	// when the entry is dropped (nothing granted or queued).
+	Seq uint64
 }
 
 // WaiterInfo describes one queued request in a queue snapshot.
@@ -37,7 +40,7 @@ type WaiterInfo struct {
 type QueueInfo struct {
 	Resource Resource
 	Shard    int
-	Granted  []GrantInfo  // sorted by grant sequence
+	Granted  []GrantInfo  // grant order (Seq)
 	Waiting  []WaiterInfo // queue order (conversions first)
 }
 
@@ -57,7 +60,7 @@ func (m *Manager) SnapshotQueues() []QueueInfo {
 			}
 			q := QueueInfo{Resource: m.Name(s.id(i)), Shard: s.idx}
 			e.forEachHolder(func(t TxnID, h *heldLock) bool {
-				q.Granted = append(q.Granted, GrantInfo{Txn: t, Mode: h.mode, Durable: h.durable, Seq: h.seq})
+				q.Granted = append(q.Granted, GrantInfo{Txn: t, Mode: h.mode, Durable: h.durable, Seq: h.order})
 				return true
 			})
 			sort.Slice(q.Granted, func(i, j int) bool { return q.Granted[i].Seq < q.Granted[j].Seq })

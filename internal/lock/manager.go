@@ -61,7 +61,10 @@ type Held struct {
 	Resource Resource
 	Mode     Mode
 	Durable  bool
-	Seq      uint64 // global grant sequence number (acquisition order)
+	// Seq is the transaction's grant sequence number: its grants and
+	// conversions numbered from 1 in the order they happened (acquisition
+	// order), restarting after the transaction has held nothing.
+	Seq uint64
 }
 
 // Policy selects how deadlocks are handled.
@@ -143,7 +146,10 @@ type Options struct {
 type heldLock struct {
 	mode    Mode
 	durable bool
-	seq     uint64
+	// seq is the transaction's grant sequence number of this lock (Held.Seq),
+	// mirrored in its lock list; order is the entry's (GrantInfo.Seq).
+	seq   uint64
+	order uint64
 	// list is the generation of the lock list this slot is recorded in (see
 	// heldList.gen).
 	list uint64
@@ -187,47 +193,56 @@ type waiter struct {
 // Manager is a blocking multi-granularity lock manager over a sharded lock
 // table. All methods are safe for concurrent use; see shard.go for the
 // latch-ordering discipline.
+//
+// The fields are laid out by who writes them: a read-mostly header every
+// request loads, then — a cache line further on — the one counter pair every
+// grant and release writes, then what only the waiting, admission and
+// introspection paths write. Per-request counters live in the table and txn
+// stripes, never here; layout_test.go pins this.
 type Manager struct {
+	// Read-mostly: set by NewManager, or swapped by rare calls (AttachSink,
+	// ConfigureAdmission, SetInjector) behind atomic pointers.
 	opts    Options
-	ids     idTable
 	shards  []*tableShard
 	mask    uint32
 	txns    []*txnShard
 	txnMask uint32
-	wf      waitTable
-	seq     atomic.Uint64 // global grant sequence
-	size    atomic.Int64  // granted lock-table entries across all shards
-	high    atomic.Int64  // high-water mark of size
+	// deferDur is the resolved Options.DeadlockDefer (0 = walk at once).
+	deferDur time.Duration
 
 	// sinks is the composed consumer list (Options.Sinks + AttachSink
 	// additions); nil when tracing is off. Copy-on-write behind
 	// an atomic pointer so the hot path pays one load.
 	sinks atomic.Pointer[[]consumer]
 
-	// Batch counters live on the manager (not a shard) because one
-	// AcquireBatch call spans several stripes.
-	batches        atomic.Uint64
-	batchFast      atomic.Uint64
-	batchFallbacks atomic.Uint64
-
 	// admission is the gate configuration (nil = gate off); see
 	// admission.go. Copy-on-write behind an atomic pointer so the conflict
 	// path pays one load.
-	admission   atomic.Pointer[AdmissionConfig]
-	sheds       atomic.Uint64 // Begins shed + degrade-mode fast-fails
-	admitDelays atomic.Uint64 // Admits that had to stall before passing
-	degradedAcq atomic.Uint64 // acquires refused by degrade mode
+	admission atomic.Pointer[AdmissionConfig]
 
 	// injector is the fault-injection hook (nil = none); swappable at
 	// runtime via SetInjector.
 	injector atomic.Pointer[Injector]
-	injected atomic.Uint64 // synthetic failures injected
+
+	_ linePad
+	// size counts granted lock-table entries across all shards and high is
+	// its high-water mark: exact on purpose (LockCount, Stats.MaxTableSize),
+	// so every grant and release writes this line.
+	size atomic.Int64
+	high atomic.Int64
+	_    linePad
+
+	ids idTable
+	wf  waitTable
+
+	sheds       atomic.Uint64 // Begins shed + degrade-mode fast-fails
+	admitDelays atomic.Uint64 // Admits that had to stall before passing
+	degradedAcq atomic.Uint64 // acquires refused by degrade mode
+	injected    atomic.Uint64 // synthetic failures injected
 
 	// Deadlock detection (see deadlock.go): each blocked waiter runs its own
-	// check after deferDur, the resolved Options.DeadlockDefer (0 = walk at
-	// once). walkMu lets one walk run at a time; the grant path never takes
-	// it.
-	deferDur     time.Duration
+	// check after deferDur. walkMu lets one walk run at a time; the grant
+	// path never takes it.
 	walkMu       sync.Mutex
 	deferredDet  atomic.Uint64 // waiters whose check was armed
 	detectorRuns atomic.Uint64 // waits-for walks run
@@ -652,8 +667,8 @@ func (m *Manager) AcquireBatch(ctx context.Context, txn TxnID, reqs []BatchReq, 
 // Because all involved stripes are latched before the first grant, the whole
 // prefix of compatible requests is granted atomically: no concurrent
 // transaction can observe (or create) a state between two of the batch's
-// grants. Requests are processed in the given order, so grant sequence
-// numbers preserve the chain's root-to-leaf order.
+// grants. Requests are processed in the given order, so the transaction's
+// grant sequence numbers (Held.Seq) preserve the chain's root-to-leaf order.
 //
 // On the first request that cannot be granted immediately, the batch
 // releases all latches, flushes the tracer, and falls back to the plain
@@ -683,7 +698,8 @@ func (m *Manager) AcquireBatchID(ctx context.Context, txn TxnID, reqs []IDReq, o
 	if err := m.inject(ctx, txn, reqs[0].ID, reqs[0].Mode); err != nil {
 		return err
 	}
-	m.batches.Add(1)
+	ts := m.txnShardFor(txn)
+	ts.batches.Add(1)
 	tr := m.newTracer()
 
 	// Collect the distinct stripe indices, ascending (insertion sort into a
@@ -736,12 +752,12 @@ func (m *Manager) AcquireBatchID(ctx context.Context, txn TxnID, reqs []IDReq, o
 	for i := len(idxs) - 1; i >= 0; i-- {
 		m.shards[idxs[i]].mu.Unlock()
 	}
-	m.batchFast.Add(uint64(fast))
+	ts.batchFast.Add(uint64(fast))
 	tr.finish()
 	if fast == len(reqs) {
 		return nil
 	}
-	m.batchFallbacks.Add(1)
+	ts.batchFallbacks.Add(1)
 	for _, q := range reqs[fast:] {
 		if err := m.AcquireID(ctx, txn, q.ID, q.Mode, cfg); err != nil {
 			return err
@@ -792,7 +808,7 @@ func (m *Manager) tryGrant(tr *tracer, s *tableShard, e *entry, txn TxnID, id Re
 	if h := e.holder(txn); h != nil {
 		if durable && !h.durable {
 			h.durable = true
-			m.txnShardFor(txn).record(txn, id, h)
+			m.txnShardFor(txn).record(txn, id, h, false)
 		}
 		if h.mode.Covers(mode) {
 			s.stats.regrants.Add(1)
@@ -833,8 +849,9 @@ func (m *Manager) grantLocked(tr *tracer, s *tableShard, e *entry, txn TxnID, id
 	}
 	e.setMode(h, mode)
 	h.durable = h.durable || durable
-	h.seq = m.seq.Add(1)
-	m.txnShardFor(txn).record(txn, id, h)
+	e.grants++
+	h.order = e.grants
+	m.txnShardFor(txn).record(txn, id, h, true)
 	if tr != nil {
 		kind := KindGrant
 		if convert {
@@ -928,7 +945,7 @@ func (m *Manager) DowngradeID(txn TxnID, id ResID, mode Mode) error {
 		return nil
 	}
 	e.setMode(h, mode)
-	m.txnShardFor(txn).record(txn, id, h)
+	m.txnShardFor(txn).record(txn, id, h, false)
 	s.stats.downgrades.Add(1)
 	if tr != nil {
 		tr.add(KindDowngrade, time.Time{}, txn, m.Name(id), mode, s.idx)
@@ -1101,15 +1118,17 @@ func (m *Manager) Holders(r Resource) map[TxnID]Mode {
 }
 
 // Stats returns the manager's counters, aggregated lock-free across the
-// shards' atomic stripes.
+// table and txn stripes' atomic counters.
 func (m *Manager) Stats() Stats {
 	var st Stats
 	for _, s := range m.shards {
 		s.stats.addTo(&st)
 	}
-	st.Batches = m.batches.Load()
-	st.BatchFastGrants = m.batchFast.Load()
-	st.BatchFallbacks = m.batchFallbacks.Load()
+	for _, ts := range m.txns {
+		st.Batches += ts.batches.Load()
+		st.BatchFastGrants += ts.batchFast.Load()
+		st.BatchFallbacks += ts.batchFallbacks.Load()
+	}
 	st.Sheds = m.sheds.Load()
 	st.AdmitDelays = m.admitDelays.Load()
 	st.DegradedAcquires = m.degradedAcq.Load()

@@ -32,9 +32,22 @@ import (
 //
 // Event sinks are called with NO latch held (see Options.Sinks).
 
+// cacheLine is the coherence unit of the x86-64 and arm64 machines the
+// lock path is tuned for. Two words written by different cores must lie
+// further apart than this, or every write invalidates the other core's copy
+// of the line although no datum is shared ("false sharing").
+const cacheLine = 64
+
+// linePad separates what comes before it from what comes after by a full
+// cache line, wherever the allocation starts: no alignment is assumed.
+type linePad [cacheLine]byte
+
 // tableShard is one stripe of the lock table: its resources' entries, by
-// id, and the stripe's statistics counters.
+// id, and the stripe's statistics counters. Everything in it is written by
+// whoever holds its latch, so the pads keep one stripe's words off the
+// cache lines of the next stripe and of unrelated heap neighbours.
 type tableShard struct {
+	_     linePad
 	mu    sync.Mutex
 	idx   int   // stripe index, stamped into trace events
 	shift uint8 // log2 of the stripe count: slot = id >> shift
@@ -45,6 +58,7 @@ type tableShard struct {
 	res   []*entry
 	live  int // non-nil entries in res
 	stats shardStats
+	_     linePad
 }
 
 func newTableShard(idx int, shift uint8) *tableShard {
@@ -137,10 +151,24 @@ func (ss *shardStats) addTo(st *Stats) {
 // txnShard is one stripe of the per-transaction held index (sharded by
 // TxnID): one lock list per transaction holding anything, so that commit/abort
 // release, HeldLocks and the protocol's "do I already hold this?" question
-// (HeldCovers) never sweep or latch the resource shards.
+// (HeldCovers) never sweep or latch the resource shards. Concurrent
+// transactions have different ids, hence (mostly) different stripes: the
+// pads keep each stripe on cache lines of its own, and the per-batch
+// counters live here, striped by transaction, instead of on the manager.
 type txnShard struct {
+	_    linePad
 	mu   sync.Mutex
 	held map[TxnID]*heldList
+	// gen numbers the lists this stripe checks out (heldList.gen); a
+	// transaction's lists always come from its own stripe, so the stamps are
+	// unique where they are compared. Written under mu.
+	gen uint64
+	// AcquireBatchID's counters (Stats.Batches, BatchFastGrants,
+	// BatchFallbacks), by the batching transaction's stripe.
+	batches        atomic.Uint64
+	batchFast      atomic.Uint64
+	batchFallbacks atomic.Uint64
+	_              linePad
 }
 
 func newTxnShard() *txnShard {
@@ -161,6 +189,9 @@ type heldList struct {
 	// out of the index before sweeping the table; a slot carrying another
 	// generation was re-recorded meanwhile and needs a real index delete.
 	gen uint64
+	// grants is the transaction's grant sequence: the number of grants and
+	// conversions the list has recorded since its checkout.
+	grants uint64
 }
 
 // listedLock is one list entry; the resource's table shard follows from its
@@ -171,25 +202,29 @@ type listedLock struct {
 	seq     uint64
 }
 
-var (
-	heldListPool = sync.Pool{New: func() any { return new(heldList) }}
-	heldListGen  atomic.Uint64
-)
+var heldListPool = sync.Pool{New: func() any { return new(heldList) }}
 
 func putHeldList(l *heldList) {
 	l.m.Clear()
 	heldListPool.Put(l)
 }
 
-// record copies h, txn's holder slot on id, into txn's lock list. Caller
-// holds the latch of id's table shard.
-func (ts *txnShard) record(txn TxnID, id ResID, h *heldLock) {
+// record copies h, txn's holder slot on id, into txn's lock list. A grant
+// or conversion (grant set) first gives the slot the transaction's next
+// grant sequence number; any other change (durability, a downgrade) keeps
+// the one it has. Caller holds the latch of id's table shard.
+func (ts *txnShard) record(txn TxnID, id ResID, h *heldLock, grant bool) {
 	ts.mu.Lock()
 	l := ts.held[txn]
 	if l == nil {
 		l = heldListPool.Get().(*heldList)
-		l.gen = heldListGen.Add(1)
+		ts.gen++
+		l.gen, l.grants = ts.gen, 0
 		ts.held[txn] = l
+	}
+	if grant {
+		l.grants++
+		h.seq = l.grants
 	}
 	l.m.Put(id, listedLock{mode: h.mode, durable: h.durable, seq: h.seq})
 	h.list = l.gen

@@ -202,25 +202,16 @@ func (h *History) CheckConflictSerializable() error {
 
 // EnableHistory attaches a history recorder to the manager; all subsequent
 // transaction reads, writes, commits and aborts are recorded.
-func (m *Manager) EnableHistory(h *History) {
-	m.mu.Lock()
-	m.history = h
-	m.mu.Unlock()
-}
+func (m *Manager) EnableHistory(h *History) { m.history.Store(h) }
 
 func (m *Manager) recordAccess(txn lock.TxnID, kind AccessKind, p store.Path) {
-	m.mu.Lock()
-	h := m.history
-	m.mu.Unlock()
-	if h != nil {
+	if h := m.history.Load(); h != nil {
 		h.record(txn, kind, p)
 	}
 }
 
 func (m *Manager) recordEnd(txn lock.TxnID, committed bool) {
-	m.mu.Lock()
-	h := m.history
-	m.mu.Unlock()
+	h := m.history.Load()
 	if h == nil {
 		return
 	}

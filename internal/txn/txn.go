@@ -46,23 +46,52 @@ func (s State) String() string {
 // ErrNotActive is returned when operating on a finished transaction.
 var ErrNotActive = errors.New("txn: transaction not active")
 
-// Manager creates and tracks transactions.
+// Manager creates and counts transactions.
+//
+// Begin and finish count on the stripe of the transaction's id only, so
+// concurrent transactions do not write a common word besides the id counter
+// (next), which stays one on purpose: ids order transactions for wait-die
+// and the deadlock victim rule.
 type Manager struct {
-	proto *core.Protocol
-	st    *store.Store
-	next  atomic.Uint64
+	proto   *core.Protocol
+	st      *store.Store
+	history atomic.Pointer[History]
 
-	mu      sync.Mutex
-	active  map[lock.TxnID]*Txn
-	history *History
+	_    linePad
+	next atomic.Uint64
 
+	stripes [txnStripes]txnStripe
+	_       linePad
+}
+
+// cacheLine is the coherence unit of the x86-64 and arm64 machines the lock
+// path is tuned for; linePad keeps what precedes it and what follows it on
+// different cache lines, whatever the alignment of the allocation.
+const cacheLine = 64
+
+type linePad [cacheLine]byte
+
+// txnStripes is the number of stripes of the transaction counters;
+// transaction id t counts in stripe t % txnStripes.
+const txnStripes = 32
+
+// txnStripe is one stripe of the transaction counters, on cache lines of its
+// own: handles begun (Begin and Adopt) and finished either way.
+type txnStripe struct {
+	_       linePad
+	begins  atomic.Uint64
 	commits atomic.Uint64
 	aborts  atomic.Uint64
 }
 
 // NewManager returns a transaction manager over a protocol and its store.
 func NewManager(proto *core.Protocol, st *store.Store) *Manager {
-	return &Manager{proto: proto, st: st, active: make(map[lock.TxnID]*Txn)}
+	return &Manager{proto: proto, st: st}
+}
+
+// stripe returns id's stripe.
+func (m *Manager) stripe(id lock.TxnID) *txnStripe {
+	return &m.stripes[uint64(id)%txnStripes]
 }
 
 // Protocol returns the underlying lock protocol.
@@ -112,9 +141,7 @@ func (m *Manager) begin(ctx context.Context, long, admit bool) (*Txn, error) {
 		long: long,
 		ctx:  ctx,
 	}
-	m.mu.Lock()
-	m.active[t.id] = t
-	m.mu.Unlock()
+	m.stripe(id).begins.Add(1)
 	return t, nil
 }
 
@@ -129,34 +156,47 @@ func (m *Manager) Adopt(id lock.TxnID) *Txn {
 		}
 	}
 	t := &Txn{id: id, m: m, long: true, ctx: context.Background()}
-	m.mu.Lock()
-	m.active[id] = t
-	m.mu.Unlock()
+	m.stripe(id).begins.Add(1)
 	return t
 }
 
-// ActiveCount returns the number of unfinished transactions.
+// ActiveCount returns the number of unfinished transaction handles. It reads
+// the finished counts before the begun ones, so a transaction finishing
+// meanwhile is never subtracted without having been added.
 func (m *Manager) ActiveCount() int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return len(m.active)
+	finished := m.Commits() + m.Aborts()
+	var begun uint64
+	for i := range m.stripes {
+		begun += m.stripes[i].begins.Load()
+	}
+	return int(begun - finished)
 }
 
 // Commits returns the number of committed transactions.
-func (m *Manager) Commits() uint64 { return m.commits.Load() }
+func (m *Manager) Commits() uint64 {
+	var n uint64
+	for i := range m.stripes {
+		n += m.stripes[i].commits.Load()
+	}
+	return n
+}
 
 // Aborts returns the number of aborted transactions.
-func (m *Manager) Aborts() uint64 { return m.aborts.Load() }
+func (m *Manager) Aborts() uint64 {
+	var n uint64
+	for i := range m.stripes {
+		n += m.stripes[i].aborts.Load()
+	}
+	return n
+}
 
 func (m *Manager) finish(t *Txn, committed bool) {
-	m.mu.Lock()
-	delete(m.active, t.id)
-	m.mu.Unlock()
 	m.recordEnd(t.id, committed)
+	s := m.stripe(t.id)
 	if committed {
-		m.commits.Add(1)
+		s.commits.Add(1)
 	} else {
-		m.aborts.Add(1)
+		s.aborts.Add(1)
 	}
 	// Hand the transaction's span buffer to the flight recorder (a no-op
 	// when tracing is off).
