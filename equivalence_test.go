@@ -82,7 +82,7 @@ func recordMixedStream(t *testing.T) (*batchLog, *recordLog) {
 	bl.hit()
 	must(m.AcquireCtx(ctx, 1, "db/a", lock.X)) // convert
 	must(m.AcquireCtx(ctx, 1, "db/b", lock.X))
-	must(m.Downgrade(1, "db/b", lock.S))
+	must(m.DowngradeID(1, m.Intern("db/b"), lock.S))
 	bl.hit()
 
 	granted := make(chan error, 1)
@@ -104,7 +104,7 @@ func recordMixedStream(t *testing.T) (*batchLog, *recordLog) {
 		t.Fatal("txn 5 should have been shed")
 	}
 	m.ConfigureAdmission(lock.AdmissionConfig{})
-	m.Release(1, "db/b")
+	m.ReleaseID(1, m.Intern("db/b"))
 	m.ReleaseAll(1) // releases db/a and wakes txn 2
 	must(<-granted)
 	for i := 0; i < 5; i++ {

@@ -294,15 +294,12 @@ func checkAgainstWalk(t *testing.T, st *store.Store, nm *Namer, nodes []Node, wh
 }
 
 // namerVariants are the namers the scan must work with: both BLU
-// granularities, and the cache-less namer that has no name entry to take the
-// type from.
+// granularities. The scan classifies by the schema walk, not from the name
+// cache.
 func namerVariants(cat *schema.Catalog) map[string]*Namer {
-	nocache := NewNamer(cat, false)
-	nocache.DisableCache()
 	return map[string]*Namer{
 		"plain":     NewNamer(cat, false),
 		"coalesced": NewNamer(cat, true),
-		"nocache":   nocache,
 	}
 }
 
@@ -441,7 +438,7 @@ func TestLockSeesReferenceAddedWhileWaiting(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	if got := mgr.HeldMode(t2, nm.MustResource(DataNode(store.P("bolts", "b1")))); got != lock.S {
+	if got := heldMode(mgr, t2, mustResource(t, nm, DataNode(store.P("bolts", "b1")))); got != lock.S {
 		t.Errorf("T2 holds %v on bolts/b1, want S", got)
 	}
 	stats := p.Stats()

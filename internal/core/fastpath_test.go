@@ -116,7 +116,7 @@ func TestCacheInvalidatedOnEarlyRelease(t *testing.T) {
 	if err := p.Unlock(1, DataNode(r1)); err != nil {
 		t.Fatal(err)
 	}
-	if got := p.Manager().HeldMode(1, "db1/seg1/cells/c1/robots/r1"); got != lock.None {
+	if got := heldMode(p.Manager(), 1, "db1/seg1/cells/c1/robots/r1"); got != lock.None {
 		t.Fatalf("r1 still held %v after Unlock", got)
 	}
 	// Locking below r1 must re-acquire the intention on r1 through the
@@ -124,7 +124,7 @@ func TestCacheInvalidatedOnEarlyRelease(t *testing.T) {
 	if err := p.LockPath(1, store.P("cells", "c1", "robots", "r1", "trajectory"), lock.S); err != nil {
 		t.Fatal(err)
 	}
-	if got := p.Manager().HeldMode(1, "db1/seg1/cells/c1/robots/r1"); got != lock.IS {
+	if got := heldMode(p.Manager(), 1, "db1/seg1/cells/c1/robots/r1"); got != lock.IS {
 		t.Errorf("r1 held %v after re-lock below it, want IS", got)
 	}
 	assertProtocolInvariants(t, p, 1)
@@ -146,14 +146,14 @@ func TestCacheInvalidatedOnDeEscalate(t *testing.T) {
 	if err := p.DeEscalate(1, DataNode(c1), []store.Path{store.P("cells", "c1", "robots", "r1")}); err != nil {
 		t.Fatal(err)
 	}
-	if got := mgr.HeldMode(1, c1res); got != lock.IX {
+	if got := heldMode(mgr, 1, c1res); got != lock.IX {
 		t.Fatalf("c1 held %v after de-escalation, want IX", got)
 	}
-	if !mgr.HeldCovers(1, c1res, lock.IX, false) {
+	if !mgr.HeldCoversID(1, mgr.Intern(c1res), lock.IX, false) {
 		t.Error("c1 does not answer IX after de-escalation to IX")
 	}
 	for _, stale := range []lock.Mode{lock.S, lock.X} {
-		if mgr.HeldCovers(1, c1res, stale, false) {
+		if mgr.HeldCoversID(1, mgr.Intern(c1res), stale, false) {
 			t.Errorf("c1 still answers %v after de-escalation to IX", stale)
 		}
 	}
@@ -170,7 +170,7 @@ func TestCacheInvalidatedOnDeEscalate(t *testing.T) {
 	if d := mgr.Stats().Grants - ms.Grants; d != 2 {
 		t.Errorf("post-deescalation Lock made %d grants, want 2 (c_objects, o1)", d)
 	}
-	if got := mgr.HeldMode(1, c1res); got != lock.IX {
+	if got := heldMode(mgr, 1, c1res); got != lock.IX {
 		t.Errorf("c1 held %v after locking o1, want IX", got)
 	}
 	// A second transaction can now reach the released siblings.
@@ -189,7 +189,7 @@ func TestCacheInvalidatedOnDeEscalate(t *testing.T) {
 	if d := mgr.Stats().Conversions - ms.Conversions; d != 1 {
 		t.Errorf("re-escalating c1 made %d conversions, want 1", d)
 	}
-	if got := mgr.HeldMode(1, c1res); got != lock.X {
+	if got := heldMode(mgr, 1, c1res); got != lock.X {
 		t.Errorf("c1 held %v after re-escalation, want X", got)
 	}
 	assertProtocolInvariants(t, p, 1)

@@ -141,9 +141,9 @@ func TestFigure7Q2Q3Concurrent(t *testing.T) {
 		t.Errorf("waits = %d, want 0", p.Manager().Stats().Waits)
 	}
 	// Both hold S on the shared effector e2.
-	holders := p.Manager().Holders("db1/seg2/effectors/e2")
-	if holders[2] != lock.S || holders[3] != lock.S {
-		t.Errorf("e2 holders = %v", holders)
+	h := holders(p.Manager(), "db1/seg2/effectors/e2")
+	if h[2] != lock.S || h[3] != lock.S {
+		t.Errorf("e2 holders = %v", h)
 	}
 }
 

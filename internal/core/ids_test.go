@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"strconv"
+	"strings"
 	"sync"
 	"testing"
 
@@ -36,7 +37,7 @@ func TestProtocolAndNamedRequestsConflict(t *testing.T) {
 	p, _ := newProto(t, Options{})
 	mgr := p.Manager()
 	robot := DataNode(store.P("cells", "c1", "robots", "r1"))
-	name := p.nm.MustResource(robot)
+	name := mustResource(t, p.nm, robot)
 	ctx := context.Background()
 
 	if err := p.Lock(1, robot, lock.X); err != nil {
@@ -57,10 +58,10 @@ func TestProtocolAndNamedRequestsConflict(t *testing.T) {
 	if err := <-proto; err != nil {
 		t.Fatal(err)
 	}
-	effector := p.nm.MustResource(DataNode(store.P("effectors", "e2")))
+	effector := mustResource(t, p.nm, DataNode(store.P("effectors", "e2")))
 	for res, want := range map[lock.Resource]lock.Mode{name: lock.S, "db1/seg1/cells/c1": lock.IS, effector: lock.S} {
-		if got := mgr.HeldMode(4, res); got != want {
-			t.Errorf("HeldMode(4, %q) = %v, want %v", res, got, want)
+		if got := heldMode(mgr, 4, res); got != want {
+			t.Errorf("HeldModeID(4, %q) = %v, want %v", res, got, want)
 		}
 	}
 }
@@ -72,14 +73,14 @@ func TestNamerBindsOneManager(t *testing.T) {
 	st := store.PaperDatabase()
 	nm := NewNamer(st.Catalog(), false)
 	robot := DataNode(store.P("cells", "c1", "robots", "r1"))
-	name := nm.MustResource(robot) // cached while unbound
+	name := mustResource(t, nm, robot) // cached while unbound
 	mgr := lock.NewManager(lock.Options{})
 	p := NewProtocol(mgr, st, nm, Options{})
 	if err := p.Lock(1, robot, lock.X); err != nil {
 		t.Fatal(err)
 	}
-	if got := mgr.HeldMode(1, name); got != lock.X {
-		t.Errorf("HeldMode(1, %q) = %v, want X", name, got)
+	if got := heldMode(mgr, 1, name); got != lock.X {
+		t.Errorf("HeldModeID(1, %q) = %v, want X", name, got)
 	}
 	NewProtocol(mgr, st, nm, Options{Rule4Prime: true})
 	defer func() {
@@ -91,22 +92,30 @@ func TestNamerBindsOneManager(t *testing.T) {
 }
 
 // TestBoundNamerFirstVisitAllocs: a bound namer's first visit of a path
-// interns its name and its new ancestors and costs what an unbound one does
-// (TestNamerFirstVisitAllocs): the entry, its path copy, its name and the
-// ancestor ids — the id table's inserts amortize to nothing.
+// interns its name and its new ancestors and costs one allocation more than
+// an unbound one (TestNamerFirstVisitAllocs): the entry, its path copy, its
+// name and the ancestor ids — the id table's inserts amortize to nothing.
+// Every ancestor's name is a prefix of the path's own.
 func TestBoundNamerFirstVisitAllocs(t *testing.T) {
 	const n = 4096
 	nm := NewNamer(store.PaperDatabase().Catalog(), false)
 	nm.paths.Store(newPathTable(4 * n))
-	nm.bind(lock.NewManager(lock.Options{}))
+	mgr := lock.NewManager(lock.Options{})
+	nm.bind(mgr)
 	nodes := make([]Node, n)
 	for i := range nodes {
 		nodes[i] = DataNode(store.P("cells", "c"+strconv.Itoa(i/8), "robots", "r"+strconv.Itoa(i%8), "trajectory"))
 	}
 	i := 0
 	allocs := testing.AllocsPerRun(n-1, func() { // AllocsPerRun adds one warm-up call
-		if _, err := nm.resolve(nodes[i]); err != nil {
+		e, err := nm.resolve(nodes[i])
+		if err != nil {
 			t.Fatal(err)
+		}
+		for _, id := range e.ancID[2:] {
+			if a := mgr.Name(id); !strings.HasPrefix(string(e.res), string(a)+"/") {
+				t.Fatalf("ancestor %q is not a prefix of %q", a, e.res)
+			}
 		}
 		i++
 	})

@@ -198,8 +198,8 @@ func TestDeEscalationPreservesInvariants(t *testing.T) {
 		assertProtocolInvariants(t, p, 1)
 		assertEntryPointCoverage(t, p, st, 1)
 		// The coarse lock is gone.
-		res := p.nm.MustResource(DataNode(obj))
-		if got := p.Manager().HeldMode(1, res); got == lock.S || got == lock.X {
+		res := mustResource(t, p.nm, DataNode(obj))
+		if got := heldMode(p.Manager(), 1, res); got == lock.S || got == lock.X {
 			return false
 		}
 		p.Release(1)
@@ -267,7 +267,7 @@ func probeCompatible(p *Protocol, st *store.Store, txn lock.TxnID, n Node, mode 
 		if err != nil {
 			return false
 		}
-		for holder, hm := range p.Manager().Holders(res) {
+		for holder, hm := range holders(p.Manager(), res) {
 			if holder != txn && !m.Compatible(hm) {
 				return false
 			}

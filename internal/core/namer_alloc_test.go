@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"strconv"
 	"strings"
 	"sync"
@@ -30,26 +31,86 @@ func TestNamerResourceZeroAllocs(t *testing.T) {
 	}
 }
 
-// TestNamerChainZeroAllocs covers the protocol-facing entry point: resource,
-// ancestors and classification in one warm lookup, allocation-free.
+// TestNamerChainZeroAllocs covers the protocol-facing entry point: resource
+// id, ancestor ids and classification in one warm lookup of a bound namer,
+// allocation-free.
 func TestNamerChainZeroAllocs(t *testing.T) {
 	nm := NewNamer(store.PaperDatabase().Catalog(), false)
+	nm.bind(lock.NewManager(lock.Options{}))
 	n := DataNode(store.P("cells", "c1", "robots", "r1"))
-	if _, _, _, err := nm.chain(n); err != nil {
+	if _, err := nm.resolve(n); err != nil {
 		t.Fatal(err)
 	}
 	allocs := testing.AllocsPerRun(200, func() {
-		if _, _, _, err := nm.chain(n); err != nil {
+		if _, err := nm.resolve(n); err != nil {
 			t.Fatal(err)
 		}
 	})
 	if allocs != 0 {
-		t.Errorf("chain allocates %.1f objects/op on the warm path, want 0", allocs)
+		t.Errorf("resolve allocates %.1f objects/op on the warm path, want 0", allocs)
 	}
 }
 
+// resourceUncached is the reference naming the cache is checked against: the
+// name built from the schema on every call, as before the name cache.
+func resourceUncached(nm *Namer, n Node) (lock.Resource, error) {
+	db := nm.cat.Database
+	switch n.Level {
+	case LevelDatabase:
+		return lock.Resource(db), nil
+	case LevelSegment:
+		return lock.Resource(db + "/" + n.Segment), nil
+	}
+	rel := nm.cat.Relation(n.Path.Relation())
+	if rel == nil {
+		return "", fmt.Errorf("core: unknown relation %q", n.Path.Relation())
+	}
+	if n.Level == LevelRelation || len(n.Path) == 1 {
+		return lock.Resource(db + "/" + rel.Segment + "/" + rel.Name), nil
+	}
+	p := n.Path
+	if nm.coalesceBLUs && len(p) >= 3 {
+		// If the path addresses an atomic non-ref attribute of a tuple,
+		// substitute the shared per-level BLU segment.
+		info, err := nm.classifyUncached(p)
+		if err != nil {
+			return "", err
+		}
+		if info.Kind == BLU && !info.IsRef {
+			p = p.Parent().Child(bluLabel)
+		}
+	}
+	return lock.Resource(db + "/" + rel.Segment + "/" + strings.Join([]string(p), "/")), nil
+}
+
+// ancestorsUncached is the reference ancestor chain by name: Ancestors, each
+// named by resourceUncached. Like a lock call, it fails for a node the
+// schema rules out.
+func ancestorsUncached(nm *Namer, n Node) ([]lock.Resource, error) {
+	if _, err := resourceUncached(nm, n); err != nil {
+		return nil, err
+	}
+	if n.Level >= LevelRelation {
+		if _, err := nm.classifyUncached(n.Path); err != nil {
+			return nil, err
+		}
+	}
+	nodes, err := nm.Ancestors(n)
+	if err != nil {
+		return nil, err
+	}
+	anc := make([]lock.Resource, len(nodes))
+	for i, a := range nodes {
+		if anc[i], err = resourceUncached(nm, a); err != nil {
+			return nil, err
+		}
+	}
+	return anc, nil
+}
+
 // TestNamerCacheMatchesUncached: the cached namer must agree byte-for-byte
-// with the legacy schema walk, for both BLU-coalescing modes.
+// with the reference schema walk, for both BLU-coalescing modes — names by
+// Resource, and ancestors by the ids a bound namer resolves.
 func TestNamerCacheMatchesUncached(t *testing.T) {
 	paths := []store.Path{
 		store.P("cells"),
@@ -64,20 +125,26 @@ func TestNamerCacheMatchesUncached(t *testing.T) {
 	}
 	for _, coalesce := range []bool{false, true} {
 		cached := NewNamer(store.PaperDatabase().Catalog(), coalesce)
-		legacy := NewNamer(store.PaperDatabase().Catalog(), coalesce)
-		legacy.DisableCache()
+		mgr := lock.NewManager(lock.Options{})
+		cached.bind(mgr)
 		for _, p := range paths {
 			n := DataNode(p)
 			cr, cerr := cached.Resource(n)
-			lr, lerr := legacy.Resource(n)
+			lr, lerr := resourceUncached(cached, n)
 			if cr != lr || (cerr == nil) != (lerr == nil) {
-				t.Errorf("coalesce=%v %v: cached (%q, %v) != legacy (%q, %v)",
+				t.Errorf("coalesce=%v %v: cached (%q, %v) != reference (%q, %v)",
 					coalesce, p, cr, cerr, lr, lerr)
 			}
-			_, canc, _, cerr := cached.chain(n)
-			_, lanc, _, lerr := legacy.chain(n)
+			e, cerr := cached.resolve(n)
+			var canc []lock.Resource
+			if cerr == nil {
+				for _, id := range e.ancID {
+					canc = append(canc, mgr.Name(id))
+				}
+			}
+			lanc, lerr := ancestorsUncached(cached, n)
 			if (cerr == nil) != (lerr == nil) || len(canc) != len(lanc) {
-				t.Errorf("coalesce=%v %v: ancestors differ: cached %v (%v) legacy %v (%v)",
+				t.Errorf("coalesce=%v %v: ancestors differ: cached %v (%v) reference %v (%v)",
 					coalesce, p, canc, cerr, lanc, lerr)
 				continue
 			}
@@ -130,29 +197,25 @@ func BenchmarkNamerResource(b *testing.B) {
 	}
 }
 
-// BenchmarkNamerResourceUncached is the contrast: the legacy schema walk
-// rebuilds the name (and its ancestor slice on demand) every call.
+// BenchmarkNamerResourceUncached is the contrast: the reference schema walk
+// rebuilds the name every call.
 func BenchmarkNamerResourceUncached(b *testing.B) {
 	nm := NewNamer(store.PaperDatabase().Catalog(), true)
-	nm.DisableCache()
 	n := DataNode(store.P("cells", "c1", "robots", "r1", "trajectory"))
-	if _, err := nm.Resource(n); err != nil {
-		b.Fatal(err)
-	}
 	b.ReportAllocs()
-	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := nm.Resource(n); err != nil {
+		if _, err := resourceUncached(nm, n); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
 // TestNamerFirstVisitAllocs bounds what naming a path for the first time
-// costs: the entry, its path copy, one string that the whole ancestor chain
-// slices, and the chain's slice — independent of the path's depth. A run that
+// costs an unbound namer: the entry, its path copy and one string that the
+// whole ancestor chain slices — independent of the path's depth. A run that
 // is still meeting new paths pays this per path, so it is kept small; the
 // table that indexes the entries is sized beforehand and is not counted.
+// (TestBoundNamerFirstVisitAllocs adds the ancestor ids.)
 func TestNamerFirstVisitAllocs(t *testing.T) {
 	const n = 4096
 	nm := NewNamer(store.PaperDatabase().Catalog(), false)
@@ -163,19 +226,13 @@ func TestNamerFirstVisitAllocs(t *testing.T) {
 	}
 	i := 0
 	allocs := testing.AllocsPerRun(n-1, func() { // AllocsPerRun adds one warm-up call
-		res, anc, _, err := nm.chain(nodes[i])
-		if err != nil {
+		if _, err := nm.Resource(nodes[i]); err != nil {
 			t.Fatal(err)
-		}
-		for _, a := range anc[2:] {
-			if !strings.HasPrefix(string(res), string(a)+"/") {
-				t.Fatalf("ancestor %q is not a prefix of %q", a, res)
-			}
 		}
 		i++
 	})
-	if allocs > 4 {
-		t.Errorf("first visit of a path allocates %.1f objects, want ≤ 4", allocs)
+	if allocs > 3 {
+		t.Errorf("first visit of a path allocates %.1f objects, want ≤ 3", allocs)
 	}
 }
 
@@ -184,15 +241,13 @@ func TestNamerFirstVisitAllocs(t *testing.T) {
 // Eight goroutines of a bound namer name the same 2,000 new paths, each in
 // its own order, and classify them by name; every naming must be the one
 // entry the cache keeps for its path (same pointer, same id) and agree with
-// the uncached namer. Run it under -race.
+// the reference naming. Run it under -race.
 func TestNamerConcurrentFirstVisits(t *testing.T) {
 	const workers, paths = 8, 2000
 	cat := store.PaperDatabase().Catalog()
 	nm := NewNamer(cat, false)
 	mgr := lock.NewManager(lock.Options{})
 	nm.bind(mgr)
-	legacy := NewNamer(cat, false)
-	legacy.DisableCache()
 	nodes := make([]Node, paths)
 	for i := range nodes {
 		nodes[i] = DataNode(store.P("cells", "c"+strconv.Itoa(i/8), "robots", "r"+strconv.Itoa(i%8)))
@@ -226,7 +281,7 @@ func TestNamerConcurrentFirstVisits(t *testing.T) {
 	}
 	wg.Wait()
 	for i, n := range nodes {
-		want, err := legacy.Resource(n)
+		want, err := resourceUncached(nm, n)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -142,13 +142,12 @@ type Namer struct {
 	//
 	// mgr is the lock manager whose id space the ids belong to, nil until
 	// NewProtocol binds the namer.
-	nocache bool
-	db      *nameEntry
-	mgr     *lock.Manager
-	segs    atomic.Pointer[map[string]*nameEntry]
-	paths   atomic.Pointer[pathTable]
-	_       linePad // keeps the writers' latch off the lines every hit reads
-	mu      sync.Mutex
+	db    *nameEntry
+	mgr   *lock.Manager
+	segs  atomic.Pointer[map[string]*nameEntry]
+	paths atomic.Pointer[pathTable]
+	_     linePad // keeps the writers' latch off the lines every hit reads
+	mu    sync.Mutex
 }
 
 // pathTable is the name cache's index of data entries: open addressing with
@@ -201,9 +200,6 @@ type nameEntry struct {
 	// by a bound namer or when the namer is bound.
 	id    lock.ResID
 	ancID []lock.ResID
-	// anc is the ancestor chain by name, built on the first chain call:
-	// the lock path needs only the ids.
-	anc atomic.Pointer[ancNames]
 	// typ is the schema type of the addressed value (nil for a relation);
 	// the rest of the classification follows from it (info).
 	typ *schema.Type
@@ -224,13 +220,6 @@ func (e *nameEntry) info() NodeInfo {
 	return classifyType(e.typ)
 }
 
-// ancNames is an entry's ancestor chain by name: names, backed by buf for
-// chains up to eight deep, in one allocation.
-type ancNames struct {
-	names []lock.Resource
-	buf   [8]lock.Resource
-}
-
 // NewNamer returns a Namer over the catalog. coalesceBLUs selects the
 // footnote-3 BLU granularity (one BLU per tuple level) instead of one BLU
 // per atomic attribute.
@@ -240,38 +229,6 @@ func NewNamer(cat *schema.Catalog, coalesceBLUs bool) *Namer {
 	nm.segs.Store(&map[string]*nameEntry{})
 	nm.paths.Store(newPathTable(64))
 	return nm
-}
-
-// appendAnc appends e's ancestor names, root to leaf, to dst. Every one is
-// a prefix of e.res, so this allocates nothing beyond dst.
-func (nm *Namer) appendAnc(dst []lock.Resource, e *nameEntry) []lock.Resource {
-	switch {
-	case e == nm.db:
-		return dst
-	case e.segEnd == 0: // a segment
-		return append(dst, nm.db.res)
-	}
-	end := int(e.segEnd)
-	dst = append(dst, nm.db.res, e.res[:end])
-	for _, s := range e.path[:len(e.path)-1] {
-		end += 1 + len(s)
-		dst = append(dst, e.res[:end])
-	}
-	return dst
-}
-
-// ancestors returns e's ancestor names, root to leaf, building them on the
-// first call. The slice is shared and must not be modified.
-func (nm *Namer) ancestors(e *nameEntry) []lock.Resource {
-	a := e.anc.Load()
-	if a == nil {
-		a = new(ancNames)
-		a.names = nm.appendAnc(a.buf[:0], e)
-		if !e.anc.CompareAndSwap(nil, a) {
-			a = e.anc.Load()
-		}
-	}
-	return a.names
 }
 
 // bind ties the namer to mgr's id space, giving every cached entry its ids.
@@ -300,28 +257,29 @@ func (nm *Namer) bind(mgr *lock.Manager) {
 }
 
 // intern sets e's ids in the bound manager's id space. Entries whose shape
-// the schema rules out are never locked and get none. Caller holds nm.mu,
-// or owns e. (bind interns published entries: it runs in NewProtocol,
-// before the namer serves lock calls.)
+// the schema rules out are never locked and get none. Every ancestor's name
+// is a prefix of e.res, so the ids cost one allocation beyond interning.
+// Caller holds nm.mu, or owns e. (bind interns published entries: it runs in
+// NewProtocol, before the namer serves lock calls.)
 func (nm *Namer) intern(e *nameEntry) {
 	if e.infoErr != nil {
 		return
 	}
-	var buf [8]lock.Resource
-	anc := nm.appendAnc(buf[:0], e)
 	e.id = nm.mgr.Intern(e.res)
-	e.ancID = make([]lock.ResID, len(anc))
-	for i, a := range anc {
-		e.ancID[i] = nm.mgr.Intern(a)
+	if e == nm.db {
+		return
+	}
+	e.ancID = append(make([]lock.ResID, 0, len(e.path)+1), nm.mgr.Intern(nm.db.res))
+	if e.segEnd == 0 { // a segment
+		return
+	}
+	end := int(e.segEnd)
+	e.ancID = append(e.ancID, nm.mgr.Intern(e.res[:end]))
+	for _, seg := range e.path[:len(e.path)-1] {
+		end += 1 + len(seg)
+		e.ancID = append(e.ancID, nm.mgr.Intern(e.res[:end]))
 	}
 }
-
-// DisableCache turns the name cache off: every Resource/Classify call
-// recomputes from scratch, as the pre-cache implementation did. It is the
-// reference naming the tests check the cache against (and the downward scan
-// must work without a cache entry), and must be called before the namer is
-// shared between goroutines.
-func (nm *Namer) DisableCache() { nm.nocache = true }
 
 // pathHash is fnv-1a over the path's segments, with a separator byte so
 // ["ab","c"] and ["a","bc"] hash apart.
@@ -403,8 +361,7 @@ func (nm *Namer) cachedPath(h uint64, p store.Path) *nameEntry {
 // buildEntry computes a nameEntry from the schema (the slow path, once per
 // distinct path). Every ancestor's name is a prefix of the path's own name,
 // so the entry builds one string: a first visit costs three allocations
-// however deep the path is, and a fourth for the ancestor ids (bound namer)
-// or names (chain).
+// however deep the path is, and a fourth for the ancestor ids (bound namer).
 func (nm *Namer) buildEntry(p store.Path) (*nameEntry, error) {
 	rel := nm.cat.Relation(p.Relation())
 	if rel == nil {
@@ -413,7 +370,7 @@ func (nm *Namer) buildEntry(p store.Path) (*nameEntry, error) {
 	e := &nameEntry{path: append([]string(nil), p...)}
 	info, err := nm.classifyUncached(p)
 	e.typ, e.infoErr = info.Type, err
-	seg := nm.segRes(rel.Segment)
+	seg := nm.segEntry(rel.Segment).res
 	var buf [8]string // stays on the stack for paths up to seven segments deep
 	parts := append(append(buf[:0], string(seg)), p...)
 	if nm.coalesceBLUs && len(p) >= 3 && err == nil && info.Kind == BLU && !info.IsRef {
@@ -422,14 +379,6 @@ func (nm *Namer) buildEntry(p store.Path) (*nameEntry, error) {
 	e.res = lock.Resource(strings.Join(parts, "/"))
 	e.segEnd = int32(len(seg))
 	return e, nil
-}
-
-// segRes returns the (cached) resource name of a segment.
-func (nm *Namer) segRes(seg string) lock.Resource {
-	if nm.nocache {
-		return lock.Resource(nm.cat.Database + "/" + seg)
-	}
-	return nm.segEntry(seg).res
 }
 
 // segEntry returns the cached entry of a segment.
@@ -469,59 +418,11 @@ func (nm *Namer) resolve(n Node) (*nameEntry, error) {
 	case LevelSegment:
 		return nm.segEntry(n.Segment), nil
 	}
-	var e *nameEntry
-	var err error
-	if nm.nocache {
-		if e, err = nm.buildEntry(n.Path); err == nil {
-			nm.intern(e)
-		}
-	} else {
-		e, err = nm.entryFor(n.Path)
-	}
+	e, err := nm.entryFor(n.Path)
 	if err == nil {
 		err = e.infoErr
 	}
 	return e, err
-}
-
-// chain returns the resource name of n together with its ancestor resources
-// in root-to-leaf order and, for a data node, its schema type: resolve by
-// name. The returned slice is shared and must not be modified.
-func (nm *Namer) chain(n Node) (lock.Resource, []lock.Resource, *schema.Type, error) {
-	switch n.Level {
-	case LevelDatabase:
-		return nm.db.res, nil, nil, nil
-	case LevelSegment:
-		if nm.nocache {
-			return nm.segRes(n.Segment), []lock.Resource{nm.db.res}, nil, nil
-		}
-	}
-	if nm.nocache {
-		res, err := nm.Resource(n)
-		if err != nil {
-			return "", nil, nil, err
-		}
-		ancNodes, err := nm.Ancestors(n)
-		if err != nil {
-			return "", nil, nil, err
-		}
-		anc := make([]lock.Resource, len(ancNodes))
-		for i, a := range ancNodes {
-			if anc[i], err = nm.Resource(a); err != nil {
-				return "", nil, nil, err
-			}
-		}
-		info, err := nm.classifyUncached(n.Path)
-		if err != nil {
-			return "", nil, nil, err
-		}
-		return res, anc, info.Type, nil
-	}
-	e, err := nm.resolve(n)
-	if err != nil {
-		return "", nil, nil, err
-	}
-	return e.res, nm.ancestors(e), e.typ, nil
 }
 
 // Catalog returns the catalog the namer was built over.
@@ -537,10 +438,7 @@ func (nm *Namer) Resource(n Node) (lock.Resource, error) {
 	case LevelDatabase:
 		return nm.db.res, nil
 	case LevelSegment:
-		return nm.segRes(n.Segment), nil
-	}
-	if nm.nocache {
-		return nm.resourceUncached(n)
+		return nm.segEntry(n.Segment).res, nil
 	}
 	e, err := nm.entryFor(n.Path)
 	if err != nil {
@@ -552,41 +450,6 @@ func (nm *Namer) Resource(n Node) (lock.Resource, error) {
 		return "", e.infoErr
 	}
 	return e.res, nil
-}
-
-// resourceUncached is the pre-cache naming (DisableCache mode).
-func (nm *Namer) resourceUncached(n Node) (lock.Resource, error) {
-	db := nm.cat.Database
-	rel := nm.cat.Relation(n.Path.Relation())
-	if rel == nil {
-		return "", fmt.Errorf("core: unknown relation %q", n.Path.Relation())
-	}
-	if n.Level == LevelRelation || len(n.Path) == 1 {
-		return lock.Resource(db + "/" + rel.Segment + "/" + rel.Name), nil
-	}
-	p := n.Path
-	if nm.coalesceBLUs && len(p) >= 3 {
-		// If the path addresses an atomic non-ref attribute of a tuple,
-		// substitute the shared per-level BLU segment.
-		info, err := nm.Classify(p)
-		if err != nil {
-			return "", err
-		}
-		if info.Kind == BLU && !info.IsRef {
-			p = p.Parent().Child(bluLabel)
-		}
-	}
-	return lock.Resource(db + "/" + rel.Segment + "/" + strings.Join([]string(p), "/")), nil
-}
-
-// MustResource is Resource for known-valid nodes (panics otherwise); used in
-// tests and figure printers.
-func (nm *Namer) MustResource(n Node) lock.Resource {
-	r, err := nm.Resource(n)
-	if err != nil {
-		panic(err)
-	}
-	return r
 }
 
 // Ancestors returns the chain of immediate parents of a node from the
@@ -634,9 +497,6 @@ type NodeInfo struct {
 // known relation are deterministic — relation types are immutable once in
 // the catalog — so they are memoized too).
 func (nm *Namer) Classify(p store.Path) (NodeInfo, error) {
-	if nm.nocache {
-		return nm.classifyUncached(p)
-	}
 	if len(p) == 0 {
 		return NodeInfo{}, fmt.Errorf("core: empty path")
 	}
@@ -653,32 +513,30 @@ func (nm *Namer) Classify(p store.Path) (NodeInfo, error) {
 // classifyResource is Classify for a data node given by its resource name
 // (database/segment/relation/key/…). A name this namer produced is answered
 // from the name cache without splitting it: pathHash is folded straight off
-// the string and the bucket searched for the entry carrying that name.
+// the string and the table probed for the entry carrying that name.
 func (nm *Namer) classifyResource(r lock.Resource) (NodeInfo, error) {
 	_, rest, _ := strings.Cut(string(r), "/")
 	_, tail, ok := strings.Cut(rest, "/")
 	if !ok {
 		return NodeInfo{}, fmt.Errorf("core: %q is not a data resource", r)
 	}
-	if !nm.nocache {
-		h := uint64(14695981039346656037)
-		for i := 0; i <= len(tail); i++ {
-			c := uint64(0xff) // segment separator, and terminator
-			if i < len(tail) && tail[i] != '/' {
-				c = uint64(tail[i])
-			}
-			h = (h ^ c) * 1099511628211
+	h := uint64(14695981039346656037)
+	for i := 0; i <= len(tail); i++ {
+		c := uint64(0xff) // segment separator, and terminator
+		if i < len(tail) && tail[i] != '/' {
+			c = uint64(tail[i])
 		}
-		t := nm.paths.Load()
-		mask := uint64(len(t.slots) - 1)
-		for i := h & mask; ; i = (i + 1) & mask {
-			e := t.slots[i].e.Load()
-			if e == nil {
-				break
-			}
-			if t.slots[i].hash.Load() == h && e.res == r {
-				return e.info(), e.infoErr
-			}
+		h = (h ^ c) * 1099511628211
+	}
+	t := nm.paths.Load()
+	mask := uint64(len(t.slots) - 1)
+	for i := h & mask; ; i = (i + 1) & mask {
+		e := t.slots[i].e.Load()
+		if e == nil {
+			break
+		}
+		if t.slots[i].hash.Load() == h && e.res == r {
+			return e.info(), e.infoErr
 		}
 	}
 	return nm.Classify(store.Path(strings.Split(tail, "/")))

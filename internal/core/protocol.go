@@ -51,7 +51,7 @@ type Protocol struct {
 	tr *trace.Recorder
 
 	// fast enables the fast path (DESIGN.md §11): an IS/IX request the
-	// transaction's lock list already covers (Manager.HeldCovers) skips the
+	// transaction's lock list already covers (Manager.HeldCoversID) skips the
 	// manager. What is left of a chain goes to it as one batch either way.
 	fast bool
 

@@ -45,7 +45,7 @@ type ProtocolStats struct {
 	// targets).
 	NodeLocks uint64
 	// FastPathHits counts lock requests the transaction's lock list answered
-	// (Manager.HeldCovers) without a lock-manager request: IS/IX
+	// (Manager.HeldCoversID) without a lock-manager request: IS/IX
 	// re-acquisitions covered by a lock the transaction already holds. Hits
 	// emit no trace span.
 	FastPathHits uint64

@@ -169,7 +169,7 @@ func TestUnitKindOfZeroAllocs(t *testing.T) {
 		st := store.PaperDatabase()
 		nm := NewNamer(st.Catalog(), coalesce)
 		kindOf := UnitKindOf(nm)
-		named := nm.MustResource(DataNode(store.P("cells", "c1", "robots", "r1", "trajectory")))
+		named := mustResource(t, nm, DataNode(store.P("cells", "c1", "robots", "r1", "trajectory")))
 		resources := []lock.Resource{
 			"db1", "db1/seg1/cells", "db1/seg1/cells/c1", named,
 			"db1/seg1/cells/c1/c_objects/o1", // never named: walks once, then cached

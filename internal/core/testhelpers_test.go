@@ -3,9 +3,39 @@ package core
 import (
 	"testing"
 
+	"colock/internal/lock"
 	"colock/internal/schema"
 	"colock/internal/store"
 )
+
+// heldMode is the mode txn holds on r: Intern plus the manager's id query.
+func heldMode(mgr *lock.Manager, txn lock.TxnID, r lock.Resource) lock.Mode {
+	return mgr.HeldModeID(txn, mgr.Intern(r))
+}
+
+// holders returns the transactions holding r and their modes, read from the
+// queue snapshot that /queues serves.
+func holders(mgr *lock.Manager, r lock.Resource) map[lock.TxnID]lock.Mode {
+	out := make(map[lock.TxnID]lock.Mode)
+	for _, q := range mgr.SnapshotQueues() {
+		if q.Resource == r {
+			for _, g := range q.Granted {
+				out[g.Txn] = g.Mode
+			}
+		}
+	}
+	return out
+}
+
+// mustResource is nm.Resource for a node the test knows to be valid.
+func mustResource(t testing.TB, nm *Namer, n Node) lock.Resource {
+	t.Helper()
+	r, err := nm.Resource(n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return r
+}
 
 // nestedCatalogAndStore builds a three-level sharing chain for tests:
 // assemblies (seg s1) → parts (seg s2) → bolts (seg s3), with one object

@@ -55,10 +55,10 @@ func TestAcquireBatchRegrantsAndConverts(t *testing.T) {
 	if err := m.AcquireBatch(context.Background(), 1, chainReqs(IX, S)); err != nil {
 		t.Fatal(err)
 	}
-	if got := m.HeldMode(1, "db"); got != IX {
+	if got := heldMode(m, 1, "db"); got != IX {
 		t.Errorf("db held %v, want IX", got)
 	}
-	if got := m.HeldMode(1, "db/seg/rel/t1"); got != S {
+	if got := heldMode(m, 1, "db/seg/rel/t1"); got != S {
 		t.Errorf("leaf held %v, want S", got)
 	}
 	st := m.Stats()
@@ -107,10 +107,10 @@ func TestAcquireBatchFallbackOnConflict(t *testing.T) {
 	case <-time.After(20 * time.Millisecond):
 	}
 	// The compatible prefix must already be granted.
-	if got := m.HeldMode(1, "db"); got != IS {
+	if got := heldMode(m, 1, "db"); got != IS {
 		t.Errorf("db held %v, want IS while blocked", got)
 	}
-	if got := m.HeldMode(1, "db/seg"); got != IS {
+	if got := heldMode(m, 1, "db/seg"); got != IS {
 		t.Errorf("db/seg held %v, want IS while blocked", got)
 	}
 	m.ReleaseAll(2)
@@ -122,7 +122,7 @@ func TestAcquireBatchFallbackOnConflict(t *testing.T) {
 	case <-time.After(time.Second):
 		t.Fatal("batch not completed after conflicting lock released")
 	}
-	if got := m.HeldMode(1, "db/seg/rel/t1"); got != S {
+	if got := heldMode(m, 1, "db/seg/rel/t1"); got != S {
 		t.Errorf("leaf held %v, want S", got)
 	}
 	st := m.Stats()
@@ -147,7 +147,7 @@ func TestAcquireBatchNoWaitFallback(t *testing.T) {
 		t.Fatalf("want ErrWouldBlock, got %v", err)
 	}
 	// Prefix grants survive the refused tail (the caller aborts or retries).
-	if got := m.HeldMode(1, "db"); got != IS {
+	if got := heldMode(m, 1, "db"); got != IS {
 		t.Errorf("db held %v, want IS", got)
 	}
 }
@@ -178,7 +178,7 @@ func TestAcquireBatchInvalidMode(t *testing.T) {
 // TestAcquireBatchManyShards exercises the multi-latch path with more
 // distinct resources than the stack index buffer holds.
 func TestAcquireBatchManyShards(t *testing.T) {
-	m := NewManager(Options{Shards: 64})
+	m := newManager(Options{}, 64)
 	var reqs []BatchReq
 	for _, r := range []Resource{"a", "b", "c", "d", "e", "f", "g", "h", "i", "j", "k", "l"} {
 		reqs = append(reqs, BatchReq{r, X})
@@ -207,7 +207,7 @@ func waitFor(t *testing.T, cond func() bool) {
 // periodic ReleaseAll. Verifies the multi-latch fast path against the
 // single-latch operations it interleaves with.
 func TestAcquireBatchConcurrentStress(t *testing.T) {
-	m := NewManager(Options{Shards: 8})
+	m := newManager(Options{}, 8)
 	const workers = 8
 	const iters = 200
 	var wg sync.WaitGroup
@@ -228,7 +228,7 @@ func TestAcquireBatchConcurrentStress(t *testing.T) {
 					t.Errorf("txn %d: %v", txn, err)
 					return
 				}
-				if got := m.HeldMode(txn, leaf); got != X {
+				if got := heldMode(m, txn, leaf); got != X {
 					t.Errorf("txn %d holds %v on its leaf, want X", txn, got)
 					return
 				}

@@ -113,8 +113,8 @@ func TestUpgradeDeadlock(t *testing.T) {
 	if err := <-r1; err != nil {
 		t.Fatalf("txn 1 upgrade: %v", err)
 	}
-	if m.HeldMode(1, "a") != X {
-		t.Errorf("mode = %v, want X", m.HeldMode(1, "a"))
+	if heldMode(m, 1, "a") != X {
+		t.Errorf("mode = %v, want X", heldMode(m, 1, "a"))
 	}
 }
 

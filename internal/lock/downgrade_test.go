@@ -11,10 +11,10 @@ func TestDowngradeInPlace(t *testing.T) {
 	if err := m.AcquireCtx(context.Background(), 1, "a", X); err != nil {
 		t.Fatal(err)
 	}
-	if err := m.Downgrade(1, "a", IX); err != nil {
+	if err := downgrade(m, 1, "a", IX); err != nil {
 		t.Fatal(err)
 	}
-	if got := m.HeldMode(1, "a"); got != IX {
+	if got := heldMode(m, 1, "a"); got != IX {
 		t.Errorf("mode = %v, want IX", got)
 	}
 	if m.Stats().Downgrades != 1 {
@@ -34,14 +34,14 @@ func TestDowngradeWakesWaiters(t *testing.T) {
 		t.Fatalf("IX granted under X: %v", err)
 	case <-time.After(20 * time.Millisecond):
 	}
-	if err := m.Downgrade(1, "a", IX); err != nil {
+	if err := downgrade(m, 1, "a", IX); err != nil {
 		t.Fatal(err)
 	}
 	if err := <-done; err != nil {
 		t.Fatal(err)
 	}
 	// Both hold IX now.
-	h := m.Holders("a")
+	h := holders(m, "a")
 	if h[1] != IX || h[2] != IX {
 		t.Errorf("holders = %v", h)
 	}
@@ -49,20 +49,20 @@ func TestDowngradeWakesWaiters(t *testing.T) {
 
 func TestDowngradeErrors(t *testing.T) {
 	m := NewManager(Options{})
-	if err := m.Downgrade(1, "a", IS); err == nil {
+	if err := downgrade(m, 1, "a", IS); err == nil {
 		t.Error("downgrade of unheld lock succeeded")
 	}
 	if err := m.AcquireCtx(context.Background(), 1, "a", S); err != nil {
 		t.Fatal(err)
 	}
-	if err := m.Downgrade(1, "a", X); err == nil {
+	if err := downgrade(m, 1, "a", X); err == nil {
 		t.Error("upgrade via Downgrade succeeded")
 	}
-	if err := m.Downgrade(1, "a", IX); err == nil {
+	if err := downgrade(m, 1, "a", IX); err == nil {
 		t.Error("downgrade to incomparable mode succeeded (S does not cover IX)")
 	}
 	// Equal mode is a permitted no-op-ish downgrade.
-	if err := m.Downgrade(1, "a", S); err != nil {
+	if err := downgrade(m, 1, "a", S); err != nil {
 		t.Errorf("downgrade to same mode: %v", err)
 	}
 }
@@ -72,10 +72,10 @@ func TestDowngradeToNoneReleases(t *testing.T) {
 	if err := m.AcquireCtx(context.Background(), 1, "a", X); err != nil {
 		t.Fatal(err)
 	}
-	if err := m.Downgrade(1, "a", None); err != nil {
+	if err := downgrade(m, 1, "a", None); err != nil {
 		t.Fatal(err)
 	}
-	if m.HeldMode(1, "a") != None {
+	if heldMode(m, 1, "a") != None {
 		t.Error("lock survived downgrade to None")
 	}
 	if m.LockCount() != 0 {
@@ -95,7 +95,7 @@ func TestDowngradeAtomicity(t *testing.T) {
 	got := make(chan error, 1)
 	go func() { got <- m.AcquireCtx(context.Background(), 2, "a", X) }()
 	time.Sleep(10 * time.Millisecond)
-	if err := m.Downgrade(1, "a", IX); err != nil {
+	if err := downgrade(m, 1, "a", IX); err != nil {
 		t.Fatal(err)
 	}
 	// Txn 2's X is still blocked: IX ∦ X.

@@ -85,10 +85,10 @@ func TestCrashRestartKeepsLongLocks(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	if m2.HeldMode(100, "cells/c1") != X {
+	if heldMode(m2, 100, "cells/c1") != X {
 		t.Error("long lock lost across restart")
 	}
-	if m2.HeldMode(5, "cells/c2") != None {
+	if heldMode(m2, 5, "cells/c2") != None {
 		t.Error("short lock survived restart")
 	}
 	// The restored lock still synchronizes.
@@ -111,7 +111,7 @@ func TestRestoreMergesWithHeld(t *testing.T) {
 	if err := m.Restore([]DurableLock{{Txn: 1, Resource: "a", Mode: S}}); err != nil {
 		t.Fatal(err)
 	}
-	if got := m.HeldMode(1, "a"); got != SIX {
+	if got := heldMode(m, 1, "a"); got != SIX {
 		t.Errorf("merged mode = %v, want SIX", got)
 	}
 }

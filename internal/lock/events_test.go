@@ -153,7 +153,7 @@ func TestBatchEventsShareOneStamp(t *testing.T) {
 	}
 	after := time.Now()
 	time.Sleep(time.Millisecond)
-	m.Release(1, "db/s/r/k")
+	release(m, 1, "db/s/r/k")
 
 	sink.mu.Lock()
 	defer sink.mu.Unlock()
@@ -195,7 +195,7 @@ func TestConcurrentEventOrdering(t *testing.T) {
 					t.Error(err)
 					return
 				}
-				m.Release(txn, r)
+				release(m, txn, r)
 			}
 		}(w)
 	}

@@ -15,7 +15,7 @@ import (
 
 func TestHeldLocksInAcquisitionOrder(t *testing.T) {
 	ctx := context.Background()
-	m := NewManager(Options{Shards: 4})
+	m := newManager(Options{}, 4)
 	must := func(err error) {
 		t.Helper()
 		if err != nil {
@@ -28,7 +28,7 @@ func TestHeldLocksInAcquisitionOrder(t *testing.T) {
 	must(m.AcquireCtx(ctx, 1, "r2", IS))
 	must(m.AcquireCtx(ctx, 1, "r3", X))                // conversion: now the latest grant
 	must(m.AcquireCtx(ctx, 1, "r1", S, WithDurable())) // regrant made durable: stays put
-	must(m.Downgrade(1, "r2", IS))                     // same mode: no new grant
+	must(downgrade(m, 1, "r2", IS))                    // same mode: no new grant
 	must(m.AcquireCtx(ctx, 2, "r1", S))                // another transaction's grants
 	must(m.AcquireBatch(ctx, 2, chainReqs(IS, S)))     // do not move txn 1's
 	want := []Resource{"r1", "db", "db/seg", "db/seg/rel", "db/seg/rel/t1", "r2", "r3"}

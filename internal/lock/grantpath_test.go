@@ -63,16 +63,16 @@ func TestSummaryMatchesFoldSequential(t *testing.T) {
 				t.Fatalf("step %d: acquire: %v", step, err)
 			}
 		case op < 7: // downgrade (skip targets the held mode does not cover)
-			if held := m.HeldMode(txn, r); held != None {
+			if held := heldMode(m, txn, r); held != None {
 				down := []Mode{None, IS, IX, S}[rng.Intn(4)]
 				if held.Covers(down) {
-					if err := m.Downgrade(txn, r, down); err != nil {
+					if err := downgrade(m, txn, r, down); err != nil {
 						t.Fatalf("step %d: downgrade: %v", step, err)
 					}
 				}
 			}
 		case op < 9: // release one resource
-			m.Release(txn, r)
+			release(m, txn, r)
 		default: // release everything
 			m.ReleaseAll(txn)
 		}
@@ -144,7 +144,7 @@ func TestSummaryStressConcurrent(t *testing.T) {
 					continue
 				}
 				if rng.Intn(4) == 0 {
-					_ = m.Downgrade(id, r, IS)
+					_ = downgrade(m, id, r, IS)
 				}
 				if rng.Intn(3) == 0 {
 					m.ReleaseAll(id)
@@ -530,7 +530,7 @@ func TestContendedHandOffAllocs(t *testing.T) {
 					errs <- err
 					return
 				}
-				m.Release(1, "pp")
+				release(m, 1, "pp")
 				if err := m.AcquireCtx(ctx1, 1, "pp", X); err != nil {
 					errs <- err
 					return
@@ -548,7 +548,7 @@ func TestContendedHandOffAllocs(t *testing.T) {
 					errs <- err
 					return
 				}
-				m.Release(2, "pp")
+				release(m, 2, "pp")
 			}
 			errs <- nil
 		}()
@@ -600,14 +600,14 @@ func poolsRecycle() bool {
 // entry to its map), drains it, and re-populates the recycled entry,
 // checking the summaries and visible holder set at each stage.
 func TestSpillAndRecycle(t *testing.T) {
-	m := NewManager(Options{Shards: 1})
+	m := newManager(Options{}, 1)
 	const n = inlineHolders * 2
 	for txn := TxnID(1); txn <= n; txn++ {
 		if err := m.AcquireCtx(context.Background(), txn, "obj", IS); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if got := len(m.Holders("obj")); got != n {
+	if got := len(holders(m, "obj")); got != n {
 		t.Fatalf("holders = %d, want %d", got, n)
 	}
 	assertSummaries(t, m)
@@ -629,7 +629,7 @@ func TestSpillAndRecycle(t *testing.T) {
 		}
 	}
 	assertSummaries(t, m)
-	if got := m.Holders("obj"); len(got) != 3 || got[2] != S {
+	if got := holders(m, "obj"); len(got) != 3 || got[2] != S {
 		t.Fatalf("holders after recycle = %v", got)
 	}
 	for txn := TxnID(1); txn <= 3; txn++ {

@@ -12,7 +12,7 @@ import (
 
 // Tests for the held index: one pooled lock list per transaction, written
 // under the table-shard latch wherever a holder slot changes, answering
-// HeldCovers / HeldLocks / TxnActive / ActiveTxns and swept by ReleaseAll.
+// HeldCoversID / HeldLocks / TxnActive / ActiveTxns and swept by ReleaseAll.
 
 // checkHeldIndex compares the held index with the lock table, one resource
 // at a time under that resource's table-shard latch — the latch every list
@@ -97,9 +97,9 @@ func checkHeldIndex(m *Manager, quiescent bool) error {
 }
 
 // assertListsMatchTable is the black-box half, for a quiescent manager: what
-// HeldLocks reports for each transaction equals what Holders and HeldMode
-// report per resource, durable flags equal Snapshot's, and ActiveTxns counts
-// exactly the transactions holding something.
+// HeldLocks reports for each transaction equals what the queue snapshot and
+// HeldModeID report per resource, durable flags equal Snapshot's, and
+// ActiveTxns counts exactly the transactions holding something.
 func assertListsMatchTable(t *testing.T, m *Manager, txns []TxnID, resources []Resource) {
 	t.Helper()
 	if err := checkHeldIndex(m, true); err != nil {
@@ -127,9 +127,9 @@ func assertListsMatchTable(t *testing.T, m *Manager, txns []TxnID, resources []R
 			t.Errorf("txn %d: TxnActive = %v with %d listed locks", txn, got, len(list))
 		}
 		for _, r := range resources {
-			want := m.Holders(r)[txn]
-			if got := m.HeldMode(txn, r); got != want {
-				t.Errorf("txn %d on %q: HeldMode %v, Holders %v", txn, r, got, want)
+			want := holders(m, r)[txn]
+			if got := heldMode(m, txn, r); got != want {
+				t.Errorf("txn %d on %q: HeldModeID %v, holders %v", txn, r, got, want)
 			}
 			h, ok := list[r]
 			if ok != (want != None) || h.Mode != want {
@@ -139,8 +139,8 @@ func assertListsMatchTable(t *testing.T, m *Manager, txns []TxnID, resources []R
 				t.Errorf("txn %d on %q: list durable=%v, snapshot durable=%v", txn, r, h.Durable, durable[key{txn, r}])
 			}
 			for _, mode := range []Mode{IS, IX, S, SIX, X} {
-				if got := m.HeldCovers(txn, r, mode, false); got != (want != None && want.Covers(mode)) {
-					t.Errorf("txn %d on %q holding %v: HeldCovers(%v) = %v", txn, r, want, mode, got)
+				if got := heldCovers(m, txn, r, mode, false); got != (want != None && want.Covers(mode)) {
+					t.Errorf("txn %d on %q holding %v: HeldCoversID(%v) = %v", txn, r, want, mode, got)
 				}
 			}
 		}
@@ -217,22 +217,22 @@ func TestHeldListMatchesTable(t *testing.T) {
 							m.ReleaseAll(id)
 						}
 					case op < 10: // durable upgrade of whatever is held
-						if held := m.HeldMode(id, r); held != None {
+						if held := heldMode(m, id, r); held != None {
 							if err := m.AcquireCtx(ctx, id, r, held, WithDurable()); err != nil {
 								t.Errorf("txn %d: durable regrant: %v", id, err)
 							}
 						}
 					case op < 12:
-						if held := m.HeldMode(id, r); held != None {
+						if held := heldMode(m, id, r); held != None {
 							down := []Mode{None, IS, IX, S}[rng.Intn(4)]
 							if held.Covers(down) {
-								if err := m.Downgrade(id, r, down); err != nil {
+								if err := downgrade(m, id, r, down); err != nil {
 									t.Errorf("txn %d: downgrade: %v", id, err)
 								}
 							}
 						}
 					case op < 13:
-						m.Release(id, r)
+						release(m, id, r)
 					case op < 14: // refused when it conflicts, which is fine
 						_ = m.Restore([]DurableLock{{Txn: id, Resource: r, Mode: mode}})
 					case op < 15:
@@ -294,7 +294,7 @@ func TestFailedFirstLockLeavesNoList(t *testing.T) {
 		if err == nil {
 			t.Fatalf("txn %d got S under txn 1's X", txn)
 		}
-		if m.HeldCovers(txn, "hot", IS, false) {
+		if heldCovers(m, txn, "hot", IS, false) {
 			t.Fatalf("txn %d: HeldCovers hit after a failed request", txn)
 		}
 		m.ReleaseAll(txn)
@@ -321,7 +321,7 @@ func TestHeldCovers(t *testing.T) {
 	defer m.Close()
 	ctx := context.Background()
 	const r = Resource("db/seg/rel/o1")
-	covers := func(mode Mode, durable bool) bool { return m.HeldCovers(1, r, mode, durable) }
+	covers := func(mode Mode, durable bool) bool { return heldCovers(m, 1, r, mode, durable) }
 
 	if covers(IS, false) {
 		t.Error("hit before any grant")
@@ -332,7 +332,7 @@ func TestHeldCovers(t *testing.T) {
 	if !covers(IS, false) || !covers(IX, false) || covers(S, false) || covers(X, false) {
 		t.Error("IX held: want IS and IX covered, S and X not")
 	}
-	if m.HeldCovers(2, r, IS, false) {
+	if heldCovers(m, 2, r, IS, false) {
 		t.Error("another transaction hits on txn 1's lock")
 	}
 	if covers(IS, true) {
@@ -350,7 +350,7 @@ func TestHeldCovers(t *testing.T) {
 	if !covers(S, true) || covers(X, false) {
 		t.Error("conversion to SIX not recorded")
 	}
-	if err := m.Downgrade(1, r, IS); err != nil {
+	if err := downgrade(m, 1, r, IS); err != nil {
 		t.Fatal(err)
 	}
 	if !covers(IS, false) || covers(IX, false) {
@@ -368,7 +368,7 @@ func TestHeldCovers(t *testing.T) {
 		t.Errorf("HeldCovers emitted %d events", events-seen)
 	}
 
-	m.Release(1, r)
+	release(m, 1, r)
 	if covers(IS, false) || m.TxnActive(1) {
 		t.Error("hit after Release of the last lock")
 	}
@@ -399,13 +399,13 @@ func TestReleaseAllSweepSeesRerecordedSlot(t *testing.T) {
 		}
 	}
 	l := m.txnShardFor(1).detach(1) // ReleaseAll, first step
-	if m.HeldCovers(1, "a", IS, false) {
+	if heldCovers(m, 1, "a", IS, false) {
 		t.Error("hit on a detached list")
 	}
 	if err := m.AcquireCtx(ctx, 1, "a", IX); err != nil { // foreign conversion mid-sweep
 		t.Fatal(err)
 	}
-	if !m.HeldCovers(1, "a", IX, false) {
+	if !heldCovers(m, 1, "a", IX, false) {
 		t.Error("conversion during the sweep not recorded")
 	}
 	if err := checkHeldIndex(m, false); err != nil {
@@ -420,9 +420,9 @@ func TestReleaseAllSweepSeesRerecordedSlot(t *testing.T) {
 		}
 	}
 	putHeldList(l)
-	if m.HeldCovers(1, "a", IS, false) || m.TxnActive(1) || m.LockCount() != 0 {
+	if heldCovers(m, 1, "a", IS, false) || m.TxnActive(1) || m.LockCount() != 0 {
 		t.Errorf("after the sweep: covers=%v active=%v locks=%d, want nothing left",
-			m.HeldCovers(1, "a", IS, false), m.TxnActive(1), m.LockCount())
+			heldCovers(m, 1, "a", IS, false), m.TxnActive(1), m.LockCount())
 	}
 	if err := checkHeldIndex(m, true); err != nil {
 		t.Error(err)

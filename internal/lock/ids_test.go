@@ -66,7 +66,7 @@ func TestInternConcurrent(t *testing.T) {
 // TestShardOfDoesNotIntern: ShardOf answers for names in the id space and
 // adds none.
 func TestShardOfDoesNotIntern(t *testing.T) {
-	m := NewManager(Options{Shards: 4})
+	m := newManager(Options{}, 4)
 	for i := 0; i < 3; i++ {
 		m.Intern(Resource(fmt.Sprintf("r%d", i)))
 	}

@@ -128,12 +128,6 @@ type Options struct {
 	Sinks []EventSink
 	// Policy selects deadlock handling (default PolicyDetect).
 	Policy Policy
-	// Shards is the number of lock-table stripes. 0 picks an automatic
-	// GOMAXPROCS-scaled power of two (at least 16); other values are
-	// rounded up to a power of two. Shards=1 degenerates to the classic
-	// single-latch lock table. Only tests set it, to pin the stripe layout
-	// they exercise.
-	Shards int
 	// DeadlockDefer is how long a waiter under PolicyDetect blocks before it
 	// walks the waits-for graph from itself, on its own goroutine, and then
 	// keeps waiting. Most waits are grant-bound and far shorter than any real
@@ -248,9 +242,15 @@ type Manager struct {
 	detectorRuns atomic.Uint64 // waits-for walks run
 }
 
-// NewManager returns an empty lock manager.
-func NewManager(opts Options) *Manager {
-	n := opts.Shards
+// NewManager returns an empty lock manager with a GOMAXPROCS-scaled number
+// of lock-table stripes.
+func NewManager(opts Options) *Manager { return newManager(opts, 0) }
+
+// newManager is NewManager with n lock-table stripes: 0 picks the automatic
+// GOMAXPROCS-scaled power of two (at least 16), other values are rounded up
+// to a power of two. One stripe degenerates to the classic single-latch
+// lock table. Tests set n to pin the stripe layout they exercise.
+func newManager(opts Options, n int) *Manager {
 	if n <= 0 {
 		n = 8 * runtime.GOMAXPROCS(0)
 		if n < 16 {
@@ -908,11 +908,6 @@ func (m *Manager) grantWaitersLocked(tr *tracer, s *tableShard, e *entry, id Res
 	s.maybeDropEntry(id, e)
 }
 
-// Downgrade is DowngradeID on r's id.
-func (m *Manager) Downgrade(txn TxnID, r Resource, mode Mode) error {
-	return m.DowngradeID(txn, m.Intern(r), mode)
-}
-
 // DowngradeID atomically lowers txn's lock on id to a weaker mode (e.g.
 // X→IX during de-escalation) and wakes any waiters the weaker mode is
 // compatible with. Downgrading to None releases the lock. It is an error if
@@ -955,9 +950,6 @@ func (m *Manager) DowngradeID(txn TxnID, id ResID, mode Mode) error {
 	tr.finish()
 	return nil
 }
-
-// Release is ReleaseID on r's id.
-func (m *Manager) Release(txn TxnID, r Resource) { m.ReleaseID(txn, m.Intern(r)) }
 
 // ReleaseID drops txn's lock on id (leaf-to-root early release). Releasing
 // a resource that is not held is a no-op.
@@ -1038,11 +1030,6 @@ func (m *Manager) ReleaseAll(txn TxnID) {
 	putHeldList(l)
 }
 
-// HeldCovers is HeldCoversID on r's id.
-func (m *Manager) HeldCovers(txn TxnID, r Resource, mode Mode, durable bool) bool {
-	return m.HeldCoversID(txn, m.Intern(r), mode, durable)
-}
-
 // HeldCoversID reports whether txn already holds id in a mode covering mode
 // — durably, if durable is set. It is the protocol's fast path: answered
 // from txn's lock list under the txn-shard latch alone, it takes no
@@ -1061,9 +1048,6 @@ func (m *Manager) HeldCoversID(txn TxnID, id ResID, mode Mode, durable bool) boo
 	ts.mu.Unlock()
 	return h.mode != None && h.mode.Covers(mode) && (!durable || h.durable)
 }
-
-// HeldMode is HeldModeID on r's id.
-func (m *Manager) HeldMode(txn TxnID, r Resource) Mode { return m.HeldModeID(txn, m.Intern(r)) }
 
 // HeldModeID returns the mode txn currently holds on id (None if unheld).
 func (m *Manager) HeldModeID(txn TxnID, id ResID) Mode {
@@ -1099,22 +1083,6 @@ func (m *Manager) HeldLocks(txn TxnID) []Held {
 // transactions and shards). It reads an atomic counter and takes no latch.
 func (m *Manager) LockCount() int {
 	return int(m.size.Load())
-}
-
-// Holders returns the transactions holding a lock on r and their modes.
-func (m *Manager) Holders(r Resource) map[TxnID]Mode {
-	id := m.Intern(r)
-	s := m.shardFor(id)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make(map[TxnID]Mode)
-	if e := s.get(id); e != nil {
-		e.forEachHolder(func(t TxnID, h *heldLock) bool {
-			out[t] = h.mode
-			return true
-		})
-	}
-	return out
 }
 
 // Stats returns the manager's counters, aggregated lock-free across the

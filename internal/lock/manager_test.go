@@ -59,8 +59,8 @@ func TestConflictBlocksUntilRelease(t *testing.T) {
 	case <-time.After(time.Second):
 		t.Fatal("waiter not woken after release")
 	}
-	if m.HeldMode(2, "a") != S {
-		t.Errorf("txn 2 holds %v, want S", m.HeldMode(2, "a"))
+	if heldMode(m, 2, "a") != S {
+		t.Errorf("txn 2 holds %v, want S", heldMode(m, 2, "a"))
 	}
 }
 
@@ -96,8 +96,8 @@ func TestRegrantIsNoop(t *testing.T) {
 	if st.Grants != 1 {
 		t.Errorf("Grants = %d, want 1", st.Grants)
 	}
-	if m.HeldMode(1, "a") != X {
-		t.Errorf("mode = %v, want X", m.HeldMode(1, "a"))
+	if heldMode(m, 1, "a") != X {
+		t.Errorf("mode = %v, want X", heldMode(m, 1, "a"))
 	}
 }
 
@@ -109,7 +109,7 @@ func TestConversionToSupremum(t *testing.T) {
 	if err := m.AcquireCtx(context.Background(), 1, "a", S); err != nil {
 		t.Fatal(err)
 	}
-	if got := m.HeldMode(1, "a"); got != SIX {
+	if got := heldMode(m, 1, "a"); got != SIX {
 		t.Errorf("after IX+S conversion mode = %v, want SIX", got)
 	}
 	if m.Stats().Conversions != 1 {
@@ -136,8 +136,8 @@ func TestConversionWaitsForOtherHolders(t *testing.T) {
 	if err := <-got; err != nil {
 		t.Fatal(err)
 	}
-	if m.HeldMode(1, "a") != X {
-		t.Errorf("mode = %v, want X", m.HeldMode(1, "a"))
+	if heldMode(m, 1, "a") != X {
+		t.Errorf("mode = %v, want X", heldMode(m, 1, "a"))
 	}
 }
 
@@ -208,16 +208,16 @@ func TestReleaseSingleResource(t *testing.T) {
 	if err := m.AcquireCtx(context.Background(), 1, "b", X); err != nil {
 		t.Fatal(err)
 	}
-	m.Release(1, "a")
-	if m.HeldMode(1, "a") != None {
+	release(m, 1, "a")
+	if heldMode(m, 1, "a") != None {
 		t.Error("a still held after Release")
 	}
-	if m.HeldMode(1, "b") != X {
+	if heldMode(m, 1, "b") != X {
 		t.Error("b dropped by Release of a")
 	}
-	m.Release(1, "a") // releasing unheld is a no-op
-	m.Release(9, "b")
-	if m.HeldMode(1, "b") != X {
+	release(m, 1, "a") // releasing unheld is a no-op
+	release(m, 9, "b")
+	if heldMode(m, 1, "b") != X {
 		t.Error("b dropped by foreign Release")
 	}
 }
@@ -248,12 +248,12 @@ func TestHolders(t *testing.T) {
 	m := NewManager(Options{})
 	_ = m.AcquireCtx(context.Background(), 1, "a", IS)
 	_ = m.AcquireCtx(context.Background(), 2, "a", IX)
-	h := m.Holders("a")
+	h := holders(m, "a")
 	if len(h) != 2 || h[1] != IS || h[2] != IX {
-		t.Errorf("Holders = %v", h)
+		t.Errorf("holders = %v", h)
 	}
-	if len(m.Holders("nope")) != 0 {
-		t.Error("Holders of unknown resource non-empty")
+	if len(holders(m, "nope")) != 0 {
+		t.Error("holders of unknown resource non-empty")
 	}
 }
 
@@ -341,7 +341,7 @@ func TestConcurrentStress(t *testing.T) {
 					continue
 				}
 				// Verify the granted group is internally compatible.
-				hs := m.Holders(r)
+				hs := holders(m, r)
 				for t1, m1 := range hs {
 					for t2, m2 := range hs {
 						if t1 != t2 && !m1.Compatible(m2) {

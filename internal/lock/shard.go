@@ -151,7 +151,7 @@ func (ss *shardStats) addTo(st *Stats) {
 // txnShard is one stripe of the per-transaction held index (sharded by
 // TxnID): one lock list per transaction holding anything, so that commit/abort
 // release, HeldLocks and the protocol's "do I already hold this?" question
-// (HeldCovers) never sweep or latch the resource shards. Concurrent
+// (HeldCoversID) never sweep or latch the resource shards. Concurrent
 // transactions have different ids, hence (mostly) different stripes: the
 // pads keep each stripe on cache lines of its own, and the per-batch
 // counters live here, striped by transaction, instead of on the manager.

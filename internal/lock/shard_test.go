@@ -13,11 +13,11 @@ func TestShardCount(t *testing.T) {
 	if n := len(NewManager(Options{}).shards); n < 16 || n&(n-1) != 0 {
 		t.Errorf("default shard count %d: want a power of two >= 16", n)
 	}
-	if n := len(NewManager(Options{Shards: 1}).shards); n != 1 {
-		t.Errorf("Shards:1 gave %d shards", n)
+	if n := len(newManager(Options{}, 1).shards); n != 1 {
+		t.Errorf("1 stripe gave %d shards", n)
 	}
-	if n := len(NewManager(Options{Shards: 5}).shards); n != 8 {
-		t.Errorf("Shards:5 gave %d shards, want 8 (next power of two)", n)
+	if n := len(newManager(Options{}, 5).shards); n != 8 {
+		t.Errorf("5 stripes gave %d shards, want 8 (next power of two)", n)
 	}
 }
 
@@ -158,7 +158,7 @@ func TestAcquireCtxAlreadyCanceled(t *testing.T) {
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("want context.Canceled, got %v", err)
 	}
-	if m.HeldMode(1, "a") != None {
+	if heldMode(m, 1, "a") != None {
 		t.Error("canceled context still acquired a lock")
 	}
 	if m.LockCount() != 0 {
@@ -302,7 +302,7 @@ func TestShardedStress(t *testing.T) {
 					mode = X
 				}
 				if err := m.AcquireCtx(context.Background(), id, r, mode); err == nil {
-					hs := m.Holders(r)
+					hs := holders(m, r)
 					for t1, m1 := range hs {
 						for t2, m2 := range hs {
 							if t1 != t2 && !m1.Compatible(m2) {
@@ -368,10 +368,10 @@ func TestCrossShardDeadlockStress(t *testing.T) {
 	}
 }
 
-// TestSingleShardDegenerate runs the core flows on a Shards:1 manager (the
+// TestSingleShardDegenerate runs the core flows on a one-stripe manager (the
 // benchmark baseline topology) to keep it correct too.
 func TestSingleShardDegenerate(t *testing.T) {
-	m := NewManager(Options{Shards: 1})
+	m := newManager(Options{}, 1)
 	if err := m.AcquireCtx(context.Background(), 1, "a", S); err != nil {
 		t.Fatal(err)
 	}

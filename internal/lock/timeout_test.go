@@ -47,7 +47,7 @@ func TestAcquireTimeoutGrantsInTime(t *testing.T) {
 	if err := <-done; err != nil {
 		t.Fatalf("grant within deadline failed: %v", err)
 	}
-	if m.HeldMode(2, "a") != S {
+	if heldMode(m, 2, "a") != S {
 		t.Error("lock not held after timed grant")
 	}
 }

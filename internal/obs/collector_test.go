@@ -209,7 +209,7 @@ func TestCollectorConcurrent(t *testing.T) {
 					t.Error(err)
 					return
 				}
-				m.Release(txn, r)
+				m.ReleaseID(txn, m.Intern(r))
 			}
 		}(g)
 	}

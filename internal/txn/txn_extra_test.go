@@ -41,7 +41,8 @@ func TestTxnDeEscalateAndUnlock(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	mode := m.Protocol().Manager().HeldMode(tx.ID(), "db1/seg1/cells/c1")
+	mgr := m.Protocol().Manager()
+	mode := mgr.HeldModeID(tx.ID(), mgr.Intern("db1/seg1/cells/c1"))
 	if mode != lock.IX {
 		t.Errorf("after de-escalation object holds %v", mode)
 	}

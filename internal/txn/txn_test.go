@@ -364,7 +364,11 @@ func TestLongTxnLocksAreDurable(t *testing.T) {
 	if err := restarted.Restore(snap); err != nil {
 		t.Fatal(err)
 	}
-	err := restarted.AcquireCtx(context.Background(), tx.ID()+1, nm.MustResource(core.DataNode(r1)), lock.S, lock.WithNoWait())
+	r1res, err := nm.Resource(core.DataNode(r1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = restarted.AcquireCtx(context.Background(), tx.ID()+1, r1res, lock.S, lock.WithNoWait())
 	if !errors.Is(err, lock.ErrWouldBlock) {
 		t.Errorf("S on the kept robot after restore: err = %v, want ErrWouldBlock", err)
 	}

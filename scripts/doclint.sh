@@ -10,9 +10,10 @@
 #      (client, and the wire package third-party implementors read) has a
 #      doc comment on the line above it. Internal packages are exempt from
 #      the per-symbol rule; the public surface is not.
-#   3. No "Deprecated:" marker survives in internal/lock: the consolidated
-#      AcquireCtx + options API is the only acquire surface, and this check
-#      keeps the legacy wrappers from creeping back.
+#   3. No "Deprecated:" marker survives in internal/lock: the id-keyed
+#      AcquireID / AcquireBatchID with AcquireOption is the acquire surface
+#      (the name-taking AcquireCtx / AcquireBatch are Intern plus those), and
+#      this check keeps the legacy wrappers from creeping back.
 set -eu
 cd "$(dirname "$0")/.."
 
