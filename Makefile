@@ -39,9 +39,11 @@ race:
 # concurrent writers and the post-grant re-check depends on who parks when;
 # in lock and txn, a transaction's lock list is written by whichever goroutine
 # grants its waiter; in engine, every sink of the daemons' assembly runs on
-# whichever goroutine performed the operation.
+# whichever goroutine performed the operation; in obs, the collector's kind
+# memo is filled by whichever goroutine sees a resource id first, and the
+# journal's ring is filled by them all.
 race-matrix:
-	$(GO) test -race -cpu 1,2,4 -count=2 ./client ./internal/server ./internal/wire ./internal/core ./internal/store ./internal/lock ./internal/txn ./internal/engine
+	$(GO) test -race -cpu 1,2,4 -count=2 ./client ./internal/server ./internal/wire ./internal/core ./internal/store ./internal/lock ./internal/txn ./internal/engine ./internal/obs ./internal/journal
 
 # fuzz-smoke runs each fuzz target for 5s: the journal record
 # codec, the wire decoders, and the waits-for cycle walk against brute force.

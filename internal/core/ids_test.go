@@ -95,10 +95,12 @@ func TestNamerBindsOneManager(t *testing.T) {
 // interns its name and its new ancestors and costs one allocation more than
 // an unbound one (TestNamerFirstVisitAllocs): the entry, its path copy, its
 // name and the ancestor ids — the id table's inserts amortize to nothing.
-// Every ancestor's name is a prefix of the path's own.
+// The database's and the segment's ids are the ones their cached entries
+// hold; every deeper ancestor's name is a prefix of the path's own.
 func TestBoundNamerFirstVisitAllocs(t *testing.T) {
 	const n = 4096
-	nm := NewNamer(store.PaperDatabase().Catalog(), false)
+	cat := store.PaperDatabase().Catalog()
+	nm := NewNamer(cat, false)
 	nm.paths.Store(newPathTable(4 * n))
 	mgr := lock.NewManager(lock.Options{})
 	nm.bind(mgr)
@@ -106,11 +108,15 @@ func TestBoundNamerFirstVisitAllocs(t *testing.T) {
 	for i := range nodes {
 		nodes[i] = DataNode(store.P("cells", "c"+strconv.Itoa(i/8), "robots", "r"+strconv.Itoa(i%8), "trajectory"))
 	}
+	seg := nm.segEntry(cat.Relation("cells").Segment)
 	i := 0
 	allocs := testing.AllocsPerRun(n-1, func() { // AllocsPerRun adds one warm-up call
 		e, err := nm.resolve(nodes[i])
 		if err != nil {
 			t.Fatal(err)
+		}
+		if e.ancID[0] != nm.db.id || e.ancID[1] != seg.id {
+			t.Fatalf("ancestor ids %v, want the cached database id %d and segment id %d first", e.ancID[:2], nm.db.id, seg.id)
 		}
 		for _, id := range e.ancID[2:] {
 			if a := mgr.Name(id); !strings.HasPrefix(string(e.res), string(a)+"/") {

@@ -257,10 +257,12 @@ func (nm *Namer) bind(mgr *lock.Manager) {
 }
 
 // intern sets e's ids in the bound manager's id space. Entries whose shape
-// the schema rules out are never locked and get none. Every ancestor's name
-// is a prefix of e.res, so the ids cost one allocation beyond interning.
-// Caller holds nm.mu, or owns e. (bind interns published entries: it runs in
-// NewProtocol, before the namer serves lock calls.)
+// the schema rules out are never locked and get none. The database's and
+// the segment's ids come from their cached entries, interned before any
+// entry below them; every deeper ancestor's name is a prefix of e.res, so
+// the ids cost one allocation beyond interning. Caller holds nm.mu, or owns
+// e. (bind interns published entries: it runs in NewProtocol, before the
+// namer serves lock calls.)
 func (nm *Namer) intern(e *nameEntry) {
 	if e.infoErr != nil {
 		return
@@ -269,12 +271,13 @@ func (nm *Namer) intern(e *nameEntry) {
 	if e == nm.db {
 		return
 	}
-	e.ancID = append(make([]lock.ResID, 0, len(e.path)+1), nm.mgr.Intern(nm.db.res))
+	e.ancID = append(make([]lock.ResID, 0, len(e.path)+1), nm.db.id)
 	if e.segEnd == 0 { // a segment
 		return
 	}
 	end := int(e.segEnd)
-	e.ancID = append(e.ancID, nm.mgr.Intern(e.res[:end]))
+	seg := (*nm.segs.Load())[string(e.res[len(nm.db.res)+1:end])]
+	e.ancID = append(e.ancID, seg.id)
 	for _, seg := range e.path[:len(e.path)-1] {
 		end += 1 + len(seg)
 		e.ancID = append(e.ancID, nm.mgr.Intern(e.res[:end]))

@@ -155,11 +155,11 @@ var UnitKindLabels = []string{"database", "segment", "relation", "entry-point", 
 //
 //	obs.Options{KindLabels: core.UnitKindLabels, KindOf: core.UnitKindOf(nm)}
 //
-// The classifier sits on every sink's per-event path, so it allocates
-// nothing: the level comes from the slash count, and a deep node's kind from
-// the namer's name cache, which memoised its classification when the
-// protocol named the resource. Only a resource the namer never produced pays
-// the schema walk.
+// The collector asks it once per resource id and the trace recorder once per
+// span, so it allocates nothing: the level comes from the slash count, and a
+// deep node's kind from the namer's name cache, which memoised its
+// classification when the protocol named the resource. Only a resource the
+// namer never produced pays the schema walk.
 func UnitKindOf(nm *Namer) func(lock.Resource) int {
 	return func(r lock.Resource) int {
 		if depth := strings.Count(string(r), "/"); depth <= 3 {

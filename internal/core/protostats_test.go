@@ -8,6 +8,8 @@ import (
 
 	"colock/internal/authz"
 	"colock/internal/lock"
+	"colock/internal/obs"
+	"colock/internal/schema"
 	"colock/internal/store"
 )
 
@@ -157,6 +159,42 @@ func TestUnitKindOfClassifier(t *testing.T) {
 		if got := UnitKindLabels[kindOf(r)]; got != want {
 			t.Errorf("UnitKindOf(%q) = %s, want %s", r, got, want)
 		}
+	}
+}
+
+// A collector classifying with UnitKindOf keeps each resource id's kind,
+// but not "other": a resource of a relation the catalog does not know yet
+// is classified again once DDL adds the relation.
+func TestCollectorClassifiesRelationAddedLater(t *testing.T) {
+	st := store.PaperDatabase()
+	cat := st.Catalog()
+	nm := NewNamer(cat, false)
+	col := obs.NewCollector(obs.Options{KindLabels: UnitKindLabels, KindOf: UnitKindOf(nm)})
+	mgr := lock.NewManager(lock.Options{Sinks: []lock.EventSink{col}})
+	const res = lock.Resource("db1/seg1/tools/t1/specs")
+	acquire := func(txn lock.TxnID) {
+		t.Helper()
+		if err := mgr.AcquireCtx(context.Background(), txn, res, lock.S); err != nil {
+			t.Fatal(err)
+		}
+		mgr.ReleaseAll(txn)
+	}
+	acquire(1)
+	if s := col.Hist(obs.OpAcquire, lock.S, "other"); s.Count != 1 {
+		t.Fatalf("acquire on an unknown relation counted %d times as other, want 1", s.Count)
+	}
+	tools := &schema.Relation{Name: "tools", Segment: "seg1", Key: "id",
+		Type: schema.Tuple(schema.F("id", schema.Str()), schema.F("specs", schema.Set(schema.Str())))}
+	if err := cat.AddRelation(tools); err != nil {
+		t.Fatal(err)
+	}
+	acquire(2)
+	acquire(3)
+	if s := col.Hist(obs.OpAcquire, lock.S, "HoLU"); s.Count != 2 {
+		t.Errorf("acquires after the relation was added: %d as HoLU, want 2", s.Count)
+	}
+	if s := col.Hist(obs.OpAcquire, lock.S, "other"); s.Count != 1 {
+		t.Errorf("acquires as other: %d, want still 1", s.Count)
 	}
 }
 

@@ -3,8 +3,10 @@ package journal
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"os"
 	"reflect"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -17,7 +19,7 @@ import (
 // decoded records compare equal with reflect.DeepEqual).
 func at(i int) time.Time { return time.Unix(1700000000, int64(i)*int64(time.Millisecond)) }
 
-// sampleRecords exercises every field: blockers, release-all sweeps,
+// sampleRecords exercises every field: blockers, a release-all summary,
 // wait-die flags, zero durations, synthetic kinds.
 func sampleRecords() []Record {
 	return []Record{
@@ -25,8 +27,7 @@ func sampleRecords() []Record {
 		{Event: lock.Event{Kind: "wait", Txn: 2, Resource: "db1/seg1/cells/c1", Mode: lock.X, Shard: 3, At: at(1), Blockers: []lock.TxnID{1}}},
 		{Event: lock.Event{Kind: "grant", Txn: 2, Resource: "db1/seg1/cells/c1", Mode: lock.X, Shard: 3, Waited: true, At: at(2), Dur: time.Millisecond}},
 		{Event: lock.Event{Kind: "victim", Txn: 3, Resource: "db1/seg1/cells/c2", Mode: lock.IX, Shard: 5, WaitDie: true, At: at(3), Dur: 7 * time.Millisecond, Blockers: []lock.TxnID{1, 2}}},
-		{Event: lock.Event{Kind: "release-all", Txn: 1, Shard: 0, At: at(4), Dur: time.Microsecond,
-			Resources: []lock.Resource{"db1/seg1/cells/c1", "db1", "db1/seg1"}}},
+		{Event: lock.Event{Kind: "release-all", Txn: 1, Shard: 0, At: at(4), Dur: time.Microsecond}},
 		{Event: lock.Event{Kind: "fastpath", At: at(5)}, Hits: 38},
 		{Event: lock.Event{Kind: "health", Resource: "ok->warn abort rate 0.4 > 0.05", At: at(6)}},
 		{Event: lock.Event{Kind: "reset", At: at(7)}},
@@ -112,6 +113,110 @@ func TestSegmentRotationAndInterning(t *testing.T) {
 		if r.Resource != recs[i].Resource || r.Txn != recs[i].Txn {
 			t.Fatalf("record %d: %+v, want %+v", i, r, recs[i])
 		}
+	}
+}
+
+// TestRotationClearsIDCache: events of two managers — whose ids overlap and
+// name different resources — go through a writer whose tiny segments rotate
+// mid-stream, emptying the interning tables each time. Every decoded record
+// must name what its event named.
+func TestRotationClearsIDCache(t *testing.T) {
+	dir := t.TempDir()
+	w, err := Open(dir, Options{MaxSegmentBytes: 512})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var mu sync.Mutex
+	var emitted []lock.Event
+	rec := sinkFunc(func(evs []lock.Event) {
+		mu.Lock()
+		emitted = append(emitted, evs...)
+		mu.Unlock()
+	})
+	a := lock.NewManager(lock.Options{Sinks: []lock.EventSink{rec, w}})
+	b := lock.NewManager(lock.Options{Sinks: []lock.EventSink{rec, w}})
+	ctx := context.Background()
+	for i := 0; i < 200; i++ {
+		for j, m := range []*lock.Manager{a, b} {
+			txn := lock.TxnID(2*i + j + 1)
+			prefix := []string{"db1/a/", "db1/b/"}[j]
+			for k := 0; k < 3; k++ {
+				res := lock.Resource(prefix + strconv.Itoa((i+k)%11))
+				if err := m.AcquireCtx(ctx, txn, res, lock.X); err != nil {
+					t.Fatal(err)
+				}
+			}
+			m.ReleaseAll(txn)
+		}
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if a.Intern("db1/a/0") != b.Intern("db1/b/0") {
+		t.Fatal("the two managers' ids do not overlap; the test covers nothing")
+	}
+	segs, err := Segments(dir)
+	if err != nil || len(segs) < 10 {
+		t.Fatalf("%d segments (err %v), want ≥ 10 rotations", len(segs), err)
+	}
+	got, torn, err := ReadAll(dir)
+	if err != nil || torn {
+		t.Fatalf("ReadAll: torn=%v err=%v", torn, err)
+	}
+	if len(got) != len(emitted) {
+		t.Fatalf("read %d records, %d events emitted", len(got), len(emitted))
+	}
+	for i, r := range got {
+		e := emitted[i]
+		if r.Kind != e.Kind || r.Resource != e.Resource || r.Txn != e.Txn || r.Mode != e.Mode {
+			t.Fatalf("record %d = %s, want %s txn=%d %s %s", i, r, e.Kind, e.Txn, e.Mode, e.Resource)
+		}
+	}
+}
+
+type sinkFunc func([]lock.Event)
+
+func (f sinkFunc) Record(e lock.Event)          { f([]lock.Event{e}) }
+func (f sinkFunc) RecordBatch(evs []lock.Event) { f(evs) }
+
+// TestOldSweepListDecodes: journals written before the release-all summary
+// lost its resource list carry the list's interned ids; they still decode,
+// the list checked and dropped.
+func TestOldSweepListDecodes(t *testing.T) {
+	var buf bytes.Buffer
+	enc, err := newSegmentEncoder(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	kindID, _ := enc.intern("release-all")
+	resID, _ := enc.intern("db1/a")
+	p := []byte{recEvent}
+	p = binary.AppendUvarint(p, uint64(kindID))
+	p = binary.AppendUvarint(p, 7) // txn
+	p = binary.AppendUvarint(p, 0) // no resource
+	p = append(p, byte(lock.None))
+	p = binary.AppendUvarint(p, 0) // shard
+	p = append(p, 0)               // flags
+	p = binary.AppendVarint(p, at(1).UnixNano())
+	p = binary.AppendUvarint(p, 5) // dur
+	p = binary.AppendUvarint(p, 0) // blockers
+	p = binary.AppendUvarint(p, 2) // the old sweep list
+	p = binary.AppendUvarint(p, uint64(resID))
+	p = binary.AppendUvarint(p, uint64(resID))
+	if err := enc.writeFrame(p); err != nil {
+		t.Fatal(err)
+	}
+	dec, err := newSegmentDecoder(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := dec.next()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := Record{Event: lock.Event{Kind: "release-all", Txn: 7, At: at(1), Dur: 5}}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("decoded %+v, want %+v", got, want)
 	}
 }
 
@@ -408,16 +513,29 @@ func TestEmptyDirReads(t *testing.T) {
 }
 
 // FuzzRecordRoundTrip drives arbitrary field values through one
-// encoder/decoder pair and asserts the record survives unchanged.
+// encoder/decoder pair and asserts the records survive unchanged. In one
+// segment it writes the record stamped as a manager's (Code, ID), then a
+// record — stamped too when waited is set, literal otherwise — that carries
+// the same ID but names extraRes, then the first record again: the encoder
+// finds a stamped record's strings by code and id, and must never write the
+// name it cached under them for another one. Code and ID are not persisted,
+// so the comparison zeroes them.
 func FuzzRecordRoundTrip(f *testing.F) {
 	f.Add("grant", uint64(1), "db1/seg1/cells/c1", byte(5), uint32(3), true, false, int64(1700000000e9), int64(250), uint64(2), "db1/x")
 	f.Add("", uint64(0), "", byte(0), uint32(0), false, false, int64(0), int64(-5), uint64(0), "")
 	f.Add("victim", uint64(1<<63), strings.Repeat("long/", 100), byte(255), uint32(1<<20), true, true, int64(-1), int64(1<<40), uint64(7), "q")
+	f.Add("release", uint64(9), "db1/a", byte(1), uint32(2), false, false, int64(3), int64(4), uint64(0), "db1/a")
 	f.Fuzz(func(t *testing.T, kind string, txn uint64, resource string, mode byte, shard uint32, waited, waitdie bool, atNanos, dur int64, blocker uint64, extraRes string) {
+		code := lock.KindOf(kind)
+		if code == lock.KindOther {
+			code = lock.KindGrant // stamped with a code its Kind does not spell
+		}
 		rec := Record{Event: lock.Event{
 			Kind:     kind,
+			Code:     code,
 			Txn:      lock.TxnID(txn),
 			Resource: lock.Resource(resource),
+			ID:       lock.ResID(shard & 0xffff),
 			Mode:     lock.Mode(mode),
 			Shard:    int(shard & 0x7fffffff),
 			Waited:   waited,
@@ -432,28 +550,36 @@ func FuzzRecordRoundTrip(f *testing.F) {
 		if blocker != 0 {
 			rec.Blockers = []lock.TxnID{lock.TxnID(blocker)}
 		}
-		if extraRes != "" {
-			rec.Resources = []lock.Resource{lock.Resource(extraRes), rec.Resource}
+		other := rec
+		other.Resource = lock.Resource(extraRes)
+		if !waited {
+			other.Code = lock.KindOther
 		}
+		recs := []Record{rec, other, rec}
 
 		var buf bytes.Buffer
 		enc, err := newSegmentEncoder(&buf)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := enc.writeRecord(rec); err != nil {
-			t.Fatal(err)
+		for _, r := range recs {
+			if err := enc.writeRecord(r); err != nil {
+				t.Fatal(err)
+			}
 		}
 		dec, err := newSegmentDecoder(&buf)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := dec.next()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(got, rec) {
-			t.Fatalf("round trip mismatch:\n got %+v\nwant %+v", got, rec)
+		for i, want := range recs {
+			got, err := dec.next()
+			if err != nil {
+				t.Fatal(err)
+			}
+			want.Code, want.ID = lock.KindOther, 0
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("record %d: round trip mismatch:\n got %+v\nwant %+v", i, got, want)
+			}
 		}
 	})
 }

@@ -8,6 +8,7 @@ import (
 	"hash/crc32"
 	"io"
 	"math"
+	"slices"
 	"time"
 
 	"colock/internal/lock"
@@ -32,12 +33,14 @@ import (
 //	           byte mode, uvarint shard, byte flags (1 waited, 2 wait-die),
 //	           varint at (unix nanos; 0 = no timestamp), uvarint dur (ns),
 //	           uvarint #blockers + uvarint*, uvarint #resources + uvarint*
-//	           (interned resource ids, release-all sweeps), and on a
-//	           coalesced "fastpath" record uvarint hits (Record.Hits; absent
-//	           when zero, the payload length tells).
+//	           (interned resource ids; written empty, and skipped on read —
+//	           older writers listed a release-all sweep's resources here),
+//	           and on a coalesced "fastpath" record uvarint hits
+//	           (Record.Hits; absent when zero, the payload length tells).
 //
 // Id 0 always decodes to the empty string. Kinds and resource names share
-// one interning namespace.
+// one interning namespace. Event.Code and Event.ID are not persisted: the
+// encoder only uses them to find a string's id without hashing it.
 
 const (
 	segMagic = "CLKJRNL1"
@@ -57,22 +60,48 @@ const (
 var ErrTorn = errors.New("journal: torn record")
 
 // segmentEncoder writes framed records to w, interning strings per segment.
+// A manager-built event (Code != KindOther) finds its kind's id by code and
+// its resource's id by Event.ID, in arrays; a hit counts only when the name
+// cached with it is the event's, so an id of another manager (or a literal
+// event that sets Code and ID) costs a fresh string definition, never a
+// wrong name. Everything else — notes, fast-path folds, replayed records —
+// interns through the string map. reset starts the next segment with the
+// tables emptied but their memory kept.
 type segmentEncoder struct {
 	w     io.Writer
 	ids   map[string]uint32
+	kinds [lock.NumEventKinds]cachedString
+	res   []cachedString // by lock.ResID
 	next  uint32
-	buf   []byte   // payload scratch
-	sweep []uint32 // interned release-all resource ids, scratch
+	buf   []byte // payload scratch
 	frame [8]byte
 	n     int64 // bytes written, header included
 }
 
+// cachedString is a string the segment defined, filed under a manager key.
+type cachedString struct {
+	name string
+	id   uint32 // 0: nothing filed
+}
+
 // newSegmentEncoder writes the segment header and returns an encoder.
 func newSegmentEncoder(w io.Writer) (*segmentEncoder, error) {
+	e := &segmentEncoder{ids: make(map[string]uint32)}
+	return e, e.reset(w)
+}
+
+// reset begins a new segment on w: it writes the header and forgets every
+// interned string.
+func (e *segmentEncoder) reset(w io.Writer) error {
+	clear(e.ids)
+	clear(e.res)
+	e.kinds = [lock.NumEventKinds]cachedString{}
+	e.w, e.next, e.n = w, 1, 0
 	if _, err := io.WriteString(w, segMagic); err != nil {
-		return nil, err
+		return err
 	}
-	return &segmentEncoder{w: w, ids: make(map[string]uint32), next: 1, n: int64(len(segMagic))}, nil
+	e.n = int64(len(segMagic))
+	return nil
 }
 
 // writeFrame emits one length+CRC framed payload.
@@ -98,9 +127,28 @@ func (e *segmentEncoder) intern(s string) (uint32, error) {
 	if id, ok := e.ids[s]; ok {
 		return id, nil
 	}
+	id, err := e.define(s)
+	e.ids[s] = id
+	return id, err
+}
+
+// internAt is intern for a string filed under a manager key at c.
+func (e *segmentEncoder) internAt(c *cachedString, s string) (uint32, error) {
+	if s == "" {
+		return 0, nil
+	}
+	if c.id != 0 && c.name == s {
+		return c.id, nil
+	}
+	id, err := e.define(s)
+	*c = cachedString{name: s, id: id}
+	return id, err
+}
+
+// define assigns s the next id and emits its string record.
+func (e *segmentEncoder) define(s string) (uint32, error) {
 	id := e.next
 	e.next++
-	e.ids[s] = id
 	e.buf = e.buf[:0]
 	e.buf = append(e.buf, recString)
 	e.buf = binary.AppendUvarint(e.buf, uint64(id))
@@ -108,27 +156,28 @@ func (e *segmentEncoder) intern(s string) (uint32, error) {
 	return id, e.writeFrame(e.buf)
 }
 
+// resSlot returns the cache slot of resource id, growing the table to it.
+func (e *segmentEncoder) resSlot(id lock.ResID) *cachedString {
+	if n := int(id) + 1; n > len(e.res) {
+		e.res = slices.Grow(e.res, n-len(e.res))[:n]
+	}
+	return &e.res[id]
+}
+
 // writeRecord interns the record's strings and emits its event frame.
 func (e *segmentEncoder) writeRecord(rec Record) error {
-	kindID, err := e.intern(rec.Kind)
-	if err != nil {
-		return err
-	}
-	resID, err := e.intern(string(rec.Resource))
-	if err != nil {
-		return err
-	}
-	// Intern the release-all sweep list before building the event payload
-	// (interning writes frames of its own and shares the scratch buffer).
-	resIDs := e.sweep[:0]
-	for _, r := range rec.Resources {
-		id, err := e.intern(string(r))
-		if err != nil {
-			return err
+	var kindID, resID uint32
+	var err error
+	if k := rec.Code; k != lock.KindOther && k < lock.NumEventKinds {
+		if kindID, err = e.internAt(&e.kinds[k], rec.Kind); err == nil && rec.Resource != "" {
+			resID, err = e.internAt(e.resSlot(rec.ID), string(rec.Resource))
 		}
-		resIDs = append(resIDs, id)
+	} else if kindID, err = e.intern(rec.Kind); err == nil {
+		resID, err = e.intern(string(rec.Resource))
 	}
-	e.sweep = resIDs
+	if err != nil {
+		return err
+	}
 	var flags byte
 	if rec.Waited {
 		flags |= 1
@@ -158,10 +207,7 @@ func (e *segmentEncoder) writeRecord(rec Record) error {
 	for _, b := range rec.Blockers {
 		e.buf = binary.AppendUvarint(e.buf, uint64(b))
 	}
-	e.buf = binary.AppendUvarint(e.buf, uint64(len(resIDs)))
-	for _, id := range resIDs {
-		e.buf = binary.AppendUvarint(e.buf, uint64(id))
-	}
+	e.buf = append(e.buf, 0) // no resource list
 	if rec.Hits > 0 {
 		e.buf = binary.AppendUvarint(e.buf, rec.Hits)
 	}
@@ -347,18 +393,13 @@ func (d *segmentDecoder) decodeEvent(b []byte) (Record, error) {
 	if nr > uint64(len(b)) {
 		return rec, fmt.Errorf("journal: implausible resource count %d", nr)
 	}
-	if nr > 0 {
-		rec.Resources = make([]lock.Resource, nr)
-		for i := range rec.Resources {
-			v, err := u()
-			if err != nil {
-				return rec, err
-			}
-			s, err := d.lookup(v)
-			if err != nil {
-				return rec, err
-			}
-			rec.Resources[i] = lock.Resource(s)
+	for ; nr > 0; nr-- { // an old release-all sweep: checked, then dropped
+		v, err := u()
+		if err != nil {
+			return rec, err
+		}
+		if _, err := d.lookup(v); err != nil {
+			return rec, err
 		}
 	}
 	if len(b) > 0 {

@@ -394,14 +394,19 @@ func (w *Writer) rotate() error {
 	return w.openSegment(w.curSeg.Load() + 1)
 }
 
-// openSegment creates segment file seq and resets the interning table.
+// openSegment creates segment file seq and resets the interning tables.
 func (w *Writer) openSegment(seq uint64) error {
 	f, err := os.OpenFile(filepath.Join(w.dir, segmentName(seq)), os.O_CREATE|os.O_EXCL|os.O_WRONLY, 0o644)
 	if err != nil {
 		return fmt.Errorf("journal: %w", err)
 	}
 	bw := bufio.NewWriterSize(f, 64<<10)
-	enc, err := newSegmentEncoder(bw)
+	enc := w.enc
+	if enc == nil {
+		enc, err = newSegmentEncoder(bw)
+	} else {
+		err = enc.reset(bw) // the tables keep their memory across segments
+	}
 	if err != nil {
 		f.Close()
 		return err

@@ -208,7 +208,7 @@ func (m *Manager) abortWaiter(victim TxnID) bool {
 	m.wf.delete(victim)
 	s.stats.deadlocks.Add(1)
 	if tr != nil {
-		tr.add(KindVictim, rec.w.enq, victim, m.Name(rec.res), rec.w.mode, s.idx).Blockers = blockers
+		tr.add(KindVictim, rec.w.enq, victim, rec.res, m.Name(rec.res), rec.w.mode, s.idx).Blockers = blockers
 	}
 	// The victim learns its fate only after the victim event is delivered
 	// (tr.finish below). From here the waiter belongs to the victim's

@@ -65,6 +65,12 @@ type Event struct {
 	WaitDie  bool
 	Txn      TxnID
 	Resource Resource
+	// ID is Resource's id in the emitting manager's id space, so that a sink
+	// can key per-resource state by an integer instead of the name. It is
+	// meaningful only on a manager-built event (Code != KindOther) that names
+	// a resource (Resource != ""); ids of different managers are unrelated,
+	// and the journal does not persist it.
+	ID ResID
 	// Shard is the lock-table stripe that served the operation.
 	Shard int
 	// At is the monotonic timestamp taken when the event was delivered: the
@@ -84,10 +90,6 @@ type Event struct {
 	// enqueue time. Contention profiles use it to attribute the eventual
 	// blocked time to specific holding transactions.
 	Blockers []TxnID
-	// Resources carries, on release-all events, the resources the sweep
-	// actually released, in release order — what a dying deadlock victim
-	// gave up, for incident dumps.
-	Resources []Resource
 }
 
 // KindCode returns Code, resolved from Kind where the manager did not stamp it.
@@ -110,8 +112,8 @@ type EventSink interface {
 // BatchSink is the optional batch form of EventSink: a sink that has it gets
 // each delivery round of an operation as one call, in emission order, instead
 // of one Record call per event. The slice is borrowed — it is reused once
-// RecordBatch returns, so a sink copies the events it keeps. The Blockers and
-// Resources slices inside an event are never reused and may be kept.
+// RecordBatch returns, so a sink copies the events it keeps. The Blockers
+// slice inside an event is never reused and may be kept.
 type BatchSink interface {
 	RecordBatch([]Event)
 }
@@ -164,12 +166,13 @@ func (m *Manager) newTracer() *tracer {
 	return t
 }
 
-// add appends an event of kind k and returns it for the caller to set what
-// else the kind carries; the pointer is valid until the next add. The event
-// is stamped when its round is delivered: At = that clock reading, Dur =
-// At − ref (a zero ref leaves Dur zero). Until then At holds ref.
-func (t *tracer) add(k EventKind, ref time.Time, txn TxnID, r Resource, mode Mode, shard int) *Event {
-	t.evs = append(t.evs, Event{Kind: kindNames[k], Code: k, At: ref, Txn: txn, Resource: r, Mode: mode, Shard: shard})
+// add appends an event of kind k on resource id, named r, and returns it for
+// the caller to set what else the kind carries; the pointer is valid until
+// the next add. The event is stamped when its round is delivered: At = that
+// clock reading, Dur = At − ref (a zero ref leaves Dur zero). Until then At
+// holds ref.
+func (t *tracer) add(k EventKind, ref time.Time, txn TxnID, id ResID, r Resource, mode Mode, shard int) *Event {
+	t.evs = append(t.evs, Event{Kind: kindNames[k], Code: k, At: ref, Txn: txn, Resource: r, ID: id, Mode: mode, Shard: shard})
 	return &t.evs[len(t.evs)-1]
 }
 

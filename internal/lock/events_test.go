@@ -119,9 +119,13 @@ func TestEventTimestampsAndDurations(t *testing.T) {
 		t.Fatalf("events = %v", sink.events)
 	}
 	g, r := sink.events[0], sink.events[1]
-	if ra := sink.events[2]; ra.Kind != "release-all" ||
-		len(ra.Resources) != 1 || ra.Resources[0] != "a" {
-		t.Errorf("release-all event = %+v, want Resources [a]", ra)
+	// The summary names no resource: the round's release events name what
+	// the sweep dropped.
+	if ra := sink.events[2]; ra.Kind != "release-all" || ra.Resource != "" || ra.Txn != 1 {
+		t.Errorf("release-all event = %+v, want txn 1 and no resource", ra)
+	}
+	if r.Resource != "a" || r.ID != m.Intern("a") || g.ID != r.ID {
+		t.Errorf("release event = %+v (grant id %d), want resource a with id %d", r, g.ID, m.Intern("a"))
 	}
 	if g.Kind != "grant" || g.At.IsZero() || g.Dur < 0 || g.Waited {
 		t.Errorf("grant event = %+v", g)

@@ -179,23 +179,25 @@ func TestIntrospectionNames(t *testing.T) {
 	var got []string
 	for _, e := range sink.events {
 		if e.Kind == "release-all" {
-			rs := append([]Resource(nil), e.Resources...)
-			sort.Slice(rs, func(i, j int) bool { return rs[i] < rs[j] })
-			got = append(got, fmt.Sprintf("release-all %d %v", e.Txn, rs))
+			got = append(got, fmt.Sprintf("release-all %d %q", e.Txn, e.Resource))
 			continue
 		}
 		if e.Shard != m.ShardOf(e.Resource) {
 			t.Errorf("%s %s: shard %d, ShardOf says %d", e.Kind, e.Resource, e.Shard, m.ShardOf(e.Resource))
 		}
+		if e.ID != m.Intern(e.Resource) {
+			t.Errorf("%s %s: id %d, Intern says %d", e.Kind, e.Resource, e.ID, m.Intern(e.Resource))
+		}
 		got = append(got, fmt.Sprintf("%s %d %s %v", e.Kind, e.Txn, e.Resource, e.Mode))
 	}
 	// The requests' events come in request order; the releases' in sweep
-	// order, which is not fixed, so they compare as a set.
+	// order, which is not fixed, so they compare as a set. A sweep's release
+	// events name what it dropped; its summary names nothing.
 	want := []string{
 		"grant 1 db/a S", "grant 1 db/b X", "grant 3 db/c IS", "wait 2 db/a X",
-		"grant 2 db/a X", "release 1 db/a S", "release 1 db/b X", "release-all 1 [db/a db/b]",
-		"release 2 db/a X", "release-all 2 [db/a]",
-		"release 3 db/c IS", "release-all 3 [db/c]",
+		"grant 2 db/a X", "release 1 db/a S", "release 1 db/b X", `release-all 1 ""`,
+		"release 2 db/a X", `release-all 2 ""`,
+		"release 3 db/c IS", `release-all 3 ""`,
 	}
 	if len(got) > 4 {
 		sort.Strings(got[4:])

@@ -506,7 +506,7 @@ func (m *Manager) AcquireID(ctx context.Context, txn TxnID, id ResID, mode Mode,
 		blockers := e.blockerTxns(txn, target, len(e.queue))
 		s.maybeDropEntry(id, e)
 		if tr != nil {
-			tr.add(KindShed, tr.start, txn, m.Name(id), target, s.idx).Blockers = blockers
+			tr.add(KindShed, tr.start, txn, id, m.Name(id), target, s.idx).Blockers = blockers
 		}
 		s.mu.Unlock()
 		tr.finish()
@@ -523,7 +523,7 @@ func (m *Manager) AcquireID(ctx context.Context, txn TxnID, id ResID, mode Mode,
 		blockers := e.blockerTxns(txn, target, len(e.queue))
 		s.maybeDropEntry(id, e)
 		if tr != nil {
-			ev := tr.add(KindVictim, tr.start, txn, m.Name(id), target, s.idx)
+			ev := tr.add(KindVictim, tr.start, txn, id, m.Name(id), target, s.idx)
 			ev.Blockers, ev.WaitDie = blockers, true
 		}
 		s.mu.Unlock()
@@ -544,7 +544,7 @@ func (m *Manager) AcquireID(ctx context.Context, txn TxnID, id ResID, mode Mode,
 	s.stats.conflicts.Add(1)
 	s.stats.waits.Add(1)
 	if tr != nil {
-		ev := tr.add(KindWait, time.Time{}, txn, m.Name(id), target, s.idx)
+		ev := tr.add(KindWait, time.Time{}, txn, id, m.Name(id), target, s.idx)
 		ev.Blockers = e.blockerTxns(txn, target, pos)
 	}
 	s.mu.Unlock()
@@ -786,7 +786,7 @@ func (m *Manager) withdraw(tr *tracer, txn TxnID, id ResID, w *waiter, mode, tar
 		s.stats.cancels.Add(1)
 	}
 	if tr != nil {
-		tr.add(kind, w.enq, txn, m.Name(id), target, s.idx).Blockers = blockers
+		tr.add(kind, w.enq, txn, id, m.Name(id), target, s.idx).Blockers = blockers
 	}
 	// The withdrawn waiter may have been the FIFO barrier for later ones.
 	m.grantWaitersLocked(tr, s, s.get(id), id)
@@ -867,7 +867,7 @@ func (m *Manager) grantLocked(tr *tracer, s *tableShard, e *entry, txn TxnID, id
 		if w != nil {
 			ref = w.enq
 		}
-		tr.add(kind, ref, txn, m.Name(id), mode, s.idx).Waited = w != nil
+		tr.add(kind, ref, txn, id, m.Name(id), mode, s.idx).Waited = w != nil
 	}
 }
 
@@ -943,7 +943,7 @@ func (m *Manager) DowngradeID(txn TxnID, id ResID, mode Mode) error {
 	m.txnShardFor(txn).record(txn, id, h, false)
 	s.stats.downgrades.Add(1)
 	if tr != nil {
-		tr.add(KindDowngrade, time.Time{}, txn, m.Name(id), mode, s.idx)
+		tr.add(KindDowngrade, time.Time{}, txn, id, m.Name(id), mode, s.idx)
 	}
 	m.grantWaitersLocked(tr, s, e, id)
 	s.mu.Unlock()
@@ -982,7 +982,7 @@ func (m *Manager) releaseLocked(tr *tracer, s *tableShard, e *entry, txn TxnID, 
 	m.size.Add(-1)
 	s.stats.releases.Add(1)
 	if tr != nil {
-		tr.add(KindRelease, h.since, txn, m.Name(id), h.mode, s.idx)
+		tr.add(KindRelease, h.since, txn, id, m.Name(id), h.mode, s.idx)
 	}
 	m.grantWaitersLocked(tr, s, e, id)
 	return true
@@ -997,8 +997,9 @@ func (m *Manager) releaseLocked(tr *tracer, s *tableShard, e *entry, txn TxnID, 
 // pays one sampling decision, not 64 — and events are delivered after all
 // shard latches have been dropped. When the sweep released anything and the
 // operation is traced, the per-lock release events are followed by one
-// "release-all" summary event whose Resources lists every released lock —
-// the record of what a dying deadlock victim gave up.
+// "release-all" summary event whose Dur times the sweep. The summary names
+// no resource: the release events of the same round already name every lock
+// the sweep dropped — what a dying deadlock victim gave up.
 func (m *Manager) ReleaseAll(txn TxnID) {
 	tr := m.newTracer()
 	l := m.txnShardFor(txn).detach(txn)
@@ -1006,10 +1007,7 @@ func (m *Manager) ReleaseAll(txn TxnID) {
 		tr.finish()
 		return
 	}
-	var released []Resource
-	if tr != nil {
-		released = make([]Resource, 0, l.m.Len())
-	}
+	released := false
 	for _, slot := range l.m.slots {
 		if slot.key == 0 {
 			continue
@@ -1017,14 +1015,13 @@ func (m *Manager) ReleaseAll(txn TxnID) {
 		id := slot.key - 1
 		s := m.shardFor(id)
 		s.mu.Lock()
-		dropped := m.releaseLocked(tr, s, s.get(id), txn, id, l.gen)
-		s.mu.Unlock()
-		if dropped && tr != nil {
-			released = append(released, m.Name(id))
+		if m.releaseLocked(tr, s, s.get(id), txn, id, l.gen) {
+			released = true
 		}
+		s.mu.Unlock()
 	}
-	if len(released) > 0 {
-		tr.add(KindReleaseAll, tr.start, txn, "", None, 0).Resources = released
+	if released && tr != nil {
+		tr.add(KindReleaseAll, tr.start, txn, 0, "", None, 0)
 	}
 	tr.finish()
 	putHeldList(l)

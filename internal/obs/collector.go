@@ -2,6 +2,7 @@ package obs
 
 import (
 	"strings"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -80,7 +81,9 @@ type Options struct {
 	// KindLabels and KindOf define the lockable-unit-kind dimension of the
 	// histograms; nil defaults to DefaultKinds/DepthKindOf. KindOf must
 	// return an index into KindLabels (out-of-range indexes are clamped to
-	// the last label).
+	// the last label). Its answer for a name must not change, except that
+	// the last label may later turn into another: the collector asks once
+	// per resource id and keeps every answer but the last label.
 	KindLabels []string
 	KindOf     func(lock.Resource) int
 }
@@ -89,14 +92,31 @@ type Options struct {
 // cumulative event-kind counters and acquire/wait/hold latency histograms
 // keyed by lock mode and lockable-unit kind — what /metrics and the shell's
 // .metrics serve. It keeps no event: Record and RecordBatch are called
-// outside all manager latches and touch only atomics.
+// outside all manager latches and touch only atomics (and a latch on the
+// first sight of an id past the memo's end).
+//
+// A manager-built event is classified by its resource id: the memo keeps
+// the kind of every id classified so far, so KindOf runs once per resource
+// rather than once per event. Ids are one manager's: a collector serves the
+// events of one manager (literal events, Code zero, classify by name).
 type Collector struct {
 	kindLabels []string
 	kindOf     func(lock.Resource) int
 
+	// memo is the kind memo by lock.ResID: a chunk directory replaced
+	// whole (copy on write, under grow) when an id lands past its end.
+	memo atomic.Pointer[[]*kindChunk]
+	grow sync.Mutex
+
 	events [lock.NumEventKinds]atomic.Uint64
 	hists  []*Histogram // nOps × nModes × len(kindLabels), row-major
 }
+
+// memoChunkBits sizes the kind memo's chunks (1,024 ids each).
+const memoChunkBits = 10
+
+// kindChunk holds kind index + 1 per id; 0 means not classified yet.
+type kindChunk [1 << memoChunkBits]atomic.Uint32
 
 // NewCollector builds a collector.
 func NewCollector(opts Options) *Collector {
@@ -130,8 +150,8 @@ func (c *Collector) observe(op Op, mode lock.Mode, kind int, d time.Duration) {
 	c.hists[(int(op)*nModes+mi)*len(c.kindLabels)+kind].Record(d)
 }
 
-// kindIndex classifies r, clamping out-of-range answers to the last label.
-func (c *Collector) kindIndex(r lock.Resource) int {
+// classify runs KindOf on r, clamping out-of-range answers to the last label.
+func (c *Collector) classify(r lock.Resource) int {
 	ki := c.kindOf(r)
 	if ki < 0 || ki >= len(c.kindLabels) {
 		ki = len(c.kindLabels) - 1
@@ -139,41 +159,92 @@ func (c *Collector) kindIndex(r lock.Resource) int {
 	return ki
 }
 
-// count folds one event into the kind counters and latency histograms.
-func (c *Collector) count(e *lock.Event) {
+// kindIndex classifies e's resource: a manager-built event by the memo,
+// filling it on an id's first sight, anything else by name. The last label
+// is not kept, so that a resource of a relation DDL adds later is
+// classified again once it can be.
+func (c *Collector) kindIndex(e *lock.Event) int {
+	if e.Code == lock.KindOther || e.Resource == "" {
+		return c.classify(e.Resource)
+	}
+	ci, i := int(e.ID>>memoChunkBits), e.ID&(1<<memoChunkBits-1)
+	if p := c.memo.Load(); p != nil && ci < len(*p) {
+		if k := (*p)[ci][i].Load(); k != 0 {
+			return int(k - 1)
+		}
+	}
+	ki := c.classify(e.Resource)
+	if ki < len(c.kindLabels)-1 {
+		c.chunk(ci)[i].Store(uint32(ki + 1))
+	}
+	return ki
+}
+
+// chunk returns memo chunk ci, growing the directory to it.
+func (c *Collector) chunk(ci int) *kindChunk {
+	if p := c.memo.Load(); p != nil && ci < len(*p) {
+		return (*p)[ci]
+	}
+	c.grow.Lock()
+	defer c.grow.Unlock()
+	var dir []*kindChunk
+	if p := c.memo.Load(); p != nil {
+		dir = *p
+	}
+	if ci >= len(dir) {
+		grown := append(dir[:len(dir):len(dir)], make([]*kindChunk, ci+1-len(dir))...)
+		for j := len(dir); j <= ci; j++ {
+			grown[j] = new(kindChunk)
+		}
+		c.memo.Store(&grown)
+		dir = grown
+	}
+	return dir[ci]
+}
+
+// observeEvent folds one event into the latency histograms and returns its
+// kind for the caller to count.
+func (c *Collector) observeEvent(e *lock.Event) lock.EventKind {
 	k := e.KindCode()
-	c.events[k].Add(1)
 	switch k {
 	case lock.KindGrant, lock.KindConvert:
 		if !e.Waited {
-			c.observe(OpAcquire, e.Mode, c.kindIndex(e.Resource), e.Dur)
+			c.observe(OpAcquire, e.Mode, c.kindIndex(e), e.Dur)
 		} else if e.Dur > 0 {
 			// Dur == 0 means the enqueue ran before a sink was attached, so
 			// no wait reference exists — skip rather than record a zero.
-			ki := c.kindIndex(e.Resource)
+			ki := c.kindIndex(e)
 			c.observe(OpAcquire, e.Mode, ki, e.Dur)
 			c.observe(OpWait, e.Mode, ki, e.Dur)
 		}
 	case lock.KindTimeout, lock.KindCancel, lock.KindVictim:
 		if e.Dur > 0 {
-			c.observe(OpWait, e.Mode, c.kindIndex(e.Resource), e.Dur)
+			c.observe(OpWait, e.Mode, c.kindIndex(e), e.Dur)
 		}
 	case lock.KindRelease:
 		if e.Dur > 0 {
-			c.observe(OpHold, e.Mode, c.kindIndex(e.Resource), e.Dur)
+			c.observe(OpHold, e.Mode, c.kindIndex(e), e.Dur)
 		}
 	}
+	return k
 }
 
 // Record consumes one event. It is the lock.EventSink implementation and
 // runs on the operation's goroutine with no manager latch held.
-func (c *Collector) Record(e lock.Event) { c.count(&e) }
+func (c *Collector) Record(e lock.Event) { c.events[c.observeEvent(&e)].Add(1) }
 
-// RecordBatch consumes one operation's events (lock.BatchSink); nothing of
-// the borrowed slice is retained.
+// RecordBatch consumes one operation's events (lock.BatchSink), adding to
+// each kind counter once per round; nothing of the borrowed slice is
+// retained.
 func (c *Collector) RecordBatch(evs []lock.Event) {
+	var n [lock.NumEventKinds]uint64
 	for i := range evs {
-		c.count(&evs[i])
+		n[c.observeEvent(&evs[i])]++
+	}
+	for k := range n {
+		if n[k] != 0 {
+			c.events[k].Add(n[k])
+		}
 	}
 }
 

@@ -3,6 +3,7 @@ package obs
 import (
 	"context"
 	"errors"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -221,5 +222,114 @@ func TestCollectorConcurrent(t *testing.T) {
 	}
 	if acq := c.Aggregate(OpAcquire); acq.Count != goroutines*iters {
 		t.Fatalf("acquire observations = %d, want %d", acq.Count, goroutines*iters)
+	}
+}
+
+// Literal events (Code zero) classify by name: their ID is not the
+// manager's, so two of them with ID 0 and different names get their own
+// kinds — even after a manager-built event filed id 0 under a third.
+func TestCollectorLiteralEventsClassifyByName(t *testing.T) {
+	c := NewCollector(Options{
+		KindLabels: []string{"hot", "cold", "other"},
+		KindOf: func(r lock.Resource) int {
+			switch {
+			case strings.HasPrefix(string(r), "hot/"):
+				return 0
+			case strings.HasPrefix(string(r), "cold/"):
+				return 1
+			}
+			return 2
+		},
+	})
+	m := newTracedManager(t, c)
+	if err := m.AcquireCtx(context.Background(), 1, "hot/a", lock.S); err != nil {
+		t.Fatal(err)
+	}
+	if id := m.Intern("hot/a"); id != 0 {
+		t.Fatalf("hot/a has id %d, want 0", id)
+	}
+	c.RecordBatch([]lock.Event{
+		{Kind: "grant", Mode: lock.X, Resource: "cold/b"},
+		{Kind: "grant", Mode: lock.X, Resource: "hot/c"},
+	})
+	if s := c.Hist(OpAcquire, lock.X, "cold"); s.Count != 1 {
+		t.Errorf("cold X acquires = %d, want 1", s.Count)
+	}
+	if s := c.Hist(OpAcquire, lock.X, "hot"); s.Count != 1 {
+		t.Errorf("hot X acquires = %d, want 1", s.Count)
+	}
+	if got := c.EventCount("grant"); got != 3 {
+		t.Errorf("grant count = %d, want 3", got)
+	}
+}
+
+// A manager-built event is classified once per resource id — except that
+// the fallback (last) label is not kept: a resource KindOf cannot place yet
+// (a relation DDL adds later) is asked about again until it can.
+func TestCollectorMemoSkipsFallback(t *testing.T) {
+	known, calls := false, 0
+	c := NewCollector(Options{
+		KindLabels: []string{"tuple", "other"},
+		KindOf: func(r lock.Resource) int {
+			calls++
+			if known {
+				return 0
+			}
+			return 1
+		},
+	})
+	m := newTracedManager(t, c)
+	acquire := func(txn lock.TxnID) {
+		t.Helper()
+		if err := m.AcquireCtx(context.Background(), txn, "db/seg/rel/k", lock.S); err != nil {
+			t.Fatal(err)
+		}
+	}
+	acquire(1)
+	acquire(2)
+	if s := c.Hist(OpAcquire, lock.S, "other"); s.Count != 2 || calls != 2 {
+		t.Errorf("before: %d acquires as other after %d KindOf calls, want 2 and 2", s.Count, calls)
+	}
+	known = true
+	acquire(3)
+	acquire(4)
+	acquire(5)
+	if s := c.Hist(OpAcquire, lock.S, "tuple"); s.Count != 3 || calls != 3 {
+		t.Errorf("after: %d acquires as tuple after %d KindOf calls, want 3 and 3", s.Count, calls)
+	}
+}
+
+// Eight goroutines classify the same 4,096 ids (four memo chunks), each in
+// its own order, so the memo's slots and its directory are filled and
+// grown concurrently; every event must land under its resource's kind.
+// Run it under -race.
+func TestCollectorMemoConcurrent(t *testing.T) {
+	const goroutines, ids = 8, 4096
+	c := NewCollector(Options{})
+	evs := make([]lock.Event, ids)
+	for i := range evs {
+		name := "r" + strconv.Itoa(i) + strings.Repeat("/x", i%5) // DepthKindOf: i%5
+		evs[i] = lock.Event{Kind: "grant", Code: lock.KindGrant, Mode: lock.S, Resource: lock.Resource(name), ID: lock.ResID(i)}
+	}
+	strides := [goroutines]int{1, 3, 5, 7, 9, 11, 13, 15} // odd: coprime to ids
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for k := 0; k < ids; k++ {
+				c.RecordBatch(evs[(k*strides[g]+g*97)%ids:][:1])
+			}
+		}(g)
+	}
+	wg.Wait()
+	for kind := 0; kind < 5; kind++ {
+		want := uint64(0)
+		for i := kind; i < ids; i += 5 {
+			want += goroutines
+		}
+		if s := c.Hist(OpAcquire, lock.S, DefaultKinds[kind]); s.Count != want {
+			t.Errorf("%s acquires = %d, want %d", DefaultKinds[kind], s.Count, want)
+		}
 	}
 }

@@ -140,9 +140,9 @@ func TestCellEditAllocsObserved(t *testing.T) {
 	e := newObservedEngine(t)
 	// 213 before the event pipeline was batched and pooled, 48 before the
 	// downward scan was compiled from the schema, 14 while every transaction
-	// grew its own held-lock maps; measured 2 (the transaction handle and the
-	// release-all event's Resources): one more than the sink-less engine
-	// below, which runs the same protocol and manager code.
+	// grew its own held-lock maps, 2 while the release-all event listed the
+	// sweep's resources; measured 1 (the transaction handle), as on the
+	// sink-less engine below, which runs the same protocol and manager code.
 	if got := allocsPerCellEdit(t, e.Txns); got > 4 {
 		t.Errorf("observed engine: %.1f allocs per cell edit, want ≤ 4", got)
 	}
@@ -248,8 +248,8 @@ func wireCellEdits(tb testing.TB) func() {
 // A warm acquire/release pair allocates nothing without sinks: the
 // transaction's lock list is pooled and ReleaseAll sweeps it in place.
 // Tracing the pair through every sink (pooled tracer, events handed over as
-// one borrowed slice) adds exactly one allocation: the release-all event's
-// Resources slice, which escapes to the sinks.
+// one borrowed slice) adds nothing either: the release-all summary carries
+// no list of its own.
 func TestTracedAcquireReleaseAllocs(t *testing.T) {
 	skipUnlessPoolsRecycle(t)
 	ctx := context.Background()
@@ -272,8 +272,8 @@ func TestTracedAcquireReleaseAllocs(t *testing.T) {
 	for i := 0; i < 2048; i++ { // warm the tracer pool, the span buffers and the journal ring
 		traced()
 	}
-	if got := testing.AllocsPerRun(500, traced); got != 1 {
-		t.Errorf("traced AcquireCtx + ReleaseAll: %.1f allocs, want 1 (the release-all event's Resources)", got)
+	if got := testing.AllocsPerRun(500, traced); got != 0 {
+		t.Errorf("traced AcquireCtx + ReleaseAll: %.1f allocs, want 0", got)
 	}
 }
 
