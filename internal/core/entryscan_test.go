@@ -501,8 +501,8 @@ func TestEntryPointsUnderAllocs(t *testing.T) {
 
 // TestDownwardLockAllocs pins propagation's steady state: a warm S lock on
 // a robot that references two effectors, under the rule 4′ protocol, locks
-// both entry points without allocating — their paths live in the pooled
-// scan buffer and their ids in the name cache.
+// both entry points without allocating — the robot's scan memo holds their
+// name entries, and a memo hit neither scans nor names.
 func TestDownwardLockAllocs(t *testing.T) {
 	skipUnlessPoolsRecycle(t)
 	st, nm, nodes := benchScanNodes(t)

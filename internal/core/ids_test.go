@@ -103,7 +103,7 @@ func TestBoundNamerFirstVisitAllocs(t *testing.T) {
 	nm := NewNamer(cat, false)
 	nm.paths.Store(newPathTable(4 * n))
 	mgr := lock.NewManager(lock.Options{})
-	nm.bind(mgr)
+	nm.bind(mgr, store.New(cat))
 	nodes := make([]Node, n)
 	for i := range nodes {
 		nodes[i] = DataNode(store.P("cells", "c"+strconv.Itoa(i/8), "robots", "r"+strconv.Itoa(i%8), "trajectory"))

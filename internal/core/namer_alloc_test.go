@@ -36,7 +36,7 @@ func TestNamerResourceZeroAllocs(t *testing.T) {
 // allocation-free.
 func TestNamerChainZeroAllocs(t *testing.T) {
 	nm := NewNamer(store.PaperDatabase().Catalog(), false)
-	nm.bind(lock.NewManager(lock.Options{}))
+	nm.bind(lock.NewManager(lock.Options{}), store.New(nm.Catalog()))
 	n := DataNode(store.P("cells", "c1", "robots", "r1"))
 	if _, err := nm.resolve(n); err != nil {
 		t.Fatal(err)
@@ -126,7 +126,7 @@ func TestNamerCacheMatchesUncached(t *testing.T) {
 	for _, coalesce := range []bool{false, true} {
 		cached := NewNamer(store.PaperDatabase().Catalog(), coalesce)
 		mgr := lock.NewManager(lock.Options{})
-		cached.bind(mgr)
+		cached.bind(mgr, store.New(cached.Catalog()))
 		for _, p := range paths {
 			n := DataNode(p)
 			cr, cerr := cached.Resource(n)
@@ -247,7 +247,7 @@ func TestNamerConcurrentFirstVisits(t *testing.T) {
 	cat := store.PaperDatabase().Catalog()
 	nm := NewNamer(cat, false)
 	mgr := lock.NewManager(lock.Options{})
-	nm.bind(mgr)
+	nm.bind(mgr, store.New(cat))
 	nodes := make([]Node, paths)
 	for i := range nodes {
 		nodes[i] = DataNode(store.P("cells", "c"+strconv.Itoa(i/8), "robots", "r"+strconv.Itoa(i%8)))

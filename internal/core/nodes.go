@@ -140,12 +140,16 @@ type Namer struct {
 	// nothing and allocates nothing: readers load the two atomic pointers,
 	// and only a miss takes mu, which serializes the writers.
 	//
-	// mgr is the lock manager whose id space the ids belong to, nil until
-	// NewProtocol binds the namer.
+	// mgr is the lock manager whose id space the ids belong to, and st the
+	// store whose entry points the entries' scan memos list (scanMemo); both
+	// nil until NewProtocol binds the namer. noEps is the memo every node
+	// without entry points shares, for the store version it names.
 	db    *nameEntry
 	mgr   *lock.Manager
+	st    *store.Store
 	segs  atomic.Pointer[map[string]*nameEntry]
 	paths atomic.Pointer[pathTable]
+	noEps atomic.Pointer[scanMemo]
 	_     linePad // keeps the writers' latch off the lines every hit reads
 	mu    sync.Mutex
 }
@@ -207,6 +211,9 @@ type nameEntry struct {
 	// relation exists but whose shape is invalid; Classify returns it, and
 	// Resource does too when coalescing needed the classification.
 	infoErr error
+	// scan is the last entry-point scan below the node (data nodes whose
+	// type has a ref plan; nil until the protocol first S/X-locks one).
+	scan atomic.Pointer[scanMemo]
 }
 
 // info is the entry's classification (zero with infoErr).
@@ -231,19 +238,21 @@ func NewNamer(cat *schema.Catalog, coalesceBLUs bool) *Namer {
 	return nm
 }
 
-// bind ties the namer to mgr's id space, giving every cached entry its ids.
-// A namer serves one manager: binding it to a second one panics.
-func (nm *Namer) bind(mgr *lock.Manager) {
+// bind ties the namer to mgr's id space, giving every cached entry its ids,
+// and to st, whose entry points the scan memos list. A namer serves one
+// manager and one store: binding it to a second of either panics.
+func (nm *Namer) bind(mgr *lock.Manager, st *store.Store) {
 	nm.mu.Lock()
 	defer nm.mu.Unlock()
-	switch nm.mgr {
-	case mgr:
+	switch {
+	case nm.mgr == mgr && nm.st == st:
 		return
-	case nil:
-	default:
+	case nm.mgr != nil && nm.mgr != mgr:
 		panic("core: namer is already bound to another lock manager")
+	case nm.st != nil:
+		panic("core: namer is already bound to another store")
 	}
-	nm.mgr = mgr
+	nm.mgr, nm.st = mgr, st
 	nm.intern(nm.db)
 	for _, e := range *nm.segs.Load() {
 		nm.intern(e)

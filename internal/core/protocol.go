@@ -87,14 +87,15 @@ type Options struct {
 }
 
 // NewProtocol builds a protocol instance over a lock manager, a store and a
-// namer, binding the namer to the manager's resource id space. A namer
-// serves one manager: NewProtocol panics if nm is already bound to another.
+// namer, binding the namer to the manager's resource id space and to the
+// store its entry-point memos describe. A namer serves one manager and one
+// store: NewProtocol panics if nm is already bound to another of either.
 func NewProtocol(mgr *lock.Manager, st *store.Store, nm *Namer, opts Options) *Protocol {
 	auth := opts.Authorizer
 	if auth == nil {
 		auth = authz.AllowAll{}
 	}
-	nm.bind(mgr)
+	nm.bind(mgr, st)
 	return &Protocol{nm: nm, mgr: mgr, st: st, auth: auth, rule4Prime: opts.Rule4Prime, tr: opts.Tracer, fast: !opts.DisableFastPath}
 }
 
@@ -211,11 +212,24 @@ func (c *call) memo(id lock.ResID, mode lock.Mode) {
 
 var callPool = sync.Pool{New: func() any { return new(call) }}
 
-// lock locks one node under the protocol. kind is "" for the node the caller
-// named (the root span) and "downward" for an entry point reached by
-// propagation, which rule 4′ may weaken to S ("downward-rule4prime"); its
-// span parents the recursion's spans: the tree mirrors the propagation.
-func (p *Protocol) lock(c *call, n Node, mode lock.Mode, kind string, sp trace.SpanHandle) (err error) {
+// lock resolves n and locks it under the protocol (lockEntry).
+func (p *Protocol) lock(c *call, n Node, mode lock.Mode, kind string, sp trace.SpanHandle) error {
+	// resolve also validates a data path against the schema: instances need
+	// not exist (inserts lock their future resource), but the attribute
+	// shape must be real.
+	e, err := p.nm.resolve(n)
+	if err != nil {
+		return err
+	}
+	return p.lockEntry(c, n, e, mode, kind, sp)
+}
+
+// lockEntry locks node n, whose resolved name entry is e, under the
+// protocol. kind is "" for the node the caller named (the root span) and
+// "downward" for an entry point reached by propagation, which rule 4′ may
+// weaken to S ("downward-rule4prime"); its span parents the recursion's
+// spans: the tree mirrors the propagation.
+func (p *Protocol) lockEntry(c *call, n Node, e *nameEntry, mode lock.Mode, kind string, sp trace.SpanHandle) (err error) {
 	if kind != "" {
 		if mode == lock.X && p.rule4Prime && !p.auth.CanModify(c.txn, n.Path.Relation()) {
 			// Rule 4′: non-modifiable inner units are only S-locked.
@@ -224,14 +238,7 @@ func (p *Protocol) lock(c *call, n Node, mode lock.Mode, kind string, sp trace.S
 		}
 		c.ctr.downward.Add(1)
 	}
-	// resolve also validates a data path against the schema: instances need
-	// not exist (inserts lock their future resource), but the attribute
-	// shape must be real.
-	e, err := p.nm.resolve(n)
-	if err != nil {
-		return err
-	}
-	res, t := e.res, e.typ
+	res := e.res
 	if kind == "" {
 		if p.tr != nil {
 			sp = p.tr.Start(c.txn, "lock", res, mode)
@@ -270,18 +277,36 @@ func (p *Protocol) lock(c *call, n Node, mode lock.Mode, kind string, sp trace.S
 	// the entry points of all lower (dependent) inner units accessible via
 	// it. Downward propagation crosses superunit boundaries and recurses,
 	// because common data may again contain common data. The schema rules a
-	// reference out below most data nodes (t has no ref plan): those need no
-	// scan, before the grant or after it.
-	var sc *scanBuf
+	// reference out below most data nodes (their type has no ref plan):
+	// those need no scan, before the grant or after it. The database, a
+	// segment or a relation is scanned into sc; any other data node takes
+	// its entry points, resolved, from its scan memo (Namer.entryPoints).
+	var (
+		sc    *scanBuf
+		eps   []*nameEntry
+		epsAt uint64 // a store version at which eps were the entry points
+		memo  bool   // eps and epsAt came from Namer.entryPoints
+	)
 	c.ctr.entryScans.Add(1)
-	if n.Level != LevelData || t.RefPlan() != nil {
+	switch {
+	case n.Level != LevelData:
 		sc = scanPool.Get().(*scanBuf)
 		defer scanPool.Put(sc)
-		if sc.cur, err = entryTargets(p.st, p.nm, n, t, sc.cur[:0]); err != nil {
+		if sc.cur, err = entryTargets(p.st, p.nm, n, e.typ, sc.cur[:0]); err != nil {
 			return err
 		}
 		for _, ep := range sc.cur {
 			if err := p.lock(c, sc.node(ep), mode, "downward", sp); err != nil {
+				return err
+			}
+		}
+	case e.typ.RefPlan() != nil:
+		if eps, epsAt, err = p.nm.entryPoints(n, e); err != nil {
+			return err
+		}
+		memo = true
+		for _, ep := range eps {
+			if err := p.lockEntry(c, DataNode(ep.path), ep, mode, "downward", sp); err != nil {
 				return err
 			}
 		}
@@ -300,11 +325,23 @@ func (p *Protocol) lock(c *call, n Node, mode lock.Mode, kind string, sp trace.S
 
 	// The scan ran before the grant, and the request may have waited in
 	// between: a transaction holding X below the node could add a reference
-	// and commit meanwhile. Now that the grant keeps writers out, scan again
-	// and lock what the first scan could not see, until nothing new turns up.
+	// and commit meanwhile. Such a writer held IX on the node until after its
+	// write moved the store version, so while the version is still the one
+	// the entry points were found at they are all there are. Otherwise — and
+	// always below the database, a segment or a relation — scan again now
+	// that the grant keeps writers out, and lock what the previous scan
+	// could not see, until nothing new turns up.
+	if memo && p.st.Version() != epsAt {
+		sc = scanPool.Get().(*scanBuf)
+		defer scanPool.Put(sc)
+		sc.cur = sc.cur[:0]
+		for _, ep := range eps {
+			sc.cur = append(sc.cur, store.Ref{Relation: ep.path[0], Key: ep.path[1]})
+		}
+	}
 	for late := true; sc != nil && late; {
 		sc.prev, sc.cur = sc.cur, sc.prev
-		if sc.cur, err = entryTargets(p.st, p.nm, n, t, sc.cur[:0]); err != nil {
+		if sc.cur, err = entryTargets(p.st, p.nm, n, e.typ, sc.cur[:0]); err != nil {
 			return err
 		}
 		late = false

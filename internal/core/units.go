@@ -7,6 +7,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 
 	"colock/internal/schema"
 	"colock/internal/store"
@@ -179,7 +180,10 @@ func unitNodes(st *store.Store, object store.Path) ([]store.Path, []store.RefAt)
 // (§4.4.2.1). It is compiled from the schema: the type of n says whether a
 // reference can lie below it and which hops lead there (schema.RefPlan), so
 // a node over reference-free data is answered without touching the store,
-// and any other node by one read-locked pass over just those hops.
+// and any other node by one read-locked pass over just those hops. The
+// protocol keeps a data node's result in the node's scan memo
+// (Namer.entryPoints); EntryPointsUnder scans every time, the reference the
+// memo is tested against.
 func EntryPointsUnder(st *store.Store, nm *Namer, n Node) ([]store.Path, error) {
 	var t *schema.Type
 	if n.Level == LevelData {
@@ -227,6 +231,91 @@ func (sc *scanBuf) node(ep store.Ref) Node {
 }
 
 var scanPool = sync.Pool{New: func() any { return new(scanBuf) }}
+
+// scanMemo is one entry-point scan below a data node, kept in the node's
+// name entry: the entry points entryTargets found, in its order, as the
+// name cache's entries, and a store version read before a scan that found
+// exactly them. While Store.Version still returns version, no write has
+// been made since, and a scan would find the same list. eps never changes
+// once published; version only rises, when a later scan of the node finds
+// the same list, so a write that leaves the node's references alone costs
+// the node's next lock one scan and no allocation. Every node without
+// entry points shares the namer's memo of its version (noEps), whose
+// version never moves: one node's scan says nothing of the others.
+type scanMemo struct {
+	version atomic.Uint64
+	eps     []*nameEntry
+}
+
+// entryPoints returns the entry points below the data node n, whose bound
+// name entry e has a type with a ref plan, and a store version at which
+// they were exactly the node's entry points: from e's memo when the store
+// has not been written since the memo's scan — no latch, no allocation —
+// or else from a fresh scan of the bound store, which renews the memo. Only
+// a scan whose entry points differ from the memo's allocates, and the
+// first empty scan of each version.
+func (nm *Namer) entryPoints(n Node, e *nameEntry) ([]*nameEntry, uint64, error) {
+	v := nm.st.Version() // before the scan: a write after it moves the version
+	m := e.scan.Load()
+	if m != nil && m.version.Load() == v {
+		return m.eps, v, nil
+	}
+	sc := scanPool.Get().(*scanBuf)
+	defer scanPool.Put(sc)
+	var err error
+	if sc.cur, err = entryTargets(nm.st, nm, n, e.typ, sc.cur[:0]); err != nil {
+		return nil, 0, err
+	}
+	switch {
+	case len(sc.cur) == 0:
+		m = nm.emptyMemo(v)
+	case m != nil && sameEntries(m.eps, sc.cur):
+		// m is this node's own memo (it lists entry points): raise its
+		// version to v unless another scan already raised it further.
+		for old := m.version.Load(); old < v && !m.version.CompareAndSwap(old, v); old = m.version.Load() {
+		}
+		return m.eps, v, nil
+	default:
+		m = &scanMemo{eps: make([]*nameEntry, len(sc.cur))}
+		m.version.Store(v)
+		for i, ep := range sc.cur {
+			if m.eps[i], err = nm.resolve(sc.node(ep)); err != nil {
+				return nil, 0, err
+			}
+		}
+	}
+	e.scan.Store(m)
+	return m.eps, v, nil
+}
+
+// emptyMemo returns a memo without entry points for version v: the shared
+// one when it is of v, else a fresh one, which the first empty scan of a
+// version newer than the shared memo's publishes in its place.
+func (nm *Namer) emptyMemo(v uint64) *scanMemo {
+	m := nm.noEps.Load()
+	if m != nil && m.version.Load() == v {
+		return m
+	}
+	fresh := new(scanMemo)
+	fresh.version.Store(v)
+	if m == nil || m.version.Load() < v {
+		nm.noEps.CompareAndSwap(m, fresh)
+	}
+	return fresh
+}
+
+// sameEntries reports whether the resolved entry points eps are refs.
+func sameEntries(eps []*nameEntry, refs []store.Ref) bool {
+	if len(eps) != len(refs) {
+		return false
+	}
+	for i, ep := range eps {
+		if ep.path[0] != refs[i].Relation || ep.path[1] != refs[i].Key {
+			return false
+		}
+	}
+	return true
+}
 
 // entryTargets appends to buf the entry points below n, distinct and in
 // Path.String() order. t is n's schema type (data nodes only; nil for a path

@@ -5,6 +5,7 @@ import (
 	"encoding/gob"
 	"fmt"
 	"math/rand"
+	"reflect"
 	"sort"
 	"strings"
 	"testing"
@@ -283,5 +284,46 @@ func TestUnaddressableNamesRejected(t *testing.T) {
 	}
 	if v, err := s.Lookup(objs.Child("o7")); err != nil || v != Value(obj) {
 		t.Errorf("Lookup of an accepted element = %v, %v", v, err)
+	}
+}
+
+// TestStoreLayout: the lock protocol loads Store.version on every S/X lock
+// it answers from a scan memo, and every reader writes the store's latch
+// (and a BackRefs scan its counter). The version and the catalog must lie a
+// cache line away from those, whatever the allocation's alignment, and a
+// field added later must say who writes it.
+func TestStoreLayout(t *testing.T) {
+	const (
+		readMostly = iota // loaded by lock calls, written by writes only
+		perRead           // written by every reader or scan
+		underLatch        // read and written under mu
+	)
+	roles := map[string]int{"cat": readMostly, "version": readMostly, "mu": perRead, "scans": perRead, "rels": underLatch}
+	typ := reflect.TypeOf(Store{})
+	type span struct{ lo, hi uintptr }
+	spans := map[string]span{}
+	for i := 0; i < typ.NumField(); i++ {
+		f := typ.Field(i)
+		if f.Name == "_" {
+			continue
+		}
+		if _, ok := roles[f.Name]; !ok {
+			t.Errorf("Store.%s has no role in the layout test: say who writes it", f.Name)
+		}
+		spans[f.Name] = span{f.Offset, f.Offset + f.Type.Size()}
+	}
+	for r, rs := range spans {
+		for w, ws := range spans {
+			if roles[r] != readMostly || roles[w] != perRead {
+				continue
+			}
+			a, b := rs, ws
+			if a.lo > b.lo {
+				a, b = b, a
+			}
+			if b.lo < a.hi+cacheLine {
+				t.Errorf("Store.%s [%d,%d) is within a cache line of Store.%s [%d,%d)", r, rs.lo, rs.hi, w, ws.lo, ws.hi)
+			}
+		}
 	}
 }

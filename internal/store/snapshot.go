@@ -180,11 +180,13 @@ func (s *Store) RestoreData(data []byte) error {
 		fresh[rec.Relation][rec.Key] = obj
 	}
 	s.mu.Lock()
+	s.version.Add(1)
 	old := s.rels
 	s.rels = fresh
 	s.mu.Unlock()
 	if err := s.CheckIntegrity(); err != nil {
 		s.mu.Lock()
+		s.version.Add(1)
 		s.rels = old
 		s.mu.Unlock()
 		return fmt.Errorf("store: restore: %w", err)

@@ -17,6 +17,14 @@ import (
 type Store struct {
 	cat *schema.Catalog
 
+	// version counts writes: every mutator adds one inside its write
+	// critical section, so a result read off the store stays current while
+	// Version still returns what it returned before the read (see Version).
+	// The lock protocol loads it on every S/X lock it answers from a scan
+	// memo, so it keeps a cache line away from the latch every reader writes.
+	version atomic.Uint64
+	_       linePad
+
 	mu   sync.RWMutex
 	rels map[string]map[string]*Tuple // relation → key → root tuple
 
@@ -25,6 +33,13 @@ type Store struct {
 	// data (§3.2.2); the counter makes the cost measurable in E3.
 	scans atomic.Uint64
 }
+
+// cacheLine is the coherence unit of the x86-64 and arm64 machines the lock
+// path is tuned for; linePad keeps what precedes it and what follows it on
+// different cache lines, whatever the alignment of the allocation.
+const cacheLine = 64
+
+type linePad [cacheLine]byte
 
 // New returns an empty store over the given (validated) catalog.
 func New(cat *schema.Catalog) *Store {
@@ -38,8 +53,20 @@ func New(cat *schema.Catalog) *Store {
 // Catalog returns the schema catalog the store was built over.
 func (s *Store) Catalog() *schema.Catalog { return s.cat }
 
+// Version returns the store's write version. It moves on every call of a
+// mutator (Insert, Delete, SetAtomic, AddElem, RemoveElem, RestoreData),
+// inside the mutator's write critical section. A reader that loads it
+// before reading may therefore reuse what it read for as long as Version
+// returns the same value: no write has been made since. That holds only
+// for writes made through the mutators, so no value is edited in place once
+// the store holds it: what Get and Lookup return, what Insert, AddElem and
+// SetAtomic were given, and what Delete and RemoveElem hand back (undo
+// puts it back) are all read-only.
+func (s *Store) Version() uint64 { return s.version.Load() }
+
 // Insert adds a complex object to a relation. The object is type-checked
-// and its key attribute must match the given key.
+// and its key attribute must match the given key. The store keeps obj
+// itself, not a copy: do not edit it afterwards (see Version).
 func (s *Store) Insert(relation, key string, obj *Tuple) error {
 	rel := s.cat.Relation(relation)
 	if rel == nil {
@@ -50,6 +77,7 @@ func (s *Store) Insert(relation, key string, obj *Tuple) error {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	s.version.Add(1)
 	if s.rels[relation] == nil {
 		// The relation was added to the catalog after the store was built
 		// (DDL): create its object map lazily.
@@ -93,16 +121,20 @@ func atomicString(v Value) string {
 	return ""
 }
 
-// Delete removes a complex object and returns it (nil if absent).
+// Delete removes a complex object and returns it (nil if absent): the
+// store's own value, read-only if it may be inserted again (see Version).
 func (s *Store) Delete(relation, key string) *Tuple {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	s.version.Add(1)
 	obj := s.rels[relation][key]
 	delete(s.rels[relation], key)
 	return obj
 }
 
-// Get returns the root tuple of a complex object, or nil.
+// Get returns the root tuple of a complex object, or nil. The tuple is the
+// store's live value: read it, never edit it — writes go through the
+// mutators, which keep Version current. Clone it to change a copy.
 func (s *Store) Get(relation, key string) *Tuple {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
@@ -133,7 +165,8 @@ func (s *Store) Resolve(r Ref) *Tuple { return s.Get(r.Relation, r.Key) }
 
 // Lookup navigates a path and returns the value it addresses. Paths of
 // length 1 address a relation and return nil (relations are not Values);
-// use Keys for them.
+// use Keys for them. Like Get it returns the live value, which is
+// read-only: writes go through the mutators (LookupClone for a copy).
 func (s *Store) Lookup(p Path) (Value, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
@@ -190,7 +223,8 @@ func (s *Store) typeAt(p Path) *schema.Type {
 // SetAtomic replaces the atomic (or reference) value a path addresses and
 // returns the previous value, for undo logging. Like Insert and AddElem it
 // type-checks what it stores: the lock protocol finds references by the
-// schema's word on where they can be (RefTargets).
+// schema's word on where they can be (RefTargets). The store keeps v
+// itself: do not edit it afterwards (see Version).
 func (s *Store) SetAtomic(p Path, v Value) (Value, error) {
 	if len(p) < 3 {
 		return nil, fmt.Errorf("store: path %q too short for attribute update", p)
@@ -203,6 +237,7 @@ func (s *Store) SetAtomic(p Path, v Value) (Value, error) {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	s.version.Add(1)
 	parent, err := s.lookupLocked(p.Parent())
 	if err != nil {
 		return nil, err
@@ -217,7 +252,8 @@ func (s *Store) SetAtomic(p Path, v Value) (Value, error) {
 }
 
 // AddElem inserts an element into the collection a path addresses; it fails
-// if the ID already exists.
+// if the ID already exists. The store keeps v itself, not a copy: do not
+// edit it afterwards (see Version).
 func (s *Store) AddElem(collection Path, id string, v Value) error {
 	if err := checkSegment(id); err != nil {
 		return fmt.Errorf("store: %q: element ID: %w", collection, err)
@@ -229,6 +265,7 @@ func (s *Store) AddElem(collection Path, id string, v Value) error {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	s.version.Add(1)
 	cv, err := s.lookupLocked(collection)
 	if err != nil {
 		return err
@@ -248,10 +285,12 @@ func (s *Store) AddElem(collection Path, id string, v Value) error {
 }
 
 // RemoveElem removes an element from the collection a path addresses and
-// returns the removed value (nil if absent).
+// returns the removed value (nil if absent): the store's own value,
+// read-only if it may be added again (see Version).
 func (s *Store) RemoveElem(collection Path, id string) (Value, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	s.version.Add(1)
 	cv, err := s.lookupLocked(collection)
 	if err != nil {
 		return nil, err

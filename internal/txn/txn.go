@@ -206,18 +206,31 @@ func (m *Manager) finish(t *Txn, committed bool) {
 // Txn is one transaction. A Txn is used by a single goroutine at a time
 // (transactions are single "threads of execution"); the manager, store and
 // lock protocol underneath are fully concurrent.
+//
+// A handle is the one allocation a transaction makes on the lock path, so
+// it is kept to 56 bytes, the allocator's 64-byte class (TestTxnSize): the
+// flags sit beside the mutex, and the undo log, which a transaction that
+// only locks never needs, is allocated by its first entry.
 type Txn struct {
-	id   lock.TxnID
-	m    *Manager
-	long bool
+	id lock.TxnID
+	m  *Manager
 	// ctx is the transaction's default context: internal lock acquisitions
 	// made by data operations use it, so a per-attempt budget installed by
 	// RunWithRetry (via BeginCtx) bounds every acquire of the attempt.
 	ctx context.Context
 
 	mu    sync.Mutex
+	long  bool
 	state State
-	undo  []func() error
+	undo  *undoLog // nil until pushUndo; guarded by mu
+}
+
+// undoLog is a transaction's undo entries. The first five live in the log
+// itself, so a transaction that makes up to five writes allocates its log
+// once (64 bytes) where a growing slice allocated three times.
+type undoLog struct {
+	fns []func() error
+	buf [5]func() error
 }
 
 // ID returns the transaction identifier.
@@ -467,8 +480,21 @@ func (t *Txn) Delete(relation, key string) error {
 
 func (t *Txn) pushUndo(fn func() error) {
 	t.mu.Lock()
-	t.undo = append(t.undo, fn)
+	if t.undo == nil {
+		t.undo = new(undoLog)
+		t.undo.fns = t.undo.buf[:0]
+	}
+	t.undo.fns = append(t.undo.fns, fn)
 	t.mu.Unlock()
+}
+
+// undoLog returns the undo log (nil before the first entry). Caller holds
+// t.mu.
+func (t *Txn) undoLog() []func() error {
+	if t.undo == nil {
+		return nil
+	}
+	return t.undo.fns
 }
 
 // Savepoint marks the current position in the undo log. RollbackTo undoes
@@ -479,7 +505,7 @@ type Savepoint int
 func (t *Txn) Savepoint() Savepoint {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return Savepoint(len(t.undo))
+	return Savepoint(len(t.undoLog()))
 }
 
 // RollbackTo undoes all mutations made after the savepoint, in reverse
@@ -492,12 +518,15 @@ func (t *Txn) RollbackTo(sp Savepoint) error {
 		t.mu.Unlock()
 		return fmt.Errorf("%w (%v)", ErrNotActive, t.state)
 	}
-	if sp < 0 || int(sp) > len(t.undo) {
+	log := t.undoLog()
+	if sp < 0 || int(sp) > len(log) {
 		t.mu.Unlock()
-		return fmt.Errorf("txn %d: invalid savepoint %d (undo log has %d entries)", t.id, sp, len(t.undo))
+		return fmt.Errorf("txn %d: invalid savepoint %d (undo log has %d entries)", t.id, sp, len(log))
 	}
-	undo := t.undo[sp:]
-	t.undo = t.undo[:sp]
+	undo := log[sp:]
+	if t.undo != nil {
+		t.undo.fns = log[:sp]
+	}
 	t.mu.Unlock()
 	for i := len(undo) - 1; i >= 0; i-- {
 		if err := undo[i](); err != nil {
@@ -534,7 +563,7 @@ func (t *Txn) Abort() {
 		return
 	}
 	t.state = Aborted
-	undo := t.undo
+	undo := t.undoLog()
 	t.undo = nil
 	t.mu.Unlock()
 	for i := len(undo) - 1; i >= 0; i-- {

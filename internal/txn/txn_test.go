@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"sync"
 	"testing"
+	"unsafe"
 
 	"colock/internal/core"
 	"colock/internal/lock"
@@ -398,5 +399,54 @@ func TestStateString(t *testing.T) {
 	}
 	if State(9).String() == "" {
 		t.Error("invalid state string empty")
+	}
+}
+
+// TestTxnSize pins the transaction handle, the one allocation a
+// transaction makes on the lock path, at 56 bytes, inside the allocator's
+// 64-byte size class: at 80 bytes each transaction brought the next GC
+// cycle 16 bytes nearer. A field added to Txn must fit or move behind a
+// pointer like the undo log.
+func TestTxnSize(t *testing.T) {
+	if got := unsafe.Sizeof(Txn{}); got != 56 {
+		t.Errorf("unsafe.Sizeof(Txn{}) = %d, want 56", got)
+	}
+	if got := unsafe.Sizeof(undoLog{}); got != 64 {
+		t.Errorf("unsafe.Sizeof(undoLog{}) = %d, want 64", got)
+	}
+}
+
+// An undo log that outgrows its inline entries still rolls back to a
+// savepoint inside them and aborts in reverse order.
+func TestUndoLogPastItsBuffer(t *testing.T) {
+	m := newManager(t)
+	p := store.P("cells", "c1", "robots", "r1", "trajectory")
+	tx := m.Begin()
+	var sp Savepoint
+	for i := 1; i <= 8; i++ {
+		if i == 4 {
+			sp = tx.Savepoint()
+		}
+		if err := tx.UpdateAtomic(p, store.Str(fmt.Sprint("v", i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := tx.RollbackTo(sp); err != nil {
+		t.Fatal(err)
+	}
+	if v, _ := m.Store().Lookup(p); v != store.Str("v3") {
+		t.Fatalf("after RollbackTo = %v, want v3", v)
+	}
+	for i := 9; i <= 14; i++ {
+		if err := tx.UpdateAtomic(p, store.Str(fmt.Sprint("v", i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := tx.Savepoint(); got != 9 {
+		t.Errorf("undo log holds %d entries, want 9", got)
+	}
+	tx.Abort()
+	if v, _ := m.Store().Lookup(p); v != store.Str("tr1") {
+		t.Errorf("after abort = %v, want tr1", v)
 	}
 }

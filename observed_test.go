@@ -51,9 +51,13 @@ func cellEdits() []cellEdit {
 	return out
 }
 
-func pinStore() *store.Store {
+func pinStore() *store.Store { return cellStore(true) }
+
+// cellStore is the pin database; shared, every robot references two of 16
+// effectors, as on bench/'s embed_shared.
+func cellStore(disjoint bool) *store.Store {
 	st := workload.Generate(workload.Config{Seed: 1, Cells: pinCells, CObjectsPerCell: 10,
-		RobotsPerCell: 8, EffectorsPerRobot: 2, Effectors: 16, DisjointOnly: true})
+		RobotsPerCell: 8, EffectorsPerRobot: 2, Effectors: 16, DisjointOnly: disjoint})
 	core.CollectStatistics(st)
 	return st
 }
@@ -358,6 +362,54 @@ func BenchmarkCellEditOverWire(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		run()
+	}
+}
+
+// BenchmarkCellEditWrite mixes writes into the lock traffic: each sink-less
+// cell edit, on disjoint or shared data, either only locks ("lock") or also
+// sets its X-locked robot's trajectory with one Txn.UpdateAtomic ("write").
+// Every write moves the store version, so each S/X lock of the next edit
+// finds its node's scan memo stale and scans the store again; bench/'s
+// workloads only lock.
+func BenchmarkCellEditWrite(b *testing.B) {
+	for _, data := range []string{"disjoint", "shared"} {
+		for _, mix := range []string{"lock", "write"} {
+			b.Run(data+"/"+mix, func(b *testing.B) {
+				st := cellStore(data == "disjoint")
+				mgr := lock.NewManager(lock.Options{})
+				b.Cleanup(mgr.Close)
+				tm := txn.NewManager(core.NewProtocol(mgr, st, core.NewNamer(st.Catalog(), false), core.Options{}), st)
+				edits := cellEdits()
+				targets := make([]store.Path, len(edits))
+				for c := range edits {
+					targets[c] = edits[c].paths[9].Child("trajectory")
+				}
+				trajectory := [2]store.Value{store.Str("a"), store.Str("b")}
+				ctx := context.Background()
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					e := &edits[i%len(edits)]
+					t, err := tm.BeginCtx(ctx)
+					if err != nil {
+						b.Fatal(err)
+					}
+					for k := range e.paths {
+						if err := t.LockPath(ctx, e.paths[k], e.modes[k]); err != nil {
+							b.Fatal(err)
+						}
+					}
+					if mix == "write" {
+						if err := t.UpdateAtomic(targets[i%len(edits)], trajectory[i&1]); err != nil {
+							b.Fatal(err)
+						}
+					}
+					if err := t.Commit(); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		}
 	}
 }
 
