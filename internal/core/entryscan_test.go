@@ -3,8 +3,14 @@ package core
 import (
 	"context"
 	"fmt"
+	"go/ast"
+	"go/parser"
+	"go/token"
 	"math/rand"
+	"path/filepath"
+	"slices"
 	"sort"
+	"strings"
 	"sync"
 	"testing"
 
@@ -402,57 +408,153 @@ func TestEntryPointsUnderConcurrentMutation(t *testing.T) {
 }
 
 // TestLockSeesReferenceAddedWhileWaiting closes the window between rules
-// 3/4's scan and the grant. T1 holds X on the empty set parts/p2/bolts; T2
-// asks for S on parts/p2, finds no entry point below it and parks behind
-// T1's IX. T1 then adds a reference to bolts/b1 and commits. T2's S on
-// parts/p2 covers that reference, so T2 must come back holding S on bolts/b1
-// as well — without the re-check after the grant it held nothing there, and a
-// transaction arriving at bolts/b1 "from the side" could X-lock it.
+// 3/4's scan and the grant, on a data node, a relation and a segment. T1
+// holds X on the empty set parts/p2/bolts; T2 asks for S on a node above
+// it, takes the node's entry points and parks behind T1's IX. T1 then adds
+// a reference to bolts/b2, which nothing referenced before, and commits.
+// T2's S covers that reference, so T2 must come back holding S on bolts/b2
+// as well — without the re-check after the grant it held nothing there,
+// and a transaction arriving at bolts/b2 "from the side" could X-lock it.
+// In the warm case parts/p2's memo is filled before T2 asks: T2 takes the
+// (empty) memo without a scan, and the write moved the store version, so
+// the grant takes the entry points again.
 func TestLockSeesReferenceAddedWhileWaiting(t *testing.T) {
-	cat, st := nestedCatalogAndStore(t)
-	if err := st.Insert("parts", "p2", store.NewTuple().
-		Set("id", store.Str("p2")).Set("bolts", store.NewSet())); err != nil {
-		t.Fatal(err)
-	}
-	nm := NewNamer(cat, false)
-	mgr := lock.NewManager(lock.Options{})
-	defer mgr.Close()
-	p := NewProtocol(mgr, st, nm, Options{})
-	const t1, t2 = lock.TxnID(1), lock.TxnID(2)
+	for _, tc := range []struct {
+		name string
+		node Node
+		warm bool
+	}{
+		{"data", DataNode(store.P("parts", "p2")), false},
+		{"data_warm", DataNode(store.P("parts", "p2")), true},
+		{"relation", DataNode(store.P("parts")), false},
+		{"segment", SegmentNode("s2"), false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cat, st := nestedCatalogAndStore(t)
+			if err := st.Insert("parts", "p2", store.NewTuple().
+				Set("id", store.Str("p2")).Set("bolts", store.NewSet())); err != nil {
+				t.Fatal(err)
+			}
+			if err := st.Insert("bolts", "b2", store.NewTuple().Set("id", store.Str("b2"))); err != nil {
+				t.Fatal(err)
+			}
+			nm := NewNamer(cat, false)
+			mgr := lock.NewManager(lock.Options{})
+			defer mgr.Close()
+			p := NewProtocol(mgr, st, nm, Options{})
+			const t0, t1, t2 = lock.TxnID(1), lock.TxnID(2), lock.TxnID(3)
 
-	if err := p.LockPath(t1, store.P("parts", "p2", "bolts"), lock.X); err != nil {
-		t.Fatal(err)
-	}
-	parked := make(chan struct{})
-	ctx := lock.WithParkNotify(context.Background(), func() { close(parked) })
-	done := make(chan error, 1)
-	go func() { done <- p.LockWith(ctx, t2, DataNode(store.P("parts", "p2")), lock.S, false, false, 0) }()
-	<-parked
+			if tc.warm {
+				if err := p.Lock(t0, tc.node, lock.S); err != nil { // fills the memo
+					t.Fatal(err)
+				}
+				p.Release(t0)
+				e, err := nm.resolve(tc.node)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if m := e.scan.Load(); m == nil || m.version.Load() != st.Version() || len(m.eps) != 0 {
+					t.Fatalf("%v's memo after a scan = %+v at store version %d, want empty and current", tc.node, m, st.Version())
+				}
+			}
+			scans := p.Stats().EntryPointScans
+			if err := p.LockPath(t1, store.P("parts", "p2", "bolts"), lock.X); err != nil {
+				t.Fatal(err)
+			}
+			parked := make(chan struct{})
+			ctx := lock.WithParkNotify(context.Background(), func() { close(parked) })
+			done := make(chan error, 1)
+			go func() { done <- p.LockWith(ctx, t2, tc.node, lock.S, false, false, 0) }()
+			<-parked
 
-	b1 := store.Ref{Relation: "bolts", Key: "b1"}
-	if err := st.AddElem(store.P("parts", "p2", "bolts"), "b1", b1); err != nil {
-		t.Fatal(err)
-	}
-	p.Release(t1)
-	if err := <-done; err != nil {
-		t.Fatal(err)
-	}
+			if err := st.AddElem(store.P("parts", "p2", "bolts"), "b2", store.Ref{Relation: "bolts", Key: "b2"}); err != nil {
+				t.Fatal(err)
+			}
+			p.Release(t1)
+			if err := <-done; err != nil {
+				t.Fatal(err)
+			}
 
-	if got := heldMode(mgr, t2, mustResource(t, nm, DataNode(store.P("bolts", "b1")))); got != lock.S {
-		t.Errorf("T2 holds %v on bolts/b1, want S", got)
+			b2 := DataNode(store.P("bolts", "b2"))
+			if got := heldMode(mgr, t2, mustResource(t, nm, b2)); got != lock.S {
+				t.Errorf("T2 holds %v on bolts/b2, want S", got)
+			}
+			stats := p.Stats()
+			if stats.LateEntryPoints != 1 {
+				t.Errorf("LateEntryPoints = %d, want 1", stats.LateEntryPoints)
+			}
+			// T1's X on the set, T2's S on p2 and its S on b2: the re-check
+			// itself is not counted as a scan.
+			if got := stats.EntryPointScans - scans; tc.name == "data" && got != 3 {
+				t.Errorf("EntryPointScans = %d, want 3", got)
+			}
+			// Exclusion holds from the side: X on bolts/b2 now conflicts.
+			if err := p.LockWith(context.Background(), 4, b2, lock.X, false, false, 1); err == nil {
+				t.Errorf("T4 X-locked bolts/b2 under T2's S on %v", tc.node)
+			}
+		})
 	}
-	stats := p.Stats()
-	if stats.LateEntryPoints != 1 {
-		t.Errorf("LateEntryPoints = %d, want 1", stats.LateEntryPoints)
+}
+
+// TestOneEntryPointScan keeps the protocol on one source of entry points:
+// the store's reference scan (Store.RefTargets) runs only inside
+// entryTargets, and entryTargets runs only for the scan memo
+// (Namer.entryPoints) and for EntryPointsUnder, the uncached reference the
+// memo is tested against. A second caller would be a second way for a lock
+// to find its entry points, one the memo's tests do not cover.
+func TestOneEntryPointScan(t *testing.T) {
+	files, err := filepath.Glob("*.go")
+	if err != nil {
+		t.Fatal(err)
 	}
-	// T1's X on the set, T2's S on p2 and its S on b1: the re-check itself
-	// is not counted as a scan.
-	if stats.EntryPointScans != 3 {
-		t.Errorf("EntryPointScans = %d, want 3", stats.EntryPointScans)
+	callers := map[string][]string{} // callee -> enclosing functions
+	fset := token.NewFileSet()
+	for _, name := range files {
+		if strings.HasSuffix(name, "_test.go") {
+			continue
+		}
+		f, err := parser.ParseFile(fset, name, nil, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, d := range f.Decls {
+			fd, ok := d.(*ast.FuncDecl)
+			if !ok || fd.Body == nil {
+				continue
+			}
+			fn := fd.Name.Name
+			if fd.Recv != nil {
+				recv := fd.Recv.List[0].Type
+				if st, ok := recv.(*ast.StarExpr); ok {
+					recv = st.X
+				}
+				fn = recv.(*ast.Ident).Name + "." + fn
+			}
+			ast.Inspect(fd.Body, func(n ast.Node) bool {
+				call, ok := n.(*ast.CallExpr)
+				if !ok {
+					return true
+				}
+				switch f := call.Fun.(type) {
+				case *ast.Ident:
+					callers[f.Name] = append(callers[f.Name], fn)
+				case *ast.SelectorExpr:
+					callers[f.Sel.Name] = append(callers[f.Sel.Name], fn)
+				}
+				return true
+			})
+		}
 	}
-	// Exclusion holds from the side: X on bolts/b1 now conflicts.
-	if err := p.LockWith(context.Background(), 3, DataNode(store.P("bolts", "b1")), lock.X, false, false, 1); err == nil {
-		t.Error("T3 X-locked bolts/b1 under T2's S on parts/p2")
+	for callee, want := range map[string][]string{
+		"entryTargets": {"EntryPointsUnder", "Namer.entryPoints"},
+		"RefTargets":   {"entryTargets"},
+	} {
+		got := callers[callee]
+		sort.Strings(got)
+		got = slices.Compact(got)
+		if fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Errorf("%s is called from %v, want %v", callee, got, want)
+		}
 	}
 }
 

@@ -17,7 +17,7 @@ func TestProtocolLayout(t *testing.T) {
 	var p Protocol
 	typ := reflect.TypeOf(&p).Elem()
 	readMostly := map[string]bool{
-		"nm": true, "mgr": true, "st": true, "auth": true, "rule4Prime": true,
+		"nm": true, "mgr": true, "auth": true, "rule4Prime": true,
 		"tr": true, "fast": true, "onFastHit": true,
 	}
 	var headerEnd uintptr

@@ -211,8 +211,9 @@ type nameEntry struct {
 	// relation exists but whose shape is invalid; Classify returns it, and
 	// Resource does too when coalescing needed the classification.
 	infoErr error
-	// scan is the last entry-point scan below the node (data nodes whose
-	// type has a ref plan; nil until the protocol first S/X-locks one).
+	// scan is the last entry-point scan below the node (the database, a
+	// segment, a relation, or a data node whose type has a ref plan; nil
+	// until the protocol first S/X-locks it).
 	scan atomic.Pointer[scanMemo]
 }
 
@@ -575,14 +576,14 @@ func (nm *Namer) classifyUncached(p store.Path) (NodeInfo, error) {
 		case schema.KindTuple:
 			ft := t.Field(seg)
 			if ft == nil {
-				return NodeInfo{}, fmt.Errorf("core: path %q: no field %q", p, seg)
+				return NodeInfo{}, fmt.Errorf("core: path %q: no field %q", p.String(), seg)
 			}
 			t = ft
 		case schema.KindSet, schema.KindList:
 			// seg is an element ID; the type descends to the element type.
 			t = t.Elem
 		default:
-			return NodeInfo{}, fmt.Errorf("core: path %q: cannot descend into %v at %q", p, t.Kind, seg)
+			return NodeInfo{}, fmt.Errorf("core: path %q: cannot descend into %v at %q", p.String(), t.Kind, seg)
 		}
 	}
 	return classifyType(t), nil

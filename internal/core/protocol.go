@@ -35,7 +35,6 @@ import (
 type Protocol struct {
 	nm   *Namer
 	mgr  *lock.Manager
-	st   *store.Store
 	auth authz.Authorizer
 
 	// rule4Prime enables the authorization cooperation of rule 4′. With it
@@ -96,7 +95,7 @@ func NewProtocol(mgr *lock.Manager, st *store.Store, nm *Namer, opts Options) *P
 		auth = authz.AllowAll{}
 	}
 	nm.bind(mgr, st)
-	return &Protocol{nm: nm, mgr: mgr, st: st, auth: auth, rule4Prime: opts.Rule4Prime, tr: opts.Tracer, fast: !opts.DisableFastPath}
+	return &Protocol{nm: nm, mgr: mgr, auth: auth, rule4Prime: opts.Rule4Prime, tr: opts.Tracer, fast: !opts.DisableFastPath}
 }
 
 // Manager exposes the underlying lock manager (for release, inspection and
@@ -185,7 +184,14 @@ func (p *Protocol) LockWith(ctx context.Context, txn lock.TxnID, n Node, mode lo
 		c.ctx, c.ctr = nil, nil
 		callPool.Put(c)
 	}()
-	return p.lock(c, n, mode, "", trace.SpanHandle{})
+	// resolve also validates a data path against the schema: instances need
+	// not exist (inserts lock their future resource), but the attribute
+	// shape must be real.
+	e, err := p.nm.resolve(n)
+	if err != nil {
+		return err
+	}
+	return p.lockEntry(c, n, e, mode, "", trace.SpanHandle{})
 }
 
 // call carries one LockWith request through the protocol's fan-out: every
@@ -211,18 +217,6 @@ func (c *call) memo(id lock.ResID, mode lock.Mode) {
 }
 
 var callPool = sync.Pool{New: func() any { return new(call) }}
-
-// lock resolves n and locks it under the protocol (lockEntry).
-func (p *Protocol) lock(c *call, n Node, mode lock.Mode, kind string, sp trace.SpanHandle) error {
-	// resolve also validates a data path against the schema: instances need
-	// not exist (inserts lock their future resource), but the attribute
-	// shape must be real.
-	e, err := p.nm.resolve(n)
-	if err != nil {
-		return err
-	}
-	return p.lockEntry(c, n, e, mode, kind, sp)
-}
 
 // lockEntry locks node n, whose resolved name entry is e, under the
 // protocol. kind is "" for the node the caller named (the root span) and
@@ -278,33 +272,19 @@ func (p *Protocol) lockEntry(c *call, n Node, e *nameEntry, mode lock.Mode, kind
 	// it. Downward propagation crosses superunit boundaries and recurses,
 	// because common data may again contain common data. The schema rules a
 	// reference out below most data nodes (their type has no ref plan):
-	// those need no scan, before the grant or after it. The database, a
-	// segment or a relation is scanned into sc; any other data node takes
-	// its entry points, resolved, from its scan memo (Namer.entryPoints).
+	// those need no scan, before the grant or after it. Every other node —
+	// the database, a segment, a relation or a data node — takes its entry
+	// points, resolved, from its scan memo (Namer.entryPoints).
 	var (
-		sc    *scanBuf
 		eps   []*nameEntry
 		epsAt uint64 // a store version at which eps were the entry points
-		memo  bool   // eps and epsAt came from Namer.entryPoints
 	)
 	c.ctr.entryScans.Add(1)
-	switch {
-	case n.Level != LevelData:
-		sc = scanPool.Get().(*scanBuf)
-		defer scanPool.Put(sc)
-		if sc.cur, err = entryTargets(p.st, p.nm, n, e.typ, sc.cur[:0]); err != nil {
-			return err
-		}
-		for _, ep := range sc.cur {
-			if err := p.lock(c, sc.node(ep), mode, "downward", sp); err != nil {
-				return err
-			}
-		}
-	case e.typ.RefPlan() != nil:
+	scan := n.Level != LevelData || e.typ.RefPlan() != nil
+	if scan {
 		if eps, epsAt, err = p.nm.entryPoints(n, e); err != nil {
 			return err
 		}
-		memo = true
 		for _, ep := range eps {
 			if err := p.lockEntry(c, DataNode(ep.path), ep, mode, "downward", sp); err != nil {
 				return err
@@ -327,31 +307,22 @@ func (p *Protocol) lockEntry(c *call, n Node, e *nameEntry, mode lock.Mode, kind
 	// between: a transaction holding X below the node could add a reference
 	// and commit meanwhile. Such a writer held IX on the node until after its
 	// write moved the store version, so while the version is still the one
-	// the entry points were found at they are all there are. Otherwise — and
-	// always below the database, a segment or a relation — scan again now
-	// that the grant keeps writers out, and lock what the previous scan
-	// could not see, until nothing new turns up.
-	if memo && p.st.Version() != epsAt {
-		sc = scanPool.Get().(*scanBuf)
-		defer scanPool.Put(sc)
-		sc.cur = sc.cur[:0]
-		for _, ep := range eps {
-			sc.cur = append(sc.cur, store.Ref{Relation: ep.path[0], Key: ep.path[1]})
-		}
-	}
-	for late := true; sc != nil && late; {
-		sc.prev, sc.cur = sc.cur, sc.prev
-		if sc.cur, err = entryTargets(p.st, p.nm, n, e.typ, sc.cur[:0]); err != nil {
+	// the entry points were found at they are all there are. Otherwise take
+	// them again now that the grant keeps writers out, and lock what the
+	// previous list lacked, until nothing new turns up.
+	for late := scan; late && p.nm.st.Version() != epsAt; {
+		prev := eps
+		if eps, epsAt, err = p.nm.entryPoints(n, e); err != nil {
 			return err
 		}
 		late = false
-		for _, ep := range sc.cur {
-			if _, seen := slices.BinarySearchFunc(sc.prev, ep, cmpEntry); seen {
+		for _, ep := range eps {
+			if _, seen := slices.BinarySearchFunc(prev, ep, cmpEntryPoint); seen {
 				continue
 			}
 			late = true
 			c.ctr.lateEntries.Add(1)
-			if err := p.lock(c, sc.node(ep), mode, "downward", sp); err != nil {
+			if err := p.lockEntry(c, DataNode(ep.path), ep, mode, "downward", sp); err != nil {
 				return err
 			}
 		}

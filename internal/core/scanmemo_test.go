@@ -1,7 +1,6 @@
 package core
 
 import (
-	"context"
 	"fmt"
 	"math/rand"
 	"sync"
@@ -12,10 +11,10 @@ import (
 	"colock/internal/store"
 )
 
-// Tests of the scan memo (scanMemo, Namer.entryPoints): an S/X lock on a
-// data node reuses the node's last entry-point scan while the store version
-// has not moved. Every mutator must move it; each test below fails when the
-// bump of the mutator it drives is deleted.
+// Tests of the scan memo (scanMemo, Namer.entryPoints): an S/X lock reuses
+// the node's last entry-point scan while the store version has not moved.
+// Every mutator must move it; each test below fails when the bump of the
+// mutator it drives is deleted.
 
 // memoFixture is the paper database under a protocol, and the robot whose
 // memo the tests warm.
@@ -176,55 +175,43 @@ func TestScanMemoAfterFailedRestore(t *testing.T) {
 	f.check(t, "after the failed restores")
 }
 
-// TestWarmMemoSeesReferenceAddedWhileWaiting is
-// TestLockSeesReferenceAddedWhileWaiting with parts/p2's memo filled before
-// T2 asks: T2's S lock takes the (empty) memo without a scan, parks behind
-// T1, and must still come back holding S on the bolt T1 referenced
-// meanwhile — the write moved the store version, so the grant re-scans.
-func TestWarmMemoSeesReferenceAddedWhileWaiting(t *testing.T) {
+// TestScanMemoAboveData: the database, a segment and a relation keep their
+// scans in memos too, so two S locks by different transactions at one
+// store version share the first one's memo, and it lists what a scan finds.
+func TestScanMemoAboveData(t *testing.T) {
 	cat, st := nestedCatalogAndStore(t)
-	if err := st.Insert("parts", "p2", store.NewTuple().
-		Set("id", store.Str("p2")).Set("bolts", store.NewSet())); err != nil {
-		t.Fatal(err)
-	}
 	nm := NewNamer(cat, false)
-	mgr := lock.NewManager(lock.Options{})
-	p := NewProtocol(mgr, st, nm, Options{})
-	p2 := DataNode(store.P("parts", "p2"))
-	const t0, t1, t2 = lock.TxnID(1), lock.TxnID(2), lock.TxnID(3)
-
-	if err := p.Lock(t0, p2, lock.S); err != nil { // fills p2's memo
-		t.Fatal(err)
-	}
-	p.Release(t0)
-	e, err := nm.resolve(p2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m := e.scan.Load(); m == nil || m.version.Load() != st.Version() || len(m.eps) != 0 {
-		t.Fatalf("parts/p2's memo after a scan = %+v at store version %d, want empty and current", m, st.Version())
-	}
-	if err := p.LockPath(t1, store.P("parts", "p2", "bolts"), lock.X); err != nil {
-		t.Fatal(err)
-	}
-	parked := make(chan struct{})
-	ctx := lock.WithParkNotify(context.Background(), func() { close(parked) })
-	done := make(chan error, 1)
-	go func() { done <- p.LockWith(ctx, t2, p2, lock.S, false, false, 0) }()
-	<-parked
-
-	if err := st.AddElem(store.P("parts", "p2", "bolts"), "b1", store.Ref{Relation: "bolts", Key: "b1"}); err != nil {
-		t.Fatal(err)
-	}
-	p.Release(t1)
-	if err := <-done; err != nil {
-		t.Fatal(err)
-	}
-	if got := heldMode(mgr, t2, mustResource(t, nm, DataNode(store.P("bolts", "b1")))); got != lock.S {
-		t.Errorf("T2 holds %v on bolts/b1, want S", got)
-	}
-	if got := p.Stats().LateEntryPoints; got != 1 {
-		t.Errorf("LateEntryPoints = %d, want 1", got)
+	p := NewProtocol(lock.NewManager(lock.Options{}), st, nm, Options{})
+	txn := lock.TxnID(0)
+	for _, n := range []Node{DatabaseNode(), SegmentNode("s2"), DataNode(store.P("parts"))} {
+		e, err := nm.resolve(n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var memos [2]*scanMemo
+		for i := range memos {
+			txn++
+			if err := p.Lock(txn, n, lock.S); err != nil {
+				t.Fatal(err)
+			}
+			p.Release(txn)
+			memos[i] = e.scan.Load()
+		}
+		if memos[0] == nil || memos[0] != memos[1] || memos[0].version.Load() != st.Version() {
+			t.Errorf("%v: memos %p and %p of two S locks at store version %d, want one current memo", n, memos[0], memos[1], st.Version())
+			continue
+		}
+		want, err := EntryPointsUnder(st, nm, n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got []store.Path
+		for _, ep := range memos[0].eps {
+			got = append(got, ep.path)
+		}
+		if fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Errorf("%v: memo lists %v, a scan finds %v", n, got, want)
+		}
 	}
 }
 

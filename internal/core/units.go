@@ -6,7 +6,6 @@ import (
 	"slices"
 	"sort"
 	"strings"
-	"sync"
 	"sync/atomic"
 
 	"colock/internal/schema"
@@ -181,7 +180,7 @@ func unitNodes(st *store.Store, object store.Path) ([]store.Path, []store.RefAt)
 // reference can lie below it and which hops lead there (schema.RefPlan), so
 // a node over reference-free data is answered without touching the store,
 // and any other node by one read-locked pass over just those hops. The
-// protocol keeps a data node's result in the node's scan memo
+// protocol keeps each node's result in the node's scan memo
 // (Namer.entryPoints); EntryPointsUnder scans every time, the reference the
 // memo is tested against.
 func EntryPointsUnder(st *store.Store, nm *Namer, n Node) ([]store.Path, error) {
@@ -213,28 +212,9 @@ func EntryPointsUnder(st *store.Store, nm *Namer, n Node) ([]store.Path, error) 
 	return out, nil
 }
 
-// scanBuf holds the entry points one lock request found below its node: cur
-// from the latest scan, prev from the one before (the protocol compares the
-// two after the grant). Pooled, so a scan allocates nothing once warm.
-type scanBuf struct {
-	cur, prev []store.Ref
-	// path backs the node of the entry point being locked (see node).
-	path [2]string
-}
-
-// node returns the data node of entry point ep, its path stored in the
-// buffer: valid until the next call, which is all a downward lock needs (the
-// namer copies a path it caches).
-func (sc *scanBuf) node(ep store.Ref) Node {
-	sc.path = [2]string{ep.Relation, ep.Key}
-	return DataNode(sc.path[:])
-}
-
-var scanPool = sync.Pool{New: func() any { return new(scanBuf) }}
-
-// scanMemo is one entry-point scan below a data node, kept in the node's
-// name entry: the entry points entryTargets found, in its order, as the
-// name cache's entries, and a store version read before a scan that found
+// scanMemo is one entry-point scan below a node, kept in the node's name
+// entry: the entry points entryTargets found, in its order, as the name
+// cache's entries, and a store version read before a scan that found
 // exactly them. While Store.Version still returns version, no write has
 // been made since, and a scan would find the same list. eps never changes
 // once published; version only rises, when a later scan of the node finds
@@ -247,39 +227,39 @@ type scanMemo struct {
 	eps     []*nameEntry
 }
 
-// entryPoints returns the entry points below the data node n, whose bound
-// name entry e has a type with a ref plan, and a store version at which
-// they were exactly the node's entry points: from e's memo when the store
-// has not been written since the memo's scan — no latch, no allocation —
-// or else from a fresh scan of the bound store, which renews the memo. Only
-// a scan whose entry points differ from the memo's allocates, and the
-// first empty scan of each version.
+// entryPoints returns the entry points below n — the database, a segment,
+// a relation, or a data node whose type has a ref plan — whose bound name
+// entry is e, and a store version at which they were exactly the node's
+// entry points: from e's memo when the store has not been written since
+// the memo's scan — no latch, no allocation — or else from a fresh scan of
+// the bound store, which renews the memo. Only a scan whose entry points
+// differ from the memo's allocates, the first empty scan of each version,
+// and a scan that finds more than eight entry points.
 func (nm *Namer) entryPoints(n Node, e *nameEntry) ([]*nameEntry, uint64, error) {
 	v := nm.st.Version() // before the scan: a write after it moves the version
 	m := e.scan.Load()
 	if m != nil && m.version.Load() == v {
 		return m.eps, v, nil
 	}
-	sc := scanPool.Get().(*scanBuf)
-	defer scanPool.Put(sc)
-	var err error
-	if sc.cur, err = entryTargets(nm.st, nm, n, e.typ, sc.cur[:0]); err != nil {
+	var few [8]store.Ref
+	refs, err := entryTargets(nm.st, nm, n, e.typ, few[:0])
+	if err != nil {
 		return nil, 0, err
 	}
 	switch {
-	case len(sc.cur) == 0:
+	case len(refs) == 0:
 		m = nm.emptyMemo(v)
-	case m != nil && sameEntries(m.eps, sc.cur):
+	case m != nil && sameEntries(m.eps, refs):
 		// m is this node's own memo (it lists entry points): raise its
 		// version to v unless another scan already raised it further.
 		for old := m.version.Load(); old < v && !m.version.CompareAndSwap(old, v); old = m.version.Load() {
 		}
 		return m.eps, v, nil
 	default:
-		m = &scanMemo{eps: make([]*nameEntry, len(sc.cur))}
+		m = &scanMemo{eps: make([]*nameEntry, len(refs))}
 		m.version.Store(v)
-		for i, ep := range sc.cur {
-			if m.eps[i], err = nm.resolve(sc.node(ep)); err != nil {
+		for i, ep := range refs {
+			if m.eps[i], err = nm.entryFor(store.Path{ep.Relation, ep.Key}); err != nil {
 				return nil, 0, err
 			}
 		}
@@ -365,6 +345,11 @@ func entryTargets(st *store.Store, nm *Namer, n Node, t *schema.Type, buf []stor
 	}
 	slices.SortFunc(kept, cmpEntry)
 	return slices.Compact(kept), nil
+}
+
+// cmpEntryPoint is cmpEntry over resolved entry points.
+func cmpEntryPoint(a, b *nameEntry) int {
+	return cmpEntry(store.Ref{Relation: a.path[0], Key: a.path[1]}, store.Ref{Relation: b.path[0], Key: b.path[1]})
 }
 
 // cmpEntry orders entry points as their Path.String() forms order —

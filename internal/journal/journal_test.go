@@ -44,9 +44,9 @@ func (r *eventRing) push(rec Record) bool {
 	return ok
 }
 
-func writeJournal(t *testing.T, dir string, opts Options, recs []Record) {
+func writeJournal(t *testing.T, dir string, maxSegment int64, recs []Record) {
 	t.Helper()
-	w, err := Open(dir, opts)
+	w, err := open(dir, maxSegment)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +61,7 @@ func writeJournal(t *testing.T, dir string, opts Options, recs []Record) {
 func TestWriteReadRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	want := sampleRecords()
-	writeJournal(t, dir, Options{}, want)
+	writeJournal(t, dir, maxSegmentBytes, want)
 
 	got, torn, err := ReadAll(dir)
 	if err != nil {
@@ -93,7 +93,7 @@ func TestSegmentRotationAndInterning(t *testing.T) {
 		recs = append(recs, Record{Event: lock.Event{Kind: "grant", Txn: lock.TxnID(i%7 + 1),
 			Resource: "db1/seg1/cells/c1/robots/r1/trajectory", Mode: lock.X, At: at(i)}})
 	}
-	writeJournal(t, dir, Options{MaxSegmentBytes: 1024}, recs)
+	writeJournal(t, dir, 1024, recs)
 
 	segs, err := Segments(dir)
 	if err != nil {
@@ -122,7 +122,7 @@ func TestSegmentRotationAndInterning(t *testing.T) {
 // must name what its event named.
 func TestRotationClearsIDCache(t *testing.T) {
 	dir := t.TempDir()
-	w, err := Open(dir, Options{MaxSegmentBytes: 512})
+	w, err := open(dir, 512)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -222,8 +222,8 @@ func TestOldSweepListDecodes(t *testing.T) {
 
 func TestReopenAppendsNewSegment(t *testing.T) {
 	dir := t.TempDir()
-	writeJournal(t, dir, Options{}, sampleRecords()[:3])
-	writeJournal(t, dir, Options{}, sampleRecords()[3:])
+	writeJournal(t, dir, maxSegmentBytes, sampleRecords()[:3])
+	writeJournal(t, dir, maxSegmentBytes, sampleRecords()[3:])
 
 	segs, _ := Segments(dir)
 	if len(segs) != 2 {
@@ -243,7 +243,7 @@ func TestReopenAppendsNewSegment(t *testing.T) {
 func TestTornFinalRecord(t *testing.T) {
 	dir := t.TempDir()
 	want := sampleRecords()
-	writeJournal(t, dir, Options{}, want)
+	writeJournal(t, dir, maxSegmentBytes, want)
 
 	segs, _ := Segments(dir)
 	last := segs[len(segs)-1]
@@ -285,7 +285,7 @@ func TestCorruptMiddleSegmentFails(t *testing.T) {
 	for i := 0; i < 300; i++ {
 		recs = append(recs, Record{Event: lock.Event{Kind: "grant", Txn: 1, Resource: lock.Resource(strings.Repeat("r", 40)), At: at(i)}})
 	}
-	writeJournal(t, dir, Options{MaxSegmentBytes: 2048}, recs)
+	writeJournal(t, dir, 2048, recs)
 	segs, _ := Segments(dir)
 	if len(segs) < 2 {
 		t.Fatalf("need ≥2 segments, got %d", len(segs))
@@ -302,7 +302,7 @@ func TestCorruptMiddleSegmentFails(t *testing.T) {
 	// the stream there — the length chain is untrustworthy past the flip —
 	// but the reader reports the tear rather than inventing records.
 	dir2 := t.TempDir()
-	writeJournal(t, dir2, Options{}, sampleRecords())
+	writeJournal(t, dir2, maxSegmentBytes, sampleRecords())
 	segs2, _ := Segments(dir2)
 	data, err := os.ReadFile(segs2[0])
 	if err != nil {
@@ -333,7 +333,7 @@ func TestTimestampOrderAcrossDisorder(t *testing.T) {
 		}
 		recs = append(recs, Record{Event: lock.Event{Kind: "grant", Txn: lock.TxnID(i), Resource: "r", At: at(j)}})
 	}
-	writeJournal(t, dir, Options{}, recs)
+	writeJournal(t, dir, maxSegmentBytes, recs)
 	got, _, err := ReadAll(dir)
 	if err != nil {
 		t.Fatal(err)

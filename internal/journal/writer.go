@@ -15,14 +15,13 @@ import (
 	"colock/internal/lock"
 )
 
-// Options configures a Writer.
-type Options struct {
-	// MaxSegmentBytes rotates to a new segment file once the current one
-	// exceeds this size (default 8 MiB).
-	MaxSegmentBytes int64
-}
+// Options configures a Writer. It has no settings: a writer rotates to a
+// new segment file once the current one exceeds maxSegmentBytes.
+type Options struct{}
 
 const (
+	// maxSegmentBytes is the size past which a writer starts a new segment.
+	maxSegmentBytes = 8 << 20
 	// ringSize is the capacity of the bounded event ring (a power of two).
 	// When the ring is full events are dropped and counted — the hot path
 	// never blocks on the journal.
@@ -37,9 +36,9 @@ const (
 // the events into a lock-free ring and return; a single background goroutine
 // drains, interns, encodes and writes. Attach it with Manager.AttachSink.
 type Writer struct {
-	dir  string
-	opts Options
-	ring *eventRing
+	dir        string
+	maxSegment int64 // rotate past this many bytes
+	ring       *eventRing
 
 	// notify wakes the writer goroutine; see wake for who sends when.
 	notify  chan struct{}
@@ -72,10 +71,13 @@ type Writer struct {
 // Open creates (or appends to) the journal directory and starts the writer
 // goroutine. Existing segments are never modified: writing always begins a
 // fresh segment numbered after the highest present.
-func Open(dir string, opts Options) (*Writer, error) {
-	if opts.MaxSegmentBytes <= 0 {
-		opts.MaxSegmentBytes = 8 << 20
-	}
+func Open(dir string, _ Options) (*Writer, error) {
+	return open(dir, maxSegmentBytes)
+}
+
+// open is Open with the segment size as a parameter, which tests shrink to
+// force rotations.
+func open(dir string, maxSegment int64) (*Writer, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("journal: %w", err)
 	}
@@ -90,13 +92,13 @@ func Open(dir string, opts Options) (*Writer, error) {
 		}
 	}
 	w := &Writer{
-		dir:     dir,
-		opts:    opts,
-		ring:    newEventRing(ringSize),
-		notify:  make(chan struct{}, 1),
-		flushCh: make(chan chan error),
-		done:    make(chan struct{}),
-		stopped: make(chan struct{}),
+		dir:        dir,
+		maxSegment: maxSegment,
+		ring:       newEventRing(ringSize),
+		notify:     make(chan struct{}, 1),
+		flushCh:    make(chan chan error),
+		done:       make(chan struct{}),
+		stopped:    make(chan struct{}),
 	}
 	w.segments.Store(uint64(len(existing)))
 	if err := w.openSegment(next); err != nil {
@@ -354,7 +356,7 @@ func (w *Writer) drain() int {
 			continue
 		}
 		written++
-		if w.enc.n >= w.opts.MaxSegmentBytes {
+		if w.enc.n >= w.maxSegment {
 			if err := w.rotate(); err != nil {
 				w.fail(err)
 				w.enc = nil

@@ -36,6 +36,7 @@ import (
 	"time"
 
 	"colock/internal/lock"
+	"colock/internal/obs"
 )
 
 // Span is one node of a transaction's trace tree. The root span of a tree
@@ -69,27 +70,12 @@ const maxRetained = 4096
 // Options configures a Recorder.
 type Options struct {
 	// KindOf classifies a resource into a lockable-unit kind label for the
-	// span's Unit field; nil uses a path-depth default mirroring
-	// obs.DepthKindOf.
+	// span's Unit field; nil labels it by path depth, with the
+	// obs.DefaultKinds label obs.DepthKindOf picks.
 	KindOf func(lock.Resource) string
 	// ShardOf maps a resource to its lock-table stripe (wire it to
 	// lock.Manager.ShardOf); nil stamps shard 0.
 	ShardOf func(lock.Resource) int
-}
-
-// depthKind is the default unit classifier (path depth, as in obs).
-func depthKind(r lock.Resource) string {
-	switch strings.Count(string(r), "/") {
-	case 0:
-		return "database"
-	case 1:
-		return "segment"
-	case 2:
-		return "relation"
-	case 3:
-		return "entry-point"
-	}
-	return "node"
 }
 
 // record is one span as a transaction's buffer holds it: what the locking
@@ -160,7 +146,7 @@ type Recorder struct {
 func NewRecorder(opts Options) *Recorder {
 	kindOf := opts.KindOf
 	if kindOf == nil {
-		kindOf = depthKind
+		kindOf = func(r lock.Resource) string { return obs.DefaultKinds[obs.DepthKindOf(r)] }
 	}
 	shardOf := opts.ShardOf
 	if shardOf == nil {

@@ -15,7 +15,7 @@ import (
 // bench/: every exported field of a struct type named *Options or *Config in
 // a non-test file, plus every flag defined under cmd/. A change that adds or
 // removes one updates this pin and says so in CHANGES.md.
-const wantOptionsAndFlags = 92
+const wantOptionsAndFlags = 91
 
 // flagDefiners are the flag.FlagSet methods (and package-level flag
 // functions) that define a flag.
