@@ -1,19 +1,20 @@
 GO ?= go
 
-.PHONY: ci fmt vet build test race race-matrix fuzz-smoke bench scale journal-smoke bench-check doc-lint drift-check obs-demo figures clean
+.PHONY: ci fmt vet build test race race-matrix fuzz-smoke bench bench-smoke scale journal-smoke bench-check doc-lint drift-check obs-demo figures clean
 
-# ci is the gate every change must pass (10 gates): formatting, vet, the godoc
+# ci is the gate every change must pass (11 gates): formatting, vet, the godoc
 # lint (which also greps for deprecated wrappers) and the docs-drift lint,
 # build, the full test suite under the race detector (the lock manager and
 # protocol are concurrent; -race is not optional here), the
 # scheduling-sensitive packages again at 1, 2 and 4 cores, a short run of
-# every fuzz target, the journal-forensics smoke gate, and the check that the
+# every fuzz target, one iteration of every in-tree Go benchmark, the
+# journal-forensics smoke gate, and the check that the
 # frozen benchmark module still builds and runs against this tree
 # (performance is measured by bench/, whose pinned per-transaction counts
 # bench-check asserts; the forced-timeout incident dump and the .health dump
 # are checked in-process by cmd/colockshell's TestShellForceTimeout and
 # TestShellHealthCommands).
-ci: fmt vet doc-lint drift-check build race race-matrix fuzz-smoke journal-smoke bench-check
+ci: fmt vet doc-lint drift-check build race race-matrix fuzz-smoke bench-smoke journal-smoke bench-check
 
 # fmt fails if any file needs gofmt, listing the offenders.
 fmt:
@@ -60,6 +61,12 @@ fuzz-smoke:
 
 bench:
 	$(GO) test -bench=. -benchmem ./...
+
+# bench-smoke runs every in-tree Go benchmark once, so a benchmark that fails
+# (b.Fatal) or panics fails here rather than when someone next measures with
+# it. It times nothing: the iteration count is 1.
+bench-smoke:
+	$(GO) test -run '^$$' -bench . -benchtime 1x ./...
 
 # scale runs BenchmarkCellEditBareParallel (disjoint cells, every goroutine on
 # one engine) at 1 and 2 CPUs, five times each, and prints each side's median

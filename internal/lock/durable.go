@@ -38,12 +38,11 @@ func (m *Manager) Snapshot() []DurableLock {
 				continue
 			}
 			r := m.Name(s.id(i))
-			e.forEachHolder(func(t TxnID, h *heldLock) bool {
-				if h.durable {
-					out = append(out, DurableLock{Txn: t, Resource: r, Mode: h.mode})
+			for _, sl := range e.slots {
+				if sl.h.durable {
+					out = append(out, DurableLock{Txn: sl.txn, Resource: r, Mode: sl.h.mode})
 				}
-				return true
-			})
+			}
 		}
 		s.mu.Unlock()
 	}

@@ -20,73 +20,67 @@ import (
 //   - queueCount[m]: how many queued waiters target mode m, so the FIFO
 //     fairness check ("would I overtake an incompatible earlier waiter?")
 //     answers "no conflict" without walking the queue.
-//   - oldestHolder/oldestWaiter: lower bounds on the resident transaction
-//     IDs, letting wait-die's mustDie prove "I am older than everyone here"
-//     (the common survivable case) without a scan.
 //
 // Exact scans remain as slow paths: when the summaries report a potential
 // conflict, the per-holder/per-waiter loops run to honor the self-skip
 // semantics (a transaction never conflicts with itself). checkSummary
 // asserts summary == fold(storage) and is wired into the -race stress test.
 //
-// Holder storage is hybrid: an inline slice sorted by TxnID serves entries
-// with up to inlineHolders holders allocation-free; past that the entry
-// spills to a map (pooled heldLock values). Entries and waiters themselves
-// come from sync.Pools — see the lifecycle notes on putWaiter.
+// Holders live in one slice sorted by TxnID, whatever their number: lookup
+// is a binary search, a new holder younger than every resident (the common
+// arrival, since ids grow in start order) appends, a removal copies the tail
+// down, and the oldest holder is slots[0]. Entries and waiters come from
+// sync.Pools — see the lifecycle notes on putWaiter.
 
-// inlineHolders is the holder count past which an entry's inline sorted
-// slice spills to a map.
-const inlineHolders = 8
-
-// noTxn is the sentinel for "no resident transaction" in the oldest-ID
-// bounds: larger than every real TxnID.
-const noTxn = TxnID(^uint64(0))
-
-// holderSlot is one inline holder: the key alongside the value so the
-// common small entry needs no map at all.
+// holderSlot is one holder: the key alongside the value.
 type holderSlot struct {
 	txn TxnID
 	h   heldLock
 }
 
 type entry struct {
-	// slots is the inline holder storage, sorted by txn, used while the
-	// entry has at most inlineHolders holders and spill is nil. Pointers
-	// into slots (from holder/addHolder) are invalidated by the next
+	// slots holds the granted holders, sorted by txn. Pointers into slots
+	// (from holder/addHolder) are invalidated by the next
 	// addHolder/removeHolder call; never hold one across a mutation.
 	slots []holderSlot
-	// spill owns every holder once the entry has spilled; values are pooled
-	// heldLocks. An entry never un-spills (it is recycled when empty).
-	spill map[TxnID]*heldLock
 
 	queue []*waiter // conversions are kept ahead of plain waiters
 
 	// Granted-group and queue summaries; see the package comment above.
-	modeCount    [numModes]uint16
-	queueCount   [numModes]uint16
-	group        Mode
-	oldestHolder TxnID
-	oldestWaiter TxnID
-	nHolders     int
+	modeCount  [numModes]uint16
+	queueCount [numModes]uint16
+	group      Mode
 	// grants numbers the entry's grants and conversions (heldLock.order):
 	// the order SnapshotQueues lists holders in, kept per resource so that no
 	// grant writes a word every grant on every resource writes.
 	grants uint64
 }
 
-// holderCount returns the number of granted holders.
-func (e *entry) holderCount() int { return e.nHolders }
+// find returns the index of txn's slot and true, or the index its slot
+// would be inserted at and false. A txn younger than every holder — a new
+// transaction's first request, the common case — is answered by the last
+// slot alone.
+func (e *entry) find(txn TxnID) (int, bool) {
+	lo, hi := 0, len(e.slots)
+	if hi == 0 || e.slots[hi-1].txn < txn {
+		return hi, false
+	}
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if e.slots[mid].txn < txn {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo, e.slots[lo].txn == txn // lo < len: the last slot is not older
+}
 
 // holder returns txn's granted lock, or nil. The pointer is valid only
 // until the next holder mutation on this entry.
 func (e *entry) holder(txn TxnID) *heldLock {
-	if e.spill != nil {
-		return e.spill[txn]
-	}
-	for i := range e.slots {
-		if e.slots[i].txn == txn {
-			return &e.slots[i].h
-		}
+	if i, ok := e.find(txn); ok {
+		return &e.slots[i].h
 	}
 	return nil
 }
@@ -102,73 +96,26 @@ func (e *entry) holderMode(txn TxnID) Mode {
 // addHolder installs a fresh holder for txn (mode None, counted into no
 // summary until setMode) and returns it. txn must not already hold.
 func (e *entry) addHolder(txn TxnID) *heldLock {
-	e.nHolders++
-	if txn < e.oldestHolder {
-		e.oldestHolder = txn
-	}
-	if e.spill == nil && e.nHolders <= inlineHolders {
-		// Insert into the sorted inline slice.
-		pos := len(e.slots)
-		for i := range e.slots {
-			if e.slots[i].txn > txn {
-				pos = i
-				break
-			}
-		}
-		e.slots = append(e.slots, holderSlot{})
-		copy(e.slots[pos+1:], e.slots[pos:])
-		e.slots[pos] = holderSlot{txn: txn}
-		return &e.slots[pos].h
-	}
-	if e.spill == nil {
-		// Spill: move the inline holders into a map and empty the slice.
-		e.spill = make(map[TxnID]*heldLock, 2*inlineHolders)
-		for i := range e.slots {
-			h := getHeld()
-			*h = e.slots[i].h
-			e.spill[e.slots[i].txn] = h
-		}
-		e.slots = e.slots[:0]
-	}
-	h := getHeld()
-	e.spill[txn] = h
-	return h
+	i, _ := e.find(txn)
+	e.slots = append(e.slots, holderSlot{})
+	copy(e.slots[i+1:], e.slots[i:])
+	e.slots[i] = holderSlot{txn: txn}
+	return &e.slots[i].h
 }
 
 // removeHolder drops txn's granted lock, returning a copy of it. Summaries
-// (modeCount, group, oldestHolder) are maintained here.
+// (modeCount, group) are maintained here.
 func (e *entry) removeHolder(txn TxnID) (heldLock, bool) {
-	var h heldLock
-	if e.spill != nil {
-		p := e.spill[txn]
-		if p == nil {
-			return h, false
-		}
-		h = *p
-		delete(e.spill, txn)
-		putHeld(p)
-	} else {
-		i := -1
-		for j := range e.slots {
-			if e.slots[j].txn == txn {
-				i = j
-				break
-			}
-		}
-		if i < 0 {
-			return h, false
-		}
-		h = e.slots[i].h
-		copy(e.slots[i:], e.slots[i+1:])
-		e.slots = e.slots[:len(e.slots)-1]
+	i, ok := e.find(txn)
+	if !ok {
+		return heldLock{}, false
 	}
-	e.nHolders--
+	h := e.slots[i].h
+	copy(e.slots[i:], e.slots[i+1:])
+	e.slots = e.slots[:len(e.slots)-1]
 	if h.mode != None {
 		e.modeCount[h.mode]--
 		e.refreshGroup()
-	}
-	if txn == e.oldestHolder {
-		e.recomputeOldestHolder()
 	}
 	return h, true
 }
@@ -199,39 +146,6 @@ func (e *entry) refreshGroup() {
 		}
 	}
 	e.group = g
-}
-
-func (e *entry) recomputeOldestHolder() {
-	e.oldestHolder = noTxn
-	if e.spill != nil {
-		for t := range e.spill {
-			if t < e.oldestHolder {
-				e.oldestHolder = t
-			}
-		}
-		return
-	}
-	if len(e.slots) > 0 {
-		e.oldestHolder = e.slots[0].txn // slots are sorted by txn
-	}
-}
-
-// forEachHolder calls fn for every holder until fn returns false. The
-// *heldLock is valid only during the callback.
-func (e *entry) forEachHolder(fn func(TxnID, *heldLock) bool) {
-	if e.spill != nil {
-		for t, h := range e.spill {
-			if !fn(t, h) {
-				return
-			}
-		}
-		return
-	}
-	for i := range e.slots {
-		if !fn(e.slots[i].txn, &e.slots[i].h) {
-			return
-		}
-	}
 }
 
 // compatGranted reports whether a request for target by a transaction
@@ -304,26 +218,19 @@ func (e *entry) grantable(txn TxnID, own, target Mode, convert bool) (ok, fast b
 
 // mustDie implements the wait-die rule: the requester dies if it is younger
 // (higher TxnID) than any incompatible current holder or queued waiter. The
-// oldest-resident bounds prove the common survivable case ("requester is
-// older than everyone here") without a scan; only potential deaths — already
-// the slow path, they end in an abort — run the exact loops.
+// holders are sorted by txn, so only those older than the requester are
+// looked at.
 func (e *entry) mustDie(txn TxnID, target Mode) bool {
-	if txn < e.oldestHolder && txn < e.oldestWaiter {
-		return false
-	}
-	die := false
-	e.forEachHolder(func(t TxnID, h *heldLock) bool {
-		if t != txn && !compat[target][h.mode] && txn > t {
-			die = true
-			return false
+	for i := range e.slots {
+		if e.slots[i].txn >= txn {
+			break
 		}
-		return true
-	})
-	if die {
-		return true
+		if !compat[target][e.slots[i].h.mode] {
+			return true
+		}
 	}
 	for _, w := range e.queue {
-		if w.txn != txn && !compat[target][w.mode] && txn > w.txn {
+		if w.txn < txn && !compat[target][w.mode] {
 			return true
 		}
 	}
@@ -348,9 +255,6 @@ func (e *entry) enqueue(w *waiter) int {
 		e.queue = append(e.queue, w)
 	}
 	e.queueCount[w.mode]++
-	if w.txn < e.oldestWaiter {
-		e.oldestWaiter = w.txn
-	}
 	return pos
 }
 
@@ -362,14 +266,6 @@ func (e *entry) dequeueAt(i int) *waiter {
 	e.queue[len(e.queue)-1] = nil
 	e.queue = e.queue[:len(e.queue)-1]
 	e.queueCount[w.mode]--
-	if w.txn == e.oldestWaiter {
-		e.oldestWaiter = noTxn
-		for _, q := range e.queue {
-			if q.txn < e.oldestWaiter {
-				e.oldestWaiter = q.txn
-			}
-		}
-	}
 	return w
 }
 
@@ -386,7 +282,7 @@ func (e *entry) removeWaiterPtr(w *waiter) bool {
 }
 
 // empty reports whether the entry can be dropped (and recycled).
-func (e *entry) empty() bool { return e.nHolders == 0 && len(e.queue) == 0 }
+func (e *entry) empty() bool { return len(e.slots) == 0 && len(e.queue) == 0 }
 
 // checkSummary recomputes every summary from the underlying storage and
 // returns an error on any mismatch. The randomized -race stress test calls
@@ -397,23 +293,13 @@ func (e *entry) checkSummary() error {
 		return nil
 	}
 	var mc [numModes]uint16
-	n := 0
-	oldest := noTxn
-	e.forEachHolder(func(t TxnID, h *heldLock) bool {
-		if h.mode != None {
-			mc[h.mode]++
+	for i := range e.slots {
+		if i > 0 && e.slots[i-1].txn >= e.slots[i].txn {
+			return fmt.Errorf("holder slots out of order at %d", i)
 		}
-		if t < oldest {
-			oldest = t
+		if mo := e.slots[i].h.mode; mo != None {
+			mc[mo]++
 		}
-		n++
-		return true
-	})
-	if n != e.nHolders {
-		return fmt.Errorf("nHolders=%d, storage has %d", e.nHolders, n)
-	}
-	if oldest != e.oldestHolder {
-		return fmt.Errorf("oldestHolder=%d, fold gives %d", e.oldestHolder, oldest)
 	}
 	g := None
 	for mo := Mode(1); mo < numModes; mo++ {
@@ -428,25 +314,11 @@ func (e *entry) checkSummary() error {
 		return fmt.Errorf("group=%v, fold gives %v", e.group, g)
 	}
 	var qc [numModes]uint16
-	oldestW := noTxn
 	for _, w := range e.queue {
 		qc[w.mode]++
-		if w.txn < oldestW {
-			oldestW = w.txn
-		}
 	}
 	if qc != e.queueCount {
 		return fmt.Errorf("queueCount=%v, fold gives %v", e.queueCount, qc)
-	}
-	if oldestW != e.oldestWaiter {
-		return fmt.Errorf("oldestWaiter=%d, fold gives %d", e.oldestWaiter, oldestW)
-	}
-	if e.spill == nil && len(e.slots) > 1 {
-		for i := 1; i < len(e.slots); i++ {
-			if e.slots[i-1].txn >= e.slots[i].txn {
-				return fmt.Errorf("inline slots out of order at %d", i)
-			}
-		}
 	}
 	return nil
 }
@@ -466,7 +338,7 @@ func (e *entry) checkSummary() error {
 //     never wakes spuriously, and await leaves the timer stopped and drained.
 //   - Entries are recycled only when empty (maybeDropEntry), so their
 //     summaries are all-zero by construction; putEntry restarts the grant
-//     numbering and getEntry resets the sentinels.
+//     numbering.
 
 var waiterPool = sync.Pool{New: func() any { return &waiter{ready: make(chan error, 1)} }}
 
@@ -491,27 +363,12 @@ func putWaiter(w *waiter) {
 
 var entryPool = sync.Pool{New: func() any { return &entry{} }}
 
-func getEntry() *entry {
-	e := entryPool.Get().(*entry)
-	e.group = None
-	e.oldestHolder, e.oldestWaiter = noTxn, noTxn
-	return e
-}
+func getEntry() *entry { return entryPool.Get().(*entry) }
 
-// putEntry recycles an empty entry (nHolders == 0, queue empty — counts are
-// therefore already zero). The spill map is kept for the entry's next life.
+// putEntry recycles an empty entry (no holders, queue empty — counts are
+// therefore already zero). The slices keep their capacity for the entry's
+// next life.
 func putEntry(e *entry) {
-	e.slots = e.slots[:0]
-	e.queue = e.queue[:0]
 	e.grants = 0
 	entryPool.Put(e)
-}
-
-var heldPool = sync.Pool{New: func() any { return new(heldLock) }}
-
-func getHeld() *heldLock { return heldPool.Get().(*heldLock) }
-
-func putHeld(h *heldLock) {
-	*h = heldLock{}
-	heldPool.Put(h)
 }

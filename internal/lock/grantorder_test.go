@@ -11,7 +11,7 @@ import (
 // a new grant; a durability upgrade or a downgrade does not), and
 // SnapshotQueues lists one resource's holders in the order they were
 // granted, whatever their transaction ids. Both hold across table stripes
-// and past the inline holder slots.
+// and however many holders a resource has.
 
 func TestHeldLocksInAcquisitionOrder(t *testing.T) {
 	ctx := context.Background()
@@ -25,6 +25,8 @@ func TestHeldLocksInAcquisitionOrder(t *testing.T) {
 	must(m.AcquireCtx(ctx, 1, "r3", S))
 	must(m.AcquireCtx(ctx, 1, "r1", S))
 	must(m.AcquireBatch(ctx, 1, chainReqs(IS, S)))
+	must(m.AcquireCtx(ctx, 1, "db/seg", IS, WithDurable())) // durability flip mid-sequence: stays put
+	must(downgrade(m, 1, "db/seg/rel/t1", IS))              // downgrade mid-sequence: stays put
 	must(m.AcquireCtx(ctx, 1, "r2", IS))
 	must(m.AcquireCtx(ctx, 1, "r3", X))                // conversion: now the latest grant
 	must(m.AcquireCtx(ctx, 1, "r1", S, WithDurable())) // regrant made durable: stays put
@@ -44,8 +46,11 @@ func TestHeldLocksInAcquisitionOrder(t *testing.T) {
 			t.Errorf("HeldLocks(1) sequence not increasing at %d: %v", i, held)
 		}
 	}
-	if !held[0].Durable {
-		t.Errorf("r1 not durable after the durable regrant: %v", held[0])
+	if !held[0].Durable || !held[2].Durable {
+		t.Errorf("r1 or db/seg not durable after the durable regrant: %v", held)
+	}
+	if held[4].Mode != IS {
+		t.Errorf("db/seg/rel/t1 holds %v after the downgrade, want IS", held[4].Mode)
 	}
 	shards := map[int]bool{}
 	for _, h := range held {
@@ -59,8 +64,8 @@ func TestHeldLocksInAcquisitionOrder(t *testing.T) {
 func TestSnapshotQueuesHoldersInGrantOrder(t *testing.T) {
 	ctx := context.Background()
 	m := NewManager(Options{})
-	// Twelve holders, more than the inline slots hold, granted in an order
-	// unrelated to their ids; then txn 30 converts IS→IX, which is a grant.
+	// Twelve holders, kept sorted by id, granted in an order unrelated to
+	// their ids; then txn 30 converts IS→IX, which is a grant.
 	order := []TxnID{30, 7, 41, 3, 19, 52, 11, 26, 5, 48, 14, 2}
 	for _, txn := range order {
 		if err := m.AcquireCtx(ctx, txn, "hot", IS); err != nil {

@@ -40,14 +40,14 @@ func assertSummaries(t *testing.T, m *Manager) {
 
 // TestSummaryMatchesFoldSequential drives one manager through a long
 // deterministic random mix of grants, conversions, downgrades and releases
-// — including spilling a hot entry past inlineHolders — checking every
-// entry's summaries against the fold after each step.
+// — including a hot entry with many holders — checking every entry's
+// summaries against the fold after each step.
 func TestSummaryMatchesFoldSequential(t *testing.T) {
 	m := NewManager(Options{})
 	rng := rand.New(rand.NewSource(9))
 	resources := []Resource{"root", "cell/a", "cell/b", "leaf/1", "leaf/2"}
 	modes := []Mode{IS, IX, S, SIX, X}
-	const txns = 24 // enough concurrent IS holders on "root" to spill
+	const txns = 24 // many concurrent IS holders on "root"
 
 	for step := 0; step < 4000; step++ {
 		txn := TxnID(1 + rng.Intn(txns))
@@ -596,14 +596,17 @@ func poolsRecycle() bool {
 	return true
 }
 
-// TestSpillAndRecycle pushes one resource past inlineHolders (spilling the
-// entry to its map), drains it, and re-populates the recycled entry,
-// checking the summaries and visible holder set at each stage.
-func TestSpillAndRecycle(t *testing.T) {
+// TestManyHoldersRecycle puts 200 IS holders on one resource, drains it
+// oldest first (every release removes the front slot), and re-populates the
+// recycled entry, checking the summaries and visible holder set at each
+// stage. Then, under wait-die and at several holder counts, an X request
+// from a transaction older than every holder waits and younger ones die.
+func TestManyHoldersRecycle(t *testing.T) {
+	ctx := context.Background()
 	m := newManager(Options{}, 1)
-	const n = inlineHolders * 2
+	const n = 200
 	for txn := TxnID(1); txn <= n; txn++ {
-		if err := m.AcquireCtx(context.Background(), txn, "obj", IS); err != nil {
+		if err := m.AcquireCtx(ctx, txn, "obj", IS); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -612,11 +615,9 @@ func TestSpillAndRecycle(t *testing.T) {
 	}
 	assertSummaries(t, m)
 
-	// Oldest-holder bound must survive removals from both storage regimes.
-	m.ReleaseAll(1)
-	assertSummaries(t, m)
-	for txn := TxnID(2); txn <= n; txn++ {
+	for txn := TxnID(1); txn <= n; txn++ {
 		m.ReleaseAll(txn)
+		assertSummaries(t, m)
 	}
 	if m.LockCount() != 0 {
 		t.Fatalf("locks leaked: %d", m.LockCount())
@@ -624,7 +625,7 @@ func TestSpillAndRecycle(t *testing.T) {
 
 	// The entry was recycled; a fresh population must start clean.
 	for txn := TxnID(1); txn <= 3; txn++ {
-		if err := m.AcquireCtx(context.Background(), txn, "obj", S); err != nil {
+		if err := m.AcquireCtx(ctx, txn, "obj", S); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -635,25 +636,71 @@ func TestSpillAndRecycle(t *testing.T) {
 	for txn := TxnID(1); txn <= 3; txn++ {
 		m.ReleaseAll(txn)
 	}
+
+	for _, k := range []int{1, 8, 9, 64, n} {
+		m := NewManager(Options{Policy: PolicyWaitDie})
+		const base = TxnID(1000) // holders base, base+2, …; base+1 is younger than one
+		for i := 0; i < k; i++ {
+			if err := m.AcquireCtx(ctx, base+TxnID(2*i), "hot", IS); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for _, young := range []TxnID{base + 1, base + TxnID(2*k)} {
+			if err := m.AcquireCtx(ctx, young, "hot", X); !errors.Is(err, ErrDeadlock) {
+				t.Fatalf("%d holders: X by younger txn %d = %v, want a wait-die death", k, young, err)
+			}
+		}
+		res := acquireParked(t, m, 1, "hot", X)
+		for i := 0; i < k; i++ {
+			m.ReleaseAll(base + TxnID(2*i))
+		}
+		if err := <-res; err != nil {
+			t.Fatalf("%d holders: X by the oldest txn: %v", k, err)
+		}
+		m.ReleaseAll(1)
+		assertSummaries(t, m)
+	}
+}
+
+// BenchmarkHotRootChurn is the shape rule 5 gives every root entry: n
+// resident IS holders; each op ends the oldest holder's transaction and
+// grants IS to a new one, younger than every resident.
+func BenchmarkHotRootChurn(b *testing.B) {
+	for _, n := range []int{4, 16, 64, 192} {
+		b.Run(fmt.Sprintf("holders=%d", n), func(b *testing.B) {
+			ctx := context.Background()
+			m := NewManager(Options{})
+			id := m.Intern("root")
+			for txn := TxnID(1); txn <= TxnID(n); txn++ {
+				if err := m.AcquireID(ctx, txn, id, IS); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				oldest := TxnID(i + 1)
+				m.ReleaseAll(oldest)
+				if err := m.AcquireID(ctx, oldest+TxnID(n), id, IS); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
 }
 
 // TestEntrySummaryUnit drives a bare entry through targeted mutations —
-// add/convert/remove across the spill boundary, queue churn — validating
-// checkSummary and the O(1) decisions against brute-force answers.
+// holder add/convert/remove/downgrade and queue enqueue/dequeue — validating
+// checkSummary, and the lookups and decisions against brute-force answers
+// over its 20 transactions after every step.
 func TestEntrySummaryUnit(t *testing.T) {
 	e := getEntry()
-	check := func() {
-		t.Helper()
-		if err := e.checkSummary(); err != nil {
-			t.Fatal(err)
-		}
-	}
 	modes := []Mode{IS, IX, S, SIX, X}
 	rng := rand.New(rand.NewSource(41))
 	live := map[TxnID]Mode{}
 	for step := 0; step < 2000; step++ {
 		txn := TxnID(1 + rng.Intn(20))
-		switch op := rng.Intn(10); {
+		switch op := rng.Intn(14); {
 		case op < 5:
 			mode := modes[rng.Intn(len(modes))]
 			if cur, ok := live[txn]; ok {
@@ -672,33 +719,66 @@ func TestEntrySummaryUnit(t *testing.T) {
 				}
 				delete(live, txn)
 			}
-		default:
+		case op < 10:
 			if _, ok := live[txn]; ok {
 				down := []Mode{IS, IX, S}[rng.Intn(3)]
 				e.setMode(e.holder(txn), down)
 				live[txn] = down
 			}
-		}
-		check()
-
-		// Cross-check the O(1) decision against brute force for a random probe.
-		probe := TxnID(1 + rng.Intn(20))
-		target := modes[rng.Intn(len(modes))]
-		own := live[probe]
-		want := true
-		for t2, m2 := range live {
-			if t2 != probe && !compat[target][m2] {
-				want = false
-				break
+		case op < 12:
+			w := getWaiter()
+			_, w.convert = live[txn]
+			w.txn, w.mode = txn, modes[rng.Intn(len(modes))]
+			e.enqueue(w)
+		default:
+			if len(e.queue) > 0 {
+				putWaiter(e.dequeueAt(rng.Intn(len(e.queue))))
 			}
 		}
-		if got := e.compatGranted(own, target); got != want {
-			t.Fatalf("step %d: compatGranted(%v,%v) = %v, want %v (live=%v)", step, own, target, got, want, live)
+		if err := e.checkSummary(); err != nil {
+			t.Fatalf("step %d: %v", step, err)
 		}
+
+		for probe := TxnID(1); probe <= 20; probe++ {
+			own, holds := live[probe]
+			if h := e.holder(probe); (h != nil) != holds || h != nil && h.mode != own {
+				t.Fatalf("step %d: holder(%d) = %v, want held=%v mode %v", step, probe, h, holds, own)
+			}
+			for _, target := range modes {
+				compatible, die := true, false
+				for t2, m2 := range live {
+					if t2 != probe && !compat[target][m2] {
+						compatible = false
+						die = die || t2 < probe
+					}
+				}
+				blocked := false
+				for _, w := range e.queue {
+					if w.txn != probe && !compat[target][w.mode] {
+						blocked = true
+						die = die || w.txn < probe
+					}
+				}
+				if got := e.compatGranted(own, target); got != compatible {
+					t.Fatalf("step %d: compatGranted(%v,%v) = %v, want %v (live=%v)", step, own, target, got, compatible, live)
+				}
+				if got, _ := e.blockedByQueue(probe, target); got != blocked {
+					t.Fatalf("step %d: blockedByQueue(%d,%v) = %v, want %v", step, probe, target, got, blocked)
+				}
+				if got := e.mustDie(probe, target); got != die {
+					t.Fatalf("step %d: mustDie(%d,%v) = %v, want %v (live=%v)", step, probe, target, got, die, live)
+				}
+			}
+		}
+	}
+	for len(e.queue) > 0 {
+		putWaiter(e.dequeueAt(0))
 	}
 	for txn := range live {
 		e.removeHolder(txn)
-		check()
+		if err := e.checkSummary(); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if !e.empty() {
 		t.Fatalf("entry not empty after draining")

@@ -17,8 +17,9 @@ import (
 // checkHeldIndex compares the held index with the lock table, one resource
 // at a time under that resource's table-shard latch — the latch every list
 // write happens under, so the check may run against a live manager. Both
-// directions: a holder slot is in its transaction's list with the slot's
-// mode, durability and sequence; a listed lock has its slot. The one legal
+// directions: a holder slot is in its transaction's list, in the generation
+// the slot names, with the slot's mode and durability; a listed lock has its
+// slot. The one legal
 // disagreement is a slot recorded in a list ReleaseAll has detached and is
 // still sweeping; quiescent callers rule that out too.
 func checkHeldIndex(m *Manager, quiescent bool) error {
@@ -40,22 +41,22 @@ func checkHeldIndex(m *Manager, quiescent bool) error {
 				continue
 			}
 			r := s.id(i)
-			var err error
-			e.forEachHolder(func(txn TxnID, h *heldLock) bool {
+			for _, sl := range e.slots {
+				txn, h := sl.txn, sl.h
 				it, gen, ok := listedAs(txn, r)
-				switch want := (listedLock{mode: h.mode, durable: h.durable, seq: h.seq}); {
-				case ok && gen == h.list && it != want:
-					err = fmt.Errorf("txn %d on %q: list says %+v, slot says %+v", txn, m.Name(r), it, want)
+				var err error
+				switch {
+				case ok && gen == h.list && (it.mode != h.mode || it.durable != h.durable):
+					err = fmt.Errorf("txn %d on %q: list says %v durable=%v, slot says %v durable=%v", txn, m.Name(r), it.mode, it.durable, h.mode, h.durable)
 				case ok && gen != h.list:
 					err = fmt.Errorf("txn %d on %q: listed in generation %d, slot stamped %d", txn, m.Name(r), gen, h.list)
 				case !ok && (quiescent || gen == h.list):
 					err = fmt.Errorf("txn %d holds %v on %q, not in its list", txn, h.mode, m.Name(r))
 				}
-				return err == nil
-			})
-			if err != nil {
-				s.mu.Unlock()
-				return err
+				if err != nil {
+					s.mu.Unlock()
+					return err
+				}
 			}
 		}
 		s.mu.Unlock()

@@ -59,10 +59,9 @@ func (m *Manager) SnapshotQueues() []QueueInfo {
 				continue
 			}
 			q := QueueInfo{Resource: m.Name(s.id(i)), Shard: s.idx}
-			e.forEachHolder(func(t TxnID, h *heldLock) bool {
-				q.Granted = append(q.Granted, GrantInfo{Txn: t, Mode: h.mode, Durable: h.durable, Seq: h.order})
-				return true
-			})
+			for _, sl := range e.slots {
+				q.Granted = append(q.Granted, GrantInfo{Txn: sl.txn, Mode: sl.h.mode, Durable: sl.h.durable, Seq: sl.h.order})
+			}
 			sort.Slice(q.Granted, func(i, j int) bool { return q.Granted[i].Seq < q.Granted[j].Seq })
 			for _, w := range e.queue {
 				q.Waiting = append(q.Waiting, WaiterInfo{Txn: w.txn, Mode: w.mode, Convert: w.convert, Durable: w.durable, Since: w.enq})

@@ -140,9 +140,8 @@ type Options struct {
 type heldLock struct {
 	mode    Mode
 	durable bool
-	// seq is the transaction's grant sequence number of this lock (Held.Seq),
-	// mirrored in its lock list; order is the entry's (GrantInfo.Seq).
-	seq   uint64
+	// order is the entry's grant sequence number of this lock
+	// (GrantInfo.Seq); the transaction's (Held.Seq) lives in its lock list.
 	order uint64
 	// list is the generation of the lock list this slot is recorded in (see
 	// heldList.gen).
@@ -332,20 +331,11 @@ func (m *Manager) txnShardFor(txn TxnID) *txnShard {
 // Caller holds the shard latch. Allocation-free at steady state — the
 // deadlock detector runs it on every walked edge.
 func (e *entry) appendBlockers(dst []TxnID, seen map[TxnID]bool, txn TxnID, target Mode, ahead int) []TxnID {
-	if e.spill != nil {
-		for t, h := range e.spill {
-			if t != txn && !compat[target][h.mode] && !seen[t] {
-				seen[t] = true
-				dst = append(dst, t)
-			}
-		}
-	} else {
-		for i := range e.slots {
-			t := e.slots[i].txn
-			if t != txn && !compat[target][e.slots[i].h.mode] && !seen[t] {
-				seen[t] = true
-				dst = append(dst, t)
-			}
+	for i := range e.slots {
+		t := e.slots[i].txn
+		if t != txn && !compat[target][e.slots[i].h.mode] && !seen[t] {
+			seen[t] = true
+			dst = append(dst, t)
 		}
 	}
 	if ahead > len(e.queue) {

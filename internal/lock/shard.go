@@ -210,9 +210,10 @@ func putHeldList(l *heldList) {
 }
 
 // record copies h, txn's holder slot on id, into txn's lock list. A grant
-// or conversion (grant set) first gives the slot the transaction's next
+// or conversion (grant set) gives the listed lock the transaction's next
 // grant sequence number; any other change (durability, a downgrade) keeps
-// the one it has. Caller holds the latch of id's table shard.
+// the one the list already has for id. Caller holds the latch of id's table
+// shard.
 func (ts *txnShard) record(txn TxnID, id ResID, h *heldLock, grant bool) {
 	ts.mu.Lock()
 	l := ts.held[txn]
@@ -222,11 +223,16 @@ func (ts *txnShard) record(txn TxnID, id ResID, h *heldLock, grant bool) {
 		l.gen, l.grants = ts.gen, 0
 		ts.held[txn] = l
 	}
-	if grant {
-		l.grants++
-		h.seq = l.grants
+	var it listedLock
+	if !grant {
+		it, _ = l.m.Get(id)
 	}
-	l.m.Put(id, listedLock{mode: h.mode, durable: h.durable, seq: h.seq})
+	if it.seq == 0 {
+		l.grants++
+		it.seq = l.grants
+	}
+	it.mode, it.durable = h.mode, h.durable
+	l.m.Put(id, it)
 	h.list = l.gen
 	ts.mu.Unlock()
 }
