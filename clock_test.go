@@ -29,7 +29,7 @@ const wantTestSleeps = 50
 func TestClockReadCount(t *testing.T) {
 	var reads []string
 	for _, root := range []string{"internal", "client"} {
-		reads = append(reads, timeCalls(t, root, false, "Now", "Since")...)
+		reads = append(reads, calls(t, root, false, timeCall("Now", "Since"))...)
 	}
 	if len(reads) != wantClockReads {
 		t.Errorf("clock reads = %d, want %d:\n  %s", len(reads), wantClockReads, strings.Join(reads, "\n  "))
@@ -37,18 +37,26 @@ func TestClockReadCount(t *testing.T) {
 }
 
 func TestTestSleepCount(t *testing.T) {
-	sleeps := timeCalls(t, ".", true, "Sleep")
+	sleeps := calls(t, ".", true, timeCall("Sleep"))
 	if len(sleeps) != wantTestSleeps {
 		t.Errorf("test sleeps = %d, want %d:\n  %s", len(sleeps), wantTestSleeps, strings.Join(sleeps, "\n  "))
 	}
 }
 
-// timeCalls returns the sorted positions of the time.<name>( calls in the
-// Go files under root, the test files if tests is set and the others if
-// not. bench/ and hidden directories are skipped.
-func timeCalls(t *testing.T, root string, tests bool, names ...string) []string {
+// timeCall matches the time.<name>( calls for the given names.
+func timeCall(names ...string) func(*ast.SelectorExpr) bool {
+	return func(sel *ast.SelectorExpr) bool {
+		x, ok := sel.X.(*ast.Ident)
+		return ok && x.Name == "time" && slices.Contains(names, sel.Sel.Name)
+	}
+}
+
+// calls returns the sorted positions of the calls through a selector that
+// match in the Go files under root, the test files if tests is set and the
+// others if not. bench/ and hidden directories are skipped.
+func calls(t *testing.T, root string, tests bool, match func(*ast.SelectorExpr) bool) []string {
 	t.Helper()
-	var calls []string
+	var found []string
 	fset := token.NewFileSet()
 	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
@@ -72,12 +80,8 @@ func timeCalls(t *testing.T, root string, tests bool, names ...string) []string 
 			if !ok {
 				return true
 			}
-			sel, ok := call.Fun.(*ast.SelectorExpr)
-			if !ok || !slices.Contains(names, sel.Sel.Name) {
-				return true
-			}
-			if x, ok := sel.X.(*ast.Ident); ok && x.Name == "time" {
-				calls = append(calls, fset.Position(call.Pos()).String())
+			if sel, ok := call.Fun.(*ast.SelectorExpr); ok && match(sel) {
+				found = append(found, fset.Position(call.Pos()).String())
 			}
 			return true
 		})
@@ -86,6 +90,6 @@ func timeCalls(t *testing.T, root string, tests bool, names ...string) []string 
 	if err != nil {
 		t.Fatal(err)
 	}
-	sort.Strings(calls)
-	return calls
+	sort.Strings(found)
+	return found
 }

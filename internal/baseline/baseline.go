@@ -17,13 +17,13 @@
 //     database can be transformed into an inconsistent state (§3.2.2). It
 //     exists to demonstrate the protocol-oriented problem in E4.
 //
-// All baselines share the resource namespace of the core protocol so that
-// metrics (lock counts, conflicts, waits) are directly comparable.
+// All baselines lock their chains through the core protocol's one chain
+// path with propagation off, so metrics (lock counts, conflicts, waits)
+// compare the techniques, not two implementations.
 package baseline
 
 import (
 	"context"
-	"fmt"
 
 	"colock/internal/core"
 	"colock/internal/lock"
@@ -64,56 +64,42 @@ func (c Core) ReleaseAll(txn lock.TxnID) { c.Proto.Release(txn) }
 // Manager implements Locker.
 func (c Core) Manager() *lock.Manager { return c.Proto.Manager() }
 
-// hierarchy holds what every baseline needs: resource naming, the lock
-// manager, and the store for reference scans.
+// hierarchy holds what every baseline needs: the protocol whose chain path
+// takes its locks, and the store for reference scans.
 type hierarchy struct {
-	nm  *core.Namer
-	mgr *lock.Manager
-	st  *store.Store
+	p  *core.Protocol
+	st *store.Store
 }
 
 // lockChain intention-locks the ancestors of a node root-to-leaf and then
-// locks the node itself in the given mode. No propagation of any kind.
+// locks the node itself in the given mode — the protocol's chain with
+// noFollow set, one batch and no propagation of any kind: the traditional
+// DAG rule.
 func (h *hierarchy) lockChain(txn lock.TxnID, n core.Node, mode lock.Mode) error {
-	anc, err := h.nm.Ancestors(n)
-	if err != nil {
-		return err
-	}
-	intent := mode.IntentionFor()
-	for _, a := range anc {
-		res, err := h.nm.Resource(a)
-		if err != nil {
-			return err
-		}
-		if err := h.mgr.AcquireCtx(context.Background(), txn, res, intent); err != nil {
-			return err
-		}
-	}
-	res, err := h.nm.Resource(n)
-	if err != nil {
-		return err
-	}
-	return h.mgr.AcquireCtx(context.Background(), txn, res, mode)
+	return h.p.LockWith(context.Background(), txn, n, mode, false, true, 0)
 }
+
+// Manager implements Locker.
+func (h *hierarchy) Manager() *lock.Manager { return h.p.Manager() }
+
+// ReleaseAll implements Locker.
+func (h *hierarchy) ReleaseAll(txn lock.TxnID) { h.p.Release(txn) }
 
 // WholeObject is the XSQL-style baseline: any access to a part of a complex
 // object locks the whole object — and, because common data belongs to the
 // object from the application's point of view, the referenced complex
 // objects as well, in the same mode.
 type WholeObject struct {
-	h hierarchy
+	hierarchy
 }
 
 // NewWholeObject builds the whole-object baseline.
-func NewWholeObject(mgr *lock.Manager, st *store.Store, nm *core.Namer) *WholeObject {
-	return &WholeObject{h: hierarchy{nm: nm, mgr: mgr, st: st}}
+func NewWholeObject(p *core.Protocol, st *store.Store) *WholeObject {
+	return &WholeObject{hierarchy{p: p, st: st}}
 }
 
 // Name implements Locker.
 func (w *WholeObject) Name() string { return "xsql-whole-object" }
-
-// Manager implements Locker.
-func (w *WholeObject) Manager() *lock.Manager { return w.h.mgr }
 
 // LockRead implements Locker.
 func (w *WholeObject) LockRead(txn lock.TxnID, p store.Path) error {
@@ -125,12 +111,9 @@ func (w *WholeObject) LockWrite(txn lock.TxnID, p store.Path) error {
 	return w.lockWhole(txn, p, lock.X)
 }
 
-// ReleaseAll implements Locker.
-func (w *WholeObject) ReleaseAll(txn lock.TxnID) { w.h.mgr.ReleaseAll(txn) }
-
 func (w *WholeObject) lockWhole(txn lock.TxnID, p store.Path, mode lock.Mode) error {
 	if len(p) < 2 {
-		return w.h.lockChain(txn, core.DataNode(p), mode)
+		return w.lockChain(txn, core.DataNode(p), mode)
 	}
 	return w.lockObjectRec(txn, p[:2], mode, map[string]bool{})
 }
@@ -141,10 +124,10 @@ func (w *WholeObject) lockObjectRec(txn lock.TxnID, obj store.Path, mode lock.Mo
 		return nil
 	}
 	seen[key] = true
-	if err := w.h.lockChain(txn, core.DataNode(obj), mode); err != nil {
+	if err := w.lockChain(txn, core.DataNode(obj), mode); err != nil {
 		return err
 	}
-	refs, err := w.h.st.Refs(obj)
+	refs, err := w.st.Refs(obj)
 	if err != nil {
 		return err
 	}
@@ -160,19 +143,16 @@ func (w *WholeObject) lockObjectRec(txn lock.TxnID, obj store.Path, mode lock.Mo
 // the accessed part of a complex object is locked individually, common data
 // included. One lock per tuple is fine-grained but administratively heavy.
 type TupleLevel struct {
-	h hierarchy
+	hierarchy
 }
 
 // NewTupleLevel builds the tuple-level baseline.
-func NewTupleLevel(mgr *lock.Manager, st *store.Store, nm *core.Namer) *TupleLevel {
-	return &TupleLevel{h: hierarchy{nm: nm, mgr: mgr, st: st}}
+func NewTupleLevel(p *core.Protocol, st *store.Store) *TupleLevel {
+	return &TupleLevel{hierarchy{p: p, st: st}}
 }
 
 // Name implements Locker.
 func (t *TupleLevel) Name() string { return "systemr-tuple" }
-
-// Manager implements Locker.
-func (t *TupleLevel) Manager() *lock.Manager { return t.h.mgr }
 
 // LockRead implements Locker.
 func (t *TupleLevel) LockRead(txn lock.TxnID, p store.Path) error {
@@ -184,14 +164,11 @@ func (t *TupleLevel) LockWrite(txn lock.TxnID, p store.Path) error {
 	return t.lockTuples(txn, p, lock.X)
 }
 
-// ReleaseAll implements Locker.
-func (t *TupleLevel) ReleaseAll(txn lock.TxnID) { t.h.mgr.ReleaseAll(txn) }
-
 func (t *TupleLevel) lockTuples(txn lock.TxnID, p store.Path, mode lock.Mode) error {
 	if len(p) < 2 {
 		// A relation-level request degenerates to locking every object's
 		// tuples.
-		for _, key := range t.h.st.Keys(p.Relation()) {
+		for _, key := range t.st.Keys(p.Relation()) {
 			if err := t.lockTuples(txn, store.P(p.Relation(), key), mode); err != nil {
 				return err
 			}
@@ -207,7 +184,7 @@ func (t *TupleLevel) lockTuplesRec(txn lock.TxnID, p store.Path, mode lock.Mode,
 	}
 	seen[p.String()] = true
 
-	tuples, refs, err := tuplesUnder(t.h.st, t.h.nm, p)
+	tuples, refs, err := tuplesUnder(t.st, p)
 	if err != nil {
 		return err
 	}
@@ -217,7 +194,7 @@ func (t *TupleLevel) lockTuplesRec(txn lock.TxnID, p store.Path, mode lock.Mode,
 		tuples = []store.Path{p}
 	}
 	for _, tp := range tuples {
-		if err := t.h.lockChain(txn, core.DataNode(tp), mode); err != nil {
+		if err := t.lockChain(txn, core.DataNode(tp), mode); err != nil {
 			return err
 		}
 	}
@@ -231,7 +208,7 @@ func (t *TupleLevel) lockTuplesRec(txn lock.TxnID, p store.Path, mode lock.Mode,
 
 // tuplesUnder enumerates the HeLU (tuple) instance paths in the subtree at
 // p, plus the references found there.
-func tuplesUnder(st *store.Store, nm *core.Namer, p store.Path) ([]store.Path, []store.RefAt, error) {
+func tuplesUnder(st *store.Store, p store.Path) ([]store.Path, []store.RefAt, error) {
 	// Traverse a private copy: Lookup returns live structures that may be
 	// mutated concurrently under other transactions' locks.
 	v, err := st.LookupClone(p)
@@ -270,23 +247,20 @@ func tuplesUnder(st *store.Store, nm *core.Namer, p store.Path) ([]store.Path, [
 // first determine and IX-lock ALL parents — every referencing node — via a
 // reverse scan of the database (§3.2.2).
 type TraditionalDAG struct {
-	h hierarchy
+	hierarchy
 }
 
 // NewTraditionalDAG builds the traditional-DAG baseline.
-func NewTraditionalDAG(mgr *lock.Manager, st *store.Store, nm *core.Namer) *TraditionalDAG {
-	return &TraditionalDAG{h: hierarchy{nm: nm, mgr: mgr, st: st}}
+func NewTraditionalDAG(p *core.Protocol, st *store.Store) *TraditionalDAG {
+	return &TraditionalDAG{hierarchy{p: p, st: st}}
 }
 
 // Name implements Locker.
 func (d *TraditionalDAG) Name() string { return "traditional-dag" }
 
-// Manager implements Locker.
-func (d *TraditionalDAG) Manager() *lock.Manager { return d.h.mgr }
-
 // LockRead implements Locker: plain hierarchical S.
 func (d *TraditionalDAG) LockRead(txn lock.TxnID, p store.Path) error {
-	return d.h.lockChain(txn, core.DataNode(p), lock.S)
+	return d.lockChain(txn, core.DataNode(p), lock.S)
 }
 
 // LockWrite implements Locker: within non-shared data a plain hierarchical
@@ -295,13 +269,13 @@ func (d *TraditionalDAG) LockWrite(txn lock.TxnID, p store.Path) error {
 	if len(p) == 2 && d.isShared(p) {
 		return d.LockSharedX(txn, p.Relation(), p.Key())
 	}
-	return d.h.lockChain(txn, core.DataNode(p), lock.X)
+	return d.lockChain(txn, core.DataNode(p), lock.X)
 }
 
 // isShared reports whether any reference in the database points at the
 // object (this check itself costs a reverse scan, which is the point).
 func (d *TraditionalDAG) isShared(p store.Path) bool {
-	return len(d.h.st.BackRefs(p.Relation(), p.Key())) > 0
+	return len(d.st.BackRefs(p.Relation(), p.Key())) > 0
 }
 
 // LockSharedX locks a shared complex object exclusively under the
@@ -309,17 +283,14 @@ func (d *TraditionalDAG) isShared(p store.Path) bool {
 // ancestor chain — must be IX-locked before the X lock may be requested.
 // The reverse scan that finds the parents is metered by the store.
 func (d *TraditionalDAG) LockSharedX(txn lock.TxnID, relation, key string) error {
-	backs := d.h.st.BackRefs(relation, key)
+	backs := d.st.BackRefs(relation, key)
 	for _, b := range backs {
-		if err := d.h.lockChain(txn, core.DataNode(b.RefPath), lock.IX); err != nil {
+		if err := d.lockChain(txn, core.DataNode(b.RefPath), lock.IX); err != nil {
 			return err
 		}
 	}
-	return d.h.lockChain(txn, core.DataNode(store.P(relation, key)), lock.X)
+	return d.lockChain(txn, core.DataNode(store.P(relation, key)), lock.X)
 }
-
-// ReleaseAll implements Locker.
-func (d *TraditionalDAG) ReleaseAll(txn lock.TxnID) { d.h.mgr.ReleaseAll(txn) }
 
 // NaiveDAG is the UNSAFE straw-man of §3.2.2: it treats a reference like an
 // ordinary parent-child edge and records locks on shared data under
@@ -329,39 +300,30 @@ func (d *TraditionalDAG) ReleaseAll(txn lock.TxnID) { d.h.mgr.ReleaseAll(txn) }
 // to demonstrate the protocol-oriented problem (experiment E4) — do not use
 // it to protect data.
 type NaiveDAG struct {
-	h hierarchy
+	hierarchy
 }
 
 // NewNaiveDAG builds the unsafe demonstration baseline.
-func NewNaiveDAG(mgr *lock.Manager, st *store.Store, nm *core.Namer) *NaiveDAG {
-	return &NaiveDAG{h: hierarchy{nm: nm, mgr: mgr, st: st}}
+func NewNaiveDAG(p *core.Protocol, st *store.Store) *NaiveDAG {
+	return &NaiveDAG{hierarchy{p: p, st: st}}
 }
 
 // Name identifies the baseline.
 func (n *NaiveDAG) Name() string { return "naive-dag-unsafe" }
-
-// Manager exposes the lock manager.
-func (n *NaiveDAG) Manager() *lock.Manager { return n.h.mgr }
 
 // LockThrough locks the chain down to a reference BLU and claims the
 // referenced data implicitly through it. The resource for the shared object
 // is derived from the ACCESS PATH, which is exactly the bug: another path to
 // the same object yields another resource.
 func (n *NaiveDAG) LockThrough(txn lock.TxnID, refPath store.Path, mode lock.Mode) error {
-	if err := n.h.lockChain(txn, core.DataNode(refPath), mode); err != nil {
+	if err := n.lockChain(txn, core.DataNode(refPath), mode); err != nil {
 		return err
 	}
-	// The "implicit" claim on the target, recorded under the path-dependent
-	// name.
-	res, err := n.h.nm.Resource(core.DataNode(refPath))
-	if err != nil {
-		return err
-	}
-	return n.h.mgr.AcquireCtx(context.Background(), txn, res+"/@target", mode)
+	// The "implicit" claim on the target, recorded under a path-dependent
+	// name the namer deliberately never hands out.
+	m := n.Manager()
+	return m.AcquireID(context.Background(), txn, m.Intern(lock.Resource(refPath.String()+"/@target")), mode)
 }
-
-// ReleaseAll drops the transaction's locks.
-func (n *NaiveDAG) ReleaseAll(txn lock.TxnID) { n.h.mgr.ReleaseAll(txn) }
 
 var (
 	_ Locker = Core{}
@@ -369,19 +331,3 @@ var (
 	_ Locker = (*TupleLevel)(nil)
 	_ Locker = (*TraditionalDAG)(nil)
 )
-
-// Describe returns a one-line description for harness output.
-func Describe(l Locker) string {
-	switch l.Name() {
-	case "colock":
-		return "the paper's protocol (granules within complex objects, entry-point propagation)"
-	case "xsql-whole-object":
-		return "XSQL: complex objects locked as a whole including common data"
-	case "systemr-tuple":
-		return "System R: every tuple locked individually"
-	case "traditional-dag":
-		return "traditional DAG: all-parents rule on shared data (reverse scans)"
-	default:
-		return fmt.Sprintf("baseline %q", l.Name())
-	}
-}

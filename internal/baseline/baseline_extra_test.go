@@ -9,8 +9,8 @@ import (
 )
 
 func TestReleaseAllPerBaseline(t *testing.T) {
-	st, nm, mgr := setup(t)
-	w := NewWholeObject(mgr, st, nm)
+	st, p, mgr := setup(t)
+	w := NewWholeObject(p, st)
 	if err := w.LockRead(1, store.P("cells", "c1")); err != nil {
 		t.Fatal(err)
 	}
@@ -19,7 +19,7 @@ func TestReleaseAllPerBaseline(t *testing.T) {
 		t.Error("WholeObject.ReleaseAll leaked")
 	}
 
-	d := NewTraditionalDAG(mgr, st, nm)
+	d := NewTraditionalDAG(p, st)
 	if err := d.LockWrite(2, store.P("effectors", "e2")); err != nil {
 		t.Fatal(err)
 	}
@@ -28,7 +28,7 @@ func TestReleaseAllPerBaseline(t *testing.T) {
 		t.Error("TraditionalDAG.ReleaseAll leaked")
 	}
 
-	n := NewNaiveDAG(mgr, st, nm)
+	n := NewNaiveDAG(p, st)
 	if err := n.LockThrough(3, store.P("cells", "c1", "robots", "r1", "effectors", "e1"), lock.S); err != nil {
 		t.Fatal(err)
 	}
@@ -42,8 +42,8 @@ func TestReleaseAllPerBaseline(t *testing.T) {
 }
 
 func TestWholeObjectRelationLevelRequest(t *testing.T) {
-	st, nm, mgr := setup(t)
-	w := NewWholeObject(mgr, st, nm)
+	st, p, mgr := setup(t)
+	w := NewWholeObject(p, st)
 	// A relation-level path falls back to a plain chain lock.
 	if err := w.LockRead(1, store.P("effectors")); err != nil {
 		t.Fatal(err)
@@ -56,8 +56,8 @@ func TestWholeObjectRelationLevelRequest(t *testing.T) {
 }
 
 func TestWholeObjectSharedDiamondOnce(t *testing.T) {
-	st, nm, mgr := setup(t)
-	w := NewWholeObject(mgr, st, nm)
+	st, p, mgr := setup(t)
+	w := NewWholeObject(p, st)
 	// c1 references e2 twice; the whole-object closure must not loop or
 	// double-count.
 	before := mgr.Stats()
@@ -73,20 +73,20 @@ func TestWholeObjectSharedDiamondOnce(t *testing.T) {
 }
 
 func TestBaselineErrorPaths(t *testing.T) {
-	st, nm, mgr := setup(t)
-	w := NewWholeObject(mgr, st, nm)
+	st, p, _ := setup(t)
+	w := NewWholeObject(p, st)
 	if err := w.LockRead(1, store.P("nope", "x")); err == nil {
 		t.Error("unknown relation accepted by WholeObject")
 	}
-	tl := NewTupleLevel(mgr, st, nm)
+	tl := NewTupleLevel(p, st)
 	if err := tl.LockRead(1, store.P("cells", "zz")); err == nil {
 		t.Error("unknown object accepted by TupleLevel")
 	}
-	d := NewTraditionalDAG(mgr, st, nm)
+	d := NewTraditionalDAG(p, st)
 	if err := d.LockRead(1, store.P("nope", "x")); err == nil {
 		t.Error("unknown relation accepted by TraditionalDAG")
 	}
-	n := NewNaiveDAG(mgr, st, nm)
+	n := NewNaiveDAG(p, st)
 	if err := n.LockThrough(1, store.P("nope", "x"), lock.X); err == nil {
 		t.Error("unknown relation accepted by NaiveDAG")
 	}
@@ -96,8 +96,8 @@ func TestBaselineErrorPaths(t *testing.T) {
 // traditional all-parents discipline IS correct — a from-the-side X conflicts
 // with a reader's chain because both meet on the shared node itself.
 func TestTraditionalDAGSharedConflictDetected(t *testing.T) {
-	st, nm, mgr := setup(t)
-	d := NewTraditionalDAG(mgr, st, nm)
+	st, p, mgr := setup(t)
+	d := NewTraditionalDAG(p, st)
 	// Reader S-locks effector e2 directly.
 	if err := d.LockRead(1, store.P("effectors", "e2")); err != nil {
 		t.Fatal(err)

@@ -9,11 +9,14 @@ import (
 	"colock/internal/store"
 )
 
-func setup(t *testing.T) (*store.Store, *core.Namer, *lock.Manager) {
+// setup builds the paper's database and a protocol over a fresh manager,
+// with the fast path off as in the experiments: every chain request reaches
+// the manager.
+func setup(t *testing.T) (*store.Store, *core.Protocol, *lock.Manager) {
 	t.Helper()
 	st := store.PaperDatabase()
-	nm := core.NewNamer(st.Catalog(), false)
-	return st, nm, lock.NewManager(lock.Options{})
+	mgr := lock.NewManager(lock.Options{})
+	return st, core.NewProtocol(mgr, st, core.NewNamer(st.Catalog(), false), core.Options{DisableFastPath: true}), mgr
 }
 
 func held(mgr *lock.Manager, txn lock.TxnID) map[string]lock.Mode {
@@ -27,8 +30,8 @@ func held(mgr *lock.Manager, txn lock.TxnID) map[string]lock.Mode {
 // TestWholeObjectLocksEverything: accessing one robot locks the whole cell
 // AND the whole effectors objects it references.
 func TestWholeObjectLocksEverything(t *testing.T) {
-	st, nm, mgr := setup(t)
-	w := NewWholeObject(mgr, st, nm)
+	st, p, mgr := setup(t)
+	w := NewWholeObject(p, st)
 	if err := w.LockWrite(7, store.P("cells", "c1", "robots", "r1")); err != nil {
 		t.Fatal(err)
 	}
@@ -52,8 +55,8 @@ func TestWholeObjectLocksEverything(t *testing.T) {
 // Q1-style reader of c_objects and Q2-style updater of robots conflict even
 // though they touch disjoint parts.
 func TestWholeObjectSerializesDisjointParts(t *testing.T) {
-	st, nm, mgr := setup(t)
-	w := NewWholeObject(mgr, st, nm)
+	st, p, _ := setup(t)
+	w := NewWholeObject(p, st)
 	if err := w.LockRead(1, store.P("cells", "c1", "c_objects")); err != nil {
 		t.Fatal(err)
 	}
@@ -74,9 +77,8 @@ func TestWholeObjectSerializesDisjointParts(t *testing.T) {
 // TestCoreAllowsDisjointParts: the same two accesses run concurrently under
 // the paper's protocol.
 func TestCoreAllowsDisjointParts(t *testing.T) {
-	st, nm, mgr := setup(t)
-	proto := core.NewProtocol(mgr, st, nm, core.Options{})
-	c := Core{Proto: proto}
+	_, p, _ := setup(t)
+	c := Core{Proto: p}
 	if c.Name() != "colock" {
 		t.Error("name")
 	}
@@ -102,8 +104,8 @@ func TestCoreAllowsDisjointParts(t *testing.T) {
 // effectors — plus intention locks, far more than the single object lock of
 // XSQL.
 func TestTupleLevelLockCount(t *testing.T) {
-	st, nm, mgr := setup(t)
-	tl := NewTupleLevel(mgr, st, nm)
+	st, p, mgr := setup(t)
+	tl := NewTupleLevel(p, st)
 	if err := tl.LockRead(7, store.P("cells", "c1")); err != nil {
 		t.Fatal(err)
 	}
@@ -129,8 +131,8 @@ func TestTupleLevelLockCount(t *testing.T) {
 }
 
 func TestTupleLevelOnBLUSubtree(t *testing.T) {
-	st, nm, mgr := setup(t)
-	tl := NewTupleLevel(mgr, st, nm)
+	st, p, mgr := setup(t)
+	tl := NewTupleLevel(p, st)
 	// A subtree without tuples (an atomic BLU): the node itself is locked.
 	if err := tl.LockWrite(7, store.P("cells", "c1", "robots", "r1", "trajectory")); err != nil {
 		t.Fatal(err)
@@ -142,8 +144,8 @@ func TestTupleLevelOnBLUSubtree(t *testing.T) {
 }
 
 func TestTupleLevelRelationScan(t *testing.T) {
-	st, nm, mgr := setup(t)
-	tl := NewTupleLevel(mgr, st, nm)
+	st, p, mgr := setup(t)
+	tl := NewTupleLevel(p, st)
 	if err := tl.LockRead(7, store.P("effectors")); err != nil {
 		t.Fatal(err)
 	}
@@ -158,8 +160,8 @@ func TestTupleLevelRelationScan(t *testing.T) {
 // TestTraditionalDAGSharedXCost: X-locking shared effector e2 requires
 // reverse-scanning the database and locking both referencing robots' chains.
 func TestTraditionalDAGSharedXCost(t *testing.T) {
-	st, nm, mgr := setup(t)
-	d := NewTraditionalDAG(mgr, st, nm)
+	st, p, mgr := setup(t)
+	d := NewTraditionalDAG(p, st)
 	st.ResetScanCount()
 	if err := d.LockWrite(9, store.P("effectors", "e2")); err != nil {
 		t.Fatal(err)
@@ -184,8 +186,8 @@ func TestTraditionalDAGSharedXCost(t *testing.T) {
 // TestTraditionalDAGUnsharedXIsCheap: X on an unreferenced object needs no
 // parent hunt beyond its own chain.
 func TestTraditionalDAGUnsharedXIsCheap(t *testing.T) {
-	st, nm, mgr := setup(t)
-	d := NewTraditionalDAG(mgr, st, nm)
+	st, p, mgr := setup(t)
+	d := NewTraditionalDAG(p, st)
 	if err := d.LockWrite(9, store.P("cells", "c1", "c_objects", "o1")); err != nil {
 		t.Fatal(err)
 	}
@@ -205,8 +207,8 @@ func TestTraditionalDAGUnsharedXIsCheap(t *testing.T) {
 // transactions claim the same shared effector through different paths and
 // BOTH succeed — the conflict is invisible, unlike under the core protocol.
 func TestNaiveDAGMissesFromTheSideConflict(t *testing.T) {
-	st, nm, mgr := setup(t)
-	n := NewNaiveDAG(mgr, st, nm)
+	st, p, mgr := setup(t)
+	n := NewNaiveDAG(p, st)
 	if n.Name() != "naive-dag-unsafe" {
 		t.Error("name")
 	}
@@ -226,37 +228,3 @@ func TestNaiveDAGMissesFromTheSideConflict(t *testing.T) {
 	n.ReleaseAll(1)
 	n.ReleaseAll(2)
 }
-
-func TestDescribe(t *testing.T) {
-	st, nm, mgr := setup(t)
-	ls := []Locker{
-		Core{Proto: core.NewProtocol(mgr, st, nm, core.Options{})},
-		NewWholeObject(mgr, st, nm),
-		NewTupleLevel(mgr, st, nm),
-		NewTraditionalDAG(mgr, st, nm),
-	}
-	seen := map[string]bool{}
-	for _, l := range ls {
-		d := Describe(l)
-		if d == "" || seen[d] {
-			t.Errorf("bad description for %s: %q", l.Name(), d)
-		}
-		seen[d] = true
-		if l.Manager() != mgr {
-			t.Errorf("%s: Manager() wrong", l.Name())
-		}
-	}
-	if Describe(fakeLocker{}) == "" {
-		t.Error("unknown locker description empty")
-	}
-}
-
-type fakeLocker struct{}
-
-func (fakeLocker) Name() string                          { return "fake" }
-func (fakeLocker) LockRead(lock.TxnID, store.Path) error { return nil }
-func (fakeLocker) LockWrite(lock.TxnID, store.Path) error {
-	return nil
-}
-func (fakeLocker) ReleaseAll(lock.TxnID)  {}
-func (fakeLocker) Manager() *lock.Manager { return nil }

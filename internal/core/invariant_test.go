@@ -274,7 +274,7 @@ func probeCompatible(p *Protocol, st *store.Store, txn lock.TxnID, n Node, mode 
 		}
 		return true
 	}
-	anc, err := p.nm.Ancestors(n)
+	anc, err := ancestors(p.nm, n)
 	if err != nil {
 		return false
 	}
@@ -292,7 +292,7 @@ func probeCompatible(p *Protocol, st *store.Store, txn lock.TxnID, n Node, mode 
 			return false
 		}
 		for _, ep := range entries {
-			epAnc, err := p.nm.Ancestors(DataNode(ep))
+			epAnc, err := ancestors(p.nm, DataNode(ep))
 			if err != nil {
 				return false
 			}

@@ -83,7 +83,33 @@ func resourceUncached(nm *Namer, n Node) (lock.Resource, error) {
 	return lock.Resource(db + "/" + rel.Segment + "/" + strings.Join([]string(p), "/")), nil
 }
 
-// ancestorsUncached is the reference ancestor chain by name: Ancestors, each
+// ancestors is the reference ancestor chain: the immediate parents of a node
+// from the database node down to (excluding) the node itself, in
+// root-to-leaf order — the order rule 5 prescribes for requesting locks.
+//
+// Crucially, for a complex-object root of a referenced relation (an entry
+// point), the chain is relation → segment → database: the referencing BLU is
+// NOT an immediate parent (it is connected by a dashed line, §4.4.1). This
+// is exactly the "implicit upward propagation" path of rules 1–4.
+func ancestors(nm *Namer, n Node) ([]Node, error) {
+	switch n.Level {
+	case LevelDatabase:
+		return nil, nil
+	case LevelSegment:
+		return []Node{DatabaseNode()}, nil
+	}
+	rel := nm.cat.Relation(n.Path.Relation())
+	if rel == nil {
+		return nil, fmt.Errorf("core: unknown relation %q", n.Path.Relation())
+	}
+	out := []Node{DatabaseNode(), SegmentNode(rel.Segment)}
+	for i := 1; i < len(n.Path); i++ {
+		out = append(out, DataNode(n.Path[:i].Clone()))
+	}
+	return out, nil
+}
+
+// ancestorsUncached is the reference ancestor chain by name: ancestors, each
 // named by resourceUncached. Like a lock call, it fails for a node the
 // schema rules out.
 func ancestorsUncached(nm *Namer, n Node) ([]lock.Resource, error) {
@@ -95,7 +121,7 @@ func ancestorsUncached(nm *Namer, n Node) ([]lock.Resource, error) {
 			return nil, err
 		}
 	}
-	nodes, err := nm.Ancestors(n)
+	nodes, err := ancestors(nm, n)
 	if err != nil {
 		return nil, err
 	}

@@ -465,32 +465,6 @@ func (nm *Namer) Resource(n Node) (lock.Resource, error) {
 	return e.res, nil
 }
 
-// Ancestors returns the chain of immediate parents of a node from the
-// database node down to (excluding) the node itself, in root-to-leaf order —
-// the order rule 5 prescribes for requesting locks.
-//
-// Crucially, for a complex-object root of a referenced relation (an entry
-// point), the chain is relation → segment → database: the referencing BLU is
-// NOT an immediate parent (it is connected by a dashed line, §4.4.1). This
-// is exactly the "implicit upward propagation" path of rules 1–4.
-func (nm *Namer) Ancestors(n Node) ([]Node, error) {
-	switch n.Level {
-	case LevelDatabase:
-		return nil, nil
-	case LevelSegment:
-		return []Node{DatabaseNode()}, nil
-	}
-	rel := nm.cat.Relation(n.Path.Relation())
-	if rel == nil {
-		return nil, fmt.Errorf("core: unknown relation %q", n.Path.Relation())
-	}
-	out := []Node{DatabaseNode(), SegmentNode(rel.Segment)}
-	for i := 1; i < len(n.Path); i++ {
-		out = append(out, DataNode(n.Path[:i].Clone()))
-	}
-	return out, nil
-}
-
 // NodeInfo describes the lockable unit a data path addresses.
 type NodeInfo struct {
 	Kind LUKind

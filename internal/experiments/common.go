@@ -41,23 +41,23 @@ func newEnv(st *store.Store, rule4Prime bool) *env {
 	return &env{st: st, nm: nm, mgr: mgr, proto: proto, txns: txn.NewManager(proto, st), auth: auth}
 }
 
-// lockerStack builds a fresh lock manager and the named baseline over st.
+// lockerStack builds a fresh lock manager and the named locker over st. Every
+// locker goes through one protocol with the fast path disabled: the technique
+// comparisons reproduce the paper's request-count claims (e.g. E8: identical
+// counts on disjoint-only workloads), and the fast path deliberately elides
+// covered requests. The baselines lock their chains through it with
+// propagation off.
 func lockerStack(name string, st *store.Store) baseline.Locker {
-	nm := core.NewNamer(st.Catalog(), false)
-	mgr := lock.NewManager(lock.Options{})
+	p := core.NewProtocol(lock.NewManager(lock.Options{}), st, core.NewNamer(st.Catalog(), false), core.Options{DisableFastPath: true})
 	switch name {
 	case "colock":
-		// The technique comparisons reproduce the paper's request-count
-		// claims (e.g. E8: identical counts on disjoint-only workloads).
-		// The fast path deliberately elides covered requests, so
-		// it is disabled here to keep the measured rule shape the paper's.
-		return baseline.Core{Proto: core.NewProtocol(mgr, st, nm, core.Options{DisableFastPath: true})}
+		return baseline.Core{Proto: p}
 	case "xsql-whole-object":
-		return baseline.NewWholeObject(mgr, st, nm)
+		return baseline.NewWholeObject(p, st)
 	case "systemr-tuple":
-		return baseline.NewTupleLevel(mgr, st, nm)
+		return baseline.NewTupleLevel(p, st)
 	case "traditional-dag":
-		return baseline.NewTraditionalDAG(mgr, st, nm)
+		return baseline.NewTraditionalDAG(p, st)
 	}
 	panic("experiments: unknown locker " + name)
 }
@@ -76,23 +76,10 @@ func runScripts(l baseline.Locker, scripts [][]workload.Op, hold time.Duration) 
 		go func(id lock.TxnID, ops []workload.Op) {
 			defer wg.Done()
 			for attempt := 0; ; attempt++ {
-				err := func() error {
-					for _, op := range ops {
-						var e error
-						if op.Write {
-							e = l.LockWrite(id, op.Path)
-						} else {
-							e = l.LockRead(id, op.Path)
-						}
-						if e != nil {
-							return e
-						}
-					}
-					if hold > 0 {
-						time.Sleep(hold)
-					}
-					return nil
-				}()
+				err := lockOps(l, id, ops)
+				if err == nil && hold > 0 {
+					time.Sleep(hold)
+				}
 				l.ReleaseAll(id)
 				if err == nil {
 					return
@@ -108,4 +95,20 @@ func runScripts(l baseline.Locker, scripts [][]workload.Op, hold time.Duration) 
 	}
 	wg.Wait()
 	return time.Since(start), retries
+}
+
+// lockOps locks a script's ops in order under l for txn id.
+func lockOps(l baseline.Locker, id lock.TxnID, ops []workload.Op) error {
+	for _, op := range ops {
+		var err error
+		if op.Write {
+			err = l.LockWrite(id, op.Path)
+		} else {
+			err = l.LockRead(id, op.Path)
+		}
+		if err != nil {
+			return err
+		}
+	}
+	return nil
 }

@@ -192,7 +192,7 @@ func E4FromTheSide(rounds int) *metrics.Table {
 			panic(err)
 		}
 		nm := core.NewNamer(st.Catalog(), false)
-		naive := baseline.NewNaiveDAG(lock.NewManager(lock.Options{}), st, nm)
+		naive := baseline.NewNaiveDAG(core.NewProtocol(lock.NewManager(lock.Options{}), st, nm, core.Options{}), st)
 		var wg sync.WaitGroup
 		for i := 0; i < rounds; i++ {
 			for j, robot := range []string{"r1", "r2"} {

@@ -388,9 +388,18 @@ func (m *Monitor) Advance(now time.Time) State {
 	return st
 }
 
-// closeSlot snapshots the live slot owning epoch e into a WindowStats,
-// resets the slot for reuse, and closes the window. Caller holds m.mu.
+// closeSlot snapshots the live slot owning epoch e, resets the slot for
+// reuse (it now belongs to epoch e+liveSlots), and closes the window.
+// Caller holds m.mu.
 func (m *Monitor) closeSlot(e int64, depth int, fired []Transition) []Transition {
+	ws := m.snapshot(e)
+	m.slots[uint64(e)%liveSlots].reset()
+	return m.closeWindow(ws, depth, fired)
+}
+
+// snapshot copies the counts of the live slot owning epoch e and the
+// quantiles of its wait distribution into a WindowStats.
+func (m *Monitor) snapshot(e int64) WindowStats {
 	w := &m.slots[uint64(e)%liveSlots]
 	ws := WindowStats{Epoch: e, Start: m.start.Add(time.Duration(e) * m.winDur)}
 	for i := range ws.Counts {
@@ -402,8 +411,7 @@ func (m *Monitor) closeSlot(e int64, depth int, fired []Transition) []Transition
 	ws.WaitP95 = snap.Quantile(0.95)
 	ws.WaitP99 = snap.Quantile(0.99)
 	ws.WaitMax = snap.Max
-	w.reset() // the slot now belongs to epoch e+liveSlots
-	return m.closeWindow(ws, depth, fired)
+	return ws
 }
 
 // closeWindow appends ws to the retained series, grades it, and collects
@@ -440,21 +448,7 @@ func (m *Monitor) Windows(n int) []WindowStats {
 }
 
 // Current snapshots the still-open window (partial, not yet graded).
-func (m *Monitor) Current() WindowStats {
-	cur := m.cur.Load()
-	w := &m.slots[uint64(cur)%liveSlots]
-	ws := WindowStats{Epoch: cur, Start: m.start.Add(time.Duration(cur) * m.winDur)}
-	for i := range ws.Counts {
-		ws.Counts[i] = w.counts[i].Load()
-	}
-	snap := w.wait.Snapshot()
-	ws.WaitCount = snap.Count
-	ws.WaitP50 = snap.Quantile(0.50)
-	ws.WaitP95 = snap.Quantile(0.95)
-	ws.WaitP99 = snap.Quantile(0.99)
-	ws.WaitMax = snap.Max
-	return ws
-}
+func (m *Monitor) Current() WindowStats { return m.snapshot(m.cur.Load()) }
 
 // Profile returns the contention table the monitor feeds and decays.
 func (m *Monitor) Profile() *trace.Profile { return m.prof }

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -483,6 +484,81 @@ func TestDegradeGateZeroAlloc(t *testing.T) {
 		<-done
 	}
 	m.ReleaseAll(1)
+}
+
+// TestRefusalCounters: the three request-time refusals — a no-wait
+// conflict, a degrade-mode shed and a wait-die death, tried in that order —
+// each count one conflict and fail with their own error; only a shed counts
+// in Sheds and DegradedAcquires and emits a shed event, only a wait-die
+// death counts a deadlock and emits a victim event, and a no-wait conflict
+// emits none. Holder 5 is younger than the parked waiter 3 and older than
+// the requester 7, so under wait-die 3 may wait and 7 must die.
+func TestRefusalCounters(t *testing.T) {
+	for _, tc := range []struct {
+		name            string
+		policy          Policy
+		degrade, noWait bool
+		wantErr         error
+		want            Stats // the refusal's Conflicts, Sheds, DegradedAcquires and Deadlocks
+		wantEvent       EventKind
+	}{
+		{"no-wait", PolicyDetect, false, true, ErrWouldBlock, Stats{Conflicts: 1}, KindOther},
+		{"no-wait-before-shed", PolicyDetect, true, true, ErrWouldBlock, Stats{Conflicts: 1}, KindOther},
+		{"shed", PolicyDetect, true, false, ErrShed, Stats{Conflicts: 1, Sheds: 1, DegradedAcquires: 1}, KindShed},
+		{"shed-before-wait-die", PolicyWaitDie, true, false, ErrShed, Stats{Conflicts: 1, Sheds: 1, DegradedAcquires: 1}, KindShed},
+		{"wait-die", PolicyWaitDie, false, false, ErrWaitDie, Stats{Conflicts: 1, Deadlocks: 1}, KindVictim},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var events []Event
+			m := NewManager(Options{Policy: tc.policy, Sinks: []EventSink{sinkFunc(func(e Event) {
+				if e.Txn == 7 {
+					events = append(events, e)
+				}
+			})}})
+			if err := m.AcquireCtx(context.Background(), 5, "a", X); err != nil {
+				t.Fatal(err)
+			}
+			parked := acquireParked(t, m, 3, "a", X)
+			if tc.degrade {
+				m.ConfigureAdmission(AdmissionConfig{MaxWaiters: 1, Mode: AdmitDegrade})
+			}
+			var opts []AcquireOption
+			if tc.noWait {
+				opts = append(opts, WithNoWait())
+			}
+			before := m.Stats()
+			err := m.AcquireCtx(context.Background(), 7, "a", X, opts...)
+			d := m.Stats().Sub(before)
+			if !errors.Is(err, tc.wantErr) {
+				t.Fatalf("txn 7 returned %v, want %v", err, tc.wantErr)
+			}
+			var le *LockError
+			var blockers []TxnID
+			if errors.As(err, &le) {
+				blockers = slices.Clone(le.Blockers)
+				slices.Sort(blockers)
+			}
+			if !slices.Equal(blockers, []TxnID{3, 5}) {
+				t.Errorf("blockers = %v, want 3 and 5", blockers)
+			}
+			got := Stats{Conflicts: d.Conflicts, Sheds: d.Sheds, DegradedAcquires: d.DegradedAcquires, Deadlocks: d.Deadlocks}
+			if got != tc.want {
+				t.Errorf("counters = %+v, want %+v", got, tc.want)
+			}
+			switch {
+			case tc.wantEvent == KindOther && len(events) != 0:
+				t.Errorf("events = %+v, want none", events)
+			case tc.wantEvent != KindOther && (len(events) != 1 || events[0].Code != tc.wantEvent ||
+				events[0].WaitDie != (tc.wantEvent == KindVictim) || !slices.Equal(events[0].Blockers, le.Blockers)):
+				t.Errorf("events = %+v, want one %v with the blockers", events, tc.wantEvent)
+			}
+			m.ReleaseAll(5)
+			if err := <-parked; err != nil {
+				t.Fatal(err)
+			}
+			m.ReleaseAll(3)
+		})
+	}
 }
 
 // TestContendedHandOffAllocs pins the cost of blocking: two transactions

@@ -474,51 +474,44 @@ func (m *Manager) AcquireID(ctx context.Context, txn TxnID, id ResID, mode Mode,
 		return nil
 	}
 
-	if cfg.NoWait {
-		s.stats.conflicts.Add(1)
-		blockers := e.blockerTxns(txn, target, len(e.queue))
-		s.maybeDropEntry(id, e)
-		s.mu.Unlock()
-		tr.finish()
-		return lockErrBlocked(txn, m.Name(id), mode, ErrWouldBlock, blockers)
+	// A request that may not wait is refused here with the blocker set, for
+	// restart-wait policies. The causes, in order: the caller passed
+	// WithNoWait; graceful degradation — an admission gate saturated in
+	// degrade mode refuses to deepen the wait queues (conversions are
+	// exempt: the transaction already holds the lock, and refusing an
+	// upgrade would only force a full restart that re-acquires everything);
+	// a wait-die victim, which never queues, so its victim event carries
+	// the blockers directly.
+	var refused error
+	switch {
+	case cfg.NoWait:
+		refused = ErrWouldBlock
+	case !convert && m.degradeSaturated():
+		refused = ErrShed
+	case m.opts.Policy == PolicyWaitDie && e.mustDie(txn, target):
+		refused = ErrWaitDie
 	}
-
-	// Graceful degradation: when the admission gate is saturated in degrade
-	// mode, refuse to deepen the wait queues — fail fast with ErrShed (and
-	// the blocker set, for restart-wait policies) instead of queueing, as if
-	// the caller had passed WithNoWait. Conversions are exempt: the
-	// transaction already holds the lock, and refusing an upgrade would only
-	// force a full restart that re-acquires everything.
-	if !convert && m.degradeSaturated() {
+	if refused != nil {
 		s.stats.conflicts.Add(1)
-		m.sheds.Add(1)
-		m.degradedAcq.Add(1)
 		blockers := e.blockerTxns(txn, target, len(e.queue))
 		s.maybeDropEntry(id, e)
-		if tr != nil {
-			tr.add(KindShed, tr.start, txn, id, m.Name(id), target, s.idx).Blockers = blockers
+		switch refused {
+		case ErrShed:
+			m.sheds.Add(1)
+			m.degradedAcq.Add(1)
+			if tr != nil {
+				tr.add(KindShed, tr.start, txn, id, m.Name(id), target, s.idx).Blockers = blockers
+			}
+		case ErrWaitDie:
+			s.stats.deadlocks.Add(1)
+			if tr != nil {
+				ev := tr.add(KindVictim, tr.start, txn, id, m.Name(id), target, s.idx)
+				ev.Blockers, ev.WaitDie = blockers, true
+			}
 		}
 		s.mu.Unlock()
 		tr.finish()
-		return lockErrBlocked(txn, m.Name(id), mode, ErrShed, blockers)
-	}
-
-	if m.opts.Policy == PolicyWaitDie && e.mustDie(txn, target) {
-		s.stats.conflicts.Add(1)
-		s.stats.deadlocks.Add(1)
-		// A wait-die victim never queues, so its victim event (and its
-		// error) carries the blocker set directly — there is no prior wait
-		// event, and restart-wait retry policies pause until these blockers
-		// have drained.
-		blockers := e.blockerTxns(txn, target, len(e.queue))
-		s.maybeDropEntry(id, e)
-		if tr != nil {
-			ev := tr.add(KindVictim, tr.start, txn, id, m.Name(id), target, s.idx)
-			ev.Blockers, ev.WaitDie = blockers, true
-		}
-		s.mu.Unlock()
-		tr.finish()
-		return lockErrBlocked(txn, m.Name(id), mode, ErrWaitDie, blockers)
+		return lockErrBlocked(txn, m.Name(id), mode, refused, blockers)
 	}
 
 	// Enqueue a pooled waiter (entry.enqueue gives conversions the classic

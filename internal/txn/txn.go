@@ -314,15 +314,8 @@ func (t *Txn) Read(p store.Path) (store.Value, error) {
 // sufficient lock (e.g. from a planned coarse granule); it verifies coverage
 // and fails otherwise instead of silently reading unprotected data.
 func (t *Txn) ReadAt(p store.Path) (store.Value, error) {
-	if err := t.checkActive(); err != nil {
+	if err := t.require(p, lock.S, "read"); err != nil {
 		return nil, err
-	}
-	em, err := t.m.proto.EffectiveMode(t.id, core.DataNode(p))
-	if err != nil {
-		return nil, err
-	}
-	if !em.Covers(lock.S) {
-		return nil, fmt.Errorf("txn %d: read of %q not covered (effective %v)", t.id, p, em)
 	}
 	t.m.recordAccess(t.id, AccessR, p)
 	return t.m.st.LookupClone(p)
@@ -340,15 +333,8 @@ func (t *Txn) UpdateAtomic(p store.Path, v store.Value) error {
 // UpdateAtomicAt is UpdateAtomic for callers already holding a covering X
 // lock (planned coarse granules).
 func (t *Txn) UpdateAtomicAt(p store.Path, v store.Value) error {
-	if err := t.checkActive(); err != nil {
+	if err := t.require(p, lock.X, "update"); err != nil {
 		return err
-	}
-	em, err := t.m.proto.EffectiveMode(t.id, core.DataNode(p))
-	if err != nil {
-		return err
-	}
-	if !em.Covers(lock.X) {
-		return fmt.Errorf("txn %d: update of %q not covered (effective %v)", t.id, p, em)
 	}
 	return t.updateLocked(p, v)
 }
@@ -377,7 +363,7 @@ func (t *Txn) AddElem(collection store.Path, id string, v store.Value) error {
 // AddElemAt is AddElem for callers already holding a covering X lock (e.g.
 // from a planned coarse granule or a NOFOLLOW lock).
 func (t *Txn) AddElemAt(collection store.Path, id string, v store.Value) error {
-	if err := t.requireX(collection); err != nil {
+	if err := t.require(collection, lock.X, "mutation"); err != nil {
 		return err
 	}
 	return t.addElemLocked(collection, id, v)
@@ -405,7 +391,7 @@ func (t *Txn) RemoveElem(collection store.Path, id string) error {
 
 // RemoveElemAt is RemoveElem for callers already holding a covering X lock.
 func (t *Txn) RemoveElemAt(collection store.Path, id string) error {
-	if err := t.requireX(collection); err != nil {
+	if err := t.require(collection, lock.X, "mutation"); err != nil {
 		return err
 	}
 	return t.removeElemLocked(collection, id)
@@ -426,8 +412,9 @@ func (t *Txn) removeElemLocked(collection store.Path, id string) error {
 	return nil
 }
 
-// requireX verifies the transaction effectively holds X on the path.
-func (t *Txn) requireX(p store.Path) error {
+// require verifies the transaction is active and effectively holds mode on
+// the path; verb names the refused access in the error.
+func (t *Txn) require(p store.Path, mode lock.Mode, verb string) error {
 	if err := t.checkActive(); err != nil {
 		return err
 	}
@@ -435,8 +422,8 @@ func (t *Txn) requireX(p store.Path) error {
 	if err != nil {
 		return err
 	}
-	if !em.Covers(lock.X) {
-		return fmt.Errorf("txn %d: mutation of %q not covered (effective %v)", t.id, p, em)
+	if !em.Covers(mode) {
+		return fmt.Errorf("txn %d: %s of %q not covered (effective %v)", t.id, verb, p, em)
 	}
 	return nil
 }
