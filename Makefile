@@ -96,11 +96,13 @@ journal-smoke:
 # see: bench/ is a module of its own (BENCHMARK.json's benchmark, frozen
 # between benchmark PRs), so API drift against it shows only here. It vets and
 # tests the module, then runs for two seconds each the workload that wires
-# every sink and the one that crosses client, wire and server; each run's
-# last line must report every output check as passed.
+# every sink, the one that crosses client, wire and server, and the one whose
+# transactions wait (blocked requests inside chain batches, under the
+# exclusion witness); each run's last line must report every output check as
+# passed.
 bench-check:
 	cd bench && $(GO) vet ./... && $(GO) test ./...
-	@for w in observed_disjoint net_disjoint; do \
+	@for w in observed_disjoint net_disjoint embed_shared; do \
 	out=$$(bash bench/run.sh --workload $$w --seconds 2 --trace 0 | tail -1) && \
 	case "$$out" in *'"correct":true'*) echo "bench-check: $$w runs, all output checks pass";; \
 	*) echo "bench-check: last line of bench/run.sh --workload $$w lacks \"correct\":true: $$out"; exit 1;; esac; \

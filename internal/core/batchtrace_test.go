@@ -144,3 +144,40 @@ func TestTracedDeepChainSpans(t *testing.T) {
 	}
 	p.Release(1)
 }
+
+// TestUnscannedNodeRidesItsChain: a c_objects tuple's type holds no
+// reference, so its X lock has no downward step to wait for and joins its
+// ancestors' batch: one manager call, one "acquire" span sharing the
+// batch's clock, and still one entry-point scan counted. A robot's type does
+// hold references, so its S lock follows the scan as a lone AcquireID.
+func TestUnscannedNodeRidesItsChain(t *testing.T) {
+	p, rec := tracedProto(t, store.PaperDatabase(), lock.Options{})
+	if err := p.LockPath(1, store.P("cells", "c1", "c_objects", "o1"), lock.X); err != nil {
+		t.Fatal(err)
+	}
+	if ms := p.Manager().Stats(); ms.Batches != 1 || ms.BatchFastGrants != 6 || ms.Requests != 6 {
+		t.Errorf("Batches / BatchFastGrants / Requests = %d / %d / %d, want 1 / 6 / 6", ms.Batches, ms.BatchFastGrants, ms.Requests)
+	}
+	if st := p.Stats(); st.EntryPointScans != 1 || st.NodeLocks != 1 || st.BatchedLocks != 6 {
+		t.Errorf("EntryPointScans / NodeLocks / BatchedLocks = %d / %d / %d, want 1 / 1 / 6", st.EntryPointScans, st.NodeLocks, st.BatchedLocks)
+	}
+	spans := rec.SpansOf(1)
+	if len(spans) != 7 {
+		t.Fatalf("span tree:\n%q\nwant the root, 5 upward spans and the node's acquire", spanLines(spans))
+	}
+	if last := spans[6]; last.Kind != "acquire" || last.Mode != lock.X.String() ||
+		!last.Start.Equal(spans[1].Start) || last.Dur != spans[1].Dur {
+		t.Errorf("span tree:\n%q\nwant 5 upward spans then the node's acquire, all on the batch's clock", spanLines(spans))
+	}
+	before := p.Manager().Stats()
+	if err := p.LockPath(2, store.P("cells", "c1", "robots", "r1"), lock.S); err != nil {
+		t.Fatal(err)
+	}
+	// The robot's chain, then one chain per effector with the effector's S
+	// in it, then the robot's own S.
+	if d := p.Manager().Stats().Sub(before); d.Batches != 3 || d.Requests != d.BatchFastGrants+1 {
+		t.Errorf("robot S lock: %d batches, %d requests, %d batched, want 3 batches and the robot's S outside them", d.Batches, d.Requests, d.BatchFastGrants)
+	}
+	assertProtocolInvariants(t, p, 1)
+	assertProtocolInvariants(t, p, 2)
+}

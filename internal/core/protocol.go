@@ -246,19 +246,28 @@ func (p *Protocol) lockEntry(c *call, n Node, e *nameEntry, mode lock.Mode, kind
 		c.ctr.memoHits.Add(1)
 		return nil
 	}
-	// follow: granting S or X implies downward propagation (rules 3/4), so
-	// the node's own lock comes after the scan below. Everything else (IS/IX,
-	// or S/X with noFollow) is a pure chain acquisition: the node's lock joins
-	// its ancestors' batch.
+	// Rules 3/4/4′, downward part: before granting S or X on the node, lock
+	// the entry points of all lower (dependent) inner units accessible via
+	// it. The schema rules a reference out below most data nodes (their type
+	// has no ref plan): those need no scan, before the grant or after it, so
+	// the node's lock joins its ancestors' batch, as IS/IX and noFollow S/X
+	// do. Only a scanning node's own S/X waits for its downward step.
 	follow := (mode == lock.S || mode == lock.X) && !c.noFollow
+	scan := follow && (n.Level != LevelData || e.typ.RefPlan() != nil)
 
 	// Rules 1–4, upward part: intention-lock all immediate parents
 	// root-to-leaf (rule 5 order). For entry points this is the "implicit
 	// upward propagation" up to the root of the superunit; it never crosses
 	// superunit boundaries because the ancestor chain is exactly the
 	// superunit spine.
-	if err := p.chain(c, e, mode, !follow, sp); err != nil || !follow {
+	if err := p.chain(c, e, mode, !scan, sp); err != nil {
 		return err
+	}
+	if follow {
+		c.ctr.entryScans.Add(1)
+	}
+	if !scan {
+		return nil
 	}
 
 	// Reserve the mode in the memo BEFORE propagating: with recursive
@@ -267,28 +276,18 @@ func (p *Protocol) lockEntry(c *call, n Node, e *nameEntry, mode lock.Mode, kind
 	// on the way back up).
 	c.memo(e.id, mode)
 
-	// Rules 3/4/4′, downward part: before granting S or X on the node, lock
-	// the entry points of all lower (dependent) inner units accessible via
-	// it. Downward propagation crosses superunit boundaries and recurses,
-	// because common data may again contain common data. The schema rules a
-	// reference out below most data nodes (their type has no ref plan):
-	// those need no scan, before the grant or after it. Every other node —
-	// the database, a segment, a relation or a data node — takes its entry
-	// points, resolved, from its scan memo (Namer.entryPoints).
-	var (
-		eps   []*nameEntry
-		epsAt uint64 // a store version at which eps were the entry points
-	)
-	c.ctr.entryScans.Add(1)
-	scan := n.Level != LevelData || e.typ.RefPlan() != nil
-	if scan {
-		if eps, epsAt, err = p.nm.entryPoints(n, e); err != nil {
+	// Downward propagation crosses superunit boundaries and recurses,
+	// because common data may again contain common data. The database, a
+	// segment, a relation or a data node with a ref plan takes its entry
+	// points, resolved, from its scan memo (Namer.entryPoints), and epsAt, a
+	// store version at which they were the entry points.
+	eps, epsAt, err := p.nm.entryPoints(n, e)
+	if err != nil {
+		return err
+	}
+	for _, ep := range eps {
+		if err := p.lockEntry(c, DataNode(ep.path), ep, mode, "downward", sp); err != nil {
 			return err
-		}
-		for _, ep := range eps {
-			if err := p.lockEntry(c, DataNode(ep.path), ep, mode, "downward", sp); err != nil {
-				return err
-			}
 		}
 	}
 
@@ -310,7 +309,7 @@ func (p *Protocol) lockEntry(c *call, n Node, e *nameEntry, mode lock.Mode, kind
 	// the entry points were found at they are all there are. Otherwise take
 	// them again now that the grant keeps writers out, and lock what the
 	// previous list lacked, until nothing new turns up.
-	for late := scan; late && p.nm.st.Version() != epsAt; {
+	for late := true; late && p.nm.st.Version() != epsAt; {
 		prev := eps
 		if eps, epsAt, err = p.nm.entryPoints(n, e); err != nil {
 			return err
@@ -332,12 +331,13 @@ func (p *Protocol) lockEntry(c *call, n Node, e *nameEntry, mode lock.Mode, kind
 
 // chain is the one routine that sends chain requests to the manager: an
 // intent request for each ancestor of e neither the call's memo nor (with
-// the fast path on) the lock list covers and, when withNode is set (the
-// request does not propagate), the node's own lock go to it root to leaf as
-// ONE Manager.AcquireBatchID. The steady state — everything already held —
-// makes zero manager requests and zero allocations. A recording sp gets one
-// finished child per request the manager got to ("upward" for an ancestor,
-// "acquire" for the node), all sharing the batch's start and end.
+// the fast path on) the lock list covers and, when withNode is set (no
+// downward scan precedes the node's lock), the node's own lock go to it root
+// to leaf as ONE Manager.AcquireBatchID. The steady state — everything
+// already held — makes zero manager requests and zero allocations. A
+// recording sp gets one finished child per request the manager got to
+// ("upward" for an ancestor, "acquire" for the node), all sharing the
+// batch's start and end.
 func (p *Protocol) chain(c *call, e *nameEntry, mode lock.Mode, withNode bool, sp trace.SpanHandle) error {
 	// Stack buffer: a chain (database, segment, relation, object and four
 	// levels below it) fits; a deeper one spills to the heap.

@@ -49,9 +49,9 @@ type ProtocolStats struct {
 	// re-acquisitions covered by a lock the transaction already holds. Hits
 	// emit no trace span.
 	FastPathHits uint64
-	// BatchedLocks counts manager acquisitions that went through
-	// Manager.AcquireBatch (one latch round per chain) rather than
-	// one-at-a-time AcquireCtx calls.
+	// BatchedLocks counts manager requests that rode a chain's
+	// Manager.AcquireBatchID: every one but the lone AcquireID of a node
+	// whose downward scan precedes its lock.
 	BatchedLocks uint64
 }
 

@@ -3,7 +3,9 @@ package lock
 import (
 	"context"
 	"errors"
+	"slices"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -239,5 +241,111 @@ func TestAcquireBatchConcurrentStress(t *testing.T) {
 	wg.Wait()
 	if n := m.LockCount(); n != 0 {
 		t.Errorf("LockCount = %d after all ReleaseAll, want 0", n)
+	}
+}
+
+// countingInjector counts its consultations and injects nothing.
+type countingInjector struct{ n atomic.Int64 }
+
+func (c *countingInjector) InjectAcquire(TxnID, Resource, Mode) Injection {
+	c.n.Add(1)
+	return Injection{}
+}
+
+// roundSink keeps every delivery round it receives.
+type roundSink struct{ rounds [][]Event }
+
+func (s *roundSink) Record(e Event)          { s.rounds = append(s.rounds, []Event{e}) }
+func (s *roundSink) RecordBatch(evs []Event) { s.rounds = append(s.rounds, slices.Clone(evs)) }
+
+// releasingOnPark returns a context whose park notification releases holder's
+// locks: a request made under it parks behind holder and is granted by that
+// release before it sleeps, all on the requesting goroutine.
+func releasingOnPark(m *Manager, holder TxnID) context.Context {
+	return WithParkNotify(context.Background(), func() { m.ReleaseAll(holder) })
+}
+
+// TestBatchInjectsOncePerCall: a batch whose second request waits is still
+// one call, so the injector is consulted once.
+func TestBatchInjectsOncePerCall(t *testing.T) {
+	m := NewManager(Options{})
+	inj := &countingInjector{}
+	m.SetInjector(inj)
+	if err := m.AcquireCtx(context.Background(), 5, "b", X); err != nil {
+		t.Fatal(err)
+	}
+	inj.n.Store(0)
+	reqs := []BatchReq{{"a", IX}, {"b", X}, {"c", X}}
+	if err := m.AcquireBatch(releasingOnPark(m, 5), 1, reqs); err != nil {
+		t.Fatal(err)
+	}
+	if n := inj.n.Load(); n != 1 {
+		t.Errorf("injector consulted %d times for one batch, want 1", n)
+	}
+}
+
+// TestBatchRestAfterWait: once a batch's waiting request is granted, the rest
+// of the batch is one more round, counted once per request.
+func TestBatchRestAfterWait(t *testing.T) {
+	sink := &roundSink{}
+	m := NewManager(Options{Sinks: []EventSink{sink}})
+	if err := m.AcquireCtx(context.Background(), 5, "b", X); err != nil {
+		t.Fatal(err)
+	}
+	before := m.Stats()
+	sink.rounds = nil
+	reqs := []BatchReq{{"a", IX}, {"b", X}, {"c", X}, {"d", S}}
+	if err := m.AcquireBatch(releasingOnPark(m, 5), 1, reqs); err != nil {
+		t.Fatal(err)
+	}
+	d := m.Stats().Sub(before)
+	if d.Requests != 4 || d.Conflicts != 1 || d.Waits != 1 {
+		t.Errorf("requests/conflicts/waits = %d/%d/%d, want 4/1/1", d.Requests, d.Conflicts, d.Waits)
+	}
+	if d.Batches != 1 || d.BatchFastGrants != 1 || d.BatchFallbacks != 1 {
+		t.Errorf("batches/fast grants/fallbacks = %d/%d/%d, want 1/1/1", d.Batches, d.BatchFastGrants, d.BatchFallbacks)
+	}
+	last := sink.rounds[len(sink.rounds)-1]
+	if len(last) != 2 || last[0].Resource != "c" || last[1].Resource != "d" ||
+		last[0].Code != KindGrant || last[1].Code != KindGrant || last[0].Txn != 1 || last[1].Txn != 1 {
+		t.Errorf("last delivery round = %+v, want txn 1's grants of c and d", last)
+	}
+	held := m.HeldLocks(1)
+	if len(held) != len(reqs) {
+		t.Fatalf("held %v, want the 4 requests", held)
+	}
+	for i, h := range held {
+		if h.Resource != reqs[i].Resource || h.Mode != reqs[i].Mode {
+			t.Errorf("held[%d] = %v %v, want %v %v (root-to-leaf order)", i, h.Resource, h.Mode, reqs[i].Resource, reqs[i].Mode)
+		}
+	}
+}
+
+// BenchmarkBatchConflict times the conflict path of a chain: a 5-request
+// batch whose third request parks behind a holder's X lock, which the park
+// notification releases, so the batch waits once and then takes the last
+// two requests. One op is the holder's acquire, the batch and its release.
+func BenchmarkBatchConflict(b *testing.B) {
+	m := NewManager(Options{})
+	var reqs []IDReq
+	for _, r := range chainReqs(IX, X) {
+		reqs = append(reqs, IDReq{ID: m.Intern(r.Resource), Mode: r.Mode})
+	}
+	reqs = append(reqs, IDReq{ID: m.Intern("db/seg/rel/t2"), Mode: X})
+	bg, ctx := context.Background(), releasingOnPark(m, 2)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := m.AcquireID(bg, 2, reqs[2].ID, X); err != nil {
+			b.Fatal(err)
+		}
+		if err := m.AcquireBatchID(ctx, 1, reqs); err != nil {
+			b.Fatal(err)
+		}
+		m.ReleaseAll(1)
+	}
+	b.StopTimer()
+	if st := m.Stats(); st.Waits != uint64(b.N) {
+		b.Fatalf("%d waits over %d ops, want one each", st.Waits, b.N)
 	}
 }

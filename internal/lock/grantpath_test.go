@@ -492,7 +492,9 @@ func TestDegradeGateZeroAlloc(t *testing.T) {
 // in Sheds and DegradedAcquires and emits a shed event, only a wait-die
 // death counts a deadlock and emits a victim event, and a no-wait conflict
 // emits none. Holder 5 is younger than the parked waiter 3 and older than
-// the requester 7, so under wait-die 3 may wait and 7 must die.
+// the requester 7, so under wait-die 3 may wait and 7 must die. Each case
+// runs twice: as a single request, and as the middle request of a batch,
+// whose refusal must leave the first request granted and the last unmade.
 func TestRefusalCounters(t *testing.T) {
 	for _, tc := range []struct {
 		name            string
@@ -508,56 +510,72 @@ func TestRefusalCounters(t *testing.T) {
 		{"shed-before-wait-die", PolicyWaitDie, true, false, ErrShed, Stats{Conflicts: 1, Sheds: 1, DegradedAcquires: 1}, KindShed},
 		{"wait-die", PolicyWaitDie, false, false, ErrWaitDie, Stats{Conflicts: 1, Deadlocks: 1}, KindVictim},
 	} {
-		t.Run(tc.name, func(t *testing.T) {
-			var events []Event
-			m := NewManager(Options{Policy: tc.policy, Sinks: []EventSink{sinkFunc(func(e Event) {
-				if e.Txn == 7 {
-					events = append(events, e)
+		for _, batch := range []bool{false, true} {
+			name := tc.name
+			if batch {
+				name += "-in-batch"
+			}
+			t.Run(name, func(t *testing.T) {
+				var events []Event
+				m := NewManager(Options{Policy: tc.policy, Sinks: []EventSink{sinkFunc(func(e Event) {
+					if e.Txn == 7 && e.Resource == "a" {
+						events = append(events, e)
+					}
+				})}})
+				if err := m.AcquireCtx(context.Background(), 5, "a", X); err != nil {
+					t.Fatal(err)
 				}
-			})}})
-			if err := m.AcquireCtx(context.Background(), 5, "a", X); err != nil {
-				t.Fatal(err)
-			}
-			parked := acquireParked(t, m, 3, "a", X)
-			if tc.degrade {
-				m.ConfigureAdmission(AdmissionConfig{MaxWaiters: 1, Mode: AdmitDegrade})
-			}
-			var opts []AcquireOption
-			if tc.noWait {
-				opts = append(opts, WithNoWait())
-			}
-			before := m.Stats()
-			err := m.AcquireCtx(context.Background(), 7, "a", X, opts...)
-			d := m.Stats().Sub(before)
-			if !errors.Is(err, tc.wantErr) {
-				t.Fatalf("txn 7 returned %v, want %v", err, tc.wantErr)
-			}
-			var le *LockError
-			var blockers []TxnID
-			if errors.As(err, &le) {
-				blockers = slices.Clone(le.Blockers)
-				slices.Sort(blockers)
-			}
-			if !slices.Equal(blockers, []TxnID{3, 5}) {
-				t.Errorf("blockers = %v, want 3 and 5", blockers)
-			}
-			got := Stats{Conflicts: d.Conflicts, Sheds: d.Sheds, DegradedAcquires: d.DegradedAcquires, Deadlocks: d.Deadlocks}
-			if got != tc.want {
-				t.Errorf("counters = %+v, want %+v", got, tc.want)
-			}
-			switch {
-			case tc.wantEvent == KindOther && len(events) != 0:
-				t.Errorf("events = %+v, want none", events)
-			case tc.wantEvent != KindOther && (len(events) != 1 || events[0].Code != tc.wantEvent ||
-				events[0].WaitDie != (tc.wantEvent == KindVictim) || !slices.Equal(events[0].Blockers, le.Blockers)):
-				t.Errorf("events = %+v, want one %v with the blockers", events, tc.wantEvent)
-			}
-			m.ReleaseAll(5)
-			if err := <-parked; err != nil {
-				t.Fatal(err)
-			}
-			m.ReleaseAll(3)
-		})
+				parked := acquireParked(t, m, 3, "a", X)
+				if tc.degrade {
+					m.ConfigureAdmission(AdmissionConfig{MaxWaiters: 1, Mode: AdmitDegrade})
+				}
+				var opts []AcquireOption
+				if tc.noWait {
+					opts = append(opts, WithNoWait())
+				}
+				before := m.Stats()
+				var err error
+				if batch {
+					err = m.AcquireBatch(context.Background(), 7, []BatchReq{{"p", IS}, {"a", X}, {"q", X}}, opts...)
+				} else {
+					err = m.AcquireCtx(context.Background(), 7, "a", X, opts...)
+				}
+				d := m.Stats().Sub(before)
+				if batch && (d.Requests != 2 || heldMode(m, 7, "p") != IS || heldMode(m, 7, "q") != None) {
+					t.Errorf("batch made %d requests and left p %v and q %v, want 2, IS and nothing",
+						d.Requests, heldMode(m, 7, "p"), heldMode(m, 7, "q"))
+				}
+				if !errors.Is(err, tc.wantErr) {
+					t.Fatalf("txn 7 returned %v, want %v", err, tc.wantErr)
+				}
+				var le *LockError
+				var blockers []TxnID
+				if errors.As(err, &le) {
+					blockers = slices.Clone(le.Blockers)
+					slices.Sort(blockers)
+				}
+				if !slices.Equal(blockers, []TxnID{3, 5}) {
+					t.Errorf("blockers = %v, want 3 and 5", blockers)
+				}
+				got := Stats{Conflicts: d.Conflicts, Sheds: d.Sheds, DegradedAcquires: d.DegradedAcquires, Deadlocks: d.Deadlocks}
+				if got != tc.want {
+					t.Errorf("counters = %+v, want %+v", got, tc.want)
+				}
+				switch {
+				case tc.wantEvent == KindOther && len(events) != 0:
+					t.Errorf("events = %+v, want none", events)
+				case tc.wantEvent != KindOther && (len(events) != 1 || events[0].Code != tc.wantEvent ||
+					events[0].WaitDie != (tc.wantEvent == KindVictim) || !slices.Equal(events[0].Blockers, le.Blockers)):
+					t.Errorf("events = %+v, want one %v with the blockers", events, tc.wantEvent)
+				}
+				m.ReleaseAll(5)
+				if err := <-parked; err != nil {
+					t.Fatal(err)
+				}
+				m.ReleaseAll(3)
+				m.ReleaseAll(7)
+			})
+		}
 	}
 }
 

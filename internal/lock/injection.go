@@ -5,7 +5,7 @@ import (
 	"time"
 )
 
-// Injection describes one synthetic fault to apply to an acquire request.
+// Injection describes one synthetic fault to apply to an acquisition call.
 // The zero value means "no fault". Delay stalls the request (simulating a
 // slow grant) before Err — if non-nil — is returned as the request's
 // outcome, wrapped in a *LockError exactly like an organic failure. Typical
@@ -16,7 +16,7 @@ type Injection struct {
 	Delay time.Duration
 }
 
-// Injector decides, per acquire request, whether to inject a synthetic
+// Injector decides, per acquisition call, whether to inject a synthetic
 // fault. Implementations must be safe for concurrent use: InjectAcquire is
 // called on the acquire fast path from every client goroutine (with no
 // latches held). resilience.Chaos is the canonical implementation —
@@ -26,9 +26,10 @@ type Injector interface {
 }
 
 // SetInjector installs (or, with nil, removes) the fault injector consulted
-// at the top of every AcquireCtx / AcquireBatch call. Safe to call
-// concurrently with acquires; in-flight requests keep the injector they
-// already read.
+// once per acquisition call, on its first request, before any latch: once
+// per AcquireID, and once per AcquireBatchID however many of its requests
+// wait. Safe to call concurrently with acquires; in-flight requests keep the
+// injector they already read.
 func (m *Manager) SetInjector(inj Injector) {
 	if inj == nil {
 		m.injector.Store(nil)
@@ -37,10 +38,10 @@ func (m *Manager) SetInjector(inj Injector) {
 	m.injector.Store(&inj)
 }
 
-// inject applies the configured injector, if any, to one request. It runs
-// before any latch is taken, so a Delay stalls only the calling goroutine.
-// Delays respect ctx: cancellation during a synthetic stall surfaces as the
-// usual *LockError wrapping ctx.Err().
+// inject applies the configured injector, if any, to one call's first
+// request. It runs before any latch is taken, so a Delay stalls only the
+// calling goroutine. Delays respect ctx: cancellation during a synthetic
+// stall surfaces as the usual *LockError wrapping ctx.Err().
 func (m *Manager) inject(ctx context.Context, txn TxnID, id ResID, mode Mode) error {
 	p := m.injector.Load()
 	if p == nil {

@@ -445,94 +445,176 @@ func (m *Manager) AcquireCtx(ctx context.Context, txn TxnID, r Resource, mode Mo
 // canceled or expired context withdraws the waiter (no queue entry is
 // leaked) and returns a *LockError whose Cause is ctx.Err(), so
 // errors.Is(err, context.Canceled) holds. All failures are reported as
-// *LockError values wrapping one of the sentinel errors.
+// *LockError values wrapping one of the sentinel errors. It is acquire on a
+// batch of one.
 func (m *Manager) AcquireID(ctx context.Context, txn TxnID, id ResID, mode Mode, opts ...AcquireOption) error {
-	if !mode.Valid() || mode == None {
-		return fmt.Errorf("lock: invalid mode %v", mode)
+	_, err := m.acquire(ctx, txn, []IDReq{{ID: id, Mode: mode}}, opts)
+	return err
+}
+
+// acquire is the one acquisition routine: every AcquireID and AcquireBatchID
+// call is one run of it. Once per call it validates the modes, folds the
+// options, checks ctx and consults the injector on the first request. Each
+// round then latches the remaining requests' stripes in ascending order
+// (shard.go, rule 3) and grants them in order, so Held.Seq keeps the given
+// order, up to the first request it cannot grant at once. That request keeps
+// only its own stripe latched and is refused or queued on its entry; once its
+// wait ends in a grant, the next round takes the rest of the batch, after a
+// fresh ctx check. A failure leaves the requests before it granted (lock
+// acquisition is not transactional; the caller's 2PL makes that safe). Each
+// round is one operation for event sampling and delivery. It returns the
+// number of requests the first round granted, -1 when the call failed before
+// that round, and the call's outcome.
+func (m *Manager) acquire(ctx context.Context, txn TxnID, reqs []IDReq, opts []AcquireOption) (int, error) {
+	first := -1
+	for _, q := range reqs {
+		if !q.Mode.Valid() || q.Mode == None {
+			return first, fmt.Errorf("lock: invalid mode %v", q.Mode)
+		}
 	}
 	cfg := foldOptions(opts)
 	if ctx == nil {
 		ctx = context.Background()
 	}
 	if err := ctx.Err(); err != nil {
-		return lockErr(txn, m.Name(id), mode, err)
+		return first, lockErr(txn, m.Name(reqs[0].ID), reqs[0].Mode, err)
 	}
-	if err := m.inject(ctx, txn, id, mode); err != nil {
-		return err
+	if err := m.inject(ctx, txn, reqs[0].ID, reqs[0].Mode); err != nil {
+		return first, err
 	}
-
-	tr := m.newTracer()
-	s := m.shardFor(id)
-	s.mu.Lock()
-	s.stats.requests.Add(1)
-
-	e := s.entryFor(id)
-	target, convert, granted := m.tryGrant(tr, s, e, txn, id, mode, cfg.Durable)
-	if granted {
-		s.mu.Unlock()
-		tr.finish()
-		return nil
-	}
-
-	// A request that may not wait is refused here with the blocker set, for
-	// restart-wait policies. The causes, in order: the caller passed
-	// WithNoWait; graceful degradation — an admission gate saturated in
-	// degrade mode refuses to deepen the wait queues (conversions are
-	// exempt: the transaction already holds the lock, and refusing an
-	// upgrade would only force a full restart that re-acquires everything);
-	// a wait-die victim, which never queues, so its victim event carries
-	// the blockers directly.
-	var refused error
-	switch {
-	case cfg.NoWait:
-		refused = ErrWouldBlock
-	case !convert && m.degradeSaturated():
-		refused = ErrShed
-	case m.opts.Policy == PolicyWaitDie && e.mustDie(txn, target):
-		refused = ErrWaitDie
-	}
-	if refused != nil {
-		s.stats.conflicts.Add(1)
-		blockers := e.blockerTxns(txn, target, len(e.queue))
-		s.maybeDropEntry(id, e)
-		switch refused {
-		case ErrShed:
-			m.sheds.Add(1)
-			m.degradedAcq.Add(1)
-			if tr != nil {
-				tr.add(KindShed, tr.start, txn, id, m.Name(id), target, s.idx).Blockers = blockers
-			}
-		case ErrWaitDie:
-			s.stats.deadlocks.Add(1)
-			if tr != nil {
-				ev := tr.add(KindVictim, tr.start, txn, id, m.Name(id), target, s.idx)
-				ev.Blockers, ev.WaitDie = blockers, true
+	for {
+		tr := m.newTracer()
+		var buf [8]uint32
+		stripes := m.latchStripes(buf[:0], reqs)
+		var (
+			s                *tableShard
+			e                *entry
+			target           Mode
+			convert, granted bool
+		)
+		n := 0
+		for ; n < len(reqs); n++ {
+			q := reqs[n]
+			s = m.shardFor(q.ID)
+			s.stats.requests.Add(1)
+			e = s.entryFor(q.ID)
+			if target, convert, granted = m.tryGrant(tr, s, e, txn, q.ID, q.Mode, cfg.Durable); !granted {
+				break
 			}
 		}
-		s.mu.Unlock()
-		tr.finish()
-		return lockErrBlocked(txn, m.Name(id), mode, refused, blockers)
-	}
+		if first < 0 {
+			first = n
+		}
+		for i := len(stripes) - 1; i >= 0; i-- {
+			if sh := m.shards[stripes[i]]; granted || sh != s {
+				sh.mu.Unlock()
+			}
+		}
+		if granted {
+			tr.finish()
+			return first, nil
+		}
+		id, mode := reqs[n].ID, reqs[n].Mode
 
-	// Enqueue a pooled waiter (entry.enqueue gives conversions the classic
-	// conversion priority: after existing conversion waiters, ahead of plain
-	// ones).
-	w := getWaiter()
-	w.txn, w.mode, w.convert, w.durable = txn, target, convert, cfg.Durable
-	if tr != nil {
-		w.enq = tr.start
+		// A request that may not wait is refused here with the blocker set, for
+		// restart-wait policies. The causes, in order: the caller passed
+		// WithNoWait; graceful degradation — an admission gate saturated in
+		// degrade mode refuses to deepen the wait queues (conversions are
+		// exempt: the transaction already holds the lock, and refusing an
+		// upgrade would only force a full restart that re-acquires everything);
+		// a wait-die victim, which never queues, so its victim event carries
+		// the blockers directly.
+		var refused error
+		switch {
+		case cfg.NoWait:
+			refused = ErrWouldBlock
+		case !convert && m.degradeSaturated():
+			refused = ErrShed
+		case m.opts.Policy == PolicyWaitDie && e.mustDie(txn, target):
+			refused = ErrWaitDie
+		}
+		if refused != nil {
+			s.stats.conflicts.Add(1)
+			blockers := e.blockerTxns(txn, target, len(e.queue))
+			s.maybeDropEntry(id, e)
+			switch refused {
+			case ErrShed:
+				m.sheds.Add(1)
+				m.degradedAcq.Add(1)
+				if tr != nil {
+					tr.add(KindShed, tr.start, txn, id, m.Name(id), target, s.idx).Blockers = blockers
+				}
+			case ErrWaitDie:
+				s.stats.deadlocks.Add(1)
+				if tr != nil {
+					ev := tr.add(KindVictim, tr.start, txn, id, m.Name(id), target, s.idx)
+					ev.Blockers, ev.WaitDie = blockers, true
+				}
+			}
+			s.mu.Unlock()
+			tr.finish()
+			return first, lockErrBlocked(txn, m.Name(id), mode, refused, blockers)
+		}
+
+		// Enqueue a pooled waiter (entry.enqueue gives conversions the classic
+		// conversion priority: after existing conversion waiters, ahead of plain
+		// ones).
+		w := getWaiter()
+		w.txn, w.mode, w.convert, w.durable = txn, target, convert, cfg.Durable
+		if tr != nil {
+			w.enq = tr.start
+		}
+		pos := e.enqueue(w)
+		m.wf.put(txn, waitRecord{res: id, w: w, gen: w.gen})
+		s.stats.conflicts.Add(1)
+		s.stats.waits.Add(1)
+		if tr != nil {
+			ev := tr.add(KindWait, time.Time{}, txn, id, m.Name(id), target, s.idx)
+			ev.Blockers = e.blockerTxns(txn, target, pos)
+		}
+		s.mu.Unlock()
+		tr.deliver()
+		if err := m.await(ctx, cfg, tr, txn, id, w, mode, target); err != nil {
+			return first, err
+		}
+		if reqs = reqs[n+1:]; len(reqs) == 0 {
+			return first, nil
+		}
+		if err := ctx.Err(); err != nil {
+			return first, lockErr(txn, m.Name(reqs[0].ID), reqs[0].Mode, err)
+		}
 	}
-	pos := e.enqueue(w)
-	m.wf.put(txn, waitRecord{res: id, w: w, gen: w.gen})
-	s.stats.conflicts.Add(1)
-	s.stats.waits.Add(1)
-	if tr != nil {
-		ev := tr.add(KindWait, time.Time{}, txn, id, m.Name(id), target, s.idx)
-		ev.Blockers = e.blockerTxns(txn, target, pos)
+}
+
+// latchStripes latches the distinct stripes of reqs in ascending index order
+// and returns their indices, ascending, in buf's storage (buf is empty).
+// Chains are short, so an insertion from the end beats a search; a lone
+// request, every AcquireID, skips the sort.
+func (m *Manager) latchStripes(buf []uint32, reqs []IDReq) []uint32 {
+	if len(reqs) == 1 {
+		si := uint32(reqs[0].ID) & m.mask
+		m.shards[si].mu.Lock()
+		return append(buf, si)
 	}
-	s.mu.Unlock()
-	tr.deliver()
-	return m.await(ctx, cfg, tr, txn, id, w, mode, target)
+	for _, q := range reqs {
+		si := uint32(q.ID) & m.mask
+		i := len(buf)
+		for i > 0 && buf[i-1] > si {
+			i--
+		}
+		switch {
+		case i > 0 && buf[i-1] == si:
+		case i == len(buf):
+			buf = append(buf, si)
+		default:
+			buf = append(buf[:i+1], buf[i:]...)
+			buf[i] = si
+		}
+	}
+	for _, si := range buf {
+		m.shards[si].mu.Lock()
+	}
+	return buf
 }
 
 // parkNotifyKey carries a park notification in a context (WithParkNotify).
@@ -640,113 +722,24 @@ func (m *Manager) AcquireBatch(ctx context.Context, txn TxnID, reqs []BatchReq, 
 }
 
 // AcquireBatchID obtains locks for every request in reqs, in order, on behalf
-// of txn. It exists for the protocol's root-to-leaf ancestor chains: instead
-// of N AcquireCtx round-trips (N shard-latch acquisitions, N tracer
-// decisions), the batch latches every involved stripe once — in ascending
-// stripe-index order, the one multi-latch pattern the ordering discipline
-// permits (see shard.go) — and grants all already-compatible requests under
-// that single latch hold with one tracer flush.
-//
-// Because all involved stripes are latched before the first grant, the whole
-// prefix of compatible requests is granted atomically: no concurrent
-// transaction can observe (or create) a state between two of the batch's
-// grants. Requests are processed in the given order, so the transaction's
-// grant sequence numbers (Held.Seq) preserve the chain's root-to-leaf order.
-//
-// On the first request that cannot be granted immediately, the batch
-// releases all latches, flushes the tracer, and falls back to the plain
-// AcquireID wait path for that request and every later one — waiting,
-// deadlock handling, timeouts and cancellation behave exactly as if the tail
-// had been acquired one call at a time. Requests before the conflict stay
-// granted (lock acquisition is not transactional; the caller's 2PL makes
-// that safe). Options apply to every request in the batch.
-//
-// The whole batch is ONE operation for event sampling, like ReleaseAll.
+// of txn: the protocol's root-to-leaf ancestor chains. It is acquire on the
+// whole chain, so the compatible prefix is granted under one latch round with
+// one event delivery, plus the batch counters (Stats.Batches,
+// BatchFastGrants, BatchFallbacks). Options apply to every request.
 func (m *Manager) AcquireBatchID(ctx context.Context, txn TxnID, reqs []IDReq, opts ...AcquireOption) error {
 	if len(reqs) == 0 {
 		return nil
 	}
-	for _, q := range reqs {
-		if !q.Mode.Valid() || q.Mode == None {
-			return fmt.Errorf("lock: invalid mode %v", q.Mode)
+	first, err := m.acquire(ctx, txn, reqs, opts)
+	if first >= 0 {
+		ts := m.txnShardFor(txn)
+		ts.batches.Add(1)
+		ts.batchFast.Add(uint64(first))
+		if first < len(reqs) {
+			ts.batchFallbacks.Add(1)
 		}
 	}
-	cfg := foldOptions(opts)
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	if err := ctx.Err(); err != nil {
-		return lockErr(txn, m.Name(reqs[0].ID), reqs[0].Mode, err)
-	}
-	if err := m.inject(ctx, txn, reqs[0].ID, reqs[0].Mode); err != nil {
-		return err
-	}
-	ts := m.txnShardFor(txn)
-	ts.batches.Add(1)
-	tr := m.newTracer()
-
-	// Collect the distinct stripe indices, ascending (insertion sort into a
-	// small stack buffer; ancestor chains are short, so this beats a map),
-	// keeping each request's stripe for the grant pass.
-	var idxBuf, reqBuf [8]uint32
-	idxs, stripe := idxBuf[:0], reqBuf[:0]
-	for _, q := range reqs {
-		si := uint32(q.ID) & m.mask
-		stripe = append(stripe, si)
-		pos := len(idxs)
-		dup := false
-		for i, v := range idxs {
-			if v == si {
-				dup = true
-				break
-			}
-			if v > si {
-				pos = i
-				break
-			}
-		}
-		if dup {
-			continue
-		}
-		idxs = append(idxs, 0)
-		copy(idxs[pos+1:], idxs[pos:])
-		idxs[pos] = si
-	}
-	for _, si := range idxs {
-		m.shards[si].mu.Lock()
-	}
-
-	// Grant pass. A request that conflicts is NOT counted against the shard
-	// stats here — the fallback AcquireID call will do its own accounting —
-	// so per-request counters stay exactly one-per-request either way.
-	fast := 0 // requests granted under the latches: reqs[:fast]
-	for i, q := range reqs {
-		s := m.shards[stripe[i]]
-		e := s.entryFor(q.ID)
-		if _, _, granted := m.tryGrant(tr, s, e, txn, q.ID, q.Mode, cfg.Durable); !granted {
-			// Conflict: drop the entry if this lookup speculatively created it,
-			// and leave this request and the rest of the chain to the wait path.
-			s.maybeDropEntry(q.ID, e)
-			break
-		}
-		s.stats.requests.Add(1)
-		fast++
-	}
-	for i := len(idxs) - 1; i >= 0; i-- {
-		m.shards[idxs[i]].mu.Unlock()
-	}
-	ts.batchFast.Add(uint64(fast))
-	tr.finish()
-	if fast == len(reqs) {
-		return nil
-	}
-	ts.batchFallbacks.Add(1)
-	for _, q := range reqs[fast:] {
-		if err := m.AcquireID(ctx, txn, q.ID, q.Mode, cfg); err != nil {
-			return err
-		}
-	}
-	return nil
+	return err
 }
 
 // withdraw removes an expired or canceled waiter from its queue. A grant (or
@@ -778,8 +771,8 @@ func (m *Manager) withdraw(tr *tracer, txn TxnID, id ResID, w *waiter, mode, tar
 	return lockErrBlocked(txn, m.Name(id), mode, cause, blockers)
 }
 
-// tryGrant is the immediate-grant decision AcquireID and AcquireBatchID
-// share. Caller holds s.mu and counts the request; e is id's entry. A
+// tryGrant is acquire's immediate-grant decision. Caller holds s.mu and
+// counts the request; e is id's entry. A
 // durable request first makes a lock txn already holds on id durable. A held
 // mode that covers the request answers it (a regrant); otherwise the request
 // — a conversion to the supremum when txn holds a weaker mode — is granted

@@ -18,15 +18,14 @@ import (
 //
 //  1. table-shard latch → txn-shard latch        (never the reverse)
 //  2. table-shard latch → waits-for-table latch  (never the reverse)
-//  3. multiple table-shard latches may be held simultaneously ONLY when
-//     acquired in ascending stripe-index order (AcquireBatch's fast path
-//     latches every involved stripe that way, grants, and unlatches).
-//     Everything else holds at most ONE table-shard latch at a time;
-//     cross-shard work (ReleaseAll's sweep, Snapshot, deadlock detection)
-//     works under one latch, releases it, and re-latches the next shard.
-//     Single-latch code never acquires a second stripe, and ascending-order
-//     batchers cannot cycle among themselves, so the two regimes compose
-//     deadlock-free.
+//  3. every acquisition latches its stripes ascending; all other code holds
+//     one at a time. A round of Manager.acquire latches its requests'
+//     stripes in ascending index order, grants, and unlatches all but a
+//     conflicting request's stripe; cross-shard work (ReleaseAll's sweep,
+//     Snapshot, deadlock detection) works under one latch, releases it, and
+//     re-latches the next shard. Single-latch code never acquires a second
+//     stripe, and ascending-order acquisitions cannot cycle among
+//     themselves, so the two regimes compose deadlock-free.
 //  4. txn-shard, waits-for and id-table latches are leaves: code holding
 //     them may not acquire any other manager latch.
 //

@@ -17,7 +17,8 @@ type Stats struct {
 	Conflicts uint64
 	// Waits counts requests that actually blocked.
 	Waits uint64
-	// Deadlocks counts detected deadlock cycles.
+	// Deadlocks counts deadlock victims: detected cycles plus wait-die
+	// deaths.
 	Deadlocks uint64
 	// Timeouts counts requests withdrawn because their WithTimeout
 	// deadline passed.
@@ -42,11 +43,11 @@ type Stats struct {
 	InjectedFaults uint64
 	// Batches counts AcquireBatch calls.
 	Batches uint64
-	// BatchFastGrants counts requests granted on the AcquireBatch fast path
-	// (all compatible, granted under one multi-shard latch acquisition).
+	// BatchFastGrants counts AcquireBatch requests granted in the call's
+	// first latch round, before any conflict.
 	BatchFastGrants uint64
-	// BatchFallbacks counts AcquireBatch calls that hit a conflict and fell
-	// back to the single-resource wait path for the remaining requests.
+	// BatchFallbacks counts AcquireBatch calls that met a conflict: a request
+	// refused or queued, after which the rest of the batch waited for it.
 	BatchFallbacks uint64
 	// SummaryFastChecks counts acquire-path grant/deny decisions answered
 	// entirely by the O(1) granted-group summaries (per-mode counts, cached

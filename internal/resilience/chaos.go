@@ -9,9 +9,9 @@ import (
 	"colock/internal/lock"
 )
 
-// ChaosConfig sets the fault mix. Rates are per-acquire probabilities in
-// [0,1], tested in the order victim, timeout, delay — at most one fault per
-// request.
+// ChaosConfig sets the fault mix. Rates are probabilities per acquisition
+// call (lock.Injector) in [0,1], tested in the order victim, timeout, delay
+// — at most one fault per call.
 type ChaosConfig struct {
 	// Seed makes the fault sequence reproducible: the same seed and the
 	// same sequence of InjectAcquire calls produce the same faults.
